@@ -1,29 +1,27 @@
 // micro_training — training-substrate micro-benchmark and the
-// parallel-vs-serial / fused-vs-unfused correctness gate for the intra-op
-// tensor backend and the per-layer op scheduler.
+// parallel-vs-serial correctness gate for the intra-op tensor backend and
+// the grouped retraining engine.
 //
 // Times the per-step costs the fleet-level retraining budgets are built
 // from (forward, train step, masked train step, full evaluation) per
-// workload: with serial tensor kernels (--gemm-threads 1), on the intra-op
-// thread budget under test (fused scheduler, the default execution mode),
-// and on the same budget with layer fusion disabled (the unfused per-layer
-// reference). Every parallel result must equal its serial counterpart BIT
-// FOR BIT, and the fused scheduler's post-step parameter snapshot must
-// equal the unfused serial path bit for bit — logits, snapshots, and
-// accuracies are memcmp'd — and the process exits non-zero on any mismatch
-// and NEVER on timing, so CI can gate on correctness without flaking on
-// noise. Emits BENCH_train.json (schema 3: per-op cases carry serial_ms /
-// parallel_ms for the fused default plus unfused_parallel_ms and
-// fusion_speedup; fleet_cases carry serial-vs-grouped retraining episode
-// times per K) — the train-path perf artifact reported next to
-// BENCH_gemm.json / BENCH_eval.json.
+// workload: with serial tensor kernels (--gemm-threads 1) and on the
+// intra-op thread budget under test. Every parallel result must equal its
+// serial counterpart BIT FOR BIT — logits, snapshots, and accuracies are
+// memcmp'd — and the process exits non-zero on any mismatch and NEVER on
+// timing, so CI can gate on correctness without flaking on noise. Emits
+// BENCH_train.json (schema 4: per-op cases carry serial_ms / parallel_ms;
+// fleet_cases carry serial-vs-grouped retraining episode times per K;
+// `regressions` names every row whose fast path — the intra-op budget for
+// cases, the grouped engine for fleet_cases — measured slower than its
+// reference, as information only) — the train-path perf artifact reported
+// next to BENCH_gemm.json / BENCH_eval.json.
 //
 // Workloads: "mlp" (the standard experiment scale — too small to gain from
 // intra-op threads, included to pin the no-regression floor) and "vgg"
 // (VGG11 at width 0.25 on 16x16 synthetic images, batch 64 — the
 // single-chip retraining shape the intra-op backend exists for).
 //
-// Fleet section (schema 3): whole retraining EPISODES — restore, mask,
+// Fleet section: whole retraining EPISODES — restore, mask,
 // masked SGD per the allocation, checkpoint evals — serial chip_tuner loop
 // vs grouped_chip_tuner lockstep, at K in {1, 2, 8} on the micro_eval fleet
 // geometries (mlp_fleet: the standard MLP; vgg_fleet: VGG11 width 0.125 on
@@ -65,7 +63,6 @@
 #include "nn/loss.h"
 #include "nn/models.h"
 #include "nn/optim.h"
-#include "nn/schedule.h"
 #include "nn/serialize.h"
 #include "util/cli.h"
 #include "util/json.h"
@@ -337,6 +334,18 @@ int main(int argc, char** argv) {
         bool all_ok = true;
         double vgg_train_step_speedup = 0.0;
         json_array case_json;
+        // Rows whose fast path lost to its reference. Reported, never fatal:
+        // timing noise must not fail the run.
+        json_array regressions;
+        const auto note_regression = [&](const std::string& row, double speedup) {
+            if (speedup >= 1.0) { return; }
+            std::cout << "regression: " << row << " fast path at " << speedup
+                      << "x of its reference\n";
+            json_object entry;
+            entry.set("row", json_value(row));
+            entry.set("speedup", json_value(speedup));
+            regressions.push_back(json_value(std::move(entry)));
+        };
 
         std::vector<train_workload> workloads;
         workloads.push_back(make_mlp_workload());
@@ -346,28 +355,6 @@ int main(int argc, char** argv) {
             fault_aware_trainer trainer(*w.model, w.train_data, w.test_data, w.trainer_cfg);
             data_loader fwd_loader(w.train_data, w.trainer_cfg.batch_size, 1);
             const batch fwd_batch = fwd_loader.next_batch();
-
-            // Fusion gate: the fused scheduler (the default path) must
-            // reproduce the UNFUSED SERIAL reference bit for bit — both
-            // serially and on the thread budget under test, masked included.
-            {
-                set_intra_op_threads(1);
-                model_snapshot unfused_serial;
-                {
-                    const scoped_layer_fusion off(false);
-                    unfused_serial = run_train_steps(w, /*masked=*/true, steps);
-                }
-                const scoped_layer_fusion on(true);
-                const model_snapshot fused_serial = run_train_steps(w, true, steps);
-                set_intra_op_threads(gemm_threads);
-                const model_snapshot fused_parallel = run_train_steps(w, true, steps);
-                set_intra_op_threads(1);
-                const bool fusion_ok = same_snapshot(unfused_serial, fused_serial) &&
-                                       same_snapshot(unfused_serial, fused_parallel);
-                all_ok = all_ok && fusion_ok;
-                std::cout << w.name << " fused-vs-unfused snapshot: "
-                          << (fusion_ok ? "bitwise identical" : "*** MISMATCH ***") << '\n';
-            }
 
             struct row {
                 const char* op;
@@ -438,16 +425,9 @@ int main(int argc, char** argv) {
                 const double serial_ms = best_ms_per_call(r.run, min_ms, samples);
                 set_intra_op_threads(gemm_threads);
                 const double parallel_ms = best_ms_per_call(r.run, min_ms, samples);
-                // Same body, same budget, fusion off: isolates what the
-                // epilogue/scheduler fusion buys on this row.
-                double unfused_parallel_ms;
-                {
-                    const scoped_layer_fusion off(false);
-                    unfused_parallel_ms = best_ms_per_call(r.run, min_ms, samples);
-                }
                 set_intra_op_threads(1);
                 const double speedup = serial_ms / parallel_ms;
-                const double fusion_speedup = unfused_parallel_ms / parallel_ms;
+                note_regression(w.name + ' ' + r.op, speedup);
                 if (w.name == "vgg" && std::string(r.op) == "train_step") {
                     vgg_train_step_speedup = speedup;
                 }
@@ -462,10 +442,8 @@ int main(int argc, char** argv) {
                 entry.set("op", json_value(std::string(r.op)));
                 entry.set("serial_ms", json_value(serial_ms));
                 entry.set("parallel_ms", json_value(parallel_ms));
-                entry.set("unfused_parallel_ms", json_value(unfused_parallel_ms));
                 entry.set("gemm_threads", json_value(gemm_threads));
                 entry.set("speedup", json_value(speedup));
-                entry.set("fusion_speedup", json_value(fusion_speedup));
                 entry.set("items_per_s", json_value(r.items / (parallel_ms / 1000.0)));
                 entry.set("verified", json_value(ok));
                 case_json.push_back(json_value(std::move(entry)));
@@ -509,6 +487,7 @@ int main(int argc, char** argv) {
                     min_ms, samples);
                 set_intra_op_threads(1);
                 const double speedup = serial_ms / grouped_ms;
+                note_regression(w.name + " K=" + std::to_string(k), speedup);
                 if (w.name == "vgg_fleet" && k == 8) { vgg_fleet_k8_speedup = speedup; }
 
                 std::cout << w.name << " K=" << k << "  serial " << serial_ms
@@ -533,8 +512,7 @@ int main(int argc, char** argv) {
 
         json_object root;
         root.set("bench", json_value("micro_training"));
-        root.set("schema_version", json_value(3));
-        root.set("layer_fusion", json_value(layer_fusion_enabled()));
+        root.set("schema_version", json_value(4));
 #ifdef REDUCE_NATIVE
         root.set("march_native", json_value(true));
 #else
@@ -550,6 +528,7 @@ int main(int argc, char** argv) {
         root.set("vgg_fleet_k8_speedup", json_value(vgg_fleet_k8_speedup));
         root.set("cases", json_value(std::move(case_json)));
         root.set("fleet_cases", json_value(std::move(fleet_json)));
+        root.set("regressions", json_value(std::move(regressions)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (vgg train-step speedup "
                   << vgg_train_step_speedup << "x, fleet K=8 grouped speedup "

@@ -1,6 +1,5 @@
 #include "nn/conv_layers.h"
 
-#include "nn/schedule.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -22,26 +21,7 @@ conv2d_layer::conv2d_layer(conv2d_spec spec, rng& gen) : spec_(spec) {
 
 tensor conv2d_layer::forward(const tensor& input) {
     cached_input_ = input;
-    if (layer_fusion_enabled()) {
-        // Bias moves into the lowering GEMM's epilogue (no activation);
-        // bit-identical to the unfused scatter-time bias add.
-        conv_fusion fusion;
-        return conv2d_forward(input, weight_.value, bias_.value, spec_, &fusion);
-    }
     return conv2d_forward(input, weight_.value, bias_.value, spec_);
-}
-
-tensor conv2d_layer::forward_fused_relu(const tensor& input,
-                                        std::vector<std::uint8_t>& relu_keep) {
-    REDUCE_CHECK(input.dim() == 4, "conv2d expects [N,C,H,W], got " << input.describe());
-    cached_input_ = input;
-    const std::size_t oh = spec_.out_h(input.extent(2));
-    const std::size_t ow = spec_.out_w(input.extent(3));
-    relu_keep.resize(input.extent(0) * spec_.out_channels * oh * ow);
-    conv_fusion fusion;
-    fusion.relu = true;
-    fusion.relu_keep = relu_keep.data();
-    return conv2d_forward(input, weight_.value, bias_.value, spec_, &fusion);
 }
 
 tensor conv2d_layer::backward(const tensor& grad_output) {

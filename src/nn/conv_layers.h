@@ -22,14 +22,6 @@ public:
     std::unique_ptr<module> clone() const override;
     std::string name() const override { return "conv2d"; }
 
-    /// Scheduler entry: y = relu(conv(x) + b) with the bias folded into the
-    /// lowering GEMM and the ReLU applied in the scatter tail. Resizes
-    /// `relu_keep` to the output numel and records the backward keep-mask in
-    /// output (NCHW) layout. Caches the input like forward(), so the
-    /// standard backward() applies once the caller has masked the upstream
-    /// gradient with relu_keep_backward.
-    tensor forward_fused_relu(const tensor& input, std::vector<std::uint8_t>& relu_keep);
-
     const conv2d_spec& spec() const { return spec_; }
     parameter& weight() { return weight_; }
     parameter& bias() { return bias_; }

@@ -13,7 +13,7 @@ namespace reduce {
 namespace {
 
 /// Flattens a (possibly nested) container into execution-order leaf layers —
-/// the order collect_mapped_layers and the op_schedule walk share.
+/// the order collect_mapped_layers and sequential::forward share.
 void flatten_layers(sequential& model, std::vector<module*>& out) {
     for (std::size_t i = 0; i < model.size(); ++i) {
         module& layer = model.layer(i);
@@ -55,20 +55,10 @@ void grouped_train_net::flatten_variants(const std::vector<sequential*>&) {
         step st;
         st.mods.resize(groups_);
         for (std::size_t g = 0; g < groups_; ++g) { st.mods[g] = flat_[g][i]; }
-        // Like op_schedule, a relu directly after a linear/conv folds into
-        // the producing kernel's tail (bias in the epilogue, activation +
-        // keep-mask at the store). The walker ALWAYS takes the fused form —
-        // bit-identical to the unfused passes by the schedule contract — so
-        // grouped results match the serial trainer under either ambient
-        // fusion setting.
-        const bool relu_next =
-            i + 1 < count && dynamic_cast<relu_layer*>(flat_[0][i + 1]) != nullptr;
         if (dynamic_cast<linear*>(m0) != nullptr) {
             st.k = step::kind::linear_k;
-            st.fuse_relu = relu_next;
         } else if (dynamic_cast<conv2d_layer*>(m0) != nullptr) {
             st.k = step::kind::conv_k;
-            st.fuse_relu = relu_next;
         } else if (dynamic_cast<relu_layer*>(m0) != nullptr) {
             st.k = step::kind::relu_k;
         } else if (dynamic_cast<flatten*>(m0) != nullptr) {
@@ -83,9 +73,7 @@ void grouped_train_net::flatten_variants(const std::vector<sequential*>&) {
             // own layer object (RNG streams, batch/running statistics).
             st.k = step::kind::per_variant_k;
         }
-        const bool fused = st.fuse_relu;
         steps_.push_back(std::move(st));
-        if (fused) { ++i; }
     }
 }
 
@@ -120,20 +108,18 @@ tensor grouped_train_net::forward_step(step& st, tensor x) {
                          "grouped linear expects [K*N," << in << "], got " << x.describe());
             st.cached_input = x;
             tensor y({total, out});
-            if (st.fuse_relu) { st.relu_keep.resize(total * out); }
             for (std::size_t g = 0; g < groups_; ++g) {
                 auto* fc = static_cast<linear*>(st.mods[g]);
-                // Per-variant fused GEMM: same call matmul_nt_bias makes for
-                // the serial layer, on block g's rows.
-                gemm_epilogue epi;
-                epi.col_bias = fc->bias().value.raw();
-                if (st.fuse_relu) {
-                    epi.relu = true;
-                    epi.relu_keep = st.relu_keep.data() + g * n * out;
-                    epi.keep_ld = out;
-                }
+                // matmul_nt then add_row_bias_inplace — the serial layer's
+                // exact passes, on block g's rows.
+                float* blk = y.raw() + g * n * out;
                 gemm_nt(n, out, in, x.raw() + g * n * in, in, fc->weight().value.raw(), in,
-                        y.raw() + g * n * out, out, /*accumulate=*/false, ws, &epi);
+                        blk, out, /*accumulate=*/false, ws);
+                const float* bias = fc->bias().value.raw();
+                for (std::size_t i = 0; i < n; ++i) {
+                    float* row = blk + i * out;
+                    for (std::size_t j = 0; j < out; ++j) { row[j] += bias[j]; }
+                }
             }
             return y;
         }
@@ -148,14 +134,7 @@ tensor grouped_train_net::forward_step(step& st, tensor x) {
                 weights[g] = &conv->weight().value;
                 biases[g] = &conv->bias().value;
             }
-            std::uint8_t* keep = nullptr;
-            if (st.fuse_relu) {
-                const std::size_t oh = spec.out_h(x.extent(2));
-                const std::size_t ow = spec.out_w(x.extent(3));
-                st.relu_keep.resize(total * spec.out_channels * oh * ow);
-                keep = st.relu_keep.data();
-            }
-            return conv2d_forward_grouped_vb(x, groups_, weights, biases, spec, keep);
+            return conv2d_forward_grouped_vb(x, groups_, weights, biases, spec);
         }
         case step::kind::relu_k: {
             st.cached_input = x;
@@ -219,13 +198,7 @@ tensor grouped_train_net::backward_step(step& st, tensor grad) {
             auto* fc0 = static_cast<linear*>(st.mods[0]);
             const std::size_t in = fc0->in_features();
             const std::size_t out = fc0->out_features();
-            tensor masked;
-            const tensor* gp = &grad;
-            if (st.fuse_relu) {
-                masked = relu_keep_backward(grad, st.relu_keep.data());
-                gp = &masked;
-            }
-            const float* gr = gp->raw();
+            const float* gr = grad.raw();
             tensor dx({total, in});
             for (std::size_t g = 0; g < groups_; ++g) {
                 auto* fc = static_cast<linear*>(st.mods[g]);
@@ -249,12 +222,6 @@ tensor grouped_train_net::backward_step(step& st, tensor grad) {
         }
         case step::kind::conv_k: {
             auto* c0 = static_cast<conv2d_layer*>(st.mods[0]);
-            tensor masked;
-            const tensor* gp = &grad;
-            if (st.fuse_relu) {
-                masked = relu_keep_backward(grad, st.relu_keep.data());
-                gp = &masked;
-            }
             std::vector<const tensor*> weights(groups_);
             std::vector<tensor*> grad_weights(groups_);
             std::vector<tensor*> grad_biases(groups_);
@@ -265,7 +232,7 @@ tensor grouped_train_net::backward_step(step& st, tensor grad) {
                 grad_biases[g] = &conv->bias().grad;
             }
             tensor dx(st.cached_input.shape());
-            conv2d_backward_grouped(st.cached_input, groups_, weights, *gp, c0->spec(), dx,
+            conv2d_backward_grouped(st.cached_input, groups_, weights, grad, c0->spec(), dx,
                                     grad_weights, grad_biases);
             return dx;
         }

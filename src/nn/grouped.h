@@ -14,10 +14,8 @@
 //     (forward activations via gemm_k_subset, backward dX/dW via the
 //     compact drivers in tensor/conv.h) — on 1x1-spatial VGG tails that is
 //     8/9 of the patch rows;
-//   * linear/conv steps always run their FUSED form (bias in the GEMM
-//     epilogue, ReLU + keep-mask in the tail) — bit-identical to the
-//     unfused serial path by the op_schedule contract, so the walker
-//     matches the serial trainer regardless of the ambient fusion toggle.
+//   * every layer runs exactly the passes of its serial forward and
+//     backward: GEMM, then a bias pass, then the relu step's own pass.
 //
 // Determinism contract: after forward+backward on a stacked batch, variant
 // g's parameter gradients, caches, and output block are byte-identical to
@@ -81,12 +79,10 @@ private:
         };
         kind k = kind::per_variant_k;
         std::vector<module*> mods;  ///< one per variant, same position
-        bool fuse_relu = false;     ///< linear/conv directly followed by relu
         // Per-step caches (valid between one forward and its backward).
-        tensor cached_input;                  ///< stacked input (linear/conv/relu)
-        shape_t cached_shape;                 ///< input shape (flatten/pools)
-        std::vector<std::size_t> argmax;      ///< max-pool routing
-        std::vector<std::uint8_t> relu_keep;  ///< fused-ReLU keep mask (stacked NCHW)
+        tensor cached_input;              ///< stacked input (linear/conv/relu)
+        shape_t cached_shape;             ///< input shape (flatten/pools)
+        std::vector<std::size_t> argmax;  ///< max-pool routing
     };
 
     void flatten_variants(const std::vector<sequential*>& variants);

@@ -1,6 +1,5 @@
 #include "nn/layers.h"
 
-#include "nn/schedule.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "util/error.h"
@@ -24,23 +23,9 @@ tensor linear::forward(const tensor& input) {
     REDUCE_CHECK(input.dim() == 2 && input.extent(1) == in_features_,
                  "linear expects [N," << in_features_ << "], got " << input.describe());
     cached_input_ = input;
-    if (layer_fusion_enabled()) {
-        // Bias folded into the GEMM epilogue; bit-identical to the unfused
-        // matmul + row-bias passes below.
-        return matmul_nt_bias(input, weight_.value, bias_.value);
-    }
     tensor output = matmul_nt(input, weight_.value);  // [N, out]
     add_row_bias_inplace(output, bias_.value);
     return output;
-}
-
-tensor linear::forward_fused_relu(const tensor& input, std::vector<std::uint8_t>& relu_keep) {
-    REDUCE_CHECK(input.dim() == 2 && input.extent(1) == in_features_,
-                 "linear expects [N," << in_features_ << "], got " << input.describe());
-    cached_input_ = input;
-    relu_keep.resize(input.extent(0) * out_features_);
-    return matmul_nt_bias(input, weight_.value, bias_.value, /*fuse_relu=*/true,
-                          relu_keep.data());
 }
 
 tensor linear::backward(const tensor& grad_output) {

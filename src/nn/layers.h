@@ -24,13 +24,6 @@ public:
     std::unique_ptr<module> clone() const override;
     std::string name() const override { return "linear"; }
 
-    /// Scheduler entry: y = relu(x·Wᵀ + b) with bias and activation applied
-    /// in the GEMM epilogue. Resizes `relu_keep` to N*out and records the
-    /// backward keep-mask (!(z <= 0) per pre-activation). Caches the input
-    /// like forward(), so the standard backward() applies once the caller
-    /// has masked the upstream gradient with relu_keep_backward.
-    tensor forward_fused_relu(const tensor& input, std::vector<std::uint8_t>& relu_keep);
-
     std::size_t in_features() const { return in_features_; }
     std::size_t out_features() const { return out_features_; }
 

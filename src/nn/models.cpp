@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "nn/norm.h"
-#include "nn/schedule.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
@@ -118,38 +117,27 @@ tensor forward_masked_group_walk(sequential& model, tensor x, std::size_t groups
         return variant;
     };
 
-    const bool fused = layer_fusion_enabled();
     for (std::size_t i = 0; i < model.size(); ++i) {
         module& layer = model.layer(i);
-        // Look-ahead fusion mirrors op_schedule: a relu directly after a
-        // mapped linear/conv folds into the grouped kernel's tail (the
-        // inference-only fusion — no keep-mask) and the relu layer is
-        // skipped. Bit-identical to the separate activation pass.
-        const bool relu_next = fused && i + 1 < model.size() &&
-                               dynamic_cast<relu_layer*>(&model.layer(i + 1)) != nullptr;
         if (auto* fc = dynamic_cast<linear*>(&layer)) {
             const auto& weights = next_weights("linear");
-            const tensor* bias = fused ? &fc->bias().value : nullptr;
             if (!stacked) {
-                x = matmul_nt_fanout(x, weights, bias, relu_next);
+                x = matmul_nt_fanout(x, weights);
                 stacked = true;
             } else {
                 // Each variant's rows were flattened 2-D by the layers above.
-                x = matmul_nt_grouped(x, groups, weights, bias, relu_next);
+                x = matmul_nt_grouped(x, groups, weights);
             }
-            if (!fused) { add_row_bias_inplace(x, fc->bias().value); }
-            if (relu_next) { ++i; }
+            add_row_bias_inplace(x, fc->bias().value);
         } else if (auto* conv = dynamic_cast<conv2d_layer*>(&layer)) {
             const auto& weights = next_weights("conv2d");
             if (!stacked) {
-                x = conv2d_forward_fanout(x, weights, conv->bias().value, conv->spec(),
-                                          relu_next);
+                x = conv2d_forward_fanout(x, weights, conv->bias().value, conv->spec());
                 stacked = true;
             } else {
                 x = conv2d_forward_grouped(x, groups, weights, conv->bias().value,
-                                           conv->spec(), relu_next);
+                                           conv->spec());
             }
-            if (relu_next) { ++i; }
         } else if (auto* inner = dynamic_cast<sequential*>(&layer)) {
             // Nested containers walk recursively with the same cursor, so
             // any nesting the serial attach path supports works here too.

@@ -1,6 +1,5 @@
 #include "nn/module.h"
 
-#include "nn/schedule.h"
 #include "tensor/ops.h"
 #include "util/error.h"
 
@@ -20,29 +19,22 @@ void parameter::mask_grad() {
     mul_inplace(grad, mask);
 }
 
-sequential::sequential() = default;
-sequential::~sequential() = default;
-
 module& sequential::add(std::unique_ptr<module> layer) {
     REDUCE_CHECK(layer != nullptr, "sequential::add requires a layer");
     layers_.push_back(std::move(layer));
-    schedule_.reset();  // structural change: replan at the next forward
     return *layers_.back();
 }
 
 tensor sequential::forward(const tensor& input) {
-    if (schedule_ == nullptr || !schedule_->valid_for(*this)) {
-        if (schedule_ == nullptr) { schedule_ = std::make_unique<op_schedule>(); }
-        schedule_->build(*this);
-    }
-    return schedule_->forward(*this, input);
+    tensor x = input;
+    for (auto& layer : layers_) { x = layer->forward(x); }
+    return x;
 }
 
 tensor sequential::backward(const tensor& grad_output) {
-    REDUCE_CHECK(schedule_ != nullptr && schedule_->valid_for(*this),
-                 "sequential backward requires a forward under the same layer list and "
-                 "fusion setting");
-    return schedule_->backward(*this, grad_output);
+    tensor g = grad_output;
+    for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) { g = (*it)->backward(g); }
+    return g;
 }
 
 std::vector<parameter*> sequential::parameters() {

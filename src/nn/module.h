@@ -15,8 +15,6 @@
 
 namespace reduce {
 
-class op_schedule;
-
 /// A trainable tensor with its gradient and an optional fault mask.
 ///
 /// When `mask` is non-empty it has the same shape as `value`; entries equal
@@ -92,20 +90,10 @@ protected:
     bool training_ = true;
 };
 
-/// Owning container that runs layers in sequence.
-///
-/// Execution routes through a lazily built op_schedule (nn/schedule.h): at
-/// the first forward — and again whenever the layer list or the process-wide
-/// fusion toggle changed — the container plans which adjacent layer pairs
-/// run as fused kernel steps. The plan never changes results (fused paths
-/// are bit-identical to per-layer execution); it only changes how many
-/// memory passes each step costs.
+/// Owning container that runs layers in sequence: forward calls each
+/// layer's forward in order, backward each layer's backward in reverse.
 class sequential : public module {
 public:
-    // Both out-of-line: op_schedule is incomplete here.
-    sequential();
-    ~sequential() override;
-
     /// Appends a layer; returns a reference for further configuration.
     module& add(std::unique_ptr<module> layer);
 
@@ -134,7 +122,6 @@ public:
 
 private:
     std::vector<std::unique_ptr<module>> layers_;
-    std::unique_ptr<op_schedule> schedule_;  ///< lazily built execution plan
 };
 
 /// Deep-copies a model (see module::clone) with the concrete sequential type

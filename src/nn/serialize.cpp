@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <fstream>
+#include <optional>
 #include <sstream>
 
 #include "util/error.h"
@@ -97,14 +98,39 @@ void write_tensor(std::ostream& os, const tensor& value) {
 constexpr std::uint64_t k_max_entries = 1u << 20;
 constexpr std::uint32_t k_max_rank = 32;
 
+/// Bytes left between the read position and the end of a seekable stream;
+/// nullopt for streams that cannot seek.
+std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
+    const std::istream::pos_type here = is.tellg();
+    if (here == std::istream::pos_type(-1)) { return std::nullopt; }
+    is.seekg(0, std::ios::end);
+    const std::istream::pos_type end = is.tellg();
+    is.seekg(here);
+    if (end == std::istream::pos_type(-1) || !is) { return std::nullopt; }
+    return static_cast<std::uint64_t>(end - here);
+}
+
 tensor read_tensor(std::istream& is) {
     const auto rank = read_pod<std::uint32_t>(is);
     if (rank > k_max_rank) {
         throw io_error("corrupt snapshot: tensor rank " + std::to_string(rank));
     }
     shape_t shape(rank);
+    // The extents come off disk or the wire: their product must neither
+    // wrap (a wrapped product would allocate a tensor far smaller than its
+    // shape claims) nor ask for more payload than the stream still holds.
+    std::size_t bytes = sizeof(float);
     for (auto& extent : shape) {
-        extent = static_cast<std::size_t>(read_pod<std::uint64_t>(is));
+        const auto e = read_pod<std::uint64_t>(is);
+        if (__builtin_mul_overflow(bytes, e, &bytes)) {
+            throw io_error("corrupt snapshot: tensor extents overflow");
+        }
+        extent = static_cast<std::size_t>(e);
+    }
+    const std::optional<std::uint64_t> left = remaining_bytes(is);
+    if (left.has_value() && bytes > *left) {
+        throw io_error("corrupt snapshot: tensor of " + std::to_string(bytes) +
+                       " bytes but only " + std::to_string(*left) + " remain");
     }
     tensor value(shape);
     is.read(reinterpret_cast<char*>(value.raw()),

@@ -68,43 +68,18 @@ bool conv_fan_out(std::size_t work_elems) {
 /// forward and both grouped entry points so the layout/bias law lives once.
 /// Output channels write disjoint destinations, so the parallel split is
 /// trivially bit-identical.
-///
-/// The scatter IS the conv's tail pass (it already touches every output
-/// element), so the fused activation lives here: with `fuse_relu` each
-/// value is clamped during the copy, and `relu_keep` (a base pointer
-/// parallel to `out_ptr`, NCHW layout) records !(z <= 0) of the pre-ReLU
-/// value — relu_backward's exact predicate, NaN pre-activations keep
-/// gradient. Writing the mask in OUTPUT layout (not lowered layout) is
-/// deliberate: forward and backward chunk the batch differently, so only
-/// the NCHW mask lines up with the dY tensor the backward masks.
 void scatter_lowered_output(const float* src, std::size_t src_stride, std::size_t nb,
                             std::size_t plane, std::size_t out_c, const tensor& bias,
-                            float* out_ptr, std::size_t img0, bool fuse_relu = false,
-                            std::uint8_t* relu_keep = nullptr) {
+                            float* out_ptr, std::size_t img0) {
     const bool has_bias = !bias.empty();
     const auto scatter_rows = [&](std::size_t oc0, std::size_t oc1) {
         for (std::size_t oc = oc0; oc < oc1; ++oc) {
             const float b = has_bias ? bias[oc] : 0.0f;
             const float* srow = src + oc * src_stride;
             for (std::size_t n = 0; n < nb; ++n) {
-                const std::size_t dst_off = ((img0 + n) * out_c + oc) * plane;
-                float* dst = out_ptr + dst_off;
+                float* dst = out_ptr + ((img0 + n) * out_c + oc) * plane;
                 const float* col = srow + n * plane;
-                if (!fuse_relu) {
-                    for (std::size_t i = 0; i < plane; ++i) { dst[i] = col[i] + b; }
-                } else if (relu_keep == nullptr) {
-                    for (std::size_t i = 0; i < plane; ++i) {
-                        const float z = col[i] + b;
-                        dst[i] = z > 0.0f ? z : 0.0f;
-                    }
-                } else {
-                    std::uint8_t* keep = relu_keep + dst_off;
-                    for (std::size_t i = 0; i < plane; ++i) {
-                        const float z = col[i] + b;
-                        keep[i] = !(z <= 0.0f) ? 1 : 0;
-                        dst[i] = z > 0.0f ? z : 0.0f;
-                    }
-                }
+                for (std::size_t i = 0; i < plane; ++i) { dst[i] = col[i] + b; }
             }
         }
     };
@@ -275,14 +250,7 @@ void check_conv_inputs(const tensor& input, const tensor& weight, const conv2d_s
 
 tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
                       const conv2d_spec& spec) {
-    return conv2d_forward(input, weight, bias, spec, nullptr);
-}
-
-tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
-                      const conv2d_spec& spec, const conv_fusion* fusion) {
     check_conv_inputs(input, weight, spec);
-    REDUCE_CHECK(fusion == nullptr || fusion->relu_keep == nullptr || fusion->relu,
-                 "conv2d fusion keep-mask requires relu");
     const std::size_t batch = input.extent(0);
     const std::size_t in_h = input.extent(2);
     const std::size_t in_w = input.extent(3);
@@ -303,20 +271,6 @@ tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& b
     // row-major contiguity makes the reshape free (the seed copied it).
     const float* weight2d = weight.raw();
 
-    // With a fusion request the bias moves into the GEMM epilogue (row bias
-    // per output channel, applied at the tile store) and the scatter applies
-    // the activation; without one the bias rides the scatter as before.
-    // Either placement adds bias to the completed accumulation chain with
-    // the same single float add — bit-identical.
-    const bool fused = fusion != nullptr;
-    gemm_epilogue epi;
-    const gemm_epilogue* epi_ptr = nullptr;
-    if (fused && has_bias) {
-        epi.row_bias = bias.raw();
-        epi_ptr = &epi;
-    }
-    static const tensor no_bias;
-
     workspace& ws = workspace::local();
     const std::size_t chunk = images_per_chunk(patch + spec.out_channels, plane, batch);
     for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
@@ -326,10 +280,9 @@ tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& b
         im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
         workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
         gemm_nn(spec.out_channels, cols, patch, weight2d, patch, colbuf.data(), cols,
-                outbuf.data(), cols, /*accumulate=*/false, ws, epi_ptr);
-        scatter_lowered_output(outbuf.data(), cols, nb, plane, spec.out_channels,
-                               fused ? no_bias : bias, out_ptr, n0, fused && fusion->relu,
-                               fused ? fusion->relu_keep : nullptr);
+                outbuf.data(), cols, /*accumulate=*/false, ws);
+        scatter_lowered_output(outbuf.data(), cols, nb, plane, spec.out_channels, bias,
+                               out_ptr, n0);
     }
     return output;
 }
@@ -517,39 +470,24 @@ struct group_conv_geometry {
 
     /// Scatters a lowered [out_c, nb*plane] block (row stride `src_stride`)
     /// back to [image, out_c, plane] layout starting at image `img0`,
-    /// adding the bias — the exact loop conv2d_forward runs. `fuse_relu`
-    /// applies the activation during the copy (the fused grouped tail).
+    /// adding the bias — the exact loop conv2d_forward runs.
     void scatter(const float* src, std::size_t src_stride, std::size_t nb,
                  const conv2d_spec& spec, const tensor& bias, float* out_ptr,
-                 std::size_t img0, bool fuse_relu = false) const {
+                 std::size_t img0) const {
         scatter_lowered_output(src, src_stride, nb, plane, spec.out_channels, bias, out_ptr,
-                               img0, fuse_relu);
+                               img0);
     }
 };
-
-/// Builds the grouped drivers' GEMM epilogue: with fusion requested the
-/// shared bias moves into the tile store (row bias per output channel), the
-/// ReLU stays in the scatter. Returns nullptr when nothing is fused there.
-const gemm_epilogue* group_conv_epilogue(gemm_epilogue& epi, const tensor& bias,
-                                         bool fuse_relu) {
-    if (!fuse_relu || bias.empty()) { return nullptr; }
-    epi.row_bias = bias.raw();
-    return &epi;
-}
 
 }  // namespace
 
 tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
-                             const tensor& bias, const conv2d_spec& spec, bool fuse_relu) {
+                             const tensor& bias, const conv2d_spec& spec) {
     const std::vector<const float*> a_list = check_group_weights(weights, spec);
     check_group_bias(bias, spec);
     const group_conv_geometry geo(input, spec);
     const std::size_t groups = weights.size();
     const std::size_t batch = input.extent(0);
-    gemm_epilogue epi;
-    const gemm_epilogue* epi_ptr = group_conv_epilogue(epi, bias, fuse_relu);
-    static const tensor no_bias;
-    const tensor& scatter_bias = fuse_relu ? no_bias : bias;
 
     tensor output({groups * batch, spec.out_channels, geo.oh, geo.ow});
     float* out_ptr = output.raw();
@@ -570,10 +508,10 @@ tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor
         for (std::size_t g = 0; g < groups; ++g) { c_list[g] = outbuf.data() + g * cols; }
         gemm_nn_multi(spec.out_channels, cols, geo.patch, a_list.data(), groups, geo.patch,
                       colbuf.data(), cols, c_list.data(), groups * cols,
-                      /*accumulate=*/false, ws, geo.subset_ptr, epi_ptr);
+                      /*accumulate=*/false, ws, geo.subset_ptr);
         for (std::size_t g = 0; g < groups; ++g) {
-            geo.scatter(outbuf.data() + g * cols, groups * cols, nb, spec, scatter_bias,
-                        out_ptr, g * batch + n0, fuse_relu);
+            geo.scatter(outbuf.data() + g * cols, groups * cols, nb, spec, bias, out_ptr,
+                        g * batch + n0);
         }
     }
     return output;
@@ -581,14 +519,10 @@ tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor
 
 tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
                               const std::vector<const tensor*>& weights, const tensor& bias,
-                              const conv2d_spec& spec, bool fuse_relu) {
+                              const conv2d_spec& spec) {
     const std::vector<const float*> a_list = check_group_weights(weights, spec);
     check_group_bias(bias, spec);
     const group_conv_geometry geo(input, spec);
-    gemm_epilogue epi;
-    const gemm_epilogue* epi_ptr = group_conv_epilogue(epi, bias, fuse_relu);
-    static const tensor no_bias;
-    const tensor& scatter_bias = fuse_relu ? no_bias : bias;
     REDUCE_CHECK(groups > 0 && weights.size() == groups,
                  "conv2d_forward_grouped got " << weights.size() << " weights for " << groups
                                                << " groups");
@@ -621,10 +555,10 @@ tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
             const float* b = colbuf.data() + (s0 - n0) * geo.plane;
             gemm_nn_multi(spec.out_channels, (s1 - s0) * geo.plane, geo.patch, &a, 1,
                           geo.patch, b, cols, &c, cols, /*accumulate=*/false, ws,
-                          geo.subset_ptr, epi_ptr);
+                          geo.subset_ptr);
             s0 = s1;
         }
-        geo.scatter(outbuf.data(), cols, nb, spec, scatter_bias, out_ptr, n0, fuse_relu);
+        geo.scatter(outbuf.data(), cols, nb, spec, bias, out_ptr, n0);
     }
     return output;
 }
@@ -632,7 +566,7 @@ tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
 tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
                                  const std::vector<const tensor*>& weights,
                                  const std::vector<const tensor*>& biases,
-                                 const conv2d_spec& spec, std::uint8_t* relu_keep) {
+                                 const conv2d_spec& spec) {
     const std::vector<const float*> a_list = check_group_weights(weights, spec);
     REDUCE_CHECK(biases.size() == weights.size(),
                  "conv2d_forward_grouped_vb got " << biases.size() << " biases for "
@@ -650,7 +584,6 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
                                           << total << " not divisible by " << groups
                                           << " groups");
     const std::size_t per_group = total / groups;
-    static const tensor no_bias;
 
     tensor output({total, spec.out_channels, geo.oh, geo.ow});
     float* out_ptr = output.raw();
@@ -664,10 +597,9 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
         workspace::buffer colbuf = ws.acquire(geo.rows.size() * cols);
         geo.lower(input.raw() + n0 * geo.image_elems, nb, spec, colbuf.data());
         workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        // A chunk may span variant boundaries; each variant's span gets its
-        // own epilogue so the per-variant bias folds into the tile store —
-        // the exact placement the serial fused layer uses, bit-identical to
-        // the unfused scatter-side bias.
+        // A chunk may span variant boundaries; each variant's span runs its
+        // own weight over its own image columns and scatters with its own
+        // bias.
         std::size_t s0 = n0;
         while (s0 < n0 + nb) {
             const std::size_t g = s0 / per_group;
@@ -675,18 +607,12 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
             const float* a = a_list[g];
             float* c = outbuf.data() + (s0 - n0) * geo.plane;
             const float* b = colbuf.data() + (s0 - n0) * geo.plane;
-            gemm_epilogue epi;
-            epi.row_bias = biases[g]->raw();
             gemm_nn_multi(spec.out_channels, (s1 - s0) * geo.plane, geo.patch, &a, 1,
                           geo.patch, b, cols, &c, cols, /*accumulate=*/false, ws,
-                          geo.subset_ptr, &epi);
+                          geo.subset_ptr);
+            geo.scatter(c, cols, s1 - s0, spec, *biases[g], out_ptr, s0);
             s0 = s1;
         }
-        // Bias already applied; the scatter handles the (optional) fused
-        // ReLU and the stacked-NCHW keep-mask — relu_keep is a base pointer
-        // parallel to out_ptr, so variant blocks land in their own regions.
-        scatter_lowered_output(outbuf.data(), cols, nb, geo.plane, spec.out_channels,
-                               no_bias, out_ptr, n0, relu_keep != nullptr, relu_keep);
     }
     return output;
 }

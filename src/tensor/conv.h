@@ -23,8 +23,6 @@
 // budget; the engage thresholds are shape-only.
 #pragma once
 
-#include <cstdint>
-
 #include "tensor/tensor.h"
 
 namespace reduce {
@@ -86,26 +84,6 @@ std::size_t conv_lowering_budget_bytes();
 tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
                       const conv2d_spec& spec);
 
-/// Post-ops fused into the conv tail. With a fusion request the bias moves
-/// from the output scatter into the GEMM epilogue (row bias per output
-/// channel, applied as each lowered tile is stored), and the ReLU — with its
-/// optional backward keep-mask — is applied during the scatter copy, the
-/// pass that already touches every output element. Both placements execute
-/// the exact per-element operation sequence of the unfused passes
-/// (bias-add, then z > 0 ? z : 0; keep recorded as !(z <= 0)), so fused
-/// results are bit-identical to conv2d_forward + relu at any
-/// --gemm-threads, NaN/Inf included.
-struct conv_fusion {
-    bool relu = false;                  ///< apply ReLU in the scatter tail
-    std::uint8_t* relu_keep = nullptr;  ///< optional keep-mask in output (NCHW) layout,
-                                        ///< output-numel entries; requires relu
-};
-
-/// Fused-tail variant of conv2d_forward (see conv_fusion). Passing nullptr
-/// is the plain forward.
-tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
-                      const conv2d_spec& spec, const conv_fusion* fusion);
-
 // ---- grouped conv forward (multi-mask evaluation) ---------------------------
 //
 // The batched fleet evaluator runs K fault-masked weight variants through
@@ -135,20 +113,16 @@ void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
 
 /// "Apply K weight variants × one input batch": lowers `input` [N,C,H,W]
 /// once and multiplies every weights[g] ([out_c,in_c,kh,kw]) against the
-/// shared packed patch panels. `fuse_relu` applies the activation during
-/// the scatter tail (inference-only fusion: no keep-mask) — bit-identical
-/// to the separate relu pass.
+/// shared packed patch panels.
 tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
-                             const tensor& bias, const conv2d_spec& spec,
-                             bool fuse_relu = false);
+                             const tensor& bias, const conv2d_spec& spec);
 
 /// Grouped conv forward over an already variant-stacked batch
 /// [G*N, C, H, W]: image block g is convolved with weights[g]; lowering,
-/// output scatter, and bias run once over the stacked batch. Same optional
-/// ReLU fusion as conv2d_forward_fanout.
+/// output scatter, and bias run once over the stacked batch.
 tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
                               const std::vector<const tensor*>& weights, const tensor& bias,
-                              const conv2d_spec& spec, bool fuse_relu = false);
+                              const conv2d_spec& spec);
 
 // ---- grouped conv training drivers (grouped_fat_trainer) --------------------
 //
@@ -161,17 +135,13 @@ tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
 // loud non-finite checks and falls back to the serial path.
 
 /// Training-mode grouped conv forward over a variant-stacked batch
-/// [G*N, C, H, W]: block g is convolved with weights[g] and biases[g], the
-/// bias always folded into the GEMM epilogue (the fused-layer law of
-/// conv2d_layer::forward, bit-identical to the unfused scatter placement).
-/// With `relu_keep` non-null the ReLU fuses into the scatter tail and the
-/// keep-mask is recorded in stacked NCHW layout (output-numel entries) for
-/// relu_keep_backward — the exact semantics of conv2d_layer::
-/// forward_fused_relu per variant block.
+/// [G*N, C, H, W]: block g is convolved with weights[g] and biases[g], each
+/// variant's bias added in the output scatter exactly as conv2d_forward
+/// adds it — bit-identical per block to conv2d_layer::forward.
 tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
                                  const std::vector<const tensor*>& weights,
                                  const std::vector<const tensor*>& biases,
-                                 const conv2d_spec& spec, std::uint8_t* relu_keep);
+                                 const conv2d_spec& spec);
 
 /// Row-subset adjoint: like col2im_batch but `columns` is the compact
 /// [nrows, batch*oh*ow] matrix holding only the listed patch rows

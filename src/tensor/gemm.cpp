@@ -175,51 +175,6 @@ micro_kernel_fn select_micro_kernel() {
 
 const micro_kernel_fn micro_kernel = select_micro_kernel();
 
-/// Applies the fused post-op to an mr x nr tile of C whose top-left element
-/// is C(row0, col0), immediately after the tile's final-panel store — the
-/// tile is still in L1, so the bias/activation costs no extra memory pass.
-/// Per element the order is bias-add first, then ReLU, matching the unfused
-/// passes bit for bit; the keep-mask predicate !(z <= 0) is exactly what
-/// relu_backward evaluates (NaN pre-activations keep gradient).
-void apply_epilogue_tile(const gemm_epilogue& epi, float* ctile, std::size_t ldc,
-                         std::size_t row0, std::size_t col0, std::size_t mr, std::size_t nr) {
-    for (std::size_t i = 0; i < mr; ++i) {
-        float* row = ctile + i * ldc;
-        const float rb = epi.row_bias != nullptr ? epi.row_bias[row0 + i] : 0.0f;
-        std::uint8_t* keep = epi.relu_keep != nullptr
-                                 ? epi.relu_keep + (row0 + i) * epi.keep_ld + col0
-                                 : nullptr;
-        for (std::size_t j = 0; j < nr; ++j) {
-            float z = row[j];
-            if (epi.row_bias != nullptr) { z += rb; }
-            if (epi.col_bias != nullptr) { z += epi.col_bias[col0 + j]; }
-            if (epi.relu) {
-                if (keep != nullptr) { keep[j] = !(z <= 0.0f) ? 1 : 0; }
-                z = z > 0.0f ? z : 0.0f;
-            }
-            row[j] = z;
-        }
-    }
-}
-
-/// k == 0 (or empty-subset) case: C is exact zeros, so the epilogue reduces
-/// to bias + relu over a zero matrix — same ops the unfused passes would run.
-void apply_epilogue_rows(const gemm_epilogue& epi, float* c, std::size_t ldc, std::size_t m,
-                         std::size_t n) {
-    for (std::size_t i = 0; i < m; ++i) { apply_epilogue_tile(epi, c + i * ldc, ldc, i, 0, 1, n); }
-}
-
-/// Shared argument validation of the public entry points that accept an
-/// epilogue.
-void check_epilogue(const gemm_epilogue* epi, bool accumulate) {
-    if (epi == nullptr) { return; }
-    REDUCE_CHECK(!accumulate, "gemm epilogue requires accumulate = false");
-    REDUCE_CHECK(epi->row_bias == nullptr || epi->col_bias == nullptr,
-                 "gemm epilogue cannot carry both a row and a column bias");
-    REDUCE_CHECK(epi->relu_keep == nullptr || epi->relu,
-                 "gemm epilogue keep-mask requires relu");
-}
-
 /// Serial core over a sub-grid of macro-tiles: NC panel columns
 /// [jb0, jb1) x MC block rows [ib0, ib1) of C[m,n] (+)= A · B, where A
 /// element (i, p) sits at a[i*ars + p*acs] and B element (p, j) at
@@ -234,7 +189,7 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
                         std::size_t ars, std::size_t acs, const float* b, std::size_t brs,
                         std::size_t bcs, float* c, std::size_t ldc, bool accumulate,
                         std::size_t jb0, std::size_t jb1, std::size_t ib0, std::size_t ib1,
-                        workspace& ws, const gemm_epilogue* epi) {
+                        workspace& ws) {
     workspace::buffer apack = ws.acquire(MC * KC);
     workspace::buffer bpack = ws.acquire(KC * NC);
 
@@ -244,11 +199,8 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
         for (std::size_t pc = 0; pc < k; pc += KC) {
             const std::size_t kc = std::min(KC, k - pc);
             // KC panels accumulate in ascending pc order into C — a fixed
-            // total order per output element, independent of inputs. The
-            // epilogue fires only on the last panel, when a tile's
-            // accumulation chain is complete and the tile is still hot.
+            // total order per output element, independent of inputs.
             const bool overwrite = !accumulate && pc == 0;
-            const bool last_panel = pc + KC >= k;
             pack_b(b + pc * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
             for (std::size_t ib = ib0; ib < ib1; ++ib) {
                 const std::size_t ic = ib * MC;
@@ -276,9 +228,6 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
                                 }
                             }
                         }
-                        if (last_panel && epi != nullptr) {
-                            apply_epilogue_tile(*epi, ctile, ldc, ic + ir, jc + jr, mr, nr);
-                        }
                     }
                 }
             }
@@ -298,14 +247,13 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
 /// packing scratch from their own thread-local arenas.
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t ars,
                   std::size_t acs, const float* b, std::size_t brs, std::size_t bcs, float* c,
-                  std::size_t ldc, bool accumulate, workspace& ws, const gemm_epilogue* epi) {
+                  std::size_t ldc, bool accumulate, workspace& ws) {
     if (m == 0 || n == 0) { return; }
     if (k == 0) {
         if (!accumulate) {
             for (std::size_t i = 0; i < m; ++i) {
                 std::memset(c + i * ldc, 0, n * sizeof(float));
             }
-            if (epi != nullptr) { apply_epilogue_rows(*epi, c, ldc, m, n); }
         }
         return;
     }
@@ -318,18 +266,18 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, s
                          (jblocks > 1 || iblocks > 1);
     if (!fan_out) {
         gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, 0, jblocks,
-                           0, iblocks, ws, epi);
+                           0, iblocks, ws);
         return;
     }
     if (jblocks >= iblocks) {
         parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
             gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, jb0,
-                               jb1, 0, iblocks, workspace::local(), epi);
+                               jb1, 0, iblocks, workspace::local());
         });
     } else {
         parallel_for(iblocks, [&](std::size_t ib0, std::size_t ib1) {
             gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, 0,
-                               jblocks, ib0, ib1, workspace::local(), epi);
+                               jblocks, ib0, ib1, workspace::local());
         });
     }
 }
@@ -352,7 +300,7 @@ void gemm_strided_multi_tiles(std::size_t m, std::size_t n, std::size_t k_orig,
                               const float* const* a_list, std::size_t count, std::size_t lda,
                               const float* b, std::size_t ldb, float* const* c_list,
                               std::size_t ldc, bool accumulate, std::size_t jb0,
-                              std::size_t jb1, workspace& ws, const gemm_epilogue* epi) {
+                              std::size_t jb1, workspace& ws) {
     workspace::buffer apack = ws.acquire(MC * KC);
     workspace::buffer bpack = ws.acquire(KC * NC);
 
@@ -373,11 +321,8 @@ void gemm_strided_multi_tiles(std::size_t m, std::size_t n, std::size_t k_orig,
             if (kc == 0) { continue; }  // an all-zero panel contributes exact +0
             // The first NON-EMPTY panel overwrites: preceding all-zero
             // panels would only have stored +0 sums that later panels
-            // accumulate onto. The last non-empty panel (all compact rows
-            // consumed) is where the accumulation chains complete — the
-            // epilogue fires there, per tile, while it is hot.
+            // accumulate onto.
             const bool overwrite = !accumulate && first_panel;
-            const bool last_panel = c1 == k_compact;
             first_panel = false;
             pack_b(b + c0 * ldb + jc, ldb, 1, kc, nc, bpack.data());
             for (std::size_t g = 0; g < count; ++g) {
@@ -412,10 +357,6 @@ void gemm_strided_multi_tiles(std::size_t m, std::size_t n, std::size_t k_orig,
                                     }
                                 }
                             }
-                            if (last_panel && epi != nullptr) {
-                                apply_epilogue_tile(*epi, ctile, ldc, ic + ir, jc + jr, mr,
-                                                    nr);
-                            }
                         }
                     }
                 }
@@ -433,8 +374,7 @@ void gemm_strided_multi(std::size_t m, std::size_t n, std::size_t k_orig,
                         const std::size_t* krows, std::size_t k_compact,
                         const float* const* a_list, std::size_t count, std::size_t lda,
                         const float* b, std::size_t ldb, float* const* c_list,
-                        std::size_t ldc, bool accumulate, workspace& ws,
-                        const gemm_epilogue* epi) {
+                        std::size_t ldc, bool accumulate, workspace& ws) {
     if (m == 0 || n == 0 || count == 0) { return; }
     if (k_compact == 0) {
         if (!accumulate) {
@@ -442,7 +382,6 @@ void gemm_strided_multi(std::size_t m, std::size_t n, std::size_t k_orig,
                 for (std::size_t i = 0; i < m; ++i) {
                     std::memset(c_list[g] + i * ldc, 0, n * sizeof(float));
                 }
-                if (epi != nullptr) { apply_epilogue_rows(*epi, c_list[g], ldc, m, n); }
             }
         }
         return;
@@ -454,12 +393,12 @@ void gemm_strided_multi(std::size_t m, std::size_t n, std::size_t k_orig,
     const bool fan_out = should_fan_out(madds, k_gemm_parallel_min_madds) && jblocks > 1;
     if (!fan_out) {
         gemm_strided_multi_tiles(m, n, k_orig, krows, k_compact, a_list, count, lda, b, ldb,
-                                 c_list, ldc, accumulate, 0, jblocks, ws, epi);
+                                 c_list, ldc, accumulate, 0, jblocks, ws);
         return;
     }
     parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
         gemm_strided_multi_tiles(m, n, k_orig, krows, k_compact, a_list, count, lda, b, ldb,
-                                 c_list, ldc, accumulate, jb0, jb1, workspace::local(), epi);
+                                 c_list, ldc, accumulate, jb0, jb1, workspace::local());
     });
 }
 
@@ -484,38 +423,31 @@ std::size_t check_subset(const gemm_k_subset* subset, std::size_t k) {
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_epilogue* epilogue) {
-    check_epilogue(epilogue, accumulate);
-    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws, epilogue);
+             workspace& ws) {
+    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_epilogue* epilogue) {
-    check_epilogue(epilogue, accumulate);
+             workspace& ws) {
     // B stored [n, k] row-major: element (p, j) = b[j * ldb + p].
-    gemm_strided(m, n, k, a, lda, 1, b, 1, ldb, c, ldc, accumulate, ws, epilogue);
+    gemm_strided(m, n, k, a, lda, 1, b, 1, ldb, c, ldc, accumulate, ws);
 }
 
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_epilogue* epilogue) {
-    check_epilogue(epilogue, accumulate);
+             workspace& ws) {
     // A stored [k, m] row-major: element (i, p) = a[p * lda + i].
-    gemm_strided(m, n, k, a, 1, lda, b, ldb, 1, c, ldc, accumulate, ws, epilogue);
+    gemm_strided(m, n, k, a, 1, lda, b, ldb, 1, c, ldc, accumulate, ws);
 }
 
 void gemm_nn_multi(std::size_t m, std::size_t n, std::size_t k, const float* const* a_list,
                    std::size_t count, std::size_t lda, const float* b, std::size_t ldb,
                    float* const* c_list, std::size_t ldc, bool accumulate, workspace& ws,
-                   const gemm_k_subset* subset, const gemm_epilogue* epilogue) {
-    check_epilogue(epilogue, accumulate);
-    REDUCE_CHECK(epilogue == nullptr || epilogue->relu_keep == nullptr,
-                 "gemm_nn_multi does not support a relu keep-mask (one mask cannot serve "
-                 "per-variant outputs)");
+                   const gemm_k_subset* subset) {
     const std::size_t compact = check_subset(subset, k);
     gemm_strided_multi(m, n, k, subset == nullptr ? nullptr : subset->rows, compact, a_list,
-                       count, lda, b, ldb, c_list, ldc, accumulate, ws, epilogue);
+                       count, lda, b, ldb, c_list, ldc, accumulate, ws);
 }
 
 }  // namespace reduce

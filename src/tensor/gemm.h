@@ -34,34 +34,10 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 
 namespace reduce {
 
 class workspace;
-
-/// Post-op fused into the micro-kernel tail: applied to each C tile as it is
-/// stored on the LAST KC panel, while the tile is still cache-hot, instead
-/// of in separate memory passes afterwards. Per element the operation order
-/// is exactly the unfused passes' — bias-add first, then ReLU — so fused
-/// results are bit-identical to "GEMM, then add_row_bias_inplace / scatter
-/// bias, then relu()" at any intra-op budget, NaN/Inf included.
-///
-/// `relu_keep` optionally records the backward keep-mask alongside the
-/// activation: keep = !(z <= 0) where z is the pre-activation value, the
-/// exact predicate relu_backward evaluates against its cached input (NaN
-/// pre-activations keep gradient). Element (i, j) of C maps to
-/// relu_keep[i * keep_ld + j].
-///
-/// Requires accumulate = false (a post-op on a partial sum would be wrong);
-/// at most one of row_bias/col_bias may be set.
-struct gemm_epilogue {
-    const float* row_bias = nullptr;  ///< bias[i] added to every element of row i
-    const float* col_bias = nullptr;  ///< bias[j] added to every element of column j
-    bool relu = false;                ///< apply z > 0 ? z : 0 after the bias
-    std::uint8_t* relu_keep = nullptr;  ///< optional keep-mask (requires relu)
-    std::size_t keep_ld = 0;            ///< row stride of relu_keep
-};
 
 /// Optional k-row subset for the grouped drivers: the compact B operand
 /// holds only `count` rows, row j of B standing for row `rows[j]` of a
@@ -86,21 +62,19 @@ struct gemm_k_subset {
 /// C[m,n] (+)= A[m,k] · B[k,n]. `lda/ldb/ldc` are row strides of the
 /// row-major operands; pass `accumulate = false` to overwrite C.
 /// Packing scratch comes from `ws` (no allocation after warm-up).
-/// `epilogue` optionally fuses bias/activation into the tile store
-/// (see gemm_epilogue; requires accumulate = false).
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_epilogue* epilogue = nullptr);
+             workspace& ws);
 
 /// C[m,n] (+)= A[m,k] · Bᵀ where B is stored row-major as [n,k].
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_epilogue* epilogue = nullptr);
+             workspace& ws);
 
 /// C[m,n] (+)= Aᵀ · B where A is stored row-major as [k,m], B as [k,n].
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_epilogue* epilogue = nullptr);
+             workspace& ws);
 
 // ---- grouped (multi-A, shared-B) driver ------------------------------------
 //
@@ -120,13 +94,9 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::s
 /// panels across the A operands. With `subset`, B is the compact operand
 /// described by gemm_k_subset, A_g stays [m, original_k] row-major, and the
 /// product equals the full-k GEMM for finite A (see gemm_k_subset).
-/// `epilogue` applies the same post-op to every variant's tiles on the last
-/// non-empty panel (relu_keep is not supported here — a single mask cannot
-/// serve per-variant outputs; the grouped drivers are inference-only).
 void gemm_nn_multi(std::size_t m, std::size_t n, std::size_t k, const float* const* a_list,
                    std::size_t count, std::size_t lda, const float* b, std::size_t ldb,
                    float* const* c_list, std::size_t ldc, bool accumulate, workspace& ws,
-                   const gemm_k_subset* subset = nullptr,
-                   const gemm_epilogue* epilogue = nullptr);
+                   const gemm_k_subset* subset = nullptr);
 
 }  // namespace reduce

@@ -138,32 +138,6 @@ tensor matmul_nt(const tensor& a, const tensor& b) {
     return c;
 }
 
-tensor matmul_nt_bias(const tensor& a, const tensor& b, const tensor& bias, bool fuse_relu,
-                      std::uint8_t* relu_keep) {
-    check_rank2(a, "matmul_nt_bias");
-    check_rank2(b, "matmul_nt_bias");
-    const std::size_t m = a.extent(0);
-    const std::size_t k = a.extent(1);
-    REDUCE_CHECK(b.extent(1) == k,
-                 "matmul_nt_bias inner dimensions differ: " << a.describe() << " vs "
-                                                            << b.describe());
-    const std::size_t n = b.extent(0);
-    REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == n,
-                 "matmul_nt_bias bias " << bias.describe() << " does not match " << n
-                                        << " outputs");
-    REDUCE_CHECK(relu_keep == nullptr || fuse_relu,
-                 "matmul_nt_bias keep-mask requires fuse_relu");
-    tensor c({m, n});
-    gemm_epilogue epi;
-    epi.col_bias = bias.raw();
-    epi.relu = fuse_relu;
-    epi.relu_keep = relu_keep;
-    epi.keep_ld = n;
-    gemm_nt(m, n, k, a.raw(), k, b.raw(), k, c.raw(), n, /*accumulate=*/false,
-            workspace::local(), &epi);
-    return c;
-}
-
 tensor matmul_tn(const tensor& a, const tensor& b) {
     check_rank2(a, "matmul_tn");
     check_rank2(b, "matmul_tn");
@@ -179,34 +153,12 @@ tensor matmul_tn(const tensor& a, const tensor& b) {
     return c;
 }
 
-namespace {
-
-/// Builds the shared epilogue of the grouped linear drivers (bias and/or
-/// ReLU folded into each variant's GEMM); returns nullptr when unfused.
-const gemm_epilogue* group_linear_epilogue(gemm_epilogue& epi, const tensor* bias,
-                                           bool fuse_relu, std::size_t out, const char* op) {
-    if (bias != nullptr && !bias->empty()) {
-        REDUCE_CHECK(bias->dim() == 1 && bias->extent(0) == out,
-                     op << " bias " << bias->describe() << " does not match " << out
-                        << " outputs");
-        epi.col_bias = bias->raw();
-    }
-    epi.relu = fuse_relu;
-    return (epi.col_bias != nullptr || epi.relu) ? &epi : nullptr;
-}
-
-}  // namespace
-
-tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weights,
-                        const tensor* bias, bool fuse_relu) {
+tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weights) {
     check_rank2(x, "matmul_nt_fanout");
     REDUCE_CHECK(!weights.empty(), "matmul_nt_fanout needs at least one weight variant");
     const std::size_t rows = x.extent(0);
     const std::size_t in = x.extent(1);
     const std::size_t out = weights.front()->extent(0);
-    gemm_epilogue epi;
-    const gemm_epilogue* epi_ptr =
-        group_linear_epilogue(epi, bias, fuse_relu, out, "matmul_nt_fanout");
     // Per-variant gemm_nt calls straight into the stacked output. A dense
     // layer's operands are cheap to pack (unlike a lowered convolution's
     // patch panels), so re-packing the shared x per variant is faster in
@@ -222,14 +174,13 @@ tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weigh
                      "matmul_nt_fanout weight " << g << " is " << w.describe()
                                                 << ", expected [" << out << "," << in << "]");
         gemm_nt(rows, out, in, x.raw(), in, w.raw(), in, stacked.raw() + g * rows * out, out,
-                /*accumulate=*/false, ws, epi_ptr);
+                /*accumulate=*/false, ws);
     }
     return stacked;
 }
 
 tensor matmul_nt_grouped(const tensor& x, std::size_t groups,
-                         const std::vector<const tensor*>& weights, const tensor* bias,
-                         bool fuse_relu) {
+                         const std::vector<const tensor*>& weights) {
     check_rank2(x, "matmul_nt_grouped");
     REDUCE_CHECK(groups > 0 && weights.size() == groups,
                  "matmul_nt_grouped got " << weights.size() << " weights for " << groups
@@ -241,9 +192,6 @@ tensor matmul_nt_grouped(const tensor& x, std::size_t groups,
                                                                         << groups << " groups");
     const std::size_t rows = total / groups;
     const std::size_t out = weights.front()->extent(0);
-    gemm_epilogue epi;
-    const gemm_epilogue* epi_ptr =
-        group_linear_epilogue(epi, bias, fuse_relu, out, "matmul_nt_grouped");
     tensor stacked({total, out});
     workspace& ws = workspace::local();
     for (std::size_t g = 0; g < groups; ++g) {
@@ -252,7 +200,7 @@ tensor matmul_nt_grouped(const tensor& x, std::size_t groups,
                      "matmul_nt_grouped weight " << g << " is " << w.describe()
                                                  << ", expected [" << out << "," << in << "]");
         gemm_nt(rows, out, in, x.raw() + g * rows * in, in, w.raw(), in,
-                stacked.raw() + g * rows * out, out, /*accumulate=*/false, ws, epi_ptr);
+                stacked.raw() + g * rows * out, out, /*accumulate=*/false, ws);
     }
     return stacked;
 }
@@ -419,18 +367,6 @@ tensor relu_backward(const tensor& grad_out, const tensor& input) {
     for_each_range(grad_in.numel(), [&](std::size_t i0, std::size_t i1) {
         for (std::size_t i = i0; i < i1; ++i) {
             if (px[i] <= 0.0f) { pg[i] = 0.0f; }
-        }
-    });
-    return grad_in;
-}
-
-tensor relu_keep_backward(const tensor& grad_out, const std::uint8_t* keep) {
-    REDUCE_CHECK(keep != nullptr, "relu_keep_backward requires a keep-mask");
-    tensor grad_in = grad_out;
-    float* pg = grad_in.raw();
-    for_each_range(grad_in.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            if (keep[i] == 0) { pg[i] = 0.0f; }
         }
     });
     return grad_in;

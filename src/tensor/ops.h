@@ -9,8 +9,6 @@
 // returned output tensor.
 #pragma once
 
-#include <cstdint>
-
 #include "tensor/tensor.h"
 
 namespace reduce {
@@ -50,16 +48,6 @@ tensor matmul(const tensor& a, const tensor& b);
 /// row-major weight matrices stored as [out, in].
 tensor matmul_nt(const tensor& a, const tensor& b);
 
-/// Fused linear forward: C[m,n] = A · Bᵀ + bias (+ ReLU), with the bias and
-/// activation applied in the GEMM epilogue while each output tile is still
-/// cache-hot — bit-identical to matmul_nt + add_row_bias_inplace (+ relu) at
-/// any --gemm-threads, one to two fewer memory passes. `relu_keep`
-/// (requires fuse_relu; m*n bytes) records the backward keep-mask as
-/// !(z <= 0) per pre-activation z — exactly relu_backward's predicate, NaN
-/// pre-activations keep gradient.
-tensor matmul_nt_bias(const tensor& a, const tensor& b, const tensor& bias,
-                      bool fuse_relu = false, std::uint8_t* relu_keep = nullptr);
-
 /// C[m,n] = Aᵀ · B where A is [k,m], B is [k,n]. Used for weight gradients.
 tensor matmul_tn(const tensor& a, const tensor& b);
 
@@ -82,20 +70,14 @@ void matmul_tn_acc(const tensor& a, const tensor& b, tensor& c);
 /// Used at the first masked layer, where all variants still see the same
 /// activations. Dense operands are cheap to pack, so this runs per-variant
 /// serial GEMMs over the shared x (the shared-panel driver lives in the
-/// conv lowering, where it pays — see tensor/gemm.h). `bias`/`fuse_relu`
-/// optionally fold the shared bias and activation into each variant's GEMM
-/// epilogue (inference-only fusion: no keep-mask) — bit-identical to the
-/// unfused add_row_bias_inplace + relu passes.
-tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weights,
-                        const tensor* bias = nullptr, bool fuse_relu = false);
+/// conv lowering, where it pays — see tensor/gemm.h).
+tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weights);
 
 /// Grouped linear forward over an already variant-stacked batch
 /// [G*N, in]: row block g is multiplied by weights[g]ᵀ. Used past the
 /// first masked layer, where activations have diverged per variant.
-/// Same optional bias/ReLU fusion as matmul_nt_fanout.
 tensor matmul_nt_grouped(const tensor& x, std::size_t groups,
-                         const std::vector<const tensor*>& weights,
-                         const tensor* bias = nullptr, bool fuse_relu = false);
+                         const std::vector<const tensor*>& weights);
 
 // ---- rows (batch) operations -------------------------------------------------
 
@@ -124,12 +106,6 @@ tensor relu(const tensor& a);
 
 /// ReLU backward: grad where input > 0, else 0.
 tensor relu_backward(const tensor& grad_out, const tensor& input);
-
-/// ReLU backward against a keep-mask recorded by a fused forward epilogue
-/// (`keep` has grad_out.numel() entries): grad where keep != 0, else 0.
-/// Because the mask was stored as !(z <= 0), this is bit-identical to
-/// relu_backward against the cached pre-activation, NaN included.
-tensor relu_keep_backward(const tensor& grad_out, const std::uint8_t* keep);
 
 // ---- reductions / norms --------------------------------------------------------
 

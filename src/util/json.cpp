@@ -168,7 +168,7 @@ public:
     explicit parser(const std::string& text) : text_(text) {}
 
     json_value parse_document() {
-        json_value value = parse_value();
+        json_value value = parse_value(0);
         skip_whitespace();
         if (pos_ != text_.size()) { fail("trailing characters after document"); }
         return value;
@@ -207,12 +207,12 @@ private:
         for (const char c : literal) { expect(c); }
     }
 
-    json_value parse_value() {
+    json_value parse_value(std::size_t depth) {
         skip_whitespace();
         const char c = peek();
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{': return parse_object(depth + 1);
+            case '[': return parse_array(depth + 1);
             case '"': return json_value(parse_string());
             case 't': expect_literal("true"); return json_value(true);
             case 'f': expect_literal("false"); return json_value(false);
@@ -221,7 +221,16 @@ private:
         }
     }
 
-    json_value parse_object() {
+    /// `depth` is the nesting level of the array/object being opened (1 at
+    /// the top of the document).
+    void check_depth(std::size_t depth) const {
+        if (depth > json_max_depth) {
+            fail("nesting deeper than " + std::to_string(json_max_depth) + " levels");
+        }
+    }
+
+    json_value parse_object(std::size_t depth) {
+        check_depth(depth);
         expect('{');
         json_object obj;
         skip_whitespace();
@@ -234,7 +243,7 @@ private:
             const std::string key = parse_string();
             skip_whitespace();
             expect(':');
-            obj.set(key, parse_value());
+            obj.set(key, parse_value(depth));
             skip_whitespace();
             const char next = take();
             if (next == '}') { break; }
@@ -243,7 +252,8 @@ private:
         return json_value(std::move(obj));
     }
 
-    json_value parse_array() {
+    json_value parse_array(std::size_t depth) {
+        check_depth(depth);
         expect('[');
         json_array arr;
         skip_whitespace();
@@ -252,7 +262,7 @@ private:
             return json_value(std::move(arr));
         }
         while (true) {
-            arr.push_back(parse_value());
+            arr.push_back(parse_value(depth));
             skip_whitespace();
             const char next = take();
             if (next == ']') { break; }

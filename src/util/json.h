@@ -95,8 +95,14 @@ private:
     std::variant<std::nullptr_t, bool, double, std::string, json_array, json_object> data_;
 };
 
+/// Deepest array/object nesting json_parse accepts. The parser recurses
+/// once per level, so without a bound a wire frame of nothing but '['
+/// would exhaust the stack; no document this project writes nests more
+/// than a few levels.
+inline constexpr std::size_t json_max_depth = 256;
+
 /// Parses a JSON document; throws io_error with position info on malformed
-/// input.
+/// input, including nesting deeper than json_max_depth.
 json_value json_parse(const std::string& text);
 
 /// Reads and parses a JSON file; throws io_error on I/O or parse failure.

@@ -8,6 +8,7 @@
 // reseeding.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <vector>
@@ -19,8 +20,11 @@
 #include "fault/chip.h"
 #include "fault/fam.h"
 #include "fault/mask_builder.h"
+#include "nn/models.h"
 #include "nn/norm.h"
+#include "tensor/init.h"
 #include "util/error.h"
+#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -406,6 +410,51 @@ TEST(MultiMaskEvaluator, StochasticFleetOutcomesAreEvalBatchAndThreadIndependent
     for (const std::size_t threads : {2u, 8u}) {
         for (const std::size_t eval_batch : {1u, 2u}) {
             expect_identical_outcomes(serial, run(threads, eval_batch), "stochastic fleet");
+        }
+    }
+}
+
+TEST(ForwardMaskedGroup, MatchesPerVariantForwardAcrossGemmThreadBudgets) {
+    // The walker's stacked logits, block by block, against each variant's
+    // own serial forward with the masked weights substituted in.
+    rng gen(47);
+    auto model = make_tiny_cnn({1, 8, 8}, 3, gen, 4);
+    model->set_training(false);
+    tensor x({5, 1, 8, 8});
+    uniform_init(x, -1.0f, 1.0f, gen);
+
+    constexpr std::size_t groups = 3;
+    const std::vector<mapped_layer> mapped = collect_mapped_layers(*model);
+    std::vector<std::vector<tensor>> masked_weights(mapped.size());
+    for (std::size_t l = 0; l < mapped.size(); ++l) {
+        for (std::size_t g = 0; g < groups; ++g) {
+            tensor w = mapped[l].weight->value;
+            for (std::size_t i = 0; i < w.numel(); ++i) {
+                if (gen.uniform() < 0.2) { w.raw()[i] = 0.0f; }
+            }
+            masked_weights[l].push_back(std::move(w));
+        }
+    }
+
+    set_intra_op_threads(1);
+    std::vector<tensor> per_variant;
+    for (std::size_t g = 0; g < groups; ++g) {
+        auto variant = clone_model(*model);
+        const std::vector<mapped_layer> vm = collect_mapped_layers(*variant);
+        for (std::size_t l = 0; l < vm.size(); ++l) {
+            vm[l].weight->value = masked_weights[l][g];
+        }
+        per_variant.push_back(variant->forward(x));
+    }
+    const std::size_t block = per_variant[0].numel();
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        const scoped_intra_op_threads budget(threads);
+        const tensor stacked = forward_masked_group(*model, x, groups, masked_weights);
+        ASSERT_EQ(groups * block, stacked.numel()) << "@" << threads;
+        for (std::size_t g = 0; g < groups; ++g) {
+            EXPECT_EQ(0, std::memcmp(per_variant[g].raw(), stacked.raw() + g * block,
+                                     block * sizeof(float)))
+                << "variant " << g << " @" << threads;
         }
     }
 }

@@ -95,6 +95,29 @@ TEST(Framing, RejectsNonObjectPayload) {
     EXPECT_THROW((void)decoder.next(), io_error);
 }
 
+TEST(Framing, RejectsDeeplyNestedPayloadsWithoutCrashing) {
+    // 2 MB of '[' fits a frame easily (max_frame_payload is 256 MiB); an
+    // unbounded recursive parse would overflow the stack instead of
+    // throwing. A well-formed but too-deep object is refused the same way,
+    // and the decoder stays usable for the frame after them.
+    std::string deep_object;
+    for (int i = 0; i < 10000; ++i) { deep_object += "{\"a\":"; }
+    deep_object += "1" + std::string(10000, '}');
+    for (const std::string& payload : {std::string(2u << 20, '['), deep_object}) {
+        std::string frame;
+        for (const int shift : {24, 16, 8, 0}) {
+            frame.push_back(static_cast<char>((payload.size() >> shift) & 0xff));
+        }
+        frame += payload;
+        frame_decoder decoder;
+        decoder.feed(frame.data(), frame.size());
+        EXPECT_THROW((void)decoder.next(), io_error) << payload.size() << " bytes";
+        const std::string next = encode_frame(make_heartbeat(3));
+        decoder.feed(next.data(), next.size());
+        EXPECT_EQ(message_type(*decoder.next()), "heartbeat");
+    }
+}
+
 TEST(Framing, MessageTypeRequiresTypeMember) {
     frame_decoder decoder;
     const std::string payload = "{\"kind\":\"x\"}";

@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <limits>
 
 #include <cstring>
 
@@ -12,7 +13,7 @@
 #include "nn/metrics.h"
 #include "nn/models.h"
 #include "nn/norm.h"
-#include "nn/schedule.h"
+#include "nn/optim.h"
 #include "nn/serialize.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -56,51 +57,6 @@ TEST(Linear, BackwardBeforeForwardThrows) {
     rng gen(3);
     linear fc(2, 2, gen);
     EXPECT_THROW(fc.backward(tensor({1, 2})), error);
-}
-
-TEST(Linear, FusedForwardBitwiseMatchesUnfusedAcrossThreadBudgets) {
-    rng gen(41);
-    linear fc(96, 64, gen);
-    const tensor x = random_tensor({32, 96}, gen);
-    set_intra_op_threads(1);
-    tensor unfused;
-    {
-        const scoped_layer_fusion off(false);
-        unfused = fc.forward(x);
-    }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        const scoped_layer_fusion on(true);
-        EXPECT_TRUE(bitwise_equal(unfused, fc.forward(x))) << "@" << threads;
-        std::vector<std::uint8_t> keep;
-        EXPECT_TRUE(bitwise_equal(relu(unfused), fc.forward_fused_relu(x, keep)))
-            << "fused relu @" << threads;
-        ASSERT_EQ(keep.size(), unfused.numel());
-        for (std::size_t i = 0; i < keep.size(); ++i) {
-            ASSERT_EQ(unfused.raw()[i] > 0.0f ? 1 : 0, keep[i]) << "keep " << i;
-        }
-    }
-}
-
-TEST(Conv2dLayer, FusedForwardBitwiseMatchesUnfusedAcrossThreadBudgets) {
-    rng gen(43);
-    conv2d_layer conv(conv2d_spec{4, 8, 3, 3, 1, 1}, gen);
-    const tensor x = random_tensor({6, 4, 10, 10}, gen);
-    set_intra_op_threads(1);
-    tensor unfused;
-    {
-        const scoped_layer_fusion off(false);
-        unfused = conv.forward(x);
-    }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        const scoped_layer_fusion on(true);
-        EXPECT_TRUE(bitwise_equal(unfused, conv.forward(x))) << "@" << threads;
-        std::vector<std::uint8_t> keep;
-        EXPECT_TRUE(bitwise_equal(relu(unfused), conv.forward_fused_relu(x, keep)))
-            << "fused relu @" << threads;
-        ASSERT_EQ(keep.size(), unfused.numel());
-    }
 }
 
 TEST(Linear, GradientsAccumulateAcrossBatches) {
@@ -268,6 +224,138 @@ TEST(Sequential, ForwardBackwardChain) {
     const tensor g = model.backward(tensor({2, 3}, 1.0f));
     EXPECT_EQ(g.shape(), x.shape());
     EXPECT_EQ(model.parameters().size(), 4u);  // two weights + two biases
+}
+
+TEST(Sequential, BackwardBeforeForwardThrows) {
+    rng gen(43);
+    auto model = make_mlp({4, 8, 2}, gen);
+    EXPECT_THROW((void)model->backward(tensor({2, 2})), error);
+}
+
+// SGD steps on a freshly seeded model: per-step losses, final parameters,
+// and the last input gradient. Identical construction seeds mean identical
+// dropout streams, so runs under different GEMM budgets compare bit for bit.
+struct train_outcome {
+    std::vector<tensor> params;
+    std::vector<double> losses;
+    tensor last_grad_in;
+};
+
+template <typename MakeModel>
+train_outcome run_training(const MakeModel& make_model, const tensor& x,
+                           const std::vector<std::size_t>& labels, std::size_t steps) {
+    auto model = make_model();
+    model->set_training(true);
+    sgd opt(model->parameters(), {.learning_rate = 0.05, .momentum = 0.9});
+    train_outcome out;
+    for (std::size_t s = 0; s < steps; ++s) {
+        const loss_result loss = cross_entropy_loss(model->forward(x), labels);
+        opt.zero_grad();
+        out.last_grad_in = model->backward(loss.grad);
+        opt.step();
+        out.losses.push_back(loss.value);
+    }
+    for (parameter* p : model->parameters()) { out.params.push_back(p->value); }
+    return out;
+}
+
+template <typename MakeModel>
+void expect_training_budget_independent(const MakeModel& make_model, const tensor& x,
+                                        const std::vector<std::size_t>& labels,
+                                        std::size_t steps) {
+    set_intra_op_threads(1);
+    const train_outcome reference = run_training(make_model, x, labels, steps);
+    for (const std::size_t threads : {2u, 8u}) {
+        const scoped_intra_op_threads budget(threads);
+        const train_outcome run = run_training(make_model, x, labels, steps);
+        ASSERT_EQ(reference.losses, run.losses) << "@" << threads;
+        EXPECT_TRUE(bitwise_equal(reference.last_grad_in, run.last_grad_in))
+            << "input grad @" << threads;
+        ASSERT_EQ(reference.params.size(), run.params.size());
+        for (std::size_t i = 0; i < reference.params.size(); ++i) {
+            EXPECT_TRUE(bitwise_equal(reference.params[i], run.params[i]))
+                << "param " << i << " @" << threads;
+        }
+    }
+}
+
+std::vector<std::size_t> cyclic_labels(std::size_t n, std::size_t classes) {
+    std::vector<std::size_t> labels(n);
+    for (std::size_t i = 0; i < n; ++i) { labels[i] = i % classes; }
+    return labels;
+}
+
+TEST(Sequential, TrainingIsBitIdenticalAcrossGemmThreadBudgets) {
+    rng data_gen(11);
+    const tensor mlp_x = random_tensor({16, 12}, data_gen);
+    expect_training_budget_independent(
+        [] {
+            rng gen(21);
+            return make_mlp({12, 32, 4}, gen, 0.2);
+        },
+        mlp_x, cyclic_labels(16, 4), 4);
+
+    const tensor cnn_x = random_tensor({8, 1, 8, 8}, data_gen);
+    expect_training_budget_independent(
+        [] {
+            rng gen(23);
+            return make_tiny_cnn({1, 8, 8}, 3, gen, 4);
+        },
+        cnn_x, cyclic_labels(8, 3), 3);
+
+    const tensor bn_x = random_tensor({16, 10}, data_gen);
+    expect_training_budget_independent(
+        [] {
+            rng gen(29);
+            auto model = std::make_unique<sequential>();
+            model->emplace<linear>(10, 24, gen);
+            model->emplace<batch_norm1d>(24);
+            model->emplace<relu_layer>();
+            model->emplace<dropout>(0.3, gen.next_u64());
+            model->emplace<linear>(24, 2, gen);
+            return model;
+        },
+        bn_x, cyclic_labels(16, 2), 3);
+}
+
+TEST(Sequential, NanInputPropagatesIdenticallyAcrossGemmThreadBudgets) {
+    rng gen(31);
+    auto build = [] {
+        rng g(37);
+        return make_mlp({8, 16, 3}, g);
+    };
+    tensor x = random_tensor({4, 8}, gen);
+    x.raw()[9] = std::numeric_limits<float>::quiet_NaN();
+    const tensor grad = random_tensor({4, 3}, gen);
+
+    set_intra_op_threads(1);
+    auto reference = build();
+    const tensor out_ref = reference->forward(x);
+    const tensor grad_ref = reference->backward(grad);
+    // relu clamps NaN activations to 0, so the forward output stays finite —
+    // but relu_backward keeps gradient for NaN pre-activations (only z <= 0
+    // is gated), so dW of the first layer (dYᵀ · X with the poisoned X) must
+    // carry the NaN.
+    bool saw_nan = false;
+    for (const parameter* p : reference->parameters()) {
+        for (std::size_t i = 0; i < p->grad.numel(); ++i) {
+            if (std::isnan(p->grad.raw()[i])) { saw_nan = true; }
+        }
+    }
+    EXPECT_TRUE(saw_nan) << "poison never reached the parameter gradients";
+    for (const std::size_t threads : {2u, 8u}) {
+        const scoped_intra_op_threads budget(threads);
+        auto model = build();
+        EXPECT_TRUE(bitwise_equal(out_ref, model->forward(x))) << "@" << threads;
+        EXPECT_TRUE(bitwise_equal(grad_ref, model->backward(grad))) << "@" << threads;
+        const std::vector<parameter*> ref_params = reference->parameters();
+        const std::vector<parameter*> params = model->parameters();
+        ASSERT_EQ(ref_params.size(), params.size());
+        for (std::size_t i = 0; i < params.size(); ++i) {
+            EXPECT_TRUE(bitwise_equal(ref_params[i]->grad, params[i]->grad))
+                << "grad " << i << " @" << threads;
+        }
+    }
 }
 
 TEST(Sequential, LayerAccessAndBounds) {

@@ -7,10 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <vector>
 
 #include "nn/serialize.h"
 #include "util/error.h"
@@ -102,6 +104,37 @@ TEST(SnapshotBytes, RejectsGarbageAndTruncation) {
         EXPECT_THROW((void)snapshot_from_bytes(good.substr(0, keep)), io_error)
             << "kept " << keep << " of " << good.size() << " bytes";
     }
+}
+
+/// An RDNN1 stream holding one parameter "w" whose header claims `extents`,
+/// followed by `payload_floats` zero floats (native byte order, as
+/// save_snapshot writes).
+std::string one_tensor_stream(const std::vector<std::uint64_t>& extents,
+                              std::size_t payload_floats) {
+    std::string bytes = "RDNN1\n";
+    const auto put = [&bytes](const auto value) {
+        bytes.append(reinterpret_cast<const char*>(&value), sizeof value);
+    };
+    put(std::uint64_t{1});
+    put(std::uint32_t{1});
+    bytes += 'w';
+    put(static_cast<std::uint32_t>(extents.size()));
+    for (const std::uint64_t e : extents) { put(e); }
+    bytes.append(payload_floats * sizeof(float), '\0');
+    return bytes;
+}
+
+TEST(SnapshotBytes, RejectsOverflowingAndOversizedShapes) {
+    // Sanity: the hand-built stream is well formed at an honest shape.
+    EXPECT_EQ(snapshot_from_bytes(one_tensor_stream({2, 3}, 6)).values.at(0).numel(), 6u);
+    // [2^32, 2^32] wraps size_t to numel() == 0 unless the product is checked.
+    const std::uint64_t big = std::uint64_t{1} << 32;
+    EXPECT_THROW((void)snapshot_from_bytes(one_tensor_stream({big, big}, 0)), io_error);
+    EXPECT_THROW((void)snapshot_from_bytes(one_tensor_stream({big, big, 0}, 0)), io_error);
+    // No overflow, but 4 GiB of claimed payload against 24 real bytes: must
+    // be refused before the allocation, not after it.
+    EXPECT_THROW((void)snapshot_from_bytes(one_tensor_stream({1u << 20, 1u << 10}, 6)),
+                 io_error);
 }
 
 TEST(SnapshotBytes, EmptySnapshotRoundTrips) {

@@ -764,274 +764,5 @@ TEST(ParallelGemm, GroupedEvalDriversBitwiseAcrossBudgets) {
     }
 }
 
-// ---- fused epilogues --------------------------------------------------------
-//
-// The GEMM epilogue applies bias (+ ReLU, + keep-mask) at the tile store of
-// the last KC panel. Contract: bit-identical to the unfused store → bias
-// pass → relu pass at any thread budget, NaN/Inf included, and the
-// keep-mask reproduces relu_backward's predicate exactly.
-
-TEST(FusedEpilogue, MatmulNtBiasMatchesUnfusedBitwiseAcrossTileEdges) {
-    rng gen(211);
-    for (const auto& [m, k, n] : kShapes) {
-        const tensor a = random_tensor({m, k}, gen);
-        const tensor b = random_tensor({n, k}, gen);
-        const tensor bias = random_tensor({n}, gen);
-        set_intra_op_threads(1);
-        tensor unfused = matmul_nt(a, b);
-        add_row_bias_inplace(unfused, bias);
-        const tensor unfused_relu = relu(unfused);
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            const scoped_intra_op_threads budget(threads);
-            EXPECT_TRUE(bitwise_equal(unfused, matmul_nt_bias(a, b, bias)))
-                << "bias " << m << "x" << k << "x" << n << " @" << threads;
-            EXPECT_TRUE(bitwise_equal(unfused_relu, matmul_nt_bias(a, b, bias, true)))
-                << "bias+relu " << m << "x" << k << "x" << n << " @" << threads;
-        }
-    }
-}
-
-TEST(FusedEpilogue, MultiPanelKAppliesEpilogueExactlyOnce) {
-    // k spans several KC=256 panels; the epilogue must fire only after the
-    // LAST panel's accumulation (a per-panel application would add bias
-    // repeatedly and relu partial sums).
-    rng gen(223);
-    const tensor a = random_tensor({65, 700}, gen);
-    const tensor b = random_tensor({63, 700}, gen);
-    const tensor bias = random_tensor({63}, gen);
-    set_intra_op_threads(1);
-    tensor unfused = matmul_nt(a, b);
-    add_row_bias_inplace(unfused, bias);
-    const tensor unfused_relu = relu(unfused);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(bitwise_equal(unfused, matmul_nt_bias(a, b, bias))) << "@" << threads;
-        EXPECT_TRUE(bitwise_equal(unfused_relu, matmul_nt_bias(a, b, bias, true)))
-            << "relu @" << threads;
-    }
-}
-
-TEST(FusedEpilogue, KeepMaskReproducesReluBackwardWithNanInf) {
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    const float inf = std::numeric_limits<float>::infinity();
-    rng gen(227);
-    tensor a = random_tensor({33, 80}, gen);
-    tensor b = random_tensor({37, 80}, gen);
-    tensor bias = random_tensor({37}, gen);
-    // Poison pre-activations: NaN and ±inf rows/columns, plus a bias that
-    // forces exact zeros (z <= 0 must NOT keep gradient; NaN must).
-    a.raw()[5 * 80 + 7] = nan;
-    a.raw()[12 * 80 + 3] = inf;
-    b.raw()[20 * 80 + 9] = -inf;
-    for (std::size_t i = 0; i < 80; ++i) { a.raw()[30 * 80 + i] = 0.0f; }
-    bias.raw()[17] = 0.0f;  // row 30 gets z == 0 at column 17
-
-    set_intra_op_threads(1);
-    tensor pre = matmul_nt(a, b);
-    add_row_bias_inplace(pre, bias);
-    const tensor grad = random_tensor({33, 37}, gen);
-    const tensor expected_grad = relu_backward(grad, pre);
-    const tensor expected_out = relu(pre);
-
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        std::vector<std::uint8_t> keep(33 * 37, 0xEE);
-        const tensor fused = matmul_nt_bias(a, b, bias, true, keep.data());
-        EXPECT_TRUE(bitwise_equal(expected_out, fused)) << "@" << threads;
-        EXPECT_TRUE(bitwise_equal(expected_grad, relu_keep_backward(grad, keep.data())))
-            << "@" << threads;
-    }
-    // Sanity: the poison reached a kept NaN (mask must treat NaN as keep).
-    bool nan_kept = false;
-    for (std::size_t i = 0; i < pre.numel(); ++i) {
-        if (std::isnan(pre.raw()[i])) {
-            std::vector<std::uint8_t> keep(33 * 37);
-            matmul_nt_bias(a, b, bias, true, keep.data());
-            EXPECT_EQ(1, keep[i]) << "NaN pre-activation must keep gradient";
-            nan_kept = true;
-            break;
-        }
-    }
-    EXPECT_TRUE(nan_kept);
-}
-
-TEST(FusedEpilogue, KZeroPathStillAppliesBiasAndRelu) {
-    // gemm with k == 0 short-circuits to a zero (or untouched) C; the fused
-    // path must still run the epilogue over the zero output.
-    const std::size_t m = 5;
-    const std::size_t n = 19;
-    std::vector<float> c(m * n, -42.0f);
-    gemm_epilogue epi;
-    tensor bias({n});
-    for (std::size_t j = 0; j < n; ++j) { bias.raw()[j] = static_cast<float>(j) - 9.0f; }
-    epi.col_bias = bias.raw();
-    epi.relu = true;
-    std::vector<std::uint8_t> keep(m * n, 0xEE);
-    epi.relu_keep = keep.data();
-    epi.keep_ld = n;
-    gemm_nn(m, n, 0, nullptr, 0, nullptr, 0, c.data(), n, /*accumulate=*/false,
-            workspace::local(), &epi);
-    for (std::size_t i = 0; i < m; ++i) {
-        for (std::size_t j = 0; j < n; ++j) {
-            const float z = bias.raw()[j];
-            EXPECT_EQ(z > 0.0f ? z : 0.0f, c[i * n + j]) << i << "," << j;
-            EXPECT_EQ(z > 0.0f ? 1 : 0, keep[i * n + j]) << i << "," << j;
-        }
-    }
-}
-
-TEST(FusedEpilogue, RejectsInvalidCombinations) {
-    rng gen(229);
-    const tensor a = random_tensor({4, 8}, gen);
-    const tensor b = random_tensor({8, 4}, gen);
-    tensor c({4, 4});
-    const tensor bias = random_tensor({4}, gen);
-    std::vector<std::uint8_t> keep(16);
-
-    gemm_epilogue epi;
-    epi.col_bias = bias.raw();
-    // Epilogues require accumulate == false (the tail assumes the chain is
-    // complete at the store).
-    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, true,
-                             workspace::local(), &epi));
-    // At most one bias axis.
-    epi.row_bias = bias.raw();
-    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
-                             workspace::local(), &epi));
-    // Keep-mask requires relu.
-    gemm_epilogue mask_only;
-    mask_only.relu_keep = keep.data();
-    mask_only.keep_ld = 4;
-    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
-                             workspace::local(), &mask_only));
-    // The grouped driver cannot record a keep-mask (one mask per variant
-    // would be needed); it must reject rather than silently mis-record.
-    gemm_epilogue grouped_mask;
-    grouped_mask.relu = true;
-    grouped_mask.relu_keep = keep.data();
-    grouped_mask.keep_ld = 4;
-    const float* a_ptr = a.raw();
-    float* c_ptr = c.raw();
-    EXPECT_ANY_THROW(gemm_nn_multi(4, 4, 8, &a_ptr, 1, 8, b.raw(), 4, &c_ptr, 4, false,
-                                   workspace::local(), nullptr, &grouped_mask));
-}
-
-TEST(FusedEpilogue, GroupedLinearDriversMatchUnfusedBitwise) {
-    rng gen(233);
-    std::vector<tensor> dense;
-    std::vector<const tensor*> dense_ptrs;
-    for (int g = 0; g < 3; ++g) { dense.push_back(random_tensor({64, 256}, gen)); }
-    for (const tensor& w : dense) { dense_ptrs.push_back(&w); }
-    const tensor x = random_tensor({48, 256}, gen);
-    const tensor stacked = random_tensor({144, 256}, gen);
-    const tensor bias = random_tensor({64}, gen);
-
-    set_intra_op_threads(1);
-    tensor fan_ref = matmul_nt_fanout(x, dense_ptrs);
-    add_row_bias_inplace(fan_ref, bias);
-    const tensor fan_relu_ref = relu(fan_ref);
-    tensor grp_ref = matmul_nt_grouped(stacked, 3, dense_ptrs);
-    add_row_bias_inplace(grp_ref, bias);
-    const tensor grp_relu_ref = relu(grp_ref);
-
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(bitwise_equal(fan_ref, matmul_nt_fanout(x, dense_ptrs, &bias)))
-            << "fanout bias @" << threads;
-        EXPECT_TRUE(
-            bitwise_equal(fan_relu_ref, matmul_nt_fanout(x, dense_ptrs, &bias, true)))
-            << "fanout bias+relu @" << threads;
-        EXPECT_TRUE(
-            bitwise_equal(grp_ref, matmul_nt_grouped(stacked, 3, dense_ptrs, &bias)))
-            << "grouped bias @" << threads;
-        EXPECT_TRUE(bitwise_equal(grp_relu_ref,
-                                  matmul_nt_grouped(stacked, 3, dense_ptrs, &bias, true)))
-            << "grouped bias+relu @" << threads;
-    }
-}
-
-TEST(FusedEpilogue, ConvFusedBiasReluMatchesUnfusedBitwise) {
-    rng gen(239);
-    const conv2d_spec spec{8, 16, 3, 3, 1, 1};
-    tensor input = random_tensor({6, 8, 12, 12}, gen);
-    tensor weight = random_tensor({16, 8, 3, 3}, gen);
-    const tensor bias = random_tensor({16}, gen);
-    input.raw()[3 * 8 * 144 + 100] = std::numeric_limits<float>::quiet_NaN();
-
-    set_intra_op_threads(1);
-    const tensor pre = conv2d_forward(input, weight, bias, spec);
-    const tensor expected = relu(pre);
-    const tensor grad = random_tensor(pre.shape(), gen);
-    const tensor expected_grad = relu_backward(grad, pre);
-
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        // Bias-only fusion (the training conv path).
-        conv_fusion bias_only;
-        EXPECT_TRUE(
-            bitwise_equal(pre, conv2d_forward(input, weight, bias, spec, &bias_only)))
-            << "bias-only @" << threads;
-        // Full bias+relu+mask fusion (the scheduler path).
-        std::vector<std::uint8_t> keep(pre.numel(), 0xEE);
-        conv_fusion fused;
-        fused.relu = true;
-        fused.relu_keep = keep.data();
-        EXPECT_TRUE(bitwise_equal(expected, conv2d_forward(input, weight, bias, spec, &fused)))
-            << "bias+relu @" << threads;
-        EXPECT_TRUE(bitwise_equal(expected_grad, relu_keep_backward(grad, keep.data())))
-            << "keep-mask @" << threads;
-    }
-}
-
-TEST(FusedEpilogue, ConvFusedMatchesUnfusedThroughChunkedLowering) {
-    // Shrink the lowering budget so the batch splits into chunks; the
-    // epilogue and the NCHW keep-mask must line up across chunk seams.
-    rng gen(241);
-    const conv2d_spec spec{4, 8, 3, 3, 1, 1};
-    const tensor input = random_tensor({10, 4, 10, 10}, gen);
-    const tensor weight = random_tensor({8, 4, 3, 3}, gen);
-    const tensor bias = random_tensor({8}, gen);
-    set_intra_op_threads(1);
-    const tensor pre = conv2d_forward(input, weight, bias, spec);
-    const tensor expected = relu(pre);
-    const std::size_t old_budget = set_conv_lowering_budget_bytes(64 * 1024);
-    std::vector<std::uint8_t> keep(pre.numel(), 0xEE);
-    conv_fusion fused;
-    fused.relu = true;
-    fused.relu_keep = keep.data();
-    const tensor chunked = conv2d_forward(input, weight, bias, spec, &fused);
-    set_conv_lowering_budget_bytes(old_budget);
-    EXPECT_TRUE(bitwise_equal(expected, chunked));
-    for (std::size_t i = 0; i < pre.numel(); ++i) {
-        ASSERT_EQ(pre.raw()[i] > 0.0f ? 1 : 0, keep[i]) << "keep " << i;
-    }
-}
-
-TEST(FusedEpilogue, GroupedConvDriversMatchUnfusedBitwise) {
-    rng gen(251);
-    const conv2d_spec spec{4, 8, 3, 3, 1, 1};
-    const tensor input = random_tensor({6, 4, 12, 12}, gen);
-    const tensor stacked = random_tensor({18, 4, 12, 12}, gen);
-    const tensor bias = random_tensor({8}, gen);
-    std::vector<tensor> weights;
-    std::vector<const tensor*> weight_ptrs;
-    for (int g = 0; g < 3; ++g) { weights.push_back(random_tensor({8, 4, 3, 3}, gen)); }
-    for (const tensor& w : weights) { weight_ptrs.push_back(&w); }
-
-    set_intra_op_threads(1);
-    const tensor fan_ref = relu(conv2d_forward_fanout(input, weight_ptrs, bias, spec));
-    const tensor grp_ref =
-        relu(conv2d_forward_grouped(stacked, 3, weight_ptrs, bias, spec));
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(bitwise_equal(
-            fan_ref, conv2d_forward_fanout(input, weight_ptrs, bias, spec, true)))
-            << "conv fanout fused @" << threads;
-        EXPECT_TRUE(bitwise_equal(
-            grp_ref, conv2d_forward_grouped(stacked, 3, weight_ptrs, bias, spec, true)))
-            << "conv grouped fused @" << threads;
-    }
-}
-
 }  // namespace
 }  // namespace reduce

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "util/csv.h"
 #include "util/error.h"
@@ -140,6 +141,23 @@ TEST(Json, MalformedInputsThrow) {
     EXPECT_THROW(json_parse("tru"), error);
     EXPECT_THROW(json_parse("1 2"), error);
     EXPECT_THROW(json_parse("\"unterminated"), error);
+}
+
+TEST(Json, NestingDepthIsBounded) {
+    const auto nested = [](std::size_t depth) {
+        return std::string(depth, '[') + std::string(depth, ']');
+    };
+    EXPECT_NO_THROW(json_parse(nested(json_max_depth)));
+    EXPECT_THROW(json_parse(nested(json_max_depth + 1)), io_error);
+    // Objects and arrays share one depth budget.
+    std::string mixed;
+    for (std::size_t i = 0; i <= json_max_depth; ++i) {
+        mixed += i % 2 == 0 ? "[" : "{\"k\":";
+    }
+    EXPECT_THROW(json_parse(mixed), io_error);
+    // Far past the bound (and unterminated): a typed error, not a stack
+    // overflow.
+    EXPECT_THROW(json_parse(std::string(2u << 20, '[')), io_error);
 }
 
 TEST(Json, TypeMismatchThrows) {
