@@ -3,8 +3,7 @@
 //
 // Times the fleet's accuracy_before hot path two ways over the same chips:
 //   serial  — per chip: restore the pretrained snapshot, attach this chip's
-//             fault masks, evaluate the full test set, tear down (exactly
-//             the per-chip evaluation section of chip_tuner::tune), and
+//             fault masks, evaluate the full test set, tear down, and
 //   grouped — one multi_mask_evaluator pass per block of K chips.
 // Every grouped accuracy must equal its serial counterpart BIT FOR BIT; the
 // process exits non-zero on any mismatch and never on timing, so CI can
@@ -108,8 +107,7 @@ eval_workload make_vgg_workload(std::size_t num_chips) {
     return w;
 }
 
-/// The serial per-chip path, verbatim from chip_tuner::tune's evaluation
-/// section.
+/// The per-chip path: restore, mask, and evaluate one chip at a time.
 std::vector<double> serial_accuracies(eval_workload& w) {
     std::vector<double> accs;
     accs.reserve(w.chips.size());

@@ -1,6 +1,6 @@
 // micro_training — training-substrate micro-benchmark and the
-// parallel-vs-serial correctness gate for the intra-op tensor backend and
-// the grouped retraining engine.
+// parallel-vs-serial correctness gate for the intra-op tensor backend, plus
+// the K-invariance gate of the retraining engine.
 //
 // Times the per-step costs the fleet-level retraining budgets are built
 // from (forward, train step, masked train step, full evaluation) per
@@ -9,26 +9,28 @@
 // serial counterpart BIT FOR BIT — logits, snapshots, and accuracies are
 // memcmp'd — and the process exits non-zero on any mismatch and NEVER on
 // timing, so CI can gate on correctness without flaking on noise. Emits
-// BENCH_train.json (schema 4: per-op cases carry serial_ms / parallel_ms;
-// fleet_cases carry serial-vs-grouped retraining episode times per K;
-// `regressions` names every row whose fast path — the intra-op budget for
-// cases, the grouped engine for fleet_cases — measured slower than its
-// reference, as information only) — the train-path perf artifact reported
-// next to BENCH_gemm.json / BENCH_eval.json.
+// BENCH_train.json (schema 5: per-op cases carry serial_ms / parallel_ms;
+// fleet_cases carry k1_ms — the K chips tuned one by one through tune(),
+// i.e. K = 1 episodes — next to grouped_ms, the same chips as one K-chip
+// episode; `regressions` names every row whose fast path — the intra-op
+// budget for cases, the K-chip episode for fleet_cases — measured slower
+// than its reference, as information only) — the train-path perf artifact
+// reported next to BENCH_gemm.json / BENCH_eval.json.
 //
 // Workloads: "mlp" (the standard experiment scale — too small to gain from
 // intra-op threads, included to pin the no-regression floor) and "vgg"
 // (VGG11 at width 0.25 on 16x16 synthetic images, batch 64 — the
 // single-chip retraining shape the intra-op backend exists for).
 //
-// Fleet section: whole retraining EPISODES — restore, mask,
-// masked SGD per the allocation, checkpoint evals — serial chip_tuner loop
-// vs grouped_chip_tuner lockstep, at K in {1, 2, 8} on the micro_eval fleet
-// geometries (mlp_fleet: the standard MLP; vgg_fleet: VGG11 width 0.125 on
-// 8x8 images, the Step-3 shape). Every grouped outcome AND captured snapshot
-// is verified byte-identical to the serial loop at --gemm-threads 1 and at
-// the budget under test before timing; vgg_fleet_k8_speedup at the root is
-// the headline grouped-retraining throughput multiple.
+// Fleet section: whole retraining EPISODES — restore, mask, masked SGD per
+// the allocation, checkpoint evals — K chips through chip_tuner::tune one
+// at a time vs one chip_tuner::tune_group of all K, at K in {1, 2, 8} on
+// the micro_eval fleet geometries (mlp_fleet: the standard MLP; vgg_fleet:
+// VGG11 width 0.125 on 8x8 images, the Step-3 shape). Every grouped outcome
+// AND captured snapshot is verified byte-identical to its K = 1 episode at
+// --gemm-threads 1 and at the budget under test before timing;
+// vgg_fleet_k8_speedup at the root is the headline lockstep throughput
+// multiple.
 //
 // Speedups are bounded by the machine: on an N-core host expect ≈min(N,
 // --gemm-threads)x on the VGG GEMM-bound rows; on a single-core container
@@ -53,7 +55,7 @@
 #include <vector>
 
 #include "core/fat_trainer.h"
-#include "core/grouped_fat_trainer.h"
+#include "core/fleet_executor.h"
 #include "core/workload.h"
 #include "data/loader.h"
 #include "data/synthetic.h"
@@ -178,7 +180,7 @@ bool same_snapshot(const model_snapshot& a, const model_snapshot& b) {
     return true;
 }
 
-// ---- fleet retraining: serial chip_tuner loop vs grouped lockstep ----------
+// ---- fleet retraining: K one-chip episodes vs one K-chip episode -----------
 
 struct fleet_workload {
     std::string name;
@@ -254,8 +256,8 @@ bool same_outcome(const chip_outcome& a, const chip_outcome& b) {
            a.selection_failed == b.selection_failed;
 }
 
-/// Serial reference: tune the K chips one by one, capturing snapshots.
-std::vector<chip_outcome> serial_episodes(chip_tuner& tuner,
+/// K = 1 reference: tune the K chips one by one, capturing snapshots.
+std::vector<chip_outcome> k1_episodes(chip_tuner& tuner,
                                           const std::vector<const chip*>& chips,
                                           const epoch_allocation& alloc,
                                           std::vector<model_snapshot>* snaps) {
@@ -267,33 +269,27 @@ std::vector<chip_outcome> serial_episodes(chip_tuner& tuner,
     return outcomes;
 }
 
-/// Grouped-vs-serial gate for one K: outcomes and captured snapshots must be
-/// byte-identical at BOTH intra-op budgets.
-bool verify_fleet_case(fleet_workload& w, chip_tuner& serial_tuner,
-                       grouped_chip_tuner& grouped_tuner,
-                       const std::vector<const chip*>& chips,
+/// K-invariance gate for one K: outcomes and captured snapshots of the
+/// K-chip episode must be byte-identical to the K = 1 episodes at BOTH
+/// intra-op budgets.
+bool verify_fleet_case(chip_tuner& tuner, const std::vector<const chip*>& chips,
                        const std::vector<const epoch_allocation*>& allocs,
                        const std::vector<double>& rates, std::size_t gemm_threads) {
-    serial_tuner.set_capture_tuned(true);
-    grouped_tuner.set_capture_tuned(true);
+    tuner.set_capture_tuned(true);
     bool ok = true;
     for (const std::size_t budget : {std::size_t{1}, gemm_threads}) {
         set_intra_op_threads(budget);
-        std::vector<model_snapshot> serial_snaps;
-        const std::vector<chip_outcome> serial =
-            serial_episodes(serial_tuner, chips, *allocs[0], &serial_snaps);
-        const std::vector<chip_outcome> grouped =
-            grouped_tuner.tune_group(chips, allocs, 0.5, rates, {});
-        if (grouped.size() != serial.size()) { ok = false; continue; }
-        for (std::size_t g = 0; g < serial.size(); ++g) {
-            ok = ok && same_outcome(serial[g], grouped[g]) &&
-                 same_snapshot(serial_snaps[g], grouped_tuner.take_tuned(g));
+        std::vector<model_snapshot> k1_snaps;
+        const std::vector<chip_outcome> k1 = k1_episodes(tuner, chips, *allocs[0], &k1_snaps);
+        const std::vector<chip_outcome> grouped = tuner.tune_group(chips, allocs, 0.5, rates, {});
+        if (grouped.size() != k1.size()) { ok = false; continue; }
+        for (std::size_t g = 0; g < k1.size(); ++g) {
+            ok = ok && same_outcome(k1[g], grouped[g]) &&
+                 same_snapshot(k1_snaps[g], tuner.take_tuned(g));
         }
     }
     set_intra_op_threads(1);
-    serial_tuner.set_capture_tuned(false);
-    grouped_tuner.set_capture_tuned(false);
-    (void)w;
+    tuner.set_capture_tuned(false);
     return ok;
 }
 
@@ -450,7 +446,7 @@ int main(int argc, char** argv) {
             }
         }
 
-        // ---- fleet retraining episodes: serial loop vs grouped lockstep ----
+        // ---- fleet retraining: K one-chip episodes vs one K-chip episode ----
         double vgg_fleet_k8_speedup = 0.0;
         json_array fleet_json;
         const double fleet_epochs = args.get_double("fleet-epochs", 0.5);
@@ -460,10 +456,8 @@ int main(int argc, char** argv) {
         for (fleet_workload& w : fleets) {
             epoch_allocation alloc;
             alloc.epochs = fleet_epochs;
-            chip_tuner serial_tuner(*w.model, w.pretrained, w.train_data, w.test_data,
-                                    w.array, w.trainer_cfg);
-            grouped_chip_tuner grouped_tuner(*w.model, w.pretrained, w.train_data,
-                                             w.test_data, w.array, w.trainer_cfg);
+            chip_tuner tuner(*w.model, w.pretrained, w.train_data, w.test_data, w.array,
+                             w.trainer_cfg);
             for (const std::size_t k : {1u, 2u, 8u}) {
                 std::vector<const chip*> chips;
                 std::vector<const epoch_allocation*> allocs;
@@ -474,24 +468,22 @@ int main(int argc, char** argv) {
                 const std::vector<double> rates(k, 0.1);
 
                 // Correctness gate first; timing never fails the run.
-                const bool ok = verify_fleet_case(w, serial_tuner, grouped_tuner, chips,
-                                                  allocs, rates, gemm_threads);
+                const bool ok = verify_fleet_case(tuner, chips, allocs, rates, gemm_threads);
                 all_ok = all_ok && ok;
 
                 set_intra_op_threads(gemm_threads);
-                const double serial_ms = best_ms_per_call(
-                    [&] { (void)serial_episodes(serial_tuner, chips, alloc, nullptr); },
-                    min_ms, samples);
+                const double k1_ms = best_ms_per_call(
+                    [&] { (void)k1_episodes(tuner, chips, alloc, nullptr); }, min_ms, samples);
                 const double grouped_ms = best_ms_per_call(
-                    [&] { (void)grouped_tuner.tune_group(chips, allocs, 0.5, rates, {}); },
-                    min_ms, samples);
+                    [&] { (void)tuner.tune_group(chips, allocs, 0.5, rates, {}); }, min_ms,
+                    samples);
                 set_intra_op_threads(1);
-                const double speedup = serial_ms / grouped_ms;
+                const double speedup = k1_ms / grouped_ms;
                 note_regression(w.name + " K=" + std::to_string(k), speedup);
                 if (w.name == "vgg_fleet" && k == 8) { vgg_fleet_k8_speedup = speedup; }
 
-                std::cout << w.name << " K=" << k << "  serial " << serial_ms
-                          << " ms, grouped " << grouped_ms << " ms  → " << speedup
+                std::cout << w.name << " K=" << k << "  K=1 episodes " << k1_ms
+                          << " ms, one K-chip episode " << grouped_ms << " ms  → " << speedup
                           << "x  (" << static_cast<double>(k) / (grouped_ms / 1000.0)
                           << " episodes/s" << (ok ? ")" : ")  *** MISMATCH ***") << '\n';
 
@@ -500,7 +492,7 @@ int main(int argc, char** argv) {
                 entry.set("k", json_value(k));
                 entry.set("epochs_per_episode", json_value(fleet_epochs));
                 entry.set("gemm_threads", json_value(gemm_threads));
-                entry.set("serial_ms", json_value(serial_ms));
+                entry.set("k1_ms", json_value(k1_ms));
                 entry.set("grouped_ms", json_value(grouped_ms));
                 entry.set("speedup", json_value(speedup));
                 entry.set("episodes_per_s",
@@ -512,7 +504,7 @@ int main(int argc, char** argv) {
 
         json_object root;
         root.set("bench", json_value("micro_training"));
-        root.set("schema_version", json_value(4));
+        root.set("schema_version", json_value(5));
 #ifdef REDUCE_NATIVE
         root.set("march_native", json_value(true));
 #else
@@ -531,11 +523,11 @@ int main(int argc, char** argv) {
         root.set("regressions", json_value(std::move(regressions)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (vgg train-step speedup "
-                  << vgg_train_step_speedup << "x, fleet K=8 grouped speedup "
+                  << vgg_train_step_speedup << "x, fleet K=8 lockstep speedup "
                   << vgg_fleet_k8_speedup << "x at " << gemm_threads << " threads)\n";
 
         if (!all_ok) {
-            std::cerr << "error: parallel tensor backend mismatched the serial path\n";
+            std::cerr << "error: a parallel or K-chip result mismatched its reference\n";
             return 1;
         }
         return 0;

@@ -14,16 +14,16 @@
 //
 // --scenario applies a fault-event timeline (fault/scenario.h grammar) to
 // every chip's retraining episode: strikes/aging land mid-run, the tuner
-// recovers (or restarts, per mode=) and continues. Timeline chips train
-// serially — the run log counts the downgrades, events, and rollbacks.
+// recovers (or restarts, per mode=) and continues — the run log counts the
+// events and rollbacks.
 //
 // The policy under test is resolved by name from the policy registry
 // (reduce, reduce-mean, oracle, binned, ...) and compared against the
 // fixed-epochs baseline; tuning fans out over --threads workers.
 // --eval-batch-chips groups accuracy_before evaluations,
-// --train-batch-chips groups the retraining episodes themselves into
-// lockstep groups — both byte-identical to the serial path; the run log
-// reports how many chips actually grouped and why any fell back.
+// --train-batch-chips trains same-allocation chips together in lockstep
+// episodes — neither changes a tuned-model byte; the run log reports how
+// many chips actually grouped.
 
 #include <filesystem>
 #include <iostream>
@@ -120,8 +120,7 @@ int main(int argc, char** argv) {
             std::cout << "fault timeline: " << stats.timeline_events << " events, "
                       << stats.timeline_rollbacks << " rollbacks, "
                       << stats.timeline_restarts << " restarts, "
-                      << stats.serial_nonfinite_chips << " non-finite chips, "
-                      << stats.scenario_downgrades << " grouped-path downgrades\n";
+                      << stats.serial_nonfinite_chips << " non-finite chips\n";
         }
         executor.set_model_sink(nullptr);
         const policy_outcome fixed_run = executor.run(

@@ -1,17 +1,26 @@
 // Fault-Aware Training (FAT) — Step 3 of the Reduce framework.
 //
-// Retrains a masked model for an exact (possibly fractional) number of
+// Retrains masked models for an exact (possibly fractional) number of
 // epochs, evaluating test accuracy at a grid of epoch checkpoints. The
 // trainer assumes fault masks are already attached (attach_fault_masks);
 // the mask-aware optimizer keeps pruned weights at zero, so the network
 // being trained is exactly the function the damaged chip computes.
 //
-// Threading: the trainer itself is single-threaded per episode, but every
-// forward/backward/eval it runs draws on the process-wide intra-op budget
-// (util/thread_pool.h, --gemm-threads) — the fleet executor and sweep
-// engine scope that budget per run, and single-chip harnesses set it
-// directly. The budget never changes a result bit (never-split-K rule of
-// tensor/gemm.h), only wall-clock time per epoch.
+// One engine: train_variants runs K >= 1 episodes in lockstep over one
+// shared batch schedule — one batch gather and one stacked pass per layer
+// (nn/grouped.h), per-variant losses, optimizers, learning rates, fault
+// timelines and rollback anchors. fault_aware_trainer is its K = 1 case,
+// and chip_tuner, the Step-1 sweep and the fleet executor all train through
+// it. Each variant's result is byte-identical at any K: the stacked layer
+// passes equal each model's own forward/backward for any operands, and a
+// variant that diverges leaves the cohort before it could touch a sibling.
+//
+// Threading: an episode is single-threaded, but every forward/backward/eval
+// it runs draws on the process-wide intra-op budget (util/thread_pool.h,
+// --gemm-threads) — the fleet executor and sweep engine scope that budget
+// per run, and single-chip harnesses set it directly. The budget never
+// changes a result bit (never-split-K rule of tensor/gemm.h), only
+// wall-clock time per epoch.
 #pragma once
 
 #include <functional>
@@ -19,6 +28,7 @@
 #include <vector>
 
 #include "data/loader.h"
+#include "fault/mask_builder.h"
 #include "fault/scenario.h"
 #include "nn/models.h"
 #include "nn/optim.h"
@@ -58,10 +68,10 @@ struct fat_result {
     bool hit_nonfinite = false;
 };
 
-/// Mid-run fault-event hooks: how a fault timeline plugs into train().
+/// Mid-run fault-event hooks: how a fault timeline plugs into an episode.
 ///
 /// The trainer owns WHEN (event epochs are merged into the checkpoint
-/// sequence and fire at the same step boundaries on every path) and the
+/// sequence and fire at the same step boundaries at any K) and the
 /// recovery discipline; the caller owns WHAT an event does via `on_event`,
 /// which must rebuild the fault grid and re-attach masks in place
 /// (fault_state_guard::swap_masks) — the trainer then re-zeroes optimizer
@@ -80,11 +90,21 @@ struct train_event_hooks {
     std::size_t rollback_budget = 2;
 };
 
+/// Builds the hooks of one episode's fault timeline: event i applies
+/// timeline event i to `working` (the episode's own copy of its fault grid)
+/// and swaps the guarded model's masks to match. The references must
+/// outlive the hooks. An empty scenario yields hooks without events, which
+/// every episode treats as no timeline.
+train_event_hooks timeline_hooks(const scenario_config& scenario, const fault_timeline& timeline,
+                                 fault_grid& working, fault_state_guard& guard,
+                                 const array_config& array);
+
 /// Rows one evaluation forward pass covers: large enough to amortize
 /// per-batch costs, bounded to keep activation memory flat on big test
-/// sets. Shared by fault_aware_trainer::evaluate and the batched
-/// multi-mask evaluator so their batch splits (and thus memory behaviour)
-/// stay comparable — splits never change results.
+/// sets. Shared by the stacked evaluation and the batched multi-mask
+/// evaluator so their batch splits (and thus memory behaviour) stay
+/// comparable — splits never change results. A K-variant stacked pass
+/// divides it by K (floor 32 rows).
 inline std::size_t eval_batch_rows(const fat_config& cfg) {
     return cfg.batch_size > 256 ? cfg.batch_size : 256;
 }
@@ -104,7 +124,40 @@ std::optional<double> epochs_to_reach(const std::vector<training_point>& traject
 /// epoch 0).
 double accuracy_at_epochs(const std::vector<training_point>& trajectory, double epochs);
 
-/// Retraining engine bound to one model + datasets.
+/// One variant of a lockstep episode: a model with its fault masks attached.
+struct fat_variant {
+    sequential* model = nullptr;
+    /// Injected trajectory[0] (see fault_aware_trainer::train); evaluated
+    /// in one stacked pass over the variants that lack it otherwise.
+    std::optional<double> epoch0_accuracy;
+    /// This variant's fault timeline (nullptr: none). Every variant of one
+    /// episode must share the same event epochs, mode and rollback budget —
+    /// the stops are shared — while on_event stays per variant.
+    const train_event_hooks* hooks = nullptr;
+};
+
+/// The retraining engine: K >= 1 FAT episodes in lockstep. Element g is
+/// byte-identical to training variant g alone (K = 1), which follows
+/// fault_aware_trainer::train's contract. The variants must be clones of
+/// one prototype (same layer structure) and distinct objects.
+///
+/// Divergence is per variant: a non-finite loss at a step blocks that
+/// step's update, and any non-finite parameter at a stop counts too. The
+/// variant leaves the cohort at once. With rollback budget left it
+/// restores its own last finite anchor (model, optimizer, loader position,
+/// halved learning rate) and replays as a K = 1 run; otherwise it ends
+/// hit_nonfinite with accuracy 0. Its siblings never notice.
+std::vector<fat_result> train_variants(const std::vector<fat_variant>& variants,
+                                       const dataset& train_data, const dataset& test_data,
+                                       const fat_config& cfg, double epoch_budget,
+                                       const std::vector<double>& eval_grid);
+
+/// Test-set accuracy of each model as-is (eval mode, full test set), in
+/// one stacked pass; element g equals evaluating model g alone.
+std::vector<double> evaluate_variants(const std::vector<sequential*>& models,
+                                      const dataset& test_data, const fat_config& cfg);
+
+/// The single-model view of the engine: binds one model + datasets.
 class fault_aware_trainer {
 public:
     /// The trainer keeps references; all must outlive it.
@@ -130,11 +183,10 @@ public:
     /// `hooks` (optional) drives fault-timeline events: event epochs join
     /// the checkpoint sequence, each firing records an eval point, and the
     /// recovery discipline (recover/rollback vs restart) follows
-    /// hooks->mode. nullptr or an empty event list leaves event-free runs
-    /// byte-identical to the pre-hook trainer. Independent of hooks,
-    /// training that diverges to non-finite loss or weights now stops
-    /// loudly (fat_result::hit_nonfinite) instead of silently training on
-    /// NaNs — the serial twin of the grouped trainer's detection.
+    /// hooks->mode. nullptr or an empty event list means no timeline.
+    /// Independent of hooks, training that diverges to non-finite loss or
+    /// weights stops loudly (fat_result::hit_nonfinite) instead of silently
+    /// training on NaNs. This is train_variants with K = 1.
     fat_result train(double epoch_budget, const std::vector<double>& eval_grid,
                      const std::optional<double>& epoch0_accuracy = std::nullopt,
                      const train_event_hooks* hooks = nullptr);

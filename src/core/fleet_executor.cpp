@@ -4,7 +4,6 @@
 #include <atomic>
 #include <mutex>
 
-#include "core/grouped_fat_trainer.h"
 #include "core/multi_mask_eval.h"
 #include "fault/mask_builder.h"
 #include "tensor/workspace.h"
@@ -38,127 +37,171 @@ double policy_outcome::fraction_meeting() const {
 chip_tuner::chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
                        const dataset& train_data, const dataset& test_data,
                        const array_config& array, fat_config trainer_cfg)
-    : model_(clone_model(prototype)),
+    : prototype_(prototype),
       pretrained_(pretrained),
       train_data_(train_data),
       test_data_(test_data),
       array_(array),
-      trainer_cfg_(trainer_cfg) {}
+      trainer_cfg_(trainer_cfg) {
+    train_data_.validate();
+    test_data_.validate();
+    REDUCE_CHECK(trainer_cfg_.batch_size > 0, "batch size must be positive");
+    REDUCE_CHECK(trainer_cfg_.learning_rate > 0.0, "learning rate must be positive");
+    ensure_clones(1);
+}
+
+void chip_tuner::ensure_clones(std::size_t k) {
+    while (clones_.size() < k) { clones_.push_back(clone_model(prototype_)); }
+}
 
 chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
                               double constraint, double effective_rate,
                               std::optional<double> accuracy_before) {
-    restore_parameters(model_->parameters(), pretrained_);
-    // Episode seeding: dropout streams depend on the chip alone, never on
-    // what this tuner ran before — the thread-count-independence fix for
-    // stochastic models.
-    reseed_stochastic_layers(*model_, c.seed);
-    // The guard clears masks, re-restores the weights, and restores state
-    // buffers (batch-norm running statistics) on every exit path, so a
-    // throwing train() cannot leave the tuner's model corrupted.
-    fault_state_guard guard(*model_, pretrained_);
-    // Timeline events mutate a working COPY of the chip's grid; the fleet's
-    // descriptor stays pristine (and with no scenario the copy is inert).
-    fault_grid working = c.faults;
-    const mask_stats stats = attach_fault_masks(*model_, array_, working);
+    std::vector<double> before;
+    if (accuracy_before.has_value()) { before.push_back(*accuracy_before); }
+    return tune_group({&c}, {&alloc}, constraint, {effective_rate}, before).front();
+}
 
-    // Scenario → trainer hooks. The timeline seed is a pure function of
-    // (scenario.seed, chip id), so any worker on any machine replays the
-    // same event contents for this chip.
-    const fault_timeline timeline = timeline_for_chip(scenario_, c.id);
-    train_event_hooks hooks;
-    const train_event_hooks* hooks_ptr = nullptr;
-    if (!scenario_.empty()) {
-        hooks.event_epochs.reserve(scenario_.events.size());
-        for (const fault_event& ev : scenario_.events) {
-            hooks.event_epochs.push_back(ev.epoch);
-        }
-        hooks.mode = scenario_.mode;
-        hooks.rollback_budget = scenario_.rollback_budget;
-        hooks.on_event = [&](std::size_t event_index) {
-            apply_fault_event(working, timeline, event_index);
-            guard.swap_masks(array_, working);
-        };
-        hooks_ptr = &hooks;
+std::vector<chip_outcome> chip_tuner::tune_group(
+    const std::vector<const chip*>& chips, const std::vector<const epoch_allocation*>& allocs,
+    double constraint, const std::vector<double>& effective_rates,
+    const std::vector<double>& accuracy_before) {
+    const std::size_t k = chips.size();
+    REDUCE_CHECK(k > 0, "tune_group over an empty chip group");
+    REDUCE_CHECK(allocs.size() == k && effective_rates.size() == k,
+                 "tune_group: " << k << " chips, " << allocs.size() << " allocations, "
+                                << effective_rates.size() << " rates");
+    REDUCE_CHECK(accuracy_before.empty() || accuracy_before.size() == k,
+                 "tune_group: accuracy_before must be empty or one value per chip");
+    // One shared batch schedule means one training plan: anything else
+    // reaching this point is a grouping bug — fail loudly rather than train
+    // a chip on the wrong plan.
+    for (std::size_t g = 1; g < k; ++g) {
+        REDUCE_CHECK(allocs[g]->epochs == allocs[0]->epochs &&
+                         allocs[g]->train_to_target == allocs[0]->train_to_target,
+                     "tune_group: chip " << chips[g]->id << " allocation ("
+                                         << allocs[g]->epochs << " epochs, to_target="
+                                         << allocs[g]->train_to_target
+                                         << ") differs from the group's ("
+                                         << allocs[0]->epochs << ", to_target="
+                                         << allocs[0]->train_to_target
+                                         << ") — group only same-allocation chips");
+    }
+    const epoch_allocation& alloc = *allocs[0];
+    ensure_clones(k);
+    tuned_.clear();
+    if (capture_tuned_) { tuned_.resize(k); }
+
+    // Per-chip episode setup. The guards clear masks, re-restore the
+    // weights, and restore state buffers (batch-norm running statistics) on
+    // every exit path, so a throwing episode cannot leave a clone corrupted.
+    // Timeline events mutate each chip's working COPY of its grid; the
+    // fleet's descriptors stay pristine. The timeline seed is a pure
+    // function of (scenario.seed, chip id), so any worker on any machine
+    // replays the same event contents for a chip.
+    std::vector<std::unique_ptr<fault_state_guard>> guards;
+    guards.reserve(k);
+    std::vector<fault_grid> working;
+    working.reserve(k);
+    std::vector<fault_timeline> timelines;
+    timelines.reserve(k);
+    std::vector<train_event_hooks> hooks;
+    hooks.reserve(k);
+    std::vector<chip_outcome> outcomes(k);
+    for (std::size_t g = 0; g < k; ++g) {
+        sequential& clone = *clones_[g];
+        restore_parameters(clone.parameters(), pretrained_);
+        reseed_stochastic_layers(clone, chips[g]->seed);
+        guards.push_back(std::make_unique<fault_state_guard>(clone, pretrained_));
+        working.push_back(chips[g]->faults);
+        const mask_stats stats = attach_fault_masks(clone, array_, working[g]);
+        timelines.push_back(timeline_for_chip(scenario_, chips[g]->id));
+        hooks.push_back(
+            timeline_hooks(scenario_, timelines[g], working[g], *guards[g], array_));
+
+        chip_outcome& out = outcomes[g];
+        out.chip_id = chips[g]->id;
+        out.nominal_fault_rate = chips[g]->nominal_fault_rate;
+        out.effective_fault_rate = effective_rates[g];
+        out.masked_weight_fraction = stats.masked_fraction();
+        out.epochs_allocated = alloc.epochs;
+        out.selection_failed = allocs[g]->selection_failed;
     }
 
-    fault_aware_trainer trainer(*model_, train_data_, test_data_, trainer_cfg_);
-    chip_outcome outcome;
-    outcome.chip_id = c.id;
-    outcome.nominal_fault_rate = c.nominal_fault_rate;
-    outcome.effective_fault_rate = effective_rate;
-    outcome.masked_weight_fraction = stats.masked_fraction();
-    outcome.epochs_allocated = alloc.epochs;
-    outcome.selection_failed = alloc.selection_failed;
-    // Post-FAP accuracy: injected by the grouped evaluator, or computed
-    // here. Either way the value doubles as the trainers' epoch-0
-    // trajectory point below — evaluate() is pure for a fixed model state,
-    // so reusing it skips a redundant pass without changing any number.
-    outcome.accuracy_before =
-        accuracy_before.has_value() ? *accuracy_before : trainer.evaluate();
-    const std::optional<double> epoch0(outcome.accuracy_before);
+    // Post-FAP accuracy: injected, or one stacked pass here. Either way the
+    // value doubles as the episode's epoch-0 trajectory point.
+    std::vector<double> before = accuracy_before;
+    if (before.empty()) {
+        std::vector<sequential*> models(k);
+        for (std::size_t g = 0; g < k; ++g) { models[g] = clones_[g].get(); }
+        before = evaluate_variants(models, test_data_, trainer_cfg_);
+    }
+    std::vector<fat_variant> variants(k);
+    for (std::size_t g = 0; g < k; ++g) {
+        outcomes[g].accuracy_before = before[g];
+        variants[g] = fat_variant{clones_[g].get(), before[g], &hooks[g]};
+    }
 
-    if (alloc.train_to_target && alloc.epochs > 0.0) {
-        // Oracle accounting: run the budget on the shared checkpoint grid and
-        // charge only up to the first checkpoint that meets the target.
-        const std::vector<double> grid = make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5);
-        const fat_result result = trainer.train(alloc.epochs, grid, epoch0, hooks_ptr);
-        outcome.events_applied = result.events_applied;
-        outcome.rollbacks = result.rollbacks;
-        outcome.restarts = result.restarts;
-        outcome.hit_nonfinite = result.hit_nonfinite;
+    // Oracle accounting runs the budget on the shared checkpoint grid and
+    // charges only up to the first checkpoint that meets the target.
+    const bool to_target = alloc.train_to_target && alloc.epochs > 0.0;
+    const std::vector<double> grid =
+        to_target ? make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5) : std::vector<double>{};
+    const std::vector<fat_result> results =
+        train_variants(variants, train_data_, test_data_, trainer_cfg_, alloc.epochs, grid);
+
+    for (std::size_t g = 0; g < k; ++g) {
+        const fat_result& result = results[g];
+        chip_outcome& out = outcomes[g];
+        out.events_applied = result.events_applied;
+        out.rollbacks = result.rollbacks;
+        out.restarts = result.restarts;
+        out.hit_nonfinite = result.hit_nonfinite;
+        out.epochs_run = result.epochs_run;
+        out.final_accuracy = result.final_accuracy;
         const std::optional<double> reached =
-            epochs_to_reach(result.trajectory, constraint);
+            to_target ? epochs_to_reach(result.trajectory, constraint) : std::nullopt;
         if (reached.has_value()) {
-            outcome.epochs_run = *reached;
-            outcome.final_accuracy = accuracy_at_epochs(result.trajectory, *reached);
+            out.epochs_run = *reached;
+            out.final_accuracy = accuracy_at_epochs(result.trajectory, *reached);
             // The charge stops at *reached: a divergence past that point is
             // outside the charged (and replayed) run, so the outcome is the
             // finite prefix, not the non-finite tail.
-            outcome.hit_nonfinite = false;
+            out.hit_nonfinite = false;
             if (capture_tuned_ && *reached < result.epochs_run) {
-                // The model now holds the full-budget weights; re-train to the
-                // charged checkpoint so the distributed snapshot matches the
-                // reported accuracy (training is deterministic per config, so
-                // this replays the exact prefix of the budget run — dropout
-                // included, thanks to the re-reseed).
-                restore_parameters(model_->parameters(), pretrained_);
-                reseed_stochastic_layers(*model_, c.seed);
-                if (hooks_ptr != nullptr) {
-                    // The replay must start from the chip's ORIGINAL grid:
-                    // the timeline re-fires its events (same seeds, same
-                    // contents) from the same step boundaries, so the prefix
-                    // is exact — event evolution included.
-                    working = c.faults;
-                    guard.swap_masks(array_, working);
+                // The clone holds the full-budget weights; re-train it alone
+                // to the charged checkpoint so the distributed snapshot
+                // matches the reported accuracy (training is deterministic
+                // per config, so this replays the exact prefix of the budget
+                // run — dropout included, thanks to the re-reseed).
+                sequential& clone = *clones_[g];
+                restore_parameters(clone.parameters(), pretrained_);
+                reseed_stochastic_layers(clone, chips[g]->seed);
+                if (!scenario_.empty()) {
+                    // The replay starts from the chip's ORIGINAL grid: the
+                    // timeline re-fires its events from the same step
+                    // boundaries, so the prefix is exact.
+                    working[g] = chips[g]->faults;
+                    guards[g]->swap_masks(array_, working[g]);
                 }
-                // The replay's fat_result is discarded — only the weights it
-                // leaves behind matter — so inject the known epoch-0 value
-                // rather than paying another full test-set pass.
-                (void)trainer.train(*reached, {}, epoch0, hooks_ptr);
+                fault_aware_trainer trainer(clone, train_data_, test_data_, trainer_cfg_);
+                (void)trainer.train(*reached, {}, before[g], &hooks[g]);
             }
-        } else {
-            outcome.epochs_run = result.epochs_run;
-            outcome.final_accuracy = result.final_accuracy;
         }
-    } else {
-        const fat_result result = trainer.train(alloc.epochs, {}, epoch0, hooks_ptr);
-        outcome.epochs_run = result.epochs_run;
-        outcome.final_accuracy = result.final_accuracy;
-        outcome.events_applied = result.events_applied;
-        outcome.rollbacks = result.rollbacks;
-        outcome.restarts = result.restarts;
-        outcome.hit_nonfinite = result.hit_nonfinite;
+        out.meets_constraint = out.final_accuracy >= constraint;
+        // Full deployable capture: parameters AND state buffers, taken
+        // before the guard's restore — a sink deploying a tuned BN snapshot
+        // must evaluate with the statistics behind the reported accuracy.
+        if (capture_tuned_) { tuned_[g] = snapshot_model(*clones_[g]); }
     }
-    outcome.meets_constraint = outcome.final_accuracy >= constraint;
+    return outcomes;
+}
 
-    // Full deployable capture: parameters AND state buffers (batch-norm
-    // running statistics), taken before the guard's restore — a model-sink
-    // consumer deploying a tuned BN snapshot must evaluate with the
-    // statistics behind the reported final_accuracy, not the pretrained
-    // ones.
-    if (capture_tuned_) { last_tuned_ = snapshot_model(*model_); }
-    return outcome;
+model_snapshot chip_tuner::take_tuned(std::size_t g) {
+    REDUCE_CHECK(g < tuned_.size(),
+                 "take_tuned(" << g << ") but only " << tuned_.size()
+                               << " captured snapshots (set_capture_tuned before tuning)");
+    return std::move(tuned_[g]);
 }
 
 fleet_executor::fleet_executor(sequential& model, const model_snapshot& pretrained,
@@ -259,16 +302,6 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
     // worker would deep-clone a tuner model just to find the queue empty.
     const std::size_t workers =
         std::min(worker_budget, (fleet.size() + group - 1) / group);
-    // Timeline chips cannot train in lockstep — a mid-run mask swap would
-    // desynchronize the group's shared batch schedule — so a non-empty
-    // scenario downgrades the whole fleet to the serial path, loudly.
-    const bool scenario_serial = cfg_.train_batch_chips > 1 && !cfg_.scenario.empty();
-    if (scenario_serial) {
-        LOG_WARN << outcome.policy_name << ": fault timeline active ("
-                 << cfg_.scenario.events.size() << " events) — grouped retraining "
-                 << "(--train-batch-chips " << cfg_.train_batch_chips
-                 << ") downgraded to serial for all " << fleet.size() << " chips";
-    }
     std::atomic<std::size_t> next{0};
     std::atomic<bool> failed{false};
     std::size_t completed = 0;  // guarded by progress_mutex
@@ -282,10 +315,9 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         workspace& arena = workspace::local();
         tuner.set_capture_tuned(static_cast<bool>(sink_));
         tuner.set_scenario(cfg_.scenario);
-        // Grouped engines are built lazily: a worker that never claims a
-        // multi-chip block (ragged tails, tiny fleets) never clones for them.
+        // Built lazily: a worker that never claims a multi-chip block
+        // (ragged tails, tiny fleets) never clones for it.
         std::unique_ptr<multi_mask_evaluator> evaluator;
-        std::unique_ptr<grouped_chip_tuner> gtuner;
 
         // Sink flushing — caller must hold progress_mutex. Snapshots leave
         // as a fleet-order prefix regardless of completion order.
@@ -297,97 +329,58 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
             }
         };
 
-        // Serial per-chip path (also the fallback target of every grouped
-        // downgrade). `before` spans [begin, end) when grouped evaluation ran.
-        auto tune_serial = [&](std::size_t i, std::size_t begin,
-                               const std::vector<double>& before) {
-            outcome.chips[i] = tuner.tune(
-                fleet[i], allocations[i], constraint, views[i].effective_fault_rate,
-                before.empty() ? std::nullopt
-                               : std::optional<double>(before[i - begin]));
-            LOG_DEBUG << outcome.policy_name << ": chip " << fleet[i].id
-                      << " rate=" << views[i].effective_fault_rate
-                      << " epochs=" << allocations[i].epochs
-                      << " acc=" << outcome.chips[i].final_accuracy;
-            // Count, notify, and sink under one lock: the reported
-            // 'completed' sequence is strictly increasing and sinks fire in
-            // fleet order regardless of which worker finished first.
-            const chip_outcome& co = outcome.chips[i];
-            if (co.hit_nonfinite) {
-                LOG_WARN << outcome.policy_name << ": chip " << fleet[i].id
-                         << " retraining diverged to non-finite state (reported "
-                         << "accuracy 0.0, " << co.rollbacks << " rollbacks used)";
-            }
-            std::lock_guard<std::mutex> lock(progress_mutex);
-            ++stats_.serial_train_chips;
-            if (co.hit_nonfinite) { ++stats_.serial_nonfinite_chips; }
-            stats_.timeline_events += co.events_applied;
-            stats_.timeline_rollbacks += co.rollbacks;
-            stats_.timeline_restarts += co.restarts;
-            ++completed;
-            if (progress_) { progress_(completed, fleet.size(), outcome.chips[i]); }
-            if (sink_) {
-                pending[i] = tuner.take_tuned();
-                ready[i] = true;
-                flush_sinks();
-            }
-        };
-
-        // Lockstep path over the same-allocation run [s, e). Returns false
-        // when the group hit non-finite state — the caller re-runs it
-        // serially (the downgrade is logged AND counted, never silent).
-        auto tune_grouped = [&](std::size_t s, std::size_t e, std::size_t begin,
-                                const std::vector<double>& before) -> bool {
-            if (!gtuner) {
-                gtuner = std::make_unique<grouped_chip_tuner>(
-                    model_, pretrained_, train_data_, test_data_, array_, trainer_cfg_);
-                gtuner->set_capture_tuned(static_cast<bool>(sink_));
-            }
+        // One lockstep episode over the same-allocation run [s, e) of the
+        // block claimed at `begin`; `before` spans the block when grouped
+        // evaluation ran.
+        auto tune_run = [&](std::size_t s, std::size_t e, std::size_t begin,
+                            const std::vector<double>& before) {
             const std::size_t k = e - s;
             std::vector<const chip*> chips(k);
             std::vector<const epoch_allocation*> allocs(k);
             std::vector<double> rates(k);
             std::vector<double> before_slice;
-            if (!before.empty()) { before_slice.resize(k); }
             for (std::size_t g = 0; g < k; ++g) {
                 chips[g] = &fleet[s + g];
                 allocs[g] = &allocations[s + g];
                 rates[g] = views[s + g].effective_fault_rate;
-                if (!before.empty()) { before_slice[g] = before[s + g - begin]; }
+                if (!before.empty()) { before_slice.push_back(before[s + g - begin]); }
             }
-            std::vector<chip_outcome> results;
-            try {
-                results = gtuner->tune_group(chips, allocs, constraint, rates, before_slice);
-            } catch (const grouped_nonfinite_error& err) {
-                LOG_WARN << outcome.policy_name << ": grouped retraining of chips ["
-                         << fleet[s].id << ".." << fleet[e - 1].id
-                         << "] downgraded to serial: " << err.what();
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                stats_.nonfinite_downgrades += k;
-                return false;
-            }
+            const std::vector<chip_outcome> results =
+                tuner.tune_group(chips, allocs, constraint, rates, before_slice);
             for (std::size_t g = 0; g < k; ++g) {
                 const std::size_t i = s + g;
-                outcome.chips[i] = results[g];
+                const chip_outcome& co = results[g];
+                outcome.chips[i] = co;
                 LOG_DEBUG << outcome.policy_name << ": chip " << fleet[i].id
                           << " rate=" << views[i].effective_fault_rate
                           << " epochs=" << allocations[i].epochs
-                          << " acc=" << outcome.chips[i].final_accuracy << " (grouped x"
-                          << k << ")";
+                          << " acc=" << co.final_accuracy << " (x" << k << ")";
+                if (co.hit_nonfinite) {
+                    LOG_WARN << outcome.policy_name << ": chip " << fleet[i].id
+                             << " retraining diverged to non-finite state (reported "
+                             << "accuracy 0.0, " << co.rollbacks << " rollbacks used)";
+                }
+                // Count, notify, and sink under one lock: the reported
+                // 'completed' sequence is strictly increasing and sinks fire
+                // in fleet order regardless of which worker finished first.
                 std::lock_guard<std::mutex> lock(progress_mutex);
-                if (g == 0) {
+                if (g == 0 && k > 1) {
                     ++stats_.grouped_train_groups;
                     stats_.grouped_train_chips += k;
                 }
+                if (k == 1) { ++stats_.serial_train_chips; }
+                if (co.hit_nonfinite) { ++stats_.serial_nonfinite_chips; }
+                stats_.timeline_events += co.events_applied;
+                stats_.timeline_rollbacks += co.rollbacks;
+                stats_.timeline_restarts += co.restarts;
                 ++completed;
                 if (progress_) { progress_(completed, fleet.size(), outcome.chips[i]); }
                 if (sink_) {
-                    pending[i] = gtuner->take_tuned(g);
+                    pending[i] = tuner.take_tuned(g);
                     ready[i] = true;
                     flush_sinks();
                 }
             }
-            return true;
         };
 
         for (;;) {
@@ -401,8 +394,8 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                 return;
             }
             const std::size_t end = std::min(fleet.size(), begin + group);
-            std::vector<double> before;
             try {
+                std::vector<double> before;
                 if (end - begin > 1 && cfg_.eval_batch_chips > 1) {
                     if (!evaluator) {
                         evaluator = std::make_unique<multi_mask_evaluator>(
@@ -415,58 +408,31 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                     }
                     before = evaluator->evaluate(grids);
                 }
-                if (cfg_.train_batch_chips > 1 && end - begin > 1 && !scenario_serial) {
-                    // Carve the block into maximal same-allocation runs —
-                    // lockstep training shares one batch schedule, so only
-                    // chips with identical (epochs, train_to_target) group.
-                    std::size_t s = begin;
-                    while (s < end) {
-                        if (failed.load(std::memory_order_relaxed)) { return; }
-                        std::size_t run_end = s + 1;
-                        while (run_end < end &&
-                               allocations[run_end].epochs == allocations[s].epochs &&
-                               allocations[run_end].train_to_target ==
-                                   allocations[s].train_to_target) {
-                            ++run_end;
-                        }
-                        if (run_end - s == 1) {
-                            // Isolated by allocation mismatch: loud serial
-                            // downgrade (logged at debug, counted always).
-                            {
-                                std::lock_guard<std::mutex> lock(progress_mutex);
-                                ++stats_.alloc_downgrades;
-                            }
-                            tune_serial(s, begin, before);
-                            s = run_end;
-                            continue;
-                        }
-                        for (std::size_t c = s; c < run_end;) {
-                            if (failed.load(std::memory_order_relaxed)) { return; }
-                            const std::size_t ce =
-                                std::min(run_end, c + cfg_.train_batch_chips);
-                            bool grouped_ok = false;
-                            if (ce - c >= 2) {
-                                grouped_ok = tune_grouped(c, ce, begin, before);
-                            }
-                            if (!grouped_ok) {
-                                for (std::size_t i = c; i < ce; ++i) {
-                                    if (failed.load(std::memory_order_relaxed)) { return; }
-                                    tune_serial(i, begin, before);
-                                }
-                            }
-                            c = ce;
-                        }
-                        s = run_end;
+                // Carve the block into maximal same-allocation runs —
+                // lockstep training shares one batch schedule, so only chips
+                // with identical (epochs, train_to_target) group — and each
+                // run into episodes of at most train_batch_chips.
+                const bool grouping = cfg_.train_batch_chips > 1 && end - begin > 1;
+                const std::size_t episode = grouping ? cfg_.train_batch_chips : 1;
+                for (std::size_t s = begin; s < end;) {
+                    std::size_t run_end = s + 1;
+                    while (run_end < end &&
+                           allocations[run_end].epochs == allocations[s].epochs &&
+                           allocations[run_end].train_to_target ==
+                               allocations[s].train_to_target) {
+                        ++run_end;
                     }
-                } else {
-                    for (std::size_t i = begin; i < end; ++i) {
-                        if (failed.load(std::memory_order_relaxed)) { return; }
-                        if (scenario_serial) {
-                            std::lock_guard<std::mutex> lock(progress_mutex);
-                            ++stats_.scenario_downgrades;
-                        }
-                        tune_serial(i, begin, before);
+                    if (grouping && run_end - s == 1) {
+                        std::lock_guard<std::mutex> lock(progress_mutex);
+                        ++stats_.alloc_downgrades;
                     }
+                    for (std::size_t c = s; c < run_end;) {
+                        if (failed.load(std::memory_order_relaxed)) { return; }
+                        const std::size_t ce = std::min(run_end, c + episode);
+                        tune_run(c, ce, begin, before);
+                        c = ce;
+                    }
+                    s = run_end;
                 }
             } catch (...) {
                 failed.store(true, std::memory_order_relaxed);
@@ -481,10 +447,8 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         LOG_INFO << outcome.policy_name << ": grouped retraining "
                  << stats_.grouped_train_chips << "/" << fleet.size() << " chips in "
                  << stats_.grouped_train_groups << " groups, "
-                 << stats_.serial_train_chips << " serial ("
-                 << stats_.alloc_downgrades << " allocation downgrades, "
-                 << stats_.nonfinite_downgrades << " non-finite downgrades, "
-                 << stats_.scenario_downgrades << " scenario downgrades)";
+                 << stats_.serial_train_chips << " alone ("
+                 << stats_.alloc_downgrades << " isolated by allocation)";
     }
     if (!cfg_.scenario.empty()) {
         LOG_INFO << outcome.policy_name << ": fault timeline fired "

@@ -11,12 +11,12 @@
 // fault_state_guard, so the bit-identical guarantee covers dropout and
 // normalizing models too.
 //
-// Grouped evaluation: with eval_batch_chips > 1 a worker drains its chips
-// in fleet-order blocks, computing the whole block's `accuracy_before` in
-// one pass through the batched multi-mask evaluator (core/multi_mask_eval)
-// before tuning each chip — amortizing the fleet's dominant repeated
-// test-set inference while keeping every outcome byte-identical to the
-// serial path.
+// Grouping: a worker drains its chips in fleet-order blocks. With
+// eval_batch_chips > 1 the whole block's `accuracy_before` comes from one
+// pass through the batched multi-mask evaluator (core/multi_mask_eval);
+// with train_batch_chips > 1 same-allocation runs of the block retrain in
+// lockstep episodes (chip_tuner::tune_group). Neither changes an outcome
+// bit — only wall-clock time and peak memory.
 #pragma once
 
 #include <functional>
@@ -87,60 +87,80 @@ using model_sink = std::function<void(const chip&, const model_snapshot&)>;
 using progress_sink =
     std::function<void(std::size_t completed, std::size_t total, const chip_outcome&)>;
 
-/// Self-contained per-chip retraining worker. Owns a deep clone of the
-/// prototype model, so concurrent tuners never share mutable state; the
-/// referenced datasets/snapshot are read-only and shared.
+/// Self-contained retraining worker over groups of chips; one chip is the
+/// K = 1 case. Owns K deep clones of the prototype (one up front, more as
+/// larger groups arrive), so concurrent tuners never share mutable state;
+/// the prototype, datasets and snapshot are read-only, shared, and must
+/// outlive the tuner.
 class chip_tuner {
 public:
-    /// Clones `prototype`; the references must outlive the tuner.
     chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
                const dataset& train_data, const dataset& test_data,
                const array_config& array, fat_config trainer_cfg);
 
-    /// Restores the pretrained weights, masks for the chip's faults, trains
-    /// per the allocation, and reports the outcome. The owned model is back
-    /// in the clean pretrained state on return — also when training throws.
-    /// Dropout layers are reseeded from mix_seed(c.seed, layer) so the
-    /// episode is a function of the chip alone, not of worker history.
-    ///
-    /// `accuracy_before` injects a precomputed post-FAP accuracy (from the
-    /// grouped multi-mask evaluator); when absent the tuner evaluates
-    /// serially. An injected value computed on the same pretrained weights
-    /// and fault grid leaves the outcome byte-identical.
+    /// tune_group of one chip.
     chip_outcome tune(const chip& c, const epoch_allocation& alloc, double constraint,
                       double effective_rate,
                       std::optional<double> accuracy_before = std::nullopt);
 
-    /// When enabled, tune() captures the tuned weights AND module state
-    /// buffers (batch-norm running statistics) pre-restore so the executor
-    /// can feed model sinks a fully deployable snapshot. Off by default —
-    /// snapshots cost memory.
+    /// Restores the pretrained weights into one clone per chip, masks each
+    /// for its chip's faults, trains them in lockstep (train_variants) per
+    /// the shared allocation, and reports one outcome per chip. Every
+    /// outcome and captured snapshot is byte-identical to tuning that chip
+    /// alone. The clones are back in the clean pretrained state on return —
+    /// also when training throws. Dropout layers are reseeded from
+    /// mix_seed(chip.seed, layer), so an episode is a function of its chip
+    /// alone, not of worker history or group mates.
+    ///
+    /// Every allocation must be IDENTICAL in epochs and train_to_target
+    /// (REDUCE_CHECK — the group shares one batch schedule; selection_failed
+    /// may differ, it is only reported). `accuracy_before` injects
+    /// precomputed post-FAP accuracies (one per chip, e.g. from the grouped
+    /// multi-mask evaluator); pass empty to evaluate the group's epoch-0
+    /// point here in one stacked pass. Injected values computed on the same
+    /// pretrained weights and fault grids leave the outcomes byte-identical.
+    std::vector<chip_outcome> tune_group(const std::vector<const chip*>& chips,
+                                         const std::vector<const epoch_allocation*>& allocs,
+                                         double constraint,
+                                         const std::vector<double>& effective_rates,
+                                         const std::vector<double>& accuracy_before);
+
+    /// When enabled, tune_group captures each chip's tuned weights AND
+    /// module state buffers (batch-norm running statistics) pre-restore so
+    /// the executor can feed model sinks a fully deployable snapshot. Off by
+    /// default — snapshots cost memory.
     void set_capture_tuned(bool capture) { capture_tuned_ = capture; }
 
-    /// Tuned weights of the last tune() (requires set_capture_tuned(true)).
-    const model_snapshot& last_tuned() const { return last_tuned_; }
+    /// Moves the last tune()'s captured snapshot out of the tuner.
+    model_snapshot take_tuned() { return take_tuned(0); }
 
-    /// Moves the last tune()'s captured weights out of the tuner.
-    model_snapshot take_tuned() { return std::move(last_tuned_); }
+    /// Moves chip g's captured snapshot of the last tune_group out
+    /// (requires set_capture_tuned(true)).
+    model_snapshot take_tuned(std::size_t g);
 
-    /// Installs a fault-event timeline scenario: every subsequent tune()
-    /// derives the chip's timeline as timeline_for_chip(scenario, c.id) —
-    /// a pure function of the scenario and the chip id, so distributed
-    /// workers and the local path replay identical event sequences — and
-    /// runs the trainer with mid-run event hooks (events mutate a working
-    /// COPY of the chip's fault grid; the fleet descriptor is never
-    /// touched). An empty scenario (the default) disables timelines.
+    /// Installs a fault-event timeline scenario: every later episode derives
+    /// its chip's timeline as timeline_for_chip(scenario, c.id) — a pure
+    /// function of the scenario and the chip id, so distributed workers and
+    /// the local path replay identical event sequences — and trains with
+    /// mid-run event hooks (events mutate a working COPY of the chip's
+    /// fault grid; the fleet descriptor is never touched). Timeline chips
+    /// group like any others: the events fire at shared stops, each variant
+    /// swapping only its own masks. An empty scenario (the default)
+    /// disables timelines.
     void set_scenario(scenario_config scenario) { scenario_ = std::move(scenario); }
 
 private:
-    std::unique_ptr<sequential> model_;
+    void ensure_clones(std::size_t k);
+
+    const sequential& prototype_;
     const model_snapshot& pretrained_;
     const dataset& train_data_;
     const dataset& test_data_;
     array_config array_;
     fat_config trainer_cfg_;
     bool capture_tuned_ = false;
-    model_snapshot last_tuned_;
+    std::vector<std::unique_ptr<sequential>> clones_;
+    std::vector<model_snapshot> tuned_;
     scenario_config scenario_;
 };
 
@@ -169,43 +189,38 @@ struct fleet_executor_config {
     /// toward the slowest BLOCK (not chip) — keep groups modest (~8) when
     /// per-chip training time varies widely.
     std::size_t eval_batch_chips = 1;
-    /// Chips whose RETRAINING advances in lockstep through one grouped
-    /// trainer (--train-batch-chips). 0 or 1 → serial per-chip training.
-    /// Within a claimed block, only chips with the SAME allocation (epochs
-    /// and train_to_target) share a group — lockstep training shares one
-    /// batch schedule; mismatched chips run serially and are counted in
-    /// fleet_run_stats::alloc_downgrades. Grouping never changes outcomes
-    /// (byte-identical contract of grouped_chip_tuner); a variant that
-    /// diverges to non-finite state makes the whole group fall back to the
-    /// serial path (nonfinite_downgrades) — loudly, never silently wrong.
+    /// Chips whose RETRAINING advances in lockstep as one episode
+    /// (--train-batch-chips). 0 or 1 → one chip per episode. Within a
+    /// claimed block, only chips with the SAME allocation (epochs and
+    /// train_to_target) share an episode — lockstep training shares one
+    /// batch schedule; a chip isolated by its allocation trains alone and
+    /// is counted in fleet_run_stats::alloc_downgrades. Grouping never
+    /// changes outcomes (chip_tuner::tune_group): a variant that diverges
+    /// leaves its group without touching its siblings.
     std::size_t train_batch_chips = 1;
     /// Fault-event timeline applied to every chip (per-chip event contents
-    /// derive from timeline_for_chip(scenario, chip.id)). Non-empty
-    /// scenarios force timeline chips OFF the grouped-training path —
-    /// lockstep groups cannot swap masks mid-run — with the downgrade
-    /// logged and counted in fleet_run_stats::scenario_downgrades. Grouped
-    /// accuracy_before evaluation is unaffected (epoch-0 is pre-event).
+    /// derive from timeline_for_chip(scenario, chip.id)). Timeline chips
+    /// train in groups like any others.
     scenario_config scenario{};
 };
 
-/// Observability counters for one run(): how much of the fleet actually
-/// trained grouped vs serially, and why chips fell back. Downgrades are
-/// NEVER silent — they are logged when they happen and tallied here.
+/// Observability counters for one run(): how much of the fleet trained in
+/// multi-chip episodes and why the rest trained alone.
 struct fleet_run_stats {
-    std::size_t grouped_train_groups = 0;  ///< lockstep groups executed
-    std::size_t grouped_train_chips = 0;   ///< chips tuned inside those groups
-    std::size_t serial_train_chips = 0;    ///< chips tuned by the serial path
+    std::size_t grouped_train_groups = 0;  ///< episodes of K >= 2 chips
+    std::size_t grouped_train_chips = 0;   ///< chips tuned inside those episodes
+    std::size_t serial_train_chips = 0;    ///< chips tuned in K = 1 episodes
     /// Chips that could not join a group because their allocation differs
     /// from every neighbour's in the claimed block.
     std::size_t alloc_downgrades = 0;
-    /// Chips re-run serially after their group hit non-finite state
-    /// (grouped_nonfinite_error).
+    /// Always 0: a diverging variant leaves its group on its own. Kept so
+    /// existing readers of the struct still compile.
     std::size_t nonfinite_downgrades = 0;
-    /// Timeline-carrying chips forced off the grouped-training path (a
-    /// non-empty executor scenario downgrades the whole fleet to serial).
+    /// Always 0: timeline chips train in groups. Kept like the field above.
     std::size_t scenario_downgrades = 0;
-    /// Serial tunes that ended hit_nonfinite (diverged after exhausting any
-    /// rollback budget; outcome reports final_accuracy 0.0, never NaN).
+    /// Chips whose retraining ended hit_nonfinite (diverged after
+    /// exhausting any rollback budget; outcome reports final_accuracy 0.0,
+    /// never NaN).
     std::size_t serial_nonfinite_chips = 0;
     /// Fleet-wide timeline accounting, summed over chip outcomes.
     std::size_t timeline_events = 0;

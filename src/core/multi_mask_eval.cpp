@@ -1,7 +1,6 @@
 #include "core/multi_mask_eval.h"
 
 #include <algorithm>
-#include <cmath>
 
 #include "accel/mapping.h"
 #include "data/loader.h"
@@ -25,20 +24,6 @@ multi_mask_evaluator::multi_mask_evaluator(const sequential& prototype,
     // per-group restore is needed.
     model_->set_training(false);
     mapped_ = collect_mapped_layers(*model_);
-    // The grouped conv lowering skips structurally-zero patch rows, which
-    // is bit-identical to the serial path ONLY for finite weights (an
-    // Inf/NaN weight would have turned those rows' exact-zero products
-    // into NaN — see tensor/conv.h). Verify the assumption once, loudly,
-    // instead of letting a diverged pretrain silently void the
-    // byte-identity contract.
-    for (const mapped_layer& layer : mapped_) {
-        for (const float v : layer.weight->value.data()) {
-            REDUCE_CHECK(std::isfinite(v),
-                         "multi_mask_evaluator: pretrained weights contain a non-finite "
-                         "value; grouped evaluation's byte-identity contract requires "
-                         "finite weights — evaluate this model serially");
-        }
-    }
 
     // Hoist the per-weight-element PE indexing (the arithmetic
     // build_weight_mask performs per chip) into a one-time table. The
@@ -63,8 +48,10 @@ multi_mask_evaluator::multi_mask_evaluator(const sequential& prototype,
     }
 }
 
-void multi_mask_evaluator::build_faulty_grids(const std::vector<const fault_grid*>& grids) {
+std::vector<double> multi_mask_evaluator::evaluate(
+    const std::vector<const fault_grid*>& grids) {
     const std::size_t groups = grids.size();
+    REDUCE_CHECK(groups > 0, "multi_mask_evaluator::evaluate needs at least one fault grid");
     faulty_scratch_.resize(groups);
     for (std::size_t g = 0; g < groups; ++g) {
         REDUCE_CHECK(grids[g] != nullptr, "multi_mask_evaluator::evaluate got a null grid");
@@ -76,13 +63,6 @@ void multi_mask_evaluator::build_faulty_grids(const std::vector<const fault_grid
             faulty_scratch_[g][j] = is_faulty(states[j]) ? 1 : 0;
         }
     }
-}
-
-std::vector<double> multi_mask_evaluator::evaluate(
-    const std::vector<const fault_grid*>& grids) {
-    const std::size_t groups = grids.size();
-    REDUCE_CHECK(groups > 0, "multi_mask_evaluator::evaluate needs at least one fault grid");
-    build_faulty_grids(grids);
     const std::vector<std::vector<unsigned char>>& faulty = faulty_scratch_;
 
     // Masked weights, one fused pass per (layer, variant): w * {0,1} exactly
@@ -111,106 +91,9 @@ std::vector<double> multi_mask_evaluator::evaluate(
     return run_pass(masked_scratch_, groups);
 }
 
-std::vector<double> multi_mask_evaluator::evaluate(
-    const std::vector<const fault_grid*>& grids,
-    const std::vector<const std::vector<std::vector<std::size_t>>*>& perms) {
-    const std::size_t groups = grids.size();
-    REDUCE_CHECK(groups > 0, "multi_mask_evaluator::evaluate needs at least one fault grid");
-    REDUCE_CHECK(perms.size() == groups,
-                 "multi_mask_evaluator: " << groups << " grids but " << perms.size()
-                                          << " permutation sets (nullptr = identity)");
-    build_faulty_grids(grids);
-    const std::vector<std::vector<unsigned char>>& faulty = faulty_scratch_;
-    for (std::size_t g = 0; g < groups; ++g) {
-        REDUCE_CHECK(perms[g] == nullptr || perms[g]->size() == mapped_.size(),
-                     "variant " << g << " supplies " << perms[g]->size()
-                                << " layer permutations for " << mapped_.size()
-                                << " mapped layers");
-    }
-
-    // Same fused masking pass as the identity overload, but a permuted
-    // variant indexes through a LUT built from ITS column mapping — the
-    // exact gemm_mapping law attach_fault_masks_permuted applies, so FAM
-    // variants keep the byte-identity contract. Per-variant LUTs are
-    // rebuilt per call: the permutation is per chip, so unlike the identity
-    // table there is nothing to hoist.
-    masked_scratch_.resize(mapped_.size());
-    std::vector<std::uint32_t> perm_lut;
-    for (std::size_t l = 0; l < mapped_.size(); ++l) {
-        const tensor& w = mapped_[l].weight->value;
-        std::vector<tensor>& variants = masked_scratch_[l];
-        variants.resize(groups);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const std::uint32_t* lut = pe_lut_[l].data();
-            if (perms[g] != nullptr) {
-                const gemm_mapping mapping(array_, mapped_[l].rows, mapped_[l].cols,
-                                           (*perms[g])[l]);
-                const std::size_t fan_in = mapping.fan_in();
-                const std::size_t fan_out = mapping.fan_out();
-                const std::size_t cols = mapping.array_cols();
-                perm_lut.resize(fan_out * fan_in);
-                for (std::size_t o = 0; o < fan_out; ++o) {
-                    std::uint32_t* lrow = perm_lut.data() + o * fan_in;
-                    for (std::size_t i = 0; i < fan_in; ++i) {
-                        const pe_coordinate pe = mapping.pe_for_weight(i, o);
-                        lrow[i] = static_cast<std::uint32_t>(pe.row * cols + pe.col);
-                    }
-                }
-                lut = perm_lut.data();
-            }
-            tensor& mw = variants[g];
-            mw.ensure_shape(w.shape());
-            const unsigned char* bad = faulty[g].data();
-            const float* src = w.raw();
-            float* dst = mw.raw();
-            const std::size_t count = w.numel();
-            for (std::size_t e = 0; e < count; ++e) {
-                dst[e] = src[e] * (bad[lut[e]] ? 0.0f : 1.0f);
-            }
-        }
-    }
-    return run_pass(masked_scratch_, groups);
-}
-
-std::vector<double> multi_mask_evaluator::evaluate_masked(
-    const std::vector<std::vector<tensor>>& masked_weights, std::size_t groups) {
-    REDUCE_CHECK(groups > 0, "multi_mask_evaluator::evaluate_masked needs variants");
-    // Loud unsupported-combination checks (never silent drift): the clone's
-    // state buffers hold PRETRAINED batch-norm statistics, which
-    // mid-trajectory variants have diverged from — grouped checkpoint
-    // evaluation of normalizing models belongs to the grouped trainer's
-    // walker, which slices per-variant BN state.
-    REDUCE_CHECK(model_->state_buffers().empty(),
-                 "multi_mask_evaluator::evaluate_masked: the model carries state buffers "
-                 "(batch-norm running statistics), which mid-trajectory variants have "
-                 "diverged from — use grouped_chip_tuner's stacked evaluation instead");
-    REDUCE_CHECK(masked_weights.size() == mapped_.size(),
-                 "evaluate_masked: " << masked_weights.size() << " weight sets for "
-                                     << mapped_.size() << " mapped layers");
-    for (std::size_t l = 0; l < mapped_.size(); ++l) {
-        REDUCE_CHECK(masked_weights[l].size() == groups,
-                     "evaluate_masked: layer " << l << " has " << masked_weights[l].size()
-                                               << " variants, expected " << groups);
-        for (std::size_t g = 0; g < groups; ++g) {
-            REDUCE_CHECK(masked_weights[l][g].shape() == mapped_[l].weight->value.shape(),
-                         "evaluate_masked: layer " << l << " variant " << g
-                                                   << " weight shape mismatch");
-            for (const float v : masked_weights[l][g].data()) {
-                REDUCE_CHECK(std::isfinite(v),
-                             "evaluate_masked: variant " << g << " layer " << l
-                                                         << " holds a non-finite weight — "
-                                                            "grouped evaluation requires "
-                                                            "finite weights; evaluate this "
-                                                            "variant serially");
-            }
-        }
-    }
-    return run_pass(masked_weights, groups);
-}
-
 std::vector<double> multi_mask_evaluator::run_pass(
     const std::vector<std::vector<tensor>>& masked, std::size_t groups) {
-    // One pass over the test set. The serial trainer evaluates
+    // One pass over the test set. A one-model evaluation takes
     // max(batch_size, 256) rows at a time; here the VARIANT-STACKED batch is
     // what occupies cache and allocator, so divide the row budget by the
     // group size (floor 32 rows) — the stacked working set then stays near

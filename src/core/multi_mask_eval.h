@@ -68,39 +68,10 @@ public:
     /// mask) is valid and evaluates the unmasked model.
     std::vector<double> evaluate(const std::vector<const fault_grid*>& grids);
 
-    /// FAM-aware overload: `perms[g]` is variant g's per-mapped-layer column
-    /// permutation set (the fam_permutations result fed to
-    /// attach_fault_masks_permuted), or nullptr for the identity mapping.
-    /// Element i is byte-identical to the serial
-    /// restore→attach_fault_masks_permuted(grid_i, *perms[i])→evaluate path.
-    /// Permuted LUTs are built per call (the permutation is per chip, so
-    /// there is nothing to hoist); identity variants reuse the hoisted
-    /// table.
-    std::vector<double> evaluate(
-        const std::vector<const fault_grid*>& grids,
-        const std::vector<const std::vector<std::vector<std::size_t>>*>& perms);
-
-    /// Mid-trajectory entry: evaluates caller-supplied masked weights —
-    /// `masked_weights[l][g]` is variant g's weight for the l-th mapped
-    /// layer (e.g. a retraining checkpoint's value ⊙ mask) — in one stacked
-    /// pass. Two loud preconditions (REDUCE_CHECK / throw) instead of
-    /// silent drift:
-    ///   * the model must carry no state buffers — the evaluator's clone
-    ///     holds PRETRAINED batch-norm statistics, which mid-trajectory
-    ///     variants have diverged from; grouped checkpoint evaluation of
-    ///     normalizing models belongs to grouped_chip_tuner's walker, which
-    ///     slices per-variant BN state;
-    ///   * every supplied weight must be finite (the grouped conv skip
-    ///     contract).
-    std::vector<double> evaluate_masked(const std::vector<std::vector<tensor>>& masked_weights,
-                                        std::size_t groups);
-
 private:
-    /// Shared test-set pass over materialized masked weights.
+    /// The test-set pass over materialized masked weights.
     std::vector<double> run_pass(const std::vector<std::vector<tensor>>& masked,
                                  std::size_t groups);
-    /// Validates grids and refreshes faulty_scratch_ for `groups` variants.
-    void build_faulty_grids(const std::vector<const fault_grid*>& grids);
     std::unique_ptr<sequential> model_;
     const dataset& test_data_;
     array_config array_;

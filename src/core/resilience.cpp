@@ -722,26 +722,13 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
                 // distributed lease replays identical event contents.
                 const fault_timeline timeline =
                     timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat);
-                train_event_hooks hooks;
-                const train_event_hooks* hooks_ptr = nullptr;
-                if (!cfg.scenario.empty()) {
-                    hooks.event_epochs.reserve(cfg.scenario.events.size());
-                    for (const fault_event& ev : cfg.scenario.events) {
-                        hooks.event_epochs.push_back(ev.epoch);
-                    }
-                    hooks.mode = cfg.scenario.mode;
-                    hooks.rollback_budget = cfg.scenario.rollback_budget;
-                    hooks.on_event = [&](std::size_t event_index) {
-                        apply_fault_event(working, timeline, event_index);
-                        guard.swap_masks(array_, working);
-                    };
-                    hooks_ptr = &hooks;
-                }
+                const train_event_hooks hooks =
+                    timeline_hooks(cfg.scenario, timeline, working, guard, array_);
                 fat_result fat = trainer.train(
                     cfg.max_epochs, eval_grid,
                     epoch0.empty() ? std::nullopt
                                    : std::optional<double>(epoch0[i - begin]),
-                    hooks_ptr);
+                    &hooks);
 
                 resilience_run& run = runs[i];
                 run.fault_rate = cell.fault_rate;

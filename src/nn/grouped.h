@@ -20,15 +20,13 @@
 // Determinism contract: after forward+backward on a stacked batch, variant
 // g's parameter gradients, caches, and output block are byte-identical to
 // running clone g's own sequential::forward/backward on the un-stacked
-// batch — at every group size and every --gemm-threads. Stateful layers
-// (dropout, batch-norm) are NEVER shared: each variant block is sliced out
-// and run through that variant's own layer object, so RNG streams, batch
-// statistics, and running stats advance exactly as they do serially.
-//
-// Finite-operand caveat: the padding-row skips require finite weights
-// (forward) and finite upstream gradients (dW). The grouped trainer
-// enforces both with loud checks (grouped_nonfinite_error → serial
-// fallback); this walker itself does not scan.
+// batch — at every group size and every --gemm-threads, for any operand
+// values (the conv skips fall back to full rows where Inf/NaN would make
+// them inexact, see tensor/conv.h). Stateful layers (dropout, batch-norm)
+// are NEVER shared: each variant block is sliced out and run through that
+// variant's own layer object, so RNG streams, batch statistics, and
+// running stats advance exactly as they do serially. This walker is the
+// layer engine of train_variants (core/fat_trainer.h) at every K >= 1.
 #pragma once
 
 #include <cstdint>

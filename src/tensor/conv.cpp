@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 
@@ -420,9 +422,27 @@ void check_group_bias(const tensor& bias, const conv2d_spec& spec) {
     }
 }
 
-/// Per-call geometry the two grouped forward entry points share: output
+/// True when any of the `count` floats at `p` is Inf or NaN — has every
+/// exponent bit set. Branch-free integer compares OR-ed together, so the
+/// loop vectorizes: the grouped drivers run it on every call.
+bool any_nonfinite(const float* p, std::size_t count) {
+    constexpr std::uint32_t exponent = 0x7f800000u;
+    std::uint32_t hit = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+        std::uint32_t bits;
+        std::memcpy(&bits, p + i, sizeof bits);
+        hit |= static_cast<std::uint32_t>((bits & exponent) == exponent);
+    }
+    return hit != 0;
+}
+
+/// Per-call geometry the grouped forward entry points share: output
 /// extents, the active patch-row subset, and the k-subset descriptor the
-/// grouped GEMM driver consumes (null when no row is structurally zero).
+/// grouped GEMM driver consumes (null when no row is skipped). Rows are
+/// skipped only when that is exact: a skipped tap lowers to exact zeros,
+/// and a finite weight times zero adds nothing to the accumulator, but an
+/// Inf/NaN weight times zero is NaN — so when any variant holds a
+/// non-finite weight in a skipped column, the call lowers every row.
 struct group_conv_geometry {
     // Self-referential (subset_ptr/subset.rows point into own members):
     // neither copyable nor movable, by design.
@@ -440,7 +460,8 @@ struct group_conv_geometry {
     gemm_k_subset subset;
     const gemm_k_subset* subset_ptr = nullptr;  ///< null when rows == patch
 
-    explicit group_conv_geometry(const tensor& input, const conv2d_spec& spec) {
+    group_conv_geometry(const tensor& input, const conv2d_spec& spec,
+                        const std::vector<const float*>& weights) {
         REDUCE_CHECK(input.dim() == 4 && input.extent(1) == spec.in_channels,
                      "grouped conv2d expects input [N,C,H,W] matching the spec, got "
                          << input.describe());
@@ -452,10 +473,30 @@ struct group_conv_geometry {
         patch = spec.patch_size();
         image_elems = spec.in_channels * in_h * in_w;
         rows = conv_active_patch_rows(spec, in_h, in_w);
+        if (rows.size() != patch && skipped_taps_nonfinite(weights, spec.out_channels)) {
+            rows.resize(patch);
+            for (std::size_t r = 0; r < patch; ++r) { rows[r] = r; }
+        }
         subset.rows = rows.data();
         subset.count = rows.size();
         subset.original_k = patch;
         if (rows.size() != patch) { subset_ptr = &subset; }
+    }
+
+    /// True when some weight in a column outside `rows` is Inf or NaN.
+    bool skipped_taps_nonfinite(const std::vector<const float*>& weights,
+                                std::size_t out_c) const {
+        for (const float* w : weights) {
+            if (!any_nonfinite(w, out_c * patch)) { continue; }
+            std::vector<bool> active(patch, false);
+            for (const std::size_t r : rows) { active[r] = true; }
+            for (std::size_t oc = 0; oc < out_c; ++oc) {
+                for (std::size_t j = 0; j < patch; ++j) {
+                    if (!active[j] && !std::isfinite(w[oc * patch + j])) { return true; }
+                }
+            }
+        }
+        return false;
     }
 
     /// Lowers a chunk of `nb` images starting at `src` into `dst`
@@ -485,7 +526,7 @@ tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor
                              const tensor& bias, const conv2d_spec& spec) {
     const std::vector<const float*> a_list = check_group_weights(weights, spec);
     check_group_bias(bias, spec);
-    const group_conv_geometry geo(input, spec);
+    const group_conv_geometry geo(input, spec, a_list);
     const std::size_t groups = weights.size();
     const std::size_t batch = input.extent(0);
 
@@ -522,7 +563,7 @@ tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
                               const conv2d_spec& spec) {
     const std::vector<const float*> a_list = check_group_weights(weights, spec);
     check_group_bias(bias, spec);
-    const group_conv_geometry geo(input, spec);
+    const group_conv_geometry geo(input, spec, a_list);
     REDUCE_CHECK(groups > 0 && weights.size() == groups,
                  "conv2d_forward_grouped got " << weights.size() << " weights for " << groups
                                                << " groups");
@@ -575,7 +616,7 @@ tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
         REDUCE_CHECK(b != nullptr && b->dim() == 1 && b->extent(0) == spec.out_channels,
                      "conv2d_forward_grouped_vb bias does not match out_channels");
     }
-    const group_conv_geometry geo(input, spec);
+    const group_conv_geometry geo(input, spec, a_list);
     REDUCE_CHECK(groups > 0 && weights.size() == groups,
                  "conv2d_forward_grouped_vb got " << weights.size() << " weights for "
                                                   << groups << " groups");
@@ -630,10 +671,11 @@ namespace {
 ///     the serial col2im skips every tap of an all-padding row anyway;
 ///   * dW: active columns accumulate into a zeroed compact buffer with the
 ///     serial per-chunk acc=true chain, then scatter back by ASSIGNMENT.
-///     Requires `gw` zeroed on entry and finite dY: the skipped columns'
-///     serial value is a sum of exact-zero products, which is +0 — the
-///     value zero_grad left there (the accumulator chain starting at +0 can
-///     never produce -0 under round-to-nearest);
+///     Requires `gw` zeroed on entry and finite dY (the caller passes no
+///     subset otherwise): the skipped columns' serial value is a sum of
+///     exact-zero products, which is +0 — the value zero_grad left there
+///     (the accumulator chain starting at +0 can never produce -0 under
+///     round-to-nearest);
 ///   * db and chunking are untouched — the chunk split follows the SERIAL
 ///     formula (2*patch + out_c) so the dW/db accumulation order matches
 ///     the layer path chunk for chunk.
@@ -806,14 +848,17 @@ void conv2d_backward_grouped(const tensor& input, std::size_t groups,
     workspace& ws = workspace::local();
     // Each block replays the serial layer backward with batch = per_group,
     // so chunk splits — and with them the dW/db accumulation order — match
-    // the serial chip path chunk for chunk.
+    // the serial chip path chunk for chunk. A block whose dY holds Inf or
+    // NaN runs full rows: its skipped dW columns are NaN serially (Inf or
+    // NaN times the taps' exact zeros), not the +0 the skip would leave.
     for (std::size_t g = 0; g < groups; ++g) {
+        const float* dy = grad_output.raw() + g * per_group * grad_elems;
+        const bool skip_block = skip && !any_nonfinite(dy, per_group * grad_elems);
         conv2d_backward_block(input.raw() + g * per_group * image_elems, per_group, in_h,
-                              in_w, weights[g]->raw(),
-                              grad_output.raw() + g * per_group * grad_elems, spec,
+                              in_w, weights[g]->raw(), dy, spec,
                               grad_input.raw() + g * per_group * image_elems,
                               grad_weights[g]->raw(), grad_biases[g]->raw(),
-                              skip ? rows.data() : nullptr, rows.size(), ws);
+                              skip_block ? rows.data() : nullptr, rows.size(), ws);
     }
 }
 

@@ -90,13 +90,12 @@ tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& b
 // the same conv geometry in one lowering pass. Both entry points return a
 // variant-stacked [G*N, out_c, oh, ow] tensor (variant g owns image rows
 // [g*N, (g+1)*N)), each block bit-identical to conv2d_forward with that
-// variant's weight — under one documented caveat: patch rows whose kernel
-// tap is out of bounds for EVERY output position (the all-padding rows a
-// 1x1-spatial layer has 8 of 9) are skipped. Their lowered activations are
-// exact zeros, so skipping them cannot change any finite-weight result
-// (see gemm_k_subset); weights containing Inf/NaN would lose their
-// NaN-poisoning of those rows. The evaluator only ever runs pretrained ⊙
-// mask weights, which are finite.
+// variant's weight, for any weight values. Patch rows whose kernel tap is
+// out of bounds for EVERY output position (the all-padding rows a
+// 1x1-spatial layer has 8 of 9) lower to exact zeros and are skipped (see
+// gemm_k_subset) — except in a call where some variant holds Inf or NaN in
+// a skipped weight column, whose NaN products the serial path keeps; such a
+// call lowers every row.
 
 /// Patch rows of the lowered matrix with at least one in-bounds tap —
 /// ascending; equals the full [0, patch_size) range when no tap is padded
@@ -124,15 +123,14 @@ tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
                               const std::vector<const tensor*>& weights, const tensor& bias,
                               const conv2d_spec& spec);
 
-// ---- grouped conv training drivers (grouped_fat_trainer) --------------------
+// ---- grouped conv training drivers (the lockstep FAT loop) ------------------
 //
-// The grouped TRAINING loop advances K divergent variants in lockstep, so
+// The lockstep TRAINING loop advances K divergent variants together, so
 // unlike the evaluation drivers above both the weights AND the biases differ
 // per variant, and the backward pass must write per-variant parameter
-// gradients. The same finite-operand caveat applies: the active-row skip is
-// byte-identical to the serial layer path only for finite weights (forward)
-// and finite upstream gradients (dW); the grouped trainer guards both with
-// loud non-finite checks and falls back to the serial path.
+// gradients. The active-row skips stay exact for any operands: forward
+// follows the rule above, and backward lowers every row for a block whose
+// upstream gradient holds Inf or NaN.
 
 /// Training-mode grouped conv forward over a variant-stacked batch
 /// [G*N, C, H, W]: block g is convolved with weights[g] and biases[g], each
@@ -159,8 +157,8 @@ void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h
 /// the exact serial conv2d_backward_acc chunk sequence (batch = N), so
 /// per-variant results are byte-identical to the layer path at any
 /// --gemm-threads. REQUIRES zeroed grad_weights (the active-row dW skip
-/// writes compacted results back by assignment) and finite grad_output
-/// (see gemm_k_subset); grad_biases and grad_input accumulate as usual.
+/// writes compacted results back by assignment); grad_biases and
+/// grad_input accumulate as usual.
 void conv2d_backward_grouped(const tensor& input, std::size_t groups,
                              const std::vector<const tensor*>& weights,
                              const tensor& grad_output, const conv2d_spec& spec,

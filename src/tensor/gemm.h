@@ -49,10 +49,10 @@ class workspace;
 /// output element's accumulation chain is the full-k chain with the
 /// zero-product terms removed. Adding an exact ±0 product to the kernel's
 /// accumulator (which is never -0: it starts at +0, and IEEE round-to-
-/// nearest yields +0 for every zero-valued sum) cannot change it, so for
-/// FINITE A operands the result is bit-identical to the full-k GEMM. Inf or
-/// NaN entries in A would have turned a zero row into NaN contributions —
-/// callers on such data must pass the full operand instead.
+/// nearest yields +0 for every zero-valued sum) cannot change it, so the
+/// result is bit-identical to the full-k GEMM whenever A's entries in the
+/// missing columns are finite. The conv drivers check that and pass the
+/// full operand otherwise (tensor/conv.h).
 struct gemm_k_subset {
     const std::size_t* rows = nullptr;
     std::size_t count = 0;
@@ -93,7 +93,8 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::s
 /// For g in [0, count): C_g[m,n] (+)= A_g[m,k] · B[k,n], sharing B's packed
 /// panels across the A operands. With `subset`, B is the compact operand
 /// described by gemm_k_subset, A_g stays [m, original_k] row-major, and the
-/// product equals the full-k GEMM for finite A (see gemm_k_subset).
+/// product equals the full-k GEMM when A is finite in the missing columns
+/// (see gemm_k_subset).
 void gemm_nn_multi(std::size_t m, std::size_t n, std::size_t k, const float* const* a_list,
                    std::size_t count, std::size_t lda, const float* b, std::size_t ldb,
                    float* const* c_list, std::size_t ldc, bool accumulate, workspace& ws,

@@ -1,5 +1,4 @@
-// Tests for chip_tuner and fleet_executor: byte-identical equivalence with
-// the legacy reduce_pipeline entry points, thread-count independence of the
+// Tests for chip_tuner and fleet_executor: thread-count independence of the
 // parallel fan-out, sink/progress ordering, and input validation.
 #include <gtest/gtest.h>
 
@@ -7,7 +6,6 @@
 #include <vector>
 
 #include "core/fleet_executor.h"
-#include "core/pipeline.h"
 #include "core/policy.h"
 #include "core/workload.h"
 #include "util/error.h"
@@ -88,30 +86,66 @@ workload* FleetExecutorFixture::shared_ = nullptr;
 std::vector<chip>* FleetExecutorFixture::fleet_ = nullptr;
 resilience_table* FleetExecutorFixture::table_ = nullptr;
 
-TEST_F(FleetExecutorFixture, ReducePolicyMatchesLegacyRunReduce) {
-    reduce_pipeline legacy(*shared_->model, shared_->pretrained, shared_->train_data,
-                           shared_->test_data, shared_->array, shared_->trainer_cfg);
-    const policy_outcome old_api =
-        legacy.run_reduce(fleet(), table(), sel_config(), "reduce-max");
-
-    fleet_executor executor = make_executor();
-    const reduce_policy policy(table(), sel_config());
-    const policy_outcome new_api = executor.run(policy, fleet(), "reduce-max");
-
-    EXPECT_EQ(old_api.policy_name, new_api.policy_name);
-    expect_identical(old_api, new_api);
+TEST_F(FleetExecutorFixture, ReducePolicyCoversFleet) {
+    const policy_outcome outcome =
+        make_executor().run(reduce_policy(table(), sel_config()), fleet(), "reduce-max");
+    EXPECT_EQ(outcome.policy_name, "reduce-max");
+    ASSERT_EQ(outcome.chips.size(), fleet().size());
+    for (const chip_outcome& c : outcome.chips) {
+        EXPECT_GE(c.epochs_run, 0.0);
+        EXPECT_GE(c.final_accuracy, 0.0);
+        EXPECT_LE(c.final_accuracy, 1.0);
+        EXPECT_EQ(c.meets_constraint, c.final_accuracy >= 0.85);
+    }
+    EXPECT_GE(outcome.fraction_meeting(), 0.0);
+    EXPECT_LE(outcome.fraction_meeting(), 1.0);
+    EXPECT_NEAR(outcome.mean_epochs() * static_cast<double>(fleet().size()),
+                outcome.total_epochs(), 1e-9);
 }
 
-TEST_F(FleetExecutorFixture, FixedPolicyMatchesLegacyRunFixed) {
-    reduce_pipeline legacy(*shared_->model, shared_->pretrained, shared_->train_data,
-                           shared_->test_data, shared_->array, shared_->trainer_cfg);
-    const policy_outcome old_api = legacy.run_fixed(fleet(), 0.5, 0.85, "fixed-0.5");
+TEST_F(FleetExecutorFixture, FixedPolicyRunsRequestedEpochs) {
+    const policy_outcome outcome = make_executor().run(fixed_policy(0.5, 0.85), fleet());
+    for (const chip_outcome& c : outcome.chips) {
+        EXPECT_DOUBLE_EQ(c.epochs_allocated, 0.5);
+        // steps quantization can push epochs_run slightly above allocation
+        EXPECT_NEAR(c.epochs_run, 0.5, 0.2);
+    }
+}
 
+TEST_F(FleetExecutorFixture, ZeroEpochFixedPolicyIsEvaluationOnly) {
+    const policy_outcome outcome = make_executor().run(fixed_policy(0.0, 0.85), fleet());
+    for (const chip_outcome& c : outcome.chips) {
+        EXPECT_DOUBLE_EQ(c.epochs_run, 0.0);
+        EXPECT_DOUBLE_EQ(c.final_accuracy, c.accuracy_before);
+    }
+}
+
+TEST_F(FleetExecutorFixture, MoreEpochsNeverHurtOnAverage) {
     fleet_executor executor = make_executor();
-    const fixed_policy policy(0.5, 0.85);
-    const policy_outcome new_api = executor.run(policy, fleet(), "fixed-0.5");
+    const policy_outcome low = executor.run(fixed_policy(0.1, 0.85), fleet());
+    const policy_outcome high = executor.run(fixed_policy(2.0, 0.85), fleet());
+    double low_mean = 0.0;
+    double high_mean = 0.0;
+    for (std::size_t i = 0; i < fleet().size(); ++i) {
+        low_mean += low.chips[i].final_accuracy;
+        high_mean += high.chips[i].final_accuracy;
+    }
+    EXPECT_GE(high_mean, low_mean - 0.02);  // small tolerance for noise
+    EXPECT_GE(high.fraction_meeting(), low.fraction_meeting() - 1e-9);
+}
 
-    expect_identical(old_api, new_api);
+TEST(PolicyOutcome, Aggregates) {
+    policy_outcome outcome;
+    outcome.chips.push_back({.epochs_run = 1.0, .final_accuracy = 0.9,
+                             .meets_constraint = true});
+    outcome.chips.push_back({.epochs_run = 3.0, .final_accuracy = 0.8,
+                             .meets_constraint = false});
+    EXPECT_DOUBLE_EQ(outcome.total_epochs(), 4.0);
+    EXPECT_DOUBLE_EQ(outcome.mean_epochs(), 2.0);
+    EXPECT_DOUBLE_EQ(outcome.fraction_meeting(), 0.5);
+    const policy_outcome empty;
+    EXPECT_DOUBLE_EQ(empty.mean_epochs(), 0.0);
+    EXPECT_DOUBLE_EQ(empty.fraction_meeting(), 0.0);
 }
 
 TEST_F(FleetExecutorFixture, OutcomesAreThreadCountIndependent) {
@@ -268,21 +302,22 @@ TEST_F(FleetExecutorFixture, ValidatesFleetAndConstraint) {
     fleet_executor executor = make_executor();
     const fixed_policy policy(0.1, 0.85);
     EXPECT_THROW((void)executor.run(policy, {}), error);
+    EXPECT_THROW((void)executor.run(fixed_policy(-1.0, 0.85), fleet()), error);
 
-    // A policy reporting an out-of-range target is rejected up front.
+    // A policy reporting a target outside [0, 1] is rejected up front.
     class bad_target_policy : public retraining_policy {
     public:
+        explicit bad_target_policy(double target) : target_(target) {}
         std::string name() const override { return "bad"; }
-        double accuracy_target() const override { return 1.5; }
+        double accuracy_target() const override { return target_; }
         epoch_allocation allocate(const chip_view&) const override { return {}; }
-    };
-    EXPECT_THROW((void)executor.run(bad_target_policy{}, fleet()), error);
 
-    // Legacy shim: same validation through run_fixed.
-    reduce_pipeline legacy(*shared_->model, shared_->pretrained, shared_->train_data,
-                           shared_->test_data, shared_->array, shared_->trainer_cfg);
-    EXPECT_THROW((void)legacy.run_fixed(fleet(), 0.1, -0.2, "x"), error);
-    EXPECT_THROW((void)legacy.run_fixed(fleet(), 0.1, 1.2, "x"), error);
+    private:
+        double target_;
+    };
+    for (const double target : {-0.2, 1.2, 1.5}) {
+        EXPECT_THROW((void)executor.run(bad_target_policy(target), fleet()), error) << target;
+    }
 }
 
 TEST_F(FleetExecutorFixture, ChipTunerRecoversFromMidTuneFailure) {

@@ -1,22 +1,24 @@
-// Serial-vs-grouped equivalence suite for the lockstep retraining engine:
-// grouped_chip_tuner must reproduce chip_tuner::tune BIT FOR BIT — outcomes,
-// trajectories (pinned through the oracle accounting), and captured
-// deployable snapshots — at every group size and every --gemm-threads, over
-// MLP, VGG (structural-zero conv skips in BOTH directions), and
-// batch-norm/dropout models. Also pins the loud-downgrade contract: chips
-// that cannot group (mismatched allocations, non-finite divergence) fall
-// back to the serial path with counters, never silently.
+// K-invariance suite for the one retraining engine: chip_tuner::tune_group
+// over K chips must reproduce tune() (the K = 1 episode) BIT FOR BIT —
+// outcomes, trajectories (pinned through the oracle accounting), and
+// captured deployable snapshots — at every group size and every
+// --gemm-threads, over MLP, VGG (structural-zero conv skips in BOTH
+// directions), batch-norm/dropout models, fault timelines in recover and
+// restart mode, and groups whose variants diverge. Also pins the executor's
+// grouping accounting.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
 
 #include "core/fleet_executor.h"
-#include "core/grouped_fat_trainer.h"
 #include "core/workload.h"
 #include "data/synthetic.h"
 #include "fault/chip.h"
+#include "fault/models.h"
+#include "fault/scenario.h"
 #include "nn/norm.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
@@ -117,6 +119,10 @@ train_case make_stochastic_case() {
 
 void expect_outcome_bits_equal(const chip_outcome& serial, const chip_outcome& grouped,
                                const char* label, std::size_t g) {
+    EXPECT_EQ(serial.events_applied, grouped.events_applied) << label << " variant " << g;
+    EXPECT_EQ(serial.rollbacks, grouped.rollbacks) << label << " variant " << g;
+    EXPECT_EQ(serial.restarts, grouped.restarts) << label << " variant " << g;
+    EXPECT_EQ(serial.hit_nonfinite, grouped.hit_nonfinite) << label << " variant " << g;
     EXPECT_EQ(serial.chip_id, grouped.chip_id) << label << " variant " << g;
     EXPECT_EQ(serial.nominal_fault_rate, grouped.nominal_fault_rate)
         << label << " variant " << g;
@@ -158,13 +164,15 @@ void expect_snapshot_bytes_equal(const model_snapshot& serial, const model_snaps
     }
 }
 
-/// The serial oracle: chip_tuner::tune per chip, snapshots captured.
+/// The K = 1 reference: chip_tuner::tune per chip, snapshots captured.
 std::vector<chip_outcome> serial_tune(train_case& c, const std::vector<std::size_t>& pick,
                                       const epoch_allocation& alloc, double constraint,
-                                      std::vector<model_snapshot>& snapshots) {
+                                      std::vector<model_snapshot>& snapshots,
+                                      const scenario_config& scenario) {
     chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
                      c.trainer_cfg);
     tuner.set_capture_tuned(true);
+    tuner.set_scenario(scenario);
     std::vector<chip_outcome> outcomes;
     snapshots.clear();
     for (const std::size_t idx : pick) {
@@ -175,16 +183,19 @@ std::vector<chip_outcome> serial_tune(train_case& c, const std::vector<std::size
     return outcomes;
 }
 
-void expect_grouped_matches_serial(train_case& c, const std::vector<std::size_t>& pick,
-                                   const epoch_allocation& alloc, double constraint,
-                                   const char* label) {
+/// Tunes `pick` as one group and as K = 1 episodes, expects every outcome
+/// and snapshot byte-identical, and returns the group's outcomes.
+std::vector<chip_outcome> expect_grouped_matches_serial(
+    train_case& c, const std::vector<std::size_t>& pick, const epoch_allocation& alloc,
+    double constraint, const char* label, const scenario_config& scenario = {}) {
     std::vector<model_snapshot> serial_snaps;
     const std::vector<chip_outcome> serial =
-        serial_tune(c, pick, alloc, constraint, serial_snaps);
+        serial_tune(c, pick, alloc, constraint, serial_snaps, scenario);
 
-    grouped_chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
-                             c.trainer_cfg);
+    chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
+                     c.trainer_cfg);
     tuner.set_capture_tuned(true);
+    tuner.set_scenario(scenario);
     std::vector<const chip*> chips;
     std::vector<const epoch_allocation*> allocs;
     std::vector<double> rates;
@@ -195,12 +206,13 @@ void expect_grouped_matches_serial(train_case& c, const std::vector<std::size_t>
     }
     const std::vector<chip_outcome> grouped =
         tuner.tune_group(chips, allocs, constraint, rates, {});
-    ASSERT_EQ(grouped.size(), pick.size()) << label;
-    for (std::size_t g = 0; g < pick.size(); ++g) {
+    EXPECT_EQ(grouped.size(), pick.size()) << label;
+    for (std::size_t g = 0; g < std::min(grouped.size(), pick.size()); ++g) {
         expect_outcome_bits_equal(serial[g], grouped[g], label, g);
         const model_snapshot snap = tuner.take_tuned(g);
         expect_snapshot_bytes_equal(serial_snaps[g], snap, label, g);
     }
+    return grouped;
 }
 
 std::vector<std::size_t> pick_cyclic(const train_case& c, std::size_t k) {
@@ -209,13 +221,14 @@ std::vector<std::size_t> pick_cyclic(const train_case& c, std::size_t k) {
     return pick;
 }
 
-/// The satellite's full K x gemm-threads matrix for one model case.
+/// The full K x gemm-threads matrix for one model case.
 void run_matrix(train_case& c, const epoch_allocation& alloc, double constraint,
-                const char* label) {
+                const char* label, const scenario_config& scenario = {}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
         const scoped_intra_op_threads budget(threads);
         for (const std::size_t k : {1u, 2u, 8u}) {
-            expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, constraint, label);
+            expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, constraint, label,
+                                          scenario);
         }
     }
 }
@@ -265,6 +278,71 @@ TEST(GroupedChipTuner, ZeroEpochAllocationMatchesSerial) {
     expect_grouped_matches_serial(c, pick_cyclic(c, 4), alloc, 0.8, "zero-epoch");
 }
 
+TEST(GroupedChipTuner, RecoverTimelineGroupsMatchKOne) {
+    // Events fire at shared stops; each variant swaps only its own masks.
+    train_case c = make_mlp_case();
+    epoch_allocation alloc;
+    alloc.epochs = 0.5;
+    run_matrix(c, alloc, 0.8, "recover",
+               parse_scenario("strike@0.2:0.05;accrue@0.35:0.03;mode=recover;rollback=2"));
+}
+
+TEST(GroupedChipTuner, RestartTimelineGroupsMatchKOne) {
+    train_case c = make_mlp_case();
+    epoch_allocation alloc;
+    alloc.epochs = 0.5;
+    run_matrix(c, alloc, 0.8, "restart", parse_scenario("strike@0.2:0.05;mode=restart"));
+}
+
+TEST(GroupedChipTuner, TimelineOracleReplayMatchesKOne) {
+    // train_to_target + timeline: the capture replay re-fires the chip's
+    // events from its original grid, alone, after a grouped budget run.
+    for (const char* spec : {"strike@0.1:0.05;mode=recover", "strike@0.1:0.05;mode=restart"}) {
+        train_case c = make_vgg_case();
+        epoch_allocation alloc;
+        alloc.epochs = 0.5;
+        alloc.train_to_target = true;
+        const scoped_intra_op_threads budget(2);
+        expect_grouped_matches_serial(c, pick_cyclic(c, 4), alloc, 0.3, spec,
+                                      parse_scenario(spec));
+    }
+}
+
+TEST(GroupedChipTuner, MixedDivergenceGroupMatchesKOne) {
+    // A learning rate at the edge of stability with one rollback allowed:
+    // in one group some variants diverge, roll back to their own anchor at
+    // half the rate and finish, some diverge again and end hit_nonfinite,
+    // and the rest never diverge. Every variant must still equal its K = 1
+    // episode, at any --gemm-threads.
+    train_case c = make_mlp_case();
+    c.chips = make_case_fleet(c.array, 8, 0.0, 0.9, 99);
+    c.trainer_cfg.learning_rate = 400.0;
+    epoch_allocation alloc;
+    alloc.epochs = 1.0;
+    const scenario_config scenario = parse_scenario("strike@0.2:0.05;mode=recover;rollback=1");
+    for (const std::size_t threads : {1u, 8u}) {
+        const scoped_intra_op_threads budget(threads);
+        const std::vector<chip_outcome> grouped = expect_grouped_matches_serial(
+            c, pick_cyclic(c, 8), alloc, 0.8, "mixed divergence", scenario);
+        std::size_t recovered = 0;
+        std::size_t gave_up = 0;
+        std::size_t clean = 0;
+        for (const chip_outcome& o : grouped) {
+            if (o.hit_nonfinite) {
+                ++gave_up;
+                EXPECT_EQ(o.final_accuracy, 0.0);
+            } else if (o.rollbacks > 0) {
+                ++recovered;
+            } else {
+                ++clean;
+            }
+        }
+        EXPECT_GT(recovered, 0u);
+        EXPECT_GT(gave_up, 0u);
+        EXPECT_GT(clean, 0u);
+    }
+}
+
 TEST(GroupedChipTuner, InjectedAccuracyBeforeMatchesComputed) {
     // The executor feeds grouped-evaluator epoch-0 accuracies in; injecting
     // them must change nothing vs computing them in tune_group.
@@ -272,8 +350,8 @@ TEST(GroupedChipTuner, InjectedAccuracyBeforeMatchesComputed) {
     epoch_allocation alloc;
     alloc.epochs = 0.25;
     const std::vector<std::size_t> pick = pick_cyclic(c, 4);
-    grouped_chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
-                             c.trainer_cfg);
+    chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
+                     c.trainer_cfg);
     std::vector<const chip*> chips;
     std::vector<const epoch_allocation*> allocs;
     std::vector<double> rates(pick.size(), 0.1);
@@ -294,8 +372,8 @@ TEST(GroupedChipTuner, InjectedAccuracyBeforeMatchesComputed) {
 
 TEST(GroupedChipTuner, RejectsMixedAllocationsLoudly) {
     train_case c = make_mlp_case();
-    grouped_chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
-                             c.trainer_cfg);
+    chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
+                     c.trainer_cfg);
     epoch_allocation a;
     a.epochs = 0.5;
     epoch_allocation b;
@@ -407,27 +485,34 @@ TEST(FleetExecutor, MismatchedAllocationsDowngradeLoudlyAndMatchSerial) {
     EXPECT_EQ(stats.serial_train_chips, c.chips.size());
 }
 
-TEST(FleetExecutor, NonfiniteDivergenceFallsBackSeriallyAndMatches) {
-    // A divergent learning rate drives losses non-finite within a few steps.
-    // The grouped path must refuse to follow (its conv/GEMM skips are only
-    // byte-identical for finite operands), fall back to the serial path, and
-    // count the downgrade — and the fleet outcome must equal the all-serial
-    // run exactly.
-    train_case c = make_mlp_case();
-    c.trainer_cfg.learning_rate = 1e15;
-    const fixed_policy policy(0.5, 0.8);
-    fleet_executor serial_exec(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
-                               c.trainer_cfg, fleet_executor_config{});
-    const policy_outcome serial = serial_exec.run(policy, c.chips);
-
-    fleet_executor grouped_exec(
-        *c.model, c.pretrained, c.train_data, c.test_data, c.array, c.trainer_cfg,
-        fleet_executor_config{.train_batch_chips = 4});
-    const policy_outcome grouped = grouped_exec.run(policy, c.chips);
-    expect_identical_outcomes(serial, grouped, "nonfinite");
-    const fleet_run_stats& stats = grouped_exec.last_run_stats();
-    EXPECT_GT(stats.nonfinite_downgrades, 0u);
-    EXPECT_EQ(stats.grouped_train_chips, 0u);
+TEST(FleetExecutor, NonfiniteDivergenceIsIdenticalAtEveryTrainBatch) {
+    // A divergent learning rate drives every chip non-finite within a few
+    // steps. Each variant leaves its group on its own and ends hit_nonfinite
+    // exactly as it does alone — on the MLP and through VGG's conv skips
+    // (Inf/NaN weights and gradients) — with no downgrade anywhere.
+    for (train_case (*make)() : {&make_mlp_case, &make_vgg_case}) {
+        train_case c = make();
+        c.trainer_cfg.learning_rate = 1e15;
+        const fixed_policy policy(0.5, 0.8);
+        const auto run = [&](std::size_t train_batch, fleet_run_stats& stats) {
+            fleet_executor executor(
+                *c.model, c.pretrained, c.train_data, c.test_data, c.array, c.trainer_cfg,
+                fleet_executor_config{.train_batch_chips = train_batch});
+            const policy_outcome out = executor.run(policy, c.chips);
+            stats = executor.last_run_stats();
+            return out;
+        };
+        fleet_run_stats alone_stats;
+        const policy_outcome alone = run(1, alone_stats);
+        EXPECT_GT(alone_stats.serial_nonfinite_chips, 0u);
+        for (const std::size_t train_batch : {2u, 8u}) {
+            fleet_run_stats stats;
+            expect_identical_outcomes(alone, run(train_batch, stats), "nonfinite");
+            EXPECT_EQ(stats.nonfinite_downgrades, 0u);
+            EXPECT_EQ(stats.grouped_train_chips, c.chips.size()) << train_batch;
+            EXPECT_EQ(stats.serial_nonfinite_chips, alone_stats.serial_nonfinite_chips);
+        }
+    }
 }
 
 }  // namespace

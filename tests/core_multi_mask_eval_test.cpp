@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "core/workload.h"
 #include "data/synthetic.h"
 #include "fault/chip.h"
-#include "fault/fam.h"
 #include "fault/mask_builder.h"
 #include "nn/models.h"
 #include "nn/norm.h"
@@ -222,130 +220,6 @@ TEST(MultiMaskEvaluator, NestedSequentialModelsMatchSerial) {
     for (const std::size_t k : {1u, 3u, 4u}) {
         expect_group_matches_serial(c, pick_cyclic(c, k));
     }
-}
-
-/// The serial FAM path: restore, attach this grid's masks under the chip's
-/// column permutations, evaluate.
-double serial_fam_accuracy(eval_case& c, const fault_grid& grid,
-                           const std::vector<std::vector<std::size_t>>& perms) {
-    restore_parameters(c.model->parameters(), c.pretrained);
-    fault_state_guard guard(*c.model, c.pretrained);
-    attach_fault_masks_permuted(*c.model, c.array, grid, perms);
-    fault_aware_trainer trainer(*c.model, c.train_data, c.test_data, c.trainer_cfg);
-    return trainer.evaluate();
-}
-
-void expect_fam_group_matches_serial(eval_case& c, const std::vector<std::size_t>& pick) {
-    // Saliency-driven permutations come from the PRETRAINED weights, exactly
-    // as the FAM baseline computes them before masking.
-    restore_parameters(c.model->parameters(), c.pretrained);
-    std::vector<std::vector<std::vector<std::size_t>>> perms;
-    for (const std::size_t idx : pick) {
-        perms.push_back(fam_permutations(*c.model, c.array, c.chips[idx].faults));
-    }
-    multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
-                                   c.trainer_cfg);
-    std::vector<const fault_grid*> grids;
-    std::vector<const std::vector<std::vector<std::size_t>>*> perm_ptrs;
-    for (std::size_t i = 0; i < pick.size(); ++i) {
-        grids.push_back(&c.chips[pick[i]].faults);
-        // Mix identity variants (nullptr) among permuted ones — the engine
-        // must route each variant through ITS mapping.
-        perm_ptrs.push_back(i % 3 == 2 ? nullptr : &perms[i]);
-    }
-    const std::vector<double> grouped = evaluator.evaluate(grids, perm_ptrs);
-    ASSERT_EQ(grouped.size(), pick.size());
-    for (std::size_t i = 0; i < pick.size(); ++i) {
-        const double serial =
-            perm_ptrs[i] == nullptr
-                ? serial_accuracy(*c.model, c.pretrained, c.train_data, c.test_data,
-                                  c.array, c.trainer_cfg, c.chips[pick[i]].faults)
-                : serial_fam_accuracy(c, c.chips[pick[i]].faults, perms[i]);
-        EXPECT_EQ(serial, grouped[i]) << "FAM variant " << i << " (chip " << pick[i]
-                                      << ") of a K=" << pick.size() << " group";
-    }
-}
-
-TEST(MultiMaskEvaluator, FamPermutedMlpGroupsMatchSerial) {
-    eval_case c = make_mlp_case();
-    for (const std::size_t k : {1u, 4u, 8u}) {
-        expect_fam_group_matches_serial(c, pick_cyclic(c, k));
-    }
-}
-
-TEST(MultiMaskEvaluator, FamPermutedVggGroupsMatchSerial) {
-    eval_case c = make_vgg_case();
-    expect_fam_group_matches_serial(c, pick_cyclic(c, 5));
-}
-
-TEST(MultiMaskEvaluator, MidTrajectoryMaskedWeightsMatchSerialSubstitution) {
-    // evaluate_masked's contract: stacked evaluation of caller-supplied
-    // masked weights equals the serial path that substitutes the SAME
-    // weights into a pretrained-restored clone. The weights here come from
-    // real partial retraining episodes, so they are genuine mid-trajectory
-    // checkpoints (value ⊙ mask after 0.25 epochs of masked SGD).
-    eval_case c = make_mlp_case();
-    const std::vector<std::size_t> pick = pick_cyclic(c, 4);
-    const std::size_t layer_count = collect_mapped_layers(*c.model).size();
-    std::vector<std::vector<tensor>> masked(layer_count);
-    for (std::vector<tensor>& variants : masked) { variants.resize(pick.size()); }
-    for (std::size_t g = 0; g < pick.size(); ++g) {
-        restore_parameters(c.model->parameters(), c.pretrained);
-        fault_state_guard guard(*c.model, c.pretrained);
-        attach_fault_masks(*c.model, c.array, c.chips[pick[g]].faults);
-        fault_aware_trainer trainer(*c.model, c.train_data, c.test_data, c.trainer_cfg);
-        (void)trainer.train(0.25);
-        const std::vector<mapped_layer> mapped = collect_mapped_layers(*c.model);
-        for (std::size_t l = 0; l < mapped.size(); ++l) {
-            masked[l][g] = mapped[l].weight->value;
-        }
-    }
-    std::vector<double> serial(pick.size());
-    for (std::size_t g = 0; g < pick.size(); ++g) {
-        restore_parameters(c.model->parameters(), c.pretrained);
-        fault_state_guard guard(*c.model, c.pretrained);
-        const std::vector<mapped_layer> mapped = collect_mapped_layers(*c.model);
-        for (std::size_t l = 0; l < mapped.size(); ++l) {
-            mapped[l].weight->value = masked[l][g];
-        }
-        fault_aware_trainer trainer(*c.model, c.train_data, c.test_data, c.trainer_cfg);
-        serial[g] = trainer.evaluate();
-    }
-    multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
-                                   c.trainer_cfg);
-    const std::vector<double> grouped = evaluator.evaluate_masked(masked, pick.size());
-    ASSERT_EQ(grouped.size(), pick.size());
-    for (std::size_t g = 0; g < pick.size(); ++g) {
-        EXPECT_EQ(serial[g], grouped[g]) << "checkpoint variant " << g;
-    }
-}
-
-TEST(MultiMaskEvaluator, EvaluateMaskedRejectsUnsupportedInputsLoudly) {
-    // Unsupported grouped combinations throw (satellite: never silently
-    // wrong): stateful models, layer-count mismatches, non-finite weights.
-    eval_case stochastic = make_stochastic_case();
-    multi_mask_evaluator bn_eval(*stochastic.model, stochastic.pretrained,
-                                 stochastic.test_data, stochastic.array,
-                                 stochastic.trainer_cfg);
-    const std::vector<mapped_layer> bn_mapped = collect_mapped_layers(*stochastic.model);
-    std::vector<std::vector<tensor>> bn_masked(bn_mapped.size());
-    for (std::size_t l = 0; l < bn_mapped.size(); ++l) {
-        bn_masked[l].push_back(bn_mapped[l].weight->value);
-    }
-    EXPECT_THROW((void)bn_eval.evaluate_masked(bn_masked, 1), error);
-
-    eval_case c = make_mlp_case();
-    multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
-                                   c.trainer_cfg);
-    EXPECT_THROW((void)evaluator.evaluate_masked({}, 0), error);
-    EXPECT_THROW((void)evaluator.evaluate_masked({}, 1), error);
-    const std::vector<mapped_layer> mapped = collect_mapped_layers(*c.model);
-    std::vector<std::vector<tensor>> masked(mapped.size());
-    for (std::size_t l = 0; l < mapped.size(); ++l) {
-        masked[l].push_back(mapped[l].weight->value);
-    }
-    masked[0][0].raw()[0] = std::numeric_limits<float>::infinity();
-    EXPECT_THROW((void)evaluator.evaluate_masked(masked, 1), error);
 }
 
 TEST(MultiMaskEvaluator, RejectsBadInputs) {

@@ -1,12 +1,19 @@
 // Tests for the FAT trainer: epoch accounting, trajectories, eval grids,
-// and the epochs-to-target helpers.
+// the epochs-to-target helpers, and an independent naive reference loop
+// the engine must match bit for bit.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "core/workload.h"
 #include "fault/mask_builder.h"
 #include "fault/models.h"
+#include "fault/scenario.h"
+#include "nn/loss.h"
+#include "nn/metrics.h"
 #include "util/error.h"
 
 namespace reduce {
@@ -185,6 +192,137 @@ TEST_F(TrainerFixture, ConfigValidation) {
     bad.learning_rate = 0.0;
     EXPECT_THROW(
         fault_aware_trainer(*w().model, w().train_data, w().test_data, bad), error);
+}
+
+// ---- independent reference: the naive per-model loop ------------------------
+
+/// Test accuracy of `model` via its own sequential::forward.
+double naive_evaluate(sequential& model, const dataset& test_data) {
+    model.set_training(false);
+    std::size_t correct = 0;
+    std::vector<std::size_t> indices;
+    for (std::size_t index = 0; index < test_data.size(); index += 100) {
+        const std::size_t count = std::min<std::size_t>(100, test_data.size() - index);
+        indices.resize(count);
+        for (std::size_t i = 0; i < count; ++i) { indices[i] = index + i; }
+        const batch b = gather_batch(test_data, indices);
+        correct += correct_count(model.forward(b.features), b.labels);
+    }
+    model.set_training(true);
+    return static_cast<double>(correct) / static_cast<double>(test_data.size());
+}
+
+/// The textbook FAT loop on one model: sequential forward, cross-entropy,
+/// backward, an sgd step (which re-applies the masks), and an eval at every
+/// checkpoint. `on_event` (optional) fires at `event_epoch` — recover mode:
+/// the masks change, momentum is re-masked, training continues.
+std::vector<training_point> naive_train(sequential& model, const dataset& train_data,
+                                        const dataset& test_data, const fat_config& cfg,
+                                        std::vector<double> stops, double event_epoch,
+                                        const std::function<void()>& on_event) {
+    std::vector<training_point> trajectory{{0.0, naive_evaluate(model, test_data)}};
+    data_loader loader(train_data, cfg.batch_size, cfg.shuffle_seed);
+    sgd opt(model.parameters(), {.learning_rate = cfg.learning_rate,
+                                 .momentum = cfg.momentum,
+                                 .weight_decay = cfg.weight_decay});
+    model.set_training(true);
+    apply_all_masks(opt.params());
+    if (on_event) { stops.push_back(event_epoch); }
+    std::sort(stops.begin(), stops.end());
+    std::size_t steps = 0;
+    for (const double stop : stops) {
+        while (steps < loader.steps_for_epochs(stop)) {
+            const batch b = loader.next_batch();
+            const loss_result loss = cross_entropy_loss(model.forward(b.features), b.labels);
+            opt.zero_grad();
+            model.backward(loss.grad);
+            opt.step();
+            ++steps;
+        }
+        if (on_event && stop == event_epoch) {
+            on_event();
+            opt.mask_state();
+        }
+        trajectory.push_back({stop, naive_evaluate(model, test_data)});
+    }
+    return trajectory;
+}
+
+void expect_same_weights(sequential& a, sequential& b) {
+    const std::vector<parameter*> pa = a.parameters();
+    const std::vector<parameter*> pb = b.parameters();
+    ASSERT_EQ(pa.size(), pb.size());
+    for (std::size_t i = 0; i < pa.size(); ++i) {
+        ASSERT_EQ(pa[i]->value.numel(), pb[i]->value.numel());
+        EXPECT_EQ(0, std::memcmp(pa[i]->value.raw(), pb[i]->value.raw(),
+                                 pa[i]->value.numel() * sizeof(float)))
+            << "parameter " << i;
+    }
+}
+
+void expect_same_trajectory(const std::vector<training_point>& naive,
+                            const std::vector<training_point>& engine) {
+    ASSERT_EQ(naive.size(), engine.size());
+    for (std::size_t i = 0; i < naive.size(); ++i) {
+        EXPECT_EQ(naive[i].epochs, engine[i].epochs) << "point " << i;
+        EXPECT_EQ(naive[i].test_accuracy, engine[i].test_accuracy) << "point " << i;
+    }
+}
+
+TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopBitwise) {
+    random_fault_config fc;
+    fc.fault_rate = 0.2;
+    const fault_grid faults = generate_random_faults(w().array, fc, 8);
+    const std::vector<double> grid = make_eval_grid(0.75, 1.0, 0.25, 0.5);
+    std::unique_ptr<sequential> naive = clone_model(*w().model);
+    std::unique_ptr<sequential> engine = clone_model(*w().model);
+    for (sequential* m : {naive.get(), engine.get()}) {
+        restore_parameters(m->parameters(), w().pretrained);
+        attach_fault_masks(*m, w().array, faults);
+    }
+    const std::vector<training_point> expected =
+        naive_train(*naive, w().train_data, w().test_data, w().trainer_cfg, grid, 0.0, {});
+    fault_aware_trainer trainer(*engine, w().train_data, w().test_data, w().trainer_cfg);
+    const fat_result r = trainer.train(0.75, grid);
+    expect_same_trajectory(expected, r.trajectory);
+    expect_same_weights(*naive, *engine);
+    EXPECT_FALSE(r.hit_nonfinite);
+}
+
+TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopThroughARecoverStrike) {
+    random_fault_config fc;
+    fc.fault_rate = 0.1;
+    const fault_grid faults = generate_random_faults(w().array, fc, 9);
+    const scenario_config scenario = parse_scenario("strike@0.3:0.1;mode=recover;seed=4");
+    const fault_timeline timeline = timeline_for_chip(scenario, 3);
+    const std::vector<double> grid = make_eval_grid(0.75, 1.0, 0.25, 0.5);
+
+    std::unique_ptr<sequential> naive = clone_model(*w().model);
+    restore_parameters(naive->parameters(), w().pretrained);
+    fault_state_guard naive_guard(*naive, w().pretrained);
+    fault_grid naive_grid = faults;
+    attach_fault_masks(*naive, w().array, naive_grid);
+    const std::vector<training_point> expected = naive_train(
+        *naive, w().train_data, w().test_data, w().trainer_cfg, grid, 0.3, [&] {
+            apply_fault_event(naive_grid, timeline, 0);
+            naive_guard.swap_masks(w().array, naive_grid);
+        });
+
+    std::unique_ptr<sequential> engine = clone_model(*w().model);
+    restore_parameters(engine->parameters(), w().pretrained);
+    fault_state_guard engine_guard(*engine, w().pretrained);
+    fault_grid engine_grid = faults;
+    attach_fault_masks(*engine, w().array, engine_grid);
+    const train_event_hooks hooks =
+        timeline_hooks(scenario, timeline, engine_grid, engine_guard, w().array);
+    fault_aware_trainer trainer(*engine, w().train_data, w().test_data, w().trainer_cfg);
+    const fat_result r = trainer.train(0.75, grid, std::nullopt, &hooks);
+
+    EXPECT_EQ(r.events_applied, 1u);
+    EXPECT_EQ(r.rollbacks, 0u);
+    EXPECT_GT(engine_grid.faulty_count(), faults.faulty_count());
+    expect_same_trajectory(expected, r.trajectory);
+    expect_same_weights(*naive, *engine);
 }
 
 }  // namespace

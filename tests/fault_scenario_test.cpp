@@ -418,9 +418,9 @@ TEST_F(ScenarioFixture, RestartResetsToThePretrainedWeightsUnderTheUnionMask) {
 }
 
 TEST_F(ScenarioFixture, DivergenceWithoutHooksStopsLoudlyWithZeroAccuracy) {
-    // Satellite: the serial trainer's always-on non-finite detection. A
-    // catastrophic learning rate must end the run with hit_nonfinite and an
-    // exact 0.0 — never a silently propagated NaN.
+    // The trainer's always-on non-finite detection. A catastrophic
+    // learning rate must end the run with hit_nonfinite and an exact 0.0 —
+    // never a silently propagated NaN.
     rng gen(5);
     sequential model;
     model.emplace<linear>(16, 8, gen);
@@ -494,7 +494,7 @@ TEST_F(ScenarioFixture, RollbackRecoversWhenTheRetryIsTamer) {
     EXPECT_NEAR(result.epochs_run, 0.5, 0.1);
 }
 
-TEST_F(ScenarioFixture, ExecutorForcesTimelineChipsSerialAndMatchesTheSerialPath) {
+TEST_F(ScenarioFixture, ExecutorGroupsTimelineChipsAndMatchesKOne) {
     fleet_config fc;
     fc.num_chips = 4;
     fc.rate_lo = 0.05;
@@ -514,24 +514,24 @@ TEST_F(ScenarioFixture, ExecutorForcesTimelineChipsSerialAndMatchesTheSerialPath
         return std::make_pair(outcome, executor.last_run_stats());
     };
 
-    const auto [serial, serial_stats] = run_with(1);
-    EXPECT_EQ(serial_stats.scenario_downgrades, 0u);  // nothing asked to group
-    EXPECT_EQ(serial_stats.serial_train_chips, fleet.size());
-    EXPECT_GE(serial_stats.timeline_events, fleet.size());  // ≥1 event per chip
+    const auto [alone, alone_stats] = run_with(1);
+    EXPECT_EQ(alone_stats.serial_train_chips, fleet.size());
+    EXPECT_GE(alone_stats.timeline_events, fleet.size());  // ≥1 event per chip
 
-    // Grouped lockstep training cannot swap masks mid-run: a live scenario
-    // must downgrade every chip to the serial path — loudly counted — and
-    // the outcomes must be byte-identical to the serial run.
+    // Timeline chips train in lockstep groups — each variant swaps only its
+    // own masks at the shared event stop — and every outcome equals its
+    // K = 1 episode's.
     const auto [grouped, grouped_stats] = run_with(2);
-    EXPECT_EQ(grouped_stats.scenario_downgrades, fleet.size());
-    EXPECT_EQ(grouped_stats.grouped_train_chips, 0u);
-    EXPECT_EQ(grouped_stats.serial_train_chips, fleet.size());
-    ASSERT_EQ(grouped.chips.size(), serial.chips.size());
-    for (std::size_t i = 0; i < serial.chips.size(); ++i) {
-        const chip_outcome& a = serial.chips[i];
+    EXPECT_EQ(grouped_stats.scenario_downgrades, 0u);
+    EXPECT_GT(grouped_stats.grouped_train_chips, 0u);
+    EXPECT_EQ(grouped_stats.timeline_events, alone_stats.timeline_events);
+    ASSERT_EQ(grouped.chips.size(), alone.chips.size());
+    for (std::size_t i = 0; i < alone.chips.size(); ++i) {
+        const chip_outcome& a = alone.chips[i];
         const chip_outcome& b = grouped.chips[i];
         EXPECT_EQ(a.final_accuracy, b.final_accuracy) << "chip " << i;
         EXPECT_EQ(a.accuracy_before, b.accuracy_before) << "chip " << i;
+        EXPECT_EQ(a.epochs_run, b.epochs_run) << "chip " << i;
         EXPECT_EQ(a.events_applied, b.events_applied) << "chip " << i;
         EXPECT_EQ(a.rollbacks, b.rollbacks) << "chip " << i;
         EXPECT_EQ(a.restarts, b.restarts) << "chip " << i;
