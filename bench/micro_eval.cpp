@@ -1,14 +1,17 @@
-// micro_eval — grouped multi-mask evaluation micro-benchmark and
+// micro_eval — multi-mask evaluation micro-benchmark and
 // serial-vs-batched correctness gate.
 //
 // Times the fleet's accuracy_before hot path two ways over the same chips:
 //   serial  — per chip: restore the pretrained snapshot, attach this chip's
 //             fault masks, evaluate the full test set, tear down, and
-//   grouped — one multi_mask_evaluator pass per block of K chips.
+//   grouped — one multi_mask_evaluator::evaluate call per block of K chips:
+//             each chip's masked weights are written into its own model
+//             clone, and the clones run through evaluate_variants (one
+//             gathered test batch, every clone's own layers).
 // Every grouped accuracy must equal its serial counterpart BIT FOR BIT; the
 // process exits non-zero on any mismatch and never on timing, so CI can
 // gate on correctness without flaking on noise. Emits BENCH_eval.json —
-// the grouped-eval perf artifact reported next to BENCH_gemm.json.
+// the multi-mask eval perf artifact reported next to BENCH_gemm.json.
 //
 // Workloads: "mlp" (the standard experiment scale) and "vgg" (VGG11 on 8x8
 // synthetic images at vgg_pipeline's width/array), each swept over

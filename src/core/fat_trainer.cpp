@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <deque>
 #include <memory>
 
-#include "nn/grouped.h"
 #include "nn/loss.h"
 #include "nn/metrics.h"
 #include "nn/serialize.h"
@@ -18,55 +16,6 @@
 namespace reduce {
 
 namespace {
-
-/// Repeats one batch's features K times along dim 0 — every variant trains
-/// on the exact same batch (and batch-norm variants see the exact batch
-/// statistics of a K = 1 run). K = 1 hands the batch through uncopied.
-tensor tile_features(tensor features, std::size_t k) {
-    if (k == 1) { return features; }
-    shape_t shape = features.shape();
-    shape[0] *= k;
-    tensor stacked(shape);
-    const std::size_t block = features.numel();
-    for (std::size_t g = 0; g < k; ++g) {
-        std::memcpy(stacked.raw() + g * block, features.raw(), block * sizeof(float));
-    }
-    return stacked;
-}
-
-/// One stacked pass over the full test set: per-variant accuracies, each
-/// equal to evaluating that model alone (eval-mode passes are row-local,
-/// so batch splits never change a logit).
-std::vector<double> evaluate_stacked(grouped_train_net& net,
-                                     const std::vector<sequential*>& models,
-                                     const dataset& test_data, const fat_config& cfg) {
-    const std::size_t k = models.size();
-    for (sequential* m : models) { m->set_training(false); }
-    // Divide the eval batch across the stack so peak activation memory
-    // stays flat in K, with a floor that keeps per-layer fixed costs
-    // amortized — the multi_mask_eval sizing rule.
-    const std::size_t rows_per_batch =
-        std::max<std::size_t>(32, (eval_batch_rows(cfg) + k - 1) / k);
-    std::vector<std::size_t> correct(k, 0);
-    std::vector<std::size_t> indices;
-    std::size_t index = 0;
-    while (index < test_data.size()) {
-        const std::size_t count = std::min(rows_per_batch, test_data.size() - index);
-        indices.resize(count);
-        for (std::size_t i = 0; i < count; ++i) { indices[i] = index + i; }
-        batch b = gather_batch(test_data, indices);
-        const tensor logits = net.forward(tile_features(std::move(b.features), k));
-        const std::vector<std::size_t> counts = correct_counts_grouped(logits, k, b.labels);
-        for (std::size_t g = 0; g < k; ++g) { correct[g] += counts[g]; }
-        index += count;
-    }
-    for (sequential* m : models) { m->set_training(true); }
-    std::vector<double> acc(k);
-    for (std::size_t g = 0; g < k; ++g) {
-        acc[g] = static_cast<double>(correct[g]) / static_cast<double>(test_data.size());
-    }
-    return acc;
-}
 
 /// A point the episode stops at: a checkpoint, an event, or both.
 struct stop_point {
@@ -228,53 +177,35 @@ private:
         v.result.steps_run = steps_done;
     }
 
-    /// One step on the cohort's next batch. Members whose loss is not
-    /// finite take no update and leave.
-    void step(cohort& c, grouped_train_net& net) {
+    /// One step on the cohort's next batch: every member runs its own
+    /// forward, loss and backward on it. A member whose loss is not finite
+    /// skips backward, takes no update and leaves.
+    void step(cohort& c) {
         const std::size_t k = c.members.size();
-        batch b = c.loader.next_batch();
-        const std::size_t n = b.features.extent(0);
-        const tensor logits = net.forward(tile_features(std::move(b.features), k));
-        const std::size_t classes = logits.extent(1);
-        tensor stacked_grad({n * k, classes});
-        tensor block({n, classes});
+        const batch b = c.loader.next_batch();
         std::vector<bool> diverged(k, false);
-        std::size_t live = 0;
+        std::vector<sgd*> stepping;
         for (std::size_t g = 0; g < k; ++g) {
-            std::memcpy(block.raw(), logits.raw() + g * n * classes,
-                        n * classes * sizeof(float));
-            // CE normalizes by its own block's n — the batch size.
-            const loss_result loss = cross_entropy_loss(block, b.labels);
+            variant_state& v = *c.members[g];
+            const loss_result loss = cross_entropy_loss(v.model->forward(b.features), b.labels);
             if (!std::isfinite(loss.value)) {
-                diverged[g] = true;  // its gradient block stays zero
+                diverged[g] = true;
                 continue;
             }
-            ++live;
-            std::memcpy(stacked_grad.raw() + g * n * classes, loss.grad.raw(),
-                        n * classes * sizeof(float));
+            v.opt->zero_grad();
+            v.model->backward(loss.grad);
+            if (cfg_.grad_clip > 0.0) { clip_grad_norm(v.opt->params(), cfg_.grad_clip); }
+            stepping.push_back(v.opt.get());
         }
-        if (live > 0) {
-            for (variant_state* v : c.members) { v->opt->zero_grad(); }
-            net.backward(stacked_grad);
-            std::vector<sgd*> stepping;
-            for (std::size_t g = 0; g < k; ++g) {
-                if (diverged[g]) { continue; }
-                if (cfg_.grad_clip > 0.0) {
-                    clip_grad_norm(c.members[g]->opt->params(), cfg_.grad_clip);
-                }
-                stepping.push_back(c.members[g]->opt.get());
-            }
-            // Independent optimizer states in one sweep. Inside the
-            // parallel region each sgd's element loops gate off
-            // (should_fan_out), so every update is the K = 1 chain at any
-            // --gemm-threads.
-            if (stepping.size() > 1 && intra_op_threads() > 1 && !in_intra_op_region()) {
-                parallel_for(stepping.size(), [&](std::size_t begin, std::size_t end) {
-                    for (std::size_t g = begin; g < end; ++g) { stepping[g]->step(); }
-                });
-            } else {
-                for (sgd* opt : stepping) { opt->step(); }
-            }
+        // Independent optimizer states in one sweep. Inside the parallel
+        // region each sgd's element loops gate off (should_fan_out), so
+        // every update is the K = 1 chain at any --gemm-threads.
+        if (stepping.size() > 1 && intra_op_threads() > 1 && !in_intra_op_region()) {
+            parallel_for(stepping.size(), [&](std::size_t begin, std::size_t end) {
+                for (std::size_t g = begin; g < end; ++g) { stepping[g]->step(); }
+            });
+        } else {
+            for (sgd* opt : stepping) { opt->step(); }
         }
         for (std::size_t g = k; g > 0; --g) {
             if (diverged[g - 1]) { leave(c, g - 1, c.steps_done); }
@@ -283,21 +214,10 @@ private:
     }
 
     void run_cohort(cohort& c) {
-        std::unique_ptr<grouped_train_net> net;
-        std::size_t net_size = 0;
-        const auto refresh_net = [&] {
-            if (net_size != c.members.size() && !c.members.empty()) {
-                net = std::make_unique<grouped_train_net>(models_of(c));
-                net_size = c.members.size();
-            }
-        };
         while (c.next_stop < stops_.size() && !c.members.empty()) {
             const stop_point st = stops_[c.next_stop];
             const std::size_t target_steps = c.loader.steps_for_epochs(st.epoch);
-            while (c.steps_done < target_steps && !c.members.empty()) {
-                refresh_net();
-                step(c, *net);
-            }
+            while (c.steps_done < target_steps && !c.members.empty()) { step(c); }
             // Non-finite weights persist under SGD (momentum and decay keep
             // them non-finite), so a stop scan catches any divergence the
             // loss check missed before a trajectory point is reported.
@@ -322,9 +242,7 @@ private:
             // label understates the training done — the conservative
             // direction. Event stops record the post-event accuracy (the
             // eval point recovery continues from).
-            refresh_net();
-            const std::vector<double> accs =
-                evaluate_stacked(*net, models_of(c), test_data_, cfg_);
+            const std::vector<double> accs = evaluate_variants(models_of(c), test_data_, cfg_);
             for (std::size_t g = 0; g < c.members.size(); ++g) {
                 variant_state& v = *c.members[g];
                 v.result.trajectory.push_back({st.epoch, accs[g]});
@@ -385,8 +303,28 @@ train_event_hooks timeline_hooks(const scenario_config& scenario, const fault_ti
 
 std::vector<double> evaluate_variants(const std::vector<sequential*>& models,
                                       const dataset& test_data, const fat_config& cfg) {
-    grouped_train_net net(models);
-    return evaluate_stacked(net, models, test_data, cfg);
+    const std::size_t k = models.size();
+    for (sequential* m : models) { m->set_training(false); }
+    const std::size_t rows_per_batch = eval_batch_rows(cfg);
+    std::vector<std::size_t> correct(k, 0);
+    std::vector<std::size_t> indices;
+    std::size_t index = 0;
+    while (index < test_data.size()) {
+        const std::size_t count = std::min(rows_per_batch, test_data.size() - index);
+        indices.resize(count);
+        for (std::size_t i = 0; i < count; ++i) { indices[i] = index + i; }
+        const batch b = gather_batch(test_data, indices);
+        for (std::size_t g = 0; g < k; ++g) {
+            correct[g] += correct_count(models[g]->forward(b.features), b.labels);
+        }
+        index += count;
+    }
+    for (sequential* m : models) { m->set_training(true); }
+    std::vector<double> acc(k);
+    for (std::size_t g = 0; g < k; ++g) {
+        acc[g] = static_cast<double>(correct[g]) / static_cast<double>(test_data.size());
+    }
+    return acc;
 }
 
 std::vector<fat_result> train_variants(const std::vector<fat_variant>& variants,
@@ -422,7 +360,7 @@ std::vector<fat_result> train_variants(const std::vector<fat_variant>& variants,
             unevaluated.push_back(variants[g].model);
         }
     }
-    // Epoch-0 points: injected, or one stacked pass over the rest.
+    // Epoch-0 points: injected, or one evaluation pass over the rest.
     const std::vector<double> computed =
         unevaluated.empty() ? std::vector<double>{}
                             : evaluate_variants(unevaluated, test_data, cfg);
@@ -481,8 +419,7 @@ std::vector<double> make_eval_grid(double max_epochs, double fine_until, double 
     // per point instead of a growing addition chain, so awkward steps like
     // 0.1 yield 0.3 rather than 0.30000000000000004. Checkpoint values then
     // compare exactly across trajectories, cached-table fingerprints, and
-    // the grouped/serial training paths, which all phrase queries on this
-    // grid.
+    // training episodes, which all phrase queries on this grid.
     const double fine_limit = std::min(fine_until, max_epochs);
     for (std::size_t i = 1;; ++i) {
         const double e = static_cast<double>(i) * fine_step;

@@ -7,13 +7,14 @@
 // being trained is exactly the function the damaged chip computes.
 //
 // One engine: train_variants runs K >= 1 episodes in lockstep over one
-// shared batch schedule — one batch gather and one stacked pass per layer
-// (nn/grouped.h), per-variant losses, optimizers, learning rates, fault
-// timelines and rollback anchors. fault_aware_trainer is its K = 1 case,
-// and chip_tuner, the Step-1 sweep and the fleet executor all train through
-// it. Each variant's result is byte-identical at any K: the stacked layer
-// passes equal each model's own forward/backward for any operands, and a
-// variant that diverges leaves the cohort before it could touch a sibling.
+// shared batch schedule — one batch gather per step, then each variant's own
+// forward, loss and backward through its own layers, with per-variant
+// optimizers, learning rates, fault timelines and rollback anchors.
+// fault_aware_trainer is its K = 1 case, and chip_tuner, the Step-1 sweep
+// and the fleet executor all train through it. K is only a scheduling
+// notion — how many episodes share one batch schedule — so each variant's
+// result is byte-identical at any K, and a variant that diverges leaves the
+// cohort before it could touch a sibling.
 //
 // Threading: an episode is single-threaded, but every forward/backward/eval
 // it runs draws on the process-wide intra-op budget (util/thread_pool.h,
@@ -101,10 +102,9 @@ train_event_hooks timeline_hooks(const scenario_config& scenario, const fault_ti
 
 /// Rows one evaluation forward pass covers: large enough to amortize
 /// per-batch costs, bounded to keep activation memory flat on big test
-/// sets. Shared by the stacked evaluation and the batched multi-mask
-/// evaluator so their batch splits (and thus memory behaviour) stay
-/// comparable — splits never change results. A K-variant stacked pass
-/// divides it by K (floor 32 rows).
+/// sets. Every evaluation (evaluate_variants, and through it the multi-mask
+/// evaluator) splits the test set this way at any K — splits never change
+/// results, since eval-mode passes are row-local.
 inline std::size_t eval_batch_rows(const fat_config& cfg) {
     return cfg.batch_size > 256 ? cfg.batch_size : 256;
 }
@@ -128,7 +128,8 @@ double accuracy_at_epochs(const std::vector<training_point>& trajectory, double 
 struct fat_variant {
     sequential* model = nullptr;
     /// Injected trajectory[0] (see fault_aware_trainer::train); evaluated
-    /// in one stacked pass over the variants that lack it otherwise.
+    /// in one evaluate_variants pass over the variants that lack it
+    /// otherwise.
     std::optional<double> epoch0_accuracy;
     /// This variant's fault timeline (nullptr: none). Every variant of one
     /// episode must share the same event epochs, mode and rollback budget —
@@ -152,8 +153,10 @@ std::vector<fat_result> train_variants(const std::vector<fat_variant>& variants,
                                        const fat_config& cfg, double epoch_budget,
                                        const std::vector<double>& eval_grid);
 
-/// Test-set accuracy of each model as-is (eval mode, full test set), in
-/// one stacked pass; element g equals evaluating model g alone.
+/// Test-set accuracy of each model as-is (eval mode, full test set). Each
+/// test batch is gathered once and run through every model's own forward;
+/// element g equals evaluating model g alone. The models are left in
+/// training mode.
 std::vector<double> evaluate_variants(const std::vector<sequential*>& models,
                                       const dataset& test_data, const fat_config& cfg);
 
@@ -173,9 +176,9 @@ public:
     /// used per call, so runs are independent given the config seed.
     ///
     /// `epoch0_accuracy` injects a precomputed trajectory[0] value instead
-    /// of running the epoch-0 evaluation — the hook the batched multi-mask
+    /// of running the epoch-0 evaluation — the hook the multi-mask
     /// evaluator uses after computing a whole group's epoch-0 accuracies in
-    /// one shared pass. evaluate() is pure for a fixed model state, so an
+    /// one pass. evaluate() is pure for a fixed model state, so an
     /// injected value that was computed on the same masked weights (and
     /// batch-norm statistics) leaves the result byte-identical to the
     /// uninjected run while skipping one full pass over the test set.

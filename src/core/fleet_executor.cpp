@@ -128,8 +128,9 @@ std::vector<chip_outcome> chip_tuner::tune_group(
         out.selection_failed = allocs[g]->selection_failed;
     }
 
-    // Post-FAP accuracy: injected, or one stacked pass here. Either way the
-    // value doubles as the episode's epoch-0 trajectory point.
+    // Post-FAP accuracy: injected, or one evaluate_variants pass here.
+    // Either way the value doubles as the episode's epoch-0 trajectory
+    // point.
     std::vector<double> before = accuracy_before;
     if (before.empty()) {
         std::vector<sequential*> models(k);

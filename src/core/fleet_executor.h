@@ -13,10 +13,12 @@
 //
 // Grouping: a worker drains its chips in fleet-order blocks. With
 // eval_batch_chips > 1 the whole block's `accuracy_before` comes from one
-// pass through the batched multi-mask evaluator (core/multi_mask_eval);
-// with train_batch_chips > 1 same-allocation runs of the block retrain in
-// lockstep episodes (chip_tuner::tune_group). Neither changes an outcome
-// bit — only wall-clock time and peak memory.
+// multi_mask_evaluator call (core/multi_mask_eval), which runs masked
+// clones through evaluate_variants; with train_batch_chips > 1
+// same-allocation runs of the block retrain as one lockstep episode
+// (chip_tuner::tune_group) sharing one batch schedule, each chip through its
+// own model's layers. Neither changes an outcome bit — only wall-clock time
+// and peak memory.
 #pragma once
 
 #include <functional>
@@ -115,10 +117,11 @@ public:
     /// Every allocation must be IDENTICAL in epochs and train_to_target
     /// (REDUCE_CHECK — the group shares one batch schedule; selection_failed
     /// may differ, it is only reported). `accuracy_before` injects
-    /// precomputed post-FAP accuracies (one per chip, e.g. from the grouped
+    /// precomputed post-FAP accuracies (one per chip, e.g. from the
     /// multi-mask evaluator); pass empty to evaluate the group's epoch-0
-    /// point here in one stacked pass. Injected values computed on the same
-    /// pretrained weights and fault grids leave the outcomes byte-identical.
+    /// point here in one evaluate_variants pass. Injected values computed
+    /// on the same pretrained weights and fault grids leave the outcomes
+    /// byte-identical.
     std::vector<chip_outcome> tune_group(const std::vector<const chip*>& chips,
                                          const std::vector<const epoch_allocation*>& allocs,
                                          double constraint,
@@ -182,7 +185,7 @@ struct fleet_executor_config {
     /// (--eval-batch-chips). 0 or 1 → serial per-chip evaluation. Grouping
     /// never changes outcomes (byte-identical contract of
     /// multi_mask_evaluator), only wall-clock time and peak memory (one
-    /// group holds K masked weight sets + K stacked activation batches).
+    /// group holds K masked model clones).
     /// The executor caps the effective group at an even fleet/worker split
     /// so an oversized value cannot starve worker threads of chips. Blocks
     /// are also the unit workers claim, so grouping coarsens load balancing

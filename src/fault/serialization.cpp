@@ -1,5 +1,7 @@
 #include "fault/serialization.h"
 
+#include <cmath>
+
 #include "util/error.h"
 
 namespace reduce {
@@ -24,16 +26,47 @@ json_value fault_grid_to_json(const fault_grid& grid) {
     return json_value(std::move(root));
 }
 
+namespace {
+
+/// Reads `key` of `obj` as an integer in [lo, hi]; anything else — a
+/// non-number, a fraction, a value out of range — is an io_error naming
+/// `what`. Range-checked as a double first, so no out-of-range value is
+/// ever converted.
+std::size_t decode_index(const json_object& obj, const char* key, std::size_t lo,
+                         std::size_t hi, const char* what) {
+    const double d = obj.at(key).as_number();
+    if (!(d >= static_cast<double>(lo) && d <= static_cast<double>(hi)) || d != std::floor(d)) {
+        throw io_error(std::string("fault map ") + what + " '" + key + "' = " +
+                       std::to_string(d) + " is not an integer in [" + std::to_string(lo) +
+                       ", " + std::to_string(hi) + "]");
+    }
+    return static_cast<std::size_t>(d);
+}
+
+}  // namespace
+
 fault_grid fault_grid_from_json(const json_value& value) {
     const json_object& root = value.as_object();
-    const auto rows = static_cast<std::size_t>(root.at("rows").as_int());
-    const auto cols = static_cast<std::size_t>(root.at("cols").as_int());
+    // Each extent is capped on its own before they are multiplied, so the
+    // product cannot overflow.
+    const std::size_t rows = decode_index(root, "rows", 1, fault_map_max_pes, "extent");
+    const std::size_t cols = decode_index(root, "cols", 1, fault_map_max_pes, "extent");
+    if (rows * cols > fault_map_max_pes) {
+        throw io_error("fault map " + std::to_string(rows) + "x" + std::to_string(cols) +
+                       " exceeds the " + std::to_string(fault_map_max_pes) + "-PE cap");
+    }
     fault_grid grid(rows, cols);
     for (const json_value& entry : root.at("faults").as_array()) {
         const json_object& obj = entry.as_object();
-        const auto r = static_cast<std::size_t>(obj.at("r").as_int());
-        const auto c = static_cast<std::size_t>(obj.at("c").as_int());
-        grid.set(r, c, pe_fault_from_string(obj.at("kind").as_string()));
+        const std::size_t r = decode_index(obj, "r", 0, rows - 1, "PE");
+        const std::size_t c = decode_index(obj, "c", 0, cols - 1, "PE");
+        const std::string& kind = obj.at("kind").as_string();
+        try {
+            grid.set(r, c, pe_fault_from_string(kind));
+        } catch (const invalid_argument_error&) {
+            throw io_error("fault map PE (" + std::to_string(r) + "," + std::to_string(c) +
+                           ") has unknown kind '" + kind + "'");
+        }
     }
     return grid;
 }

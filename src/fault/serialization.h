@@ -18,7 +18,14 @@ namespace reduce {
 /// fault_grid → JSON: {"rows": R, "cols": C, "faults": [{"r","c","kind"}...]}.
 json_value fault_grid_to_json(const fault_grid& grid);
 
-/// JSON → fault_grid; throws io_error on malformed documents.
+/// Largest rows × cols a decoded fault map may declare: 16 × the 256×256
+/// array, the largest in use. Bounds what a malformed map can make the
+/// decoder allocate.
+inline constexpr std::size_t fault_map_max_pes = std::size_t{1} << 20;
+
+/// JSON → fault_grid; throws io_error on malformed documents: a missing or
+/// mistyped member, non-positive or non-integral rows/cols, rows × cols
+/// over fault_map_max_pes, a PE outside the grid, or an unknown fault kind.
 fault_grid fault_grid_from_json(const json_value& value);
 
 /// line_fault_config ⇄ JSON ({"fault_rate","row_fraction","kind_mix"}) —

@@ -20,7 +20,10 @@ conv2d_layer::conv2d_layer(conv2d_spec spec, rng& gen) : spec_(spec) {
 }
 
 tensor conv2d_layer::forward(const tensor& input) {
-    cached_input_ = input;
+    // Only backward reads the cached input. Eval mode drops it, so a
+    // backward after an eval-mode forward throws instead of reusing a
+    // stale input.
+    cached_input_ = training_ ? input : tensor{};
     return conv2d_forward(input, weight_.value, bias_.value, spec_);
 }
 

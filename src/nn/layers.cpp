@@ -22,7 +22,10 @@ linear::linear(std::size_t in_features, std::size_t out_features, rng& gen)
 tensor linear::forward(const tensor& input) {
     REDUCE_CHECK(input.dim() == 2 && input.extent(1) == in_features_,
                  "linear expects [N," << in_features_ << "], got " << input.describe());
-    cached_input_ = input;
+    // Only backward reads the cached input. Eval mode drops it, so a
+    // backward after an eval-mode forward throws instead of reusing a
+    // stale input.
+    cached_input_ = training_ ? input : tensor{};
     tensor output = matmul_nt(input, weight_.value);  // [N, out]
     add_row_bias_inplace(output, bias_.value);
     return output;
@@ -54,7 +57,10 @@ std::unique_ptr<module> linear::clone() const {
 }
 
 tensor relu_layer::forward(const tensor& input) {
-    cached_input_ = input;
+    // Only backward reads the cached input. Eval mode drops it, so a
+    // backward after an eval-mode forward throws instead of reusing a
+    // stale input.
+    cached_input_ = training_ ? input : tensor{};
     return relu(input);
 }
 

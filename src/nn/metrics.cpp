@@ -17,23 +17,6 @@ std::size_t correct_count(const tensor& logits, const std::vector<std::size_t>& 
     return correct;
 }
 
-std::vector<std::size_t> correct_counts_grouped(const tensor& logits, std::size_t groups,
-                                                const std::vector<std::size_t>& labels) {
-    REDUCE_CHECK(groups > 0, "correct_counts_grouped needs at least one group");
-    const std::vector<std::size_t> predictions = argmax_rows(logits);
-    REDUCE_CHECK(predictions.size() == groups * labels.size(),
-                 "stacked logits hold " << predictions.size() << " rows, expected " << groups
-                                        << " x " << labels.size());
-    std::vector<std::size_t> correct(groups, 0);
-    for (std::size_t g = 0; g < groups; ++g) {
-        const std::size_t base = g * labels.size();
-        for (std::size_t i = 0; i < labels.size(); ++i) {
-            if (predictions[base + i] == labels[i]) { ++correct[g]; }
-        }
-    }
-    return correct;
-}
-
 double accuracy(const tensor& logits, const std::vector<std::size_t>& labels) {
     REDUCE_CHECK(!labels.empty(), "accuracy over empty batch");
     return static_cast<double>(correct_count(logits, labels)) /

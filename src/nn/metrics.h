@@ -14,13 +14,6 @@ double accuracy(const tensor& logits, const std::vector<std::size_t>& labels);
 /// Count of correct top-1 predictions.
 std::size_t correct_count(const tensor& logits, const std::vector<std::size_t>& labels);
 
-/// Per-variant correct top-1 counts over a variant-stacked logits tensor
-/// [groups*N, classes] (variant g owns rows [g*N, (g+1)*N)); `labels` holds
-/// the N labels every variant shares. The grouped-evaluation counterpart of
-/// correct_count: entry g equals correct_count over variant g's block.
-std::vector<std::size_t> correct_counts_grouped(const tensor& logits, std::size_t groups,
-                                                const std::vector<std::size_t>& labels);
-
 /// Row-normalized confusion matrix helper.
 class confusion_matrix {
 public:

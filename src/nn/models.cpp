@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "nn/norm.h"
-#include "tensor/ops.h"
 #include "util/error.h"
 
 namespace reduce {
@@ -92,97 +91,6 @@ std::unique_ptr<sequential> make_vgg11(const vgg11_config& cfg, rng& gen) {
     }
     model->emplace<linear>(in_c * h * w, cfg.num_classes, gen);
     return model;
-}
-
-namespace {
-
-/// Recursive body of forward_masked_group: walks a (possibly nested)
-/// container, consuming masked-weight groups through a shared cursor in
-/// execution order — the same order collect_mapped_layers reports.
-tensor forward_masked_group_walk(sequential& model, tensor x, std::size_t groups,
-                                 const std::vector<std::vector<tensor>>& masked_weights,
-                                 std::size_t& mapped_idx, bool& stacked) {
-    std::vector<const tensor*> variant(groups);
-    const auto next_weights = [&](const char* kind) -> const std::vector<const tensor*>& {
-        REDUCE_CHECK(mapped_idx < masked_weights.size(),
-                     "forward_masked_group: model has more mapped layers than the "
-                         << masked_weights.size() << " weight groups provided (at " << kind
-                         << ")");
-        const std::vector<tensor>& wg = masked_weights[mapped_idx];
-        REDUCE_CHECK(wg.size() == groups, "forward_masked_group: mapped layer "
-                                              << mapped_idx << " carries " << wg.size()
-                                              << " variants, expected " << groups);
-        for (std::size_t g = 0; g < groups; ++g) { variant[g] = &wg[g]; }
-        ++mapped_idx;
-        return variant;
-    };
-
-    for (std::size_t i = 0; i < model.size(); ++i) {
-        module& layer = model.layer(i);
-        if (auto* fc = dynamic_cast<linear*>(&layer)) {
-            const auto& weights = next_weights("linear");
-            if (!stacked) {
-                x = matmul_nt_fanout(x, weights);
-                stacked = true;
-            } else {
-                // Each variant's rows were flattened 2-D by the layers above.
-                x = matmul_nt_grouped(x, groups, weights);
-            }
-            add_row_bias_inplace(x, fc->bias().value);
-        } else if (auto* conv = dynamic_cast<conv2d_layer*>(&layer)) {
-            const auto& weights = next_weights("conv2d");
-            if (!stacked) {
-                x = conv2d_forward_fanout(x, weights, conv->bias().value, conv->spec());
-                stacked = true;
-            } else {
-                x = conv2d_forward_grouped(x, groups, weights, conv->bias().value,
-                                           conv->spec());
-            }
-        } else if (auto* inner = dynamic_cast<sequential*>(&layer)) {
-            // Nested containers walk recursively with the same cursor, so
-            // any nesting the serial attach path supports works here too.
-            x = forward_masked_group_walk(*inner, std::move(x), groups, masked_weights,
-                                          mapped_idx, stacked);
-        } else {
-            // Eval-mode relu / pool / flatten / batch-norm / dropout act
-            // per row or per image, so one stacked call is bit-identical to
-            // a call per variant.
-            x = layer.forward(x);
-        }
-    }
-    return x;
-}
-
-}  // namespace
-
-tensor forward_masked_group(sequential& model, const tensor& input, std::size_t groups,
-                            const std::vector<std::vector<tensor>>& masked_weights) {
-    REDUCE_CHECK(groups > 0, "forward_masked_group needs at least one variant");
-    REDUCE_CHECK(!model.is_training(),
-                 "forward_masked_group is inference-only; put the model in eval mode");
-    std::size_t mapped_idx = 0;
-    bool stacked = false;  // true once the batch is variant-stacked [groups*N, ...]
-    tensor x = forward_masked_group_walk(model, input, groups, masked_weights, mapped_idx,
-                                         stacked);
-    REDUCE_CHECK(mapped_idx == masked_weights.size(),
-                 "forward_masked_group: " << masked_weights.size()
-                                          << " weight groups provided but the model has "
-                                          << mapped_idx << " mapped layers");
-    if (!stacked && groups > 1) {
-        // No mapped layer: every variant computes the same function. Tile
-        // the shared result so the caller still gets its [groups*N, ...]
-        // contract.
-        shape_t shape = x.shape();
-        const std::size_t rows = shape[0];
-        shape[0] = rows * groups;
-        tensor tiled(shape);
-        const std::size_t block = x.numel();
-        for (std::size_t g = 0; g < groups; ++g) {
-            std::copy(x.raw(), x.raw() + block, tiled.raw() + g * block);
-        }
-        return tiled;
-    }
-    return x;
 }
 
 std::size_t reseed_stochastic_layers(sequential& model, std::uint64_t episode_seed) {

@@ -65,25 +65,6 @@ struct mapped_layer {
 /// exactly the layers whose weights land on the accelerator's PE array.
 std::vector<mapped_layer> collect_mapped_layers(sequential& model);
 
-/// Grouped masked forward — the model-level half of the batched multi-mask
-/// evaluation engine. Runs `groups` weight variants of `model` over one
-/// input batch in a single pass: layers before the first mapped layer run
-/// once on the shared batch; the first mapped layer fans out via the
-/// shared-operand grouped GEMM (tensor/ops, tensor/conv); every later layer
-/// runs once over the variant-stacked batch (mapped layers multiply each
-/// variant's block by its own weight). Returns the stacked output
-/// [groups*N, ...] with variant g's rows at [g*N, (g+1)*N).
-///
-/// `masked_weights[l][g]` is the weight tensor variant g uses for the l-th
-/// mapped layer (shape of that layer's weight, typically value ⊙ mask_g);
-/// biases, batch-norm parameters, and running statistics come from `model`.
-/// The model must be in eval mode — the pass is inference-only and leaves
-/// no caches a backward() could use. Every variant's block is bit-identical
-/// to model.forward(input) with that variant's masked weights installed,
-/// for finite weights (see the grouped conv notes in tensor/conv.h).
-tensor forward_masked_group(sequential& model, const tensor& input, std::size_t groups,
-                            const std::vector<std::vector<tensor>>& masked_weights);
-
 /// Reseeds every stochastic layer (dropout) for a new retraining episode:
 /// the layer at position i draws its stream from mix_seed(episode_seed, i).
 /// Called per chip / per sweep cell so stochastic training is a function of

@@ -66,10 +66,8 @@ bool conv_fan_out(std::size_t work_elems) {
 
 /// Scatters a lowered chunk output [out_c, nb*plane] (row stride
 /// `src_stride`) back to [image, out_c, plane] layout starting at image
-/// `img0` of `out_ptr`, adding the optional bias — shared by the serial
-/// forward and both grouped entry points so the layout/bias law lives once.
-/// Output channels write disjoint destinations, so the parallel split is
-/// trivially bit-identical.
+/// `img0` of `out_ptr`, adding the optional bias. Output channels write
+/// disjoint destinations, so the parallel split is trivially bit-identical.
 void scatter_lowered_output(const float* src, std::size_t src_stride, std::size_t nb,
                             std::size_t plane, std::size_t out_c, const tensor& bias,
                             float* out_ptr, std::size_t img0) {
@@ -235,60 +233,6 @@ tensor col2im(const tensor& columns, const conv2d_spec& spec, std::size_t in_h,
     return image;
 }
 
-namespace {
-
-void check_conv_inputs(const tensor& input, const tensor& weight, const conv2d_spec& spec) {
-    REDUCE_CHECK(input.dim() == 4, "conv2d expects input [N,C,H,W], got " << input.describe());
-    REDUCE_CHECK(weight.dim() == 4,
-                 "conv2d expects weight [O,C,kh,kw], got " << weight.describe());
-    REDUCE_CHECK(input.extent(1) == spec.in_channels,
-                 "conv2d input channels " << input.extent(1) << " != spec " << spec.in_channels);
-    REDUCE_CHECK(weight.extent(0) == spec.out_channels && weight.extent(1) == spec.in_channels &&
-                     weight.extent(2) == spec.kernel_h && weight.extent(3) == spec.kernel_w,
-                 "conv2d weight " << weight.describe() << " does not match spec");
-}
-
-}  // namespace
-
-tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
-                      const conv2d_spec& spec) {
-    check_conv_inputs(input, weight, spec);
-    const std::size_t batch = input.extent(0);
-    const std::size_t in_h = input.extent(2);
-    const std::size_t in_w = input.extent(3);
-    const std::size_t oh = spec.out_h(in_h);
-    const std::size_t ow = spec.out_w(in_w);
-    const bool has_bias = !bias.empty();
-    if (has_bias) {
-        REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == spec.out_channels,
-                     "conv2d bias " << bias.describe() << " does not match out_channels");
-    }
-
-    const std::size_t patch = spec.patch_size();
-    const std::size_t plane = oh * ow;
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    tensor output({batch, spec.out_channels, oh, ow});
-    float* out_ptr = output.raw();
-    // The weight tensor [O, C, kh, kw] IS the lowered [O, patch] matrix —
-    // row-major contiguity makes the reshape free (the seed copied it).
-    const float* weight2d = weight.raw();
-
-    workspace& ws = workspace::local();
-    const std::size_t chunk = images_per_chunk(patch + spec.out_channels, plane, batch);
-    for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
-        const std::size_t nb = std::min(chunk, batch - n0);
-        const std::size_t cols = nb * plane;
-        workspace::buffer colbuf = ws.acquire(patch * cols);
-        im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
-        workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        gemm_nn(spec.out_channels, cols, patch, weight2d, patch, colbuf.data(), cols,
-                outbuf.data(), cols, /*accumulate=*/false, ws);
-        scatter_lowered_output(outbuf.data(), cols, nb, plane, spec.out_channels, bias,
-                               out_ptr, n0);
-    }
-    return output;
-}
-
 std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::size_t in_h,
                                                 std::size_t in_w) {
     const std::size_t oh = spec.out_h(in_h);
@@ -331,6 +275,36 @@ std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::si
     return rows;
 }
 
+namespace {
+
+void check_conv_inputs(const tensor& input, const tensor& weight, const conv2d_spec& spec) {
+    REDUCE_CHECK(input.dim() == 4, "conv2d expects input [N,C,H,W], got " << input.describe());
+    REDUCE_CHECK(weight.dim() == 4,
+                 "conv2d expects weight [O,C,kh,kw], got " << weight.describe());
+    REDUCE_CHECK(input.extent(1) == spec.in_channels,
+                 "conv2d input channels " << input.extent(1) << " != spec " << spec.in_channels);
+    REDUCE_CHECK(weight.extent(0) == spec.out_channels && weight.extent(1) == spec.in_channels &&
+                     weight.extent(2) == spec.kernel_h && weight.extent(3) == spec.kernel_w,
+                 "conv2d weight " << weight.describe() << " does not match spec");
+}
+
+void check_conv_backward_shapes(const tensor& input, const tensor& weight,
+                                const tensor& grad_output, const conv2d_spec& spec,
+                                const tensor& grad_input) {
+    check_conv_inputs(input, weight, spec);
+    const std::size_t batch = input.extent(0);
+    const std::size_t oh = spec.out_h(input.extent(2));
+    const std::size_t ow = spec.out_w(input.extent(3));
+    REDUCE_CHECK(grad_output.dim() == 4 && grad_output.extent(0) == batch &&
+                     grad_output.extent(1) == spec.out_channels && grad_output.extent(2) == oh &&
+                     grad_output.extent(3) == ow,
+                 "conv2d grad_output " << grad_output.describe() << " does not match geometry");
+    REDUCE_CHECK(grad_input.shape() == input.shape(),
+                 "conv2d grad_input " << grad_input.describe() << " does not match input");
+}
+
+/// Row-subset whole-batch lowering: like im2col_batch but emits only the
+/// listed patch rows, compacted; dst is [nrows, batch*oh*ow].
 void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
                        std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
                        std::size_t nrows, float* dst) {
@@ -347,6 +321,12 @@ void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
     }
 }
 
+/// Row-subset adjoint: like col2im_batch but `columns` is the compact
+/// [nrows, batch*oh*ow] matrix holding only the listed patch rows
+/// (strictly ascending). Skipped rows are the all-padding taps, whose full
+/// col2im contribution is zero work (every tap lands out of bounds), so
+/// each input pixel's += chain is byte-identical to the full adjoint —
+/// unconditionally, for any gradient values.
 void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h,
                        std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
                        std::size_t nrows, float* dst) {
@@ -394,37 +374,9 @@ void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h
     }
 }
 
-namespace {
-
-/// Shared validation of the grouped forward entry points; returns the raw
-/// weight pointers.
-std::vector<const float*> check_group_weights(const std::vector<const tensor*>& weights,
-                                              const conv2d_spec& spec) {
-    REDUCE_CHECK(!weights.empty(), "grouped conv2d needs at least one weight variant");
-    std::vector<const float*> ptrs(weights.size());
-    for (std::size_t g = 0; g < weights.size(); ++g) {
-        const tensor& w = *weights[g];
-        REDUCE_CHECK(w.dim() == 4 && w.extent(0) == spec.out_channels &&
-                         w.extent(1) == spec.in_channels && w.extent(2) == spec.kernel_h &&
-                         w.extent(3) == spec.kernel_w,
-                     "grouped conv2d weight " << g << " is " << w.describe()
-                                              << " and does not match the spec");
-        ptrs[g] = w.raw();
-    }
-    return ptrs;
-}
-
-void check_group_bias(const tensor& bias, const conv2d_spec& spec) {
-    if (!bias.empty()) {
-        REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == spec.out_channels,
-                     "grouped conv2d bias " << bias.describe()
-                                            << " does not match out_channels");
-    }
-}
-
 /// True when any of the `count` floats at `p` is Inf or NaN — has every
 /// exponent bit set. Branch-free integer compares OR-ed together, so the
-/// loop vectorizes: the grouped drivers run it on every call.
+/// loop vectorizes: the conv drivers run it on every call that can skip.
 bool any_nonfinite(const float* p, std::size_t count) {
     constexpr std::uint32_t exponent = 0x7f800000u;
     std::uint32_t hit = 0;
@@ -436,268 +388,129 @@ bool any_nonfinite(const float* p, std::size_t count) {
     return hit != 0;
 }
 
-/// Per-call geometry the grouped forward entry points share: output
-/// extents, the active patch-row subset, and the k-subset descriptor the
-/// grouped GEMM driver consumes (null when no row is skipped). Rows are
-/// skipped only when that is exact: a skipped tap lowers to exact zeros,
-/// and a finite weight times zero adds nothing to the accumulator, but an
-/// Inf/NaN weight times zero is NaN — so when any variant holds a
-/// non-finite weight in a skipped column, the call lowers every row.
-struct group_conv_geometry {
-    // Self-referential (subset_ptr/subset.rows point into own members):
-    // neither copyable nor movable, by design.
-    group_conv_geometry(const group_conv_geometry&) = delete;
-    group_conv_geometry& operator=(const group_conv_geometry&) = delete;
-
-    std::size_t in_h = 0;
-    std::size_t in_w = 0;
-    std::size_t oh = 0;
-    std::size_t ow = 0;
-    std::size_t plane = 0;
-    std::size_t patch = 0;
-    std::size_t image_elems = 0;
-    std::vector<std::size_t> rows;
-    gemm_k_subset subset;
-    const gemm_k_subset* subset_ptr = nullptr;  ///< null when rows == patch
-
-    group_conv_geometry(const tensor& input, const conv2d_spec& spec,
-                        const std::vector<const float*>& weights) {
-        REDUCE_CHECK(input.dim() == 4 && input.extent(1) == spec.in_channels,
-                     "grouped conv2d expects input [N,C,H,W] matching the spec, got "
-                         << input.describe());
-        in_h = input.extent(2);
-        in_w = input.extent(3);
-        oh = spec.out_h(in_h);
-        ow = spec.out_w(in_w);
-        plane = oh * ow;
-        patch = spec.patch_size();
-        image_elems = spec.in_channels * in_h * in_w;
-        rows = conv_active_patch_rows(spec, in_h, in_w);
-        if (rows.size() != patch && skipped_taps_nonfinite(weights, spec.out_channels)) {
-            rows.resize(patch);
-            for (std::size_t r = 0; r < patch; ++r) { rows[r] = r; }
-        }
-        subset.rows = rows.data();
-        subset.count = rows.size();
-        subset.original_k = patch;
-        if (rows.size() != patch) { subset_ptr = &subset; }
-    }
-
-    /// True when some weight in a column outside `rows` is Inf or NaN.
-    bool skipped_taps_nonfinite(const std::vector<const float*>& weights,
-                                std::size_t out_c) const {
-        for (const float* w : weights) {
-            if (!any_nonfinite(w, out_c * patch)) { continue; }
-            std::vector<bool> active(patch, false);
-            for (const std::size_t r : rows) { active[r] = true; }
-            for (std::size_t oc = 0; oc < out_c; ++oc) {
-                for (std::size_t j = 0; j < patch; ++j) {
-                    if (!active[j] && !std::isfinite(w[oc * patch + j])) { return true; }
-                }
-            }
-        }
-        return false;
-    }
-
-    /// Lowers a chunk of `nb` images starting at `src` into `dst`
-    /// ([rows.size(), nb*plane]), via the full or row-subset path.
-    void lower(const float* src, std::size_t nb, const conv2d_spec& spec, float* dst) const {
-        if (subset_ptr == nullptr) {
-            im2col_batch(src, nb, in_h, in_w, spec, dst);
-        } else {
-            im2col_batch_rows(src, nb, in_h, in_w, spec, rows.data(), rows.size(), dst);
+/// True when some weight of the [out_c, patch] matrix `w` in a column
+/// outside `rows` is Inf or NaN.
+bool skipped_columns_nonfinite(const float* w, std::size_t out_c, std::size_t patch,
+                               const std::vector<std::size_t>& rows) {
+    if (!any_nonfinite(w, out_c * patch)) { return false; }
+    std::vector<bool> active(patch, false);
+    for (const std::size_t r : rows) { active[r] = true; }
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        for (std::size_t j = 0; j < patch; ++j) {
+            if (!active[j] && !std::isfinite(w[oc * patch + j])) { return true; }
         }
     }
-
-    /// Scatters a lowered [out_c, nb*plane] block (row stride `src_stride`)
-    /// back to [image, out_c, plane] layout starting at image `img0`,
-    /// adding the bias — the exact loop conv2d_forward runs.
-    void scatter(const float* src, std::size_t src_stride, std::size_t nb,
-                 const conv2d_spec& spec, const tensor& bias, float* out_ptr,
-                 std::size_t img0) const {
-        scatter_lowered_output(src, src_stride, nb, plane, spec.out_channels, bias, out_ptr,
-                               img0);
-    }
-};
+    return false;
+}
 
 }  // namespace
 
-tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
-                             const tensor& bias, const conv2d_spec& spec) {
-    const std::vector<const float*> a_list = check_group_weights(weights, spec);
-    check_group_bias(bias, spec);
-    const group_conv_geometry geo(input, spec, a_list);
-    const std::size_t groups = weights.size();
+tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
+                      const conv2d_spec& spec) {
+    check_conv_inputs(input, weight, spec);
     const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t oh = spec.out_h(in_h);
+    const std::size_t ow = spec.out_w(in_w);
+    if (!bias.empty()) {
+        REDUCE_CHECK(bias.dim() == 1 && bias.extent(0) == spec.out_channels,
+                     "conv2d bias " << bias.describe() << " does not match out_channels");
+    }
 
-    tensor output({groups * batch, spec.out_channels, geo.oh, geo.ow});
+    const std::size_t patch = spec.patch_size();
+    const std::size_t plane = oh * ow;
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    tensor output({batch, spec.out_channels, oh, ow});
     float* out_ptr = output.raw();
+    // The weight tensor [O, C, kh, kw] IS the lowered [O, patch] matrix —
+    // row-major contiguity makes the reshape free (the seed copied it).
+    const float* weight2d = weight.raw();
+
+    // All-padding patch rows lower to exact zeros, so they are neither
+    // lowered nor multiplied (gemm_k_subset) — unless a weight in a skipped
+    // column is Inf or NaN, whose NaN products the full GEMM keeps.
+    const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
+    const bool skip = rows.size() != patch &&
+                      !skipped_columns_nonfinite(weight2d, spec.out_channels, patch, rows);
+    const std::size_t krows = skip ? rows.size() : patch;
+    const gemm_k_subset subset{rows.data(), rows.size(), patch};
 
     workspace& ws = workspace::local();
-    const std::size_t chunk =
-        images_per_chunk(geo.rows.size() + groups * spec.out_channels, geo.plane, batch);
-    std::vector<float*> c_list(groups);
+    const std::size_t chunk = images_per_chunk(krows + spec.out_channels, plane, batch);
     for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
         const std::size_t nb = std::min(chunk, batch - n0);
-        const std::size_t cols = nb * geo.plane;
-        workspace::buffer colbuf = ws.acquire(geo.rows.size() * cols);
-        geo.lower(input.raw() + n0 * geo.image_elems, nb, spec, colbuf.data());
-        // One wide lowered output [O, groups*cols]: variant g's block starts
-        // at column g*cols, so the scatter below reads it like the serial
-        // path reads its per-variant buffer.
-        workspace::buffer outbuf = ws.acquire(spec.out_channels * groups * cols);
-        for (std::size_t g = 0; g < groups; ++g) { c_list[g] = outbuf.data() + g * cols; }
-        gemm_nn_multi(spec.out_channels, cols, geo.patch, a_list.data(), groups, geo.patch,
-                      colbuf.data(), cols, c_list.data(), groups * cols,
-                      /*accumulate=*/false, ws, geo.subset_ptr);
-        for (std::size_t g = 0; g < groups; ++g) {
-            geo.scatter(outbuf.data() + g * cols, groups * cols, nb, spec, bias, out_ptr,
-                        g * batch + n0);
+        const std::size_t cols = nb * plane;
+        const float* src = input.raw() + n0 * image_elems;
+        workspace::buffer colbuf = ws.acquire(krows * cols);
+        if (skip) {
+            im2col_batch_rows(src, nb, in_h, in_w, spec, rows.data(), krows, colbuf.data());
+        } else {
+            im2col_batch(src, nb, in_h, in_w, spec, colbuf.data());
         }
-    }
-    return output;
-}
-
-tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
-                              const std::vector<const tensor*>& weights, const tensor& bias,
-                              const conv2d_spec& spec) {
-    const std::vector<const float*> a_list = check_group_weights(weights, spec);
-    check_group_bias(bias, spec);
-    const group_conv_geometry geo(input, spec, a_list);
-    REDUCE_CHECK(groups > 0 && weights.size() == groups,
-                 "conv2d_forward_grouped got " << weights.size() << " weights for " << groups
-                                               << " groups");
-    const std::size_t total = input.extent(0);
-    REDUCE_CHECK(total % groups == 0, "conv2d_forward_grouped stacked batch "
-                                          << total << " not divisible by " << groups
-                                          << " groups");
-    const std::size_t per_group = total / groups;
-
-    tensor output({total, spec.out_channels, geo.oh, geo.ow});
-    float* out_ptr = output.raw();
-
-    workspace& ws = workspace::local();
-    const std::size_t chunk =
-        images_per_chunk(geo.rows.size() + spec.out_channels, geo.plane, total);
-    for (std::size_t n0 = 0; n0 < total; n0 += chunk) {
-        const std::size_t nb = std::min(chunk, total - n0);
-        const std::size_t cols = nb * geo.plane;
-        workspace::buffer colbuf = ws.acquire(geo.rows.size() * cols);
-        geo.lower(input.raw() + n0 * geo.image_elems, nb, spec, colbuf.data());
         workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        // A chunk may span variant boundaries; run each variant's weight
-        // over exactly its own image columns.
-        std::size_t s0 = n0;
-        while (s0 < n0 + nb) {
-            const std::size_t g = s0 / per_group;
-            const std::size_t s1 = std::min(n0 + nb, (g + 1) * per_group);
-            const float* a = a_list[g];
-            float* c = outbuf.data() + (s0 - n0) * geo.plane;
-            const float* b = colbuf.data() + (s0 - n0) * geo.plane;
-            gemm_nn_multi(spec.out_channels, (s1 - s0) * geo.plane, geo.patch, &a, 1,
-                          geo.patch, b, cols, &c, cols, /*accumulate=*/false, ws,
-                          geo.subset_ptr);
-            s0 = s1;
-        }
-        geo.scatter(outbuf.data(), cols, nb, spec, bias, out_ptr, n0);
+        gemm_nn(spec.out_channels, cols, patch, weight2d, patch, colbuf.data(), cols,
+                outbuf.data(), cols, /*accumulate=*/false, ws, skip ? &subset : nullptr);
+        scatter_lowered_output(outbuf.data(), cols, nb, plane, spec.out_channels, bias,
+                               out_ptr, n0);
     }
     return output;
 }
 
-tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
-                                 const std::vector<const tensor*>& weights,
-                                 const std::vector<const tensor*>& biases,
-                                 const conv2d_spec& spec) {
-    const std::vector<const float*> a_list = check_group_weights(weights, spec);
-    REDUCE_CHECK(biases.size() == weights.size(),
-                 "conv2d_forward_grouped_vb got " << biases.size() << " biases for "
-                                                  << weights.size() << " weights");
-    for (const tensor* b : biases) {
-        REDUCE_CHECK(b != nullptr && b->dim() == 1 && b->extent(0) == spec.out_channels,
-                     "conv2d_forward_grouped_vb bias does not match out_channels");
-    }
-    const group_conv_geometry geo(input, spec, a_list);
-    REDUCE_CHECK(groups > 0 && weights.size() == groups,
-                 "conv2d_forward_grouped_vb got " << weights.size() << " weights for "
-                                                  << groups << " groups");
-    const std::size_t total = input.extent(0);
-    REDUCE_CHECK(total % groups == 0, "conv2d_forward_grouped_vb stacked batch "
-                                          << total << " not divisible by " << groups
-                                          << " groups");
-    const std::size_t per_group = total / groups;
-
-    tensor output({total, spec.out_channels, geo.oh, geo.ow});
-    float* out_ptr = output.raw();
-
-    workspace& ws = workspace::local();
-    const std::size_t chunk =
-        images_per_chunk(geo.rows.size() + spec.out_channels, geo.plane, total);
-    for (std::size_t n0 = 0; n0 < total; n0 += chunk) {
-        const std::size_t nb = std::min(chunk, total - n0);
-        const std::size_t cols = nb * geo.plane;
-        workspace::buffer colbuf = ws.acquire(geo.rows.size() * cols);
-        geo.lower(input.raw() + n0 * geo.image_elems, nb, spec, colbuf.data());
-        workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        // A chunk may span variant boundaries; each variant's span runs its
-        // own weight over its own image columns and scatters with its own
-        // bias.
-        std::size_t s0 = n0;
-        while (s0 < n0 + nb) {
-            const std::size_t g = s0 / per_group;
-            const std::size_t s1 = std::min(n0 + nb, (g + 1) * per_group);
-            const float* a = a_list[g];
-            float* c = outbuf.data() + (s0 - n0) * geo.plane;
-            const float* b = colbuf.data() + (s0 - n0) * geo.plane;
-            gemm_nn_multi(spec.out_channels, (s1 - s0) * geo.plane, geo.patch, &a, 1,
-                          geo.patch, b, cols, &c, cols, /*accumulate=*/false, ws,
-                          geo.subset_ptr);
-            geo.scatter(c, cols, s1 - s0, spec, *biases[g], out_ptr, s0);
-            s0 = s1;
-        }
-    }
-    return output;
-}
-
-namespace {
-
-/// Backward over one contiguous image block (the serial batch, or one
-/// variant's block of a stacked batch). With `active == nullptr` this IS
-/// the serial conv2d_backward_acc body. With an active-row subset
-/// (n_active < patch) the structurally-zero padding rows are skipped:
-///
-///   * dX: the column gradient is computed only for active rows (compact W
-///     columns via gemm_tn with unchanged k = out_c chains) and scattered
-///     through col2im_batch_rows — byte-identical unconditionally, because
-///     the serial col2im skips every tap of an all-padding row anyway;
-///   * dW: active columns accumulate into a zeroed compact buffer with the
-///     serial per-chunk acc=true chain, then scatter back by ASSIGNMENT.
-///     Requires `gw` zeroed on entry and finite dY (the caller passes no
-///     subset otherwise): the skipped columns' serial value is a sum of
-///     exact-zero products, which is +0 — the value zero_grad left there
-///     (the accumulator chain starting at +0 can never produce -0 under
-///     round-to-nearest);
-///   * db and chunking are untouched — the chunk split follows the SERIAL
-///     formula (2*patch + out_c) so the dW/db accumulation order matches
-///     the layer path chunk for chunk.
-void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in_h,
-                           std::size_t in_w, const float* weight2d, const float* grad_out,
-                           const conv2d_spec& spec, float* gin, float* gw, float* gb,
-                           const std::size_t* active, std::size_t n_active, workspace& ws) {
+void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor& grad_output,
+                         const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
+                         tensor& grad_bias) {
+    check_conv_backward_shapes(input, weight, grad_output, spec, grad_input);
+    REDUCE_CHECK(grad_weight.shape() == weight.shape(),
+                 "conv2d grad_weight " << grad_weight.describe() << " does not match weight");
+    REDUCE_CHECK(grad_bias.dim() == 1 && grad_bias.extent(0) == spec.out_channels,
+                 "conv2d grad_bias " << grad_bias.describe() << " does not match out_channels");
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
     const std::size_t patch = spec.patch_size();
     const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     const std::size_t out_c = spec.out_channels;
-    const bool skip = active != nullptr && n_active < patch;
-    const std::size_t krows = skip ? n_active : patch;
+    const float* in = input.raw();
+    const float* weight2d = weight.raw();
+    const float* grad_out = grad_output.raw();
+    float* gin = grad_input.raw();
+    float* gw = grad_weight.raw();
+    float* gb = grad_bias.raw();
 
+    // All-padding patch rows are skipped in both directions:
+    //
+    //   * dX: the column gradient is computed only for active rows (compact
+    //     W columns via gemm_tn with unchanged k = out_c chains) and
+    //     scattered through col2im_batch_rows — byte-identical, because the
+    //     full col2im skips every tap of an all-padding row anyway;
+    //   * dW: active columns accumulate in a compact copy of grad_weight
+    //     with the full per-chunk acc=true chain and are written back. A
+    //     skipped column's full result is grad_weight plus sums of exact
+    //     zero products, which are +0 when dY is finite: exactly the
+    //     `+ 0.0f` applied below (it turns a -0 entry into +0, as the full
+    //     GEMM does). A dY holding Inf or NaN makes those products NaN, so
+    //     such a call lowers every row.
+    //
+    // db and chunking are untouched: the chunk split is the full-row one
+    // (2*patch + out_c), so the dW/db accumulation order never depends on
+    // whether rows are skipped.
+    const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
+    const bool skip =
+        rows.size() != patch && !any_nonfinite(grad_out, grad_output.numel());
+    const std::size_t krows = skip ? rows.size() : patch;
+
+    workspace& ws = workspace::local();
     workspace::buffer wcompact;
     workspace::buffer dwcompact;
     if (skip) {
-        wcompact = ws.acquire(out_c * n_active);
-        dwcompact = ws.acquire_zeroed(out_c * n_active);
+        wcompact = ws.acquire(out_c * krows);
+        dwcompact = ws.acquire(out_c * krows);
         for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t j = 0; j < n_active; ++j) {
-                wcompact.data()[oc * n_active + j] = weight2d[oc * patch + active[j]];
+            for (std::size_t j = 0; j < krows; ++j) {
+                wcompact.data()[oc * krows + j] = weight2d[oc * patch + rows[j]];
+                dwcompact.data()[oc * krows + j] = gw[oc * patch + rows[j]];
             }
         }
     }
@@ -709,10 +522,10 @@ void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in
         const std::size_t cols = nb * plane;
         workspace::buffer colbuf = ws.acquire(krows * cols);
         if (skip) {
-            im2col_batch_rows(input + n0 * image_elems, nb, in_h, in_w, spec, active,
-                              n_active, colbuf.data());
+            im2col_batch_rows(in + n0 * image_elems, nb, in_h, in_w, spec, rows.data(), krows,
+                              colbuf.data());
         } else {
-            im2col_batch(input + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
+            im2col_batch(in + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
         }
 
         // Gather dY from [N, O, plane] into the lowered [O, nb*plane]
@@ -734,15 +547,10 @@ void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in
         }
 
         // dW += dY · colsᵀ — one GEMM for the whole chunk, straight into
-        // the parameter gradient (or the compact accumulator when skipping;
-        // the k = cols chain per output element is identical either way).
-        if (skip) {
-            gemm_nt(out_c, n_active, cols, gobuf.data(), cols, colbuf.data(), cols,
-                    dwcompact.data(), n_active, /*accumulate=*/true, ws);
-        } else {
-            gemm_nt(out_c, patch, cols, gobuf.data(), cols, colbuf.data(), cols, gw, patch,
-                    /*accumulate=*/true, ws);
-        }
+        // the parameter gradient (or its compact copy when skipping; the
+        // k = cols chain per output element is identical either way).
+        gemm_nt(out_c, krows, cols, gobuf.data(), cols, colbuf.data(), cols,
+                skip ? dwcompact.data() : gw, krows, /*accumulate=*/true, ws);
 
         // db += row sums of dY. Each channel's sum is an independent serial
         // chain, so splitting channels across threads changes no bit.
@@ -763,102 +571,24 @@ void conv2d_backward_block(const float* input, std::size_t batch, std::size_t in
         // dX += col2im(Wᵀ · dY); the column gradient reuses the im2col slab
         // shape, and col2im accumulates in place.
         workspace::buffer gradcols = ws.acquire(krows * cols);
+        gemm_tn(krows, cols, out_c, skip ? wcompact.data() : weight2d, krows, gobuf.data(),
+                cols, gradcols.data(), cols, /*accumulate=*/false, ws);
         if (skip) {
-            gemm_tn(n_active, cols, out_c, wcompact.data(), n_active, gobuf.data(), cols,
-                    gradcols.data(), cols, /*accumulate=*/false, ws);
-            col2im_batch_rows(gradcols.data(), nb, in_h, in_w, spec, active, n_active,
+            col2im_batch_rows(gradcols.data(), nb, in_h, in_w, spec, rows.data(), krows,
                               gin + n0 * image_elems);
         } else {
-            gemm_tn(patch, cols, out_c, weight2d, patch, gobuf.data(), cols, gradcols.data(),
-                    cols, /*accumulate=*/false, ws);
             col2im_batch(gradcols.data(), nb, in_h, in_w, spec, gin + n0 * image_elems);
         }
     }
 
-    if (skip) {
+    if (skip && batch > 0) {
         for (std::size_t oc = 0; oc < out_c; ++oc) {
-            for (std::size_t j = 0; j < n_active; ++j) {
-                gw[oc * patch + active[j]] = dwcompact.data()[oc * n_active + j];
+            float* gw_row = gw + oc * patch;
+            for (std::size_t j = 0; j < patch; ++j) { gw_row[j] += 0.0f; }
+            for (std::size_t j = 0; j < krows; ++j) {
+                gw_row[rows[j]] = dwcompact.data()[oc * krows + j];
             }
         }
-    }
-}
-
-void check_conv_backward_shapes(const tensor& input, const tensor& weight,
-                                const tensor& grad_output, const conv2d_spec& spec,
-                                const tensor& grad_input) {
-    check_conv_inputs(input, weight, spec);
-    const std::size_t batch = input.extent(0);
-    const std::size_t oh = spec.out_h(input.extent(2));
-    const std::size_t ow = spec.out_w(input.extent(3));
-    REDUCE_CHECK(grad_output.dim() == 4 && grad_output.extent(0) == batch &&
-                     grad_output.extent(1) == spec.out_channels && grad_output.extent(2) == oh &&
-                     grad_output.extent(3) == ow,
-                 "conv2d grad_output " << grad_output.describe() << " does not match geometry");
-    REDUCE_CHECK(grad_input.shape() == input.shape(),
-                 "conv2d grad_input " << grad_input.describe() << " does not match input");
-}
-
-}  // namespace
-
-void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor& grad_output,
-                         const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
-                         tensor& grad_bias) {
-    check_conv_backward_shapes(input, weight, grad_output, spec, grad_input);
-    REDUCE_CHECK(grad_weight.shape() == weight.shape(),
-                 "conv2d grad_weight " << grad_weight.describe() << " does not match weight");
-    REDUCE_CHECK(grad_bias.dim() == 1 && grad_bias.extent(0) == spec.out_channels,
-                 "conv2d grad_bias " << grad_bias.describe() << " does not match out_channels");
-    conv2d_backward_block(input.raw(), input.extent(0), input.extent(2), input.extent(3),
-                          weight.raw(), grad_output.raw(), spec, grad_input.raw(),
-                          grad_weight.raw(), grad_bias.raw(), /*active=*/nullptr,
-                          /*n_active=*/0, workspace::local());
-}
-
-void conv2d_backward_grouped(const tensor& input, std::size_t groups,
-                             const std::vector<const tensor*>& weights,
-                             const tensor& grad_output, const conv2d_spec& spec,
-                             tensor& grad_input,
-                             const std::vector<tensor*>& grad_weights,
-                             const std::vector<tensor*>& grad_biases) {
-    REDUCE_CHECK(groups > 0 && weights.size() == groups && grad_weights.size() == groups &&
-                     grad_biases.size() == groups,
-                 "conv2d_backward_grouped variant counts do not match " << groups
-                                                                        << " groups");
-    const std::size_t total = input.extent(0);
-    REDUCE_CHECK(input.dim() == 4 && total % groups == 0,
-                 "conv2d_backward_grouped stacked batch " << input.describe()
-                                                          << " not divisible by " << groups);
-    const std::size_t per_group = total / groups;
-    const std::size_t in_h = input.extent(2);
-    const std::size_t in_w = input.extent(3);
-    check_conv_backward_shapes(input, *weights[0], grad_output, spec, grad_input);
-    for (std::size_t g = 0; g < groups; ++g) {
-        REDUCE_CHECK(weights[g]->shape() == weights[0]->shape() &&
-                         grad_weights[g]->shape() == weights[0]->shape(),
-                     "conv2d_backward_grouped variant " << g << " weight/grad shape mismatch");
-        REDUCE_CHECK(grad_biases[g]->dim() == 1 &&
-                         grad_biases[g]->extent(0) == spec.out_channels,
-                     "conv2d_backward_grouped variant " << g << " grad_bias mismatch");
-    }
-    const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
-    const bool skip = rows.size() != spec.patch_size();
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    const std::size_t grad_elems = spec.out_channels * spec.out_h(in_h) * spec.out_w(in_w);
-    workspace& ws = workspace::local();
-    // Each block replays the serial layer backward with batch = per_group,
-    // so chunk splits — and with them the dW/db accumulation order — match
-    // the serial chip path chunk for chunk. A block whose dY holds Inf or
-    // NaN runs full rows: its skipped dW columns are NaN serially (Inf or
-    // NaN times the taps' exact zeros), not the +0 the skip would leave.
-    for (std::size_t g = 0; g < groups; ++g) {
-        const float* dy = grad_output.raw() + g * per_group * grad_elems;
-        const bool skip_block = skip && !any_nonfinite(dy, per_group * grad_elems);
-        conv2d_backward_block(input.raw() + g * per_group * image_elems, per_group, in_h,
-                              in_w, weights[g]->raw(), dy, spec,
-                              grad_input.raw() + g * per_group * image_elems,
-                              grad_weights[g]->raw(), grad_biases[g]->raw(),
-                              skip_block ? rows.data() : nullptr, rows.size(), ws);
     }
 }
 

@@ -78,93 +78,29 @@ std::size_t set_conv_lowering_budget_bytes(std::size_t bytes);
 /// Current lowering budget in bytes.
 std::size_t conv_lowering_budget_bytes();
 
+/// Patch rows of the lowered matrix with at least one in-bounds tap —
+/// ascending; equals the full [0, patch_size) range when no tap is padded
+/// out everywhere. Pure geometry (shapes only), so chunking stays
+/// deterministic.
+std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::size_t in_h,
+                                                std::size_t in_w);
+
+// ---- structural-zero skips --------------------------------------------------
+//
+// Patch rows whose kernel tap is out of bounds for EVERY output position
+// (the all-padding rows a 1x1-spatial layer has 8 of 9) lower to exact
+// zeros. conv2d_forward and conv2d_backward_acc neither lower nor multiply
+// them (see gemm_k_subset), and stay bit-identical to the full im2col +
+// GEMM formulation for any operand values: forward lowers every row in a
+// call whose weight holds Inf or NaN in a skipped column, and backward
+// lowers every row in a call whose upstream gradient holds Inf or NaN —
+// the cases where a skipped zero product would have been NaN.
+
 /// conv2d forward over a batch.
 /// input  [N, C, H, W], weight [out_c, in_c, kh, kw], bias [out_c] (optional,
 /// pass empty tensor to skip) → output [N, out_c, oh, ow].
 tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& bias,
                       const conv2d_spec& spec);
-
-// ---- grouped conv forward (multi-mask evaluation) ---------------------------
-//
-// The batched fleet evaluator runs K fault-masked weight variants through
-// the same conv geometry in one lowering pass. Both entry points return a
-// variant-stacked [G*N, out_c, oh, ow] tensor (variant g owns image rows
-// [g*N, (g+1)*N)), each block bit-identical to conv2d_forward with that
-// variant's weight, for any weight values. Patch rows whose kernel tap is
-// out of bounds for EVERY output position (the all-padding rows a
-// 1x1-spatial layer has 8 of 9) lower to exact zeros and are skipped (see
-// gemm_k_subset) — except in a call where some variant holds Inf or NaN in
-// a skipped weight column, whose NaN products the serial path keeps; such a
-// call lowers every row.
-
-/// Patch rows of the lowered matrix with at least one in-bounds tap —
-/// ascending; equals the full [0, patch_size) range when no tap is padded
-/// out everywhere. Pure geometry (shapes only), so chunking/grouping stays
-/// deterministic.
-std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::size_t in_h,
-                                                std::size_t in_w);
-
-/// Row-subset whole-batch lowering: like im2col_batch but emits only the
-/// listed patch rows, compacted; dst is [nrows, batch*oh*ow].
-void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
-                       std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
-                       std::size_t nrows, float* dst);
-
-/// "Apply K weight variants × one input batch": lowers `input` [N,C,H,W]
-/// once and multiplies every weights[g] ([out_c,in_c,kh,kw]) against the
-/// shared packed patch panels.
-tensor conv2d_forward_fanout(const tensor& input, const std::vector<const tensor*>& weights,
-                             const tensor& bias, const conv2d_spec& spec);
-
-/// Grouped conv forward over an already variant-stacked batch
-/// [G*N, C, H, W]: image block g is convolved with weights[g]; lowering,
-/// output scatter, and bias run once over the stacked batch.
-tensor conv2d_forward_grouped(const tensor& input, std::size_t groups,
-                              const std::vector<const tensor*>& weights, const tensor& bias,
-                              const conv2d_spec& spec);
-
-// ---- grouped conv training drivers (the lockstep FAT loop) ------------------
-//
-// The lockstep TRAINING loop advances K divergent variants together, so
-// unlike the evaluation drivers above both the weights AND the biases differ
-// per variant, and the backward pass must write per-variant parameter
-// gradients. The active-row skips stay exact for any operands: forward
-// follows the rule above, and backward lowers every row for a block whose
-// upstream gradient holds Inf or NaN.
-
-/// Training-mode grouped conv forward over a variant-stacked batch
-/// [G*N, C, H, W]: block g is convolved with weights[g] and biases[g], each
-/// variant's bias added in the output scatter exactly as conv2d_forward
-/// adds it — bit-identical per block to conv2d_layer::forward.
-tensor conv2d_forward_grouped_vb(const tensor& input, std::size_t groups,
-                                 const std::vector<const tensor*>& weights,
-                                 const std::vector<const tensor*>& biases,
-                                 const conv2d_spec& spec);
-
-/// Row-subset adjoint: like col2im_batch but `columns` is the compact
-/// [nrows, batch*oh*ow] matrix holding only the listed patch rows
-/// (strictly ascending). Skipped rows are the all-padding taps, whose
-/// serial col2im contribution is zero work (every tap lands out of bounds),
-/// so each input pixel's += chain is byte-identical to the full adjoint —
-/// unconditionally, for any gradient values.
-void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h,
-                       std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
-                       std::size_t nrows, float* dst);
-
-/// Grouped conv backward over variant-stacked tensors: input/grad_output
-/// are [G*N, ...] with block g belonging to variant g; grad_weights[g]/
-/// grad_biases[g] receive block g's parameter gradients. Each block runs
-/// the exact serial conv2d_backward_acc chunk sequence (batch = N), so
-/// per-variant results are byte-identical to the layer path at any
-/// --gemm-threads. REQUIRES zeroed grad_weights (the active-row dW skip
-/// writes compacted results back by assignment); grad_biases and
-/// grad_input accumulate as usual.
-void conv2d_backward_grouped(const tensor& input, std::size_t groups,
-                             const std::vector<const tensor*>& weights,
-                             const tensor& grad_output, const conv2d_spec& spec,
-                             tensor& grad_input,
-                             const std::vector<tensor*>& grad_weights,
-                             const std::vector<tensor*>& grad_biases);
 
 /// Gradients of conv2d.
 struct conv2d_grads {
@@ -180,7 +116,8 @@ conv2d_grads conv2d_backward(const tensor& input, const tensor& weight,
 /// Accumulating conv2d backward: adds this batch's gradients onto the
 /// provided tensors (grad_input [N,C,H,W], grad_weight [O,C,kh,kw],
 /// grad_bias [O]) — the layer path, which writes parameter gradients in
-/// place instead of materializing temporaries.
+/// place instead of materializing temporaries. Exact for any incoming
+/// values of the three tensors, including -0 and non-finite entries.
 void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor& grad_output,
                          const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
                          tensor& grad_bias);

@@ -55,8 +55,7 @@ void pack_a(const float* a, std::size_t rs, std::size_t cs, std::size_t mc, std:
 
 /// Packs an mc x kc block of A whose kc source columns are listed in `cols`
 /// (absolute column indices of the row-major operand) — the k-subset form
-/// of pack_a used by the grouped drivers. `a` points at the block's first
-/// row; `rs` is the row stride.
+/// of pack_a. `a` points at the block's first row; `rs` is the row stride.
 void pack_a_cols(const float* a, std::size_t rs, const std::size_t* cols, std::size_t mc,
                  std::size_t kc, float* dst) {
     for (std::size_t ir = 0; ir < mc; ir += MR) {
@@ -185,27 +184,48 @@ const micro_kernel_fn micro_kernel = select_micro_kernel();
 /// operations and their order are EXACTLY the full serial call's: KC panels
 /// ascending, p ascending within a panel — the never-split-K rule that
 /// makes any tiling of the macro grid bit-identical.
+///
+/// With a non-null `krows` (a gemm_k_subset over the original k), B's row
+/// index p is COMPACT: compact row p stands for original row krows[p], and
+/// A is packed from those original columns (acs must be 1). KC panel
+/// boundaries follow the ORIGINAL k, so every element's chain is the full
+/// chain with the missing rows' exact-zero products removed.
 void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float* a,
                         std::size_t ars, std::size_t acs, const float* b, std::size_t brs,
                         std::size_t bcs, float* c, std::size_t ldc, bool accumulate,
-                        std::size_t jb0, std::size_t jb1, std::size_t ib0, std::size_t ib1,
-                        workspace& ws) {
+                        const std::size_t* krows, std::size_t k_compact, std::size_t jb0,
+                        std::size_t jb1, std::size_t ib0, std::size_t ib1, workspace& ws) {
     workspace::buffer apack = ws.acquire(MC * KC);
     workspace::buffer bpack = ws.acquire(KC * NC);
 
     for (std::size_t jb = jb0; jb < jb1; ++jb) {
         const std::size_t jc = jb * NC;
         const std::size_t nc = std::min(NC, n - jc);
+        bool first_panel = true;
+        std::size_t c0 = 0;  // compact row where the current panel starts
         for (std::size_t pc = 0; pc < k; pc += KC) {
-            const std::size_t kc = std::min(KC, k - pc);
+            std::size_t c1 = std::min(k, pc + KC);  // c0 == pc without a subset
+            if (krows != nullptr) {
+                c1 = c0;
+                while (c1 < k_compact && krows[c1] < pc + KC) { ++c1; }
+            }
+            const std::size_t kc = c1 - c0;
+            if (kc == 0) { continue; }  // an all-zero panel contributes exact +0
             // KC panels accumulate in ascending pc order into C — a fixed
-            // total order per output element, independent of inputs.
-            const bool overwrite = !accumulate && pc == 0;
-            pack_b(b + pc * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
+            // total order per output element, independent of inputs. The
+            // first NON-EMPTY panel overwrites: skipped all-zero panels
+            // would only have stored +0 sums that later panels add onto.
+            const bool overwrite = !accumulate && first_panel;
+            first_panel = false;
+            pack_b(b + c0 * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
             for (std::size_t ib = ib0; ib < ib1; ++ib) {
                 const std::size_t ic = ib * MC;
                 const std::size_t mc = std::min(MC, m - ic);
-                pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
+                if (krows == nullptr) {
+                    pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
+                } else {
+                    pack_a_cols(a + ic * ars, ars, krows + c0, mc, kc, apack.data());
+                }
                 for (std::size_t jr = 0; jr < nc; jr += NR) {
                     const std::size_t nr = std::min(NR, nc - jr);
                     const float* bstrip = bpack.data() + (jr / NR) * kc * NR;
@@ -231,25 +251,29 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
                     }
                 }
             }
+            c0 = c1;
         }
     }
 }
 
-/// Shared driver: C[m,n] (+)= A · B with the strides of gemm_strided_tiles.
-/// Large products fan the macro-tile grid out over the intra-op pool
-/// (parallel_for), partitioned along whichever of the N/M axes has more
-/// macro-tiles; K is NEVER split, each C element is written by exactly one
-/// thread, and every thread runs the serial schedule on its sub-grid — so
-/// results are bit-identical at any intra-op budget. N-major partitions
-/// (the common big-activation shapes) pack each B panel once per owning
-/// thread, exactly as often as the serial loop; the rare M-major fallback
-/// (tall-skinny C) repacks the small B panels per thread. Pool workers draw
-/// packing scratch from their own thread-local arenas.
+/// Shared driver: C[m,n] (+)= A · B with the strides (and optional k
+/// subset) of gemm_strided_tiles. Large products fan the macro-tile grid
+/// out over the intra-op pool (parallel_for), partitioned along whichever
+/// of the N/M axes has more macro-tiles; K is NEVER split, each C element
+/// is written by exactly one thread, and every thread runs the serial
+/// schedule on its sub-grid — so results are bit-identical at any intra-op
+/// budget. N-major partitions (the common big-activation shapes) pack each
+/// B panel once per owning thread, exactly as often as the serial loop; the
+/// rare M-major fallback (tall-skinny C) repacks the small B panels per
+/// thread. Pool workers draw packing scratch from their own thread-local
+/// arenas.
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t ars,
                   std::size_t acs, const float* b, std::size_t brs, std::size_t bcs, float* c,
-                  std::size_t ldc, bool accumulate, workspace& ws) {
+                  std::size_t ldc, bool accumulate, workspace& ws,
+                  const std::size_t* krows = nullptr, std::size_t k_compact = 0) {
+    if (krows == nullptr) { k_compact = k; }
     if (m == 0 || n == 0) { return; }
-    if (k == 0) {
+    if (k_compact == 0) {
         if (!accumulate) {
             for (std::size_t i = 0; i < m; ++i) {
                 std::memset(c + i * ldc, 0, n * sizeof(float));
@@ -261,170 +285,58 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, s
     const std::size_t jblocks = (n + NC - 1) / NC;
     const std::size_t iblocks = (m + MC - 1) / MC;
     const double madds =
-        static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k);
+        static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k_compact);
     const bool fan_out = should_fan_out(madds, k_gemm_parallel_min_madds) &&
                          (jblocks > 1 || iblocks > 1);
     if (!fan_out) {
-        gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, 0, jblocks,
-                           0, iblocks, ws);
+        gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, krows,
+                           k_compact, 0, jblocks, 0, iblocks, ws);
         return;
     }
     if (jblocks >= iblocks) {
         parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
-            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, jb0,
-                               jb1, 0, iblocks, workspace::local());
+            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, krows,
+                               k_compact, jb0, jb1, 0, iblocks, workspace::local());
         });
     } else {
         parallel_for(iblocks, [&](std::size_t ib0, std::size_t ib1) {
-            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, 0,
-                               jblocks, ib0, ib1, workspace::local());
+            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, krows,
+                               k_compact, 0, jblocks, ib0, ib1, workspace::local());
         });
     }
 }
 
-/// Grouped core: for g in [0, count), C_g (+)= A_g · B, where every A_g is
-/// row-major [m, k_orig] (row stride `lda`) and B element (p, j) — over the
-/// COMPACT row index p — sits at b[p*ldb + j]. When `krows` is non-null
-/// it lists the original-k index of each compact row (ascending); KC panel
-/// boundaries follow the ORIGINAL k, so every output element's accumulation
-/// chain is the full-k serial chain with the missing rows' exact-zero
-/// products removed (bit-identical for finite A — see gemm_k_subset). Each
-/// B panel is packed once and reused across all A operands; per-variant
-/// loop order (jc, pc, ic, jr, ir) matches gemm_strided exactly.
-/// Serial core of the grouped driver over NC panel columns [jb0, jb1) —
-/// the unit the parallel dispatcher partitions (a thread owns whole panel
-/// columns, so each B panel is still packed exactly once and shared across
-/// every A operand and M block of its column).
-void gemm_strided_multi_tiles(std::size_t m, std::size_t n, std::size_t k_orig,
-                              const std::size_t* krows, std::size_t k_compact,
-                              const float* const* a_list, std::size_t count, std::size_t lda,
-                              const float* b, std::size_t ldb, float* const* c_list,
-                              std::size_t ldc, bool accumulate, std::size_t jb0,
-                              std::size_t jb1, workspace& ws) {
-    workspace::buffer apack = ws.acquire(MC * KC);
-    workspace::buffer bpack = ws.acquire(KC * NC);
-
-    for (std::size_t jb = jb0; jb < jb1; ++jb) {
-        const std::size_t jc = jb * NC;
-        const std::size_t nc = std::min(NC, n - jc);
-        bool first_panel = true;
-        std::size_t c0 = 0;  // compact row where the current panel starts
-        for (std::size_t pc = 0; pc < k_orig; pc += KC) {
-            std::size_t c1;
-            if (krows == nullptr) {
-                c1 = std::min(k_orig, pc + KC);  // c0 == pc without a subset
-            } else {
-                c1 = c0;
-                while (c1 < k_compact && krows[c1] < pc + KC) { ++c1; }
-            }
-            const std::size_t kc = c1 - c0;
-            if (kc == 0) { continue; }  // an all-zero panel contributes exact +0
-            // The first NON-EMPTY panel overwrites: preceding all-zero
-            // panels would only have stored +0 sums that later panels
-            // accumulate onto.
-            const bool overwrite = !accumulate && first_panel;
-            first_panel = false;
-            pack_b(b + c0 * ldb + jc, ldb, 1, kc, nc, bpack.data());
-            for (std::size_t g = 0; g < count; ++g) {
-                const float* a = a_list[g];
-                float* c = c_list[g];
-                for (std::size_t ic = 0; ic < m; ic += MC) {
-                    const std::size_t mc = std::min(MC, m - ic);
-                    if (krows == nullptr) {
-                        pack_a(a + ic * lda + pc, lda, 1, mc, kc, apack.data());
-                    } else {
-                        pack_a_cols(a + ic * lda, lda, krows + c0, mc, kc, apack.data());
-                    }
-                    for (std::size_t jr = 0; jr < nc; jr += NR) {
-                        const std::size_t nr = std::min(NR, nc - jr);
-                        const float* bstrip = bpack.data() + (jr / NR) * kc * NR;
-                        for (std::size_t ir = 0; ir < mc; ir += MR) {
-                            const std::size_t mr = std::min(MR, mc - ir);
-                            const float* astrip = apack.data() + (ir / MR) * kc * MR;
-                            float acc[MR * NR];  // fully written by the kernel
-                            micro_kernel(kc, astrip, bstrip, acc);
-                            float* ctile = c + (ic + ir) * ldc + jc + jr;
-                            if (overwrite) {
-                                for (std::size_t i = 0; i < mr; ++i) {
-                                    for (std::size_t j = 0; j < nr; ++j) {
-                                        ctile[i * ldc + j] = acc[i * NR + j];
-                                    }
-                                }
-                            } else {
-                                for (std::size_t i = 0; i < mr; ++i) {
-                                    for (std::size_t j = 0; j < nr; ++j) {
-                                        ctile[i * ldc + j] += acc[i * NR + j];
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            c0 = c1;
-        }
-    }
-}
-
-/// Grouped dispatcher: fans panel columns out over the intra-op pool for
-/// large products (N-major only — the grouped shapes are wide lowered
-/// activations). Same determinism argument as gemm_strided: each C element
-/// is written by one thread running the exact serial schedule.
-void gemm_strided_multi(std::size_t m, std::size_t n, std::size_t k_orig,
-                        const std::size_t* krows, std::size_t k_compact,
-                        const float* const* a_list, std::size_t count, std::size_t lda,
-                        const float* b, std::size_t ldb, float* const* c_list,
-                        std::size_t ldc, bool accumulate, workspace& ws) {
-    if (m == 0 || n == 0 || count == 0) { return; }
-    if (k_compact == 0) {
-        if (!accumulate) {
-            for (std::size_t g = 0; g < count; ++g) {
-                for (std::size_t i = 0; i < m; ++i) {
-                    std::memset(c_list[g] + i * ldc, 0, n * sizeof(float));
-                }
-            }
-        }
-        return;
-    }
-
-    const std::size_t jblocks = (n + NC - 1) / NC;
-    const double madds = static_cast<double>(m) * static_cast<double>(n) *
-                         static_cast<double>(k_compact) * static_cast<double>(count);
-    const bool fan_out = should_fan_out(madds, k_gemm_parallel_min_madds) && jblocks > 1;
-    if (!fan_out) {
-        gemm_strided_multi_tiles(m, n, k_orig, krows, k_compact, a_list, count, lda, b, ldb,
-                                 c_list, ldc, accumulate, 0, jblocks, ws);
-        return;
-    }
-    parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
-        gemm_strided_multi_tiles(m, n, k_orig, krows, k_compact, a_list, count, lda, b, ldb,
-                                 c_list, ldc, accumulate, jb0, jb1, workspace::local());
-    });
-}
-
-/// Validates a k subset (ascending, in range) and returns the compact count.
-std::size_t check_subset(const gemm_k_subset* subset, std::size_t k) {
-    if (subset == nullptr) { return k; }
-    REDUCE_CHECK(subset->original_k == k,
-                 "gemm k-subset original_k " << subset->original_k
+/// Validates a k subset (ascending, in range).
+void check_subset(const gemm_k_subset& subset, std::size_t k) {
+    REDUCE_CHECK(subset.original_k == k,
+                 "gemm k-subset original_k " << subset.original_k
                                              << " does not match the call's k " << k);
-    REDUCE_CHECK(subset->count == 0 || subset->rows != nullptr,
+    REDUCE_CHECK(subset.count == 0 || subset.rows != nullptr,
                  "gemm k-subset has a count but no row list");
-    for (std::size_t j = 0; j < subset->count; ++j) {
-        REDUCE_CHECK(subset->rows[j] < k, "gemm k-subset row " << subset->rows[j]
-                                                               << " out of range for k " << k);
-        REDUCE_CHECK(j == 0 || subset->rows[j - 1] < subset->rows[j],
+    for (std::size_t j = 0; j < subset.count; ++j) {
+        REDUCE_CHECK(subset.rows[j] < k, "gemm k-subset row " << subset.rows[j]
+                                                              << " out of range for k " << k);
+        REDUCE_CHECK(j == 0 || subset.rows[j - 1] < subset.rows[j],
                      "gemm k-subset rows must be strictly ascending");
     }
-    return subset->count;
 }
 
 }  // namespace
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws) {
-    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
+             workspace& ws, const gemm_k_subset* subset) {
+    if (subset == nullptr) {
+        gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
+        return;
+    }
+    check_subset(*subset, k);
+    if (subset->count == 0) {  // every product is an exact zero
+        gemm_strided(m, n, 0, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
+        return;
+    }
+    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws, subset->rows,
+                 subset->count);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
@@ -439,15 +351,6 @@ void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::s
              workspace& ws) {
     // A stored [k, m] row-major: element (i, p) = a[p * lda + i].
     gemm_strided(m, n, k, a, 1, lda, b, ldb, 1, c, ldc, accumulate, ws);
-}
-
-void gemm_nn_multi(std::size_t m, std::size_t n, std::size_t k, const float* const* a_list,
-                   std::size_t count, std::size_t lda, const float* b, std::size_t ldb,
-                   float* const* c_list, std::size_t ldc, bool accumulate, workspace& ws,
-                   const gemm_k_subset* subset) {
-    const std::size_t compact = check_subset(subset, k);
-    gemm_strided_multi(m, n, k, subset == nullptr ? nullptr : subset->rows, compact, a_list,
-                       count, lda, b, ldb, c_list, ldc, accumulate, ws);
 }
 
 }  // namespace reduce

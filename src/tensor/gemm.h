@@ -39,11 +39,11 @@ namespace reduce {
 
 class workspace;
 
-/// Optional k-row subset for the grouped drivers: the compact B operand
-/// holds only `count` rows, row j of B standing for row `rows[j]` of a
-/// conceptual `original_k`-row operand whose missing rows are exact zeros
-/// (the structurally-zero padding taps of a lowered convolution). `rows`
-/// must be strictly ascending and < original_k.
+/// Optional k-row subset for gemm_nn: the compact B operand holds only
+/// `count` rows, row j of B standing for row `rows[j]` of a conceptual
+/// `original_k`-row operand whose missing rows are exact zeros (the
+/// structurally-zero padding taps of a lowered convolution). `rows` must be
+/// strictly ascending and < original_k.
 ///
 /// The driver keeps the KC panel decomposition of the ORIGINAL k, so each
 /// output element's accumulation chain is the full-k chain with the
@@ -61,10 +61,12 @@ struct gemm_k_subset {
 
 /// C[m,n] (+)= A[m,k] · B[k,n]. `lda/ldb/ldc` are row strides of the
 /// row-major operands; pass `accumulate = false` to overwrite C.
-/// Packing scratch comes from `ws` (no allocation after warm-up).
+/// Packing scratch comes from `ws` (no allocation after warm-up). With
+/// `subset` (original_k == k), B is the compact operand gemm_k_subset
+/// describes and A stays [m, k].
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws);
+             workspace& ws, const gemm_k_subset* subset = nullptr);
 
 /// C[m,n] (+)= A[m,k] · Bᵀ where B is stored row-major as [n,k].
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
@@ -75,29 +77,5 @@ void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::s
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
              workspace& ws);
-
-// ---- grouped (multi-A, shared-B) driver ------------------------------------
-//
-// The batched multi-mask evaluation engine applies K fault-masked weight
-// variants to ONE shared lowered-activation operand (the conv patch
-// matrix, whose im2col + packing is the expensive part a serial loop
-// repeats per variant). The driver packs each B cache panel once and
-// reuses it across every A operand. Dense (linear) layers deliberately do
-// NOT go through a shared-B form: their operands are cheap to pack, so
-// per-variant gemm_nt calls win — see matmul_nt_fanout in tensor/ops.cpp.
-// Determinism contract: for each g the operations touching c_list[g] are
-// exactly the ones a serial gemm_nn call with the same shapes would
-// perform, in the same order — results are bit-identical to the serial
-// loop.
-
-/// For g in [0, count): C_g[m,n] (+)= A_g[m,k] · B[k,n], sharing B's packed
-/// panels across the A operands. With `subset`, B is the compact operand
-/// described by gemm_k_subset, A_g stays [m, original_k] row-major, and the
-/// product equals the full-k GEMM when A is finite in the missing columns
-/// (see gemm_k_subset).
-void gemm_nn_multi(std::size_t m, std::size_t n, std::size_t k, const float* const* a_list,
-                   std::size_t count, std::size_t lda, const float* b, std::size_t ldb,
-                   float* const* c_list, std::size_t ldc, bool accumulate, workspace& ws,
-                   const gemm_k_subset* subset = nullptr);
 
 }  // namespace reduce

@@ -153,58 +153,6 @@ tensor matmul_tn(const tensor& a, const tensor& b) {
     return c;
 }
 
-tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weights) {
-    check_rank2(x, "matmul_nt_fanout");
-    REDUCE_CHECK(!weights.empty(), "matmul_nt_fanout needs at least one weight variant");
-    const std::size_t rows = x.extent(0);
-    const std::size_t in = x.extent(1);
-    const std::size_t out = weights.front()->extent(0);
-    // Per-variant gemm_nt calls straight into the stacked output. A dense
-    // layer's operands are cheap to pack (unlike a lowered convolution's
-    // patch panels), so re-packing the shared x per variant is faster in
-    // practice than a transposed shared-B formulation, which would buy one
-    // packing pass per cache panel at the price of a strided
-    // [out, groups*rows] → [groups*rows, out] transpose. Each block runs
-    // the exact serial matmul_nt operations, so bit-identity is free.
-    tensor stacked({rows * weights.size(), out});
-    workspace& ws = workspace::local();
-    for (std::size_t g = 0; g < weights.size(); ++g) {
-        const tensor& w = *weights[g];
-        REDUCE_CHECK(w.dim() == 2 && w.extent(0) == out && w.extent(1) == in,
-                     "matmul_nt_fanout weight " << g << " is " << w.describe()
-                                                << ", expected [" << out << "," << in << "]");
-        gemm_nt(rows, out, in, x.raw(), in, w.raw(), in, stacked.raw() + g * rows * out, out,
-                /*accumulate=*/false, ws);
-    }
-    return stacked;
-}
-
-tensor matmul_nt_grouped(const tensor& x, std::size_t groups,
-                         const std::vector<const tensor*>& weights) {
-    check_rank2(x, "matmul_nt_grouped");
-    REDUCE_CHECK(groups > 0 && weights.size() == groups,
-                 "matmul_nt_grouped got " << weights.size() << " weights for " << groups
-                                          << " groups");
-    const std::size_t total = x.extent(0);
-    const std::size_t in = x.extent(1);
-    REDUCE_CHECK(total % groups == 0, "matmul_nt_grouped stacked batch " << total
-                                                                        << " not divisible by "
-                                                                        << groups << " groups");
-    const std::size_t rows = total / groups;
-    const std::size_t out = weights.front()->extent(0);
-    tensor stacked({total, out});
-    workspace& ws = workspace::local();
-    for (std::size_t g = 0; g < groups; ++g) {
-        const tensor& w = *weights[g];
-        REDUCE_CHECK(w.dim() == 2 && w.extent(0) == out && w.extent(1) == in,
-                     "matmul_nt_grouped weight " << g << " is " << w.describe()
-                                                 << ", expected [" << out << "," << in << "]");
-        gemm_nt(rows, out, in, x.raw() + g * rows * in, in, w.raw(), in,
-                stacked.raw() + g * rows * out, out, /*accumulate=*/false, ws);
-    }
-    return stacked;
-}
-
 void matmul_tn_acc(const tensor& a, const tensor& b, tensor& c) {
     check_rank2(a, "matmul_tn_acc");
     check_rank2(b, "matmul_tn_acc");

@@ -56,29 +56,6 @@ tensor matmul_tn(const tensor& a, const tensor& b);
 /// materializing a temporary product.
 void matmul_tn_acc(const tensor& a, const tensor& b, tensor& c);
 
-// ---- grouped matmul (multi-mask evaluation) ---------------------------------
-//
-// The batched fleet evaluator runs K fault-masked weight variants of one
-// layer against activations in a single pass. Both entry points return a
-// variant-STACKED tensor [G*N, out] in which variant g owns rows
-// [g*N, (g+1)*N); each block is bit-identical to matmul_nt of that
-// variant's operands (same per-element accumulation chains — see
-// tensor/gemm.h).
-
-/// "Apply K weight variants × one activation batch": x is a shared [N, in]
-/// activation batch, weights[g] a [out, in] matrix (typically w ⊙ mask_g).
-/// Used at the first masked layer, where all variants still see the same
-/// activations. Dense operands are cheap to pack, so this runs per-variant
-/// serial GEMMs over the shared x (the shared-panel driver lives in the
-/// conv lowering, where it pays — see tensor/gemm.h).
-tensor matmul_nt_fanout(const tensor& x, const std::vector<const tensor*>& weights);
-
-/// Grouped linear forward over an already variant-stacked batch
-/// [G*N, in]: row block g is multiplied by weights[g]ᵀ. Used past the
-/// first masked layer, where activations have diverged per variant.
-tensor matmul_nt_grouped(const tensor& x, std::size_t groups,
-                         const std::vector<const tensor*>& weights);
-
 // ---- rows (batch) operations -------------------------------------------------
 
 /// Adds `bias` (shape [n]) to every row of `a` (shape [m,n]) in place.

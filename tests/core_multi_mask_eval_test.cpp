@@ -1,5 +1,5 @@
 // Serial-vs-batched equivalence suite for the multi-mask evaluation engine:
-// the grouped evaluator must reproduce the serial restore → attach-masks →
+// the evaluator must reproduce the serial restore → attach-masks →
 // evaluate path BIT FOR BIT at every group size — over MLP, conv (including
 // the VGG structural-zero lowering path), and batch-norm/dropout models,
 // through ragged groups, duplicated chips, and chips with empty masks. Also
@@ -8,7 +8,6 @@
 // reseeding.
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -20,7 +19,6 @@
 #include "fault/mask_builder.h"
 #include "nn/models.h"
 #include "nn/norm.h"
-#include "tensor/init.h"
 #include "util/error.h"
 #include "util/thread_pool.h"
 
@@ -288,47 +286,30 @@ TEST(MultiMaskEvaluator, StochasticFleetOutcomesAreEvalBatchAndThreadIndependent
     }
 }
 
-TEST(ForwardMaskedGroup, MatchesPerVariantForwardAcrossGemmThreadBudgets) {
-    // The walker's stacked logits, block by block, against each variant's
-    // own serial forward with the masked weights substituted in.
-    rng gen(47);
-    auto model = make_tiny_cnn({1, 8, 8}, 3, gen, 4);
-    model->set_training(false);
-    tensor x({5, 1, 8, 8});
-    uniform_init(x, -1.0f, 1.0f, gen);
-
-    constexpr std::size_t groups = 3;
-    const std::vector<mapped_layer> mapped = collect_mapped_layers(*model);
-    std::vector<std::vector<tensor>> masked_weights(mapped.size());
-    for (std::size_t l = 0; l < mapped.size(); ++l) {
-        for (std::size_t g = 0; g < groups; ++g) {
-            tensor w = mapped[l].weight->value;
-            for (std::size_t i = 0; i < w.numel(); ++i) {
-                if (gen.uniform() < 0.2) { w.raw()[i] = 0.0f; }
-            }
-            masked_weights[l].push_back(std::move(w));
-        }
-    }
-
+TEST(MultiMaskEvaluator, MatchesSerialAcrossGemmThreadBudgetsAndReuse) {
+    // One evaluator reused across budgets and group sizes: its lazily grown
+    // clones must carry no mask from an earlier group, and the conv
+    // padding-row skips must stay exact at any intra-op budget.
+    eval_case c = make_vgg_case();
     set_intra_op_threads(1);
-    std::vector<tensor> per_variant;
-    for (std::size_t g = 0; g < groups; ++g) {
-        auto variant = clone_model(*model);
-        const std::vector<mapped_layer> vm = collect_mapped_layers(*variant);
-        for (std::size_t l = 0; l < vm.size(); ++l) {
-            vm[l].weight->value = masked_weights[l][g];
-        }
-        per_variant.push_back(variant->forward(x));
+    std::vector<double> serial;
+    for (const chip& ch : c.chips) {
+        serial.push_back(serial_accuracy(*c.model, c.pretrained, c.train_data, c.test_data,
+                                         c.array, c.trainer_cfg, ch.faults));
     }
-    const std::size_t block = per_variant[0].numel();
+    multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
+                                   c.trainer_cfg);
     for (const std::size_t threads : {1u, 2u, 8u}) {
         const scoped_intra_op_threads budget(threads);
-        const tensor stacked = forward_masked_group(*model, x, groups, masked_weights);
-        ASSERT_EQ(groups * block, stacked.numel()) << "@" << threads;
-        for (std::size_t g = 0; g < groups; ++g) {
-            EXPECT_EQ(0, std::memcmp(per_variant[g].raw(), stacked.raw() + g * block,
-                                     block * sizeof(float)))
-                << "variant " << g << " @" << threads;
+        for (const std::vector<std::size_t>& pick :
+             std::vector<std::vector<std::size_t>>{{0, 1, 2}, {3}, {4, 0}}) {
+            std::vector<const fault_grid*> grids;
+            for (const std::size_t idx : pick) { grids.push_back(&c.chips[idx].faults); }
+            const std::vector<double> grouped = evaluator.evaluate(grids);
+            for (std::size_t i = 0; i < pick.size(); ++i) {
+                EXPECT_EQ(serial[pick[i]], grouped[i])
+                    << "chip " << pick[i] << " @" << threads;
+            }
         }
     }
 }

@@ -13,6 +13,7 @@
 
 #include "dist/chaos.h"
 #include "dist/protocol.h"
+#include "fault/serialization.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -311,6 +312,20 @@ TEST(Messages, ChipResultSurvivesTheWireWithBinarySnapshot) {
     EXPECT_EQ(body.at("lease").as_string(), "99");
     EXPECT_EQ(chip_outcome_from_json(body.at("outcome")).chip_id, 3u);
     EXPECT_EQ(base64_decode(body.at("snapshot").as_string()), snapshot_bytes);
+}
+
+TEST(Messages, ChipWorkWithMalformedFaultMapIsATypedError) {
+    // Chip work arrives over the wire: a fault map naming a PE outside its
+    // grid must surface as io_error when the worker decodes the chip, not
+    // as a bounds check deep inside fault_grid.
+    const std::string work =
+        "{\"type\": \"work\", \"lease\": \"5\", \"kind\": \"fleet_chip\", "
+        "\"chip\": {\"id\": 2, \"seed\": \"9\", \"nominal_fault_rate\": 0.1, "
+        "\"fault_map\": {\"rows\": 4, \"cols\": 4, "
+        "\"faults\": [{\"r\": 7, \"c\": 1, \"kind\": \"bypassed\"}]}}}";
+    const json_value message = parse_one(encode_frame(json_parse(work)));
+    EXPECT_EQ(message_type(message), "work");
+    EXPECT_THROW((void)chip_from_json(message.as_object().at("chip")), io_error);
 }
 
 TEST(Sockets, LoopbackFrameDelivery) {

@@ -4,6 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "fault/chip.h"
 #include "fault/serialization.h"
@@ -272,6 +275,68 @@ TEST(Serialization, FleetFileRoundTrip) {
 TEST(Serialization, MalformedChipJsonThrows) {
     EXPECT_THROW(chip_from_json(json_parse("{\"id\": 1}")), error);
     EXPECT_THROW(fault_grid_from_json(json_parse("{\"rows\": 2}")), error);
+}
+
+/// A fault map document with the given extents and one fault entry.
+std::string fault_map_text(const std::string& rows, const std::string& cols,
+                           const std::string& r, const std::string& c,
+                           const std::string& kind) {
+    return "{\"rows\": " + rows + ", \"cols\": " + cols + ", \"faults\": [{\"r\": " + r +
+           ", \"c\": " + c + ", \"kind\": \"" + kind + "\"}]}";
+}
+
+TEST(Serialization, FaultMapDecoderAcceptsTheLargestLegalMap) {
+    const fault_grid grid = fault_grid_from_json(
+        json_parse(fault_map_text("1024", "1024", "1023", "1023", "bypassed")));
+    EXPECT_EQ(grid.pe_count(), fault_map_max_pes);
+    EXPECT_EQ(grid.at(1023, 1023), pe_fault::bypassed);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsNonPositiveExtents) {
+    for (const char* bad : {"0", "-1", "-4294967296", "2.5"}) {
+        EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text(bad, "4", "0", "0",
+                                                                    "bypassed"))),
+                     io_error)
+            << "rows " << bad;
+        EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text("4", bad, "0", "0",
+                                                                    "bypassed"))),
+                     io_error)
+            << "cols " << bad;
+    }
+}
+
+TEST(Serialization, FaultMapDecoderRejectsOversizedAndOverflowingExtents) {
+    // 2^32 x 2^32 wraps to 0 in 64-bit arithmetic; 1e30 is no size_t at all.
+    for (const auto& [rows, cols] : std::vector<std::pair<std::string, std::string>>{
+             {"4294967296", "4294967296"}, {"1e30", "4"}, {"2048", "1024"},
+             {"1048577", "1"}}) {
+        EXPECT_THROW(
+            fault_grid_from_json(json_parse(fault_map_text(rows, cols, "0", "0", "bypassed"))),
+            io_error)
+            << rows << "x" << cols;
+    }
+}
+
+TEST(Serialization, FaultMapDecoderRejectsOutOfRangePes) {
+    for (const auto& [r, c] : std::vector<std::pair<std::string, std::string>>{
+             {"4", "0"}, {"0", "5"}, {"-1", "0"}, {"0", "-3"}, {"1.5", "0"}, {"1e20", "0"}}) {
+        EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text("4", "5", r, c,
+                                                                    "bypassed"))),
+                     io_error)
+            << "PE (" << r << "," << c << ")";
+    }
+}
+
+TEST(Serialization, FaultMapDecoderRejectsUnknownKinds) {
+    EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text("4", "4", "1", "1",
+                                                                "stuck_weight_sideways"))),
+                 io_error);
+    // The chip wrapper surfaces the same typed error.
+    EXPECT_THROW(chip_from_json(json_parse(
+                     "{\"id\": 1, \"seed\": \"7\", \"nominal_fault_rate\": 0.1, "
+                     "\"fault_map\": " +
+                     fault_map_text("4", "4", "1", "1", "melted") + "}")),
+                 io_error);
 }
 
 }  // namespace

@@ -232,6 +232,32 @@ TEST(Sequential, BackwardBeforeForwardThrows) {
     EXPECT_THROW((void)model->backward(tensor({2, 2})), error);
 }
 
+TEST(Sequential, BackwardAfterEvalForwardThrows) {
+    // Eval-mode forwards cache nothing: a backward after one must fail
+    // loudly instead of reusing the input of an earlier training forward.
+    rng gen(44);
+    sequential model;
+    model.emplace<conv2d_layer>(conv2d_spec{2, 3, 3, 3, 1, 1}, gen);
+    model.emplace<relu_layer>();
+    model.emplace<flatten>();
+    model.emplace<linear>(3 * 4 * 4, 2, gen);
+    const tensor x = random_tensor({2, 2, 4, 4}, gen);
+    const tensor grad({2, 2}, 1.0f);
+    (void)model.forward(x);  // training forward: backward is valid
+    (void)model.backward(grad);
+    model.set_training(false);
+    (void)model.forward(x);
+    EXPECT_THROW((void)model.backward(grad), error);
+    // Each caching layer refuses on its own, not only the last one.
+    for (const std::size_t i : {0u, 1u, 3u}) {
+        const tensor gi(i == 3 ? shape_t{2, 2} : shape_t{2, 3, 4, 4}, 1.0f);
+        EXPECT_THROW((void)model.layer(i).backward(gi), error) << "layer " << i;
+    }
+    model.set_training(true);
+    (void)model.forward(x);
+    EXPECT_NO_THROW((void)model.backward(grad));
+}
+
 // SGD steps on a freshly seeded model: per-step losses, final parameters,
 // and the last input gradient. Identical construction seeds mean identical
 // dropout streams, so runs under different GEMM budgets compare bit for bit.

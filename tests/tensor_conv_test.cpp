@@ -2,8 +2,6 @@
 // a direct reference, adjoint consistency of col2im, pooling behaviour.
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <limits>
 #include <vector>
 
 #include "tensor/conv.h"
@@ -11,7 +9,6 @@
 #include "tensor/ops.h"
 #include "util/error.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -261,101 +258,6 @@ INSTANTIATE_TEST_SUITE_P(Geometries, ConvGeometries,
                                            conv_case{3, 2, 3, 2, 1, 7, 6},
                                            conv_case{1, 4, 5, 1, 2, 8, 8},
                                            conv_case{2, 2, 2, 2, 0, 6, 6}));
-
-// ---- grouped drivers: the structural-zero skips are exact ------------------
-
-/// Copies image block g of a variant-stacked [G*N, ...] tensor.
-tensor block_of(const tensor& stacked, std::size_t groups, std::size_t g) {
-    shape_t shape = stacked.shape();
-    shape[0] /= groups;
-    tensor out(shape);
-    std::memcpy(out.raw(), stacked.raw() + g * out.numel(), out.numel() * sizeof(float));
-    return out;
-}
-
-bool same_bytes(const tensor& a, const float* b) {
-    return std::memcmp(a.raw(), b, a.numel() * sizeof(float)) == 0;
-}
-
-TEST(GroupedConv, SkipsStayExactForNonFiniteWeightsAndGradients) {
-    // 1x1 spatial, 3x3 kernel, pad 1: 8 of 9 taps are all-padding rows the
-    // grouped drivers skip. Variant 1 holds Inf and NaN in skipped weight
-    // columns (serially those turn the taps' zeros into NaN); variant 2's
-    // upstream gradient holds a NaN (serially that makes its skipped dW
-    // columns NaN). Every block must still equal the layer path byte for
-    // byte.
-    const std::size_t groups = 3;
-    const std::size_t n = 2;
-    const conv2d_spec spec{3, 4, 3, 3, 1, 1};
-    rng gen(41);
-    const tensor input = random_tensor({groups * n, 3, 1, 1}, gen);
-    std::vector<tensor> weights;
-    std::vector<tensor> biases;
-    for (std::size_t g = 0; g < groups; ++g) {
-        weights.push_back(random_tensor({4, 3, 3, 3}, gen));
-        biases.push_back(random_tensor({4}, gen));
-    }
-    ASSERT_EQ(conv_active_patch_rows(spec, 1, 1).size(), 3u);
-    weights[1].at4(0, 0, 0, 0) = std::numeric_limits<float>::infinity();
-    weights[1].at4(2, 1, 2, 1) = std::numeric_limits<float>::quiet_NaN();
-    tensor grad_output = random_tensor({groups * n, 4, 1, 1}, gen);
-    grad_output[2 * n * 4 + 5] = std::numeric_limits<float>::quiet_NaN();
-
-    std::vector<const tensor*> wptrs;
-    std::vector<const tensor*> bptrs;
-    for (std::size_t g = 0; g < groups; ++g) {
-        wptrs.push_back(&weights[g]);
-        bptrs.push_back(&biases[g]);
-    }
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        const tensor fwd = conv2d_forward_grouped_vb(input, groups, wptrs, bptrs, spec);
-        const tensor shared_bias =
-            conv2d_forward_grouped(input, groups, wptrs, biases[0], spec);
-        const tensor fan = conv2d_forward_fanout(block_of(input, groups, 0), wptrs,
-                                                 biases[0], spec);
-
-        tensor grad_input(input.shape());
-        std::vector<tensor> gw;
-        std::vector<tensor> gb;
-        for (std::size_t g = 0; g < groups; ++g) {
-            gw.emplace_back(weights[g].shape());
-            gb.emplace_back(shape_t{4});
-        }
-        std::vector<tensor*> gwptrs;
-        std::vector<tensor*> gbptrs;
-        for (std::size_t g = 0; g < groups; ++g) {
-            gwptrs.push_back(&gw[g]);
-            gbptrs.push_back(&gb[g]);
-        }
-        conv2d_backward_grouped(input, groups, wptrs, grad_output, spec, grad_input, gwptrs,
-                                gbptrs);
-
-        for (std::size_t g = 0; g < groups; ++g) {
-            const tensor x = block_of(input, groups, g);
-            const tensor ref = conv2d_forward(x, weights[g], biases[g], spec);
-            EXPECT_TRUE(same_bytes(ref, block_of(fwd, groups, g).raw()))
-                << "vb forward, variant " << g;
-            const tensor ref0 = conv2d_forward(x, weights[g], biases[0], spec);
-            EXPECT_TRUE(same_bytes(ref0, block_of(shared_bias, groups, g).raw()))
-                << "grouped forward, variant " << g;
-            const tensor ref_fan =
-                conv2d_forward(block_of(input, groups, 0), weights[g], biases[0], spec);
-            EXPECT_TRUE(same_bytes(ref_fan, block_of(fan, groups, g).raw()))
-                << "fan-out forward, variant " << g;
-
-            tensor ref_gin(x.shape());
-            tensor ref_gw(weights[g].shape());
-            tensor ref_gb({4});
-            conv2d_backward_acc(x, weights[g], block_of(grad_output, groups, g), spec,
-                                ref_gin, ref_gw, ref_gb);
-            EXPECT_TRUE(same_bytes(ref_gin, block_of(grad_input, groups, g).raw()))
-                << "dX, variant " << g;
-            EXPECT_TRUE(same_bytes(ref_gw, gw[g].raw())) << "dW, variant " << g;
-            EXPECT_TRUE(same_bytes(ref_gb, gb[g].raw())) << "db, variant " << g;
-        }
-    }
-}
 
 }  // namespace
 }  // namespace reduce

@@ -1,14 +1,16 @@
 // Tests for the blocked GEMM backend and the workspace arena: kernels vs a
 // double-precision naive reference across tile-boundary shapes, NaN/Inf
 // propagation (the seed kernel's zero-skip branch dropped it), workspace
-// reuse safety, and whole-batch conv lowering equivalence (including the
-// chunked path).
+// reuse safety, whole-batch conv lowering equivalence (including the
+// chunked path), and the k-subset GEMM behind the conv padding-row skips,
+// checked bit for bit against the full lowering.
 #include <gtest/gtest.h>
 
 #include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -327,7 +329,7 @@ TEST(BatchConv, BackwardDeterministicAcrossCalls) {
     EXPECT_TRUE(first.grad_bias == second.grad_bias);
 }
 
-// ---- grouped (multi-A, shared-B) drivers: the masked-group eval path -------
+// ---- k-subset GEMM and the conv padding-row skips --------------------------
 
 /// Applies a {0,1} mask to a weight the way parameter::apply_mask does
 /// (float multiply, so -0/NaN semantics match the serial FAP path).
@@ -339,46 +341,18 @@ tensor masked_copy(const tensor& w, rng& gen, double drop_p) {
     return m;
 }
 
-TEST(GroupedGemm, NnMultiMatchesSerialBitwiseAndReferenceAcrossK) {
-    rng gen(301);
-    // Tile-edge group sizes around the micro/cache tiles, plus K=1, over a
-    // k spanning two KC panels.
-    for (const std::size_t groups : {1u, 2u, 3u, 5u, 16u, 17u}) {
-        const std::size_t m = 13, k = 300, n = 37;
-        const tensor b = random_tensor({k, n}, gen);  // shared B operand
-        std::vector<tensor> weights;
-        std::vector<const float*> a_list;
-        for (std::size_t g = 0; g < groups; ++g) {
-            weights.push_back(masked_copy(random_tensor({m, k}, gen), gen, 0.2));
-        }
-        for (const tensor& w : weights) { a_list.push_back(w.raw()); }
-        std::vector<tensor> outs(groups, tensor({m, n}));
-        std::vector<float*> c_list;
-        for (tensor& c : outs) { c_list.push_back(c.raw()); }
-        gemm_nn_multi(m, n, k, a_list.data(), groups, k, b.raw(), n, c_list.data(), n,
-                      /*accumulate=*/false, workspace::local());
-        for (std::size_t g = 0; g < groups; ++g) {
-            // Bitwise vs the serial driver...
-            tensor serial({m, n});
-            gemm_nn(m, n, k, weights[g].raw(), k, b.raw(), n, serial.raw(), n, false,
-                    workspace::local());
-            EXPECT_TRUE(outs[g] == serial) << "K=" << groups << " g=" << g;
-            // ...and near the double-precision reference.
-            const tensor ref = reference_gemm("nn", weights[g], b, m, k, n);
-            for (std::size_t i = 0; i < ref.numel(); ++i) {
-                ASSERT_NEAR(outs[g].raw()[i], ref.raw()[i], tol_for(k))
-                    << "K=" << groups << " g=" << g << " i=" << i;
-            }
-        }
-    }
+bool same_bits(const tensor& a, const tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
 }
 
-TEST(GroupedGemm, KSubsetEqualsFullGemmWithZeroRows) {
+TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     // The structural-zero skip: a compact B missing rows that are exactly
     // zero must reproduce the full-k result bit for bit, with kept rows
-    // spread across several KC panels (k = 600 spans three).
+    // spread across several KC panels (k = 600 spans three), overwriting
+    // and accumulating, at every intra-op budget.
     rng gen(303);
-    const std::size_t m = 21, k = 600, n = 33;
+    const std::size_t m = 21, k = 600, n = 333;
     std::vector<std::size_t> kept;
     for (std::size_t p = 0; p < k; ++p) {
         if (p % 9 == 4 || p % 151 == 0) { kept.push_back(p); }
@@ -393,186 +367,261 @@ TEST(GroupedGemm, KSubsetEqualsFullGemmWithZeroRows) {
             b_compact.raw()[j * n + q] = v;
         }
     }
-    tensor full({m, n});
-    gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, false, workspace::local());
-
-    gemm_k_subset subset;
-    subset.rows = kept.data();
-    subset.count = kept.size();
-    subset.original_k = k;
-    const float* a_ptr = a.raw();
-    tensor skipped({m, n});
-    float* c_ptr = skipped.raw();
-    gemm_nn_multi(m, n, k, &a_ptr, 1, k, b_compact.raw(), n, &c_ptr, n, false,
-                  workspace::local(), &subset);
-    EXPECT_TRUE(full == skipped);
+    const tensor seed_c = random_tensor({m, n}, gen);
+    const gemm_k_subset subset{kept.data(), kept.size(), k};
+    for (const bool accumulate : {false, true}) {
+        tensor full = seed_c;
+        gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, accumulate,
+                workspace::local());
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            const scoped_intra_op_threads budget(threads);
+            tensor skipped = seed_c;
+            gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, accumulate,
+                    workspace::local(), &subset);
+            EXPECT_TRUE(same_bits(full, skipped))
+                << "accumulate=" << accumulate << " @" << threads;
+        }
+    }
 }
 
-TEST(GroupedGemm, KSubsetValidates) {
+TEST(KSubsetGemm, FirstPanelEmptyStillOverwrites) {
+    // No kept row in the first KC panel: the first non-empty panel must
+    // overwrite C, not add onto stale contents.
+    rng gen(305);
+    const std::size_t m = 5, k = 520, n = 19;
+    const std::vector<std::size_t> kept = {300, 301, 517};
+    const tensor a = random_tensor({m, k}, gen);
+    tensor b_full({k, n});
+    tensor b_compact({kept.size(), n});
+    for (std::size_t j = 0; j < kept.size(); ++j) {
+        for (std::size_t q = 0; q < n; ++q) {
+            const float v = static_cast<float>(gen.uniform(-1.0, 1.0));
+            b_full.raw()[kept[j] * n + q] = v;
+            b_compact.raw()[j * n + q] = v;
+        }
+    }
+    tensor full({m, n});
+    gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, false, workspace::local());
+    tensor skipped = random_tensor({m, n}, gen);  // stale contents
+    const gemm_k_subset subset{kept.data(), kept.size(), k};
+    gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, false,
+            workspace::local(), &subset);
+    EXPECT_TRUE(same_bits(full, skipped));
+}
+
+TEST(KSubsetGemm, Validates) {
     const std::size_t rows_bad[] = {3, 2};   // not ascending
     const std::size_t rows_oob[] = {3, 99};  // out of range
     const tensor a({4, 8});
     const tensor b({2, 4});
     tensor c({4, 4});
-    const float* a_ptr = a.raw();
-    float* c_ptr = c.raw();
-    gemm_k_subset subset;
-    subset.count = 2;
-    subset.original_k = 8;
-    subset.rows = rows_bad;
-    EXPECT_ANY_THROW(gemm_nn_multi(4, 4, 8, &a_ptr, 1, 8, b.raw(), 4, &c_ptr, 4, false,
-                                   workspace::local(), &subset));
+    gemm_k_subset subset{rows_bad, 2, 8};
+    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
+                             workspace::local(), &subset));
     subset.rows = rows_oob;
-    EXPECT_ANY_THROW(gemm_nn_multi(4, 4, 8, &a_ptr, 1, 8, b.raw(), 4, &c_ptr, 4, false,
-                                   workspace::local(), &subset));
+    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
+                             workspace::local(), &subset));
+    const std::size_t rows_ok[] = {2, 3};
+    subset = gemm_k_subset{rows_ok, 2, 7};  // original_k differs from k
+    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
+                             workspace::local(), &subset));
 }
 
-TEST(GroupedGemm, PropagatesNanAndInfThroughMaskedOperands) {
-    // The full-k multi driver makes no data-dependent shortcut: a NaN/Inf
-    // in ANY variant's masked A operand must reach that variant's output —
-    // and only that variant's.
-    rng gen(304);
-    const std::size_t m = 8, k = 32, n = 16;
-    const tensor b = random_tensor({k, n}, gen);
-    tensor w0 = masked_copy(random_tensor({m, k}, gen), gen, 0.2);
-    tensor w1 = w0;
-    tensor w2 = w0;
-    w1.raw()[5] = std::numeric_limits<float>::quiet_NaN();
-    w2.raw()[7] = std::numeric_limits<float>::infinity();
-    const float* a_list[] = {w0.raw(), w1.raw(), w2.raw()};
-    tensor c0({m, n}), c1({m, n}), c2({m, n});
-    float* c_list[] = {c0.raw(), c1.raw(), c2.raw()};
-    gemm_nn_multi(m, n, k, a_list, 3, k, b.raw(), n, c_list, n, false, workspace::local());
-    bool c1_nan = false;
-    for (std::size_t i = 0; i < c1.numel(); ++i) { c1_nan |= std::isnan(c1.raw()[i]); }
-    EXPECT_TRUE(c1_nan);
-    bool c2_nonfinite = false;
-    for (std::size_t i = 0; i < c2.numel(); ++i) {
-        c2_nonfinite |= !std::isfinite(c2.raw()[i]);
-    }
-    EXPECT_TRUE(c2_nonfinite);
-    for (std::size_t i = 0; i < c0.numel(); ++i) {
-        ASSERT_TRUE(std::isfinite(c0.raw()[i])) << "variant 0 polluted at " << i;
-    }
-}
-
-TEST(GroupedGemm, OpsFanoutAndGroupedMatchMatmulNtBitwise) {
-    rng gen(305);
-    const std::size_t rows = 19, in = 70, out = 11, groups = 4;
-    const tensor x = random_tensor({rows, in}, gen);
-    std::vector<tensor> weights;
-    std::vector<const tensor*> ptrs;
-    for (std::size_t g = 0; g < groups; ++g) {
-        weights.push_back(masked_copy(random_tensor({out, in}, gen), gen, 0.25));
-    }
-    for (const tensor& w : weights) { ptrs.push_back(&w); }
-
-    const tensor fanout = matmul_nt_fanout(x, ptrs);
-    ASSERT_EQ(fanout.extent(0), rows * groups);
-    // Stacked input for the grouped form: x replicated per variant.
-    tensor x_stacked({rows * groups, in});
-    for (std::size_t g = 0; g < groups; ++g) {
-        std::copy(x.raw(), x.raw() + x.numel(), x_stacked.raw() + g * x.numel());
-    }
-    const tensor grouped = matmul_nt_grouped(x_stacked, groups, ptrs);
-    for (std::size_t g = 0; g < groups; ++g) {
-        const tensor serial = matmul_nt(x, weights[g]);
-        for (std::size_t r = 0; r < rows; ++r) {
-            for (std::size_t o = 0; o < out; ++o) {
-                ASSERT_EQ(serial.at2(r, o), fanout.at2(g * rows + r, o))
-                    << "fanout g=" << g;
-                ASSERT_EQ(serial.at2(r, o), grouped.at2(g * rows + r, o))
-                    << "grouped g=" << g;
+/// The conv formulation before the padding-row skip: every patch row
+/// lowered (im2col_batch) and multiplied by full-k GEMMs, `chunk` images
+/// at a time. conv2d_forward and conv2d_backward_acc must match it bit for
+/// bit for any operands.
+tensor full_lowering_forward(const tensor& input, const tensor& weight, const tensor& bias,
+                             const conv2d_spec& spec) {
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
+    const std::size_t patch = spec.patch_size();
+    const std::size_t cols = batch * plane;
+    std::vector<float> lowered(patch * cols);
+    im2col_batch(input.raw(), batch, in_h, in_w, spec, lowered.data());
+    const tensor prod = matmul(weight.reshaped({spec.out_channels, patch}),
+                               tensor({patch, cols}, lowered));
+    tensor out({batch, spec.out_channels, spec.out_h(in_h), spec.out_w(in_w)});
+    for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
+        for (std::size_t n = 0; n < batch; ++n) {
+            for (std::size_t i = 0; i < plane; ++i) {
+                out.raw()[(n * spec.out_channels + oc) * plane + i] =
+                    prod.raw()[oc * cols + n * plane + i] + bias[oc];
             }
         }
     }
+    return out;
 }
 
-TEST(GroupedConv, FanoutAndGroupedMatchSerialConvBitwise) {
+void full_lowering_backward_acc(const tensor& input, const tensor& weight,
+                                const tensor& grad_output, const conv2d_spec& spec,
+                                std::size_t chunk, tensor& gin, tensor& gw, tensor& gb) {
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
+    const std::size_t patch = spec.patch_size();
+    const std::size_t out_c = spec.out_channels;
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    workspace& ws = workspace::local();
+    for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
+        const std::size_t nb = std::min(chunk, batch - n0);
+        const std::size_t cols = nb * plane;
+        std::vector<float> lowered(patch * cols);
+        im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, lowered.data());
+        std::vector<float> dy(out_c * cols);
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            for (std::size_t n = 0; n < nb; ++n) {
+                std::memcpy(dy.data() + oc * cols + n * plane,
+                            grad_output.raw() + ((n0 + n) * out_c + oc) * plane,
+                            plane * sizeof(float));
+            }
+        }
+        gemm_nt(out_c, patch, cols, dy.data(), cols, lowered.data(), cols, gw.raw(), patch,
+                /*accumulate=*/true, ws);
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            float acc = 0.0f;
+            for (std::size_t i = 0; i < cols; ++i) { acc += dy[oc * cols + i]; }
+            gb.raw()[oc] += acc;
+        }
+        std::vector<float> grad_cols(patch * cols);
+        gemm_tn(patch, cols, out_c, weight.raw(), patch, dy.data(), cols, grad_cols.data(),
+                cols, /*accumulate=*/false, ws);
+        col2im_batch(grad_cols.data(), nb, in_h, in_w, spec, gin.raw() + n0 * image_elems);
+    }
+}
+
+/// Runs conv2d_forward + two accumulating conv2d_backward_acc calls onto
+/// the given starting gradients and checks every output against the full
+/// lowering, bit for bit.
+void expect_matches_full_lowering(const tensor& input, const tensor& weight, const tensor& bias,
+                                  const tensor& grad_output, const conv2d_spec& spec,
+                                  const tensor& gw0, std::size_t ref_chunk,
+                                  const std::string& label) {
+    EXPECT_TRUE(same_bits(conv2d_forward(input, weight, bias, spec),
+                          full_lowering_forward(input, weight, bias, spec)))
+        << label << ": forward";
+    tensor gin(input.shape());
+    tensor gw = gw0;
+    tensor gb({spec.out_channels});
+    tensor ref_gin(input.shape());
+    tensor ref_gw = gw0;
+    tensor ref_gb({spec.out_channels});
+    for (int pass = 0; pass < 2; ++pass) {
+        conv2d_backward_acc(input, weight, grad_output, spec, gin, gw, gb);
+        full_lowering_backward_acc(input, weight, grad_output, spec, ref_chunk, ref_gin,
+                                   ref_gw, ref_gb);
+        EXPECT_TRUE(same_bits(gin, ref_gin)) << label << ": dX pass " << pass;
+        EXPECT_TRUE(same_bits(gw, ref_gw)) << label << ": dW pass " << pass;
+        EXPECT_TRUE(same_bits(gb, ref_gb)) << label << ": db pass " << pass;
+    }
+}
+
+TEST(PaddingSkipConv, MatchesFullLoweringBitwise) {
+    // 1x1 spatial with a 3x3 kernel + padding: 8 of 9 patch rows lower to
+    // structural zeros and are skipped; 1x5 skips the ky rows; 4x4 skips
+    // nothing. Masked weights, at every intra-op budget.
     rng gen(306);
-    // 1x1 spatial with 3x3 kernel + padding: 8 of 9 patch rows lower to
-    // structural zeros — the skip path — while 4x4 exercises the full path.
+    const conv2d_spec spec{3, 6, 3, 3, 1, 1};
     for (const auto& [h, w] : std::vector<std::pair<std::size_t, std::size_t>>{{1, 1},
-                                                                              {4, 4},
-                                                                              {1, 5}}) {
-        const conv2d_spec spec{3, 6, 3, 3, 1, 1};
-        const std::size_t batch = 5, groups = 3;
-        const tensor input = random_tensor({batch, 3, h, w}, gen);
+                                                                              {1, 5},
+                                                                              {4, 4}}) {
+        const tensor input = random_tensor({5, 3, h, w}, gen);
+        const tensor weight = masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2);
         const tensor bias = random_tensor({6}, gen);
-        std::vector<tensor> weights;
-        std::vector<const tensor*> ptrs;
-        for (std::size_t g = 0; g < groups; ++g) {
-            weights.push_back(masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2));
-        }
-        for (const tensor& t : weights) { ptrs.push_back(&t); }
-
-        const tensor fanout = conv2d_forward_fanout(input, ptrs, bias, spec);
-        tensor stacked_in({groups * batch, 3, h, w});
-        for (std::size_t g = 0; g < groups; ++g) {
-            std::copy(input.raw(), input.raw() + input.numel(),
-                      stacked_in.raw() + g * input.numel());
-        }
-        const tensor grouped = conv2d_forward_grouped(stacked_in, groups, ptrs, bias, spec);
-        const std::size_t block = batch * 6 * spec.out_h(h) * spec.out_w(w);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const tensor serial = conv2d_forward(input, weights[g], bias, spec);
-            for (std::size_t i = 0; i < block; ++i) {
-                ASSERT_EQ(serial.raw()[i], fanout.raw()[g * block + i])
-                    << h << "x" << w << " fanout g=" << g << " i=" << i;
-                ASSERT_EQ(serial.raw()[i], grouped.raw()[g * block + i])
-                    << h << "x" << w << " grouped g=" << g << " i=" << i;
-            }
+        const tensor grad_output = random_tensor({5, 6, spec.out_h(h), spec.out_w(w)}, gen);
+        for (const std::size_t threads : {1u, 2u, 8u}) {
+            const scoped_intra_op_threads budget(threads);
+            expect_matches_full_lowering(input, weight, bias, grad_output, spec,
+                                         tensor(weight.shape()), 5,
+                                         std::to_string(h) + "x" + std::to_string(w) + " @" +
+                                             std::to_string(threads));
         }
     }
 }
 
-TEST(GroupedConv, ChunkedLoweringStaysBitwiseIdentical) {
-    // A 1-byte budget forces one image per lowered chunk, driving the
-    // n0 > 0 chunk offsets of conv2d_forward_fanout and the
-    // chunk-starting-mid-variant splits of conv2d_forward_grouped — with
-    // the k-subset active (1x1 spatial). Chunking must never move a bit.
+TEST(PaddingSkipConv, StaysExactForNonFiniteWeightsAndGradients) {
+    // Inf and NaN weights in skipped (all-padding) columns turn the taps'
+    // zeros into NaN under the full lowering, and so does a NaN in dY for
+    // the skipped dW columns: both must fall back to full rows.
+    rng gen(41);
+    const conv2d_spec spec{3, 4, 3, 3, 1, 1};
+    ASSERT_EQ(conv_active_patch_rows(spec, 1, 1).size(), 3u);
+    const tensor input = random_tensor({2, 3, 1, 1}, gen);
+    const tensor bias = random_tensor({4}, gen);
+    const tensor finite_w = random_tensor({4, 3, 3, 3}, gen);
+    tensor poisoned_w = finite_w;
+    poisoned_w.at4(0, 0, 0, 0) = std::numeric_limits<float>::infinity();
+    poisoned_w.at4(2, 1, 2, 1) = std::numeric_limits<float>::quiet_NaN();
+    const tensor finite_dy = random_tensor({2, 4, 1, 1}, gen);
+    tensor poisoned_dy = finite_dy;
+    poisoned_dy[5] = std::numeric_limits<float>::quiet_NaN();
+    tensor inf_dy = finite_dy;
+    inf_dy[2] = -std::numeric_limits<float>::infinity();
+    for (const std::size_t threads : {1u, 2u, 8u}) {
+        const scoped_intra_op_threads budget(threads);
+        const std::string at = " @" + std::to_string(threads);
+        expect_matches_full_lowering(input, poisoned_w, bias, finite_dy, spec,
+                                     tensor(finite_w.shape()), 2, "non-finite W" + at);
+        expect_matches_full_lowering(input, finite_w, bias, poisoned_dy, spec,
+                                     tensor(finite_w.shape()), 2, "NaN dY" + at);
+        expect_matches_full_lowering(input, finite_w, bias, inf_dy, spec,
+                                     tensor(finite_w.shape()), 2, "Inf dY" + at);
+    }
+    // The poison reached the outputs, so the fallbacks were exercised.
+    const tensor poisoned_out = conv2d_forward(input, poisoned_w, bias, spec);
+    bool fwd_nan = false;
+    for (const float v : poisoned_out.data()) { fwd_nan |= std::isnan(v); }
+    EXPECT_TRUE(fwd_nan);
+}
+
+TEST(PaddingSkipConv, AccumulatesExactlyOntoAnyGradWeight) {
+    // conv2d_backward_acc adds onto whatever grad_weight holds: a non-zero
+    // gradient keeps its skipped columns (plus the full GEMM's +0), and a
+    // -0 entry becomes +0 there exactly as the full GEMM leaves it.
+    rng gen(47);
+    const conv2d_spec spec{2, 5, 3, 3, 1, 1};
+    const tensor input = random_tensor({3, 2, 1, 1}, gen);
+    const tensor weight = random_tensor({5, 2, 3, 3}, gen);
+    const tensor bias = random_tensor({5}, gen);
+    const tensor grad_output = random_tensor({3, 5, 1, 1}, gen);
+    expect_matches_full_lowering(input, weight, bias, grad_output, spec,
+                                 random_tensor(weight.shape(), gen), 3, "non-zero dW");
+    const tensor negative_zero(weight.shape(), -0.0f);
+    expect_matches_full_lowering(input, weight, bias, grad_output, spec, negative_zero, 3,
+                                 "-0 dW");
+    tensor gin(input.shape());
+    tensor gw = negative_zero;
+    tensor gb({5});
+    conv2d_backward_acc(input, weight, grad_output, spec, gin, gw, gb);
+    EXPECT_FALSE(std::signbit(gw.at4(0, 0, 0, 0)));  // a skipped column
+}
+
+TEST(PaddingSkipConv, ChunkedLoweringStaysBitwiseIdentical) {
+    // A 1-byte budget forces one image per lowered chunk with the skip
+    // active (1x1 spatial) and inactive (4x4): chunking moves no forward
+    // bit, and backward follows the one-image chunk chain exactly.
     rng gen(307);
     const conv2d_spec spec{3, 6, 3, 3, 1, 1};
-    const std::size_t batch = 5, groups = 3;
     for (const auto& [h, w] :
          std::vector<std::pair<std::size_t, std::size_t>>{{1, 1}, {4, 4}}) {
-        const tensor input = random_tensor({batch, 3, h, w}, gen);
+        const tensor input = random_tensor({5, 3, h, w}, gen);
+        const tensor weight = masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2);
         const tensor bias = random_tensor({6}, gen);
-        std::vector<tensor> weights;
-        std::vector<const tensor*> ptrs;
-        for (std::size_t g = 0; g < groups; ++g) {
-            weights.push_back(masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2));
-        }
-        for (const tensor& t : weights) { ptrs.push_back(&t); }
-        tensor stacked_in({groups * batch, 3, h, w});
-        for (std::size_t g = 0; g < groups; ++g) {
-            std::copy(input.raw(), input.raw() + input.numel(),
-                      stacked_in.raw() + g * input.numel());
-        }
-
-        const tensor fanout_whole = conv2d_forward_fanout(input, ptrs, bias, spec);
-        const tensor grouped_whole =
-            conv2d_forward_grouped(stacked_in, groups, ptrs, bias, spec);
-        {
-            budget_guard tiny(1);
-            EXPECT_TRUE(conv2d_forward_fanout(input, ptrs, bias, spec) == fanout_whole)
-                << h << "x" << w;
-            EXPECT_TRUE(conv2d_forward_grouped(stacked_in, groups, ptrs, bias, spec) ==
-                        grouped_whole)
-                << h << "x" << w;
-        }
-        const std::size_t block = batch * 6 * spec.out_h(h) * spec.out_w(w);
-        for (std::size_t g = 0; g < groups; ++g) {
-            const tensor serial = conv2d_forward(input, weights[g], bias, spec);
-            for (std::size_t i = 0; i < block; ++i) {
-                ASSERT_EQ(serial.raw()[i], fanout_whole.raw()[g * block + i]);
-                ASSERT_EQ(serial.raw()[i], grouped_whole.raw()[g * block + i]);
-            }
-        }
+        const tensor grad_output = random_tensor({5, 6, spec.out_h(h), spec.out_w(w)}, gen);
+        const tensor whole = conv2d_forward(input, weight, bias, spec);
+        budget_guard tiny(1);
+        EXPECT_TRUE(same_bits(conv2d_forward(input, weight, bias, spec), whole))
+            << h << "x" << w;
+        expect_matches_full_lowering(input, weight, bias, grad_output, spec,
+                                     tensor(weight.shape()), 1,
+                                     std::to_string(h) + "x" + std::to_string(w) + " chunked");
     }
 }
 
-TEST(GroupedConv, ActivePatchRowsGeometry) {
+TEST(PaddingSkipConv, ActivePatchRowsGeometry) {
     // 3x3 kernel, padding 1: at 1x1 spatial only the center tap survives;
     // at 4x4 every tap is live somewhere.
     const conv2d_spec spec{2, 4, 3, 3, 1, 1};
@@ -730,37 +779,6 @@ TEST(ParallelConv, ForwardBackwardAndLoweringBitwiseAcrossBudgets) {
         EXPECT_EQ(0, std::memcmp(scatter1.data(), scatter_n.data(),
                                  scatter1.size() * sizeof(float)))
             << "col2im @" << threads;
-    }
-}
-
-TEST(ParallelGemm, GroupedEvalDriversBitwiseAcrossBudgets) {
-    rng gen(113);
-    const conv2d_spec spec{4, 8, 3, 3, 1, 1};
-    const tensor input = random_tensor({6, 4, 12, 12}, gen);
-    const tensor bias = random_tensor({8}, gen);
-    std::vector<tensor> weights;
-    std::vector<const tensor*> weight_ptrs;
-    for (int g = 0; g < 3; ++g) { weights.push_back(random_tensor({8, 4, 3, 3}, gen)); }
-    for (const tensor& w : weights) { weight_ptrs.push_back(&w); }
-    const tensor x = random_tensor({48, 256}, gen);
-    std::vector<tensor> dense;
-    std::vector<const tensor*> dense_ptrs;
-    for (int g = 0; g < 3; ++g) { dense.push_back(random_tensor({64, 256}, gen)); }
-    for (const tensor& w : dense) { dense_ptrs.push_back(&w); }
-    const tensor stacked = random_tensor({144, 256}, gen);  // [G*N, in]
-    set_intra_op_threads(1);
-    const tensor fan1 = conv2d_forward_fanout(input, weight_ptrs, bias, spec);
-    const tensor fanx1 = matmul_nt_fanout(x, dense_ptrs);
-    const tensor grouped1 = matmul_nt_grouped(stacked, 3, dense_ptrs);
-    for (const std::size_t threads : {2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(
-            bitwise_equal(fan1, conv2d_forward_fanout(input, weight_ptrs, bias, spec)))
-            << "conv fanout @" << threads;
-        EXPECT_TRUE(bitwise_equal(fanx1, matmul_nt_fanout(x, dense_ptrs)))
-            << "nt fanout @" << threads;
-        EXPECT_TRUE(bitwise_equal(grouped1, matmul_nt_grouped(stacked, 3, dense_ptrs)))
-            << "nt grouped @" << threads;
     }
 }
 
