@@ -5,9 +5,9 @@
 //   serial  — per chip: restore the pretrained snapshot, attach this chip's
 //             fault masks, evaluate the full test set, tear down, and
 //   grouped — one multi_mask_evaluator::evaluate call per block of K chips:
-//             each chip's masked weights are written into its own model
-//             clone, and the clones run through evaluate_variants (one
-//             gathered test batch, every clone's own layers).
+//             each chip's masked weights are written in turn into the
+//             evaluator's one inference clone, which runs through
+//             evaluate_model (no restore, no mask tensors, no teardown).
 // Every grouped accuracy must equal its serial counterpart BIT FOR BIT; the
 // process exits non-zero on any mismatch and never on timing, so CI can
 // gate on correctness without flaking on noise. Emits BENCH_eval.json —

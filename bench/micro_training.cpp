@@ -1,6 +1,5 @@
 // micro_training — training-substrate micro-benchmark and the
-// parallel-vs-serial correctness gate for the intra-op tensor backend, plus
-// the K-invariance gate of the retraining engine.
+// parallel-vs-serial correctness gate for the intra-op tensor backend.
 //
 // Times the per-step costs the fleet-level retraining budgets are built
 // from (forward, train step, masked train step, full evaluation) per
@@ -9,28 +8,15 @@
 // serial counterpart BIT FOR BIT — logits, snapshots, and accuracies are
 // memcmp'd — and the process exits non-zero on any mismatch and NEVER on
 // timing, so CI can gate on correctness without flaking on noise. Emits
-// BENCH_train.json (schema 5: per-op cases carry serial_ms / parallel_ms;
-// fleet_cases carry k1_ms — the K chips tuned one by one through tune(),
-// i.e. K = 1 episodes — next to grouped_ms, the same chips as one K-chip
-// episode; `regressions` names every row whose fast path — the intra-op
-// budget for cases, the K-chip episode for fleet_cases — measured slower
-// than its reference, as information only) — the train-path perf artifact
-// reported next to BENCH_gemm.json / BENCH_eval.json.
+// BENCH_train.json (schema 6: per-op cases carry serial_ms / parallel_ms;
+// `regressions` names every row whose intra-op budget measured slower than
+// serial, as information only) — the train-path perf artifact reported
+// next to BENCH_gemm.json / BENCH_eval.json.
 //
 // Workloads: "mlp" (the standard experiment scale — too small to gain from
 // intra-op threads, included to pin the no-regression floor) and "vgg"
 // (VGG11 at width 0.25 on 16x16 synthetic images, batch 64 — the
 // single-chip retraining shape the intra-op backend exists for).
-//
-// Fleet section: whole retraining EPISODES — restore, mask, masked SGD per
-// the allocation, checkpoint evals — K chips through chip_tuner::tune one
-// at a time vs one chip_tuner::tune_group of all K, at K in {1, 2, 8} on
-// the micro_eval fleet geometries (mlp_fleet: the standard MLP; vgg_fleet:
-// VGG11 width 0.125 on 8x8 images, the Step-3 shape). Every grouped outcome
-// AND captured snapshot is verified byte-identical to its K = 1 episode at
-// --gemm-threads 1 and at the budget under test before timing;
-// vgg_fleet_k8_speedup at the root is the headline lockstep throughput
-// multiple.
 //
 // Speedups are bounded by the machine: on an N-core host expect ≈min(N,
 // --gemm-threads)x on the VGG GEMM-bound rows; on a single-core container
@@ -43,7 +29,6 @@
 //   --min-ms X        min measured ms per sample    (default 200)
 //   --samples N       timing samples (best-of)      (default 3)
 //   --steps N         train steps per verification  (default 3)
-//   --fleet-epochs X  epochs per fleet episode      (default 0.5)
 
 #include <cstring>
 #include <functional>
@@ -55,11 +40,9 @@
 #include <vector>
 
 #include "core/fat_trainer.h"
-#include "core/fleet_executor.h"
 #include "core/workload.h"
 #include "data/loader.h"
 #include "data/synthetic.h"
-#include "fault/chip.h"
 #include "fault/mask_builder.h"
 #include "fault/models.h"
 #include "nn/loss.h"
@@ -178,119 +161,6 @@ bool same_snapshot(const model_snapshot& a, const model_snapshot& b) {
         }
     }
     return true;
-}
-
-// ---- fleet retraining: K one-chip episodes vs one K-chip episode -----------
-
-struct fleet_workload {
-    std::string name;
-    std::unique_ptr<sequential> model;
-    model_snapshot pretrained;
-    dataset train_data;
-    dataset test_data;
-    array_config array;
-    fat_config trainer_cfg;
-    std::vector<chip> chips;
-};
-
-fleet_workload make_mlp_fleet() {
-    fleet_workload w;
-    w.name = "mlp_fleet";
-    workload std_w = make_standard_workload();
-    w.model = std::move(std_w.model);
-    w.pretrained = std::move(std_w.pretrained);
-    w.train_data = std::move(std_w.train_data);
-    w.test_data = std::move(std_w.test_data);
-    w.array = std_w.array;
-    w.trainer_cfg = std_w.trainer_cfg;
-    fleet_config fc;
-    fc.num_chips = 8;
-    fc.rate_lo = 0.03;
-    fc.rate_hi = 0.25;
-    fc.seed = 2024;
-    w.chips = make_fleet(w.array, fc);
-    return w;
-}
-
-/// micro_eval's Step-3 fleet geometry: VGG11 width 0.125 on 8x8 images,
-/// 64x64 array, batch 32.
-fleet_workload make_vgg_fleet() {
-    fleet_workload w;
-    w.name = "vgg_fleet";
-    synthetic_images_config data_cfg;
-    data_cfg.shape = {3, 8, 8};
-    data_cfg.num_classes = 4;
-    data_cfg.samples_per_class = 100;
-    data_cfg.noise_stddev = 0.35;
-    const dataset full = make_synthetic_images(data_cfg);
-    dataset_split split = split_dataset(full, 0.75, 1);
-    w.train_data = std::move(split.train);
-    w.test_data = std::move(split.test);
-    vgg11_config model_cfg;
-    model_cfg.input = data_cfg.shape;
-    model_cfg.num_classes = data_cfg.num_classes;
-    model_cfg.width_multiplier = 0.125;
-    rng gen(2);
-    w.model = make_vgg11(model_cfg, gen);
-    w.pretrained = snapshot_parameters(w.model->parameters());
-    w.array.rows = 64;
-    w.array.cols = 64;
-    w.trainer_cfg.batch_size = 32;
-    fleet_config fc;
-    fc.num_chips = 8;
-    fc.rate_lo = 0.05;
-    fc.rate_hi = 0.25;
-    fc.seed = 7;
-    w.chips = make_fleet(w.array, fc);
-    return w;
-}
-
-bool same_outcome(const chip_outcome& a, const chip_outcome& b) {
-    return a.chip_id == b.chip_id && a.nominal_fault_rate == b.nominal_fault_rate &&
-           a.effective_fault_rate == b.effective_fault_rate &&
-           a.masked_weight_fraction == b.masked_weight_fraction &&
-           a.epochs_allocated == b.epochs_allocated && a.epochs_run == b.epochs_run &&
-           a.accuracy_before == b.accuracy_before &&
-           a.final_accuracy == b.final_accuracy &&
-           a.meets_constraint == b.meets_constraint &&
-           a.selection_failed == b.selection_failed;
-}
-
-/// K = 1 reference: tune the K chips one by one, capturing snapshots.
-std::vector<chip_outcome> k1_episodes(chip_tuner& tuner,
-                                          const std::vector<const chip*>& chips,
-                                          const epoch_allocation& alloc,
-                                          std::vector<model_snapshot>* snaps) {
-    std::vector<chip_outcome> outcomes;
-    for (const chip* c : chips) {
-        outcomes.push_back(tuner.tune(*c, alloc, 0.5, 0.1));
-        if (snaps != nullptr) { snaps->push_back(tuner.take_tuned()); }
-    }
-    return outcomes;
-}
-
-/// K-invariance gate for one K: outcomes and captured snapshots of the
-/// K-chip episode must be byte-identical to the K = 1 episodes at BOTH
-/// intra-op budgets.
-bool verify_fleet_case(chip_tuner& tuner, const std::vector<const chip*>& chips,
-                       const std::vector<const epoch_allocation*>& allocs,
-                       const std::vector<double>& rates, std::size_t gemm_threads) {
-    tuner.set_capture_tuned(true);
-    bool ok = true;
-    for (const std::size_t budget : {std::size_t{1}, gemm_threads}) {
-        set_intra_op_threads(budget);
-        std::vector<model_snapshot> k1_snaps;
-        const std::vector<chip_outcome> k1 = k1_episodes(tuner, chips, *allocs[0], &k1_snaps);
-        const std::vector<chip_outcome> grouped = tuner.tune_group(chips, allocs, 0.5, rates, {});
-        if (grouped.size() != k1.size()) { ok = false; continue; }
-        for (std::size_t g = 0; g < k1.size(); ++g) {
-            ok = ok && same_outcome(k1[g], grouped[g]) &&
-                 same_snapshot(k1_snaps[g], tuner.take_tuned(g));
-        }
-    }
-    set_intra_op_threads(1);
-    tuner.set_capture_tuned(false);
-    return ok;
 }
 
 template <typename Fn>
@@ -446,65 +316,9 @@ int main(int argc, char** argv) {
             }
         }
 
-        // ---- fleet retraining: K one-chip episodes vs one K-chip episode ----
-        double vgg_fleet_k8_speedup = 0.0;
-        json_array fleet_json;
-        const double fleet_epochs = args.get_double("fleet-epochs", 0.5);
-        std::vector<fleet_workload> fleets;
-        fleets.push_back(make_mlp_fleet());
-        fleets.push_back(make_vgg_fleet());
-        for (fleet_workload& w : fleets) {
-            epoch_allocation alloc;
-            alloc.epochs = fleet_epochs;
-            chip_tuner tuner(*w.model, w.pretrained, w.train_data, w.test_data, w.array,
-                             w.trainer_cfg);
-            for (const std::size_t k : {1u, 2u, 8u}) {
-                std::vector<const chip*> chips;
-                std::vector<const epoch_allocation*> allocs;
-                for (std::size_t i = 0; i < k; ++i) {
-                    chips.push_back(&w.chips[i % w.chips.size()]);
-                    allocs.push_back(&alloc);
-                }
-                const std::vector<double> rates(k, 0.1);
-
-                // Correctness gate first; timing never fails the run.
-                const bool ok = verify_fleet_case(tuner, chips, allocs, rates, gemm_threads);
-                all_ok = all_ok && ok;
-
-                set_intra_op_threads(gemm_threads);
-                const double k1_ms = best_ms_per_call(
-                    [&] { (void)k1_episodes(tuner, chips, alloc, nullptr); }, min_ms, samples);
-                const double grouped_ms = best_ms_per_call(
-                    [&] { (void)tuner.tune_group(chips, allocs, 0.5, rates, {}); }, min_ms,
-                    samples);
-                set_intra_op_threads(1);
-                const double speedup = k1_ms / grouped_ms;
-                note_regression(w.name + " K=" + std::to_string(k), speedup);
-                if (w.name == "vgg_fleet" && k == 8) { vgg_fleet_k8_speedup = speedup; }
-
-                std::cout << w.name << " K=" << k << "  K=1 episodes " << k1_ms
-                          << " ms, one K-chip episode " << grouped_ms << " ms  → " << speedup
-                          << "x  (" << static_cast<double>(k) / (grouped_ms / 1000.0)
-                          << " episodes/s" << (ok ? ")" : ")  *** MISMATCH ***") << '\n';
-
-                json_object entry;
-                entry.set("workload", json_value(w.name));
-                entry.set("k", json_value(k));
-                entry.set("epochs_per_episode", json_value(fleet_epochs));
-                entry.set("gemm_threads", json_value(gemm_threads));
-                entry.set("k1_ms", json_value(k1_ms));
-                entry.set("grouped_ms", json_value(grouped_ms));
-                entry.set("speedup", json_value(speedup));
-                entry.set("episodes_per_s",
-                          json_value(static_cast<double>(k) / (grouped_ms / 1000.0)));
-                entry.set("verified", json_value(ok));
-                fleet_json.push_back(json_value(std::move(entry)));
-            }
-        }
-
         json_object root;
         root.set("bench", json_value("micro_training"));
-        root.set("schema_version", json_value(5));
+        root.set("schema_version", json_value(6));
 #ifdef REDUCE_NATIVE
         root.set("march_native", json_value(true));
 #else
@@ -517,17 +331,14 @@ int main(int argc, char** argv) {
         root.set("samples", json_value(samples));
         root.set("verify_steps", json_value(steps));
         root.set("vgg_train_step_speedup", json_value(vgg_train_step_speedup));
-        root.set("vgg_fleet_k8_speedup", json_value(vgg_fleet_k8_speedup));
         root.set("cases", json_value(std::move(case_json)));
-        root.set("fleet_cases", json_value(std::move(fleet_json)));
         root.set("regressions", json_value(std::move(regressions)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (vgg train-step speedup "
-                  << vgg_train_step_speedup << "x, fleet K=8 lockstep speedup "
-                  << vgg_fleet_k8_speedup << "x at " << gemm_threads << " threads)\n";
+                  << vgg_train_step_speedup << "x at " << gemm_threads << " threads)\n";
 
         if (!all_ok) {
-            std::cerr << "error: a parallel or K-chip result mismatched its reference\n";
+            std::cerr << "error: a parallel result mismatched its serial reference\n";
             return 1;
         }
         return 0;

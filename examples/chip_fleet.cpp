@@ -21,9 +21,9 @@
 // (reduce, reduce-mean, oracle, binned, ...) and compared against the
 // fixed-epochs baseline; tuning fans out over --threads workers.
 // --eval-batch-chips groups accuracy_before evaluations,
-// --train-batch-chips trains same-allocation chips together in lockstep
-// episodes — neither changes a tuned-model byte; the run log reports how
-// many chips actually grouped.
+// --train-batch-chips widens the block of chips a worker claims at once
+// (each chip still retrains in its own episode) — neither changes a
+// tuned-model byte; the run log reports how the claims grouped.
 
 #include <filesystem>
 #include <iostream>

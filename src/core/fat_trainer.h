@@ -6,15 +6,10 @@
 // the mask-aware optimizer keeps pruned weights at zero, so the network
 // being trained is exactly the function the damaged chip computes.
 //
-// One engine: train_variants runs K >= 1 episodes in lockstep over one
-// shared batch schedule — one batch gather per step, then each variant's own
-// forward, loss and backward through its own layers, with per-variant
-// optimizers, learning rates, fault timelines and rollback anchors.
-// fault_aware_trainer is its K = 1 case, and chip_tuner, the Step-1 sweep
-// and the fleet executor all train through it. K is only a scheduling
-// notion — how many episodes share one batch schedule — so each variant's
-// result is byte-identical at any K, and a variant that diverges leaves the
-// cohort before it could touch a sibling.
+// One engine: fault_aware_trainer::train runs one episode on one model —
+// one loader, one optimizer, one stop list of checkpoints and fault-timeline
+// events, and one rollback anchor. chip_tuner, the Step-1 sweep and the
+// fleet executor all train through it, one chip per episode.
 //
 // Threading: an episode is single-threaded, but every forward/backward/eval
 // it runs draws on the process-wide intra-op budget (util/thread_pool.h,
@@ -72,7 +67,7 @@ struct fat_result {
 /// Mid-run fault-event hooks: how a fault timeline plugs into an episode.
 ///
 /// The trainer owns WHEN (event epochs are merged into the checkpoint
-/// sequence and fire at the same step boundaries at any K) and the
+/// sequence and fire at the same step boundaries on every run) and the
 /// recovery discipline; the caller owns WHAT an event does via `on_event`,
 /// which must rebuild the fault grid and re-attach masks in place
 /// (fault_state_guard::swap_masks) — the trainer then re-zeroes optimizer
@@ -102,9 +97,9 @@ train_event_hooks timeline_hooks(const scenario_config& scenario, const fault_ti
 
 /// Rows one evaluation forward pass covers: large enough to amortize
 /// per-batch costs, bounded to keep activation memory flat on big test
-/// sets. Every evaluation (evaluate_variants, and through it the multi-mask
-/// evaluator) splits the test set this way at any K — splits never change
-/// results, since eval-mode passes are row-local.
+/// sets. Every evaluation (evaluate_model, and through it the trainer and
+/// the multi-mask evaluator) splits the test set this way — splits never
+/// change results, since eval-mode passes are row-local.
 inline std::size_t eval_batch_rows(const fat_config& cfg) {
     return cfg.batch_size > 256 ? cfg.batch_size : 256;
 }
@@ -124,43 +119,11 @@ std::optional<double> epochs_to_reach(const std::vector<training_point>& traject
 /// epoch 0).
 double accuracy_at_epochs(const std::vector<training_point>& trajectory, double epochs);
 
-/// One variant of a lockstep episode: a model with its fault masks attached.
-struct fat_variant {
-    sequential* model = nullptr;
-    /// Injected trajectory[0] (see fault_aware_trainer::train); evaluated
-    /// in one evaluate_variants pass over the variants that lack it
-    /// otherwise.
-    std::optional<double> epoch0_accuracy;
-    /// This variant's fault timeline (nullptr: none). Every variant of one
-    /// episode must share the same event epochs, mode and rollback budget —
-    /// the stops are shared — while on_event stays per variant.
-    const train_event_hooks* hooks = nullptr;
-};
+/// Test-set accuracy of `model` as-is (eval mode, full test set, batches of
+/// eval_batch_rows). The model is left in training mode.
+double evaluate_model(sequential& model, const dataset& test_data, const fat_config& cfg);
 
-/// The retraining engine: K >= 1 FAT episodes in lockstep. Element g is
-/// byte-identical to training variant g alone (K = 1), which follows
-/// fault_aware_trainer::train's contract. The variants must be clones of
-/// one prototype (same layer structure) and distinct objects.
-///
-/// Divergence is per variant: a non-finite loss at a step blocks that
-/// step's update, and any non-finite parameter at a stop counts too. The
-/// variant leaves the cohort at once. With rollback budget left it
-/// restores its own last finite anchor (model, optimizer, loader position,
-/// halved learning rate) and replays as a K = 1 run; otherwise it ends
-/// hit_nonfinite with accuracy 0. Its siblings never notice.
-std::vector<fat_result> train_variants(const std::vector<fat_variant>& variants,
-                                       const dataset& train_data, const dataset& test_data,
-                                       const fat_config& cfg, double epoch_budget,
-                                       const std::vector<double>& eval_grid);
-
-/// Test-set accuracy of each model as-is (eval mode, full test set). Each
-/// test batch is gathered once and run through every model's own forward;
-/// element g equals evaluating model g alone. The models are left in
-/// training mode.
-std::vector<double> evaluate_variants(const std::vector<sequential*>& models,
-                                      const dataset& test_data, const fat_config& cfg);
-
-/// The single-model view of the engine: binds one model + datasets.
+/// The retraining engine: binds one model + datasets.
 class fault_aware_trainer {
 public:
     /// The trainer keeps references; all must outlive it.
@@ -177,19 +140,24 @@ public:
     ///
     /// `epoch0_accuracy` injects a precomputed trajectory[0] value instead
     /// of running the epoch-0 evaluation — the hook the multi-mask
-    /// evaluator uses after computing a whole group's epoch-0 accuracies in
-    /// one pass. evaluate() is pure for a fixed model state, so an
-    /// injected value that was computed on the same masked weights (and
-    /// batch-norm statistics) leaves the result byte-identical to the
-    /// uninjected run while skipping one full pass over the test set.
+    /// evaluator's post-FAP accuracies feed. evaluate() is pure for a fixed
+    /// model state, so an injected value that was computed on the same
+    /// masked weights (and batch-norm statistics) leaves the result
+    /// byte-identical to the uninjected run while skipping one full pass
+    /// over the test set.
     ///
     /// `hooks` (optional) drives fault-timeline events: event epochs join
     /// the checkpoint sequence, each firing records an eval point, and the
     /// recovery discipline (recover/rollback vs restart) follows
     /// hooks->mode. nullptr or an empty event list means no timeline.
-    /// Independent of hooks, training that diverges to non-finite loss or
-    /// weights stops loudly (fat_result::hit_nonfinite) instead of silently
-    /// training on NaNs. This is train_variants with K = 1.
+    ///
+    /// Divergence: a non-finite loss blocks that step's update, and any
+    /// non-finite parameter at a stop counts too. With rollback budget left
+    /// (recover mode) the run restores its last finite anchor in place —
+    /// model, optimizer, loader position, step count, stop index and
+    /// trajectory length — halves the learning rate and continues;
+    /// otherwise it stops loudly (fat_result::hit_nonfinite, accuracy 0)
+    /// instead of silently training on NaNs.
     fat_result train(double epoch_budget, const std::vector<double>& eval_grid,
                      const std::optional<double>& epoch0_accuracy = std::nullopt,
                      const train_event_hooks* hooks = nullptr);

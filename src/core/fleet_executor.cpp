@@ -37,29 +37,89 @@ double policy_outcome::fraction_meeting() const {
 chip_tuner::chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
                        const dataset& train_data, const dataset& test_data,
                        const array_config& array, fat_config trainer_cfg)
-    : prototype_(prototype),
-      pretrained_(pretrained),
-      train_data_(train_data),
-      test_data_(test_data),
+    : pretrained_(pretrained),
       array_(array),
-      trainer_cfg_(trainer_cfg) {
-    train_data_.validate();
-    test_data_.validate();
-    REDUCE_CHECK(trainer_cfg_.batch_size > 0, "batch size must be positive");
-    REDUCE_CHECK(trainer_cfg_.learning_rate > 0.0, "learning rate must be positive");
-    ensure_clones(1);
-}
-
-void chip_tuner::ensure_clones(std::size_t k) {
-    while (clones_.size() < k) { clones_.push_back(clone_model(prototype_)); }
-}
+      clone_(clone_model(prototype)),
+      trainer_(*clone_, train_data, test_data, trainer_cfg) {}
 
 chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
                               double constraint, double effective_rate,
                               std::optional<double> accuracy_before) {
-    std::vector<double> before;
-    if (accuracy_before.has_value()) { before.push_back(*accuracy_before); }
-    return tune_group({&c}, {&alloc}, constraint, {effective_rate}, before).front();
+    tuned_.clear();
+    sequential& model = *clone_;
+    // The guard clears masks, re-restores the weights, and restores state
+    // buffers (batch-norm running statistics) on every exit path, so a
+    // throwing episode cannot leave the clone corrupted. Timeline events
+    // mutate the working COPY of the chip's grid; the fleet's descriptor
+    // stays pristine. The timeline seed is a pure function of
+    // (scenario.seed, chip id), so any worker on any machine replays the
+    // same event contents for a chip.
+    restore_parameters(model.parameters(), pretrained_);
+    reseed_stochastic_layers(model, c.seed);
+    fault_state_guard guard(model, pretrained_);
+    fault_grid working = c.faults;
+    const mask_stats stats = attach_fault_masks(model, array_, working);
+    const fault_timeline timeline = timeline_for_chip(scenario_, c.id);
+    const train_event_hooks hooks = timeline_hooks(scenario_, timeline, working, guard, array_);
+
+    chip_outcome out;
+    out.chip_id = c.id;
+    out.nominal_fault_rate = c.nominal_fault_rate;
+    out.effective_fault_rate = effective_rate;
+    out.masked_weight_fraction = stats.masked_fraction();
+    out.epochs_allocated = alloc.epochs;
+    out.selection_failed = alloc.selection_failed;
+    // Post-FAP accuracy: injected, or evaluated here. Either way the value
+    // doubles as the episode's epoch-0 trajectory point.
+    out.accuracy_before = accuracy_before.has_value() ? *accuracy_before : trainer_.evaluate();
+
+    // Oracle accounting runs the budget on the shared checkpoint grid and
+    // charges only up to the first checkpoint that meets the target.
+    const bool to_target = alloc.train_to_target && alloc.epochs > 0.0;
+    const std::vector<double> grid =
+        to_target ? make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5) : std::vector<double>{};
+    const fat_result result = trainer_.train(alloc.epochs, grid, out.accuracy_before, &hooks);
+
+    out.events_applied = result.events_applied;
+    out.rollbacks = result.rollbacks;
+    out.restarts = result.restarts;
+    out.hit_nonfinite = result.hit_nonfinite;
+    out.epochs_run = result.epochs_run;
+    out.final_accuracy = result.final_accuracy;
+    const std::optional<double> reached =
+        to_target ? epochs_to_reach(result.trajectory, constraint) : std::nullopt;
+    if (reached.has_value()) {
+        out.epochs_run = *reached;
+        out.final_accuracy = accuracy_at_epochs(result.trajectory, *reached);
+        // The charge stops at *reached: a divergence past that point is
+        // outside the charged (and replayed) run, so the outcome is the
+        // finite prefix, not the non-finite tail.
+        out.hit_nonfinite = false;
+        if (capture_tuned_ && *reached < result.epochs_run) {
+            // The clone holds the full-budget weights; re-train it to the
+            // charged checkpoint so the distributed snapshot matches the
+            // reported accuracy. Training is deterministic per config, so on
+            // the SAME checkpoint grid this replays the exact prefix of the
+            // budget run — rollback anchors included (they sit at the
+            // grid's stops), and dropout too, thanks to the re-reseed.
+            restore_parameters(model.parameters(), pretrained_);
+            reseed_stochastic_layers(model, c.seed);
+            if (!scenario_.empty()) {
+                // The replay starts from the chip's ORIGINAL grid: the
+                // timeline re-fires its events from the same step
+                // boundaries, so the prefix is exact.
+                working = c.faults;
+                guard.swap_masks(array_, working);
+            }
+            (void)trainer_.train(*reached, grid, out.accuracy_before, &hooks);
+        }
+    }
+    out.meets_constraint = out.final_accuracy >= constraint;
+    // Full deployable capture: parameters AND state buffers, taken before
+    // the guard's restore — a sink deploying a tuned BN snapshot must
+    // evaluate with the statistics behind the reported accuracy.
+    if (capture_tuned_) { tuned_.push_back(snapshot_model(model)); }
+    return out;
 }
 
 std::vector<chip_outcome> chip_tuner::tune_group(
@@ -73,128 +133,16 @@ std::vector<chip_outcome> chip_tuner::tune_group(
                                 << effective_rates.size() << " rates");
     REDUCE_CHECK(accuracy_before.empty() || accuracy_before.size() == k,
                  "tune_group: accuracy_before must be empty or one value per chip");
-    // One shared batch schedule means one training plan: anything else
-    // reaching this point is a grouping bug — fail loudly rather than train
-    // a chip on the wrong plan.
-    for (std::size_t g = 1; g < k; ++g) {
-        REDUCE_CHECK(allocs[g]->epochs == allocs[0]->epochs &&
-                         allocs[g]->train_to_target == allocs[0]->train_to_target,
-                     "tune_group: chip " << chips[g]->id << " allocation ("
-                                         << allocs[g]->epochs << " epochs, to_target="
-                                         << allocs[g]->train_to_target
-                                         << ") differs from the group's ("
-                                         << allocs[0]->epochs << ", to_target="
-                                         << allocs[0]->train_to_target
-                                         << ") — group only same-allocation chips");
-    }
-    const epoch_allocation& alloc = *allocs[0];
-    ensure_clones(k);
-    tuned_.clear();
-    if (capture_tuned_) { tuned_.resize(k); }
-
-    // Per-chip episode setup. The guards clear masks, re-restore the
-    // weights, and restore state buffers (batch-norm running statistics) on
-    // every exit path, so a throwing episode cannot leave a clone corrupted.
-    // Timeline events mutate each chip's working COPY of its grid; the
-    // fleet's descriptors stay pristine. The timeline seed is a pure
-    // function of (scenario.seed, chip id), so any worker on any machine
-    // replays the same event contents for a chip.
-    std::vector<std::unique_ptr<fault_state_guard>> guards;
-    guards.reserve(k);
-    std::vector<fault_grid> working;
-    working.reserve(k);
-    std::vector<fault_timeline> timelines;
-    timelines.reserve(k);
-    std::vector<train_event_hooks> hooks;
-    hooks.reserve(k);
-    std::vector<chip_outcome> outcomes(k);
+    std::vector<chip_outcome> outcomes;
+    outcomes.reserve(k);
+    std::vector<model_snapshot> tuned;
     for (std::size_t g = 0; g < k; ++g) {
-        sequential& clone = *clones_[g];
-        restore_parameters(clone.parameters(), pretrained_);
-        reseed_stochastic_layers(clone, chips[g]->seed);
-        guards.push_back(std::make_unique<fault_state_guard>(clone, pretrained_));
-        working.push_back(chips[g]->faults);
-        const mask_stats stats = attach_fault_masks(clone, array_, working[g]);
-        timelines.push_back(timeline_for_chip(scenario_, chips[g]->id));
-        hooks.push_back(
-            timeline_hooks(scenario_, timelines[g], working[g], *guards[g], array_));
-
-        chip_outcome& out = outcomes[g];
-        out.chip_id = chips[g]->id;
-        out.nominal_fault_rate = chips[g]->nominal_fault_rate;
-        out.effective_fault_rate = effective_rates[g];
-        out.masked_weight_fraction = stats.masked_fraction();
-        out.epochs_allocated = alloc.epochs;
-        out.selection_failed = allocs[g]->selection_failed;
+        const std::optional<double> before =
+            accuracy_before.empty() ? std::nullopt : std::optional<double>(accuracy_before[g]);
+        outcomes.push_back(tune(*chips[g], *allocs[g], constraint, effective_rates[g], before));
+        if (capture_tuned_) { tuned.push_back(std::move(tuned_.front())); }
     }
-
-    // Post-FAP accuracy: injected, or one evaluate_variants pass here.
-    // Either way the value doubles as the episode's epoch-0 trajectory
-    // point.
-    std::vector<double> before = accuracy_before;
-    if (before.empty()) {
-        std::vector<sequential*> models(k);
-        for (std::size_t g = 0; g < k; ++g) { models[g] = clones_[g].get(); }
-        before = evaluate_variants(models, test_data_, trainer_cfg_);
-    }
-    std::vector<fat_variant> variants(k);
-    for (std::size_t g = 0; g < k; ++g) {
-        outcomes[g].accuracy_before = before[g];
-        variants[g] = fat_variant{clones_[g].get(), before[g], &hooks[g]};
-    }
-
-    // Oracle accounting runs the budget on the shared checkpoint grid and
-    // charges only up to the first checkpoint that meets the target.
-    const bool to_target = alloc.train_to_target && alloc.epochs > 0.0;
-    const std::vector<double> grid =
-        to_target ? make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5) : std::vector<double>{};
-    const std::vector<fat_result> results =
-        train_variants(variants, train_data_, test_data_, trainer_cfg_, alloc.epochs, grid);
-
-    for (std::size_t g = 0; g < k; ++g) {
-        const fat_result& result = results[g];
-        chip_outcome& out = outcomes[g];
-        out.events_applied = result.events_applied;
-        out.rollbacks = result.rollbacks;
-        out.restarts = result.restarts;
-        out.hit_nonfinite = result.hit_nonfinite;
-        out.epochs_run = result.epochs_run;
-        out.final_accuracy = result.final_accuracy;
-        const std::optional<double> reached =
-            to_target ? epochs_to_reach(result.trajectory, constraint) : std::nullopt;
-        if (reached.has_value()) {
-            out.epochs_run = *reached;
-            out.final_accuracy = accuracy_at_epochs(result.trajectory, *reached);
-            // The charge stops at *reached: a divergence past that point is
-            // outside the charged (and replayed) run, so the outcome is the
-            // finite prefix, not the non-finite tail.
-            out.hit_nonfinite = false;
-            if (capture_tuned_ && *reached < result.epochs_run) {
-                // The clone holds the full-budget weights; re-train it alone
-                // to the charged checkpoint so the distributed snapshot
-                // matches the reported accuracy (training is deterministic
-                // per config, so this replays the exact prefix of the budget
-                // run — dropout included, thanks to the re-reseed).
-                sequential& clone = *clones_[g];
-                restore_parameters(clone.parameters(), pretrained_);
-                reseed_stochastic_layers(clone, chips[g]->seed);
-                if (!scenario_.empty()) {
-                    // The replay starts from the chip's ORIGINAL grid: the
-                    // timeline re-fires its events from the same step
-                    // boundaries, so the prefix is exact.
-                    working[g] = chips[g]->faults;
-                    guards[g]->swap_masks(array_, working[g]);
-                }
-                fault_aware_trainer trainer(clone, train_data_, test_data_, trainer_cfg_);
-                (void)trainer.train(*reached, {}, before[g], &hooks[g]);
-            }
-        }
-        out.meets_constraint = out.final_accuracy >= constraint;
-        // Full deployable capture: parameters AND state buffers, taken
-        // before the guard's restore — a sink deploying a tuned BN snapshot
-        // must evaluate with the statistics behind the reported accuracy.
-        if (capture_tuned_) { tuned_[g] = snapshot_model(*clones_[g]); }
-    }
+    tuned_ = std::move(tuned);
     return outcomes;
 }
 
@@ -235,31 +183,9 @@ resilience_table fleet_executor::analyze(const resilience_config& cfg,
 policy_outcome fleet_executor::run(const retraining_policy& policy,
                                    const std::vector<chip>& fleet,
                                    const std::string& run_name) {
-    REDUCE_CHECK(!fleet.empty(), "fleet executor run over an empty fleet");
-    const double constraint = policy.accuracy_target();
-    REDUCE_CHECK(constraint >= 0.0 && constraint <= 1.0,
-                 "accuracy constraint must be a fraction in [0, 1], got " << constraint);
-
-    // Per-chip views. Rate estimation only reads layer geometry — cheap
-    // enough to stay serial, which keeps view order trivially deterministic.
-    const resilience_table* table = policy.table();
-    std::vector<chip_view> views;
-    views.reserve(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        chip_view view;
-        view.index = i;
-        view.device = &fleet[i];
-        view.effective_fault_rate =
-            effective_fault_rate(model_, array_, fleet[i].faults, policy.rate_kind());
-        view.table = table;
-        view.epoch_budget = table != nullptr ? table->max_epochs() : 0.0;
-        views.push_back(view);
-    }
-
-    const std::vector<epoch_allocation> allocations = policy.plan(views);
-    REDUCE_CHECK(allocations.size() == fleet.size(),
-                 "policy '" << policy.name() << "' planned " << allocations.size()
-                            << " allocations for " << fleet.size() << " chips");
+    const fleet_plan plan = plan_fleet(model_, array_, policy, fleet);
+    const double constraint = plan.constraint;
+    const std::vector<epoch_allocation>& allocations = plan.allocations;
 
     policy_outcome outcome;
     outcome.policy_name = run_name.empty() ? policy.name() : run_name;
@@ -293,8 +219,8 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         resolve_thread_budget(cfg_.threads, cfg_.gemm_threads, fleet.size());
     const std::size_t worker_budget = budget.fleet_workers;
     // The claim width serves BOTH grouping knobs: a block is the unit of
-    // grouped accuracy_before evaluation AND the pool grouped training
-    // carves same-allocation runs from.
+    // grouped accuracy_before evaluation AND the pool the run counters
+    // carve same-allocation groups from.
     const std::size_t claim_width = std::max<std::size_t>(
         {cfg_.eval_batch_chips, cfg_.train_batch_chips, std::size_t{1}});
     const std::size_t group =
@@ -330,30 +256,21 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
             }
         };
 
-        // One lockstep episode over the same-allocation run [s, e) of the
-        // block claimed at `begin`; `before` spans the block when grouped
+        // Tunes the same-allocation group [s, e) of the block claimed at
+        // `begin`, one chip at a time; `before` spans the block when grouped
         // evaluation ran.
         auto tune_run = [&](std::size_t s, std::size_t e, std::size_t begin,
                             const std::vector<double>& before) {
             const std::size_t k = e - s;
-            std::vector<const chip*> chips(k);
-            std::vector<const epoch_allocation*> allocs(k);
-            std::vector<double> rates(k);
-            std::vector<double> before_slice;
-            for (std::size_t g = 0; g < k; ++g) {
-                chips[g] = &fleet[s + g];
-                allocs[g] = &allocations[s + g];
-                rates[g] = views[s + g].effective_fault_rate;
-                if (!before.empty()) { before_slice.push_back(before[s + g - begin]); }
-            }
-            const std::vector<chip_outcome> results =
-                tuner.tune_group(chips, allocs, constraint, rates, before_slice);
-            for (std::size_t g = 0; g < k; ++g) {
-                const std::size_t i = s + g;
-                const chip_outcome& co = results[g];
+            for (std::size_t i = s; i < e; ++i) {
+                if (failed.load(std::memory_order_relaxed)) { return; }
+                const std::optional<double> acc_before =
+                    before.empty() ? std::nullopt : std::optional<double>(before[i - begin]);
+                const chip_outcome co = tuner.tune(fleet[i], allocations[i], constraint,
+                                                   plan.effective_rates[i], acc_before);
                 outcome.chips[i] = co;
                 LOG_DEBUG << outcome.policy_name << ": chip " << fleet[i].id
-                          << " rate=" << views[i].effective_fault_rate
+                          << " rate=" << plan.effective_rates[i]
                           << " epochs=" << allocations[i].epochs
                           << " acc=" << co.final_accuracy << " (x" << k << ")";
                 if (co.hit_nonfinite) {
@@ -365,7 +282,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                 // 'completed' sequence is strictly increasing and sinks fire
                 // in fleet order regardless of which worker finished first.
                 std::lock_guard<std::mutex> lock(progress_mutex);
-                if (g == 0 && k > 1) {
+                if (i == s && k > 1) {
                     ++stats_.grouped_train_groups;
                     stats_.grouped_train_chips += k;
                 }
@@ -377,7 +294,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                 ++completed;
                 if (progress_) { progress_(completed, fleet.size(), outcome.chips[i]); }
                 if (sink_) {
-                    pending[i] = tuner.take_tuned(g);
+                    pending[i] = tuner.take_tuned();
                     ready[i] = true;
                     flush_sinks();
                 }
@@ -409,10 +326,10 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                     }
                     before = evaluator->evaluate(grids);
                 }
-                // Carve the block into maximal same-allocation runs —
-                // lockstep training shares one batch schedule, so only chips
-                // with identical (epochs, train_to_target) group — and each
-                // run into episodes of at most train_batch_chips.
+                // Carve the block into maximal same-allocation runs — only
+                // chips with identical (epochs, train_to_target) group — and
+                // each run into groups of at most train_batch_chips. The
+                // groups only shape the run counters.
                 const bool grouping = cfg_.train_batch_chips > 1 && end - begin > 1;
                 const std::size_t episode = grouping ? cfg_.train_batch_chips : 1;
                 for (std::size_t s = begin; s < end;) {

@@ -11,14 +11,13 @@
 // fault_state_guard, so the bit-identical guarantee covers dropout and
 // normalizing models too.
 //
-// Grouping: a worker drains its chips in fleet-order blocks. With
+// Grouping: a worker claims its chips in fleet-order blocks. With
 // eval_batch_chips > 1 the whole block's `accuracy_before` comes from one
-// multi_mask_evaluator call (core/multi_mask_eval), which runs masked
-// clones through evaluate_variants; with train_batch_chips > 1
-// same-allocation runs of the block retrain as one lockstep episode
-// (chip_tuner::tune_group) sharing one batch schedule, each chip through its
-// own model's layers. Neither changes an outcome bit — only wall-clock time
-// and peak memory.
+// multi_mask_evaluator call (core/multi_mask_eval), which evaluates the
+// grids one after another through one masked clone; train_batch_chips only
+// widens the claimed block and decides how the run counters group its
+// same-allocation runs. Every chip still retrains in its own one-model
+// episode, so neither knob changes an outcome bit.
 #pragma once
 
 #include <functional>
@@ -89,46 +88,38 @@ using model_sink = std::function<void(const chip&, const model_snapshot&)>;
 using progress_sink =
     std::function<void(std::size_t completed, std::size_t total, const chip_outcome&)>;
 
-/// Self-contained retraining worker over groups of chips; one chip is the
-/// K = 1 case. Owns K deep clones of the prototype (one up front, more as
-/// larger groups arrive), so concurrent tuners never share mutable state;
-/// the prototype, datasets and snapshot are read-only, shared, and must
-/// outlive the tuner.
+/// Self-contained retraining worker. Owns one deep clone of the prototype,
+/// so concurrent tuners never share mutable state; the prototype, datasets
+/// and snapshot are read-only, shared, and must outlive the tuner.
 class chip_tuner {
 public:
     chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
                const dataset& train_data, const dataset& test_data,
                const array_config& array, fat_config trainer_cfg);
 
-    /// tune_group of one chip.
+    /// One chip's episode: restores the pretrained weights into the clone,
+    /// reseeds its dropout layers from mix_seed(chip.seed, layer) (so the
+    /// episode is a function of its chip alone, not of worker history),
+    /// masks it for the chip's faults, trains per `alloc` and reports. The
+    /// clone is back in the clean pretrained state on return — also when
+    /// training throws. `accuracy_before` injects a precomputed post-FAP
+    /// accuracy (e.g. from the multi-mask evaluator); computed on the same
+    /// pretrained weights and fault grid, it leaves the outcome
+    /// byte-identical to evaluating it here.
     chip_outcome tune(const chip& c, const epoch_allocation& alloc, double constraint,
                       double effective_rate,
                       std::optional<double> accuracy_before = std::nullopt);
 
-    /// Restores the pretrained weights into one clone per chip, masks each
-    /// for its chip's faults, trains them in lockstep (train_variants) per
-    /// the shared allocation, and reports one outcome per chip. Every
-    /// outcome and captured snapshot is byte-identical to tuning that chip
-    /// alone. The clones are back in the clean pretrained state on return —
-    /// also when training throws. Dropout layers are reseeded from
-    /// mix_seed(chip.seed, layer), so an episode is a function of its chip
-    /// alone, not of worker history or group mates.
-    ///
-    /// Every allocation must be IDENTICAL in epochs and train_to_target
-    /// (REDUCE_CHECK — the group shares one batch schedule; selection_failed
-    /// may differ, it is only reported). `accuracy_before` injects
-    /// precomputed post-FAP accuracies (one per chip, e.g. from the
-    /// multi-mask evaluator); pass empty to evaluate the group's epoch-0
-    /// point here in one evaluate_variants pass. Injected values computed
-    /// on the same pretrained weights and fault grids leave the outcomes
-    /// byte-identical.
+    /// tune() over each chip in order; `accuracy_before` is empty or holds
+    /// one value per chip. With capture on, take_tuned(g) returns chip g's
+    /// snapshot.
     std::vector<chip_outcome> tune_group(const std::vector<const chip*>& chips,
                                          const std::vector<const epoch_allocation*>& allocs,
                                          double constraint,
                                          const std::vector<double>& effective_rates,
                                          const std::vector<double>& accuracy_before);
 
-    /// When enabled, tune_group captures each chip's tuned weights AND
+    /// When enabled, tune captures each chip's tuned weights AND
     /// module state buffers (batch-norm running statistics) pre-restore so
     /// the executor can feed model sinks a fully deployable snapshot. Off by
     /// default — snapshots cost memory.
@@ -146,23 +137,16 @@ public:
     /// function of the scenario and the chip id, so distributed workers and
     /// the local path replay identical event sequences — and trains with
     /// mid-run event hooks (events mutate a working COPY of the chip's
-    /// fault grid; the fleet descriptor is never touched). Timeline chips
-    /// group like any others: the events fire at shared stops, each variant
-    /// swapping only its own masks. An empty scenario (the default)
-    /// disables timelines.
+    /// fault grid; the fleet descriptor is never touched). An empty
+    /// scenario (the default) disables timelines.
     void set_scenario(scenario_config scenario) { scenario_ = std::move(scenario); }
 
 private:
-    void ensure_clones(std::size_t k);
-
-    const sequential& prototype_;
     const model_snapshot& pretrained_;
-    const dataset& train_data_;
-    const dataset& test_data_;
     array_config array_;
-    fat_config trainer_cfg_;
     bool capture_tuned_ = false;
-    std::vector<std::unique_ptr<sequential>> clones_;
+    std::unique_ptr<sequential> clone_;
+    fault_aware_trainer trainer_;  ///< bound to *clone_
     std::vector<model_snapshot> tuned_;
     scenario_config scenario_;
 };
@@ -181,45 +165,41 @@ struct fleet_executor_config {
     /// resolve_thread_budget). Never changes outcomes — the tensor kernels
     /// are bit-identical at any intra-op budget.
     std::size_t gemm_threads = 1;
-    /// Chips whose accuracy_before evaluations share one grouped pass
-    /// (--eval-batch-chips). 0 or 1 → serial per-chip evaluation. Grouping
-    /// never changes outcomes (byte-identical contract of
-    /// multi_mask_evaluator), only wall-clock time and peak memory (one
-    /// group holds K masked model clones).
-    /// The executor caps the effective group at an even fleet/worker split
+    /// Chips whose accuracy_before evaluations share one multi-mask
+    /// evaluator call (--eval-batch-chips). 0 or 1 → per-chip evaluation
+    /// inside tune. Never changes outcomes (byte-identical contract of
+    /// multi_mask_evaluator), only wall-clock time.
+    /// The executor caps the effective block at an even fleet/worker split
     /// so an oversized value cannot starve worker threads of chips. Blocks
     /// are also the unit workers claim, so grouping coarsens load balancing
     /// toward the slowest BLOCK (not chip) — keep groups modest (~8) when
     /// per-chip training time varies widely.
     std::size_t eval_batch_chips = 1;
-    /// Chips whose RETRAINING advances in lockstep as one episode
-    /// (--train-batch-chips). 0 or 1 → one chip per episode. Within a
-    /// claimed block, only chips with the SAME allocation (epochs and
-    /// train_to_target) share an episode — lockstep training shares one
-    /// batch schedule; a chip isolated by its allocation trains alone and
-    /// is counted in fleet_run_stats::alloc_downgrades. Grouping never
-    /// changes outcomes (chip_tuner::tune_group): a variant that diverges
-    /// leaves its group without touching its siblings.
+    /// Chips a worker claims together for retraining (--train-batch-chips).
+    /// 0 or 1 → one chip per claim. Within a claimed block, same-allocation
+    /// runs (epochs and train_to_target) are counted as groups of at most
+    /// this many chips; a chip isolated by its allocation is counted in
+    /// fleet_run_stats::alloc_downgrades. Every chip still trains in its own
+    /// episode, so this never changes outcomes.
     std::size_t train_batch_chips = 1;
     /// Fault-event timeline applied to every chip (per-chip event contents
-    /// derive from timeline_for_chip(scenario, chip.id)). Timeline chips
-    /// train in groups like any others.
+    /// derive from timeline_for_chip(scenario, chip.id)).
     scenario_config scenario{};
 };
 
-/// Observability counters for one run(): how much of the fleet trained in
-/// multi-chip episodes and why the rest trained alone.
+/// Observability counters for one run(): how the claimed blocks split into
+/// same-allocation groups (train_batch_chips) and why the rest stood alone.
 struct fleet_run_stats {
-    std::size_t grouped_train_groups = 0;  ///< episodes of K >= 2 chips
-    std::size_t grouped_train_chips = 0;   ///< chips tuned inside those episodes
-    std::size_t serial_train_chips = 0;    ///< chips tuned in K = 1 episodes
+    std::size_t grouped_train_groups = 0;  ///< same-allocation groups of K >= 2 chips
+    std::size_t grouped_train_chips = 0;   ///< chips tuned inside those groups
+    std::size_t serial_train_chips = 0;    ///< chips tuned as groups of one
     /// Chips that could not join a group because their allocation differs
     /// from every neighbour's in the claimed block.
     std::size_t alloc_downgrades = 0;
-    /// Always 0: a diverging variant leaves its group on its own. Kept so
-    /// existing readers of the struct still compile.
+    /// Always 0: every chip trains in its own episode. Kept so existing
+    /// readers of the struct still compile.
     std::size_t nonfinite_downgrades = 0;
-    /// Always 0: timeline chips train in groups. Kept like the field above.
+    /// Always 0, kept like the field above.
     std::size_t scenario_downgrades = 0;
     /// Chips whose retraining ended hit_nonfinite (diverged after
     /// exhausting any rollback budget; outcome reports final_accuracy 0.0,

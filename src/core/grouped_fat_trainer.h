@@ -1,9 +1,9 @@
 // Names kept for code that still spells the grouped tuner separately.
 //
-// chip_tuner (core/fleet_executor.h) is the one retraining worker: its
-// tune_group trains K >= 1 chips in lockstep and tune() is K = 1. Nothing
-// throws grouped_nonfinite_error — a diverging variant leaves its group and
-// recovers or stops on its own (core/fat_trainer.h).
+// chip_tuner (core/fleet_executor.h) is the one retraining worker: tune()
+// trains one chip and tune_group loops tune() over a group. Nothing throws
+// grouped_nonfinite_error — a diverging chip recovers or stops inside its
+// own episode (core/fat_trainer.h).
 #pragma once
 
 #include <stdexcept>

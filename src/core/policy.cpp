@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "fault/mask_builder.h"
 #include "util/error.h"
 
 namespace reduce {
@@ -12,6 +13,35 @@ std::vector<epoch_allocation> retraining_policy::plan(
     allocations.reserve(fleet.size());
     for (const chip_view& view : fleet) { allocations.push_back(allocate(view)); }
     return allocations;
+}
+
+fleet_plan plan_fleet(sequential& model, const array_config& array,
+                      const retraining_policy& policy, const std::vector<chip>& fleet) {
+    REDUCE_CHECK(!fleet.empty(), "fleet planned over an empty fleet");
+    fleet_plan out;
+    out.constraint = policy.accuracy_target();
+    REDUCE_CHECK(out.constraint >= 0.0 && out.constraint <= 1.0,
+                 "accuracy constraint must be a fraction in [0, 1], got " << out.constraint);
+    const resilience_table* table = policy.table();
+    std::vector<chip_view> views;
+    views.reserve(fleet.size());
+    out.effective_rates.reserve(fleet.size());
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+        chip_view view;
+        view.index = i;
+        view.device = &fleet[i];
+        view.effective_fault_rate =
+            effective_fault_rate(model, array, fleet[i].faults, policy.rate_kind());
+        view.table = table;
+        view.epoch_budget = table != nullptr ? table->max_epochs() : 0.0;
+        views.push_back(view);
+        out.effective_rates.push_back(view.effective_fault_rate);
+    }
+    out.allocations = policy.plan(views);
+    REDUCE_CHECK(out.allocations.size() == fleet.size(),
+                 "policy '" << policy.name() << "' planned " << out.allocations.size()
+                            << " allocations for " << fleet.size() << " chips");
+    return out;
 }
 
 reduce_policy::reduce_policy(const resilience_table& table, selector_config cfg,

@@ -79,6 +79,23 @@ public:
     virtual std::vector<epoch_allocation> plan(const std::vector<chip_view>& fleet) const;
 };
 
+/// One fleet's Step-2 decision: the policy's constraint plus one allocation
+/// and one effective fault rate per chip, in fleet order.
+struct fleet_plan {
+    double constraint = 0.0;
+    std::vector<epoch_allocation> allocations;
+    std::vector<double> effective_rates;
+};
+
+/// Validates the fleet and the policy's constraint, builds one chip_view per
+/// chip (effective rate under policy.rate_kind()), and calls policy.plan
+/// once over the whole fleet, so policies with cross-chip context (binning)
+/// see every chip. The fleet executor and the distributed planner both
+/// decide through this. Rate estimation only reads layer geometry: cheap
+/// enough to stay serial, which keeps view order trivially deterministic.
+fleet_plan plan_fleet(sequential& model, const array_config& array,
+                      const retraining_policy& policy, const std::vector<chip>& fleet);
+
 /// The paper's Step 2: per-chip lookup of the resilience table through a
 /// retraining_selector. Chips whose selection fails get the full table
 /// budget (the conservative fallback).

@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fault/mask_builder.h"
 #include "util/error.h"
 #include "util/log.h"
 
@@ -34,40 +33,14 @@ std::uint64_t parse_lease(const json_value& message) {
 fleet_job plan_fleet_job(sequential& model, const array_config& array,
                          const retraining_policy& policy, std::vector<chip> fleet,
                          const std::string& run_name) {
-    REDUCE_CHECK(!fleet.empty(), "fleet job planned over an empty fleet");
-    const double constraint = policy.accuracy_target();
-    REDUCE_CHECK(constraint >= 0.0 && constraint <= 1.0,
-                 "accuracy constraint must be a fraction in [0, 1], got " << constraint);
-
-    // Same decision sequence as fleet_executor::run — per-chip views, then
-    // one fleet-level plan() — so policies with cross-chip context (binning)
-    // produce identical allocations on the distributed path.
-    const resilience_table* table = policy.table();
-    std::vector<chip_view> views;
-    views.reserve(fleet.size());
-    for (std::size_t i = 0; i < fleet.size(); ++i) {
-        chip_view view;
-        view.index = i;
-        view.device = &fleet[i];
-        view.effective_fault_rate =
-            effective_fault_rate(model, array, fleet[i].faults, policy.rate_kind());
-        view.table = table;
-        view.epoch_budget = table != nullptr ? table->max_epochs() : 0.0;
-        views.push_back(view);
-    }
-    const std::vector<epoch_allocation> allocations = policy.plan(views);
-    REDUCE_CHECK(allocations.size() == fleet.size(),
-                 "policy '" << policy.name() << "' planned " << allocations.size()
-                            << " allocations for " << fleet.size() << " chips");
-
+    // The same decision fleet_executor::run makes, so policies with
+    // cross-chip context (binning) produce identical allocations here.
+    fleet_plan plan = plan_fleet(model, array, policy, fleet);
     fleet_job job;
-    job.constraint = constraint;
+    job.constraint = plan.constraint;
     job.policy_name = run_name.empty() ? policy.name() : run_name;
-    job.allocations = allocations;
-    job.effective_rates.reserve(views.size());
-    for (const chip_view& view : views) {
-        job.effective_rates.push_back(view.effective_fault_rate);
-    }
+    job.allocations = std::move(plan.allocations);
+    job.effective_rates = std::move(plan.effective_rates);
     job.fleet = std::move(fleet);
     return job;
 }

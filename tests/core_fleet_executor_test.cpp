@@ -1,5 +1,6 @@
 // Tests for chip_tuner and fleet_executor: thread-count independence of the
-// parallel fan-out, sink/progress ordering, and input validation.
+// parallel fan-out, sink/progress ordering, the oracle capture replay, and
+// input validation.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -8,6 +9,7 @@
 #include "core/fleet_executor.h"
 #include "core/policy.h"
 #include "core/workload.h"
+#include "fault/scenario.h"
 #include "util/error.h"
 
 namespace reduce {
@@ -336,6 +338,39 @@ TEST_F(FleetExecutorFixture, ChipTunerRecoversFromMidTuneFailure) {
     const chip_outcome after = tuner.tune(fleet()[0], ok, 0.85, 0.1);
     EXPECT_EQ(before.final_accuracy, after.final_accuracy);
     EXPECT_EQ(before.accuracy_before, after.accuracy_before);
+}
+
+TEST_F(FleetExecutorFixture, OracleCaptureReplayMatchesTheReportedAccuracy) {
+    // Regression: a chip that meets its target before the budget is
+    // re-trained to the charged checkpoint so the captured snapshot matches
+    // the reported accuracy. The replay used to run on an empty checkpoint
+    // grid, so its rollback anchors (taken at every stop) differed from the
+    // budget run's once training diverged past the first checkpoint: the
+    // sink received weights that did not produce final_accuracy.
+    fleet_config fc;
+    fc.num_chips = 1;
+    fc.rate_lo = 0.3;
+    fc.rate_hi = 0.5;
+    fc.seed = 99;
+    const std::vector<chip> chips = make_fleet(w().array, fc);
+    fat_config cfg = w().trainer_cfg;
+    cfg.learning_rate = 34.69;  // diverges mid-run, recovers at a halved rate
+    chip_tuner tuner(*w().model, w().pretrained, w().train_data, w().test_data, w().array, cfg);
+    tuner.set_capture_tuned(true);
+    tuner.set_scenario(parse_scenario("strike@2.9:0.05;mode=recover;rollback=8"));
+    epoch_allocation alloc;
+    alloc.epochs = 3.0;
+    alloc.train_to_target = true;
+    const chip_outcome out = tuner.tune(chips[0], alloc, 0.75, 0.1);
+    // The case the regression needs: rolled back, then met the target
+    // before the budget, so the capture went through the replay.
+    ASSERT_TRUE(out.meets_constraint);
+    ASSERT_GT(out.rollbacks, 0u);
+    ASSERT_LT(out.epochs_run, alloc.epochs);
+
+    std::unique_ptr<sequential> deployed = clone_model(*w().model);
+    restore_model(*deployed, tuner.take_tuned());
+    EXPECT_EQ(evaluate_model(*deployed, w().test_data, cfg), out.final_accuracy);
 }
 
 }  // namespace

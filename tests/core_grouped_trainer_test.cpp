@@ -1,10 +1,10 @@
-// K-invariance suite for the one retraining engine: chip_tuner::tune_group
-// over K chips must reproduce tune() (the K = 1 episode) BIT FOR BIT —
+// K-invariance suite for the fleet's retraining worker: chip_tuner::tune_group
+// over K chips must reproduce tune() (one chip per call) BIT FOR BIT —
 // outcomes, trajectories (pinned through the oracle accounting), and
 // captured deployable snapshots — at every group size and every
 // --gemm-threads, over MLP, VGG (structural-zero conv skips in BOTH
 // directions), batch-norm/dropout models, fault timelines in recover and
-// restart mode, and groups whose variants diverge. Also pins the executor's
+// restart mode, and groups whose chips diverge. Also pins the executor's
 // grouping accounting.
 #include <gtest/gtest.h>
 
@@ -86,9 +86,9 @@ train_case make_vgg_case() {
     return c;
 }
 
-/// MLP with batch-norm AND dropout — the stateful-layer case: grouped
-/// training must keep per-variant RNG streams and per-variant batch/running
-/// statistics exactly serial.
+/// MLP with batch-norm AND dropout — the stateful-layer case: a chip's RNG
+/// streams and batch/running statistics must not depend on the chips tuned
+/// before it.
 train_case make_stochastic_case() {
     train_case c;
     gaussian_mixture_config data_cfg;
@@ -279,7 +279,7 @@ TEST(GroupedChipTuner, ZeroEpochAllocationMatchesSerial) {
 }
 
 TEST(GroupedChipTuner, RecoverTimelineGroupsMatchKOne) {
-    // Events fire at shared stops; each variant swaps only its own masks.
+    // Each chip's timeline swaps only its own masks.
     train_case c = make_mlp_case();
     epoch_allocation alloc;
     alloc.epochs = 0.5;
@@ -310,10 +310,10 @@ TEST(GroupedChipTuner, TimelineOracleReplayMatchesKOne) {
 
 TEST(GroupedChipTuner, MixedDivergenceGroupMatchesKOne) {
     // A learning rate at the edge of stability with one rollback allowed:
-    // in one group some variants diverge, roll back to their own anchor at
+    // in one group some chips diverge, roll back to their own anchor at
     // half the rate and finish, some diverge again and end hit_nonfinite,
-    // and the rest never diverge. Every variant must still equal its K = 1
-    // episode, at any --gemm-threads.
+    // and the rest never diverge. Every chip must still equal its lone
+    // tune(), at any --gemm-threads.
     train_case c = make_mlp_case();
     c.chips = make_case_fleet(c.array, 8, 0.0, 0.9, 99);
     c.trainer_cfg.learning_rate = 400.0;
@@ -368,24 +368,6 @@ TEST(GroupedChipTuner, InjectedAccuracyBeforeMatchesComputed) {
     for (std::size_t g = 0; g < pick.size(); ++g) {
         expect_outcome_bits_equal(computed[g], injected[g], "injected", g);
     }
-}
-
-TEST(GroupedChipTuner, RejectsMixedAllocationsLoudly) {
-    train_case c = make_mlp_case();
-    chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
-                     c.trainer_cfg);
-    epoch_allocation a;
-    a.epochs = 0.5;
-    epoch_allocation b;
-    b.epochs = 0.25;
-    const std::vector<const chip*> chips{&c.chips[0], &c.chips[1]};
-    const std::vector<double> rates{0.1, 0.1};
-    EXPECT_THROW(
-        (void)tuner.tune_group(chips, {&a, &b}, 0.8, rates, {}), error);
-    epoch_allocation oracle = a;
-    oracle.train_to_target = true;
-    EXPECT_THROW(
-        (void)tuner.tune_group(chips, {&a, &oracle}, 0.8, rates, {}), error);
 }
 
 // ---- executor-level equivalence and downgrade accounting --------------------
@@ -450,7 +432,7 @@ TEST(FleetExecutor, GroupedTrainingWithGroupedEvalMatchesSerial) {
 }
 
 /// Policy whose allocation alternates per chip — no two fleet-adjacent chips
-/// can share a lockstep group.
+/// can share a same-allocation group.
 class alternating_policy : public retraining_policy {
 public:
     explicit alternating_policy(double target) : target_(target) {}
@@ -487,9 +469,9 @@ TEST(FleetExecutor, MismatchedAllocationsDowngradeLoudlyAndMatchSerial) {
 
 TEST(FleetExecutor, NonfiniteDivergenceIsIdenticalAtEveryTrainBatch) {
     // A divergent learning rate drives every chip non-finite within a few
-    // steps. Each variant leaves its group on its own and ends hit_nonfinite
-    // exactly as it does alone — on the MLP and through VGG's conv skips
-    // (Inf/NaN weights and gradients) — with no downgrade anywhere.
+    // steps. Each chip ends hit_nonfinite exactly as it does alone — on the
+    // MLP and through VGG's conv skips (Inf/NaN weights and gradients) —
+    // with no downgrade anywhere.
     for (train_case (*make)() : {&make_mlp_case, &make_vgg_case}) {
         train_case c = make();
         c.trainer_cfg.learning_rate = 1e15;

@@ -7,6 +7,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <memory>
 
 #include "core/workload.h"
 #include "fault/mask_builder.h"
@@ -212,40 +213,110 @@ double naive_evaluate(sequential& model, const dataset& test_data) {
     return static_cast<double>(correct) / static_cast<double>(test_data.size());
 }
 
+/// One mid-run fault event for the naive loop (apply == nullptr: none).
+struct naive_event {
+    double epoch = 0.0;
+    std::function<void()> apply;  ///< changes the masks in place
+    recovery_mode mode = recovery_mode::recover;
+    std::size_t rollback_budget = 0;
+};
+
+struct naive_run {
+    std::vector<training_point> trajectory;
+    std::size_t rollbacks = 0;
+    bool hit_nonfinite = false;
+};
+
 /// The textbook FAT loop on one model: sequential forward, cross-entropy,
 /// backward, an sgd step (which re-applies the masks), and an eval at every
-/// checkpoint. `on_event` (optional) fires at `event_epoch` — recover mode:
-/// the masks change, momentum is re-masked, training continues.
-std::vector<training_point> naive_train(sequential& model, const dataset& train_data,
-                                        const dataset& test_data, const fat_config& cfg,
-                                        std::vector<double> stops, double event_epoch,
-                                        const std::function<void()>& on_event) {
-    std::vector<training_point> trajectory{{0.0, naive_evaluate(model, test_data)}};
+/// stop. The event fires at its stop: recover mode re-masks momentum and
+/// continues; restart mode goes back to the masked pretrained weights under
+/// the new masks with a fresh optimizer at the original lr. A non-finite
+/// loss or weight restores the last stop's model, optimizer and loader,
+/// halves lr and truncates the trajectory, until the rollback budget is
+/// spent.
+naive_run naive_train(sequential& model, const dataset& train_data, const dataset& test_data,
+                      const fat_config& cfg, std::vector<double> stops,
+                      const naive_event& event = {}) {
+    naive_run run;
+    run.trajectory.push_back({0.0, naive_evaluate(model, test_data)});
     data_loader loader(train_data, cfg.batch_size, cfg.shuffle_seed);
-    sgd opt(model.parameters(), {.learning_rate = cfg.learning_rate,
-                                 .momentum = cfg.momentum,
-                                 .weight_decay = cfg.weight_decay});
+    const auto fresh_sgd = [&] {
+        return std::make_unique<sgd>(model.parameters(),
+                                     sgd::config{.learning_rate = cfg.learning_rate,
+                                                 .momentum = cfg.momentum,
+                                                 .weight_decay = cfg.weight_decay});
+    };
+    std::unique_ptr<sgd> opt = fresh_sgd();
     model.set_training(true);
-    apply_all_masks(opt.params());
-    if (on_event) { stops.push_back(event_epoch); }
+    apply_all_masks(opt->params());
+    const model_snapshot start = snapshot_model(model);
+    if (event.apply) { stops.push_back(event.epoch); }
     std::sort(stops.begin(), stops.end());
+
+    struct checkpoint {
+        model_snapshot model;
+        optimizer_state opt;
+        data_loader::state loader;
+        std::size_t steps = 0;
+        std::size_t stop = 0;
+        std::size_t points = 0;
+    };
     std::size_t steps = 0;
-    for (const double stop : stops) {
-        while (steps < loader.steps_for_epochs(stop)) {
+    double lr = cfg.learning_rate;
+    checkpoint last{start, opt->save_state(), loader.save_state(), 0, 0, 1};
+    for (std::size_t s = 0; s < stops.size();) {
+        bool finite = true;
+        while (finite && steps < loader.steps_for_epochs(stops[s])) {
             const batch b = loader.next_batch();
             const loss_result loss = cross_entropy_loss(model.forward(b.features), b.labels);
-            opt.zero_grad();
-            model.backward(loss.grad);
-            opt.step();
-            ++steps;
+            finite = std::isfinite(loss.value);
+            if (finite) {
+                opt->zero_grad();
+                model.backward(loss.grad);
+                opt->step();
+                ++steps;
+            }
         }
-        if (on_event && stop == event_epoch) {
-            on_event();
-            opt.mask_state();
+        for (const parameter* p : model.parameters()) {
+            for (std::size_t i = 0; finite && i < p->value.numel(); ++i) {
+                finite = std::isfinite(p->value[i]);
+            }
         }
-        trajectory.push_back({stop, naive_evaluate(model, test_data)});
+        if (!finite) {
+            if (run.rollbacks == event.rollback_budget) {
+                run.hit_nonfinite = true;
+                break;
+            }
+            ++run.rollbacks;
+            lr *= 0.5;
+            restore_model(model, last.model);
+            opt->restore_state(last.opt);
+            opt->set_learning_rate(lr);
+            apply_all_masks(opt->params());
+            opt->mask_state();
+            loader.restore_state(last.loader);
+            steps = last.steps;
+            s = last.stop;
+            run.trajectory.resize(last.points);
+            continue;
+        }
+        if (event.apply && stops[s] == event.epoch) {
+            event.apply();
+            if (event.mode == recovery_mode::restart) {
+                restore_model(model, start);
+                apply_all_masks(model.parameters());
+                opt = fresh_sgd();
+            } else {
+                opt->mask_state();
+            }
+        }
+        run.trajectory.push_back({stops[s], naive_evaluate(model, test_data)});
+        ++s;
+        last = {snapshot_model(model), opt->save_state(), loader.save_state(), steps, s,
+                run.trajectory.size()};
     }
-    return trajectory;
+    return run;
 }
 
 void expect_same_weights(sequential& a, sequential& b) {
@@ -280,49 +351,105 @@ TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopBitwise) {
         restore_parameters(m->parameters(), w().pretrained);
         attach_fault_masks(*m, w().array, faults);
     }
-    const std::vector<training_point> expected =
-        naive_train(*naive, w().train_data, w().test_data, w().trainer_cfg, grid, 0.0, {});
+    const naive_run expected =
+        naive_train(*naive, w().train_data, w().test_data, w().trainer_cfg, grid);
     fault_aware_trainer trainer(*engine, w().train_data, w().test_data, w().trainer_cfg);
     const fat_result r = trainer.train(0.75, grid);
-    expect_same_trajectory(expected, r.trajectory);
+    expect_same_trajectory(expected.trajectory, r.trajectory);
     expect_same_weights(*naive, *engine);
     EXPECT_FALSE(r.hit_nonfinite);
+}
+
+/// One model under a fault-timeline scenario: its own guard and working
+/// grid, masks attached for `faults`.
+struct timeline_model {
+    timeline_model(const workload& w, const fault_grid& faults)
+        : model(clone_model(*w.model)), working(faults) {
+        restore_parameters(model->parameters(), w.pretrained);
+        guard = std::make_unique<fault_state_guard>(*model, w.pretrained);
+        attach_fault_masks(*model, w.array, working);
+    }
+    std::unique_ptr<sequential> model;
+    std::unique_ptr<fault_state_guard> guard;
+    fault_grid working;
+};
+
+/// Trains the naive loop and the engine under the same one-event scenario
+/// and expects the same trajectory and weights, bit for bit.
+fat_result expect_engine_matches_naive(workload& w, const fat_config& cfg,
+                                       const fault_grid& faults, const char* spec,
+                                       double budget, const std::vector<double>& grid) {
+    const scenario_config scenario = parse_scenario(spec);
+    const fault_timeline timeline = timeline_for_chip(scenario, 3);
+
+    timeline_model naive(w, faults);
+    naive_event event;
+    event.epoch = scenario.events.at(0).epoch;
+    event.mode = scenario.mode;
+    event.rollback_budget = scenario.mode == recovery_mode::recover ? scenario.rollback_budget : 0;
+    event.apply = [&] {
+        apply_fault_event(naive.working, timeline, 0);
+        naive.guard->swap_masks(w.array, naive.working);
+    };
+    std::vector<double> stops;
+    for (const double e : grid) {
+        if (e < budget - 1e-9) { stops.push_back(e); }
+    }
+    stops.push_back(budget);
+    const naive_run expected =
+        naive_train(*naive.model, w.train_data, w.test_data, cfg, stops, event);
+
+    timeline_model engine(w, faults);
+    const train_event_hooks hooks =
+        timeline_hooks(scenario, timeline, engine.working, *engine.guard, w.array);
+    fault_aware_trainer trainer(*engine.model, w.train_data, w.test_data, cfg);
+    const fat_result r = trainer.train(budget, grid, std::nullopt, &hooks);
+
+    EXPECT_EQ(r.events_applied, 1u) << spec;
+    EXPECT_EQ(r.rollbacks, expected.rollbacks) << spec;
+    EXPECT_EQ(r.hit_nonfinite, expected.hit_nonfinite) << spec;
+    EXPECT_GT(engine.working.faulty_count(), faults.faulty_count()) << spec;
+    EXPECT_TRUE(engine.working == naive.working) << spec;
+    expect_same_trajectory(expected.trajectory, r.trajectory);
+    expect_same_weights(*naive.model, *engine.model);
+    return r;
 }
 
 TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopThroughARecoverStrike) {
     random_fault_config fc;
     fc.fault_rate = 0.1;
     const fault_grid faults = generate_random_faults(w().array, fc, 9);
-    const scenario_config scenario = parse_scenario("strike@0.3:0.1;mode=recover;seed=4");
-    const fault_timeline timeline = timeline_for_chip(scenario, 3);
-    const std::vector<double> grid = make_eval_grid(0.75, 1.0, 0.25, 0.5);
-
-    std::unique_ptr<sequential> naive = clone_model(*w().model);
-    restore_parameters(naive->parameters(), w().pretrained);
-    fault_state_guard naive_guard(*naive, w().pretrained);
-    fault_grid naive_grid = faults;
-    attach_fault_masks(*naive, w().array, naive_grid);
-    const std::vector<training_point> expected = naive_train(
-        *naive, w().train_data, w().test_data, w().trainer_cfg, grid, 0.3, [&] {
-            apply_fault_event(naive_grid, timeline, 0);
-            naive_guard.swap_masks(w().array, naive_grid);
-        });
-
-    std::unique_ptr<sequential> engine = clone_model(*w().model);
-    restore_parameters(engine->parameters(), w().pretrained);
-    fault_state_guard engine_guard(*engine, w().pretrained);
-    fault_grid engine_grid = faults;
-    attach_fault_masks(*engine, w().array, engine_grid);
-    const train_event_hooks hooks =
-        timeline_hooks(scenario, timeline, engine_grid, engine_guard, w().array);
-    fault_aware_trainer trainer(*engine, w().train_data, w().test_data, w().trainer_cfg);
-    const fat_result r = trainer.train(0.75, grid, std::nullopt, &hooks);
-
-    EXPECT_EQ(r.events_applied, 1u);
+    const fat_result r = expect_engine_matches_naive(
+        w(), w().trainer_cfg, faults, "strike@0.3:0.1;mode=recover;seed=4", 0.75,
+        make_eval_grid(0.75, 1.0, 0.25, 0.5));
     EXPECT_EQ(r.rollbacks, 0u);
-    EXPECT_GT(engine_grid.faulty_count(), faults.faulty_count());
-    expect_same_trajectory(expected, r.trajectory);
-    expect_same_weights(*naive, *engine);
+    EXPECT_EQ(r.restarts, 0u);
+}
+
+TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopThroughARestartStrike) {
+    random_fault_config fc;
+    fc.fault_rate = 0.1;
+    const fault_grid faults = generate_random_faults(w().array, fc, 9);
+    const fat_result r = expect_engine_matches_naive(
+        w(), w().trainer_cfg, faults, "strike@0.3:0.1;mode=restart;seed=4", 0.75,
+        make_eval_grid(0.75, 1.0, 0.25, 0.5));
+    EXPECT_EQ(r.restarts, 1u);
+}
+
+TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopThroughRollbacks) {
+    // A learning rate past the edge of stability: the run diverges after
+    // its first checkpoints, rolls back to the last finite one at half the
+    // rate (more than once), and finishes finite.
+    random_fault_config fc;
+    fc.fault_rate = 0.1;
+    const fault_grid faults = generate_random_faults(w().array, fc, 9);
+    fat_config cfg = w().trainer_cfg;
+    cfg.learning_rate = 20.0;
+    const fat_result r = expect_engine_matches_naive(
+        w(), cfg, faults, "strike@0.33:0.1;mode=recover;rollback=8;seed=4", 3.0,
+        make_eval_grid(3.0, 1.0, 0.05, 0.5));
+    EXPECT_GE(r.rollbacks, 2u);
+    EXPECT_FALSE(r.hit_nonfinite);
 }
 
 }  // namespace

@@ -518,9 +518,8 @@ TEST_F(ScenarioFixture, ExecutorGroupsTimelineChipsAndMatchesKOne) {
     EXPECT_EQ(alone_stats.serial_train_chips, fleet.size());
     EXPECT_GE(alone_stats.timeline_events, fleet.size());  // ≥1 event per chip
 
-    // Timeline chips train in lockstep groups — each variant swaps only its
-    // own masks at the shared event stop — and every outcome equals its
-    // K = 1 episode's.
+    // Timeline chips are claimed and counted in groups like any others, and
+    // every outcome equals the one-chip-per-claim run's.
     const auto [grouped, grouped_stats] = run_with(2);
     EXPECT_EQ(grouped_stats.scenario_downgrades, 0u);
     EXPECT_GT(grouped_stats.grouped_train_chips, 0u);
