@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
 #include <mutex>
 
 #include "core/multi_mask_eval.h"
@@ -111,7 +112,27 @@ chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
                 working = c.faults;
                 guard.swap_masks(array_, working);
             }
+            // Events at the budget never fire, so when the charged point is
+            // an event stop — which records the POST-event accuracy — the
+            // replay ends on the pre-event model. Fire that event here, as
+            // the budget run did at the same stop.
+            const auto event = std::find_if(
+                hooks.event_epochs.begin(), hooks.event_epochs.end(),
+                [&](double e) { return std::abs(e - *reached) <= 1e-9; });
+            const bool fire = event != hooks.event_epochs.end();
+            // A restart event resets to the run's starting state: the
+            // masked pretrained model exactly as it is now.
+            const model_snapshot restart_base = fire && hooks.mode == recovery_mode::restart
+                                                    ? snapshot_model(model)
+                                                    : model_snapshot{};
             (void)trainer_.train(*reached, grid, out.accuracy_before, &hooks);
+            if (fire) {
+                hooks.on_event(static_cast<std::size_t>(event - hooks.event_epochs.begin()));
+                if (hooks.mode == recovery_mode::restart) {
+                    restore_model(model, restart_base);
+                    apply_all_masks(model.parameters());
+                }
+            }
         }
     }
     out.meets_constraint = out.final_accuracy >= constraint;

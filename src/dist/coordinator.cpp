@@ -7,6 +7,7 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/base64.h"
 #include "util/error.h"
 #include "util/log.h"
 

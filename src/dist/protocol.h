@@ -19,10 +19,11 @@
 // closing the offending connection (and re-queueing its leases), never by
 // crashing.
 //
-// Binary payloads (RDNN snapshot bytes) travel base64-encoded inside JSON
-// strings, so the whole protocol stays printable and inspectable on the
-// wire at the cost of 4/3 expansion — snapshots are the only bulk binary
-// and they flow worker→coordinator once per chip.
+// Binary payloads travel base64-encoded (util/base64.h) inside JSON
+// strings, so the whole protocol stays printable on the wire at the cost
+// of 4/3 expansion. There are two: RDNN snapshot bytes, worker→coordinator
+// once per chip, and each fleet chip's fault map, coordinator→worker once
+// per lease as the compact codec of fault/serialization.h (`chip.fault_map`).
 //
 // ## Message types and flow
 //
@@ -37,6 +38,8 @@
 //                                     work {lease, kind=fleet_chip, chip,
 //                                           allocation, constraint,
 //                                           effective_rate}
+//                                       chip = {id, seed, nominal_fault_rate,
+//                                               fault_map: base64 codec bytes}
 //   heartbeat {lease}                 (extends the lease deadline)
 //   result {lease, kind, table|       shutdown {reason}          (job done)
 //           outcome [, snapshot]}
@@ -87,7 +90,9 @@ namespace reduce::dist {
 /// Wire protocol revision. Bumped on ANY wire-visible change; both ends
 /// must match exactly (checked in the hello/welcome handshake).
 /// v2: hello gained the mandatory `resumed` flag (worker session-resume).
-inline constexpr int protocol_version = 2;
+/// v3: `chip.fault_map` is base64 of the binary fault-map codec instead of
+///     per-PE JSON objects.
+inline constexpr int protocol_version = 3;
 
 /// Upper bound on a frame payload. Far above any real message (the largest
 /// are RDNN2 snapshots of this repo's models, well under a hundred MB even
@@ -121,14 +126,6 @@ public:
 private:
     std::string buffer_;
 };
-
-// --- base64 (for snapshot bytes inside JSON strings) ------------------------
-
-/// Standard base64 with padding.
-std::string base64_encode(const std::string& bytes);
-
-/// Inverse of base64_encode; throws io_error on malformed input.
-std::string base64_decode(const std::string& text);
 
 // --- Sockets ----------------------------------------------------------------
 

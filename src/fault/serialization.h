@@ -1,11 +1,28 @@
-// JSON (de)serialization of fault maps and chips.
+// Serialization of fault maps and chips.
 //
 // Fault maps are the per-chip artifact that travels between fab test and the
-// retraining service in the paper's flow, so they get a stable,
-// human-inspectable on-disk form. Faulty PEs are stored sparsely.
+// retraining service in the paper's flow: one per fleet lease on the wire,
+// one per chip in fleet files. Chip identity (id, seed, nominal rate) stays
+// readable JSON; the map itself is a compact, versioned binary codec carried
+// as base64 inside the chip document — a 256×256 map at rate 0.15 is about
+// 14 KB instead of ~10⁴ per-PE JSON objects.
+//
+// Fault-map codec, version 1 (every integer an unsigned LEB128 varint):
+//
+//   "RFM1"                        4-byte magic + version tag
+//   rows, cols                    extents, each >= 1, rows × cols <= cap
+//   n_bypassed, n_stuck_zero,     number of PEs in each faulty kind
+//   n_stuck_max, n_stuck_min
+//   for each kind, in that order: its row-major PE indices, ascending —
+//                                 the first absolute, each later one as the
+//                                 (non-zero) gap to its predecessor
+//
+// Healthy PEs are implicit. Encoding is a pure function of the grid, so equal
+// grids give equal bytes, and every accepted input re-encodes to itself.
 #pragma once
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "accel/fault_grid.h"
@@ -15,18 +32,22 @@
 
 namespace reduce {
 
-/// fault_grid → JSON: {"rows": R, "cols": C, "faults": [{"r","c","kind"}...]}.
-json_value fault_grid_to_json(const fault_grid& grid);
-
 /// Largest rows × cols a decoded fault map may declare: 16 × the 256×256
 /// array, the largest in use. Bounds what a malformed map can make the
 /// decoder allocate.
 inline constexpr std::size_t fault_map_max_pes = std::size_t{1} << 20;
 
-/// JSON → fault_grid; throws io_error on malformed documents: a missing or
-/// mistyped member, non-positive or non-integral rows/cols, rows × cols
-/// over fault_map_max_pes, a PE outside the grid, or an unknown fault kind.
-fault_grid fault_grid_from_json(const json_value& value);
+/// fault_grid → codec bytes (format above).
+std::string fault_grid_to_bytes(const fault_grid& grid);
+
+/// Codec bytes → fault_grid. Throws io_error on any malformed input: a bad
+/// magic or version tag; truncation anywhere, mid-varint included; a varint
+/// that overflows 64 bits or is not minimally encoded; a zero extent, or an
+/// extent or rows × cols over fault_map_max_pes; a kind count over the PE
+/// count, or counts summing past it; a PE index out of range; a PE listed
+/// twice, within one kind or across kinds; trailing bytes. Nothing is
+/// allocated before the extents pass the cap.
+fault_grid fault_grid_from_bytes(std::string_view bytes);
 
 /// line_fault_config ⇄ JSON ({"fault_rate","row_fraction","kind_mix"}) —
 /// the model descriptor that travels alongside a line-fault map so the
@@ -34,10 +55,11 @@ fault_grid fault_grid_from_json(const json_value& value);
 json_value line_fault_config_to_json(const line_fault_config& cfg);
 line_fault_config line_fault_config_from_json(const json_value& value);
 
-/// chip → JSON (id, seed, nominal rate + embedded fault map).
+/// chip → JSON: {"id", "seed" (decimal string), "nominal_fault_rate",
+/// "fault_map" (base64 of the codec bytes)}.
 json_value chip_to_json(const chip& c);
 
-/// JSON → chip.
+/// JSON → chip; throws io_error on a malformed seed, base64 or fault map.
 chip chip_from_json(const json_value& value);
 
 /// Fleet convenience wrappers.

@@ -1,9 +1,9 @@
 // Minimal JSON document model with parser and serializer.
 //
-// Used to persist human-inspectable artifacts: fault maps, resilience tables,
-// and experiment reports. Supports the full JSON value grammar except for
-// \uXXXX escapes beyond the ASCII range (sufficient for this project's
-// machine-generated documents).
+// Used to persist human-inspectable artifacts: chip fleets, resilience
+// tables, and experiment reports. Supports the full JSON value grammar
+// except for \uXXXX escapes beyond the ASCII range (sufficient for this
+// project's machine-generated documents).
 #pragma once
 
 #include <cstdint>

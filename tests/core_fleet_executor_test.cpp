@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "core/fleet_executor.h"
@@ -371,6 +372,56 @@ TEST_F(FleetExecutorFixture, OracleCaptureReplayMatchesTheReportedAccuracy) {
     std::unique_ptr<sequential> deployed = clone_model(*w().model);
     restore_model(*deployed, tuner.take_tuned());
     EXPECT_EQ(evaluate_model(*deployed, w().test_data, cfg), out.final_accuracy);
+}
+
+TEST_F(FleetExecutorFixture, OracleCaptureReplayFiresAnEventAtTheChargedPoint) {
+    // Regression: when the first point meeting the target is an event stop,
+    // it records the POST-event accuracy. The replay runs with that epoch as
+    // its budget, and events at the budget never fire, so the capture used
+    // to be the pre-event model and evaluated to a different accuracy. In
+    // both cases the event is not a checkpoint of the budget's grid.
+    struct replay_case {
+        std::uint64_t fleet_seed;
+        std::size_t chips;
+        double rate_hi;
+        double learning_rate;
+        const char* scenario;
+        double budget;
+        double constraint;
+        std::size_t chip;
+        double charged;
+    };
+    for (const replay_case& rc : {
+             replay_case{99, 3, 0.2, 0.5 * std::pow(1.25, 6),
+                         "strike@2.9:0.05;mode=recover;rollback=8", 3.0, 0.96, 0, 2.9},
+             replay_case{2, 4, 0.4, 8.0, "strike@0.7:0.01;mode=restart", 2.0, 0.95, 1, 0.7},
+         }) {
+        SCOPED_TRACE(rc.scenario);
+        fleet_config fc;
+        fc.num_chips = rc.chips;
+        fc.rate_lo = 0.05;
+        fc.rate_hi = rc.rate_hi;
+        fc.seed = rc.fleet_seed;
+        const std::vector<chip> chips = make_fleet(w().array, fc);
+        fat_config cfg = w().trainer_cfg;
+        cfg.learning_rate = rc.learning_rate;
+        chip_tuner tuner(*w().model, w().pretrained, w().train_data, w().test_data, w().array,
+                         cfg);
+        tuner.set_capture_tuned(true);
+        tuner.set_scenario(parse_scenario(rc.scenario));
+        epoch_allocation alloc;
+        alloc.epochs = rc.budget;
+        alloc.train_to_target = true;
+        const chip_outcome out = tuner.tune(chips[rc.chip], alloc, rc.constraint, 0.1);
+        // The case the regression needs: charged at the event.
+        ASSERT_TRUE(out.meets_constraint);
+        ASSERT_NEAR(out.epochs_run, rc.charged, 1e-9);
+        ASSERT_EQ(out.events_applied, 1u);
+
+        std::unique_ptr<sequential> deployed = clone_model(*w().model);
+        restore_model(*deployed, tuner.take_tuned());
+        EXPECT_EQ(evaluate_model(*deployed, w().test_data, cfg), out.final_accuracy);
+    }
 }
 
 }  // namespace

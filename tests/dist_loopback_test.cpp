@@ -3,8 +3,8 @@
 // bearing claim is byte-identity — any worker count, worker deaths included,
 // must reproduce the single-machine artifact exactly — plus the fault paths:
 // mid-lease death → lease reassignment, silent workers → heartbeat-deadline
-// revocation, fingerprint mismatch → handshake rejection, garbage frames →
-// connection drop without taking the job down.
+// revocation, fingerprint or version mismatch → handshake rejection,
+// garbage frames → connection drop without taking the job down.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -232,6 +232,28 @@ TEST_F(DistFixture, MismatchedFingerprintIsRejectedAtHandshake) {
     const dist::coordinator_stats stats = coord.stats();
     EXPECT_EQ(stats.workers_rejected, 1u);
     EXPECT_EQ(stats.workers_admitted, 1u);
+}
+
+TEST_F(DistFixture, MixedVersionPeerIsRejectedAtHandshake) {
+    dist::coordinator_config cc;
+    dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
+    coord.start();
+
+    // A previous-revision peer with the right fingerprint: only the version
+    // differs, so only the version branch can reject it.
+    json_value hello = dist::make_hello(resilience_fingerprint(small_config()), "old-peer");
+    json_object fields = hello.as_object();
+    fields.set("version", json_value(dist::protocol_version - 1));
+    raw_client old_peer(coord.port());
+    old_peer.send(json_value(std::move(fields)));
+    const json_value reply = old_peer.read();
+    ASSERT_EQ(dist::message_type(reply), "reject");
+    const std::string& reason = reply.as_object().at("reason").as_string();
+    EXPECT_NE(reason.find(std::to_string(dist::protocol_version - 1)), std::string::npos)
+        << reason;
+    EXPECT_NE(reason.find(std::to_string(dist::protocol_version)), std::string::npos) << reason;
+    EXPECT_TRUE(eventually([&] { return coord.stats().workers_rejected == 1; }));
+    EXPECT_EQ(coord.stats().workers_admitted, 0u);
 }
 
 TEST_F(DistFixture, GarbageFramesDropTheConnectionNotTheJob) {

@@ -1,8 +1,8 @@
 // Tests for the distributed-service wire layer (dist/protocol.h): frame
 // encoding/decoding under arbitrary byte fragmentation, protocol-violation
-// detection, base64 round-trips and rejection of malformed input, message
-// builders, and the chip_outcome / epoch_allocation JSON round-trips the
-// fleet path rides on.
+// detection, message builders, the chip_outcome / epoch_allocation JSON
+// round-trips the fleet path rides on, and fuzzing of the fault-map codec
+// that every fleet lease carries.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -14,6 +14,7 @@
 #include "dist/chaos.h"
 #include "dist/protocol.h"
 #include "fault/serialization.h"
+#include "util/base64.h"
 #include "util/error.h"
 #include "util/rng.h"
 
@@ -218,33 +219,6 @@ TEST(Framing, TruncatedFrameNeverYieldsAMessage) {
     }
 }
 
-TEST(Base64, RoundTripsEveryResidueAndAllByteValues) {
-    std::string all_bytes;
-    for (int i = 0; i < 256; ++i) { all_bytes.push_back(static_cast<char>(i)); }
-    // Cover every length % 3 residue, including empty.
-    for (const std::size_t n : {0u, 1u, 2u, 3u, 4u, 255u, 256u}) {
-        const std::string bytes = all_bytes.substr(0, n);
-        const std::string encoded = base64_encode(bytes);
-        EXPECT_EQ(encoded.size() % 4, 0u);
-        EXPECT_EQ(base64_decode(encoded), bytes) << "length " << n;
-    }
-}
-
-TEST(Base64, KnownVectors) {
-    EXPECT_EQ(base64_encode(""), "");
-    EXPECT_EQ(base64_encode("f"), "Zg==");
-    EXPECT_EQ(base64_encode("fo"), "Zm8=");
-    EXPECT_EQ(base64_encode("foo"), "Zm9v");
-    EXPECT_EQ(base64_encode("foobar"), "Zm9vYmFy");
-}
-
-TEST(Base64, RejectsMalformedInput) {
-    EXPECT_THROW((void)base64_decode("Zg="), io_error);       // length % 4 != 0
-    EXPECT_THROW((void)base64_decode("Zm9!"), io_error);      // illegal character
-    EXPECT_THROW((void)base64_decode("=m9v"), io_error);      // padding up front
-    EXPECT_THROW((void)base64_decode("Zg==Zm8="), io_error);  // data after padding
-}
-
 TEST(Messages, JobKindNamesRoundTrip) {
     EXPECT_EQ(job_kind_from_name(job_kind_name(job_kind::sweep)), job_kind::sweep);
     EXPECT_EQ(job_kind_from_name(job_kind_name(job_kind::fleet)), job_kind::fleet);
@@ -317,15 +291,135 @@ TEST(Messages, ChipResultSurvivesTheWireWithBinarySnapshot) {
 TEST(Messages, ChipWorkWithMalformedFaultMapIsATypedError) {
     // Chip work arrives over the wire: a fault map naming a PE outside its
     // grid must surface as io_error when the worker decodes the chip, not
-    // as a bounds check deep inside fault_grid.
+    // as a bounds check deep inside fault_grid. The map is 4x4 with one
+    // bypassed PE at index 23.
     const std::string work =
         "{\"type\": \"work\", \"lease\": \"5\", \"kind\": \"fleet_chip\", "
         "\"chip\": {\"id\": 2, \"seed\": \"9\", \"nominal_fault_rate\": 0.1, "
-        "\"fault_map\": {\"rows\": 4, \"cols\": 4, "
-        "\"faults\": [{\"r\": 7, \"c\": 1, \"kind\": \"bypassed\"}]}}}";
+        "\"fault_map\": \"" +
+        base64_encode(std::string("RFM1\x04\x04\x01\x00\x00\x00\x17", 11)) + "\"}}";
     const json_value message = parse_one(encode_frame(json_parse(work)));
     EXPECT_EQ(message_type(message), "work");
     EXPECT_THROW((void)chip_from_json(message.as_object().at("chip")), io_error);
+}
+
+TEST(Messages, ChipWorkCarriesTheFaultMapAsBase64CodecBytes) {
+    const chip c = make_fleet(array_config{}, fleet_config{.num_chips = 1})[0];
+    const json_value work =
+        parse_one(encode_frame(make_chip_work(7, c, epoch_allocation{}, 0.9, 0.1)));
+    const json_object& body = work.as_object().at("chip").as_object();
+    EXPECT_EQ(base64_decode(body.at("fault_map").as_string()), fault_grid_to_bytes(c.faults));
+    const chip back = chip_from_json(work.as_object().at("chip"));
+    EXPECT_EQ(back.seed, c.seed);
+    EXPECT_TRUE(back.faults == c.faults);
+}
+
+// --- Fault-map decoder fuzzing: valid encodings of seeded fleet maps,   ---
+// --- mutated, truncated, spliced and oversized by the chaos RNG         ---
+
+/// The only acceptable outcomes for any input: a typed io_error, or a grid
+/// that re-encodes to exactly the bytes it was decoded from (any other
+/// exception escapes and fails the test). Returns whether it was accepted.
+bool typed_error_or_exact(const std::string& bytes, const std::string& what) {
+    try {
+        const fault_grid grid = fault_grid_from_bytes(bytes);
+        EXPECT_EQ(fault_grid_to_bytes(grid), bytes) << what;
+        return true;
+    } catch (const io_error&) {
+        return false;
+    }
+}
+
+TEST(FaultMapFuzz, DecoderYieldsTypedErrorsOrExactRoundTrips) {
+    chaos_config cfg;
+    cfg.seed = 20261017;
+    chaos_schedule schedule(cfg, 3);
+    rng& random = schedule.random();
+
+    // Valid seeds for the mutations: seeded fleets at several rates and
+    // geometries, up to the 256x256 array in use.
+    std::vector<std::string> seeds;
+    std::vector<json_object> docs;  // each chip's document, as the worker receives it
+    for (const auto& [rows, cols] : std::vector<std::pair<std::size_t, std::size_t>>{
+             {1, 1}, {3, 5}, {16, 16}, {64, 64}, {256, 256}}) {
+        array_config array;
+        array.rows = rows;
+        array.cols = cols;
+        fleet_config fc;
+        fc.num_chips = 3;
+        fc.rate_lo = 0.01;
+        fc.rate_hi = 0.4;
+        fc.seed = rows * 1000 + cols;
+        fc.fault_model.kind_mix = rows % 2 == 0 ? fault_kind_mix::random_stuck
+                                                : fault_kind_mix::all_bypassed;
+        for (const chip& c : make_fleet(array, fc)) {
+            seeds.push_back(fault_grid_to_bytes(c.faults));
+            docs.push_back(chip_to_json(c).as_object());
+        }
+    }
+
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        const std::size_t pick = random.uniform_index(seeds.size());
+        std::string bytes = seeds[pick];
+        switch (random.uniform_index(5)) {
+            case 0: {  // flip 1-4 random bytes
+                const std::uint64_t flips = 1 + random.uniform_index(4);
+                for (std::uint64_t f = 0; f < flips; ++f) {
+                    bytes[random.uniform_index(bytes.size())] ^=
+                        static_cast<char>(1 + random.uniform_index(255));
+                }
+                break;
+            }
+            case 1:  // truncate anywhere
+                bytes.resize(random.uniform_index(bytes.size()));
+                break;
+            case 2: {  // splice: a prefix of one map onto a suffix of another
+                const std::string& other = seeds[random.uniform_index(seeds.size())];
+                bytes = bytes.substr(0, random.uniform_index(bytes.size() + 1)) +
+                        other.substr(random.uniform_index(other.size() + 1));
+                break;
+            }
+            case 3: {  // oversize: rewrite the extents with random, mostly huge, varints
+                std::string head = "RFM1";
+                for (int i = 0; i < 2; ++i) {
+                    std::uint64_t v = random.next_u64() >> random.uniform_index(64);
+                    do {
+                        const auto low = static_cast<char>(v & 0x7f);
+                        v >>= 7;
+                        head.push_back(v != 0 ? static_cast<char>(low | 0x80) : low);
+                    } while (v != 0);
+                }
+                bytes = head + bytes.substr(std::min<std::size_t>(bytes.size(), 6));
+                break;
+            }
+            default: {  // insert or append random bytes
+                const std::size_t at = random.uniform_index(bytes.size() + 1);
+                std::string noise;
+                for (std::uint64_t n = 1 + random.uniform_index(8); n > 0; --n) {
+                    noise.push_back(static_cast<char>(random.uniform_index(256)));
+                }
+                bytes.insert(at, noise);
+                break;
+            }
+        }
+        const std::string what = "trial " + std::to_string(trial);
+        ++(typed_error_or_exact(bytes, what) ? accepted : rejected);
+
+        // The same bytes through the wire path: a chip document as the
+        // worker receives it.
+        json_object root = docs[pick];
+        root.set("fault_map", json_value(base64_encode(bytes)));
+        try {
+            const chip back = chip_from_json(json_value(std::move(root)));
+            EXPECT_EQ(fault_grid_to_bytes(back.faults), bytes) << what;
+        } catch (const io_error&) {
+        }
+    }
+    // The mutations must exercise both outcomes, or the test proves little.
+    EXPECT_GT(rejected, 1000u);
+    EXPECT_GT(accepted, 10u);
 }
 
 TEST(Sockets, LoopbackFrameDelivery) {

@@ -2,7 +2,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <initializer_list>
 #include <set>
 #include <string>
 #include <utility>
@@ -10,6 +12,7 @@
 
 #include "fault/chip.h"
 #include "fault/serialization.h"
+#include "util/base64.h"
 #include "util/error.h"
 
 namespace reduce {
@@ -231,18 +234,74 @@ TEST(Fleet, DistributionNamesParse) {
     EXPECT_THROW(rate_distribution_from_string("gaussian"), error);
 }
 
-TEST(Serialization, FaultGridJsonRoundTrip) {
-    fault_grid grid(4, 5);
-    grid.set(0, 0, pe_fault::bypassed);
-    grid.set(3, 4, pe_fault::stuck_weight_max);
-    grid.set(1, 2, pe_fault::stuck_weight_zero);
-    const fault_grid back = fault_grid_from_json(fault_grid_to_json(grid));
-    EXPECT_TRUE(grid == back);
+/// Unsigned LEB128, written independently of the codec under test.
+std::string varint(std::uint64_t v) {
+    std::string out;
+    do {
+        const auto low = static_cast<unsigned char>(v & 0x7f);
+        v >>= 7;
+        out.push_back(static_cast<char>(v != 0 ? (low | 0x80) : low));
+    } while (v != 0);
+    return out;
 }
 
-TEST(Serialization, EmptyGridRoundTrip) {
-    const fault_grid grid(2, 2);
-    EXPECT_TRUE(fault_grid_from_json(fault_grid_to_json(grid)) == grid);
+/// A hand-built version-1 map: the tag, then each value as a varint.
+std::string map_bytes(std::initializer_list<std::uint64_t> values) {
+    std::string out = "RFM1";
+    for (const std::uint64_t v : values) { out += varint(v); }
+    return out;
+}
+
+TEST(Serialization, FaultMapBytesArePinned) {
+    // Any change to the format must fail here: bump the version tag instead.
+    fault_grid grid(20, 20);
+    grid.set(0, 0, pe_fault::bypassed);            // index 0
+    grid.set(0, 5, pe_fault::bypassed);            // index 5
+    grid.set(15, 0, pe_fault::stuck_weight_zero);  // index 300: a two-byte varint
+    grid.set(19, 19, pe_fault::stuck_weight_max);  // index 399
+    grid.set(0, 7, pe_fault::stuck_weight_min);    // index 7
+    grid.set(0, 8, pe_fault::stuck_weight_min);    // index 8
+    const std::string golden("RFM1"
+                             "\x14\x14"          // rows, cols
+                             "\x02\x01\x01\x02"  // per-kind counts
+                             "\x00\x05"          // bypassed: 0, +5
+                             "\xac\x02"          // stuck_weight_zero: 300
+                             "\x8f\x03"          // stuck_weight_max: 399
+                             "\x07\x01",         // stuck_weight_min: 7, +1
+                             18);
+    EXPECT_EQ(fault_grid_to_bytes(grid), golden);
+    EXPECT_TRUE(fault_grid_from_bytes(golden) == grid);
+    // A healthy grid is its header alone.
+    EXPECT_EQ(fault_grid_to_bytes(fault_grid(2, 3)), std::string("RFM1\x02\x03\0\0\0\0", 10));
+}
+
+TEST(Serialization, FaultMapRoundTripsSeededRandomAndLineMaps) {
+    // 1x1 up to the 1024x1024 cap, healthy to fully faulty; random stuck
+    // kinds mix all four faulty kinds in one map.
+    const std::vector<std::pair<std::size_t, std::size_t>> shapes = {
+        {1, 1}, {1, 9}, {7, 3}, {16, 16}, {256, 256}, {1024, 1024}};
+    std::uint64_t seed = 1;
+    for (const auto& [rows, cols] : shapes) {
+        array_config array;
+        array.rows = rows;
+        array.cols = cols;
+        for (const double rate : {0.0, 0.05, 0.3, 1.0}) {
+            random_fault_config rc;
+            rc.fault_rate = rate;
+            rc.count_mode = fault_count_mode::bernoulli;
+            rc.kind_mix = fault_kind_mix::random_stuck;
+            line_fault_config lc;
+            lc.fault_rate = rate;
+            lc.kind_mix = fault_kind_mix::random_stuck;
+            for (const fault_grid& grid : {generate_random_faults(array, rc, ++seed),
+                                           generate_line_faults(array, lc, ++seed)}) {
+                const std::string bytes = fault_grid_to_bytes(grid);
+                const fault_grid back = fault_grid_from_bytes(bytes);
+                EXPECT_TRUE(back == grid) << rows << "x" << cols << " rate " << rate;
+                EXPECT_EQ(fault_grid_to_bytes(back), bytes);
+            }
+        }
+    }
 }
 
 TEST(Serialization, ChipRoundTrip) {
@@ -274,68 +333,114 @@ TEST(Serialization, FleetFileRoundTrip) {
 
 TEST(Serialization, MalformedChipJsonThrows) {
     EXPECT_THROW(chip_from_json(json_parse("{\"id\": 1}")), error);
-    EXPECT_THROW(fault_grid_from_json(json_parse("{\"rows\": 2}")), error);
-}
-
-/// A fault map document with the given extents and one fault entry.
-std::string fault_map_text(const std::string& rows, const std::string& cols,
-                           const std::string& r, const std::string& c,
-                           const std::string& kind) {
-    return "{\"rows\": " + rows + ", \"cols\": " + cols + ", \"faults\": [{\"r\": " + r +
-           ", \"c\": " + c + ", \"kind\": \"" + kind + "\"}]}";
-}
-
-TEST(Serialization, FaultMapDecoderAcceptsTheLargestLegalMap) {
-    const fault_grid grid = fault_grid_from_json(
-        json_parse(fault_map_text("1024", "1024", "1023", "1023", "bypassed")));
-    EXPECT_EQ(grid.pe_count(), fault_map_max_pes);
-    EXPECT_EQ(grid.at(1023, 1023), pe_fault::bypassed);
-}
-
-TEST(Serialization, FaultMapDecoderRejectsNonPositiveExtents) {
-    for (const char* bad : {"0", "-1", "-4294967296", "2.5"}) {
-        EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text(bad, "4", "0", "0",
-                                                                    "bypassed"))),
+    // The map must be base64 text of codec bytes.
+    for (const char* map : {"\"not base64!\"", "{\"rows\": 2}", "\"UkZNMQ==\""}) {
+        EXPECT_THROW(chip_from_json(json_parse(
+                         std::string("{\"id\": 1, \"seed\": \"7\", \"nominal_fault_rate\": 0.1, "
+                                     "\"fault_map\": ") +
+                         map + "}")),
                      io_error)
-            << "rows " << bad;
-        EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text("4", bad, "0", "0",
-                                                                    "bypassed"))),
-                     io_error)
-            << "cols " << bad;
+            << map;
     }
 }
 
+TEST(Serialization, FaultMapDecoderAcceptsTheLargestLegalMap) {
+    const fault_grid grid =
+        fault_grid_from_bytes(map_bytes({1024, 1024, 1, 0, 0, 0, fault_map_max_pes - 1}));
+    EXPECT_EQ(grid.pe_count(), fault_map_max_pes);
+    EXPECT_EQ(grid.at(1023, 1023), pe_fault::bypassed);
+    EXPECT_EQ(grid.faulty_count(), 1u);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsNonPositiveExtents) {
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({0, 4, 0, 0, 0, 0})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 0, 0, 0, 0, 0})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({0, 0, 0, 0, 0, 0})), io_error);
+}
+
 TEST(Serialization, FaultMapDecoderRejectsOversizedAndOverflowingExtents) {
-    // 2^32 x 2^32 wraps to 0 in 64-bit arithmetic; 1e30 is no size_t at all.
-    for (const auto& [rows, cols] : std::vector<std::pair<std::string, std::string>>{
-             {"4294967296", "4294967296"}, {"1e30", "4"}, {"2048", "1024"},
-             {"1048577", "1"}}) {
-        EXPECT_THROW(
-            fault_grid_from_json(json_parse(fault_map_text(rows, cols, "0", "0", "bypassed"))),
-            io_error)
+    // 2^32 x 2^32 wraps to 0 in 64-bit arithmetic; 2^63 x 2 wraps to 0 too.
+    const std::uint64_t big = std::uint64_t{1} << 32;
+    for (const auto& [rows, cols] : std::vector<std::pair<std::uint64_t, std::uint64_t>>{
+             {big, big}, {std::uint64_t{1} << 63, 2}, {2048, 1024}, {1048577, 1},
+             {1, 1048577}, {~std::uint64_t{0}, 1}}) {
+        EXPECT_THROW(fault_grid_from_bytes(map_bytes({rows, cols, 0, 0, 0, 0})), io_error)
             << rows << "x" << cols;
     }
 }
 
 TEST(Serialization, FaultMapDecoderRejectsOutOfRangePes) {
-    for (const auto& [r, c] : std::vector<std::pair<std::string, std::string>>{
-             {"4", "0"}, {"0", "5"}, {"-1", "0"}, {"0", "-3"}, {"1.5", "0"}, {"1e20", "0"}}) {
-        EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text("4", "5", r, c,
-                                                                    "bypassed"))),
-                     io_error)
-            << "PE (" << r << "," << c << ")";
-    }
+    // A 4x5 grid has PEs 0..19.
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 5, 1, 0, 0, 0, 20})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 5, 0, 0, 0, 1, 20})), io_error);
+    // A gap that walks off the end, and one that would wrap 64 bits.
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 5, 0, 2, 0, 0, 19, 1})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 5, 2, 0, 0, 0, 3, ~std::uint64_t{0}})),
+                 io_error);
 }
 
 TEST(Serialization, FaultMapDecoderRejectsUnknownKinds) {
-    EXPECT_THROW(fault_grid_from_json(json_parse(fault_map_text("4", "4", "1", "1",
-                                                                "stuck_weight_sideways"))),
-                 io_error);
+    // Kinds are positional: a writer with a fifth kind would append a fifth
+    // list, which this decoder must refuse rather than silently drop.
+    const std::string five_kinds = map_bytes({4, 4, 0, 0, 0, 0, 1}) + varint(5);
+    EXPECT_THROW(fault_grid_from_bytes(five_kinds), io_error);
     // The chip wrapper surfaces the same typed error.
     EXPECT_THROW(chip_from_json(json_parse(
                      "{\"id\": 1, \"seed\": \"7\", \"nominal_fault_rate\": 0.1, "
-                     "\"fault_map\": " +
-                     fault_map_text("4", "4", "1", "1", "melted") + "}")),
+                     "\"fault_map\": \"" +
+                     base64_encode(five_kinds) + "\"}")),
+                 io_error);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsDuplicatePes) {
+    // Within one kind (a zero gap) and across two kinds.
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 4, 2, 0, 0, 0, 3, 0})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({4, 4, 1, 0, 0, 1, 3, 3})), io_error);
+    // Index 0 listed first is not a duplicate.
+    EXPECT_EQ(fault_grid_from_bytes(map_bytes({4, 4, 2, 0, 0, 0, 0, 1})).faulty_count(), 2u);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsCountOverflow) {
+    // One count over the PE count, counts that sum past it, and a count
+    // that would wrap the running total.
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({2, 2, 5, 0, 0, 0})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({2, 2, 3, 0, 2, 0})), io_error);
+    EXPECT_THROW(fault_grid_from_bytes(map_bytes({2, 2, 1, ~std::uint64_t{0}, 0, 0})), io_error);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsTruncationAnywhere) {
+    fault_grid grid(40, 40);  // a PE index >= 128 makes a two-byte varint
+    grid.set(3, 4, pe_fault::bypassed);
+    grid.set(39, 39, pe_fault::stuck_weight_min);
+    const std::string bytes = fault_grid_to_bytes(grid);
+    for (std::size_t keep = 0; keep < bytes.size(); ++keep) {
+        EXPECT_THROW(fault_grid_from_bytes(bytes.substr(0, keep)), io_error) << "kept " << keep;
+    }
+    // A varint cut after its continuation byte.
+    EXPECT_THROW(fault_grid_from_bytes(std::string("RFM1\x80", 5)), io_error);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsTrailingBytes) {
+    const std::string bytes = fault_grid_to_bytes(fault_grid(3, 3));
+    EXPECT_THROW(fault_grid_from_bytes(bytes + std::string(1, '\0')), io_error);
+}
+
+TEST(Serialization, FaultMapDecoderRejectsWrongMagicAndVersion) {
+    const std::string body = map_bytes({2, 2, 0, 0, 0, 0}).substr(4);
+    EXPECT_NO_THROW(fault_grid_from_bytes("RFM1" + body));
+    for (const std::string tag : {"RFM2", "RFM0", "RFX1", "rfm1", "RF", ""}) {
+        EXPECT_THROW(fault_grid_from_bytes(tag + body), io_error) << tag;
+    }
+}
+
+TEST(Serialization, FaultMapDecoderRejectsOverlongAndOverflowingVarints) {
+    // 4 as 0x84 0x00: the same value with a redundant zero byte.
+    EXPECT_THROW(fault_grid_from_bytes(std::string("RFM1\x84\x00\x04\0\0\0\0", 11)), io_error);
+    // 2^64 needs an eleventh byte; a tenth byte above 1 overflows too.
+    const std::string ten_continued(10, '\xff');
+    EXPECT_THROW(fault_grid_from_bytes("RFM1" + ten_continued + std::string(1, '\x01')),
+                 io_error);
+    EXPECT_THROW(fault_grid_from_bytes("RFM1" + std::string(9, '\xff') + std::string(1, '\x02')),
                  io_error);
 }
 
