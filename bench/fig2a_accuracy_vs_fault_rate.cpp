@@ -16,7 +16,6 @@
 //   --gemm-threads N   intra-op tensor threads per worker (default 1; 0 = all cores)
 //   --eval-group K     same-rate cells per grouped epoch-0 eval pass
 //                      (default 1; never changes the table, only wall-clock)
-//   --shard I/N           run shard I of N cells (CSV covers the shard only)
 //   --scenario SPEC       fault-event timeline inside every cell's episode
 //                         (grammar of fault/scenario.h, e.g.
 //                         "strike@0.5:0.05;mode=recover;rollback=2"); feeds
@@ -24,7 +23,7 @@
 //   --cache-dir P         reuse/store the Step-1 table under P
 //   --cache-gc            prune the Step-1 cache first (stale schemas, plus
 //                         oldest entries beyond --cache-gc-max-mb)
-//   --save-table P        dump the (shard) resilience table JSON to P
+//   --save-table P        dump the resilience table JSON to P
 
 #include <iostream>
 
@@ -54,9 +53,6 @@ int main(int argc, char** argv) {
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
-        const shard_spec shard = args.get_shard("shard");
-        sweep.shard_index = shard.index;
-        sweep.shard_count = shard.count;
 
         double budget = 0.0;
         for (const double level : levels) { budget = std::max(budget, level); }
@@ -76,9 +72,8 @@ int main(int argc, char** argv) {
             // dataset synthesis, no pretraining.
             if (args.has("cache-dir")) {
                 const resilience_cache cache(args.get("cache-dir", ""));
-                if (std::optional<resilience_table> cached = cache.load(cfg, sweep)) {
-                    std::cerr << "[fig2a] Step-1 cache hit: "
-                              << cache.path_for(cfg, sweep) << '\n';
+                if (std::optional<resilience_table> cached = cache.load(cfg)) {
+                    std::cerr << "[fig2a] Step-1 cache hit: " << cache.path_for(cfg) << '\n';
                     return std::move(*cached);
                 }
             }
@@ -102,16 +97,6 @@ int main(int argc, char** argv) {
         }
         csv_table out(columns);
         out.set_precision(4);
-        // A shard covers only its subset of the grid, so iterate what the
-        // table actually holds rather than the requested rates — and say so
-        // in the output: a rate can be present with fewer repeats than the
-        // full sweep, making its statistics a shard-local preview.
-        if (table.grid_cells() != 0 && table.runs().size() < table.grid_cells()) {
-            std::cout << "# WARNING: partial shard table (" << table.runs().size() << " of "
-                      << table.grid_cells()
-                      << " cells); statistics preview this shard's repeats only — merge "
-                         "all shards for the real figure\n";
-        }
         for (const double rate : table.fault_rates()) {
             std::vector<csv_cell> row = {rate};
             for (const double level : levels) {

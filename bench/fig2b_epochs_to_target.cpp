@@ -5,9 +5,10 @@
 // the spread is the argument for selecting by MAX (mean under-trains).
 //
 // The sweep behind this figure is Step 1 of Reduce — the expensive stage —
-// so this harness exposes the full sweep engine: parallel workers, shard
-// selection for multi-machine runs, the fingerprint-keyed cache, and a
-// merge mode that fuses shard tables back into the single-shot result.
+// so this harness exposes the sweep engine's knobs: parallel workers,
+// grouped evaluation, and the fingerprint-keyed cache. Splitting the sweep
+// across machines is the distributed coordinator's job
+// (examples/reduce_coordinator).
 //
 // Output: CSV on stdout
 //   (fault_rate, target_acc, min_epochs, mean_epochs, max_epochs, censored).
@@ -21,13 +22,10 @@
 //   --gemm-threads N   intra-op tensor threads per worker (default 1; 0 = all cores)
 //   --eval-group K     same-rate cells per grouped epoch-0 eval pass
 //                      (default 1; never changes the table, only wall-clock)
-//   --shard I/N      run shard I of N cells   (CSV covers the shard only)
 //   --cache-dir P    reuse/store the Step-1 table under P
 //   --cache-gc       prune the Step-1 cache first: stale-schema entries
 //                    always, plus oldest entries beyond --cache-gc-max-mb
 //   --save-table P   dump the resilience table JSON to path P
-//   --load-tables a,b,...  skip the sweep: merge shard tables from JSON
-//                    files (must share config) and report from the result
 
 #include <iostream>
 
@@ -61,41 +59,23 @@ int main(int argc, char** argv) {
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
-        const shard_spec shard = args.get_shard("shard");
-        sweep.shard_index = shard.index;
-        sweep.shard_count = shard.count;
 
-        const auto build_table = [&]() -> resilience_table {
-            if (args.has("load-tables")) {
-                // Merge mode: fuse shard artifacts without touching the
-                // workload — the whole point of sharding across machines.
-                std::vector<resilience_table> shards;
-                for (const std::string& path : args.get_string_list("load-tables", {})) {
-                    shards.push_back(resilience_table::from_json(json_load_file(path)));
-                    std::cerr << "[fig2b] loaded shard table " << path << " ("
-                              << shards.back().runs().size() << " runs)\n";
-                }
-                return resilience_table::merge(shards);
-            }
+        resilience_config cfg;
+        cfg.fault_rates = rates;
+        cfg.repeats = repeats;
+        cfg.max_epochs = budget;
+        cfg.eval_grid = make_eval_grid(budget, 1.0, 0.05, 0.25);
+        cfg.seed = seed;
+        cfg.context = workload_context();
+        if (args.has("scenario")) { cfg.scenario = parse_scenario(args.get("scenario", "")); }
 
-            resilience_config cfg;
-            cfg.fault_rates = rates;
-            cfg.repeats = repeats;
-            cfg.max_epochs = budget;
-            cfg.eval_grid = make_eval_grid(budget, 1.0, 0.05, 0.25);
-            cfg.seed = seed;
-            cfg.context = workload_context();
-            if (args.has("scenario")) {
-                cfg.scenario = parse_scenario(args.get("scenario", ""));
-            }
-
+        const resilience_table table = [&]() -> resilience_table {
             // A warm cache answers before the workload is even built — no
             // dataset synthesis, no pretraining.
             if (args.has("cache-dir")) {
                 const resilience_cache cache(args.get("cache-dir", ""));
-                if (std::optional<resilience_table> cached = cache.load(cfg, sweep)) {
-                    std::cerr << "[fig2b] Step-1 cache hit: "
-                              << cache.path_for(cfg, sweep) << '\n';
+                if (std::optional<resilience_table> cached = cache.load(cfg)) {
+                    std::cerr << "[fig2b] Step-1 cache hit: " << cache.path_for(cfg) << '\n';
                     return std::move(*cached);
                 }
             }
@@ -107,8 +87,7 @@ int main(int argc, char** argv) {
             resilience_analyzer analyzer(*w.model, w.pretrained, w.train_data, w.test_data,
                                          w.array, w.trainer_cfg);
             return run_resilience_sweep(analyzer, cfg, sweep, args.get("cache-dir", ""));
-        };
-        const resilience_table table = build_table();
+        }();
 
         if (args.has("save-table")) {
             json_save_file(args.get("save-table", ""), table.to_json());
@@ -119,16 +98,6 @@ int main(int argc, char** argv) {
         csv_table out({"fault_rate", "target_accuracy", "min_epochs", "mean_epochs",
                        "max_epochs", "censored_runs"});
         out.set_precision(4);
-        // A shard covers only its subset of the grid, so iterate what the
-        // table actually holds rather than the requested rates — and say so
-        // in the output: a rate can be present with fewer repeats than the
-        // full sweep, making its statistics a shard-local preview.
-        if (table.grid_cells() != 0 && table.runs().size() < table.grid_cells()) {
-            std::cout << "# WARNING: partial shard table (" << table.runs().size() << " of "
-                      << table.grid_cells()
-                      << " cells); statistics preview this shard's repeats only — merge "
-                         "all shards for the real figure\n";
-        }
         for (const double rate : table.fault_rates()) {
             for (const double target_pct : targets) {
                 const auto sample = table.epochs_to_target_at(rate, target_pct / 100.0);

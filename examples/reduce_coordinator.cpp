@@ -20,7 +20,8 @@
 // Usage: reduce_coordinator [--mode sweep|fleet] [--tiny]
 //          [--rates 0,0.1,...] [--repeats 3] [--budget 4] [--seed S]
 //          [--scenario "strike@0.5:0.05;mode=recover;rollback=2"]
-//          [--port 0] [--port-file P] [--save out.json] [--cache-dir D]
+//          [--bind 127.0.0.1] [--port 0] [--port-file P] [--save out.json]
+//          [--cache-dir D]
 //          [--cells-per-lease 4] [--heartbeat-ms 500] [--lease-timeout-ms 10000]
 //          [--drain-timeout-ms 1000] [--journal D] [--chaos-seed S]
 //          [--local [--threads N] [--gemm-threads N]]

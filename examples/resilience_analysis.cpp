@@ -9,7 +9,7 @@
 // Usage: resilience_analysis [--rates 0,0.1,...] [--repeats 5]
 //          [--budget 6] [--targets 90,91,92] [--save table.json]
 //          [--sweep-threads N] [--gemm-threads N] [--eval-group K]
-//          [--shard I/N] [--cache-dir P]
+//          [--cache-dir P]
 //          [--cache-gc [--cache-gc-max-mb M]]   prune the Step-1 cache first
 
 #include <iostream>
@@ -54,23 +54,18 @@ int main(int argc, char** argv) {
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
-        const shard_spec shard = args.get_shard("shard");
-        sweep.shard_index = shard.index;
-        sweep.shard_count = shard.count;
         const resilience_table table = [&] {
             if (args.has("cache-dir")) {
                 // Inlines analyze_cached so the narrative reflects what
                 // actually happened (a corrupt entry is a miss, not a hit).
                 const resilience_cache cache(args.get("cache-dir", ""));
-                if (std::optional<resilience_table> cached = cache.load(cfg, sweep)) {
-                    std::cout << "Step-1 cache hit: reused " << cache.path_for(cfg, sweep)
-                              << '\n';
+                if (std::optional<resilience_table> cached = cache.load(cfg)) {
+                    std::cout << "Step-1 cache hit: reused " << cache.path_for(cfg) << '\n';
                     return std::move(*cached);
                 }
                 resilience_table result = analyzer.analyze(cfg, sweep);
-                cache.store(result, cfg, sweep);
-                std::cout << "Step-1 cache miss: stored " << cache.path_for(cfg, sweep)
-                          << '\n';
+                cache.store(result, cfg);
+                std::cout << "Step-1 cache miss: stored " << cache.path_for(cfg) << '\n';
                 return result;
             }
             return analyzer.analyze(cfg, sweep);
@@ -81,13 +76,6 @@ int main(int argc, char** argv) {
         csv_table view({"fault_rate", "acc_no_retrain", "target", "epochs_min",
                         "epochs_mean", "epochs_max", "censored"});
         view.set_precision(3);
-        // Iterate the table's own grid: a shard holds a subset of --rates,
-        // and possibly fewer repeats per rate than the full sweep.
-        if (table.grid_cells() != 0 && table.runs().size() < table.grid_cells()) {
-            std::cout << "NOTE: partial shard table (" << table.runs().size() << " of "
-                      << table.grid_cells()
-                      << " cells); statistics preview this shard's repeats only\n\n";
-        }
         for (const double rate : table.fault_rates()) {
             for (const double target : targets) {
                 const auto sample = table.epochs_to_target_at(rate, target / 100.0);

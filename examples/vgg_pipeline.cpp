@@ -125,15 +125,13 @@ int main(int argc, char** argv) {
                 // Inlines analyze_cached so the narrative reflects what
                 // actually happened (a corrupt entry is a miss, not a hit).
                 const resilience_cache cache(args.get("cache-dir", ""));
-                if (std::optional<resilience_table> cached = cache.load(rc, sweep)) {
-                    std::cout << "Step-1 cache hit: reused " << cache.path_for(rc, sweep)
-                              << '\n';
+                if (std::optional<resilience_table> cached = cache.load(rc)) {
+                    std::cout << "Step-1 cache hit: reused " << cache.path_for(rc) << '\n';
                     return std::move(*cached);
                 }
                 resilience_table result = analyzer.analyze(rc, sweep);
-                cache.store(result, rc, sweep);
-                std::cout << "Step-1 cache miss: stored " << cache.path_for(rc, sweep)
-                          << '\n';
+                cache.store(result, rc);
+                std::cout << "Step-1 cache miss: stored " << cache.path_for(rc) << '\n';
                 return result;
             }
             return analyzer.analyze(rc, sweep);

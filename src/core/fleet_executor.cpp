@@ -191,11 +191,6 @@ resilience_table fleet_executor::analyze(const resilience_config& cfg) {
     opts.threads = cfg_.threads;
     opts.gemm_threads = cfg_.gemm_threads;
     opts.eval_group = cfg_.eval_batch_chips;
-    return analyze(cfg, opts);
-}
-
-resilience_table fleet_executor::analyze(const resilience_config& cfg,
-                                         const sweep_options& opts) {
     resilience_analyzer analyzer(model_, pretrained_, train_data_, test_data_, array_,
                                  trainer_cfg_);
     return analyzer.analyze(cfg, opts);

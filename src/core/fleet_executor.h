@@ -228,10 +228,6 @@ public:
     /// count and any grouping.
     resilience_table analyze(const resilience_config& cfg);
 
-    /// Step 1 with explicit execution knobs (thread count, shard split) —
-    /// see resilience_analyzer::analyze for the determinism contract.
-    resilience_table analyze(const resilience_config& cfg, const sweep_options& opts);
-
     /// Steps 2+3: allocates epochs via the policy, tunes every chip, and
     /// aggregates. `run_name` overrides the reported policy name (empty →
     /// policy.name()). Outcomes are ordered by fleet position and identical

@@ -9,6 +9,8 @@
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <limits>
+#include <sstream>
 #include <utility>
 
 #include "core/multi_mask_eval.h"
@@ -35,7 +37,7 @@ resilience_table::resilience_table(std::vector<resilience_run> runs, double max_
                      "every run needs a trajectory starting at epoch 0");
     }
     // Canonical order: ascending (fault_rate, repeat). Tables built from any
-    // shard split, merge order, or thread count serialize byte-identically.
+    // cell partition, merge order, or thread count serialize byte-identically.
     std::stable_sort(runs_.begin(), runs_.end(),
                      [](const resilience_run& a, const resilience_run& b) {
                          if (a.fault_rate != b.fault_rate) { return a.fault_rate < b.fault_rate; }
@@ -173,39 +175,6 @@ std::optional<double> resilience_table::epochs_for(double fault_rate, double tar
     return *v0 + t * (*v1 - *v0);
 }
 
-resilience_table resilience_table::merge(const std::vector<resilience_table>& shards) {
-    REDUCE_CHECK(!shards.empty(), "resilience_table::merge needs at least one shard");
-    const double max_epochs = shards.front().max_epochs_;
-    const std::string& fingerprint = shards.front().fingerprint_;
-    const std::size_t grid_cells = shards.front().grid_cells_;
-    if (shards.size() > 1 && fingerprint.empty()) {
-        LOG_WARN << "resilience_table::merge: tables carry no config fingerprint "
-                    "(hand-built or pre-fingerprint artifacts); cannot verify they "
-                    "come from the same sweep";
-    }
-    std::vector<resilience_run> runs;
-    for (const resilience_table& shard : shards) {
-        REDUCE_CHECK(shard.max_epochs_ == max_epochs,
-                     "shard tables disagree on max_epochs: " << shard.max_epochs_
-                                                             << " vs " << max_epochs);
-        REDUCE_CHECK(shard.fingerprint_ == fingerprint,
-                     "shard tables come from different sweep configs (fingerprint '"
-                         << shard.fingerprint_ << "' vs '" << fingerprint << "')");
-        REDUCE_CHECK(shard.grid_cells_ == grid_cells,
-                     "shard tables disagree on the sweep grid size: "
-                         << shard.grid_cells_ << " vs " << grid_cells << " cells");
-        runs.insert(runs.end(), shard.runs_.begin(), shard.runs_.end());
-    }
-    // Disjoint is not enough: shards from mismatched I/N splits can be
-    // disjoint yet leave holes. A known grid size pins completeness.
-    REDUCE_CHECK(grid_cells == 0 || runs.size() == grid_cells,
-                 "merged shards cover " << runs.size() << " of " << grid_cells
-                                        << " sweep cells — missing shards or mismatched "
-                                           "shard splits");
-    check_no_overlapping_cells(runs);
-    return resilience_table(std::move(runs), max_epochs, fingerprint, grid_cells);
-}
-
 void resilience_table::check_no_overlapping_cells(const std::vector<resilience_run>& runs) {
     std::vector<std::pair<double, std::size_t>> cells;
     cells.reserve(runs.size());
@@ -216,31 +185,30 @@ void resilience_table::check_no_overlapping_cells(const std::vector<resilience_r
             return same_rate(a.first, b.first) && a.second == b.second;
         });
     if (duplicate != cells.end()) {
-        REDUCE_CHECK(false, "shard tables overlap: cell (rate=" << duplicate->first
-                                                                << ", repeat="
-                                                                << duplicate->second
-                                                                << ") appears in more than "
-                                                                   "one shard");
+        std::ostringstream oss;
+        oss << "resilience tables overlap: cell (rate=" << duplicate->first
+            << ", repeat=" << duplicate->second << ") appears more than once";
+        throw io_error(oss.str());
     }
 }
 
-void resilience_table::merge_into(resilience_table& into, const resilience_table& shard) {
+void resilience_table::merge_into(resilience_table& into, const resilience_table& part) {
     if (into.fingerprint_.empty()) {
         LOG_WARN << "resilience_table::merge_into: accumulator carries no config "
                     "fingerprint (hand-built or pre-fingerprint artifact); cannot verify "
-                    "the shard comes from the same sweep";
+                    "the part comes from the same sweep";
     }
-    REDUCE_CHECK(shard.max_epochs_ == into.max_epochs_,
-                 "shard tables disagree on max_epochs: " << shard.max_epochs_ << " vs "
-                                                         << into.max_epochs_);
-    REDUCE_CHECK(shard.fingerprint_ == into.fingerprint_,
-                 "shard tables come from different sweep configs (fingerprint '"
-                     << shard.fingerprint_ << "' vs '" << into.fingerprint_ << "')");
-    REDUCE_CHECK(shard.grid_cells_ == into.grid_cells_,
-                 "shard tables disagree on the sweep grid size: "
-                     << shard.grid_cells_ << " vs " << into.grid_cells_ << " cells");
+    REDUCE_CHECK(part.max_epochs_ == into.max_epochs_,
+                 "resilience tables disagree on max_epochs: " << part.max_epochs_ << " vs "
+                                                              << into.max_epochs_);
+    REDUCE_CHECK(part.fingerprint_ == into.fingerprint_,
+                 "resilience tables come from different sweep configs (fingerprint '"
+                     << part.fingerprint_ << "' vs '" << into.fingerprint_ << "')");
+    REDUCE_CHECK(part.grid_cells_ == into.grid_cells_,
+                 "resilience tables disagree on the sweep grid size: "
+                     << part.grid_cells_ << " vs " << into.grid_cells_ << " cells");
     std::vector<resilience_run> runs = into.runs_;
-    runs.insert(runs.end(), shard.runs_.begin(), shard.runs_.end());
+    runs.insert(runs.end(), part.runs_.begin(), part.runs_.end());
     check_no_overlapping_cells(runs);
     // The constructor re-sorts into canonical (rate, repeat) order, so the
     // accumulator's serialization never depends on arrival order.
@@ -260,7 +228,7 @@ json_value resilience_table::to_json() const {
         entry.set("fault_rate", json_value(run.fault_rate));
         entry.set("repeat", json_value(run.repeat));
         // Decimal string: 64-bit seeds are not exactly representable as
-        // JSON numbers (doubles), and seeds must survive shard round-trips.
+        // JSON numbers (doubles), and seeds must survive round-trips.
         entry.set("map_seed", json_value(std::to_string(run.map_seed)));
         entry.set("masked_weight_fraction", json_value(run.masked_weight_fraction));
         json_array traj;
@@ -277,57 +245,94 @@ json_value resilience_table::to_json() const {
     return json_value(std::move(root));
 }
 
+namespace {
+
+[[noreturn]] void reject_table(const std::string& why) {
+    throw io_error("malformed resilience table JSON: " + why);
+}
+
+/// A finite number within [lo, hi] (NaN and ±inf fail the comparison too).
+double number_in(const json_object& obj, const std::string& key, double lo, double hi) {
+    const double value = obj.at(key).as_number();
+    if (!(std::isfinite(value) && value >= lo && value <= hi)) {
+        std::ostringstream oss;
+        oss << key << " " << value << " outside [" << lo << ", " << hi << "]";
+        reject_table(oss.str());
+    }
+    return value;
+}
+
+std::size_t count_at(const json_object& obj, const std::string& key) {
+    const std::int64_t value = obj.at(key).as_int();
+    if (value < 0) { reject_table(key + " " + std::to_string(value) + " is negative"); }
+    return static_cast<std::size_t>(value);
+}
+
+}  // namespace
+
 resilience_table resilience_table::from_json(const json_value& value) {
+    constexpr double unbounded = std::numeric_limits<double>::max();
     const json_object& root = value.as_object();
     if (root.contains("schema_version")) {
         const std::int64_t version = root.at("schema_version").as_int();
-        REDUCE_CHECK(version == resilience_schema_version,
-                     "resilience table carries schema version "
-                         << version << " but this build expects "
-                         << resilience_schema_version
-                         << " — regenerate the artifact (or run --cache-gc)");
+        if (version != resilience_schema_version) {
+            reject_table("schema version " + std::to_string(version) +
+                         " but this build expects " +
+                         std::to_string(resilience_schema_version) +
+                         " — regenerate the artifact (or run --cache-gc)");
+        }
     }
     // Tables without the field predate versioning (schema 1); their
     // fingerprints can never match a current config, so the cache already
     // treats them as misses — loading them directly stays permitted for
     // offline inspection of old artifacts.
+    const double max_epochs = number_in(root, "max_epochs", 0.0, unbounded);
+    if (max_epochs == 0.0) { reject_table("max_epochs must be positive"); }
     std::vector<resilience_run> runs;
     for (const json_value& entry : root.at("runs").as_array()) {
         const json_object& obj = entry.as_object();
         resilience_run run;
-        run.fault_rate = obj.at("fault_rate").as_number();
-        run.repeat = static_cast<std::size_t>(obj.at("repeat").as_int());
+        run.fault_rate = number_in(obj, "fault_rate", 0.0, 1.0);
+        run.repeat = count_at(obj, "repeat");
         const json_value& seed = obj.at("map_seed");
         if (seed.is_string()) {
             const std::string& text = seed.as_string();
             // Digits only: strtoull would silently wrap "-1" to 2^64-1.
-            REDUCE_CHECK(!text.empty() &&
-                             text.find_first_not_of("0123456789") == std::string::npos,
-                         "malformed map_seed '" << text << "' in resilience table JSON");
+            if (text.empty() || text.find_first_not_of("0123456789") != std::string::npos) {
+                reject_table("map_seed '" + text + "' is not a decimal string");
+            }
             errno = 0;
             run.map_seed = std::strtoull(text.c_str(), nullptr, 10);
-            REDUCE_CHECK(errno != ERANGE, "map_seed '" << text
-                                                       << "' overflows 64 bits in "
-                                                          "resilience table JSON");
+            if (errno == ERANGE) { reject_table("map_seed '" + text + "' overflows 64 bits"); }
         } else {
-            run.map_seed = static_cast<std::uint64_t>(seed.as_number());
+            run.map_seed = count_at(obj, "map_seed");
         }
-        run.masked_weight_fraction = obj.at("masked_weight_fraction").as_number();
+        run.masked_weight_fraction = number_in(obj, "masked_weight_fraction", 0.0, 1.0);
         for (const json_value& p : obj.at("trajectory").as_array()) {
             const json_object& point = p.as_object();
-            run.trajectory.push_back(
-                {point.at("epochs").as_number(), point.at("accuracy").as_number()});
+            const double epochs = number_in(point, "epochs", 0.0, unbounded);
+            if (!run.trajectory.empty() && epochs < run.trajectory.back().epochs) {
+                reject_table("trajectory goes back from epoch " +
+                             std::to_string(run.trajectory.back().epochs) + " to " +
+                             std::to_string(epochs));
+            }
+            run.trajectory.push_back({epochs, number_in(point, "accuracy", 0.0, 1.0)});
+        }
+        if (run.trajectory.empty() || run.trajectory.front().epochs != 0.0) {
+            reject_table("every run needs a trajectory starting at epoch 0");
         }
         runs.push_back(std::move(run));
     }
+    if (runs.empty()) { reject_table("a table needs at least one run"); }
+    check_no_overlapping_cells(runs);
     const std::string fingerprint =
         root.contains("fingerprint") ? root.at("fingerprint").as_string() : "";
-    const std::size_t grid_cells =
-        root.contains("grid_cells")
-            ? static_cast<std::size_t>(root.at("grid_cells").as_int())
-            : 0;
-    return resilience_table(std::move(runs), root.at("max_epochs").as_number(), fingerprint,
-                            grid_cells);
+    const std::size_t grid_cells = root.contains("grid_cells") ? count_at(root, "grid_cells") : 0;
+    if (grid_cells != 0 && runs.size() > grid_cells) {
+        reject_table(std::to_string(runs.size()) + " runs exceed the grid of " +
+                     std::to_string(grid_cells) + " cells");
+    }
+    return resilience_table(std::move(runs), max_epochs, fingerprint, grid_cells);
 }
 
 namespace {
@@ -410,38 +415,17 @@ std::vector<sweep_cell> enumerate_sweep_cells(const resilience_config& cfg) {
     return cells;
 }
 
-std::vector<sweep_cell> shard_sweep_cells(const std::vector<sweep_cell>& cells,
-                                          std::size_t shard_index, std::size_t shard_count) {
-    REDUCE_CHECK(shard_count >= 1, "shard count must be >= 1");
-    REDUCE_CHECK(shard_index < shard_count,
-                 "shard index " << shard_index << " out of range for " << shard_count
-                                << " shard(s)");
-    std::vector<sweep_cell> mine;
-    mine.reserve(cells.size() / shard_count + 1);
-    for (std::size_t k = shard_index; k < cells.size(); k += shard_count) {
-        mine.push_back(cells[k]);
-    }
-    return mine;
-}
-
 resilience_cache::resilience_cache(std::string dir) : dir_(std::move(dir)) {
     REDUCE_CHECK(!dir_.empty(), "resilience cache needs a directory");
 }
 
-std::string resilience_cache::path_for(const resilience_config& cfg,
-                                       const sweep_options& opts) const {
-    std::string name = "step1-" + resilience_fingerprint(cfg);
-    if (opts.shard_count > 1) {
-        name += ".shard" + std::to_string(opts.shard_index) + "of" +
-                std::to_string(opts.shard_count);
-    }
-    name += ".json";
-    return (std::filesystem::path(dir_) / name).string();
+std::string resilience_cache::path_for(const resilience_config& cfg) const {
+    return (std::filesystem::path(dir_) / ("step1-" + resilience_fingerprint(cfg) + ".json"))
+        .string();
 }
 
-std::optional<resilience_table> resilience_cache::load(const resilience_config& cfg,
-                                                       const sweep_options& opts) const {
-    const std::string path = path_for(cfg, opts);
+std::optional<resilience_table> resilience_cache::load(const resilience_config& cfg) const {
+    const std::string path = path_for(cfg);
     std::error_code ec;
     if (!std::filesystem::exists(path, ec)) { return std::nullopt; }
     try {
@@ -461,13 +445,13 @@ std::optional<resilience_table> resilience_cache::load(const resilience_config& 
     }
 }
 
-void resilience_cache::store(const resilience_table& table, const resilience_config& cfg,
-                             const sweep_options& opts) const {
+void resilience_cache::store(const resilience_table& table,
+                             const resilience_config& cfg) const {
     std::filesystem::create_directories(dir_);
-    const std::string path = path_for(cfg, opts);
+    const std::string path = path_for(cfg);
     // Unique temp name per process AND per attempt: with a fixed ".tmp"
-    // suffix, two processes sharing a cache directory (sharded sweeps, the
-    // distributed coordinator next to a local run) could clobber each
+    // suffix, two processes sharing a cache directory (say the distributed
+    // coordinator next to a local run) could clobber each
     // other's in-flight write before the rename. gc() sweeps any ".tmp"
     // infix, so interrupted stores under either scheme stay collectable.
     static std::atomic<std::uint64_t> store_sequence{0};
@@ -600,13 +584,7 @@ resilience_analyzer::resilience_analyzer(const sequential& model,
 
 resilience_table resilience_analyzer::analyze(const resilience_config& cfg,
                                               const sweep_options& opts) {
-    const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
-    const std::vector<sweep_cell> cells =
-        shard_sweep_cells(grid, opts.shard_index, opts.shard_count);
-    REDUCE_CHECK(!cells.empty(), "shard " << opts.shard_index << "/" << opts.shard_count
-                                          << " selects no cells from a grid of "
-                                          << grid.size());
-    return analyze_cells(cfg, cells, opts);
+    return analyze_cells(cfg, enumerate_sweep_cells(cfg), opts);
 }
 
 resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg,
@@ -630,16 +608,16 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
     }
     const std::vector<double> eval_grid = resolved_eval_grid(cfg);
 
-    // Work unit: a block of consecutive cells of this shard's list, at most
+    // Work unit: a block of consecutive cells of the list, at most
     // eval_group wide. Every cell evaluates the SAME pretrained weights
     // under its own fault map at epoch 0 — the multi-mask shape — so a
     // block's epoch-0 trajectory points share one grouped pass regardless
-    // of rate (in the unsharded canonical order a block is typically the
-    // repeats of one rate; under round-robin sharding it spans rates, which
-    // changes nothing: the evaluator only sees fault grids). The group is
-    // capped at an even cells/worker split so an oversized --eval-group
-    // cannot starve workers of cells — mirroring the fleet executor's cap.
-    // Blocks are a pure function of the (sharded) cell order and the
+    // of rate (in the canonical order a block is typically the repeats of
+    // one rate; in a leased batch it may span rates, which changes
+    // nothing: the evaluator only sees fault grids). The group is capped
+    // at an even cells/worker split so an oversized --eval-group cannot
+    // starve workers of cells — mirroring the fleet executor's cap.
+    // Blocks are a pure function of the cell order and the
     // worker budget — never of scheduling — and grouping never changes
     // values, so the table is identical either way.
     const thread_budget budget =
@@ -718,7 +696,7 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
                 fault_grid working = faults[i - begin];
                 const mask_stats stats = attach_fault_masks(*model, array_, working);
                 // Cell-local timeline: seeded from the cell's grid
-                // coordinates, so any shard split, worker count, or
+                // coordinates, so any cell partition, worker count, or
                 // distributed lease replays identical event contents.
                 const fault_timeline timeline =
                     timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat);
@@ -751,8 +729,7 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
     const scoped_intra_op_threads intra(budget.gemm_threads);
     run_workers(workers, worker);
 
-    LOG_INFO << "resilience: swept " << cells.size() << " of " << grid.size()
-             << " cells (shard " << opts.shard_index << "/" << opts.shard_count << ", "
+    LOG_INFO << "resilience: swept " << cells.size() << " of " << grid.size() << " cells ("
              << workers << " worker(s), gemm-threads " << budget.gemm_threads
              << ", eval-group " << group_limit << ")";
     return resilience_table(std::move(runs), cfg.max_epochs, resilience_fingerprint(cfg),
@@ -762,12 +739,12 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
 resilience_table resilience_analyzer::analyze_cached(const resilience_config& cfg,
                                                      const sweep_options& opts,
                                                      const resilience_cache& cache) {
-    if (std::optional<resilience_table> cached = cache.load(cfg, opts)) {
-        LOG_INFO << "resilience: cache hit (" << cache.path_for(cfg, opts) << ")";
+    if (std::optional<resilience_table> cached = cache.load(cfg)) {
+        LOG_INFO << "resilience: cache hit (" << cache.path_for(cfg) << ")";
         return std::move(*cached);
     }
     resilience_table table = analyze(cfg, opts);
-    cache.store(table, cfg, opts);
+    cache.store(table, cfg);
     return table;
 }
 

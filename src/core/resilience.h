@@ -14,15 +14,16 @@
 // engine here is built for scale:
 //   * every (rate, repeat) cell is an independent experiment with a seed
 //     derived as mix_seed(cfg.seed, rate_index, repeat), so the table is
-//     bit-identical for any thread count and any shard split (caveat: like
+//     bit-identical for any thread count and any cell partition (caveat: like
 //     the fleet executor, this assumes the model carries no non-parameter
 //     state across runs — dropout RNG streams and batch-norm running
 //     statistics are NOT restored between cells; all in-tree workloads are
 //     free of both, see ROADMAP);
 //   * cells fan out over a thread pool, each worker owning a deep clone of
 //     the prototype model restored from the pretrained snapshot per cell;
-//   * `shard i of n` selects a deterministic cell subset for multi-machine
-//     sweeps, and resilience_table::merge fuses shard tables losslessly;
+//   * analyze_cells computes any cell subset, and resilience_table::merge_into
+//     folds the partial tables back losslessly — how the distributed
+//     coordinator splits Step 1 across machines;
 //   * a config-fingerprint-keyed JSON cache (resilience_cache) lets benches
 //     and pipelines reuse Step-1 artifacts instead of recomputing them.
 #pragma once
@@ -68,13 +69,13 @@ class resilience_table {
 public:
     /// Builds from raw runs; `max_epochs` is the training budget that
     /// censored runs were cut at. Runs are stored in canonical order —
-    /// ascending (fault_rate, repeat) — so tables built from any shard
-    /// split or thread count serialize byte-identically. `fingerprint`
+    /// ascending (fault_rate, repeat) — so tables built from any cell
+    /// partition or thread count serialize byte-identically. `fingerprint`
     /// names the sweep config that produced the runs and `grid_cells` the
-    /// full grid size (rates × repeats) of that sweep — a shard table
-    /// carries fewer runs than grid_cells; merge() uses both to reject
-    /// mixing incompatible sweeps and incomplete unions. Hand-built tables
-    /// leave them at ""/0, which disables those checks.
+    /// full grid size (rates × repeats) of that sweep — a partial table
+    /// carries fewer runs than grid_cells; merge_into() uses both to reject
+    /// mixing incompatible sweeps, complete() to gate on the whole grid.
+    /// Hand-built tables leave them at ""/0, which disables those checks.
     resilience_table(std::vector<resilience_run> runs, double max_epochs,
                      std::string fingerprint = "", std::size_t grid_cells = 0);
 
@@ -97,7 +98,7 @@ public:
     const std::string& fingerprint() const { return fingerprint_; }
 
     /// Cell count of the producing sweep's full grid (0 for hand-built
-    /// tables). runs().size() < grid_cells() identifies a shard table.
+    /// tables). runs().size() < grid_cells() identifies a partial table.
     std::size_t grid_cells() const { return grid_cells_; }
 
     /// Number of repeats at a grid rate.
@@ -140,37 +141,32 @@ public:
     /// Raw runs in canonical order (benches re-plot trajectories directly).
     const std::vector<resilience_run>& runs() const { return runs_; }
 
-    /// Fuses tables produced by sharded sweeps of the SAME config back into
-    /// the full table. Validates that every shard agrees on max_epochs,
-    /// fingerprint, and grid size, that no (fault_rate, repeat) cell
-    /// appears twice, and — when the shards carry a grid size — that the
-    /// union covers every cell (shards from mismatched `I/N` splits cannot
-    /// silently produce a partial table). The result's to_json() is
-    /// byte-identical to the single-shot sweep.
-    static resilience_table merge(const std::vector<resilience_table>& shards);
-
-    /// Incremental counterpart of merge(): fuses one shard into an
-    /// accumulator table as it arrives — how the distributed coordinator
-    /// folds worker results in without buffering every shard until the end.
-    /// Applies the same validation as merge() (matching max_epochs /
-    /// fingerprint / grid size, no overlapping cells) EXCEPT the
-    /// completeness check, which only makes sense once every shard has
-    /// arrived — gate on complete() for that. The accumulator re-enters
-    /// canonical order after every call, so the final table is
-    /// byte-identical regardless of shard arrival order.
-    static void merge_into(resilience_table& into, const resilience_table& shard);
+    /// Fuses a partial table (analyze_cells over a cell subset of the SAME
+    /// config) into an accumulator as it arrives — how the distributed
+    /// coordinator folds worker results in. Validates matching max_epochs,
+    /// fingerprint, and grid size, and that no (fault_rate, repeat) cell
+    /// appears twice; gate on complete() for full coverage. The
+    /// accumulator re-enters canonical order after every call, so once
+    /// complete its to_json() is byte-identical to the single-shot sweep
+    /// regardless of arrival order.
+    static void merge_into(resilience_table& into, const resilience_table& part);
 
     /// True when this table covers its producing sweep's whole grid (always
     /// false for hand-built tables, which carry no grid size).
     bool complete() const { return grid_cells_ != 0 && runs_.size() == grid_cells_; }
 
     /// JSON round-trip for caching the (expensive) Step-1 artifact.
+    /// from_json reads disk and wire bytes, so any malformed document —
+    /// wrong types, non-finite numbers, a fault rate, weight fraction, or
+    /// accuracy outside [0, 1], a trajectory that does not start at epoch
+    /// 0 or goes back in time, overlapping cells, more runs than the grid
+    /// — is rejected with io_error.
     json_value to_json() const;
     static resilience_table from_json(const json_value& value);
 
 private:
     /// Throws when two runs cover the same (fault_rate, repeat) cell —
-    /// shared by merge() and merge_into().
+    /// shared by merge_into() and from_json().
     static void check_no_overlapping_cells(const std::vector<resilience_run>& runs);
 
     std::vector<resilience_run> runs_;
@@ -182,8 +178,8 @@ private:
 };
 
 /// Configuration of the resilience sweep — everything that determines the
-/// *numbers* in the table. Execution knobs (threads, shards) live in
-/// sweep_options and never change results.
+/// *numbers* in the table. Execution knobs (threads, eval grouping) live
+/// in sweep_options and never change results.
 struct resilience_config {
     std::vector<double> fault_rates{0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5};
     std::size_t repeats = 5;
@@ -194,7 +190,7 @@ struct resilience_config {
     /// Fault-event timeline applied inside every cell's retraining episode:
     /// each cell derives its timeline as timeline_for_cell(scenario,
     /// rate_index, repeat) — a pure function of the scenario and the cell's
-    /// grid coordinates, so sharded, distributed, and local sweeps replay
+    /// grid coordinates, so distributed and local sweeps replay
     /// identical event sequences. Empty (the default) disables timelines
     /// and keeps the fingerprint — and thus every existing cache entry and
     /// journal — unchanged.
@@ -208,10 +204,8 @@ struct resilience_config {
     std::string context;
 };
 
-/// Execution knobs of a sweep. Any thread count, shard split, or eval
-/// grouping produces a bit-identical table; shard i of n computes a
-/// deterministic cell subset that resilience_table::merge fuses back
-/// losslessly.
+/// Execution knobs of a sweep. Any thread count or eval grouping produces
+/// a bit-identical table.
 struct sweep_options {
     std::size_t threads = 1;      ///< worker threads; 0 → hardware concurrency
     /// Intra-op (GEMM/conv-lowering) threads per worker (--gemm-threads);
@@ -220,8 +214,6 @@ struct sweep_options {
     /// count (resolve_thread_budget), and — like every knob here — without
     /// any effect on the table's bytes.
     std::size_t gemm_threads = 1;
-    std::size_t shard_index = 0;  ///< this process's shard (< shard_count)
-    std::size_t shard_count = 1;  ///< total shards the grid is split into
     /// Cells whose epoch-0 evaluations share one grouped pass through the
     /// batched multi-mask evaluator (--eval-group). 0 or 1 → serial
     /// per-cell evaluation. Every cell evaluates the same pretrained
@@ -234,7 +226,7 @@ struct sweep_options {
 
 /// One (rate, repeat) cell of the sweep grid with its deterministic seed.
 /// A cell's outcome depends only on the cell itself — never on scheduling,
-/// thread count, or the shard split.
+/// thread count, or the cell partition.
 struct sweep_cell {
     std::size_t rate_index = 0;
     std::size_t repeat = 0;
@@ -247,41 +239,32 @@ struct sweep_cell {
 /// >= 1, positive budget).
 std::vector<sweep_cell> enumerate_sweep_cells(const resilience_config& cfg);
 
-/// Deterministic shard subset: cell k of the canonical order belongs to
-/// shard k % shard_count. Round-robin keeps shards cost-balanced because
-/// adjacent cells share a fault rate (and thus a similar training cost).
-std::vector<sweep_cell> shard_sweep_cells(const std::vector<sweep_cell>& cells,
-                                          std::size_t shard_index,
-                                          std::size_t shard_count);
-
 /// Stable hex fingerprint of everything that determines sweep results: the
 /// rate grid, repeats, budget, resolved eval grid, fault model, seed, and
-/// the workload context. Execution knobs (threads, shards) are excluded.
+/// the workload context. Execution knobs (threads, eval grouping) are
+/// excluded.
 std::string resilience_fingerprint(const resilience_config& cfg);
 
 /// On-disk JSON cache of Step-1 artifacts — the paper's overhead
 /// amortization made concrete: benches, examples, and services reuse a
 /// sweep instead of recomputing it. Entries are keyed by
 /// resilience_fingerprint(cfg) (set cfg.context so distinct workloads get
-/// distinct keys); sharded sweeps cache per-shard files side by side.
+/// distinct keys). Only complete tables are cached.
 class resilience_cache {
 public:
     /// `dir` is created on first store.
     explicit resilience_cache(std::string dir);
 
-    /// Cache file for a config: <dir>/step1-<fingerprint>.json, with a
-    /// ".shard<I>of<N>" infix when opts selects a proper shard.
-    std::string path_for(const resilience_config& cfg, const sweep_options& opts = {}) const;
+    /// Cache file for a config: <dir>/step1-<fingerprint>.json.
+    std::string path_for(const resilience_config& cfg) const;
 
     /// The cached table, or nullopt on miss. Unreadable or
     /// fingerprint-mismatched entries count as misses (reported via
     /// LOG_WARN, never fatal).
-    std::optional<resilience_table> load(const resilience_config& cfg,
-                                         const sweep_options& opts = {}) const;
+    std::optional<resilience_table> load(const resilience_config& cfg) const;
 
     /// Persists the table atomically (write-temp-then-rename).
-    void store(const resilience_table& table, const resilience_config& cfg,
-               const sweep_options& opts = {}) const;
+    void store(const resilience_table& table, const resilience_config& cfg) const;
 
     /// Garbage collection policy for gc().
     struct gc_options {
@@ -335,26 +318,24 @@ public:
                         const dataset& train_data, const dataset& test_data,
                         const array_config& array, fat_config trainer_cfg);
 
-    /// Executes the sweep. Deterministic given cfg.seed: the resulting
-    /// table is bit-identical for any opts.threads, and the shard selected
-    /// by opts covers exactly its subset of the canonical cell order.
+    /// Executes the whole sweep: analyze_cells over enumerate_sweep_cells.
+    /// Deterministic given cfg.seed: the resulting table is bit-identical
+    /// for any opts.
     resilience_table analyze(const resilience_config& cfg, const sweep_options& opts = {});
 
     /// Executes an EXPLICIT cell subset of cfg's grid — the work-unit entry
     /// point of the distributed worker, which is leased arbitrary cell
-    /// batches rather than a round-robin shard. Every cell must belong to
-    /// cfg's grid with its canonical seed (validated; catches config drift
-    /// that survives a fingerprint collision). Returns a partial table
-    /// (grid_cells = the full grid size) that merges losslessly with any
-    /// disjoint sibling, byte-identical to the same cells computed by
-    /// analyze(). opts' shard fields are ignored — the cell list already IS
-    /// the shard.
+    /// batches. Every cell must belong to cfg's grid with its canonical
+    /// seed (validated; catches config drift that survives a fingerprint
+    /// collision). Returns a partial table (grid_cells = the full grid
+    /// size) that merge_into() folds losslessly with any disjoint sibling,
+    /// byte-identical to the same cells computed by analyze().
     resilience_table analyze_cells(const resilience_config& cfg,
                                    const std::vector<sweep_cell>& cells,
                                    const sweep_options& opts = {});
 
     /// Cache-aware sweep: returns the cached table when `cache` holds one
-    /// for (cfg, opts), otherwise runs analyze() and stores the result.
+    /// for cfg, otherwise runs analyze() and stores the result.
     resilience_table analyze_cached(const resilience_config& cfg, const sweep_options& opts,
                                     const resilience_cache& cache);
 

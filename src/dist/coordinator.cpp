@@ -29,6 +29,19 @@ std::uint64_t parse_lease(const json_value& message) {
     }
 }
 
+/// Runs `decode` over a worker's result payload. Whatever the payload
+/// fails — a type, a range, the fold's fingerprint or overlap check — is
+/// the sender's fault: io_error, a protocol violation that drops the
+/// connection and re-queues the unit, never a job failure.
+template <typename Decode>
+auto decode_result(Decode&& decode) {
+    try {
+        return decode();
+    } catch (const error& e) {
+        throw io_error(std::string("unusable result: ") + e.what());
+    }
+}
+
 }  // namespace
 
 fleet_job plan_fleet_job(sequential& model, const array_config& array,
@@ -509,8 +522,9 @@ void coordinator::handle_result(int fd, connection& conn, const json_value& mess
             accept_fleet_result(unit, message);
         }
     } catch (const io_error&) {
-        // The payload was unusable, so the unit is still open — re-queue it
-        // before the connection is dropped for the violation.
+        // The payload was unusable (accept_* report every decode or
+        // validation failure as io_error), so the unit is still open —
+        // re-queue it before the connection is dropped for the violation.
         if (!unit.done && !unit.leased) {
             pending_.push_back(lease.unit);
             {
@@ -599,37 +613,48 @@ void coordinator::complete_unit(std::size_t unit_id) {
 }
 
 void coordinator::accept_sweep_result(const json_value& message) {
-    const json_object& obj = message.as_object();
-    resilience_table shard = resilience_table::from_json(obj.at("table"));
-    if (!acc_.has_value()) {
-        // First shard seeds the accumulator; later ones go through
-        // merge_into, which re-validates against what the seed established.
-        if (shard.fingerprint() != cfg_.fingerprint) {
-            throw io_error("shard table fingerprint does not match the job");
+    decode_result([&] {
+        resilience_table part = resilience_table::from_json(message.as_object().at("table"));
+        if (acc_.has_value()) {  // validates; leaves acc_ untouched on failure
+            resilience_table::merge_into(*acc_, part);
+            return;
+        }
+        if (part.fingerprint() != cfg_.fingerprint) {
+            throw io_error("result table fingerprint does not match the job");
         }
         std::size_t total_cells = 0;
         for (const work_unit& unit : units_) { total_cells += unit.cells.size(); }
-        if (shard.grid_cells() != total_cells) {
-            throw io_error("shard table grid size " + std::to_string(shard.grid_cells()) +
+        if (part.grid_cells() != total_cells) {
+            throw io_error("result table grid size " + std::to_string(part.grid_cells()) +
                            " != job grid " + std::to_string(total_cells));
         }
-        acc_.emplace(std::move(shard));
-    } else {
-        resilience_table::merge_into(*acc_, shard);
-    }
+        acc_.emplace(std::move(part));
+    });
 }
 
 void coordinator::accept_fleet_result(const work_unit& unit, const json_value& message) {
-    const json_object& obj = message.as_object();
-    chip_outcome outcome = chip_outcome_from_json(obj.at("outcome"));
     const std::size_t index = unit.chip_index;
-    outcomes_[index] = outcome;
-    if (fleet_.collect_snapshots && sink_) {
-        if (!obj.contains("snapshot")) {
-            throw io_error("fleet result lacks the requested model snapshot");
+    const bool want_model = fleet_.collect_snapshots && sink_;
+    // The whole payload decodes before any state changes.
+    model_snapshot model;
+    const chip_outcome outcome = decode_result([&] {
+        const json_object& obj = message.as_object();
+        chip_outcome decoded = chip_outcome_from_json(obj.at("outcome"));
+        if (decoded.chip_id != fleet_.fleet[index].id) {
+            throw io_error("result for chip " + std::to_string(decoded.chip_id) +
+                           " on the lease of chip " + std::to_string(fleet_.fleet[index].id));
         }
-        pending_models_[index] =
-            snapshot_from_bytes(base64_decode(obj.at("snapshot").as_string()));
+        if (want_model) {
+            if (!obj.contains("snapshot")) {
+                throw io_error("fleet result lacks the requested model snapshot");
+            }
+            model = snapshot_from_bytes(base64_decode(obj.at("snapshot").as_string()));
+        }
+        return decoded;
+    });
+    outcomes_[index] = outcome;
+    if (want_model) {
+        pending_models_[index] = std::move(model);
         model_ready_[index] = true;
         // Same fleet-order prefix streaming as fleet_executor: chip i sinks
         // once chips 0..i have all landed, whatever the arrival order.

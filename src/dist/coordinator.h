@@ -15,7 +15,7 @@
 //     seeding), so re-execution elsewhere is byte-identical, and a
 //     straggler's late result is either accepted (unit still open — the
 //     same bytes) or dropped as a duplicate (unit already done);
-//   * shard tables are fused incrementally via resilience_table::merge_into
+//   * partial tables are fused incrementally via resilience_table::merge_into
 //     as they arrive, so the final artifact is byte-identical to the
 //     single-machine sweep regardless of worker count, scheduling, or
 //     arrival order — and is persisted through resilience_cache;

@@ -4,7 +4,7 @@
 // partial state — the fused sweep accumulator, the fleet outcome ledger —
 // so before this journal existed, a coordinator crash lost the whole job.
 // The journal makes every completed work unit durable: the coordinator
-// appends one record per unit (sweep shard table, or fleet chip outcome
+// appends one record per unit (sweep partial table, or fleet chip outcome
 // with its tuned-model snapshot bytes) and fsyncs it BEFORE marking the
 // unit done, so a restarted coordinator pointed at the same journal
 // directory replays the finished units, re-queues only the unfinished

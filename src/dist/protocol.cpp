@@ -337,11 +337,11 @@ json_value make_chip_work(std::uint64_t lease, const chip& c, const epoch_alloca
     return json_value(std::move(msg));
 }
 
-json_value make_sweep_result(std::uint64_t lease, const json_value& shard_table) {
+json_value make_sweep_result(std::uint64_t lease, const json_value& table) {
     json_object msg = typed("result");
     msg.set("lease", json_value(std::to_string(lease)));
     msg.set("kind", json_value("sweep_cells"));
-    msg.set("table", shard_table);
+    msg.set("table", table);
     return json_value(std::move(msg));
 }
 

@@ -220,7 +220,7 @@ json_value make_request_work();
 json_value make_sweep_work(std::uint64_t lease, const std::vector<std::size_t>& cells);
 json_value make_chip_work(std::uint64_t lease, const chip& c, const epoch_allocation& alloc,
                           double constraint, double effective_rate);
-json_value make_sweep_result(std::uint64_t lease, const json_value& shard_table);
+json_value make_sweep_result(std::uint64_t lease, const json_value& table);
 json_value make_chip_result(std::uint64_t lease, const chip_outcome& outcome,
                             const std::string& snapshot_bytes);
 json_value make_heartbeat(std::uint64_t lease);

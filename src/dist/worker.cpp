@@ -276,13 +276,13 @@ worker_report worker::run() {
                     sweep_options opts;
                     opts.threads = 1;
                     opts.gemm_threads = cfg_.gemm_threads;
-                    const resilience_table shard =
+                    const resilience_table part =
                         analyzer->analyze_cells(sweep_cfg_, cells, opts);
                     ++report.sweep_units;
                     report.cells += cells.size();
                     // Stash-then-send: if the send throws, the result rides
                     // the reconnect instead of being recomputed.
-                    unsent_result = make_sweep_result(lease, shard.to_json());
+                    unsent_result = make_sweep_result(lease, part.to_json());
                     hb_lease.store(0, std::memory_order_relaxed);
                     send_message(*unsent_result);
                     unsent_result.reset();

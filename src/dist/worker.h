@@ -6,7 +6,7 @@
 // coordinator says shutdown:
 //
 //   * sweep_cells units run through resilience_analyzer::analyze_cells —
-//     the returned shard table is byte-compatible with the same cells of a
+//     the returned partial table is byte-compatible with the same cells of a
 //     single-machine sweep, so the coordinator's incremental merge
 //     reproduces the serial artifact exactly;
 //   * fleet_chip units run through chip_tuner — the chip, allocation,

@@ -9,8 +9,8 @@
 // fault_timeline whose every sampled decision is a pure function of
 // (scenario, episode coordinates) — never of thread schedule, worker
 // identity, or wall-clock — so timeline runs keep the repo-wide
-// bit-identical guarantee at any --gemm-threads / worker count / shard
-// split, distributed or local.
+// bit-identical guarantee at any --gemm-threads / worker count / cell
+// partition, distributed or local.
 //
 // Scenarios serialize like any other config: a canonical text form (the
 // exact string resilience fingerprints hash, and the --scenario CLI

@@ -157,12 +157,12 @@ __attribute__((target("avx2,fma"))) void micro_kernel_avx2(std::size_t kc,
 /// detection via __builtin_cpu_supports, so any AVX2+FMA machine takes the
 /// fast path regardless of vendor/model). Determinism contract: on a given
 /// machine and build every result is bit-identical run-to-run, across
-/// thread counts, and across shard splits — the dispatch decision is fixed
+/// thread counts, and across cell partitions — the dispatch decision is fixed
 /// for the process lifetime. Results may differ at the last ulp BETWEEN
 /// machines of different ISA level (FMA skips an intermediate rounding) —
 /// the same caveat REDUCE_NATIVE carries, and no worse than libm's exp/log
-/// already imposed on cross-machine runs; merge shards on one ISA
-/// generation when byte-identical artifacts matter.
+/// already imposed on cross-machine runs; run distributed workers on one
+/// ISA generation when byte-identical artifacts matter.
 micro_kernel_fn select_micro_kernel() {
 #if REDUCE_GEMM_X86_DISPATCH
     if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {

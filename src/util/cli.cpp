@@ -1,6 +1,5 @@
 #include "util/cli.h"
 
-#include <climits>
 #include <cstdlib>
 #include <sstream>
 
@@ -99,36 +98,6 @@ std::vector<std::string> cli_args::get_string_list(
     }
     REDUCE_CHECK(!values.empty(), "option --" << name << " is an empty list");
     return values;
-}
-
-shard_spec cli_args::get_shard(const std::string& name) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) { return {}; }
-    const std::string& spec = it->second;
-    const auto slash = spec.find('/');
-    REDUCE_CHECK(slash != std::string::npos && slash > 0 && slash + 1 < spec.size(),
-                 "option --" << name << " expects I/N (e.g. 0/4), got '" << spec << "'");
-    const auto parse_count = [&](const std::string& text) {
-        // Digits only: strtoull would silently wrap "-2" to 2^64-2.
-        REDUCE_CHECK(!text.empty() && text.find_first_not_of("0123456789") == std::string::npos,
-                     "option --" << name << " has a non-numeric shard component '" << text
-                                 << "'");
-        char* end = nullptr;
-        const unsigned long long value = std::strtoull(text.c_str(), &end, 10);
-        REDUCE_CHECK(end != nullptr && *end == '\0' && value != ULLONG_MAX,
-                     "option --" << name << " shard component '" << text
-                                 << "' is out of range");
-        return static_cast<std::size_t>(value);
-    };
-    shard_spec shard;
-    shard.index = parse_count(spec.substr(0, slash));
-    shard.count = parse_count(spec.substr(slash + 1));
-    REDUCE_CHECK(shard.count >= 1, "option --" << name << ": shard count must be >= 1");
-    REDUCE_CHECK(shard.index < shard.count, "option --" << name << ": shard index "
-                                                        << shard.index
-                                                        << " out of range for " << shard.count
-                                                        << " shard(s)");
-    return shard;
 }
 
 }  // namespace reduce

@@ -11,13 +11,6 @@
 
 namespace reduce {
 
-/// Shard selector for splitting a deterministic work grid across
-/// processes/machines: shard `index` of `count` (0-based).
-struct shard_spec {
-    std::size_t index = 0;
-    std::size_t count = 1;
-};
-
 /// Parsed command line with typed accessors and defaults.
 class cli_args {
 public:
@@ -53,10 +46,6 @@ public:
     /// Empty elements are rejected; an absent option yields the fallback.
     std::vector<std::string> get_string_list(
         const std::string& name, const std::vector<std::string>& fallback) const;
-
-    /// Shard option in `I/N` form, e.g. `--shard 0/4`. Absent → {0, 1}.
-    /// Throws on malformed specs, N == 0, or I >= N.
-    shard_spec get_shard(const std::string& name) const;
 
 private:
     std::string program_;

@@ -16,7 +16,9 @@ void json_object::set(const std::string& key, json_value value) {
         order_.push_back(key);
         members_[key] = std::make_shared<json_value>(std::move(value));
     } else {
-        *it->second = std::move(value);
+        // Replace, never write through: copies of an object share member
+        // pointers, and an overwrite must not reach into the original.
+        it->second = std::make_shared<json_value>(std::move(value));
     }
 }
 
@@ -50,7 +52,12 @@ double json_value::as_number() const {
 
 std::int64_t json_value::as_int() const {
     const double d = as_number();
-    REDUCE_CHECK(std::abs(d - std::round(d)) < 1e-9, "json number " << d << " is not integral");
+    // 2^63 bounds llround's range; NaN fails the comparison too.
+    if (!(std::abs(d) < 9223372036854775808.0 && std::abs(d - std::round(d)) < 1e-9)) {
+        std::ostringstream oss;
+        oss << "json number " << d << " is not an integer";
+        throw io_error(oss.str());
+    }
     return static_cast<std::int64_t>(std::llround(d));
 }
 

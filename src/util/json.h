@@ -71,7 +71,8 @@ public:
     bool is_array() const { return std::holds_alternative<json_array>(data_); }
     bool is_object() const { return std::holds_alternative<json_object>(data_); }
 
-    /// Typed accessors; each throws io_error when the value has another type.
+    /// Typed accessors; each throws io_error when the value has another type
+    /// (as_int also when the number is not an integer in int64 range).
     bool as_bool() const;
     double as_number() const;
     std::int64_t as_int() const;
@@ -84,7 +85,7 @@ public:
     std::string dump(int indent = -1) const;
 
     /// Deep structural equality (numbers by ==, objects insertion-order
-    /// sensitive). Used to compare persisted artifacts such as merged shard
+    /// sensitive). Used to compare persisted artifacts such as merged partial
     /// tables against single-shot sweeps.
     friend bool operator==(const json_value& a, const json_value& b);
     friend bool operator!=(const json_value& a, const json_value& b) { return !(a == b); }

@@ -1,16 +1,20 @@
-// Tests for the parallel, shardable, cache-aware sweep engine behind
-// Step 1: cell enumeration and seeding, thread-count determinism
-// (byte-identical tables), shard/merge equivalence, merge validation, and
-// the fingerprint-keyed on-disk cache.
+// Tests for the parallel, cache-aware sweep engine behind Step 1: cell
+// enumeration and seeding, thread-count determinism (byte-identical
+// tables), cell-partition/merge_into equivalence, merge validation, the
+// table decoder (fuzzed), and the fingerprint-keyed on-disk cache.
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <string_view>
 #include <thread>
+#include <typeinfo>
 
 #include "core/resilience.h"
 #include "core/workload.h"
+#include "dist/chaos.h"
+#include "fuzz_mutations.h"
 #include "nn/norm.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -47,29 +51,6 @@ TEST(SweepCells, EnumerationIsCanonicalRateMajor) {
     EXPECT_EQ(seeds.size(), cells.size());  // no two cells share a seed
 }
 
-TEST(SweepCells, ShardsPartitionTheGrid) {
-    resilience_config cfg;
-    cfg.fault_rates = {0.0, 0.1, 0.2};
-    cfg.repeats = 3;
-    const std::vector<sweep_cell> cells = enumerate_sweep_cells(cfg);
-    std::set<std::uint64_t> covered;
-    std::size_t total = 0;
-    for (std::size_t shard = 0; shard < 4; ++shard) {
-        for (const sweep_cell& cell : shard_sweep_cells(cells, shard, 4)) {
-            covered.insert(cell.map_seed);
-            ++total;
-        }
-    }
-    EXPECT_EQ(total, cells.size());           // disjoint...
-    EXPECT_EQ(covered.size(), cells.size());  // ...and exhaustive
-}
-
-TEST(SweepCells, ShardSelectionValidates) {
-    const std::vector<sweep_cell> cells = enumerate_sweep_cells(small_config());
-    EXPECT_THROW(shard_sweep_cells(cells, 0, 0), error);
-    EXPECT_THROW(shard_sweep_cells(cells, 2, 2), error);
-}
-
 TEST(Fingerprint, StableAndSensitiveToScience) {
     const resilience_config base = small_config();
     const std::string fp = resilience_fingerprint(base);
@@ -89,7 +70,7 @@ TEST(Fingerprint, StableAndSensitiveToScience) {
     changed.max_epochs += 1.0;
     EXPECT_NE(resilience_fingerprint(changed), fp);
     // Context separates workloads whose numeric knobs all match — and since
-    // it feeds the fingerprint stamped into tables, merge() rejects mixing
+    // it feeds the fingerprint stamped into tables, merge_into() rejects mixing
     // tables from different workloads too.
     changed = base;
     changed.context = "vgg11";
@@ -125,6 +106,20 @@ protected:
 
 workload* SweepFixture::shared_ = nullptr;
 
+/// The distributed path in miniature: the grid split two ways (alternate
+/// cells), each half through analyze_cells, folded with merge_into.
+std::string two_way_fold(resilience_analyzer& analyzer, const resilience_config& cfg,
+                         const sweep_options& opts) {
+    const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
+    std::vector<sweep_cell> halves[2];
+    for (std::size_t k = 0; k < grid.size(); ++k) { halves[k % 2].push_back(grid[k]); }
+    resilience_table acc = analyzer.analyze_cells(cfg, halves[0], opts);
+    EXPECT_FALSE(acc.complete());
+    resilience_table::merge_into(acc, analyzer.analyze_cells(cfg, halves[1], opts));
+    EXPECT_TRUE(acc.complete());
+    return acc.to_json().dump();
+}
+
 TEST_F(SweepFixture, ParallelSweepIsByteIdenticalAtAnyThreadCount) {
     resilience_analyzer analyzer = make_analyzer();
     const resilience_config cfg = small_config();
@@ -141,10 +136,10 @@ TEST_F(SweepFixture, ParallelSweepIsByteIdenticalAtAnyThreadCount) {
     }
 }
 
-TEST_F(SweepFixture, DeterminismMatrixThreadsByEvalGroupBySharding) {
+TEST_F(SweepFixture, DeterminismMatrixThreadsByEvalGroupByCellPartition) {
     // The full execution-knob matrix must collapse to ONE artifact: worker
-    // threads (1/2/8) × grouped epoch-0 evaluation (1/4) × 2-way shard
-    // split + merge all serialize byte-identically.
+    // threads (1/2/8) × grouped epoch-0 evaluation (1/4) × 2-way cell
+    // partition + merge_into all serialize byte-identically.
     resilience_analyzer analyzer = make_analyzer();
     const resilience_config cfg = small_config();
 
@@ -156,24 +151,15 @@ TEST_F(SweepFixture, DeterminismMatrixThreadsByEvalGroupBySharding) {
             opts.eval_group = eval_group;
             EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
                 << "threads=" << threads << " eval_group=" << eval_group;
-
-            sweep_options shard0 = opts;
-            shard0.shard_index = 0;
-            shard0.shard_count = 2;
-            sweep_options shard1 = opts;
-            shard1.shard_index = 1;
-            shard1.shard_count = 2;
-            const resilience_table merged = resilience_table::merge(
-                {analyzer.analyze(cfg, shard0), analyzer.analyze(cfg, shard1)});
-            EXPECT_EQ(merged.to_json().dump(), reference)
-                << "sharded: threads=" << threads << " eval_group=" << eval_group;
+            EXPECT_EQ(two_way_fold(analyzer, cfg, opts), reference)
+                << "partitioned: threads=" << threads << " eval_group=" << eval_group;
         }
     }
 }
 
-TEST_F(SweepFixture, DeterminismMatrixGemmThreadsByWorkersBySharding) {
+TEST_F(SweepFixture, DeterminismMatrixGemmThreadsByWorkersByCellPartition) {
     // The two-level budget matrix: intra-op gemm threads (1/2/8) × sweep
-    // workers (1/4) × 2-way shard split + merge must all serialize
+    // workers (1/4) × 2-way cell partition + merge_into must all serialize
     // byte-identically — the parallel tensor backend never splits a K
     // accumulation, so no knob combination may move a single table byte.
     // (On saturated machines the oversubscription guard may shrink the
@@ -189,17 +175,8 @@ TEST_F(SweepFixture, DeterminismMatrixGemmThreadsByWorkersBySharding) {
             opts.gemm_threads = gemm_threads;
             EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
                 << "workers=" << workers << " gemm_threads=" << gemm_threads;
-
-            sweep_options shard0 = opts;
-            shard0.shard_index = 0;
-            shard0.shard_count = 2;
-            sweep_options shard1 = opts;
-            shard1.shard_index = 1;
-            shard1.shard_count = 2;
-            const resilience_table merged = resilience_table::merge(
-                {analyzer.analyze(cfg, shard0), analyzer.analyze(cfg, shard1)});
-            EXPECT_EQ(merged.to_json().dump(), reference)
-                << "sharded: workers=" << workers << " gemm_threads=" << gemm_threads;
+            EXPECT_EQ(two_way_fold(analyzer, cfg, opts), reference)
+                << "partitioned: workers=" << workers << " gemm_threads=" << gemm_threads;
         }
     }
 }
@@ -236,100 +213,6 @@ TEST_F(SweepFixture, StochasticModelSweepIsDeterministicAcrossTheMatrix) {
     }
 }
 
-TEST_F(SweepFixture, ShardedSweepMergesToSingleShotByteIdentical) {
-    resilience_analyzer analyzer = make_analyzer();
-    const resilience_config cfg = small_config();
-
-    const resilience_table full = analyzer.analyze(cfg, {});
-
-    sweep_options shard0;
-    shard0.shard_index = 0;
-    shard0.shard_count = 2;
-    sweep_options shard1 = shard0;
-    shard1.shard_index = 1;
-    const resilience_table t0 = analyzer.analyze(cfg, shard0);
-    const resilience_table t1 = analyzer.analyze(cfg, shard1);
-    EXPECT_EQ(t0.runs().size() + t1.runs().size(), full.runs().size());
-
-    // Merge order must not matter, and the fused table must serialize
-    // byte-identically to the single-shot sweep.
-    EXPECT_EQ(resilience_table::merge({t0, t1}).to_json().dump(), full.to_json().dump());
-    EXPECT_EQ(resilience_table::merge({t1, t0}).to_json().dump(), full.to_json().dump());
-
-    // Shard tables also survive a JSON round-trip before merging (the
-    // multi-machine path: each shard ships a file).
-    const resilience_table r0 = resilience_table::from_json(t0.to_json());
-    const resilience_table r1 = resilience_table::from_json(t1.to_json());
-    EXPECT_EQ(resilience_table::merge({r0, r1}).to_json().dump(), full.to_json().dump());
-}
-
-TEST_F(SweepFixture, MergeRejectsOverlappingShards) {
-    resilience_analyzer analyzer = make_analyzer();
-    const resilience_config cfg = small_config();
-    sweep_options shard0;
-    shard0.shard_index = 0;
-    shard0.shard_count = 2;
-    const resilience_table t0 = analyzer.analyze(cfg, shard0);
-    const resilience_table full = analyzer.analyze(cfg, {});
-    EXPECT_THROW(resilience_table::merge({t0, t0}), error);    // same shard twice
-    EXPECT_THROW(resilience_table::merge({full, t0}), error);  // shard within full
-}
-
-TEST_F(SweepFixture, MergeRejectsIncompleteUnions) {
-    // Shards from mismatched I/N splits can be disjoint yet leave holes —
-    // merge must refuse rather than hand back a silently partial table.
-    resilience_analyzer analyzer = make_analyzer();
-    const resilience_config cfg = small_config();  // 2 rates × 2 repeats = 4 cells
-    sweep_options half0;
-    half0.shard_index = 0;
-    half0.shard_count = 2;
-    sweep_options quarter1;
-    quarter1.shard_index = 1;
-    quarter1.shard_count = 4;
-    const resilience_table t_half = analyzer.analyze(cfg, half0);     // cells {0, 2}
-    const resilience_table t_quarter = analyzer.analyze(cfg, quarter1);  // cell {1}
-    EXPECT_THROW(resilience_table::merge({t_half, t_quarter}), error);
-    // A lone shard is not the full sweep either.
-    EXPECT_THROW(resilience_table::merge({t_half}), error);
-    EXPECT_EQ(t_half.grid_cells(), 4u);
-    EXPECT_EQ(t_half.runs().size(), 2u);
-}
-
-TEST_F(SweepFixture, MergeRejectsMismatchedConfigs) {
-    resilience_analyzer analyzer = make_analyzer();
-    const resilience_config cfg = small_config();
-    resilience_config other = cfg;
-    other.seed += 1;  // different sweep → different fingerprint
-    sweep_options shard0;
-    shard0.shard_index = 0;
-    shard0.shard_count = 2;
-    sweep_options shard1 = shard0;
-    shard1.shard_index = 1;
-    const resilience_table t0 = analyzer.analyze(cfg, shard0);
-    const resilience_table t1 = analyzer.analyze(other, shard1);
-    EXPECT_THROW(resilience_table::merge({t0, t1}), error);
-
-    // Same numeric knobs but a different workload context must be rejected
-    // too — the whole point of stamping context into the fingerprint.
-    resilience_config other_workload = cfg;
-    other_workload.context = "some-other-model";
-    const resilience_table t2 = analyzer.analyze(other_workload, shard1);
-    EXPECT_THROW(resilience_table::merge({t0, t2}), error);
-}
-
-TEST(ResilienceTableMerge, RejectsMismatchedBudgets) {
-    std::vector<resilience_run> runs_a(1);
-    runs_a[0].fault_rate = 0.0;
-    runs_a[0].trajectory = {{0.0, 0.5}};
-    std::vector<resilience_run> runs_b(1);
-    runs_b[0].fault_rate = 0.1;
-    runs_b[0].trajectory = {{0.0, 0.5}};
-    const resilience_table a(std::move(runs_a), 1.0);
-    const resilience_table b(std::move(runs_b), 2.0);
-    EXPECT_THROW(resilience_table::merge({a, b}), error);
-    EXPECT_THROW(resilience_table::merge({}), error);
-}
-
 TEST_F(SweepFixture, CacheMissComputesThenHitReuses) {
     const std::string dir =
         (std::filesystem::path(::testing::TempDir()) / "reduce_step1_cache").string();
@@ -359,18 +242,11 @@ TEST_F(SweepFixture, CacheMissComputesThenHitReuses) {
     std::filesystem::remove_all(dir);
 }
 
-TEST(ResilienceCache, PathsSeparateShardsAndContexts) {
+TEST(ResilienceCache, PathsSeparateContexts) {
     resilience_config cfg;
     cfg.context = "ctx-a";
     const resilience_cache cache("/tmp/step1");
-    sweep_options shard0;
-    shard0.shard_index = 0;
-    shard0.shard_count = 2;
-    sweep_options shard1 = shard0;
-    shard1.shard_index = 1;
-    EXPECT_NE(cache.path_for(cfg, shard0), cache.path_for(cfg));
-    EXPECT_NE(cache.path_for(cfg, shard0), cache.path_for(cfg, shard1));
-    EXPECT_NE(cache.path_for(cfg, shard0).find("shard0of2"), std::string::npos);
+    EXPECT_EQ(cache.path_for(cfg), "/tmp/step1/step1-" + resilience_fingerprint(cfg) + ".json");
     resilience_config other_ctx = cfg;
     other_ctx.context = "ctx-b";
     EXPECT_NE(cache.path_for(other_ctx), cache.path_for(cfg));
@@ -408,7 +284,7 @@ TEST(ResilienceTable, SerializesSchemaVersionAndRejectsForeignOnes) {
 }
 
 TEST_F(SweepFixture, MergeIntoIncrementallyReproducesTheSingleShot) {
-    // The distributed coordinator's fold: single-cell shards arriving one at
+    // The distributed coordinator's fold: single-cell parts arriving one at
     // a time, fused with merge_into, must reproduce the single-shot table
     // byte for byte in ANY arrival order — and complete() must gate the
     // moment the last cell lands, not before.
@@ -417,17 +293,17 @@ TEST_F(SweepFixture, MergeIntoIncrementallyReproducesTheSingleShot) {
     const std::string reference = analyzer.analyze(cfg, {}).to_json().dump();
 
     const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
-    std::vector<resilience_table> shards;
+    std::vector<resilience_table> parts;
     for (const sweep_cell& cell : grid) {
-        shards.push_back(analyzer.analyze_cells(cfg, {cell}));
+        parts.push_back(analyzer.analyze_cells(cfg, {cell}));
     }
-    ASSERT_EQ(shards.size(), 4u);
+    ASSERT_EQ(parts.size(), 4u);
 
     const auto fold = [&](const std::vector<std::size_t>& order) {
-        resilience_table acc = shards[order[0]];
+        resilience_table acc = parts[order[0]];
         for (std::size_t i = 1; i < order.size(); ++i) {
             EXPECT_FALSE(acc.complete());
-            resilience_table::merge_into(acc, shards[order[i]]);
+            resilience_table::merge_into(acc, parts[order[i]]);
         }
         EXPECT_TRUE(acc.complete());
         return acc.to_json().dump();
@@ -436,22 +312,49 @@ TEST_F(SweepFixture, MergeIntoIncrementallyReproducesTheSingleShot) {
     EXPECT_EQ(fold({3, 1, 0, 2}), reference);  // arrival order is irrelevant
 }
 
-TEST_F(SweepFixture, MergeIntoAppliesTheSameValidationAsBatchMerge) {
+TEST_F(SweepFixture, MergeIntoValidatesEveryPart) {
     resilience_analyzer analyzer = make_analyzer();
     const resilience_config cfg = small_config();
     const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
     resilience_table acc = analyzer.analyze_cells(cfg, {grid[0]});
+    const std::string before = acc.to_json().dump();
 
     // Overlap: the same cell arriving twice.
     resilience_table overlap = acc;
     EXPECT_THROW(resilience_table::merge_into(overlap, acc), error);
 
-    // A shard from a different sweep config (different fingerprint).
+    // A part from a different sweep config (different fingerprint).
     resilience_config other = cfg;
     other.seed += 1;
     const resilience_table foreign =
         analyzer.analyze_cells(other, {enumerate_sweep_cells(other)[1]});
     EXPECT_THROW(resilience_table::merge_into(acc, foreign), error);
+
+    // Same numeric knobs but a different workload context must be rejected
+    // too — the whole point of stamping context into the fingerprint.
+    resilience_config other_workload = cfg;
+    other_workload.context = "some-other-model";
+    const resilience_table foreign_context = analyzer.analyze_cells(other_workload, {grid[1]});
+    EXPECT_THROW(resilience_table::merge_into(acc, foreign_context), error);
+
+    // Same fingerprint, different grid size.
+    const resilience_table part = analyzer.analyze_cells(cfg, {grid[1]});
+    const resilience_table wrong_grid(part.runs(), part.max_epochs(), part.fingerprint(),
+                                      part.grid_cells() + 1);
+    EXPECT_THROW(resilience_table::merge_into(acc, wrong_grid), error);
+    // A rejected part leaves the accumulator as it was.
+    EXPECT_EQ(acc.to_json().dump(), before);
+
+    // Partial tables survive a JSON round-trip before the fold (each
+    // distributed result crosses the wire this way).
+    resilience_table from_wire = resilience_table::from_json(json_parse(before));
+    for (const sweep_cell& cell : {grid[1], grid[2], grid[3]}) {
+        resilience_table::merge_into(
+            from_wire, resilience_table::from_json(json_parse(
+                           analyzer.analyze_cells(cfg, {cell}).to_json().dump())));
+    }
+    EXPECT_TRUE(from_wire.complete());
+    EXPECT_EQ(from_wire.to_json().dump(), analyzer.analyze(cfg, {}).to_json().dump());
 
     // Hand-built tables disagreeing on the budget.
     std::vector<resilience_run> runs_a(1);
@@ -474,12 +377,12 @@ TEST_F(SweepFixture, AnalyzeCellsMatchesAnalyzeAndCatchesConfigDrift) {
     // The full grid as one explicit cell list is the single-shot sweep.
     EXPECT_EQ(analyzer.analyze_cells(cfg, grid).to_json().dump(), reference);
 
-    // Arbitrary disjoint batches (NOT a round-robin shard split — the
-    // lease-sized batches a distributed worker actually receives) merge
-    // back to the same bytes.
-    const resilience_table batch_a = analyzer.analyze_cells(cfg, {grid[0], grid[3]});
+    // Arbitrary disjoint batches (the lease-sized batches a distributed
+    // worker receives) merge back to the same bytes.
+    resilience_table batch_a = analyzer.analyze_cells(cfg, {grid[0], grid[3]});
     const resilience_table batch_b = analyzer.analyze_cells(cfg, {grid[1], grid[2]});
-    EXPECT_EQ(resilience_table::merge({batch_a, batch_b}).to_json().dump(), reference);
+    resilience_table::merge_into(batch_a, batch_b);
+    EXPECT_EQ(batch_a.to_json().dump(), reference);
 
     // Validation: no empty work units...
     EXPECT_THROW((void)analyzer.analyze_cells(cfg, {}), error);
@@ -492,6 +395,114 @@ TEST_F(SweepFixture, AnalyzeCellsMatchesAnalyzeAndCatchesConfigDrift) {
     sweep_cell drifted = grid[1];
     drifted.map_seed += 1;
     EXPECT_THROW((void)analyzer.analyze_cells(cfg, {drifted}), error);
+}
+
+TEST(ResilienceTableDecoder, RejectsNonFiniteOutOfRangeAndBackwardValues) {
+    // A valid document with one field swapped at a time. JSON has no
+    // infinity: 1e999 parses to inf, and a table holding it would write
+    // "inf" — bytes no decoder reads back — into the cache or journal.
+    const auto point = [](const std::string& epochs, const std::string& accuracy) {
+        return R"({"epochs":)" + epochs + R"(,"accuracy":)" + accuracy + "}";
+    };
+    const auto doc = [](const std::string& budget, const std::string& rate,
+                        const std::vector<std::string>& repeats, const std::string& points) {
+        std::string text = R"({"max_epochs":)" + budget + R"(,"grid_cells":2,"runs":[)";
+        for (const std::string& repeat : repeats) {
+            text += R"({"fault_rate":)" + rate + R"(,"repeat":)" + repeat +
+                    R"(,"map_seed":"7","masked_weight_fraction":0.25,"trajectory":[)" + points +
+                    "]},";
+        }
+        text.back() = ']';
+        return json_parse(text + "}");
+    };
+    const std::string ok = point("0", "0.5") + "," + point("1", "0.8");
+    EXPECT_EQ(resilience_table::from_json(doc("1", "0.1", {"0", "1"}, ok)).runs().size(), 2u);
+    for (const json_value& bad :
+         {doc("1", "1e999", {"0"}, ok), doc("1", "1.5", {"0"}, ok), doc("1", "-0.1", {"0"}, ok),
+          doc("1e999", "0.1", {"0"}, ok), doc("0", "0.1", {"0"}, ok),
+          doc("1", "0.1", {"0.5"}, ok), doc("1", "0.1", {"-1"}, ok),
+          doc("1", "0.1", {"1e19"}, ok), doc("1", "0.1", {"0"}, point("0", "1e999")),
+          doc("1", "0.1", {"0"}, point("0", "1.01")),
+          doc("1", "0.1", {"0"}, ok + "," + point("1e999", "0.5")),
+          doc("1", "0.1", {"0"}, ok + "," + point("0.5", "0.7")),  // goes back in time
+          doc("1", "0.1", {"0"}, point("0.5", "0.5")),              // no epoch-0 point
+          doc("1", "0.1", {"0"}, ""), doc("1", "0.1", {"0", "0"}, ok),  // same cell twice
+          doc("1", "0.1", {"0", "1", "2"}, ok),                        // more runs than grid
+          json_parse(R"({"max_epochs":1,"runs":[]})")}) {
+        EXPECT_THROW((void)resilience_table::from_json(bad), io_error) << bad.dump();
+    }
+}
+
+// --- Step-1 table decoder fuzzing: real analyze_cells tables, mutated, ---
+// --- truncated, spliced and oversized by the chaos RNG                 ---
+
+/// The only acceptable outcomes for any input: a typed reduce::error (a
+/// subclass, never the base), or a table whose encoding decodes back to the
+/// same bytes (any other exception escapes and fails the test). Returns
+/// whether it was accepted.
+bool typed_error_or_stable(const std::string& text, const std::string& what) {
+    const auto recode = [](const std::string& in) {
+        return resilience_table::from_json(json_parse(in)).to_json().dump();
+    };
+    std::string once;
+    try {
+        once = recode(text);
+    } catch (const error& e) {
+        EXPECT_NE(typeid(e), typeid(error)) << what << ": untyped error " << e.what();
+        return false;
+    }
+    try {
+        EXPECT_EQ(recode(once), once) << what;
+    } catch (const std::exception& e) {
+        ADD_FAILURE() << what << ": the re-encoding does not decode: " << e.what();
+    }
+    return true;
+}
+
+TEST_F(SweepFixture, TableDecoderFuzzYieldsTypedErrorsOrStableRoundTrips) {
+    dist::chaos_config chaos;
+    chaos.seed = 20261017;
+    dist::chaos_schedule schedule(chaos, 4);
+    rng& random = schedule.random();
+
+    // Valid seeds: the full table and each single-cell table, as the cache
+    // and a worker's result carry them.
+    resilience_analyzer analyzer = make_analyzer();
+    const resilience_config cfg = small_config();
+    const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
+    std::vector<std::string> seeds = {analyzer.analyze_cells(cfg, grid).to_json().dump()};
+    for (const sweep_cell& cell : grid) {
+        seeds.push_back(analyzer.analyze_cells(cfg, {cell}).to_json().dump());
+    }
+    // Extreme numbers for the oversize mutation: out of range, non-finite,
+    // non-integral, past 2^63 and 2^64.
+    const std::vector<std::string> extremes = {
+        "1e999", "-1e999", "1e308", "-1", "2", "0.5", "1.5", "-0.5", "1e19",
+        "18446744073709551616", "9223372036854775807", "0", "-0", "1e-320"};
+
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        std::string text = seeds[random.uniform_index(seeds.size())];
+        fuzz::mutate(random, text, seeds, [&](std::string& t) {
+            // Swap one number for an extreme one.
+            const auto in = [](std::string_view set, char c) {
+                return set.find(c) != std::string_view::npos;
+            };
+            std::vector<std::size_t> numbers;
+            for (std::size_t i = 1; i < t.size(); ++i) {
+                if (in(":[,", t[i - 1]) && in("-0123456789", t[i])) { numbers.push_back(i); }
+            }
+            const std::size_t at = numbers[random.uniform_index(numbers.size())];
+            t.replace(at, t.find_first_of(",]}", at) - at,
+                      extremes[random.uniform_index(extremes.size())]);
+        });
+        ++(typed_error_or_stable(text, "trial " + std::to_string(trial)) ? accepted
+                                                                           : rejected);
+    }
+    // The mutations must exercise both outcomes, or the test proves little.
+    EXPECT_GT(rejected, 1000u);
+    EXPECT_GT(accepted, 100u);
 }
 
 TEST(ResilienceCache, ConcurrentStoresLeaveOneValidEntryAndNoLitter) {

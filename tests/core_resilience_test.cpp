@@ -198,7 +198,7 @@ TEST(ResilienceTable, JsonRoundTripPreservesFingerprintAnd64BitSeeds) {
 
 TEST(ResilienceTable, RunsStoredInCanonicalOrder) {
     // Feed runs in scrambled order; the table must canonicalize so that any
-    // shard split / merge order serializes byte-identically.
+    // cell partition / merge order serializes byte-identically.
     std::vector<resilience_run> runs(3);
     runs[0].fault_rate = 0.2;
     runs[0].repeat = 1;
@@ -324,7 +324,7 @@ TEST_F(AnalyzerFixture, RejectsBadConfigs) {
     cfg.max_epochs = 1.0;
     cfg.fault_rates = {1.5};
     EXPECT_THROW(analyzer.analyze(cfg), error);
-    // Duplicate rates would make sweep cells collide under sharding.
+    // Duplicate rates would make sweep cells collide.
     cfg.fault_rates = {0.1, 0.1};
     EXPECT_THROW(analyzer.analyze(cfg), error);
 }

@@ -4,8 +4,10 @@
 // must reproduce the single-machine artifact exactly — plus the fault paths:
 // mid-lease death → lease reassignment, silent workers → heartbeat-deadline
 // revocation, fingerprint or version mismatch → handshake rejection,
-// garbage frames → connection drop without taking the job down.
+// garbage frames and malformed results → connection drop without taking
+// the job down.
 #include <gtest/gtest.h>
+#include <poll.h>
 
 #include <chrono>
 #include <string>
@@ -45,9 +47,13 @@ struct raw_client {
 
     void send(const json_value& message) { sock.send_all(dist::encode_frame(message)); }
 
+    /// The next message; throws when none arrives within 10 s (a dead
+    /// event loop must fail the test, not hang it).
     json_value read() {
         for (;;) {
             if (std::optional<json_value> message = decoder.next()) { return *message; }
+            ::pollfd p{sock.fd(), POLLIN, 0};
+            REDUCE_CHECK(::poll(&p, 1, 10000) == 1, "no message from the coordinator in 10 s");
             char buf[4096];
             const dist::tcp_socket::recv_result r = sock.recv_some(buf, sizeof buf);
             REDUCE_CHECK(!r.closed, "coordinator closed the raw client's connection");
@@ -287,6 +293,98 @@ TEST_F(DistFixture, GarbageFramesDropTheConnectionNotTheJob) {
     workers.join();
     EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes());
     EXPECT_EQ(reports[0].cells, 4u);
+}
+
+/// Handshakes a raw client and takes one lease; returns its id.
+std::uint64_t take_lease(raw_client& client, const std::string& name) {
+    client.send(dist::make_hello(resilience_fingerprint(small_config()), name));
+    EXPECT_EQ(dist::message_type(client.read()), "welcome");
+    client.send(dist::make_request_work());
+    const json_value work = client.read();
+    EXPECT_EQ(dist::message_type(work), "work");
+    return std::stoull(work.as_object().at("lease").as_string());
+}
+
+TEST_F(DistFixture, MalformedSweepResultDropsTheConnectionNotTheJob) {
+    dist::coordinator_config cc;
+    cc.cells_per_lease = 2;  // 2 units
+    dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
+    coord.start();
+
+    // Well-framed results whose tables fail the decoder: no runs, and a
+    // repeat that is not an integer. Each must cost its sender the
+    // connection and re-queue the unit — never fail the job.
+    const std::vector<std::string> tables = {
+        R"({"max_epochs":1,"runs":[]})",
+        R"({"max_epochs":0.5,"runs":[{"fault_rate":0,"repeat":0.5,"map_seed":"1",)"
+        R"("masked_weight_fraction":0,"trajectory":[{"epochs":0,"accuracy":0.5}]}]})"};
+    std::vector<raw_client> liars;
+    for (std::size_t i = 0; i < tables.size(); ++i) {
+        liars.emplace_back(coord.port());
+        const std::uint64_t lease = take_lease(liars.back(), "liar" + std::to_string(i));
+        liars.back().send(dist::make_sweep_result(lease, json_parse(tables[i])));
+    }
+    EXPECT_TRUE(eventually([&] { return coord.stats().frames_rejected >= tables.size(); }))
+        << "coordinator did not reject the malformed results";
+
+    std::vector<dist::worker_report> reports;
+    std::thread workers(
+        [&] { reports = run_workers({worker_config_for(coord.port(), "honest")}); });
+    const resilience_table table = coord.wait_table();
+    workers.join();
+    EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes());
+    const dist::coordinator_stats stats = coord.stats();
+    EXPECT_GE(stats.frames_rejected, 1u);
+    EXPECT_GE(stats.leases_reassigned, 1u);
+}
+
+TEST_F(DistFixture, MalformedFleetResultDropsTheConnectionNotTheJob) {
+    fleet_config fc;
+    fc.num_chips = 2;
+    fc.rate_lo = 0.05;
+    fc.rate_hi = 0.3;
+    fc.seed = 91;
+    const std::vector<chip> fleet = make_fleet(w().array, fc);
+    const fixed_policy policy(0.5, 0.85);
+    fleet_executor executor(*w().model, w().pretrained, w().train_data, w().test_data,
+                            w().array, w().trainer_cfg);
+    const policy_outcome serial = executor.run(policy, fleet);
+
+    dist::coordinator_config cc;
+    cc.fingerprint = resilience_fingerprint(small_config());
+    dist::coordinator coord(cc, dist::plan_fleet_job(*w().model, w().array, policy, fleet));
+    coord.start();
+
+    // Outcomes that fail decoding or validation: a chip id that is not an
+    // integer, and one naming a chip outside the lease.
+    std::vector<raw_client> liars;
+    for (const double chip_id : {0.5, 1e6}) {
+        liars.emplace_back(coord.port());
+        const std::uint64_t lease =
+            take_lease(liars.back(), "liar" + std::to_string(liars.size()));
+        json_object result = dist::make_chip_result(lease, serial.chips[0], "").as_object();
+        json_object outcome = result.at("outcome").as_object();
+        outcome.set("chip_id", json_value(chip_id));
+        result.set("outcome", json_value(std::move(outcome)));
+        liars.back().send(json_value(std::move(result)));
+    }
+    EXPECT_TRUE(eventually([&] { return coord.stats().frames_rejected >= liars.size(); }))
+        << "coordinator did not reject the malformed results";
+
+    std::vector<dist::worker_report> reports;
+    std::thread workers(
+        [&] { reports = run_workers({worker_config_for(coord.port(), "honest")}); });
+    const policy_outcome distributed = coord.wait_fleet();
+    workers.join();
+    ASSERT_EQ(distributed.chips.size(), serial.chips.size());
+    for (std::size_t i = 0; i < serial.chips.size(); ++i) {
+        EXPECT_EQ(dist::chip_outcome_to_json(distributed.chips[i]).dump(),
+                  dist::chip_outcome_to_json(serial.chips[i]).dump())
+            << "chip " << i;
+    }
+    const dist::coordinator_stats stats = coord.stats();
+    EXPECT_GE(stats.frames_rejected, 1u);
+    EXPECT_GE(stats.leases_reassigned, 1u);
 }
 
 TEST_F(DistFixture, StopBeforeCompletionFailsWaiters) {

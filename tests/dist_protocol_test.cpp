@@ -14,6 +14,7 @@
 #include "dist/chaos.h"
 #include "dist/protocol.h"
 #include "fault/serialization.h"
+#include "fuzz_mutations.h"
 #include "util/base64.h"
 #include "util/error.h"
 #include "util/rng.h"
@@ -363,47 +364,19 @@ TEST(FaultMapFuzz, DecoderYieldsTypedErrorsOrExactRoundTrips) {
     for (int trial = 0; trial < 3000; ++trial) {
         const std::size_t pick = random.uniform_index(seeds.size());
         std::string bytes = seeds[pick];
-        switch (random.uniform_index(5)) {
-            case 0: {  // flip 1-4 random bytes
-                const std::uint64_t flips = 1 + random.uniform_index(4);
-                for (std::uint64_t f = 0; f < flips; ++f) {
-                    bytes[random.uniform_index(bytes.size())] ^=
-                        static_cast<char>(1 + random.uniform_index(255));
-                }
-                break;
+        fuzz::mutate(random, bytes, seeds, [&](std::string& b) {
+            // Rewrite the extents with random, mostly huge, varints.
+            std::string head = "RFM1";
+            for (int i = 0; i < 2; ++i) {
+                std::uint64_t v = random.next_u64() >> random.uniform_index(64);
+                do {
+                    const auto low = static_cast<char>(v & 0x7f);
+                    v >>= 7;
+                    head.push_back(v != 0 ? static_cast<char>(low | 0x80) : low);
+                } while (v != 0);
             }
-            case 1:  // truncate anywhere
-                bytes.resize(random.uniform_index(bytes.size()));
-                break;
-            case 2: {  // splice: a prefix of one map onto a suffix of another
-                const std::string& other = seeds[random.uniform_index(seeds.size())];
-                bytes = bytes.substr(0, random.uniform_index(bytes.size() + 1)) +
-                        other.substr(random.uniform_index(other.size() + 1));
-                break;
-            }
-            case 3: {  // oversize: rewrite the extents with random, mostly huge, varints
-                std::string head = "RFM1";
-                for (int i = 0; i < 2; ++i) {
-                    std::uint64_t v = random.next_u64() >> random.uniform_index(64);
-                    do {
-                        const auto low = static_cast<char>(v & 0x7f);
-                        v >>= 7;
-                        head.push_back(v != 0 ? static_cast<char>(low | 0x80) : low);
-                    } while (v != 0);
-                }
-                bytes = head + bytes.substr(std::min<std::size_t>(bytes.size(), 6));
-                break;
-            }
-            default: {  // insert or append random bytes
-                const std::size_t at = random.uniform_index(bytes.size() + 1);
-                std::string noise;
-                for (std::uint64_t n = 1 + random.uniform_index(8); n > 0; --n) {
-                    noise.push_back(static_cast<char>(random.uniform_index(256)));
-                }
-                bytes.insert(at, noise);
-                break;
-            }
-        }
+            b = head + b.substr(std::min<std::size_t>(b.size(), 6));
+        });
         const std::string what = "trial " + std::to_string(trial);
         ++(typed_error_or_exact(bytes, what) ? accepted : rejected);
 

@@ -248,9 +248,9 @@ TEST_F(ScenarioFixture, TimelineEventsActuallyChangeTheTable) {
               analyzer.analyze(without, {}).to_json().dump());
 }
 
-TEST_F(ScenarioFixture, ScenarioSweepDeterminismMatrixGemmThreadsByWorkersBySharding) {
-    // The ISSUE's acceptance matrix: with a live timeline, intra-op gemm
-    // threads (1/2/8) × sweep workers (1/4) × 2-way shard split + merge must
+TEST_F(ScenarioFixture, ScenarioSweepDeterminismMatrixGemmThreadsByWorkersByCellPartition) {
+    // With a live timeline, intra-op gemm threads (1/2/8) × sweep workers
+    // (1/4) × 2-way cell partition (analyze_cells + merge_into) must
     // all serialize byte-identically. Event sampling derives from
     // (scenario, cell coordinates) alone, so no execution knob may move a
     // single table byte.
@@ -266,16 +266,13 @@ TEST_F(ScenarioFixture, ScenarioSweepDeterminismMatrixGemmThreadsByWorkersByShar
             EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
                 << "workers=" << workers << " gemm_threads=" << gemm_threads;
 
-            sweep_options shard0 = opts;
-            shard0.shard_index = 0;
-            shard0.shard_count = 2;
-            sweep_options shard1 = opts;
-            shard1.shard_index = 1;
-            shard1.shard_count = 2;
-            const resilience_table merged = resilience_table::merge(
-                {analyzer.analyze(cfg, shard0), analyzer.analyze(cfg, shard1)});
+            std::vector<sweep_cell> halves[2];
+            const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
+            for (std::size_t k = 0; k < grid.size(); ++k) { halves[k % 2].push_back(grid[k]); }
+            resilience_table merged = analyzer.analyze_cells(cfg, halves[0], opts);
+            resilience_table::merge_into(merged, analyzer.analyze_cells(cfg, halves[1], opts));
             EXPECT_EQ(merged.to_json().dump(), reference)
-                << "sharded: workers=" << workers << " gemm_threads=" << gemm_threads;
+                << "partitioned: workers=" << workers << " gemm_threads=" << gemm_threads;
         }
     }
 }

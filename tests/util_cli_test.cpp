@@ -130,33 +130,5 @@ TEST(Cli, LastOccurrenceWins) {
     EXPECT_EQ(args.get_int("k", 0), 2);
 }
 
-TEST(Cli, ShardParsesIndexOverCount) {
-    const cli_args args = parse({"--shard", "2/8"});
-    const shard_spec shard = args.get_shard("shard");
-    EXPECT_EQ(shard.index, 2u);
-    EXPECT_EQ(shard.count, 8u);
-}
-
-TEST(Cli, ShardDefaultsToSingleShard) {
-    const cli_args args = parse({});
-    const shard_spec shard = args.get_shard("shard");
-    EXPECT_EQ(shard.index, 0u);
-    EXPECT_EQ(shard.count, 1u);
-}
-
-TEST(Cli, ShardRejectsMalformedSpecs) {
-    EXPECT_THROW(parse({"--shard", "2"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "a/2"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "1/b"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "/2"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "1/"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "0/0"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "2/2"}).get_shard("shard"), error);  // 0-based index
-    // strtoull would silently wrap negatives to huge counts.
-    EXPECT_THROW(parse({"--shard=0/-2"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard=-1/2"}).get_shard("shard"), error);
-    EXPECT_THROW(parse({"--shard", "0/+2"}).get_shard("shard"), error);
-}
-
 }  // namespace
 }  // namespace reduce

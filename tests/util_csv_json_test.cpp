@@ -105,6 +105,15 @@ TEST(Json, ObjectOverwriteKeepsPosition) {
     EXPECT_EQ(obj.at("a").as_int(), 99);
 }
 
+TEST(Json, OverwritingACopyLeavesTheOriginal) {
+    json_object original;
+    original.set("a", json_value(1));
+    json_object copy = original;
+    copy.set("a", json_value(2));
+    EXPECT_EQ(original.at("a").as_int(), 1);
+    EXPECT_EQ(copy.at("a").as_int(), 2);
+}
+
 TEST(Json, NestedDocumentRoundTrip) {
     const std::string doc =
         R"({"rows": 4, "faults": [{"r": 0, "c": 1, "kind": "bypassed"}], "ok": true})";
@@ -168,8 +177,11 @@ TEST(Json, TypeMismatchThrows) {
     EXPECT_THROW(v.as_bool(), error);
 }
 
-TEST(Json, AsIntRejectsFractional) {
-    EXPECT_THROW(json_parse("2.5").as_int(), error);
+TEST(Json, AsIntRejectsFractionalAndOutOfRange) {
+    EXPECT_THROW(json_parse("2.5").as_int(), io_error);
+    EXPECT_THROW(json_parse("1e999").as_int(), io_error);
+    EXPECT_THROW(json_parse("9223372036854775808").as_int(), io_error);
+    EXPECT_EQ(json_parse("-9007199254740992").as_int(), -9007199254740992LL);
 }
 
 TEST(Json, MissingKeyThrows) {
