@@ -14,8 +14,6 @@
 //   --seed S              experiment seed
 //   --sweep-threads N     sweep worker threads   (default 1; 0 = all cores)
 //   --gemm-threads N   intra-op tensor threads per worker (default 1; 0 = all cores)
-//   --eval-group K     same-rate cells per grouped epoch-0 eval pass
-//                      (default 1; never changes the table, only wall-clock)
 //   --scenario SPEC       fault-event timeline inside every cell's episode
 //                         (grammar of fault/scenario.h, e.g.
 //                         "strike@0.5:0.05;mode=recover;rollback=2"); feeds
@@ -52,7 +50,6 @@ int main(int argc, char** argv) {
         sweep_options sweep;
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-        sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
 
         double budget = 0.0;
         for (const double level : levels) { budget = std::max(budget, level); }

@@ -5,8 +5,8 @@
 // the spread is the argument for selecting by MAX (mean under-trains).
 //
 // The sweep behind this figure is Step 1 of Reduce — the expensive stage —
-// so this harness exposes the sweep engine's knobs: parallel workers,
-// grouped evaluation, and the fingerprint-keyed cache. Splitting the sweep
+// so this harness exposes the sweep engine's knobs: parallel workers and
+// the fingerprint-keyed cache. Splitting the sweep
 // across machines is the distributed coordinator's job
 // (examples/reduce_coordinator).
 //
@@ -20,8 +20,6 @@
 //   --paper-scale    finer rate grid (0:0.05:0.5), budget 10
 //   --sweep-threads N  sweep worker threads   (default 1; 0 = all cores)
 //   --gemm-threads N   intra-op tensor threads per worker (default 1; 0 = all cores)
-//   --eval-group K     same-rate cells per grouped epoch-0 eval pass
-//                      (default 1; never changes the table, only wall-clock)
 //   --cache-dir P    reuse/store the Step-1 table under P
 //   --cache-gc       prune the Step-1 cache first: stale-schema entries
 //                    always, plus oldest entries beyond --cache-gc-max-mb
@@ -58,7 +56,6 @@ int main(int argc, char** argv) {
         sweep_options sweep;
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-        sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
 
         resilience_config cfg;
         cfg.fault_rates = rates;

@@ -21,11 +21,7 @@
 //   --threads N      executor worker threads  (default 1; 0 = all cores)
 //   --gemm-threads N intra-op tensor threads per worker (default 1; 0 = all
 //                    cores; auto-shrunk when --threads saturates the machine)
-//   --eval-batch-chips K  chips per grouped accuracy_before pass (default 1;
-//                    grouping never changes outcomes, only wall-clock)
 //   --sweep-threads N  Step-1 sweep threads   (default: --threads)
-//   --eval-group K   same-rate sweep cells per grouped epoch-0 pass (default
-//                    --eval-batch-chips)
 //   --cache-dir P    reuse/store the Step-1 table under P
 //   --chips N        fleet size               (default 100, as the paper)
 //   --constraint A   accuracy constraint in % (default 91)
@@ -113,15 +109,12 @@ int main(int argc, char** argv) {
         std::cerr << "[fig3] workload ready: clean accuracy " << w.clean_accuracy * 100.0
                   << "%\n";
 
-        const std::size_t eval_batch_chips =
-            static_cast<std::size_t>(args.get_int("eval-batch-chips", 1));
         const scenario_config scenario =
             args.has("scenario") ? parse_scenario(args.get("scenario", "")) : scenario_config{};
         fleet_executor executor(
             *w.model, w.pretrained, w.train_data, w.test_data, w.array, w.trainer_cfg,
             fleet_executor_config{.threads = threads,
                                   .gemm_threads = gemm_threads,
-                                  .eval_batch_chips = eval_batch_chips,
                                   .scenario = scenario});
 
         // Step 1 (shared by every table-driven policy) — parallel, and
@@ -137,8 +130,6 @@ int main(int argc, char** argv) {
         sweep.threads =
             static_cast<std::size_t>(args.get_int("sweep-threads", args.get_int("threads", 1)));
         sweep.gemm_threads = gemm_threads;
-        sweep.eval_group = static_cast<std::size_t>(
-            args.get_int("eval-group", static_cast<std::int64_t>(eval_batch_chips)));
         resilience_analyzer analyzer(*w.model, w.pretrained, w.train_data, w.test_data,
                                      w.array, w.trainer_cfg);
         const resilience_table table =

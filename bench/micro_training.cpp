@@ -11,7 +11,7 @@
 // BENCH_train.json (schema 6: per-op cases carry serial_ms / parallel_ms;
 // `regressions` names every row whose intra-op budget measured slower than
 // serial, as information only) — the train-path perf artifact reported
-// next to BENCH_gemm.json / BENCH_eval.json.
+// next to BENCH_gemm.json.
 //
 // Workloads: "mlp" (the standard experiment scale — too small to gain from
 // intra-op threads, included to pin the no-regression floor) and "vgg"

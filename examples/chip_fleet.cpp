@@ -9,7 +9,7 @@
 // Usage: chip_fleet [--chips 20] [--constraint 0.91] [--out /tmp/fleet_out]
 //          [--distribution uniform|lognormal|fixed] [--policy reduce]
 //          [--threads 1] [--gemm-threads 1] [--fixed-epochs 1.0]
-//          [--eval-batch-chips 1] [--train-batch-chips 1]
+//          [--train-batch-chips 1]
 //          [--scenario "strike@0.5:0.05;mode=recover;rollback=2"]
 //
 // --scenario applies a fault-event timeline (fault/scenario.h grammar) to
@@ -20,9 +20,8 @@
 // The policy under test is resolved by name from the policy registry
 // (reduce, reduce-mean, oracle, binned, ...) and compared against the
 // fixed-epochs baseline; tuning fans out over --threads workers.
-// --eval-batch-chips groups accuracy_before evaluations,
 // --train-batch-chips widens the block of chips a worker claims at once
-// (each chip still retrains in its own episode) — neither changes a
+// (each chip still retrains in its own episode) — it never changes a
 // tuned-model byte; the run log reports how the claims grouped.
 
 #include <filesystem>
@@ -54,8 +53,6 @@ int main(int argc, char** argv) {
         const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
         const std::size_t gemm_threads =
             static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-        const std::size_t eval_batch_chips =
-            static_cast<std::size_t>(args.get_int("eval-batch-chips", 1));
         const std::size_t train_batch_chips =
             static_cast<std::size_t>(args.get_int("train-batch-chips", 1));
         const double fixed_epochs = args.get_double("fixed-epochs", 1.0);
@@ -86,7 +83,6 @@ int main(int argc, char** argv) {
                                 w.trainer_cfg,
                                 fleet_executor_config{.threads = threads,
                                                       .gemm_threads = gemm_threads,
-                                                      .eval_batch_chips = eval_batch_chips,
                                                       .train_batch_chips = train_batch_chips,
                                                       .scenario = scenario});
 

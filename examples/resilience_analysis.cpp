@@ -8,7 +8,7 @@
 //
 // Usage: resilience_analysis [--rates 0,0.1,...] [--repeats 5]
 //          [--budget 6] [--targets 90,91,92] [--save table.json]
-//          [--sweep-threads N] [--gemm-threads N] [--eval-group K]
+//          [--sweep-threads N] [--gemm-threads N]
 //          [--cache-dir P]
 //          [--cache-gc [--cache-gc-max-mb M]]   prune the Step-1 cache first
 
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
         sweep_options sweep;
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-        sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
         const resilience_table table = [&] {
             if (args.has("cache-dir")) {
                 // Inlines analyze_cached so the narrative reflects what

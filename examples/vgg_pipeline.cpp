@@ -9,7 +9,7 @@
 //
 // Usage: vgg_pipeline [--width 0.125] [--fault-rate 0.15]
 //          [--constraint 0.85] [--pretrain-epochs 15]
-//          [--sweep-threads N] [--gemm-threads N] [--eval-group K]
+//          [--sweep-threads N] [--gemm-threads N]
 //          [--cache-dir P]
 //
 // --gemm-threads N (0 = all cores) parallelizes the tensor kernels inside
@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
         sweep_options sweep;
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 0));
         sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-        sweep.eval_group = static_cast<std::size_t>(args.get_int("eval-group", 1));
         // The pre-sweep (pretraining) and post-sweep (final FAT) stages run
         // on this thread; give their kernels the same intra-op budget. The
         // sweep itself scopes its own guarded budget per run.

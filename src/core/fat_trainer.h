@@ -139,8 +139,8 @@ public:
     /// used per call, so runs are independent given the config seed.
     ///
     /// `epoch0_accuracy` injects a precomputed trajectory[0] value instead
-    /// of running the epoch-0 evaluation — the hook the multi-mask
-    /// evaluator's post-FAP accuracies feed. evaluate() is pure for a fixed
+    /// of running the epoch-0 evaluation — chip_tuner feeds it the post-FAP
+    /// accuracy it just measured. evaluate() is pure for a fixed
     /// model state, so an injected value that was computed on the same
     /// masked weights (and batch-norm statistics) leaves the result
     /// byte-identical to the uninjected run while skipping one full pass

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <mutex>
 
-#include "core/multi_mask_eval.h"
 #include "fault/mask_builder.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
@@ -190,7 +189,6 @@ resilience_table fleet_executor::analyze(const resilience_config& cfg) {
     sweep_options opts;
     opts.threads = cfg_.threads;
     opts.gemm_threads = cfg_.gemm_threads;
-    opts.eval_group = cfg_.eval_batch_chips;
     resilience_analyzer analyzer(model_, pretrained_, train_data_, test_data_, array_,
                                  trainer_cfg_);
     return analyzer.analyze(cfg, opts);
@@ -219,13 +217,12 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         ready.assign(fleet.size(), false);
     }
 
-    // Chips are claimed in fleet-order blocks — one grouped
-    // accuracy_before pass per block when grouping is on. The claim width
-    // is the eval group CAPPED at an even fleet/worker split, so a huge
-    // --eval-batch-chips can shrink its grouping benefit but never
-    // serialize the fleet onto one worker. Block membership is a pure
-    // function of fleet order and the worker count, and grouping never
-    // changes values, so outcomes stay identical either way.
+    // Chips are claimed in fleet-order blocks. The claim width is
+    // train_batch_chips CAPPED at an even fleet/worker split, so a huge
+    // --train-batch-chips can never serialize the fleet onto one worker.
+    // Block membership is a pure function of fleet order and the worker
+    // count, and every chip runs its own episode, so outcomes stay
+    // identical either way.
     //
     // Two-level budget: fleet workers fan out over chips while each
     // worker's tensor kernels draw on the (guarded) intra-op budget — see
@@ -234,13 +231,10 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
     const thread_budget budget =
         resolve_thread_budget(cfg_.threads, cfg_.gemm_threads, fleet.size());
     const std::size_t worker_budget = budget.fleet_workers;
-    // The claim width serves BOTH grouping knobs: a block is the unit of
-    // grouped accuracy_before evaluation AND the pool the run counters
-    // carve same-allocation groups from.
-    const std::size_t claim_width = std::max<std::size_t>(
-        {cfg_.eval_batch_chips, cfg_.train_batch_chips, std::size_t{1}});
-    const std::size_t group =
-        cap_group_at_fair_share(claim_width, fleet.size(), worker_budget);
+    // A block is the pool the run counters carve same-allocation groups
+    // from.
+    const std::size_t group = cap_group_at_fair_share(
+        std::max<std::size_t>(cfg_.train_batch_chips, 1), fleet.size(), worker_budget);
     // Spawn no more workers than there are claimable blocks — a surplus
     // worker would deep-clone a tuner model just to find the queue empty.
     const std::size_t workers =
@@ -258,9 +252,6 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         workspace& arena = workspace::local();
         tuner.set_capture_tuned(static_cast<bool>(sink_));
         tuner.set_scenario(cfg_.scenario);
-        // Built lazily: a worker that never claims a multi-chip block
-        // (ragged tails, tiny fleets) never clones for it.
-        std::unique_ptr<multi_mask_evaluator> evaluator;
 
         // Sink flushing — caller must hold progress_mutex. Snapshots leave
         // as a fleet-order prefix regardless of completion order.
@@ -272,18 +263,13 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
             }
         };
 
-        // Tunes the same-allocation group [s, e) of the block claimed at
-        // `begin`, one chip at a time; `before` spans the block when grouped
-        // evaluation ran.
-        auto tune_run = [&](std::size_t s, std::size_t e, std::size_t begin,
-                            const std::vector<double>& before) {
+        // Tunes the same-allocation group [s, e), one chip at a time.
+        auto tune_run = [&](std::size_t s, std::size_t e) {
             const std::size_t k = e - s;
             for (std::size_t i = s; i < e; ++i) {
                 if (failed.load(std::memory_order_relaxed)) { return; }
-                const std::optional<double> acc_before =
-                    before.empty() ? std::nullopt : std::optional<double>(before[i - begin]);
                 const chip_outcome co = tuner.tune(fleet[i], allocations[i], constraint,
-                                                   plan.effective_rates[i], acc_before);
+                                                   plan.effective_rates[i]);
                 outcome.chips[i] = co;
                 LOG_DEBUG << outcome.policy_name << ": chip " << fleet[i].id
                           << " rate=" << plan.effective_rates[i]
@@ -329,19 +315,6 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
             }
             const std::size_t end = std::min(fleet.size(), begin + group);
             try {
-                std::vector<double> before;
-                if (end - begin > 1 && cfg_.eval_batch_chips > 1) {
-                    if (!evaluator) {
-                        evaluator = std::make_unique<multi_mask_evaluator>(
-                            model_, pretrained_, test_data_, array_, trainer_cfg_);
-                    }
-                    std::vector<const fault_grid*> grids;
-                    grids.reserve(end - begin);
-                    for (std::size_t i = begin; i < end; ++i) {
-                        grids.push_back(&fleet[i].faults);
-                    }
-                    before = evaluator->evaluate(grids);
-                }
                 // Carve the block into maximal same-allocation runs — only
                 // chips with identical (epochs, train_to_target) group — and
                 // each run into groups of at most train_batch_chips. The
@@ -363,7 +336,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                     for (std::size_t c = s; c < run_end;) {
                         if (failed.load(std::memory_order_relaxed)) { return; }
                         const std::size_t ce = std::min(run_end, c + episode);
-                        tune_run(c, ce, begin, before);
+                        tune_run(c, ce);
                         c = ce;
                     }
                     s = run_end;

@@ -11,13 +11,11 @@
 // fault_state_guard, so the bit-identical guarantee covers dropout and
 // normalizing models too.
 //
-// Grouping: a worker claims its chips in fleet-order blocks. With
-// eval_batch_chips > 1 the whole block's `accuracy_before` comes from one
-// multi_mask_evaluator call (core/multi_mask_eval), which evaluates the
-// grids one after another through one masked clone; train_batch_chips only
-// widens the claimed block and decides how the run counters group its
-// same-allocation runs. Every chip still retrains in its own one-model
-// episode, so neither knob changes an outcome bit.
+// Grouping: a worker claims its chips in fleet-order blocks of
+// train_batch_chips, which only decides how the run counters group the
+// block's same-allocation runs. Every chip measures its `accuracy_before`
+// and retrains in its own one-model episode, so the knob never changes an
+// outcome bit.
 #pragma once
 
 #include <functional>
@@ -103,16 +101,17 @@ public:
     /// masks it for the chip's faults, trains per `alloc` and reports. The
     /// clone is back in the clean pretrained state on return — also when
     /// training throws. `accuracy_before` injects a precomputed post-FAP
-    /// accuracy (e.g. from the multi-mask evaluator); computed on the same
-    /// pretrained weights and fault grid, it leaves the outcome
-    /// byte-identical to evaluating it here.
+    /// accuracy; computed on the same pretrained weights and fault grid, it
+    /// leaves the outcome byte-identical to evaluating it here. No src/
+    /// caller passes it any more: it stays because perfbench's traced drive
+    /// feeds it from the multi-mask evaluator (ROADMAP item 1b deletes it).
     chip_outcome tune(const chip& c, const epoch_allocation& alloc, double constraint,
                       double effective_rate,
                       std::optional<double> accuracy_before = std::nullopt);
 
     /// tune() over each chip in order; `accuracy_before` is empty or holds
-    /// one value per chip. With capture on, take_tuned(g) returns chip g's
-    /// snapshot.
+    /// one value per chip (kept for perfbench, like tune's parameter). With
+    /// capture on, take_tuned(g) returns chip g's snapshot.
     std::vector<chip_outcome> tune_group(const std::vector<const chip*>& chips,
                                          const std::vector<const epoch_allocation*>& allocs,
                                          double constraint,
@@ -165,18 +164,14 @@ struct fleet_executor_config {
     /// resolve_thread_budget). Never changes outcomes — the tensor kernels
     /// are bit-identical at any intra-op budget.
     std::size_t gemm_threads = 1;
-    /// Chips whose accuracy_before evaluations share one multi-mask
-    /// evaluator call (--eval-batch-chips). 0 or 1 → per-chip evaluation
-    /// inside tune. Never changes outcomes (byte-identical contract of
-    /// multi_mask_evaluator), only wall-clock time.
-    /// The executor caps the effective block at an even fleet/worker split
-    /// so an oversized value cannot starve worker threads of chips. Blocks
-    /// are also the unit workers claim, so grouping coarsens load balancing
-    /// toward the slowest BLOCK (not chip) — keep groups modest (~8) when
-    /// per-chip training time varies widely.
+    /// Ignored: every chip measures its accuracy_before inside its own
+    /// episode. Kept only because perfbench still sets it; ROADMAP item 1b
+    /// deletes it.
     std::size_t eval_batch_chips = 1;
     /// Chips a worker claims together for retraining (--train-batch-chips).
-    /// 0 or 1 → one chip per claim. Within a claimed block, same-allocation
+    /// 0 or 1 → one chip per claim. The executor caps the claim at an even
+    /// fleet/worker split so an oversized value cannot starve worker
+    /// threads of chips. Within a claimed block, same-allocation
     /// runs (epochs and train_to_target) are counted as groups of at most
     /// this many chips; a chip isolated by its allocation is counted in
     /// fleet_run_stats::alloc_downgrades. Every chip still trains in its own
@@ -223,9 +218,8 @@ public:
                    fleet_executor_config cfg = {});
 
     /// Step 1 convenience wrapper: runs the sweep on the executor's thread
-    /// budget (cfg_.threads) and grouped-eval budget (eval_batch_chips →
-    /// sweep_options::eval_group). Results are bit-identical at any thread
-    /// count and any grouping.
+    /// budget (cfg_.threads, cfg_.gemm_threads). Results are bit-identical
+    /// at any thread count.
     resilience_table analyze(const resilience_config& cfg);
 
     /// Steps 2+3: allocates epochs via the policy, tunes every chip, and

@@ -1,13 +1,13 @@
-// Multi-mask evaluation engine — test-set inference for the fleet stages
-// of Reduce.
+// Multi-mask evaluator — the post-FAP test accuracy of the pretrained
+// weights under each of several fault maps.
 //
-// Steps 2+3 pay their dominant non-training cost in repeated test-set
-// inference: every chip's `accuracy_before` (and every sweep cell's epoch-0
-// trajectory point) evaluates the SAME pretrained weights under a different
-// fault mask, over the SAME test set. The serial path pays, per chip, a
-// weight restore, a mask build + attach + apply, and a guard teardown. This
-// engine evaluates the fault grids one after another through one
-// inference-only model clone instead:
+// No src/ caller remains: every Step-1 cell and Step-3 chip measures its
+// post-FAP accuracy inside its own retraining episode. The class is kept
+// only for perfbench's traced drive, which feeds its values to
+// chip_tuner::tune as `accuracy_before`; ROADMAP item 1b deletes it.
+//
+// It evaluates the fault grids one after another through one
+// inference-only model clone:
 //
 //   * masked weights are written straight into the clone's mapped layers,
 //     in one fused pass over a precomputed element→PE lookup table (no mask
@@ -20,7 +20,7 @@
 //   restore_parameters → attach_fault_masks(grid_i) → trainer.evaluate()
 // on a clone of the same prototype, at every group size and thread count.
 // The pristine pretrained source is never mutated, so one evaluator serves
-// any number of groups back to back (fleet workers keep one per thread).
+// any number of groups back to back.
 //
 // Memory: the evaluator holds one gradient-free model clone plus a pristine
 // copy of its mapped weights, at any group size.

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <utility>
 
-#include "core/multi_mask_eval.h"
 #include "fault/mask_builder.h"
 #include "nn/module.h"
 #include "tensor/workspace.h"
@@ -608,31 +607,13 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
     }
     const std::vector<double> eval_grid = resolved_eval_grid(cfg);
 
-    // Work unit: a block of consecutive cells of the list, at most
-    // eval_group wide. Every cell evaluates the SAME pretrained weights
-    // under its own fault map at epoch 0 — the multi-mask shape — so a
-    // block's epoch-0 trajectory points share one grouped pass regardless
-    // of rate (in the canonical order a block is typically the repeats of
-    // one rate; in a leased batch it may span rates, which changes
-    // nothing: the evaluator only sees fault grids). The group is capped
-    // at an even cells/worker split so an oversized --eval-group cannot
-    // starve workers of cells — mirroring the fleet executor's cap.
-    // Blocks are a pure function of the cell order and the
-    // worker budget — never of scheduling — and grouping never changes
-    // values, so the table is identical either way.
+    // Work unit: one cell. Each cell's episode measures its own epoch-0
+    // (post-FAP) accuracy, so a cell's result is a function of the cell
+    // alone, whatever the worker count or cell order.
     const thread_budget budget =
         resolve_thread_budget(opts.threads, opts.gemm_threads, cells.size());
-    const std::size_t worker_budget = budget.fleet_workers;
-    const std::size_t group_limit =
-        cap_group_at_fair_share(opts.eval_group, cells.size(), worker_budget);
-    std::vector<std::pair<std::size_t, std::size_t>> blocks;  // [begin, end)
-    for (std::size_t begin = 0; begin < cells.size();) {
-        const std::size_t end = std::min(cells.size(), begin + group_limit);
-        blocks.emplace_back(begin, end);
-        begin = end;
-    }
 
-    // Workers drain the block list through an atomic cursor; each owns a
+    // Workers drain the cell list through an atomic cursor; each owns a
     // deep clone restored from the pretrained snapshot before every cell,
     // so a cell's result never depends on which worker ran it or in what
     // order.
@@ -649,89 +630,56 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
         // cells, so restoring again per cell would be pure waste.
         restore_parameters(model->parameters(), pretrained_);
         fault_aware_trainer trainer(*model, train_data_, test_data_, trainer_cfg_);
-        // Grouped epoch-0 evaluator, built lazily on the first multi-cell
-        // block this worker claims.
-        std::unique_ptr<multi_mask_evaluator> evaluator;
         for (;;) {
-            const std::size_t bi = next.fetch_add(1);
-            if (bi >= blocks.size()) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= cells.size()) {
                 LOG_DEBUG << "resilience worker done; arena high-water "
                           << arena.peak_floats() * sizeof(float) << " bytes across "
                           << arena.pooled_bytes() << " pooled";
                 return;
             }
-            const auto [begin, end] = blocks[bi];
+            const sweep_cell& cell = cells[i];
+            // Episode seeding: dropout streams are a function of the cell,
+            // not of the worker's history.
+            reseed_stochastic_layers(*model, cell.map_seed);
+            fault_state_guard guard(*model, pretrained_);
+            // The fault map is a function of the cell seed alone; timeline
+            // events mutate it in place (without a scenario it stays inert).
+            random_fault_config fault_cfg = cfg.fault_model;
+            fault_cfg.fault_rate = cell.fault_rate;
+            fault_grid working = generate_random_faults(array_, fault_cfg, cell.map_seed);
+            const mask_stats stats = attach_fault_masks(*model, array_, working);
+            // Cell-local timeline: seeded from the cell's grid coordinates,
+            // so any cell partition, worker count, or distributed lease
+            // replays identical event contents.
+            const fault_timeline timeline =
+                timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat);
+            const train_event_hooks hooks =
+                timeline_hooks(cfg.scenario, timeline, working, guard, array_);
+            fat_result fat = trainer.train(cfg.max_epochs, eval_grid, std::nullopt, &hooks);
 
-            // Fault maps are a function of the cell seed alone; generating
-            // them up front for the block matches the serial per-cell order.
-            std::vector<fault_grid> faults;
-            faults.reserve(end - begin);
-            for (std::size_t i = begin; i < end; ++i) {
-                random_fault_config fault_cfg = cfg.fault_model;
-                fault_cfg.fault_rate = cells[i].fault_rate;
-                faults.push_back(
-                    generate_random_faults(array_, fault_cfg, cells[i].map_seed));
-            }
-            std::vector<double> epoch0;
-            if (end - begin > 1) {
-                if (!evaluator) {
-                    evaluator = std::make_unique<multi_mask_evaluator>(
-                        model_, pretrained_, test_data_, array_, trainer_cfg_);
-                }
-                std::vector<const fault_grid*> grids;
-                grids.reserve(end - begin);
-                for (const fault_grid& f : faults) { grids.push_back(&f); }
-                epoch0 = evaluator->evaluate(grids);
-            }
+            resilience_run& run = runs[i];
+            run.fault_rate = cell.fault_rate;
+            run.repeat = cell.repeat;
+            run.map_seed = cell.map_seed;
+            run.masked_weight_fraction = stats.masked_fraction();
+            run.trajectory = std::move(fat.trajectory);
 
-            for (std::size_t i = begin; i < end; ++i) {
-                const sweep_cell& cell = cells[i];
-                // Episode seeding: dropout streams are a function of the
-                // cell, not of the worker's history.
-                reseed_stochastic_layers(*model, cell.map_seed);
-                fault_state_guard guard(*model, pretrained_);
-                // Timeline events mutate a working copy of the cell's grid;
-                // without a scenario the copy is inert (the block's shared
-                // `faults` vector is read-only either way).
-                fault_grid working = faults[i - begin];
-                const mask_stats stats = attach_fault_masks(*model, array_, working);
-                // Cell-local timeline: seeded from the cell's grid
-                // coordinates, so any cell partition, worker count, or
-                // distributed lease replays identical event contents.
-                const fault_timeline timeline =
-                    timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat);
-                const train_event_hooks hooks =
-                    timeline_hooks(cfg.scenario, timeline, working, guard, array_);
-                fat_result fat = trainer.train(
-                    cfg.max_epochs, eval_grid,
-                    epoch0.empty() ? std::nullopt
-                                   : std::optional<double>(epoch0[i - begin]),
-                    &hooks);
-
-                resilience_run& run = runs[i];
-                run.fault_rate = cell.fault_rate;
-                run.repeat = cell.repeat;
-                run.map_seed = cell.map_seed;
-                run.masked_weight_fraction = stats.masked_fraction();
-                run.trajectory = std::move(fat.trajectory);
-
-                LOG_DEBUG << "resilience: rate=" << cell.fault_rate << " rep=" << cell.repeat
-                          << " masked=" << stats.masked_fraction()
-                          << " final_acc=" << run.trajectory.back().test_accuracy;
-            }
+            LOG_DEBUG << "resilience: rate=" << cell.fault_rate << " rep=" << cell.repeat
+                      << " masked=" << stats.masked_fraction()
+                      << " final_acc=" << run.trajectory.back().test_accuracy;
         }
     };
 
     // Two-level budget: sweep workers over cells, the guarded intra-op
     // budget inside each worker's kernels. Scoped so a caller's own budget
     // is restored after the sweep.
-    const std::size_t workers = std::min(worker_budget, blocks.size());
+    const std::size_t workers = std::min(budget.fleet_workers, cells.size());
     const scoped_intra_op_threads intra(budget.gemm_threads);
     run_workers(workers, worker);
 
     LOG_INFO << "resilience: swept " << cells.size() << " of " << grid.size() << " cells ("
-             << workers << " worker(s), gemm-threads " << budget.gemm_threads
-             << ", eval-group " << group_limit << ")";
+             << workers << " worker(s), gemm-threads " << budget.gemm_threads << ")";
     return resilience_table(std::move(runs), cfg.max_epochs, resilience_fingerprint(cfg),
                             grid.size());
 }

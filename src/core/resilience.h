@@ -178,8 +178,8 @@ private:
 };
 
 /// Configuration of the resilience sweep — everything that determines the
-/// *numbers* in the table. Execution knobs (threads, eval grouping) live
-/// in sweep_options and never change results.
+/// *numbers* in the table. Execution knobs (threads) live in sweep_options
+/// and never change results.
 struct resilience_config {
     std::vector<double> fault_rates{0.0, 0.05, 0.1, 0.2, 0.3, 0.4, 0.5};
     std::size_t repeats = 5;
@@ -204,8 +204,8 @@ struct resilience_config {
     std::string context;
 };
 
-/// Execution knobs of a sweep. Any thread count or eval grouping produces
-/// a bit-identical table.
+/// Execution knobs of a sweep. Any thread count produces a bit-identical
+/// table.
 struct sweep_options {
     std::size_t threads = 1;      ///< worker threads; 0 → hardware concurrency
     /// Intra-op (GEMM/conv-lowering) threads per worker (--gemm-threads);
@@ -214,13 +214,9 @@ struct sweep_options {
     /// count (resolve_thread_budget), and — like every knob here — without
     /// any effect on the table's bytes.
     std::size_t gemm_threads = 1;
-    /// Cells whose epoch-0 evaluations share one grouped pass through the
-    /// batched multi-mask evaluator (--eval-group). 0 or 1 → serial
-    /// per-cell evaluation. Every cell evaluates the same pretrained
-    /// weights under its own fault map at epoch 0 — exactly the multi-mask
-    /// shape — so grouping consecutive cells (the repeats of one rate in
-    /// the canonical order) amortizes the sweep's repeated test-set
-    /// inference without changing a single bit of the table.
+    /// Ignored: every cell measures its epoch-0 accuracy inside its own
+    /// episode. Kept only because perfbench still sets it; ROADMAP item 1b
+    /// deletes it.
     std::size_t eval_group = 1;
 };
 
@@ -241,8 +237,7 @@ std::vector<sweep_cell> enumerate_sweep_cells(const resilience_config& cfg);
 
 /// Stable hex fingerprint of everything that determines sweep results: the
 /// rate grid, repeats, budget, resolved eval grid, fault model, seed, and
-/// the workload context. Execution knobs (threads, eval grouping) are
-/// excluded.
+/// the workload context. Execution knobs (threads) are excluded.
 std::string resilience_fingerprint(const resilience_config& cfg);
 
 /// On-disk JSON cache of Step-1 artifacts — the paper's overhead

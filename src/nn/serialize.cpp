@@ -110,6 +110,19 @@ std::optional<std::uint64_t> remaining_bytes(std::istream& is) {
     return static_cast<std::uint64_t>(end - here);
 }
 
+/// Rejects an entry count above the sanity bound or — on a seekable stream —
+/// above what the remaining bytes can hold at `min_bytes` per entry, before
+/// anything is reserved for it.
+void check_count(std::istream& is, std::uint64_t count, std::uint64_t min_bytes,
+                 const std::string& what) {
+    const std::optional<std::uint64_t> left = remaining_bytes(is);
+    if (count > k_max_entries || (left.has_value() && count > *left / min_bytes)) {
+        throw io_error("corrupt snapshot: " + what + " count " + std::to_string(count) +
+                       (left.has_value() ? " but only " + std::to_string(*left) + " bytes remain"
+                                         : std::string()));
+    }
+}
+
 tensor read_tensor(std::istream& is) {
     const auto rank = read_pod<std::uint32_t>(is);
     if (rank > k_max_rank) {
@@ -176,10 +189,9 @@ model_snapshot load_snapshot(std::istream& is) {
     if (!is || (!v1 && !v2)) {
         throw io_error("not a model snapshot stream");
     }
+    // A parameter needs at least its name length and rank (8 bytes).
     const auto count = read_pod<std::uint64_t>(is);
-    if (count > k_max_entries) {
-        throw io_error("corrupt snapshot: parameter count " + std::to_string(count));
-    }
+    check_count(is, count, 8, "parameter");
     model_snapshot snap;
     snap.names.reserve(count);
     snap.values.reserve(count);
@@ -195,11 +207,12 @@ model_snapshot load_snapshot(std::istream& is) {
         snap.values.push_back(read_tensor(is));
     }
     if (v2) {
+        // A state buffer needs at least its rank (4 bytes). save_snapshot
+        // writes RDNN1 for state-free snapshots, so RDNN2 with no buffers
+        // is not an encoding it produces.
         const auto state_count = read_pod<std::uint64_t>(is);
-        if (state_count > k_max_entries) {
-            throw io_error("corrupt snapshot: state buffer count " +
-                           std::to_string(state_count));
-        }
+        if (state_count == 0) { throw io_error("corrupt snapshot: RDNN2 without state buffers"); }
+        check_count(is, state_count, 4, "state buffer");
         snap.state.reserve(state_count);
         for (std::uint64_t i = 0; i < state_count; ++i) {
             snap.state.push_back(read_tensor(is));
@@ -222,7 +235,13 @@ std::string snapshot_to_bytes(const model_snapshot& snapshot) {
 
 model_snapshot snapshot_from_bytes(const std::string& bytes) {
     std::istringstream buffer(bytes, std::ios::binary);
-    return load_snapshot(buffer);
+    model_snapshot snap = load_snapshot(buffer);
+    // A byte buffer is one whole payload: anything after it means the bytes
+    // are corrupt, not a second snapshot.
+    if (buffer.peek() != std::char_traits<char>::eof()) {
+        throw io_error("corrupt snapshot: trailing bytes after the payload");
+    }
+    return snap;
 }
 
 }  // namespace reduce

@@ -66,7 +66,8 @@ void restore_model(sequential& model, const model_snapshot& snapshot);
 void save_snapshot(const std::string& path, const model_snapshot& snapshot);
 
 /// Reads a snapshot from a binary file (RDNN1 or RDNN2); throws io_error on
-/// malformed files.
+/// malformed files, including a parameter or state-buffer count the rest of
+/// the file cannot hold and an RDNN2 header with no state buffers.
 model_snapshot load_snapshot(const std::string& path);
 
 /// Stream overloads sharing the file implementation byte for byte — how
@@ -77,7 +78,8 @@ void save_snapshot(std::ostream& os, const model_snapshot& snapshot);
 model_snapshot load_snapshot(std::istream& is);
 
 /// Byte-buffer convenience wrappers over the stream overloads: the exact
-/// bytes save_snapshot(path, ...) would put on disk.
+/// bytes save_snapshot(path, ...) would put on disk. snapshot_from_bytes
+/// also throws io_error when bytes follow the payload.
 std::string snapshot_to_bytes(const model_snapshot& snapshot);
 model_snapshot snapshot_from_bytes(const std::string& bytes);
 

@@ -117,10 +117,8 @@ inline bool should_fan_out(double work, double min_work) {
 }
 
 /// Caps a work-claim group width at an even items/worker split (and a floor
-/// of 1): the shared rule of the fleet executor and the sweep engine, whose
-/// grouped-evaluation blocks double as the unit workers claim — an
-/// oversized group request must shrink its grouping benefit, never starve
-/// worker threads of items.
+/// of 1): the fleet executor's rule for the chip blocks workers claim — an
+/// oversized group request must never starve worker threads of items.
 std::size_t cap_group_at_fair_share(std::size_t group, std::size_t items,
                                     std::size_t workers);
 

@@ -163,25 +163,6 @@ TEST_F(FleetExecutorFixture, OutcomesAreThreadCountIndependent) {
     }
 }
 
-TEST_F(FleetExecutorFixture, OutcomesAreEvalBatchIndependentAcrossThreads) {
-    // The grouped accuracy_before path (batched multi-mask evaluation) must
-    // collapse the whole threads × eval-batch matrix to the serial result —
-    // including ragged final groups (fleet of 4 at eval-batch 3) and groups
-    // larger than the fleet.
-    const reduce_policy reduce(table(), sel_config());
-    const policy_outcome serial = make_executor(1).run(reduce, fleet());
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        for (const std::size_t eval_batch : {2u, 3u, 4u, 16u}) {
-            fleet_executor executor(*shared_->model, shared_->pretrained,
-                                    shared_->train_data, shared_->test_data, shared_->array,
-                                    shared_->trainer_cfg,
-                                    fleet_executor_config{.threads = threads,
-                                                          .eval_batch_chips = eval_batch});
-            expect_identical(serial, executor.run(reduce, fleet()));
-        }
-    }
-}
-
 TEST_F(FleetExecutorFixture, OutcomesAndSnapshotsAreGemmThreadIndependent) {
     // The executor half of the two-level determinism matrix: gemm threads
     // (1/2/8) × fleet workers (1/4) must reproduce the serial outcomes AND

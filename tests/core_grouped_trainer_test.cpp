@@ -413,9 +413,10 @@ TEST(FleetExecutor, GroupedTrainingMatchesSerialAcrossThreadsAndBatch) {
     }
 }
 
-TEST(FleetExecutor, GroupedTrainingWithGroupedEvalMatchesSerial) {
-    // Both grouping knobs on at once: the block doubles as the eval group
-    // and the pool training runs are carved from.
+TEST(FleetExecutor, StochasticGroupedTrainingMatchesSerialAcrossThreadsAndBatch) {
+    // Dropout + batch-norm chips claimed in multi-chip blocks: every chip
+    // still measures its accuracy_before and retrains in its own episode,
+    // so the threads × train-batch matrix collapses to the serial result.
     train_case c = make_stochastic_case();
     const fixed_policy policy(0.5, 0.7);
     const auto run = [&](fleet_executor_config cfg) {
@@ -424,11 +425,14 @@ TEST(FleetExecutor, GroupedTrainingWithGroupedEvalMatchesSerial) {
         return executor.run(policy, c.chips);
     };
     const policy_outcome serial = run({});
-    expect_identical_outcomes(
-        serial,
-        run(fleet_executor_config{
-            .threads = 2, .eval_batch_chips = 4, .train_batch_chips = 4}),
-        "eval+train grouped");
+    for (const std::size_t threads : {1u, 2u}) {
+        for (const std::size_t train_batch : {2u, 4u}) {
+            expect_identical_outcomes(
+                serial,
+                run(fleet_executor_config{.threads = threads, .train_batch_chips = train_batch}),
+                "stochastic grouped fleet");
+        }
+    }
 }
 
 /// Policy whose allocation alternates per chip — no two fleet-adjacent chips

@@ -3,9 +3,9 @@
 // evaluate path BIT FOR BIT at every group size — over MLP, conv (including
 // the VGG structural-zero lowering path), and batch-norm/dropout models,
 // through ragged groups, duplicated chips, and chips with empty masks. Also
-// pins the stochastic-layer determinism fixes the engine depends on: the
-// fault_state_guard's batch-norm statistic restore and per-episode dropout
-// reseeding.
+// pins fleet outcomes across thread counts and the stochastic-layer
+// determinism fixes every episode depends on: the fault_state_guard's
+// batch-norm statistic restore and per-episode dropout reseeding.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -230,7 +230,7 @@ TEST(MultiMaskEvaluator, RejectsBadInputs) {
     EXPECT_THROW((void)evaluator.evaluate({&wrong_geometry}), error);
 }
 
-// ---- executor-level equivalence: grouped accuracy_before inside tune() ----
+// ---- executor-level equivalence: accuracy_before across thread counts ----
 
 void expect_identical_outcomes(const policy_outcome& a, const policy_outcome& b,
                                const char* label) {
@@ -248,41 +248,35 @@ void expect_identical_outcomes(const policy_outcome& a, const policy_outcome& b,
     }
 }
 
-TEST(MultiMaskEvaluator, FleetOutcomesAreEvalBatchAndThreadIndependent) {
-    eval_case c = make_mlp_case();  // 8 chips → ragged final group at K=3
+TEST(FleetExecutor, MlpOutcomesAreThreadIndependent) {
+    eval_case c = make_mlp_case();
     const fixed_policy policy(0.2, 0.8);
-    const auto run = [&](std::size_t threads, std::size_t eval_batch) {
-        fleet_executor executor(
-            *c.model, c.pretrained, c.train_data, c.test_data, c.array, c.trainer_cfg,
-            fleet_executor_config{.threads = threads, .eval_batch_chips = eval_batch});
+    const auto run = [&](std::size_t threads) {
+        fleet_executor executor(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
+                                c.trainer_cfg, fleet_executor_config{.threads = threads});
         return executor.run(policy, c.chips);
     };
-    const policy_outcome serial = run(1, 1);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        for (const std::size_t eval_batch : {3u, 4u, 32u}) {
-            expect_identical_outcomes(serial, run(threads, eval_batch), "fleet");
-        }
+    const policy_outcome serial = run(1);
+    for (const std::size_t threads : {2u, 8u}) {
+        expect_identical_outcomes(serial, run(threads), "fleet");
     }
 }
 
-TEST(MultiMaskEvaluator, StochasticFleetOutcomesAreEvalBatchAndThreadIndependent) {
+TEST(FleetExecutor, StochasticOutcomesAreThreadIndependent) {
     // The historical determinism gap (ROADMAP item 3): dropout streams and
     // batch-norm statistics used to depend on worker history, so any
     // thread-count change reshuffled outcomes. With per-chip reseeding and
     // the guard's buffer restore, the whole matrix must agree bitwise.
     eval_case c = make_stochastic_case();
     const fixed_policy policy(0.4, 0.7);
-    const auto run = [&](std::size_t threads, std::size_t eval_batch) {
-        fleet_executor executor(
-            *c.model, c.pretrained, c.train_data, c.test_data, c.array, c.trainer_cfg,
-            fleet_executor_config{.threads = threads, .eval_batch_chips = eval_batch});
+    const auto run = [&](std::size_t threads) {
+        fleet_executor executor(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
+                                c.trainer_cfg, fleet_executor_config{.threads = threads});
         return executor.run(policy, c.chips);
     };
-    const policy_outcome serial = run(1, 1);
+    const policy_outcome serial = run(1);
     for (const std::size_t threads : {2u, 8u}) {
-        for (const std::size_t eval_batch : {1u, 2u}) {
-            expect_identical_outcomes(serial, run(threads, eval_batch), "stochastic fleet");
-        }
+        expect_identical_outcomes(serial, run(threads), "stochastic fleet");
     }
 }
 

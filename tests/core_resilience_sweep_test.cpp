@@ -136,24 +136,21 @@ TEST_F(SweepFixture, ParallelSweepIsByteIdenticalAtAnyThreadCount) {
     }
 }
 
-TEST_F(SweepFixture, DeterminismMatrixThreadsByEvalGroupByCellPartition) {
-    // The full execution-knob matrix must collapse to ONE artifact: worker
-    // threads (1/2/8) × grouped epoch-0 evaluation (1/4) × 2-way cell
-    // partition + merge_into all serialize byte-identically.
+TEST_F(SweepFixture, DeterminismMatrixThreadsByCellPartition) {
+    // The execution-knob matrix must collapse to ONE artifact: worker
+    // threads (1/2/8) × 2-way cell partition + merge_into all serialize
+    // byte-identically.
     resilience_analyzer analyzer = make_analyzer();
     const resilience_config cfg = small_config();
 
     const std::string reference = analyzer.analyze(cfg, {}).to_json().dump();
     for (const std::size_t threads : {1u, 2u, 8u}) {
-        for (const std::size_t eval_group : {1u, 4u}) {
-            sweep_options opts;
-            opts.threads = threads;
-            opts.eval_group = eval_group;
-            EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
-                << "threads=" << threads << " eval_group=" << eval_group;
-            EXPECT_EQ(two_way_fold(analyzer, cfg, opts), reference)
-                << "partitioned: threads=" << threads << " eval_group=" << eval_group;
-        }
+        sweep_options opts;
+        opts.threads = threads;
+        EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
+            << "threads=" << threads;
+        EXPECT_EQ(two_way_fold(analyzer, cfg, opts), reference)
+            << "partitioned: threads=" << threads;
     }
 }
 
@@ -203,13 +200,10 @@ TEST_F(SweepFixture, StochasticModelSweepIsDeterministicAcrossTheMatrix) {
     resilience_config cfg = small_config();
     const std::string reference = analyzer.analyze(cfg, {}).to_json().dump();
     for (const std::size_t threads : {2u, 8u}) {
-        for (const std::size_t eval_group : {1u, 4u}) {
-            sweep_options opts;
-            opts.threads = threads;
-            opts.eval_group = eval_group;
-            EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
-                << "stochastic: threads=" << threads << " eval_group=" << eval_group;
-        }
+        sweep_options opts;
+        opts.threads = threads;
+        EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
+            << "stochastic: threads=" << threads;
     }
 }
 

@@ -10,6 +10,7 @@
 #include <poll.h>
 
 #include <chrono>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -75,6 +76,22 @@ bool eventually(Pred pred, int timeout_ms = 5000) {
     return true;
 }
 
+/// Startup gate for a sweep of `units` work units: handshakes and leases
+/// every unit (one request_work each), so the real workers are parked
+/// until the gate closes, which requeues its leases. Closing it only once
+/// every expected worker is admitted keeps a job that takes a few ms from
+/// finishing before the last worker dials.
+std::optional<raw_client> open_gate(int port, std::size_t units) {
+    std::optional<raw_client> gate(std::in_place, port);
+    gate->send(dist::make_hello(resilience_fingerprint(small_config()), "gate"));
+    EXPECT_EQ(dist::message_type(gate->read()), "welcome");
+    for (std::size_t u = 0; u < units; ++u) {
+        gate->send(dist::make_request_work());
+        EXPECT_EQ(dist::message_type(gate->read()), "work");
+    }
+    return gate;
+}
+
 class DistFixture : public ::testing::Test {
 protected:
     static void SetUpTestSuite() {
@@ -135,6 +152,7 @@ TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
         cc.cells_per_lease = 1;  // 4 units — real distribution at 4 workers
         dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
         coord.start();
+        std::optional<raw_client> gate = open_gate(coord.port(), 4);
 
         std::vector<dist::worker_config> configs;
         for (std::size_t i = 0; i < worker_count; ++i) {
@@ -143,6 +161,9 @@ TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
         }
         std::vector<dist::worker_report> reports;
         std::thread workers([&] { reports = run_workers(configs); });
+        EXPECT_TRUE(eventually([&] { return coord.stats().workers_admitted == worker_count + 1; }))
+            << worker_count << " workers were not all admitted";
+        gate.reset();
         const resilience_table table = coord.wait_table();
         workers.join();
 
@@ -155,9 +176,9 @@ TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
         }
         EXPECT_EQ(total_cells, 4u) << worker_count << " workers";
         const dist::coordinator_stats stats = coord.stats();
-        EXPECT_EQ(stats.workers_admitted, worker_count);
+        EXPECT_EQ(stats.workers_admitted, worker_count + 1);  // the workers and the gate
         EXPECT_EQ(stats.workers_rejected, 0u);
-        EXPECT_GE(stats.leases_granted, 4u);
+        EXPECT_GE(stats.leases_granted, 8u);  // the gate's 4, then the workers' 4
         EXPECT_EQ(stats.duplicate_results, 0u);
     }
 }
@@ -167,6 +188,7 @@ TEST_F(DistFixture, WorkerDeathMidLeaseIsReassignedByteIdentically) {
     cc.cells_per_lease = 1;
     dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
     coord.start();
+    std::optional<raw_client> gate = open_gate(coord.port(), 4);
 
     // The doomed worker vanishes upon receiving its first unit — the
     // in-process stand-in for SIGKILL with the lease held. The survivor
@@ -177,6 +199,9 @@ TEST_F(DistFixture, WorkerDeathMidLeaseIsReassignedByteIdentically) {
 
     std::vector<dist::worker_report> reports;
     std::thread workers([&] { reports = run_workers({doomed, survivor}); });
+    EXPECT_TRUE(eventually([&] { return coord.stats().workers_admitted == 3; }))
+        << "the doomed worker and the survivor were not both admitted";
+    gate.reset();
     const resilience_table table = coord.wait_table();
     workers.join();
 
@@ -184,7 +209,8 @@ TEST_F(DistFixture, WorkerDeathMidLeaseIsReassignedByteIdentically) {
     EXPECT_TRUE(reports[0].died);
     EXPECT_EQ(reports[0].cells, 0u);
     EXPECT_EQ(reports[1].cells, 4u);  // all units, including the revoked one
-    EXPECT_GE(coord.stats().leases_reassigned, 1u);
+    // The gate's 4 leases, then at least the doomed worker's.
+    EXPECT_GE(coord.stats().leases_reassigned, 5u);
 }
 
 TEST_F(DistFixture, SilentWorkerMissesHeartbeatDeadlineAndLosesItsLease) {
