@@ -45,11 +45,8 @@
 #include "core/fat_trainer.h"
 #include "core/workload.h"
 #include "fault/chip.h"
-#include "fault/mask_builder.h"
 #include "fault/models.h"
 #include "fault/scenario.h"
-#include "nn/models.h"
-#include "nn/serialize.h"
 #include "util/cli.h"
 #include "util/json.h"
 #include "util/log.h"
@@ -60,31 +57,6 @@
 using namespace reduce;
 
 namespace {
-
-/// One full retraining episode for the chip under the given scenario
-/// (empty → event-free). Restores the pristine pretrained model afterwards
-/// via the guard, so episodes are independent and replayable.
-fat_result run_episode(workload& w, const chip& c, const scenario_config& sc,
-                       double budget, const std::vector<double>& grid) {
-    restore_parameters(w.model->parameters(), w.pretrained);
-    reseed_stochastic_layers(*w.model, c.seed);
-    fault_state_guard guard(*w.model, w.pretrained);
-    fault_grid working = c.faults;
-    attach_fault_masks(*w.model, w.array, working);
-    fault_aware_trainer trainer(*w.model, w.train_data, w.test_data, w.trainer_cfg);
-    if (sc.empty()) { return trainer.train(budget, grid); }
-    const fault_timeline timeline = timeline_for_chip(sc, c.id);
-    train_event_hooks hooks;
-    hooks.event_epochs.reserve(sc.events.size());
-    for (const fault_event& ev : sc.events) { hooks.event_epochs.push_back(ev.epoch); }
-    hooks.mode = sc.mode;
-    hooks.rollback_budget = sc.rollback_budget;
-    hooks.on_event = [&](std::size_t index) {
-        apply_fault_event(working, timeline, index);
-        guard.swap_masks(w.array, working);
-    };
-    return trainer.train(budget, grid, std::nullopt, &hooks);
-}
 
 /// First epoch at/after `from_epoch` where the trajectory re-attains the
 /// target — the recover-vs-restart question is how fast a mode re-reaches
@@ -138,6 +110,19 @@ int main(int argc, char** argv) {
         fc.fault_rate = rate;
         const chip c{0, seed, rate, generate_random_faults(w.array, fc, seed)};
         const std::vector<double> grid = make_eval_grid(budget, 1.0, 0.05, 0.25);
+        // One full retraining episode for the chip under the given scenario
+        // (empty → event-free); the episode leaves the pristine pretrained
+        // model behind, so episodes are independent and replayable.
+        fault_aware_trainer trainer(*w.model, w.train_data, w.test_data, w.trainer_cfg);
+        const auto run = [&](const scenario_config& sc) {
+            return run_episode(trainer, w.pretrained, w.array,
+                               {.seed = c.seed,
+                                .faults = c.faults,
+                                .timeline = timeline_for_chip(sc, c.id),
+                                .budget = budget,
+                                .grid = grid})
+                .fat;
+        };
 
         bool all_ok = true;
         const auto gate = [&](const char* name, bool ok) {
@@ -151,18 +136,18 @@ int main(int argc, char** argv) {
             scenario_config probe = parse_scenario(specs[0]);
             probe.mode = recovery_mode::recover;
             set_intra_op_threads(1);
-            const fat_result serial = run_episode(w, c, probe, budget, grid);
-            const fat_result replay = run_episode(w, c, probe, budget, grid);
+            const fat_result serial = run(probe);
+            const fat_result replay = run(probe);
             gate("replay", same_result(serial, replay));
             set_intra_op_threads(gemm_threads);
-            const fat_result parallel = run_episode(w, c, probe, budget, grid);
+            const fat_result parallel = run(probe);
             set_intra_op_threads(1);
             gate("gemm-threads", same_result(serial, parallel));
 
             scenario_config dormant = parse_scenario(specs[0]);
             dormant.events[0].epoch = budget + 100.0;  // never fires
-            const fat_result armed = run_episode(w, c, dormant, budget, grid);
-            const fat_result plain = run_episode(w, c, scenario_config{}, budget, grid);
+            const fat_result armed = run(dormant);
+            const fat_result plain = run(scenario_config{});
             gate("dormant-timeline", same_result(armed, plain) && armed.events_applied == 0);
         }
 
@@ -182,7 +167,7 @@ int main(int argc, char** argv) {
                     if (ev.epoch < budget) { last_event = std::max(last_event, ev.epoch); }
                 }
                 stopwatch timer;
-                const fat_result result = run_episode(w, c, sc, budget, grid);
+                const fat_result result = run(sc);
                 const double wall_ms = timer.milliseconds();
                 const auto reached =
                     epochs_to_reattain(result.trajectory, target, last_event);

@@ -88,10 +88,10 @@ bool all_finite(const std::vector<parameter*>& params) {
 
 }  // namespace
 
-train_event_hooks timeline_hooks(const scenario_config& scenario, const fault_timeline& timeline,
-                                 fault_grid& working, fault_state_guard& guard,
-                                 const array_config& array) {
+train_event_hooks timeline_hooks(const fault_timeline& timeline, fault_grid& working,
+                                 fault_state_guard& guard, const array_config& array) {
     train_event_hooks hooks;
+    const scenario_config& scenario = timeline.scenario;
     if (scenario.empty()) { return hooks; }
     hooks.event_epochs.reserve(scenario.events.size());
     for (const fault_event& ev : scenario.events) { hooks.event_epochs.push_back(ev.epoch); }
@@ -187,7 +187,8 @@ double fault_aware_trainer::evaluate() {
 
 fat_result fault_aware_trainer::train(double epoch_budget, const std::vector<double>& eval_grid,
                                       const std::optional<double>& epoch0_accuracy,
-                                      const train_event_hooks* hooks) {
+                                      const train_event_hooks* hooks,
+                                      const std::optional<double>& stop_at_accuracy) {
     REDUCE_CHECK(epoch_budget >= 0.0, "epoch budget must be non-negative");
     stopwatch timer;
     // Hooks without events (or a zero budget) mean no timeline.
@@ -198,6 +199,10 @@ fat_result fault_aware_trainer::train(double epoch_budget, const std::vector<dou
 
     fat_result result;
     result.trajectory.push_back({0.0, epoch0_accuracy.has_value() ? *epoch0_accuracy : evaluate()});
+    const auto met_target = [&] {
+        return stop_at_accuracy.has_value() &&
+               result.trajectory.back().test_accuracy >= *stop_at_accuracy;
+    };
 
     data_loader loader(train_data_, cfg_.batch_size, cfg_.shuffle_seed);
     sgd opt(model_.parameters(), {.learning_rate = cfg_.learning_rate,
@@ -274,7 +279,7 @@ fat_result fault_aware_trainer::train(double epoch_budget, const std::vector<dou
         return true;
     };
 
-    while (next_stop < stops.size()) {
+    while (next_stop < stops.size() && !met_target()) {
         const stop_point st = stops[next_stop];
         const std::size_t target_steps = loader.steps_for_epochs(st.epoch);
         bool finite = true;
@@ -331,6 +336,21 @@ fat_result fault_aware_trainer::train(double epoch_budget, const std::vector<dou
 
 fat_result fault_aware_trainer::train(double epoch_budget) {
     return train(epoch_budget, {});
+}
+
+episode_result run_episode(fault_aware_trainer& trainer, const model_snapshot& pretrained,
+                           const array_config& array, episode ep,
+                           const trained_model_observer& on_trained) {
+    sequential& model = trainer.model();
+    reseed_stochastic_layers(model, ep.seed);
+    // Restores masks, weights and batch-norm statistics on every exit path.
+    fault_state_guard guard(model, pretrained);
+    episode_result out;
+    out.masks = attach_fault_masks(model, array, ep.faults);
+    const train_event_hooks hooks = timeline_hooks(ep.timeline, ep.faults, guard, array);
+    out.fat = trainer.train(ep.budget, ep.grid, ep.epoch0_accuracy, &hooks, ep.target);
+    if (on_trained) { on_trained(model); }
+    return out;
 }
 
 }  // namespace reduce

@@ -2,14 +2,14 @@
 //
 // Retrains masked models for an exact (possibly fractional) number of
 // epochs, evaluating test accuracy at a grid of epoch checkpoints. The
-// trainer assumes fault masks are already attached (attach_fault_masks);
-// the mask-aware optimizer keeps pruned weights at zero, so the network
-// being trained is exactly the function the damaged chip computes.
+// mask-aware optimizer keeps pruned weights at zero, so the network being
+// trained is exactly the function the damaged chip computes.
 //
-// One engine: fault_aware_trainer::train runs one episode on one model —
-// one loader, one optimizer, one stop list of checkpoints and fault-timeline
-// events, and one rollback anchor. chip_tuner, the Step-1 sweep and the
-// fleet executor all train through it, one chip per episode.
+// One episode: run_episode masks one model for one fault map and its
+// timeline and trains it on one checkpoint grid, optionally stopping at a
+// target. Every Step-1 cell, every Step-3 chip (the oracle included) and
+// the timeline bench run through it; fault_aware_trainer::train underneath
+// owns the stop list of checkpoints and events and the one rollback anchor.
 //
 // Threading: an episode is single-threaded, but every forward/backward/eval
 // it runs draws on the process-wide intra-op budget (util/thread_pool.h,
@@ -89,11 +89,10 @@ struct train_event_hooks {
 /// Builds the hooks of one episode's fault timeline: event i applies
 /// timeline event i to `working` (the episode's own copy of its fault grid)
 /// and swaps the guarded model's masks to match. The references must
-/// outlive the hooks. An empty scenario yields hooks without events, which
+/// outlive the hooks. An empty timeline yields hooks without events, which
 /// every episode treats as no timeline.
-train_event_hooks timeline_hooks(const scenario_config& scenario, const fault_timeline& timeline,
-                                 fault_grid& working, fault_state_guard& guard,
-                                 const array_config& array);
+train_event_hooks timeline_hooks(const fault_timeline& timeline, fault_grid& working,
+                                 fault_state_guard& guard, const array_config& array);
 
 /// Rows one evaluation forward pass covers: large enough to amortize
 /// per-batch costs, bounded to keep activation memory flat on big test
@@ -139,8 +138,8 @@ public:
     /// used per call, so runs are independent given the config seed.
     ///
     /// `epoch0_accuracy` injects a precomputed trajectory[0] value instead
-    /// of running the epoch-0 evaluation — chip_tuner feeds it the post-FAP
-    /// accuracy it just measured. evaluate() is pure for a fixed
+    /// of running the epoch-0 evaluation (chip_tuner::tune's injected
+    /// `accuracy_before`). evaluate() is pure for a fixed
     /// model state, so an injected value that was computed on the same
     /// masked weights (and batch-norm statistics) leaves the result
     /// byte-identical to the uninjected run while skipping one full pass
@@ -158,14 +157,23 @@ public:
     /// trajectory length — halves the learning rate and continues;
     /// otherwise it stops loudly (fat_result::hit_nonfinite, accuracy 0)
     /// instead of silently training on NaNs.
+    ///
+    /// `stop_at_accuracy` ends the run at the first recorded point (epoch
+    /// 0, checkpoint or event stop) meeting it, with the model behind that
+    /// point. Rollbacks never remove a recorded point, so this is the point
+    /// epochs_to_reach finds on the full-budget trajectory.
     fat_result train(double epoch_budget, const std::vector<double>& eval_grid,
                      const std::optional<double>& epoch0_accuracy = std::nullopt,
-                     const train_event_hooks* hooks = nullptr);
+                     const train_event_hooks* hooks = nullptr,
+                     const std::optional<double>& stop_at_accuracy = std::nullopt);
 
     /// Convenience: train for the budget with a single final evaluation.
     fat_result train(double epoch_budget);
 
     const fat_config& config() const { return cfg_; }
+
+    /// The model this trainer trains.
+    sequential& model() { return model_; }
 
 private:
     sequential& model_;
@@ -173,5 +181,34 @@ private:
     const dataset& test_data_;
     fat_config cfg_;
 };
+
+/// One FAT episode: one fault map, its timeline, and how long to train.
+struct episode {
+    std::uint64_t seed = 0;      ///< reseeds the stochastic (dropout) layers
+    fault_grid faults;           ///< working copy; timeline events mutate it
+    fault_timeline timeline{};   ///< carries its scenario; empty → no events
+    double budget = 0.0;         ///< epochs
+    std::vector<double> grid{};  ///< checkpoints; may be empty
+    std::optional<double> target{};  ///< stop_at_accuracy (the oracle)
+    std::optional<double> epoch0_accuracy{};  ///< injected accuracy_before
+};
+
+/// What one episode returns.
+struct episode_result {
+    fat_result fat;
+    mask_stats masks;  ///< of the episode's initial fault map
+};
+
+/// Sees the trained model at the end of an episode, before its restore.
+using trained_model_observer = std::function<void(sequential& trained)>;
+
+/// Runs `ep` on the trainer's model: reseed_stochastic_layers(ep.seed), a
+/// fault_state_guard, attach_fault_masks(ep.faults), the timeline's hooks,
+/// then train(ep.budget, ep.grid, …, ep.target). The model holds the
+/// pretrained weights on entry and again on every exit path, a throw
+/// included, so the result is a function of the episode alone.
+episode_result run_episode(fault_aware_trainer& trainer, const model_snapshot& pretrained,
+                           const array_config& array, episode ep,
+                           const trained_model_observer& on_trained = nullptr);
 
 }  // namespace reduce

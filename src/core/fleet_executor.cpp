@@ -2,14 +2,11 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 #include <mutex>
 
-#include "fault/mask_builder.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/log.h"
-#include "util/rng.h"
 #include "util/thread_pool.h"
 
 namespace reduce {
@@ -40,105 +37,57 @@ chip_tuner::chip_tuner(const sequential& prototype, const model_snapshot& pretra
     : pretrained_(pretrained),
       array_(array),
       clone_(clone_model(prototype)),
-      trainer_(*clone_, train_data, test_data, trainer_cfg) {}
+      trainer_(*clone_, train_data, test_data, trainer_cfg) {
+    // Every episode's guard leaves the clone at the pretrained snapshot.
+    restore_parameters(clone_->parameters(), pretrained_);
+}
 
 chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
                               double constraint, double effective_rate,
                               std::optional<double> accuracy_before) {
     tuned_.clear();
-    sequential& model = *clone_;
-    // The guard clears masks, re-restores the weights, and restores state
-    // buffers (batch-norm running statistics) on every exit path, so a
-    // throwing episode cannot leave the clone corrupted. Timeline events
-    // mutate the working COPY of the chip's grid; the fleet's descriptor
-    // stays pristine. The timeline seed is a pure function of
-    // (scenario.seed, chip id), so any worker on any machine replays the
-    // same event contents for a chip.
-    restore_parameters(model.parameters(), pretrained_);
-    reseed_stochastic_layers(model, c.seed);
-    fault_state_guard guard(model, pretrained_);
-    fault_grid working = c.faults;
-    const mask_stats stats = attach_fault_masks(model, array_, working);
-    const fault_timeline timeline = timeline_for_chip(scenario_, c.id);
-    const train_event_hooks hooks = timeline_hooks(scenario_, timeline, working, guard, array_);
+    // The oracle trains on the shared checkpoint grid and stops at the
+    // first point meeting the target: the charge, and the deployable model.
+    // The timeline is a pure function of (scenario.seed, chip id), so any
+    // worker on any machine replays the same event contents for a chip.
+    const bool to_target = alloc.train_to_target && alloc.epochs > 0.0;
+    episode ep{.seed = c.seed,
+               .faults = c.faults,
+               .timeline = timeline_for_chip(scenario_, c.id),
+               .budget = alloc.epochs,
+               .grid = to_target ? make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5)
+                                 : std::vector<double>{},
+               .target = to_target ? std::optional<double>(constraint) : std::nullopt,
+               .epoch0_accuracy = accuracy_before};
+    // Full deployable capture: parameters AND state buffers (the batch-norm
+    // statistics behind the reported accuracy), before the guard's restore.
+    const episode_result r = run_episode(
+        trainer_, pretrained_, array_, std::move(ep),
+        capture_tuned_ ? trained_model_observer([this](sequential& trained) {
+            tuned_.push_back(snapshot_model(trained));
+        })
+                       : nullptr);
+    const fat_result& result = r.fat;
 
     chip_outcome out;
     out.chip_id = c.id;
     out.nominal_fault_rate = c.nominal_fault_rate;
     out.effective_fault_rate = effective_rate;
-    out.masked_weight_fraction = stats.masked_fraction();
+    out.masked_weight_fraction = r.masks.masked_fraction();
     out.epochs_allocated = alloc.epochs;
     out.selection_failed = alloc.selection_failed;
-    // Post-FAP accuracy: injected, or evaluated here. Either way the value
-    // doubles as the episode's epoch-0 trajectory point.
-    out.accuracy_before = accuracy_before.has_value() ? *accuracy_before : trainer_.evaluate();
-
-    // Oracle accounting runs the budget on the shared checkpoint grid and
-    // charges only up to the first checkpoint that meets the target.
-    const bool to_target = alloc.train_to_target && alloc.epochs > 0.0;
-    const std::vector<double> grid =
-        to_target ? make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5) : std::vector<double>{};
-    const fat_result result = trainer_.train(alloc.epochs, grid, out.accuracy_before, &hooks);
-
+    // Post-FAP accuracy: the episode's epoch-0 point, injected or evaluated.
+    out.accuracy_before = result.trajectory.front().test_accuracy;
     out.events_applied = result.events_applied;
     out.rollbacks = result.rollbacks;
     out.restarts = result.restarts;
     out.hit_nonfinite = result.hit_nonfinite;
-    out.epochs_run = result.epochs_run;
     out.final_accuracy = result.final_accuracy;
+    // A run stopped at its target is charged the checkpoint's label.
     const std::optional<double> reached =
         to_target ? epochs_to_reach(result.trajectory, constraint) : std::nullopt;
-    if (reached.has_value()) {
-        out.epochs_run = *reached;
-        out.final_accuracy = accuracy_at_epochs(result.trajectory, *reached);
-        // The charge stops at *reached: a divergence past that point is
-        // outside the charged (and replayed) run, so the outcome is the
-        // finite prefix, not the non-finite tail.
-        out.hit_nonfinite = false;
-        if (capture_tuned_ && *reached < result.epochs_run) {
-            // The clone holds the full-budget weights; re-train it to the
-            // charged checkpoint so the distributed snapshot matches the
-            // reported accuracy. Training is deterministic per config, so on
-            // the SAME checkpoint grid this replays the exact prefix of the
-            // budget run — rollback anchors included (they sit at the
-            // grid's stops), and dropout too, thanks to the re-reseed.
-            restore_parameters(model.parameters(), pretrained_);
-            reseed_stochastic_layers(model, c.seed);
-            if (!scenario_.empty()) {
-                // The replay starts from the chip's ORIGINAL grid: the
-                // timeline re-fires its events from the same step
-                // boundaries, so the prefix is exact.
-                working = c.faults;
-                guard.swap_masks(array_, working);
-            }
-            // Events at the budget never fire, so when the charged point is
-            // an event stop — which records the POST-event accuracy — the
-            // replay ends on the pre-event model. Fire that event here, as
-            // the budget run did at the same stop.
-            const auto event = std::find_if(
-                hooks.event_epochs.begin(), hooks.event_epochs.end(),
-                [&](double e) { return std::abs(e - *reached) <= 1e-9; });
-            const bool fire = event != hooks.event_epochs.end();
-            // A restart event resets to the run's starting state: the
-            // masked pretrained model exactly as it is now.
-            const model_snapshot restart_base = fire && hooks.mode == recovery_mode::restart
-                                                    ? snapshot_model(model)
-                                                    : model_snapshot{};
-            (void)trainer_.train(*reached, grid, out.accuracy_before, &hooks);
-            if (fire) {
-                hooks.on_event(static_cast<std::size_t>(event - hooks.event_epochs.begin()));
-                if (hooks.mode == recovery_mode::restart) {
-                    restore_model(model, restart_base);
-                    apply_all_masks(model.parameters());
-                }
-            }
-        }
-    }
+    out.epochs_run = reached.value_or(result.epochs_run);
     out.meets_constraint = out.final_accuracy >= constraint;
-    // Full deployable capture: parameters AND state buffers, taken before
-    // the guard's restore — a sink deploying a tuned BN snapshot must
-    // evaluate with the statistics behind the reported accuracy.
-    if (capture_tuned_) { tuned_.push_back(snapshot_model(model)); }
     return out;
 }
 
@@ -320,7 +269,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                 // each run into groups of at most train_batch_chips. The
                 // groups only shape the run counters.
                 const bool grouping = cfg_.train_batch_chips > 1 && end - begin > 1;
-                const std::size_t episode = grouping ? cfg_.train_batch_chips : 1;
+                const std::size_t width = grouping ? cfg_.train_batch_chips : 1;
                 for (std::size_t s = begin; s < end;) {
                     std::size_t run_end = s + 1;
                     while (run_end < end &&
@@ -335,7 +284,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
                     }
                     for (std::size_t c = s; c < run_end;) {
                         if (failed.load(std::memory_order_relaxed)) { return; }
-                        const std::size_t ce = std::min(run_end, c + episode);
+                        const std::size_t ce = std::min(run_end, c + width);
                         tune_run(c, ce);
                         c = ce;
                     }

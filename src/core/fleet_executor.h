@@ -1,15 +1,15 @@
 // Parallel per-chip retraining over a fleet (Steps 2+3, executor side).
 //
 // The executor separates the *decision* (a retraining_policy allocating
-// epochs per chip) from the *work* (chip_tuner: restore weights, mask for
-// the chip's faults, run FAT, report). Work fans out over a configurable
-// thread pool; results are deterministic and thread-count-independent
-// because every tune starts from a per-worker clone of the prototype model
-// restored to the pretrained snapshot — chip i's outcome depends only on
-// chip i. Stochastic layers are reseeded per chip (mix_seed(chip.seed,
-// layer)) and batch-norm running statistics are snapshot/restored by the
-// fault_state_guard, so the bit-identical guarantee covers dropout and
-// normalizing models too.
+// epochs per chip) from the *work* (chip_tuner: one run_episode per chip —
+// mask for the chip's faults, run FAT, report). Work fans out over a
+// configurable thread pool; results are deterministic and
+// thread-count-independent because every tune starts from a per-worker
+// clone of the prototype model at the pretrained snapshot — chip i's
+// outcome depends only on chip i. Stochastic layers are reseeded per chip
+// (mix_seed(chip.seed, layer)) and batch-norm running statistics are
+// snapshot/restored by the fault_state_guard, so the bit-identical
+// guarantee covers dropout and normalizing models too.
 //
 // Grouping: a worker claims its chips in fleet-order blocks of
 // train_batch_chips, which only decides how the run counters group the
@@ -95,16 +95,16 @@ public:
                const dataset& train_data, const dataset& test_data,
                const array_config& array, fat_config trainer_cfg);
 
-    /// One chip's episode: restores the pretrained weights into the clone,
-    /// reseeds its dropout layers from mix_seed(chip.seed, layer) (so the
-    /// episode is a function of its chip alone, not of worker history),
-    /// masks it for the chip's faults, trains per `alloc` and reports. The
-    /// clone is back in the clean pretrained state on return — also when
-    /// training throws. `accuracy_before` injects a precomputed post-FAP
-    /// accuracy; computed on the same pretrained weights and fault grid, it
-    /// leaves the outcome byte-identical to evaluating it here. No src/
-    /// caller passes it any more: it stays because perfbench's traced drive
-    /// feeds it from the multi-mask evaluator (ROADMAP item 1b deletes it).
+    /// One chip's run_episode, seeded by the chip, trained per `alloc`. A
+    /// train_to_target allocation (the oracle) stops at the first checkpoint
+    /// meeting `constraint`: it is charged that checkpoint, and its counters
+    /// and snapshot are those of the run up to it. The clone is back in the
+    /// clean pretrained state on return — also when training throws.
+    /// `accuracy_before` injects a precomputed post-FAP accuracy; computed
+    /// on the same pretrained weights and fault grid, it leaves the outcome
+    /// byte-identical to evaluating it here. No src/ caller passes it any
+    /// more: it stays because perfbench's traced drive feeds it from the
+    /// multi-mask evaluator (ROADMAP item 1b deletes it).
     chip_outcome tune(const chip& c, const epoch_allocation& alloc, double constraint,
                       double effective_rate,
                       std::optional<double> accuracy_before = std::nullopt);

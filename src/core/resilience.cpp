@@ -13,7 +13,6 @@
 #include <sstream>
 #include <utility>
 
-#include "fault/mask_builder.h"
 #include "nn/module.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
@@ -614,9 +613,8 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
         resolve_thread_budget(opts.threads, opts.gemm_threads, cells.size());
 
     // Workers drain the cell list through an atomic cursor; each owns a
-    // deep clone restored from the pretrained snapshot before every cell,
-    // so a cell's result never depends on which worker ran it or in what
-    // order.
+    // deep clone that every episode leaves at the pretrained snapshot, so a
+    // cell's result never depends on which worker ran it or in what order.
     std::vector<resilience_run> runs(cells.size());
     std::atomic<std::size_t> next{0};
     const auto worker = [&]() {
@@ -625,9 +623,8 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
         // model clone: the first cell warms the slabs (im2col, GEMM packing,
         // lowered outputs) and every later cell reuses them allocation-free.
         workspace& arena = workspace::local();
-        // One restore up front covers the first cell; afterwards the guard's
-        // destructor leaves the clone at the pretrained snapshot between
-        // cells, so restoring again per cell would be pure waste.
+        // One restore up front covers the first cell; afterwards each
+        // episode's guard leaves the clone at the pretrained snapshot.
         restore_parameters(model->parameters(), pretrained_);
         fault_aware_trainer trainer(*model, train_data_, test_data_, trainer_cfg_);
         for (;;) {
@@ -639,34 +636,27 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
                 return;
             }
             const sweep_cell& cell = cells[i];
-            // Episode seeding: dropout streams are a function of the cell,
-            // not of the worker's history.
-            reseed_stochastic_layers(*model, cell.map_seed);
-            fault_state_guard guard(*model, pretrained_);
-            // The fault map is a function of the cell seed alone; timeline
-            // events mutate it in place (without a scenario it stays inert).
+            // A function of the cell alone (map from its seed, timeline from
+            // its coordinates): any partition or lease replays it identically.
             random_fault_config fault_cfg = cfg.fault_model;
             fault_cfg.fault_rate = cell.fault_rate;
-            fault_grid working = generate_random_faults(array_, fault_cfg, cell.map_seed);
-            const mask_stats stats = attach_fault_masks(*model, array_, working);
-            // Cell-local timeline: seeded from the cell's grid coordinates,
-            // so any cell partition, worker count, or distributed lease
-            // replays identical event contents.
-            const fault_timeline timeline =
-                timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat);
-            const train_event_hooks hooks =
-                timeline_hooks(cfg.scenario, timeline, working, guard, array_);
-            fat_result fat = trainer.train(cfg.max_epochs, eval_grid, std::nullopt, &hooks);
+            episode_result out = run_episode(
+                trainer, pretrained_, array_,
+                {.seed = cell.map_seed,
+                 .faults = generate_random_faults(array_, fault_cfg, cell.map_seed),
+                 .timeline = timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat),
+                 .budget = cfg.max_epochs,
+                 .grid = eval_grid});
 
             resilience_run& run = runs[i];
             run.fault_rate = cell.fault_rate;
             run.repeat = cell.repeat;
             run.map_seed = cell.map_seed;
-            run.masked_weight_fraction = stats.masked_fraction();
-            run.trajectory = std::move(fat.trajectory);
+            run.masked_weight_fraction = out.masks.masked_fraction();
+            run.trajectory = std::move(out.fat.trajectory);
 
             LOG_DEBUG << "resilience: rate=" << cell.fault_rate << " rep=" << cell.repeat
-                      << " masked=" << stats.masked_fraction()
+                      << " masked=" << out.masks.masked_fraction()
                       << " final_acc=" << run.trajectory.back().test_accuracy;
         }
     };

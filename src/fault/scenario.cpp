@@ -1,6 +1,8 @@
 #include "fault/scenario.h"
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -24,16 +26,23 @@ std::string exact(double value) {
 double parse_number(const std::string& text, const std::string& what) {
     char* end = nullptr;
     const double value = std::strtod(text.c_str(), &end);
-    if (text.empty() || end == nullptr || *end != '\0') {
+    // The whole token: an embedded NUL must not hide trailing bytes.
+    if (text.empty() || end != text.c_str() + text.size()) {
         throw invalid_argument_error("scenario: bad " + what + " '" + text + "'");
     }
     return value;
 }
 
 std::uint64_t parse_u64(const std::string& text, const std::string& what) {
+    // Bare digits that fit: strtoull would skip whitespace, negate a sign
+    // and saturate on overflow.
+    if (text.empty() || std::isdigit(static_cast<unsigned char>(text[0])) == 0) {
+        throw invalid_argument_error("scenario: bad " + what + " '" + text + "'");
+    }
+    errno = 0;
     char* end = nullptr;
     const std::uint64_t value = std::strtoull(text.c_str(), &end, 10);
-    if (text.empty() || end == nullptr || *end != '\0') {
+    if (errno == ERANGE || end != text.c_str() + text.size()) {
         throw invalid_argument_error("scenario: bad " + what + " '" + text + "'");
     }
     return value;
@@ -106,10 +115,14 @@ scenario_config parse_scenario(const std::string& spec) {
         const std::size_t colon = rest.find(':');
         event.epoch = parse_number(rest.substr(0, colon), "event epoch");
         if (colon != std::string::npos) {
+            // The canonical form writes no magnitude for a repair.
+            if (event.kind == fault_event_kind::repair) {
+                throw invalid_argument_error("scenario: repair takes no magnitude");
+            }
             event.magnitude = parse_number(rest.substr(colon + 1), "event magnitude");
         }
-        REDUCE_CHECK(event.epoch > 0.0,
-                     "scenario: event epoch must be positive, got " << event.epoch);
+        REDUCE_CHECK(event.epoch > 0.0 && std::isfinite(event.epoch),
+                     "scenario: event epoch must be positive and finite, got " << event.epoch);
         REDUCE_CHECK(event.magnitude >= 0.0 && event.magnitude <= 1.0,
                      "scenario: event magnitude must be in [0,1], got " << event.magnitude);
         s.events.push_back(event);
@@ -131,50 +144,13 @@ std::string scenario_to_string(const scenario_config& s) {
     for (const fault_event& e : s.events) {
         if (!out.empty()) { out += ';'; }
         out += to_string(e.kind) + "@" + exact(e.epoch);
-        if (e.kind != fault_event_kind::repair) { out += ":" + exact(e.magnitude); }
+        if (e.kind != fault_event_kind::repair) { out.append(":").append(exact(e.magnitude)); }
     }
     out += ";mode=" + to_string(s.mode);
     out += ";rollback=" + std::to_string(s.rollback_budget);
     out += ";seed=" + std::to_string(s.seed);
     out += ";kinds=" + to_string(s.kind_mix);
     return out;
-}
-
-json_value scenario_to_json(const scenario_config& s) {
-    json_object root;
-    json_array events;
-    for (const fault_event& e : s.events) {
-        json_object entry;
-        entry.set("epoch", json_value(e.epoch));
-        entry.set("kind", json_value(to_string(e.kind)));
-        entry.set("magnitude", json_value(e.magnitude));
-        events.push_back(json_value(std::move(entry)));
-    }
-    root.set("events", json_value(std::move(events)));
-    root.set("mode", json_value(to_string(s.mode)));
-    root.set("rollback_budget", json_value(s.rollback_budget));
-    // Seeds use the full 64-bit range; JSON doubles would lose low bits.
-    root.set("seed", json_value(std::to_string(s.seed)));
-    root.set("kind_mix", json_value(to_string(s.kind_mix)));
-    return json_value(std::move(root));
-}
-
-scenario_config scenario_from_json(const json_value& value) {
-    const json_object& root = value.as_object();
-    scenario_config s;
-    for (const json_value& entry : root.at("events").as_array()) {
-        const json_object& obj = entry.as_object();
-        fault_event e;
-        e.epoch = obj.at("epoch").as_number();
-        e.kind = fault_event_kind_from_string(obj.at("kind").as_string());
-        e.magnitude = obj.at("magnitude").as_number();
-        s.events.push_back(e);
-    }
-    s.mode = recovery_mode_from_string(root.at("mode").as_string());
-    s.rollback_budget = static_cast<std::size_t>(root.at("rollback_budget").as_int());
-    s.seed = parse_u64(root.at("seed").as_string(), "seed");
-    s.kind_mix = fault_kind_mix_from_string(root.at("kind_mix").as_string());
-    return s;
 }
 
 fault_timeline timeline_for_cell(const scenario_config& s, std::size_t rate_index,

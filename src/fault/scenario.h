@@ -12,9 +12,9 @@
 // bit-identical guarantee at any --gemm-threads / worker count / cell
 // partition, distributed or local.
 //
-// Scenarios serialize like any other config: a canonical text form (the
-// exact string resilience fingerprints hash, and the --scenario CLI
-// grammar) plus a JSON round-trip for manifests.
+// A scenario has one serialized form: the canonical text of
+// scenario_to_string — the --scenario CLI grammar, the exact string
+// resilience fingerprints hash, and what distributed workers receive.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +24,6 @@
 #include "accel/array_config.h"
 #include "accel/fault_grid.h"
 #include "fault/models.h"
-#include "util/json.h"
 
 namespace reduce {
 
@@ -91,18 +90,17 @@ struct scenario_config {
 /// event `kind@epoch[:magnitude]` (e.g. "strike@0.6:0.05", "repair@1.2")
 /// or a setting `mode=recover|restart`, `rollback=<n>`, `seed=<n>`,
 /// `kinds=bypassed|stuck-zero|random-stuck`. Events are sorted by epoch;
-/// "" parses to the empty scenario. Throws invalid_argument_error on
-/// malformed specs, duplicate event epochs, or non-positive epochs.
+/// "" parses to the empty scenario. Numbers fill their whole token;
+/// `rollback` and `seed` are bare decimal digits that fit 64 bits. Throws
+/// reduce::error on malformed specs (invalid_argument_error for a bad
+/// token or a magnitude on a repair), duplicate event epochs, or
+/// non-positive or non-finite epochs.
 scenario_config parse_scenario(const std::string& spec);
 
 /// Canonical text form: events in epoch order, then every setting —
 /// the exact inverse of parse_scenario and the string fingerprints hash.
 /// Returns "" for an empty scenario.
 std::string scenario_to_string(const scenario_config& s);
-
-/// JSON round-trip (seeds as decimal strings, like chip serialization).
-json_value scenario_to_json(const scenario_config& s);
-scenario_config scenario_from_json(const json_value& value);
 
 /// A scenario bound to one retraining episode: all event sampling draws
 /// from streams derived from episode_seed, never from shared state.

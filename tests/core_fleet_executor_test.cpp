@@ -1,17 +1,21 @@
 // Tests for chip_tuner and fleet_executor: thread-count independence of the
-// parallel fan-out, sink/progress ordering, the oracle capture replay, and
-// input validation.
+// parallel fan-out, sink/progress ordering, the oracle's stop at its target,
+// input validation, and the policy invariants over random fleets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/fleet_executor.h"
 #include "core/policy.h"
 #include "core/workload.h"
+#include "data/loader.h"
 #include "fault/scenario.h"
 #include "util/error.h"
+#include "util/rng.h"
 
 namespace reduce {
 namespace {
@@ -322,13 +326,11 @@ TEST_F(FleetExecutorFixture, ChipTunerRecoversFromMidTuneFailure) {
     EXPECT_EQ(before.accuracy_before, after.accuracy_before);
 }
 
-TEST_F(FleetExecutorFixture, OracleCaptureReplayMatchesTheReportedAccuracy) {
-    // Regression: a chip that meets its target before the budget is
-    // re-trained to the charged checkpoint so the captured snapshot matches
-    // the reported accuracy. The replay used to run on an empty checkpoint
-    // grid, so its rollback anchors (taken at every stop) differed from the
-    // budget run's once training diverged past the first checkpoint: the
-    // sink received weights that did not produce final_accuracy.
+TEST_F(FleetExecutorFixture, OracleStopMatchesTheReportedAccuracyAndCounters) {
+    // Regression: a chip that meets its target before the budget must
+    // deploy the model behind the reported accuracy, rollbacks included,
+    // and count only the events of the charged run — not the strike at
+    // 2.9 that a run charged at 2.5 never reaches.
     fleet_config fc;
     fc.num_chips = 1;
     fc.rate_lo = 0.3;
@@ -345,22 +347,22 @@ TEST_F(FleetExecutorFixture, OracleCaptureReplayMatchesTheReportedAccuracy) {
     alloc.train_to_target = true;
     const chip_outcome out = tuner.tune(chips[0], alloc, 0.75, 0.1);
     // The case the regression needs: rolled back, then met the target
-    // before the budget, so the capture went through the replay.
+    // before the strike.
     ASSERT_TRUE(out.meets_constraint);
     ASSERT_GT(out.rollbacks, 0u);
-    ASSERT_LT(out.epochs_run, alloc.epochs);
+    ASSERT_LT(out.epochs_run, 2.9);
+    EXPECT_EQ(out.events_applied, 0u);
 
     std::unique_ptr<sequential> deployed = clone_model(*w().model);
     restore_model(*deployed, tuner.take_tuned());
     EXPECT_EQ(evaluate_model(*deployed, w().test_data, cfg), out.final_accuracy);
 }
 
-TEST_F(FleetExecutorFixture, OracleCaptureReplayFiresAnEventAtTheChargedPoint) {
+TEST_F(FleetExecutorFixture, OracleStopAtAnEventStopCapturesThePostEventModel) {
     // Regression: when the first point meeting the target is an event stop,
-    // it records the POST-event accuracy. The replay runs with that epoch as
-    // its budget, and events at the budget never fire, so the capture used
-    // to be the pre-event model and evaluated to a different accuracy. In
-    // both cases the event is not a checkpoint of the budget's grid.
+    // it records the POST-event accuracy, so the captured model must be the
+    // post-event one. In both cases the event is not a checkpoint of the
+    // budget's grid.
     struct replay_case {
         std::uint64_t fleet_seed;
         std::size_t chips;
@@ -403,6 +405,57 @@ TEST_F(FleetExecutorFixture, OracleCaptureReplayFiresAnEventAtTheChargedPoint) {
         restore_model(*deployed, tuner.take_tuned());
         EXPECT_EQ(evaluate_model(*deployed, w().test_data, cfg), out.final_accuracy);
     }
+}
+
+TEST_F(FleetExecutorFixture, PolicyInvariantsHoldOverSeededRandomFleets) {
+    // The paper's invariants as properties, over every registry policy and
+    // seeded random fleets, constraints and selector knobs. "Within the
+    // allocation" is up to one loader step: a non-target run trains
+    // steps_for_epochs(allocation) whole steps and reports them.
+    const double step = 1.0 / static_cast<double>(
+        data_loader(w().train_data, w().trainer_cfg.batch_size, 1).steps_per_epoch());
+    const double budget = table().max_epochs();
+    fleet_executor executor = make_executor(2);
+    rng gen(8);
+    std::size_t failed_selections = 0;
+    for (int trial = 0; trial < 6; ++trial) {
+        fleet_config fc;
+        fc.num_chips = 2 + gen.uniform_index(5);
+        fc.distribution = trial % 2 == 0 ? rate_distribution::uniform : rate_distribution::lognormal;
+        fc.rate_lo = 0.3 * gen.uniform();
+        fc.rate_hi = fc.rate_lo + 0.3 * gen.uniform();
+        fc.seed = gen.next_u64();
+        const std::vector<chip> chips = make_fleet(w().array, fc);
+        policy_context ctx;
+        ctx.table = &table();
+        ctx.selector.accuracy_target = 0.6 + 0.39 * gen.uniform();
+        ctx.selector.safety_factor = 1.0 + gen.uniform();
+        ctx.selector.safety_margin = 0.5 * gen.uniform();
+        ctx.fixed_epochs = 1.5 * gen.uniform();
+        ctx.num_bins = 1 + gen.uniform_index(4);
+        for (const std::string& name : policy_registry::global().names()) {
+            SCOPED_TRACE("trial " + std::to_string(trial) + " policy " + name);
+            const std::unique_ptr<retraining_policy> policy =
+                policy_registry::global().make(name, ctx);
+            const policy_outcome outcome = executor.run(*policy, chips);
+            ASSERT_EQ(outcome.chips.size(), chips.size());
+            for (const chip_outcome& c : outcome.chips) {
+                EXPECT_LE(c.epochs_run, c.epochs_allocated + step + 1e-9) << "chip " << c.chip_id;
+                EXPECT_EQ(c.meets_constraint, c.final_accuracy >= outcome.accuracy_constraint)
+                    << "chip " << c.chip_id;
+                if (c.selection_failed) {
+                    ++failed_selections;
+                    EXPECT_EQ(c.epochs_allocated, budget) << "chip " << c.chip_id;
+                }
+                // Only the fixed baseline ignores the table; every table
+                // policy stays inside its budget.
+                if (name != "fixed") {
+                    EXPECT_LE(c.epochs_allocated, budget) << "chip " << c.chip_id;
+                }
+            }
+        }
+    }
+    EXPECT_GT(failed_selections, 0u);
 }
 
 }  // namespace

@@ -1,11 +1,12 @@
 // K-invariance suite for the fleet's retraining worker: chip_tuner::tune_group
 // over K chips must reproduce tune() (one chip per call) BIT FOR BIT —
-// outcomes, trajectories (pinned through the oracle accounting), and
+// outcomes, trajectories (pinned through the oracle's stop), and
 // captured deployable snapshots — at every group size and every
 // --gemm-threads, over MLP, VGG (structural-zero conv skips in BOTH
 // directions), batch-norm/dropout models, fault timelines in recover and
 // restart mode, and groups whose chips diverge. Also pins the executor's
-// grouping accounting.
+// grouping accounting, and that the oracle's batch-norm snapshot deploys at
+// its reported accuracy.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -254,11 +255,10 @@ TEST(GroupedChipTuner, StochasticModelMatchesSerialAcrossKAndGemmThreads) {
     run_matrix(c, alloc, 0.6, "bn+dropout");
 }
 
-TEST(GroupedChipTuner, OracleAllocationMatchesSerialIncludingReplay) {
+TEST(GroupedChipTuner, OracleAllocationMatchesSerialIncludingTheStop) {
     // train_to_target runs the shared checkpoint grid — this pins the whole
-    // per-variant TRAJECTORY (epochs_to_reach / accuracy_at_epochs read
-    // every point) and the capture-replay path for chips that reach the
-    // target before the budget.
+    // per-variant TRAJECTORY up to the target (epochs_to_reach reads every
+    // point) and the captured model of chips that stop before the budget.
     train_case c = make_mlp_case();
     epoch_allocation alloc;
     alloc.epochs = 1.0;
@@ -294,9 +294,9 @@ TEST(GroupedChipTuner, RestartTimelineGroupsMatchKOne) {
     run_matrix(c, alloc, 0.8, "restart", parse_scenario("strike@0.2:0.05;mode=restart"));
 }
 
-TEST(GroupedChipTuner, TimelineOracleReplayMatchesKOne) {
-    // train_to_target + timeline: the capture replay re-fires the chip's
-    // events from its original grid, alone, after a grouped budget run.
+TEST(GroupedChipTuner, TimelineOracleStopMatchesKOne) {
+    // train_to_target + timeline: each chip fires its own events up to its
+    // own stop, whatever the group around it.
     for (const char* spec : {"strike@0.1:0.05;mode=recover", "strike@0.1:0.05;mode=restart"}) {
         train_case c = make_vgg_case();
         epoch_allocation alloc;
@@ -368,6 +368,40 @@ TEST(GroupedChipTuner, InjectedAccuracyBeforeMatchesComputed) {
     for (std::size_t g = 0; g < pick.size(); ++g) {
         expect_outcome_bits_equal(computed[g], injected[g], "injected", g);
     }
+}
+
+TEST(OracleStop, BatchNormSnapshotDeploysAtTheReportedAccuracy) {
+    // The oracle's run ends at the first checkpoint meeting the target, so
+    // the captured model is the model behind the reported accuracy —
+    // running statistics included, which a parameters-only rebuild of the
+    // capture would take from the end of the budget run instead.
+    train_case c = make_stochastic_case();
+    c.chips = make_case_fleet(c.array, 16, 0.05, 0.25, 7);
+    const double constraint = 0.9;
+    epoch_allocation oracle;
+    oracle.epochs = 2.0;
+    oracle.train_to_target = true;
+    chip_tuner tuner(*c.model, c.pretrained, c.train_data, c.test_data, c.array,
+                     c.trainer_cfg);
+    tuner.set_capture_tuned(true);
+    std::size_t stopped_early = 0;
+    for (std::size_t i = 0; i < c.chips.size(); ++i) {
+        const chip_outcome out = tuner.tune(c.chips[i], oracle, constraint, 0.1);
+        const model_snapshot snap = tuner.take_tuned();
+        std::unique_ptr<sequential> deployed = clone_model(*c.model);
+        restore_model(*deployed, snap);
+        EXPECT_EQ(evaluate_model(*deployed, c.test_data, c.trainer_cfg), out.final_accuracy)
+            << "chip " << i;
+        if (!out.meets_constraint || out.epochs_run >= oracle.epochs) { continue; }
+        ++stopped_early;
+        // The same chip trained for exactly the charged checkpoint.
+        epoch_allocation fixed;
+        fixed.epochs = out.epochs_run;
+        const chip_outcome plain = tuner.tune(c.chips[i], fixed, constraint, 0.1);
+        EXPECT_EQ(plain.final_accuracy, out.final_accuracy) << "chip " << i;
+        expect_snapshot_bytes_equal(tuner.take_tuned(), snap, "oracle stop", i);
+    }
+    EXPECT_GE(stopped_early, 2u);
 }
 
 // ---- executor-level equivalence and downgrade accounting --------------------

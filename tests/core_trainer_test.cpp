@@ -1,6 +1,7 @@
 // Tests for the FAT trainer: epoch accounting, trajectories, eval grids,
-// the epochs-to-target helpers, and an independent naive reference loop
-// the engine must match bit for bit.
+// the epochs-to-target helpers, an independent naive reference loop the
+// engine must match bit for bit, and the one episode with its stop at a
+// target.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -401,7 +402,7 @@ fat_result expect_engine_matches_naive(workload& w, const fat_config& cfg,
 
     timeline_model engine(w, faults);
     const train_event_hooks hooks =
-        timeline_hooks(scenario, timeline, engine.working, *engine.guard, w.array);
+        timeline_hooks(timeline, engine.working, *engine.guard, w.array);
     fault_aware_trainer trainer(*engine.model, w.train_data, w.test_data, cfg);
     const fat_result r = trainer.train(budget, grid, std::nullopt, &hooks);
 
@@ -450,6 +451,103 @@ TEST_F(TrainerFixture, EngineMatchesTheNaiveLoopThroughRollbacks) {
         make_eval_grid(3.0, 1.0, 0.05, 0.5));
     EXPECT_GE(r.rollbacks, 2u);
     EXPECT_FALSE(r.hit_nonfinite);
+}
+
+// ---- the one episode and its stop at a target --------------------------------
+
+void expect_model_is_pretrained(workload& w) {
+    const std::vector<parameter*> params = w.model->parameters();
+    for (std::size_t i = 0; i < params.size(); ++i) {
+        EXPECT_FALSE(params[i]->has_mask()) << "parameter " << i;
+        EXPECT_TRUE(params[i]->value == w.pretrained.values[i]) << "parameter " << i;
+    }
+}
+
+TEST_F(TrainerFixture, StopAtAccuracyEndsWhereTheFullRunFirstMeetsIt) {
+    // Every target stops at the point epochs_to_reach finds on the
+    // full-budget trajectory, with that trajectory's prefix, and counts
+    // only the events before the stop (here: a strike at 0.07).
+    restore_parameters(w().model->parameters(), w().pretrained);
+    random_fault_config fc;
+    fc.fault_rate = 0.8;
+    const fault_grid faults = generate_random_faults(w().array, fc, 9);
+    fat_config cfg = w().trainer_cfg;
+    cfg.learning_rate = 8.0;
+    fault_aware_trainer trainer(*w().model, w().train_data, w().test_data, cfg);
+    const scenario_config scenario = parse_scenario("strike@0.07:0.05;mode=recover;seed=4");
+    const auto run = [&](std::optional<double> target) {
+        return run_episode(trainer, w().pretrained, w().array,
+                           {.seed = 1,
+                            .faults = faults,
+                            .timeline = timeline_for_chip(scenario, 3),
+                            .budget = 3.0,
+                            .grid = make_eval_grid(3.0, 1.0, 0.05, 0.5),
+                            .target = target})
+            .fat;
+    };
+    const fat_result full = run(std::nullopt);
+    ASSERT_EQ(full.events_applied, 1u);
+    const std::vector<training_point>& traj = full.trajectory;
+
+    // Each new best accuracy is the first crossing of its own value.
+    std::size_t crossings = 0;
+    std::size_t after_event = 0;
+    double best = traj.front().test_accuracy;
+    for (std::size_t i = 1; i < traj.size(); ++i) {
+        if (traj[i].test_accuracy <= best) { continue; }
+        best = traj[i].test_accuracy;
+        ++crossings;
+        ASSERT_EQ(epochs_to_reach(traj, best), traj[i].epochs);
+        const fat_result stopped = run(best);
+        EXPECT_FALSE(stopped.hit_nonfinite);
+        expect_same_trajectory(
+            std::vector<training_point>(traj.begin(), traj.begin() + static_cast<std::ptrdiff_t>(i + 1)),
+            stopped.trajectory);
+        EXPECT_EQ(stopped.final_accuracy, best);
+        EXPECT_LE(stopped.epochs_run, full.epochs_run);
+        EXPECT_EQ(stopped.events_applied, traj[i].epochs > 0.07 ? 1u : 0u) << traj[i].epochs;
+        if (traj[i].epochs > 0.07) { ++after_event; }
+        expect_model_is_pretrained(w());
+    }
+    EXPECT_GE(crossings, 3u);
+    EXPECT_GE(after_event, 2u);
+
+    // Met at epoch 0: no step is taken. Never met: the full run.
+    const fat_result at_zero = run(traj.front().test_accuracy);
+    EXPECT_EQ(at_zero.trajectory.size(), 1u);
+    EXPECT_EQ(at_zero.steps_run, 0u);
+    EXPECT_EQ(at_zero.events_applied, 0u);
+    const fat_result never = run(1.01);
+    expect_same_trajectory(traj, never.trajectory);
+    EXPECT_EQ(never.steps_run, full.steps_run);
+    EXPECT_EQ(never.events_applied, full.events_applied);
+}
+
+TEST_F(TrainerFixture, RunEpisodeLeavesThePretrainedModelOnEveryExit) {
+    restore_parameters(w().model->parameters(), w().pretrained);
+    random_fault_config fc;
+    fc.fault_rate = 0.2;
+    fault_aware_trainer trainer(*w().model, w().train_data, w().test_data, w().trainer_cfg);
+    episode ep{.seed = 5,
+               .faults = generate_random_faults(w().array, fc, 5),
+               .timeline = timeline_for_chip(parse_scenario("strike@0.1:0.05"), 0),
+               .budget = 0.25};
+    std::size_t masked_layers = 0;
+    const episode_result r = run_episode(trainer, w().pretrained, w().array, ep,
+                                         [&](sequential& trained) {
+                                             for (parameter* p : trained.parameters()) {
+                                                 if (p->has_mask()) { ++masked_layers; }
+                                             }
+                                         });
+    EXPECT_EQ(r.fat.events_applied, 1u);
+    EXPECT_EQ(masked_layers, r.masks.layers);
+    EXPECT_GT(r.masks.masked_weights, 0u);
+    expect_model_is_pretrained(w());
+
+    // The trainer rejects the budget after the masks are attached.
+    ep.budget = -1.0;
+    EXPECT_THROW((void)run_episode(trainer, w().pretrained, w().array, ep), error);
+    expect_model_is_pretrained(w());
 }
 
 }  // namespace

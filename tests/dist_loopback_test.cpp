@@ -76,14 +76,15 @@ bool eventually(Pred pred, int timeout_ms = 5000) {
     return true;
 }
 
-/// Startup gate for a sweep of `units` work units: handshakes and leases
-/// every unit (one request_work each), so the real workers are parked
-/// until the gate closes, which requeues its leases. Closing it only once
-/// every expected worker is admitted keeps a job that takes a few ms from
-/// finishing before the last worker dials.
-std::optional<raw_client> open_gate(int port, std::size_t units) {
+/// Startup gate for a job of `units` work units whose fingerprint derives
+/// from `cfg`: handshakes and leases every unit (one request_work each), so
+/// the real workers are parked until the gate closes, which requeues its
+/// leases. Closing it only once every expected worker is admitted keeps a
+/// job that takes a few ms from finishing before the last worker dials.
+std::optional<raw_client> open_gate(int port, std::size_t units,
+                                    const resilience_config& cfg = small_config()) {
     std::optional<raw_client> gate(std::in_place, port);
-    gate->send(dist::make_hello(resilience_fingerprint(small_config()), "gate"));
+    gate->send(dist::make_hello(resilience_fingerprint(cfg), "gate"));
     EXPECT_EQ(dist::message_type(gate->read()), "welcome");
     for (std::size_t u = 0; u < units; ++u) {
         gate->send(dist::make_request_work());
@@ -122,22 +123,42 @@ protected:
         return wc;
     }
 
-    /// Runs `configs.size()` workers concurrently against one coordinator
-    /// and returns their reports in config order.
-    std::vector<dist::worker_report> run_workers(
-        const std::vector<dist::worker_config>& configs) {
+    /// Runs `configs.size()` workers of job config `cfg` concurrently
+    /// against one coordinator and returns their reports in config order.
+    /// Only for one worker, or for workers that must be turned away: two
+    /// that should both be admitted go through run_gated.
+    std::vector<dist::worker_report> run_workers(const std::vector<dist::worker_config>& configs,
+                                                 const resilience_config& cfg = small_config()) {
         std::vector<dist::worker_report> reports(configs.size());
         std::vector<std::thread> threads;
         threads.reserve(configs.size());
         for (std::size_t i = 0; i < configs.size(); ++i) {
-            threads.emplace_back([this, &configs, &reports, i] {
+            threads.emplace_back([this, &configs, &reports, &cfg, i] {
                 dist::worker node(configs[i], *w().model, w().pretrained, w().train_data,
-                                  w().test_data, w().array, w().trainer_cfg,
-                                  small_config());
+                                  w().test_data, w().array, w().trainer_cfg, cfg);
                 reports[i] = node.run();
             });
         }
         for (std::thread& t : threads) { t.join(); }
+        return reports;
+    }
+
+    /// run_workers behind open_gate over the job's `units`: the gate closes
+    /// only once every worker is admitted, so none of them can dial after
+    /// the job is done and burn its reconnect budget against a closed port.
+    /// The gate counts among the coordinator's admissions and leases.
+    std::vector<dist::worker_report> run_gated(dist::coordinator& coord, std::size_t units,
+                                               const std::vector<dist::worker_config>& configs,
+                                               const resilience_config& cfg = small_config()) {
+        std::optional<raw_client> gate = open_gate(coord.port(), units, cfg);
+        const std::size_t admitted = coord.stats().workers_admitted;
+        std::vector<dist::worker_report> reports;
+        std::thread workers([&] { reports = run_workers(configs, cfg); });
+        EXPECT_TRUE(eventually(
+            [&] { return coord.stats().workers_admitted == admitted + configs.size(); }, 30000))
+            << configs.size() << " workers were not all admitted";
+        gate.reset();
+        workers.join();
         return reports;
     }
 
@@ -152,20 +173,14 @@ TEST_F(DistFixture, SweepIsByteIdenticalAtAnyWorkerCount) {
         cc.cells_per_lease = 1;  // 4 units — real distribution at 4 workers
         dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
         coord.start();
-        std::optional<raw_client> gate = open_gate(coord.port(), 4);
 
         std::vector<dist::worker_config> configs;
         for (std::size_t i = 0; i < worker_count; ++i) {
             configs.push_back(
                 worker_config_for(coord.port(), "w" + std::to_string(i)));
         }
-        std::vector<dist::worker_report> reports;
-        std::thread workers([&] { reports = run_workers(configs); });
-        EXPECT_TRUE(eventually([&] { return coord.stats().workers_admitted == worker_count + 1; }))
-            << worker_count << " workers were not all admitted";
-        gate.reset();
+        const std::vector<dist::worker_report> reports = run_gated(coord, 4, configs);
         const resilience_table table = coord.wait_table();
-        workers.join();
 
         EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes())
             << worker_count << " workers diverged from the serial sweep";
@@ -188,7 +203,6 @@ TEST_F(DistFixture, WorkerDeathMidLeaseIsReassignedByteIdentically) {
     cc.cells_per_lease = 1;
     dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
     coord.start();
-    std::optional<raw_client> gate = open_gate(coord.port(), 4);
 
     // The doomed worker vanishes upon receiving its first unit — the
     // in-process stand-in for SIGKILL with the lease held. The survivor
@@ -197,13 +211,8 @@ TEST_F(DistFixture, WorkerDeathMidLeaseIsReassignedByteIdentically) {
     doomed.die_after_units = 1;
     dist::worker_config survivor = worker_config_for(coord.port(), "survivor");
 
-    std::vector<dist::worker_report> reports;
-    std::thread workers([&] { reports = run_workers({doomed, survivor}); });
-    EXPECT_TRUE(eventually([&] { return coord.stats().workers_admitted == 3; }))
-        << "the doomed worker and the survivor were not both admitted";
-    gate.reset();
+    const std::vector<dist::worker_report> reports = run_gated(coord, 4, {doomed, survivor});
     const resilience_table table = coord.wait_table();
-    workers.join();
 
     EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes());
     EXPECT_TRUE(reports[0].died);
@@ -251,16 +260,18 @@ TEST_F(DistFixture, MismatchedFingerprintIsRejectedAtHandshake) {
     imposter.fingerprint = "0123456789abcdef0123456789abcdef";  // wrong job
     dist::worker_config honest = worker_config_for(coord.port(), "honest");
 
-    std::vector<dist::worker_report> reports;
-    std::thread workers([&] { reports = run_workers({imposter, honest}); });
+    // The imposter is turned away before the honest worker dials: started
+    // together, the honest one could finish the job first and leave the
+    // imposter nothing to be rejected by.
+    const dist::worker_report rejected = run_workers({imposter}).front();
+    const dist::worker_report admitted = run_workers({honest}).front();
     const resilience_table table = coord.wait_table();
-    workers.join();
 
     EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes());
-    EXPECT_TRUE(reports[0].rejected);
-    EXPECT_FALSE(reports[0].reject_reason.empty());
-    EXPECT_EQ(reports[0].cells, 0u);
-    EXPECT_FALSE(reports[1].rejected);
+    EXPECT_TRUE(rejected.rejected);
+    EXPECT_FALSE(rejected.reject_reason.empty());
+    EXPECT_EQ(rejected.cells, 0u);
+    EXPECT_FALSE(admitted.rejected);
     const dist::coordinator_stats stats = coord.stats();
     EXPECT_EQ(stats.workers_rejected, 1u);
     EXPECT_EQ(stats.workers_admitted, 1u);
@@ -453,13 +464,10 @@ TEST_F(DistFixture, FleetJobMatchesSerialExecutorOutcomesAndSnapshots) {
     });
     coord.start();
 
-    std::vector<dist::worker_report> reports;
-    std::thread workers([&] {
-        reports = run_workers({worker_config_for(coord.port(), "f0"),
-                               worker_config_for(coord.port(), "f1")});
-    });
+    const std::vector<dist::worker_report> reports =
+        run_gated(coord, fleet.size(),
+                  {worker_config_for(coord.port(), "f0"), worker_config_for(coord.port(), "f1")});
     const policy_outcome distributed = coord.wait_fleet();
-    workers.join();
 
     EXPECT_EQ(distributed.policy_name, serial.policy_name);
     EXPECT_EQ(distributed.accuracy_constraint, serial.accuracy_constraint);
@@ -507,18 +515,11 @@ TEST_F(DistFixture, ScenarioSweepIsByteIdenticalDistributedVsLocal) {
     dist::coordinator coord(cc, dist::sweep_job{cfg, ""});
     coord.start();
 
-    std::vector<dist::worker_report> reports(2);
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        threads.emplace_back([&, i] {
-            dist::worker node(worker_config_for(coord.port(), "s" + std::to_string(i)),
-                              *w().model, w().pretrained, w().train_data, w().test_data,
-                              w().array, w().trainer_cfg, cfg);
-            reports[i] = node.run();
-        });
-    }
+    const std::vector<dist::worker_report> reports =
+        run_gated(coord, 4,
+                  {worker_config_for(coord.port(), "s0"), worker_config_for(coord.port(), "s1")},
+                  cfg);
     const resilience_table table = coord.wait_table();
-    for (std::thread& t : threads) { t.join(); }
 
     EXPECT_EQ(table.to_json().dump(), reference)
         << "scenario sweep diverged between distributed and local";
@@ -526,25 +527,14 @@ TEST_F(DistFixture, ScenarioSweepIsByteIdenticalDistributedVsLocal) {
 
     // The scenario feeds the fingerprint: a scenario-free worker must be
     // turned away at the handshake, not silently compute different science.
+    // It dials (and is rejected) before the honest worker starts.
     dist::coordinator coord2(cc, dist::sweep_job{cfg, ""});
     coord2.start();
-    dist::worker_report mismatched;
-    dist::worker_report honest;
-    std::thread wrong([&] {
-        dist::worker node(worker_config_for(coord2.port(), "no-scenario"), *w().model,
-                          w().pretrained, w().train_data, w().test_data, w().array,
-                          w().trainer_cfg, small_config());
-        mismatched = node.run();
-    });
-    std::thread right([&] {
-        dist::worker node(worker_config_for(coord2.port(), "with-scenario"), *w().model,
-                          w().pretrained, w().train_data, w().test_data, w().array,
-                          w().trainer_cfg, cfg);
-        honest = node.run();
-    });
+    const dist::worker_report mismatched =
+        run_workers({worker_config_for(coord2.port(), "no-scenario")}).front();
+    const dist::worker_report honest =
+        run_workers({worker_config_for(coord2.port(), "with-scenario")}, cfg).front();
     const resilience_table table2 = coord2.wait_table();
-    wrong.join();
-    right.join();
     EXPECT_TRUE(mismatched.rejected);
     EXPECT_FALSE(honest.rejected);
     EXPECT_EQ(table2.to_json().dump(), reference);
@@ -577,18 +567,12 @@ TEST_F(DistFixture, ScenarioFleetJobMatchesSerialExecutorTimelineCounters) {
     dist::coordinator coord(cc, std::move(job));
     coord.start();
 
-    std::vector<dist::worker_report> reports(2);
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < reports.size(); ++i) {
-        threads.emplace_back([&, i] {
-            dist::worker node(worker_config_for(coord.port(), "sf" + std::to_string(i)),
-                              *w().model, w().pretrained, w().train_data, w().test_data,
-                              w().array, w().trainer_cfg, cfg);
-            reports[i] = node.run();
-        });
-    }
+    const std::vector<dist::worker_report> reports =
+        run_gated(coord, fleet.size(),
+                  {worker_config_for(coord.port(), "sf0"), worker_config_for(coord.port(), "sf1")},
+                  cfg);
     const policy_outcome distributed = coord.wait_fleet();
-    for (std::thread& t : threads) { t.join(); }
+    for (const dist::worker_report& report : reports) { EXPECT_FALSE(report.rejected); }
 
     ASSERT_EQ(distributed.chips.size(), serial.chips.size());
     std::size_t total_events = 0;

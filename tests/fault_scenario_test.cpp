@@ -1,12 +1,14 @@
 // Tests for fault-event timelines (fault/scenario.h) and their plumbing
 // through the trainer, the Step-1 sweep engine, and the fleet executor:
-// grammar/JSON round-trips, seed-driven event determinism, fingerprint
-// gating (scenario-free configs keep their historical fingerprints), the
-// full execution-knob determinism matrix under a live timeline, rollback /
-// restart recovery semantics, and loud non-finite divergence detection.
+// the grammar (canonical round-trips, typed rejections, a seeded fuzz),
+// seed-driven event determinism, fingerprint gating (scenario-free configs
+// keep their historical fingerprints), the full execution-knob determinism
+// matrix under a live timeline, rollback / restart recovery semantics, and
+// loud non-finite divergence detection.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "core/workload.h"
 #include "fault/mask_builder.h"
 #include "fault/scenario.h"
+#include "fuzz_mutations.h"
 #include "nn/norm.h"
 #include "nn/serialize.h"
 #include "util/error.h"
@@ -73,13 +76,93 @@ TEST(ScenarioGrammar, RejectsMalformedSpecs) {
     EXPECT_THROW(parse_scenario("strike@oops:0.1"), error);       // non-numeric epoch
 }
 
-TEST(ScenarioJson, RoundTripsIncludingFullRangeSeeds) {
-    scenario_config s = parse_scenario("strike@0.3:0.04;accrue@0.7:0.01;mode=restart");
-    // Seeds use the full 64-bit range; JSON doubles would lose low bits, so
-    // the round-trip must go through the decimal-string path.
-    s.seed = 0xDEADBEEFDEADBEEFull;
-    EXPECT_EQ(scenario_from_json(scenario_to_json(s)), s);
-    EXPECT_EQ(scenario_from_json(scenario_to_json(scenario_config{})), scenario_config{});
+TEST(ScenarioGrammar, IntegerSettingsAreBareDigitsThatFit) {
+    EXPECT_EQ(parse_scenario("strike@1:0.1;seed=18446744073709551615").seed,
+              0xFFFFFFFFFFFFFFFFull);
+    EXPECT_EQ(parse_scenario("strike@1:0.1;rollback=007").rollback_budget, 7u);
+    // strtoull would negate a sign, skip whitespace and saturate overflow;
+    // each is a typed rejection instead.
+    for (const std::string spec :
+         {"rollback=-1", "rollback=+1", "rollback= 1", "rollback=\t1", "seed=-5",
+          "seed=18446744073709551616", "seed=99999999999999999999999", "seed=", "seed=0x10",
+          "rollback=1 "}) {
+        EXPECT_THROW(parse_scenario("strike@1:0.1;" + spec), invalid_argument_error) << spec;
+    }
+}
+
+TEST(ScenarioGrammar, NumbersFillTheirWholeToken) {
+    // An embedded NUL ends the C string early; the bytes after it count.
+    EXPECT_THROW(parse_scenario(std::string("strike@1:0.1;seed=5\0x", 22)),
+                 invalid_argument_error);
+    EXPECT_THROW(parse_scenario(std::string("strike@1\0:0.1", 14)), invalid_argument_error);
+    EXPECT_THROW(parse_scenario(std::string("strike@1:0.1\0", 13)), invalid_argument_error);
+    // A repair's magnitude has no canonical spelling; an infinite epoch is
+    // no boundary.
+    EXPECT_THROW(parse_scenario("repair@1:0.5"), invalid_argument_error);
+    EXPECT_THROW(parse_scenario("strike@inf:0.1"), error);
+    EXPECT_THROW(parse_scenario("strike@1e400:0.1"), error);
+}
+
+/// Parses `spec`: a typed error (false), or a scenario whose canonical
+/// string is a fixed point of parse → to_string and parses back to the same
+/// scenario whenever it has events (true). Any other exception escapes and
+/// fails the test.
+bool typed_error_or_canonical(const std::string& spec, const std::string& what) {
+    scenario_config s;
+    try {
+        s = parse_scenario(spec);
+    } catch (const error&) {
+        return false;
+    }
+    const std::string canon = scenario_to_string(s);
+    const scenario_config back = parse_scenario(canon);
+    EXPECT_EQ(scenario_to_string(back), canon) << what;
+    EXPECT_EQ(back.empty(), s.empty()) << what;
+    if (!s.empty()) { EXPECT_EQ(back, s) << what << ": '" << canon << "'"; }
+    return true;
+}
+
+TEST(ScenarioFuzz, GrammarYieldsTypedErrorsOrCanonicalFixedPoints) {
+    const std::vector<std::string> seeds = {
+        "strike@0.25:0.05;repair@0.4;mode=recover;rollback=1;seed=42",
+        "repair@1.2;strike@0.6:0.05;accrue@0.9:0.02;mode=restart;rollback=3;seed=9;"
+        "kinds=stuck-zero",
+        scenario_to_string(parse_scenario("accrue@2:0.03;strike@0.1:1;kinds=random-stuck")),
+        "strike@1",
+    };
+    for (const std::string& seed : seeds) { ASSERT_TRUE(typed_error_or_canonical(seed, seed)); }
+    // The grammar-specific mutation: an extreme spelling in place of one
+    // digit run — overflowing, signed, padded, non-finite, hex, subnormal.
+    const std::vector<std::string> extremes = {
+        "18446744073709551616", "99999999999999999999999", "-1", "+7", " 7", "1e400",
+        "1e-400", "inf", "nan", "-0", "0x1p-2", "4.9e-324", "", "1.5", "0"};
+    rng gen(20261017);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 5000; ++trial) {
+        std::string spec = seeds[gen.uniform_index(seeds.size())];
+        fuzz::mutate(gen, spec, seeds, [&](std::string& b) {
+            std::vector<std::size_t> starts;
+            for (std::size_t i = 0; i < b.size(); ++i) {
+                if (std::isdigit(static_cast<unsigned char>(b[i])) != 0 &&
+                    (i == 0 || std::isdigit(static_cast<unsigned char>(b[i - 1])) == 0)) {
+                    starts.push_back(i);
+                }
+            }
+            if (starts.empty()) { return; }
+            const std::size_t at = starts[gen.uniform_index(starts.size())];
+            std::size_t end = at;
+            while (end < b.size() && std::isdigit(static_cast<unsigned char>(b[end])) != 0) {
+                ++end;
+            }
+            b.replace(at, end - at, extremes[gen.uniform_index(extremes.size())]);
+        });
+        ++(typed_error_or_canonical(spec, "trial " + std::to_string(trial)) ? accepted
+                                                                            : rejected);
+    }
+    // The mutations must exercise both outcomes, or the test proves little.
+    EXPECT_GT(rejected, 1000u);
+    EXPECT_GT(accepted, 500u);
 }
 
 TEST(TimelineSeeding, EpisodeSeedsAreAPureFunctionOfCoordinates) {
