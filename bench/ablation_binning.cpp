@@ -9,8 +9,7 @@
 //
 // Output: CSV (num_bins, jobs, total_epochs, overhead_pct), then one
 // verification row per policy.
-// Options: --chips 30, --constraint 91, --verify-bins 4, --threads 1,
-//          --gemm-threads 1 (intra-op tensor threads per worker).
+// Options: --chips 30, --constraint 91, --verify-bins 4, --threads 1.
 
 #include <iostream>
 
@@ -36,15 +35,14 @@ int main(int argc, char** argv) {
         const std::size_t verify_bins =
             static_cast<std::size_t>(args.get_int("verify-bins", 4));
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 1717));
+        const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
+        args.reject_unread_options();
 
         workload w = make_standard_workload();
         std::cerr << "[binning] clean accuracy " << w.clean_accuracy * 100.0 << "%\n";
 
-        const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
-        const std::size_t gemm_threads =
-            static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         fleet_executor executor(*w.model, w.pretrained, w.train_data, w.test_data, w.array,
-                                w.trainer_cfg, fleet_executor_config{.threads = threads, .gemm_threads = gemm_threads});
+                                w.trainer_cfg, fleet_executor_config{.threads = threads});
         resilience_config rc;
         rc.fault_rates = {0.0, 0.1, 0.2, 0.3};
         rc.repeats = 4;

@@ -46,6 +46,7 @@ int main(int argc, char** argv) {
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 31337));
         const std::vector<std::string> models =
             args.get_string_list("models", {"uniform", "clustered", "line"});
+        args.reject_unread_options();
 
         workload w = make_standard_workload();
         std::cerr << "[fault-model] clean accuracy " << w.clean_accuracy * 100.0 << "%\n";

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
         cfg.fault_rates = args.get_double_list("rates", {0.01, 0.05, 0.1, 0.2, 0.4});
         cfg.fat_epochs = args.get_double("fat-epochs", 2.0);
         cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 555));
+        args.reject_unread_options();
 
         workload w = make_standard_workload();
         std::cerr << "[mitigation] clean accuracy " << w.clean_accuracy * 100.0 << "%\n";

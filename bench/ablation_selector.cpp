@@ -12,8 +12,7 @@
 // Output: one CSV row per selector configuration.
 // Options: --chips N (default 40), --constraint A (default 91),
 //          --budget E (default 6), --repeats N (default 4),
-//          --threads N (executor workers, default 1),
-//          --gemm-threads N (intra-op tensor threads per worker, default 1).
+//          --threads N (executor workers, default 1).
 
 #include <iostream>
 
@@ -38,16 +37,15 @@ int main(int argc, char** argv) {
         const double budget = args.get_double("budget", 6.0);
         const std::size_t repeats = static_cast<std::size_t>(args.get_int("repeats", 4));
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 424242));
+        const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
+        args.reject_unread_options();
 
         workload w = make_standard_workload();
         std::cerr << "[ablation-selector] clean accuracy " << w.clean_accuracy * 100.0
                   << "%\n";
 
-        const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
-        const std::size_t gemm_threads =
-            static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         fleet_executor executor(*w.model, w.pretrained, w.train_data, w.test_data, w.array,
-                                w.trainer_cfg, fleet_executor_config{.threads = threads, .gemm_threads = gemm_threads});
+                                w.trainer_cfg, fleet_executor_config{.threads = threads});
         resilience_config rc;
         rc.fault_rates = {0.0, 0.1, 0.2, 0.3};
         rc.repeats = repeats;

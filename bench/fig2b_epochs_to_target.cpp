@@ -19,7 +19,6 @@
 //   --budget E       epoch budget             (default 6)
 //   --paper-scale    finer rate grid (0:0.05:0.5), budget 10
 //   --sweep-threads N  sweep worker threads   (default 1; 0 = all cores)
-//   --gemm-threads N   intra-op tensor threads per worker (default 1; 0 = all cores)
 //   --cache-dir P    reuse/store the Step-1 table under P
 //   --cache-gc       prune the Step-1 cache first: stale-schema entries
 //                    always, plus oldest entries beyond --cache-gc-max-mb
@@ -41,7 +40,7 @@ int main(int argc, char** argv) {
         const cli_args args(argc, argv);
         set_log_level(args.get_flag("verbose") ? log_level::info : log_level::warn);
         stopwatch timer;
-        maybe_run_cache_gc(args);
+        const std::function<void()> cache_gc = cache_gc_from_cli(args);
 
         std::vector<double> rates =
             args.get_double_list("rates", {0.0, 0.1, 0.2, 0.3, 0.4, 0.5});
@@ -55,7 +54,6 @@ int main(int argc, char** argv) {
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20230305));
         sweep_options sweep;
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
-        sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
 
         resilience_config cfg;
         cfg.fault_rates = rates;
@@ -65,12 +63,16 @@ int main(int argc, char** argv) {
         cfg.seed = seed;
         cfg.context = workload_context();
         if (args.has("scenario")) { cfg.scenario = parse_scenario(args.get("scenario", "")); }
+        const std::string cache_dir = args.get("cache-dir", "");
+        const std::string save_table = args.get("save-table", "");
+        args.reject_unread_options();
+        if (cache_gc) { cache_gc(); }
 
         const resilience_table table = [&]() -> resilience_table {
             // A warm cache answers before the workload is even built — no
             // dataset synthesis, no pretraining.
-            if (args.has("cache-dir")) {
-                const resilience_cache cache(args.get("cache-dir", ""));
+            if (!cache_dir.empty()) {
+                const resilience_cache cache(cache_dir);
                 if (std::optional<resilience_table> cached = cache.load(cfg)) {
                     std::cerr << "[fig2b] Step-1 cache hit: " << cache.path_for(cfg) << '\n';
                     return std::move(*cached);
@@ -83,13 +85,12 @@ int main(int argc, char** argv) {
 
             resilience_analyzer analyzer(*w.model, w.pretrained, w.train_data, w.test_data,
                                          w.array, w.trainer_cfg);
-            return run_resilience_sweep(analyzer, cfg, sweep, args.get("cache-dir", ""));
+            return run_resilience_sweep(analyzer, cfg, sweep, cache_dir);
         }();
 
-        if (args.has("save-table")) {
-            json_save_file(args.get("save-table", ""), table.to_json());
-            std::cerr << "[fig2b] resilience table saved to "
-                      << args.get("save-table", "") << '\n';
+        if (!save_table.empty()) {
+            json_save_file(save_table, table.to_json());
+            std::cerr << "[fig2b] resilience table saved to " << save_table << '\n';
         }
 
         csv_table out({"fault_rate", "target_accuracy", "min_epochs", "mean_epochs",

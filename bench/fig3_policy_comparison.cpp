@@ -19,8 +19,6 @@
 //   --policy a,b,c   registry names to run    (default reduce,reduce-mean,fixed;
 //                    "fixed" expands to one run per --fixed level)
 //   --threads N      executor worker threads  (default 1; 0 = all cores)
-//   --gemm-threads N intra-op tensor threads per worker (default 1; 0 = all
-//                    cores; auto-shrunk when --threads saturates the machine)
 //   --sweep-threads N  Step-1 sweep threads   (default: --threads)
 //   --cache-dir P    reuse/store the Step-1 table under P
 //   --chips N        fleet size               (default 100, as the paper)
@@ -78,6 +76,7 @@ int main(int argc, char** argv) {
 
         const policy_registry& registry = policy_registry::global();
         if (args.get_flag("list-policies")) {
+            args.reject_unread_options();
             for (const std::string& name : registry.names()) {
                 std::cout << name << "\t" << registry.describe(name) << '\n';
             }
@@ -92,8 +91,9 @@ int main(int argc, char** argv) {
                                                       << name << "'; see --list-policies");
         }
         const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
-        const std::size_t gemm_threads =
-            static_cast<std::size_t>(args.get_int("gemm-threads", 1));
+        const auto sweep_threads = static_cast<std::size_t>(
+            args.get_int("sweep-threads", args.get_int("threads", 1)));
+        const std::string cache_dir = args.get("cache-dir", "");
         const std::size_t num_chips = static_cast<std::size_t>(args.get_int("chips", 100));
         const double constraint = args.get_double("constraint", 91.0) / 100.0;
         const std::vector<double> fixed_levels =
@@ -104,18 +104,17 @@ int main(int argc, char** argv) {
         const double budget = args.get_double("budget", 6.0);
         const std::size_t repeats = static_cast<std::size_t>(args.get_int("repeats", 5));
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 20230309));
+        const scenario_config scenario =
+            args.has("scenario") ? parse_scenario(args.get("scenario", "")) : scenario_config{};
+        args.reject_unread_options();
 
         workload w = make_standard_workload();
         std::cerr << "[fig3] workload ready: clean accuracy " << w.clean_accuracy * 100.0
                   << "%\n";
 
-        const scenario_config scenario =
-            args.has("scenario") ? parse_scenario(args.get("scenario", "")) : scenario_config{};
         fleet_executor executor(
             *w.model, w.pretrained, w.train_data, w.test_data, w.array, w.trainer_cfg,
-            fleet_executor_config{.threads = threads,
-                                  .gemm_threads = gemm_threads,
-                                  .scenario = scenario});
+            fleet_executor_config{.threads = threads, .scenario = scenario});
 
         // Step 1 (shared by every table-driven policy) — parallel, and
         // reusable across invocations via the fingerprint-keyed cache.
@@ -127,13 +126,10 @@ int main(int argc, char** argv) {
         rc.context = w.context;
         rc.scenario = scenario;
         sweep_options sweep;
-        sweep.threads =
-            static_cast<std::size_t>(args.get_int("sweep-threads", args.get_int("threads", 1)));
-        sweep.gemm_threads = gemm_threads;
+        sweep.threads = sweep_threads;
         resilience_analyzer analyzer(*w.model, w.pretrained, w.train_data, w.test_data,
                                      w.array, w.trainer_cfg);
-        const resilience_table table =
-            run_resilience_sweep(analyzer, rc, sweep, args.get("cache-dir", ""));
+        const resilience_table table = run_resilience_sweep(analyzer, rc, sweep, cache_dir);
         std::cerr << "[fig3] resilience analysis done (" << timer.seconds() << " s)\n";
 
         // The fleet of faulty chips.

@@ -180,6 +180,7 @@ int main(int argc, char** argv) {
         const std::string out_path = args.get("out", "BENCH_gemm.json");
         const double min_ms = args.get_double("min-ms", 100.0);
         const std::size_t samples = static_cast<std::size_t>(args.get_int("samples", 3));
+        args.reject_unread_options();
 
         const std::vector<gemm_case> cases = {
             {"nn", 64, 64, 64, "small square"},

@@ -51,6 +51,7 @@ int main(int argc, char** argv) {
         const std::size_t batch = static_cast<std::size_t>(args.get_int("batch", 16));
         const std::vector<double> rates =
             args.get_double_list("rates", {0.01, 0.05, 0.1, 0.2});
+        args.reject_unread_options();
 
         std::cout << "== Systolic-array simulation ==\n"
                   << "array " << cfg.rows << "x" << cfg.cols << " | GEMM " << fan_in << "x"

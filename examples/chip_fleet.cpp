@@ -8,7 +8,7 @@
 //
 // Usage: chip_fleet [--chips 20] [--constraint 0.91] [--out /tmp/fleet_out]
 //          [--distribution uniform|lognormal|fixed] [--policy reduce]
-//          [--threads 1] [--gemm-threads 1] [--fixed-epochs 1.0]
+//          [--threads 1] [--fixed-epochs 1.0]
 //          [--train-batch-chips 1]
 //          [--scenario "strike@0.5:0.05;mode=recover;rollback=2"]
 //
@@ -51,11 +51,20 @@ int main(int argc, char** argv) {
         const std::string out_dir = args.get("out", "");
         const std::string policy_name = args.get("policy", "reduce");
         const std::size_t threads = static_cast<std::size_t>(args.get_int("threads", 1));
-        const std::size_t gemm_threads =
-            static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         const std::size_t train_batch_chips =
             static_cast<std::size_t>(args.get_int("train-batch-chips", 1));
         const double fixed_epochs = args.get_double("fixed-epochs", 1.0);
+        // The lot: per-chip fault maps from the yield model.
+        fleet_config fc;
+        fc.num_chips = num_chips;
+        const std::string distribution = args.get("distribution", "uniform");
+        fc.distribution = rate_distribution_from_string(distribution);
+        fc.rate_lo = args.get_double("rate-lo", 0.02);
+        fc.rate_hi = args.get_double("rate-hi", 0.28);
+        fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 77));
+        const scenario_config scenario =
+            args.has("scenario") ? parse_scenario(args.get("scenario", "")) : scenario_config{};
+        args.reject_unread_options();
         // Fail on typos before paying for the workload + resilience analysis.
         REDUCE_CHECK(policy_registry::global().contains(policy_name),
                      "unknown retraining policy '" << policy_name << "'");
@@ -65,24 +74,13 @@ int main(int argc, char** argv) {
         std::cout << "pre-trained model at " << w.clean_accuracy * 100.0
                   << "% | constraint " << constraint * 100.0 << "%\n";
 
-        // The lot: per-chip fault maps from the yield model.
-        fleet_config fc;
-        fc.num_chips = num_chips;
-        fc.distribution = rate_distribution_from_string(args.get("distribution", "uniform"));
-        fc.rate_lo = args.get_double("rate-lo", 0.02);
-        fc.rate_hi = args.get_double("rate-hi", 0.28);
-        fc.seed = static_cast<std::uint64_t>(args.get_int("seed", 77));
         const std::vector<chip> fleet = make_fleet(w.array, fc);
         std::cout << "lot of " << fleet.size() << " chips, fault rates "
-                  << fc.rate_lo << ".." << fc.rate_hi << " ("
-                  << args.get("distribution", "uniform") << ")\n\n";
+                  << fc.rate_lo << ".." << fc.rate_hi << " (" << distribution << ")\n\n";
 
-        const scenario_config scenario =
-            args.has("scenario") ? parse_scenario(args.get("scenario", "")) : scenario_config{};
         fleet_executor executor(*w.model, w.pretrained, w.train_data, w.test_data, w.array,
                                 w.trainer_cfg,
                                 fleet_executor_config{.threads = threads,
-                                                      .gemm_threads = gemm_threads,
                                                       .train_batch_chips = train_batch_chips,
                                                       .scenario = scenario});
 

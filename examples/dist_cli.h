@@ -28,9 +28,8 @@ namespace reduce::dist_cli {
 
 /// The workload both ends train on. --tiny selects the test-sized workload
 /// (fast enough for CI smoke runs); default is the standard paper workload.
-inline workload make_cli_workload(const cli_args& args) {
-    if (args.get_flag("tiny")) { return make_standard_workload(make_test_workload_config()); }
-    return make_standard_workload();
+inline workload_config make_cli_workload_config(const cli_args& args) {
+    return args.get_flag("tiny") ? make_test_workload_config() : workload_config{};
 }
 
 /// The fault-event timeline, parsed from --scenario (the scenario grammar
@@ -47,13 +46,14 @@ inline scenario_config make_cli_scenario(const cli_args& args) {
 /// worker started with different flags is rejected at handshake — including
 /// --scenario, which appends to the fingerprint only when non-empty (legacy
 /// scenario-free jobs keep their historical fingerprints and journals).
-inline resilience_config make_cli_sweep_config(const cli_args& args, const workload& w) {
+inline resilience_config make_cli_sweep_config(const cli_args& args,
+                                               const workload_config& workload_cfg) {
     resilience_config cfg;
     cfg.fault_rates = args.get_double_list("rates", {0.0, 0.1, 0.2, 0.3});
     cfg.repeats = static_cast<std::size_t>(args.get_int("repeats", 3));
     cfg.max_epochs = args.get_double("budget", 4.0);
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 20230305));
-    cfg.context = w.context;
+    cfg.context = workload_context(workload_cfg);
     cfg.scenario = make_cli_scenario(args);
     return cfg;
 }
@@ -89,12 +89,10 @@ inline json_value policy_outcome_to_json(const policy_outcome& outcome) {
 /// right now, or 0 when it is not knowable yet. The re-resolution primitive
 /// behind worker reconnects — a restarted coordinator binds a fresh
 /// ephemeral port and rewrites its --port-file, and the next read sees it.
-inline int try_read_port(const cli_args& args) {
-    const int port = static_cast<int>(args.get_int("port", 0));
+inline int try_read_port(int port, const std::string& port_file) {
     if (port != 0) { return port; }
-    const std::string path = args.get("port-file", "");
-    if (path.empty()) { return 0; }
-    std::ifstream file(path);
+    if (port_file.empty()) { return 0; }
+    std::ifstream file(port_file);
     int value = 0;
     if (file >> value && value > 0) { return value; }
     return 0;
@@ -102,15 +100,15 @@ inline int try_read_port(const cli_args& args) {
 
 /// Resolves the coordinator port: --port when given, else poll --port-file
 /// until the coordinator writes its (possibly ephemeral) bound port there.
-inline int resolve_port(const cli_args& args) {
-    REDUCE_CHECK(args.get_int("port", 0) != 0 || !args.get("port-file", "").empty(),
+inline int resolve_port(int port, const std::string& port_file) {
+    REDUCE_CHECK(port != 0 || !port_file.empty(),
                  "need --port or --port-file to find the coordinator");
     for (int attempt = 0; attempt < 100; ++attempt) {
-        const int value = try_read_port(args);
+        const int value = try_read_port(port, port_file);
         if (value > 0) { return value; }
         std::this_thread::sleep_for(std::chrono::milliseconds(100));
     }
-    throw error("no port appeared in " + args.get("port-file", ""));
+    throw error("no port appeared in " + port_file);
 }
 
 }  // namespace reduce::dist_cli

@@ -27,6 +27,7 @@ int main(int argc, char** argv) {
         const double fault_rate = args.get_double("fault-rate", 0.15);
         const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
         const double fat_epochs = args.get_double("fat-epochs", 1.0);
+        args.reject_unread_options();
 
         std::cout << "== Fault-Aware Mapping (SalvageDNN) demo ==\n";
         workload w = make_standard_workload();

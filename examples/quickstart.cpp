@@ -28,6 +28,7 @@ int main(int argc, char** argv) {
         const double fault_rate = args.get_double("fault-rate", 0.15);
         const double constraint = args.get_double("constraint", 0.91);
         const std::uint64_t seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+        args.reject_unread_options();
         set_log_level(log_level::warn);
 
         std::cout << "== Reduce quickstart ==\n";

@@ -24,7 +24,7 @@
 //          [--cache-dir D]
 //          [--cells-per-lease 4] [--heartbeat-ms 500] [--lease-timeout-ms 10000]
 //          [--drain-timeout-ms 1000] [--journal D] [--chaos-seed S]
-//          [--local [--threads N] [--gemm-threads N]]
+//          [--local [--threads N]]
 //          fleet mode: [--chips 6] [--constraint 0.9] [--policy reduce]
 //          [--distribution uniform] [--rate-lo 0.02] [--rate-hi 0.28]
 //          [--fleet-seed 77] [--table table.json]
@@ -49,12 +49,12 @@ namespace {
 
 /// Fleet mode needs the Step-1 table for the policy: load it (--table) or
 /// compute it locally on --threads workers.
-resilience_table obtain_table(const cli_args& args, workload& w,
+resilience_table obtain_table(const std::string& table_path, std::size_t threads,
+                              const std::string& cache_dir, workload& w,
                               const resilience_config& sweep_cfg) {
-    if (args.has("table")) {
-        const std::string path = args.get("table", "");
-        std::cout << "loading resilience table from " << path << '\n';
-        resilience_table table = resilience_table::from_json(json_load_file(path));
+    if (!table_path.empty()) {
+        std::cout << "loading resilience table from " << table_path << '\n';
+        resilience_table table = resilience_table::from_json(json_load_file(table_path));
         REDUCE_CHECK(table.fingerprint() == resilience_fingerprint(sweep_cfg),
                      "--table was produced by a different sweep config");
         return table;
@@ -62,14 +62,13 @@ resilience_table obtain_table(const cli_args& args, workload& w,
     resilience_analyzer analyzer(*w.model, w.pretrained, w.train_data, w.test_data, w.array,
                                  w.trainer_cfg);
     sweep_options opts;
-    opts.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-    opts.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-    return run_resilience_sweep(analyzer, sweep_cfg, opts, args.get("cache-dir", ""));
+    opts.threads = threads;
+    return run_resilience_sweep(analyzer, sweep_cfg, opts, cache_dir);
 }
 
-void save_artifact(const cli_args& args, const json_value& artifact) {
-    if (!args.has("save")) { return; }
-    const std::string path = args.get("save", "");
+/// Writes the artifact to --save (no-op when absent).
+void save_artifact(const std::string& path, const json_value& artifact) {
+    if (path.empty()) { return; }
     json_save_file(path, artifact);
     std::cout << "artifact saved to " << path << '\n';
 }
@@ -77,9 +76,8 @@ void save_artifact(const cli_args& args, const json_value& artifact) {
 /// Publishes the endpoint workers should dial — the coordinator's own port,
 /// or (with --chaos-seed) a chaos proxy fronting it — to stdout and
 /// --port-file.
-int publish_endpoint(const cli_args& args, int coord_port,
-                     std::unique_ptr<dist::chaos_proxy>& proxy) {
-    const auto chaos_seed = static_cast<std::uint64_t>(args.get_int("chaos-seed", 0));
+int publish_endpoint(std::uint64_t chaos_seed, const std::string& port_file,
+                     int coord_port, std::unique_ptr<dist::chaos_proxy>& proxy) {
     int port = coord_port;
     if (chaos_seed != 0) {
         dist::chaos_config chaos;
@@ -90,9 +88,9 @@ int publish_endpoint(const cli_args& args, int coord_port,
         port = proxy->port();
         std::cout << "chaos proxy (seed " << chaos_seed << ") fronting the job\n";
     }
-    if (args.has("port-file")) {
-        std::ofstream port_file(args.get("port-file", ""));
-        port_file << port << '\n';
+    if (!port_file.empty()) {
+        std::ofstream out(port_file);
+        out << port << '\n';
     }
     std::cout << "serving on port " << port << "; waiting for workers\n";
     return port;
@@ -117,11 +115,8 @@ int main(int argc, char** argv) {
         const std::string mode = args.get("mode", "sweep");
         REDUCE_CHECK(mode == "sweep" || mode == "fleet",
                      "--mode must be sweep or fleet, got '" << mode << "'");
-        std::cout << "== Reduce distributed coordinator (" << mode << " job) ==\n";
-
-        workload w = dist_cli::make_cli_workload(args);
-        const resilience_config sweep_cfg = dist_cli::make_cli_sweep_config(args, w);
-        std::cout << "job fingerprint: " << resilience_fingerprint(sweep_cfg) << '\n';
+        const workload_config workload_cfg = dist_cli::make_cli_workload_config(args);
+        const resilience_config sweep_cfg = dist_cli::make_cli_sweep_config(args, workload_cfg);
 
         dist::coordinator_config cc;
         cc.port = static_cast<int>(args.get_int("port", 0));
@@ -131,64 +126,74 @@ int main(int argc, char** argv) {
         cc.lease_timeout_ms = static_cast<int>(args.get_int("lease-timeout-ms", 10000));
         cc.drain_timeout_ms = static_cast<int>(args.get_int("drain-timeout-ms", 1000));
         cc.journal_dir = args.get("journal", "");
+        const auto chaos_seed = static_cast<std::uint64_t>(args.get_int("chaos-seed", 0));
+        const std::string port_file = args.get("port-file", "");
+        const std::string save_path = args.get("save", "");
+        const std::string cache_dir = args.get("cache-dir", "");
+        const bool local = args.get_flag("local");
+        const auto threads = static_cast<std::size_t>(args.get_int("threads", 1));
+
+        // Fleet-mode options.
+        const double constraint = args.get_double("constraint", 0.9);
+        const std::string policy_name = args.get("policy", "reduce");
+        const double fixed_epochs = args.get_double("fixed-epochs", 1.0);
+        const std::string table_path = args.get("table", "");
+        const fleet_config fleet_cfg = dist_cli::make_cli_fleet_config(args);
+        args.reject_unread_options();
+
+        std::cout << "== Reduce distributed coordinator (" << mode << " job) ==\n";
+        workload w = make_standard_workload(workload_cfg);
+        std::cout << "job fingerprint: " << resilience_fingerprint(sweep_cfg) << '\n';
 
         if (mode == "sweep") {
-            if (args.get_flag("local")) {
+            if (local) {
                 resilience_analyzer analyzer(*w.model, w.pretrained, w.train_data,
                                              w.test_data, w.array, w.trainer_cfg);
                 sweep_options opts;
-                opts.threads = static_cast<std::size_t>(args.get_int("threads", 1));
-                opts.gemm_threads =
-                    static_cast<std::size_t>(args.get_int("gemm-threads", 1));
+                opts.threads = threads;
                 const resilience_table table =
-                    run_resilience_sweep(analyzer, sweep_cfg, opts, args.get("cache-dir", ""));
+                    run_resilience_sweep(analyzer, sweep_cfg, opts, cache_dir);
                 std::cout << "local sweep: " << table.runs().size() << " cells in "
                           << timer.seconds() << " s\n";
-                save_artifact(args, table.to_json());
+                save_artifact(save_path, table.to_json());
                 return 0;
             }
             dist::sweep_job job;
             job.cfg = sweep_cfg;
-            job.cache_dir = args.get("cache-dir", "");
+            job.cache_dir = cache_dir;
             dist::coordinator coord(cc, std::move(job));
             coord.start();
             std::unique_ptr<dist::chaos_proxy> proxy;
-            publish_endpoint(args, coord.port(), proxy);
+            publish_endpoint(chaos_seed, port_file, coord.port(), proxy);
             const resilience_table table = coord.wait_table();
             const dist::coordinator_stats stats = coord.stats();
             std::cout << "distributed sweep: " << table.runs().size() << " cells in "
                       << timer.seconds() << " s ";
             print_recovery_stats(stats);
-            save_artifact(args, table.to_json());
+            save_artifact(save_path, table.to_json());
             return 0;
         }
 
         // Fleet mode: Step 1 table -> policy -> centrally planned job.
-        const double constraint = args.get_double("constraint", 0.9);
-        const std::string policy_name = args.get("policy", "reduce");
-        const resilience_table table = obtain_table(args, w, sweep_cfg);
+        const resilience_table table = obtain_table(table_path, threads, cache_dir, w, sweep_cfg);
         policy_context ctx;
         ctx.table = &table;
         ctx.selector.accuracy_target = constraint;
         ctx.selector.stat = statistic::max;
-        ctx.fixed_epochs = args.get_double("fixed-epochs", 1.0);
+        ctx.fixed_epochs = fixed_epochs;
         const auto policy = policy_registry::global().make(policy_name, ctx);
-        std::vector<chip> fleet = make_fleet(w.array, dist_cli::make_cli_fleet_config(args));
+        std::vector<chip> fleet = make_fleet(w.array, fleet_cfg);
         std::cout << "fleet of " << fleet.size() << " chips, policy '" << policy_name
                   << "', constraint " << constraint * 100.0 << "%\n";
 
-        if (args.get_flag("local")) {
+        if (local) {
             fleet_executor executor(
                 *w.model, w.pretrained, w.train_data, w.test_data, w.array, w.trainer_cfg,
-                fleet_executor_config{
-                    .threads = static_cast<std::size_t>(args.get_int("threads", 1)),
-                    .gemm_threads =
-                        static_cast<std::size_t>(args.get_int("gemm-threads", 1)),
-                    .scenario = sweep_cfg.scenario});
+                fleet_executor_config{.threads = threads, .scenario = sweep_cfg.scenario});
             const policy_outcome outcome = executor.run(*policy, fleet);
             std::cout << "local fleet run: " << outcome.chips.size() << " chips in "
                       << timer.seconds() << " s\n";
-            save_artifact(args, dist_cli::policy_outcome_to_json(outcome));
+            save_artifact(save_path, dist_cli::policy_outcome_to_json(outcome));
             return 0;
         }
 
@@ -198,13 +203,13 @@ int main(int argc, char** argv) {
         dist::coordinator coord(cc, std::move(job));
         coord.start();
         std::unique_ptr<dist::chaos_proxy> proxy;
-        publish_endpoint(args, coord.port(), proxy);
+        publish_endpoint(chaos_seed, port_file, coord.port(), proxy);
         const policy_outcome outcome = coord.wait_fleet();
         const dist::coordinator_stats stats = coord.stats();
         std::cout << "distributed fleet run: " << outcome.chips.size() << " chips in "
                   << timer.seconds() << " s ";
         print_recovery_stats(stats);
-        save_artifact(args, dist_cli::policy_outcome_to_json(outcome));
+        save_artifact(save_path, dist_cli::policy_outcome_to_json(outcome));
         return 0;
     } catch (const std::exception& e) {
         std::cerr << "error: " << e.what() << '\n';

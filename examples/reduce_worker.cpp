@@ -14,7 +14,7 @@
 // recovery drills like CI's chaos-smoke job.
 //
 // Usage: reduce_worker [--host 127.0.0.1] (--port N | --port-file P)
-//          [--name worker-0] [--gemm-threads 1] [--tiny]
+//          [--name worker-0] [--tiny]
 //          [--rates 0,0.1,...] [--repeats 3] [--budget 4] [--seed S]
 //          [--reconnect-ms 10000]  per-outage budget to rejoin; 0 disables
 //          [--chaos-seed S]  batter this worker's wire deterministically
@@ -37,23 +37,27 @@ int main(int argc, char** argv) {
         set_log_level(log_level::info);
         stopwatch timer;
 
-        workload w = dist_cli::make_cli_workload(args);
-        const resilience_config sweep_cfg = dist_cli::make_cli_sweep_config(args, w);
+        const workload_config workload_cfg = dist_cli::make_cli_workload_config(args);
+        const resilience_config sweep_cfg = dist_cli::make_cli_sweep_config(args, workload_cfg);
 
         dist::worker_config wc;
         wc.host = args.get("host", "127.0.0.1");
-        wc.port = dist_cli::resolve_port(args);
+        const int port = static_cast<int>(args.get_int("port", 0));
+        const std::string port_file = args.get("port-file", "");
         wc.name = args.get("name", "worker");
-        wc.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         wc.reconnect_deadline_ms = static_cast<int>(args.get_int("reconnect-ms", 10000));
         wc.die_after_units = static_cast<std::size_t>(args.get_int("die-after", 0));
+        const auto chaos_seed = static_cast<std::uint64_t>(args.get_int("chaos-seed", 0));
+        args.reject_unread_options();
+
+        workload w = make_standard_workload(workload_cfg);
+        wc.port = dist_cli::resolve_port(port, port_file);
 
         std::cout << "== Reduce distributed worker '" << wc.name << "' ==\n"
                   << "coordinator " << wc.host << ":" << wc.port << ", fingerprint "
                   << resilience_fingerprint(sweep_cfg) << '\n';
 
         std::unique_ptr<dist::chaos_proxy> proxy;
-        const auto chaos_seed = static_cast<std::uint64_t>(args.get_int("chaos-seed", 0));
         if (chaos_seed != 0) {
             // The proxy is this worker's stable endpoint; it re-resolves the
             // coordinator (the port file again) per upstream connect, so it
@@ -61,7 +65,7 @@ int main(int argc, char** argv) {
             dist::chaos_config chaos;
             chaos.seed = chaos_seed;
             proxy = std::make_unique<dist::chaos_proxy>(
-                chaos, wc.host, [&args] { return dist_cli::try_read_port(args); });
+                chaos, wc.host, [&] { return dist_cli::try_read_port(port, port_file); });
             proxy->start();
             std::cout << "chaos proxy (seed " << chaos_seed << ") on port "
                       << proxy->port() << '\n';
@@ -70,7 +74,7 @@ int main(int argc, char** argv) {
         } else {
             // Reconnects re-read the port file directly — a restarted
             // coordinator publishes a fresh port there.
-            wc.port_resolver = [&args] { return dist_cli::try_read_port(args); };
+            wc.port_resolver = [&] { return dist_cli::try_read_port(port, port_file); };
         }
 
         dist::worker node(wc, *w.model, w.pretrained, w.train_data, w.test_data, w.array,

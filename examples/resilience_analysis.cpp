@@ -8,8 +8,7 @@
 //
 // Usage: resilience_analysis [--rates 0,0.1,...] [--repeats 5]
 //          [--budget 6] [--targets 90,91,92] [--save table.json]
-//          [--sweep-threads N] [--gemm-threads N]
-//          [--cache-dir P]
+//          [--sweep-threads N] [--cache-dir P]
 //          [--cache-gc [--cache-gc-max-mb M]]   prune the Step-1 cache first
 
 #include <iostream>
@@ -28,13 +27,20 @@ int main(int argc, char** argv) {
         const cli_args args(argc, argv);
         set_log_level(log_level::warn);
         stopwatch timer;
-        maybe_run_cache_gc(args);
+        const std::function<void()> cache_gc = cache_gc_from_cli(args);
 
         const std::vector<double> rates =
             args.get_double_list("rates", {0.0, 0.1, 0.2, 0.3, 0.4});
         const std::vector<double> targets = args.get_double_list("targets", {90.0, 91.0, 92.0});
         const std::size_t repeats = static_cast<std::size_t>(args.get_int("repeats", 5));
         const double budget = args.get_double("budget", 6.0);
+        sweep_options sweep;
+        sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
+        const std::string cache_dir = args.get("cache-dir", "");
+        const bool save = args.has("save");
+        const std::string save_path = args.get("save", "resilience_table.json");
+        args.reject_unread_options();
+        if (cache_gc) { cache_gc(); }
 
         std::cout << "== Resilience analysis (Step 1 of Reduce) ==\n";
         workload w = make_standard_workload();
@@ -50,14 +56,11 @@ int main(int argc, char** argv) {
         cfg.repeats = repeats;
         cfg.max_epochs = budget;
         cfg.context = w.context;
-        sweep_options sweep;
-        sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
-        sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
         const resilience_table table = [&] {
-            if (args.has("cache-dir")) {
+            if (!cache_dir.empty()) {
                 // Inlines analyze_cached so the narrative reflects what
                 // actually happened (a corrupt entry is a miss, not a hit).
-                const resilience_cache cache(args.get("cache-dir", ""));
+                const resilience_cache cache(cache_dir);
                 if (std::optional<resilience_table> cached = cache.load(cfg)) {
                     std::cout << "Step-1 cache hit: reused " << cache.path_for(cfg) << '\n';
                     return std::move(*cached);
@@ -86,12 +89,12 @@ int main(int argc, char** argv) {
         }
         view.write_pretty(std::cout);
 
-        if (args.has("save")) {
-            const std::string path = args.get("save", "resilience_table.json");
-            json_save_file(path, table.to_json());
-            std::cout << "\nresilience table saved to " << path << '\n';
+        if (save) {
+            json_save_file(save_path, table.to_json());
+            std::cout << "\nresilience table saved to " << save_path << '\n';
             // Demonstrate the round-trip a selection service would perform.
-            const resilience_table reloaded = resilience_table::from_json(json_load_file(path));
+            const resilience_table reloaded =
+                resilience_table::from_json(json_load_file(save_path));
             std::cout << "reloaded table answers: rate 0.15, target 91% -> "
                       << reloaded.epochs_for(0.15, 0.91, statistic::max).value_or(-1.0)
                       << " epochs (max statistic)\n";

@@ -9,16 +9,7 @@
 //
 // Usage: vgg_pipeline [--width 0.125] [--fault-rate 0.15]
 //          [--constraint 0.85] [--pretrain-epochs 15]
-//          [--sweep-threads N] [--gemm-threads N]
-//          [--cache-dir P]
-//
-// --gemm-threads N (0 = all cores) parallelizes the tensor kernels inside
-// every stage — pretraining, the per-cell retraining of the sweep, and the
-// final FAT run — without changing a single output bit (the blocked GEMM
-// never splits its K accumulation across threads). This single-chip
-// pipeline is exactly the workload the intra-op level exists for: with one
-// chip there is no fleet to fan out over, so --sweep-threads alone leaves
-// the machine idle during the pre/post stages.
+//          [--sweep-threads N] [--cache-dir P]
 //
 // Step 1 dominates this example's wall time (conv retraining × grid ×
 // repeats), so it runs on the parallel sweep engine and, with --cache-dir,
@@ -36,7 +27,6 @@
 #include "util/log.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
-#include "util/thread_pool.h"
 
 using namespace reduce;
 
@@ -52,11 +42,8 @@ int main(int argc, char** argv) {
         const double pretrain_epochs = args.get_double("pretrain-epochs", 15.0);
         sweep_options sweep;
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 0));
-        sweep.gemm_threads = static_cast<std::size_t>(args.get_int("gemm-threads", 1));
-        // The pre-sweep (pretraining) and post-sweep (final FAT) stages run
-        // on this thread; give their kernels the same intra-op budget. The
-        // sweep itself scopes its own guarded budget per run.
-        set_intra_op_threads(sweep.gemm_threads);
+        const std::string cache_dir = args.get("cache-dir", "");
+        args.reject_unread_options();
 
         std::cout << "== VGG11 through the Reduce pipeline ==\n";
 
@@ -120,10 +107,10 @@ int main(int argc, char** argv) {
             rc.context = context.str();
         }
         const resilience_table table = [&] {
-            if (args.has("cache-dir")) {
+            if (!cache_dir.empty()) {
                 // Inlines analyze_cached so the narrative reflects what
                 // actually happened (a corrupt entry is a miss, not a hit).
-                const resilience_cache cache(args.get("cache-dir", ""));
+                const resilience_cache cache(cache_dir);
                 if (std::optional<resilience_table> cached = cache.load(rc)) {
                     std::cout << "Step-1 cache hit: reused " << cache.path_for(rc) << '\n';
                     return std::move(*cached);

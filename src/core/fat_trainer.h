@@ -11,12 +11,8 @@
 // the timeline bench run through it; fault_aware_trainer::train underneath
 // owns the stop list of checkpoints and events and the one rollback anchor.
 //
-// Threading: an episode is single-threaded, but every forward/backward/eval
-// it runs draws on the process-wide intra-op budget (util/thread_pool.h,
-// --gemm-threads) — the fleet executor and sweep engine scope that budget
-// per run, and single-chip harnesses set it directly. The budget never
-// changes a result bit (never-split-K rule of tensor/gemm.h), only
-// wall-clock time per epoch.
+// Threading: an episode is single-threaded, kernels included; the fleet
+// executor and sweep engine run many episodes at once, one per worker.
 #pragma once
 
 #include <functional>

@@ -137,7 +137,6 @@ fleet_executor::fleet_executor(sequential& model, const model_snapshot& pretrain
 resilience_table fleet_executor::analyze(const resilience_config& cfg) {
     sweep_options opts;
     opts.threads = cfg_.threads;
-    opts.gemm_threads = cfg_.gemm_threads;
     resilience_analyzer analyzer(model_, pretrained_, train_data_, test_data_, array_,
                                  trainer_cfg_);
     return analyzer.analyze(cfg, opts);
@@ -172,14 +171,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
     // Block membership is a pure function of fleet order and the worker
     // count, and every chip runs its own episode, so outcomes stay
     // identical either way.
-    //
-    // Two-level budget: fleet workers fan out over chips while each
-    // worker's tensor kernels draw on the (guarded) intra-op budget — see
-    // resolve_thread_budget for the oversubscription rule. Neither level
-    // changes a single outcome bit.
-    const thread_budget budget =
-        resolve_thread_budget(cfg_.threads, cfg_.gemm_threads, fleet.size());
-    const std::size_t worker_budget = budget.fleet_workers;
+    const std::size_t worker_budget = resolve_thread_count(cfg_.threads, fleet.size());
     // A block is the pool the run counters carve same-allocation groups
     // from.
     const std::size_t group = cap_group_at_fair_share(
@@ -297,7 +289,6 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         }
     };
 
-    const scoped_intra_op_threads intra(budget.gemm_threads);
     run_workers(workers, worker);
     if (cfg_.train_batch_chips > 1) {
         LOG_INFO << outcome.policy_name << ": grouped retraining "

@@ -155,15 +155,7 @@ struct fleet_executor_config {
     /// Worker threads for the fan-out; 0 → hardware concurrency. The thread
     /// count never changes per-chip outcomes, only wall-clock time.
     std::size_t threads = 1;
-    /// Intra-op (GEMM/conv-lowering) threads each worker's tensor kernels
-    /// may use (--gemm-threads); 0 → hardware concurrency. Applied for the
-    /// duration of run()/analyze() via the process-wide intra-op budget and
-    /// restored afterwards. The two-level product is guarded against
-    /// oversubscription: with more than one worker, gemm threads shrink so
-    /// workers x gemm_threads never exceeds the hardware thread count (see
-    /// resolve_thread_budget). Never changes outcomes — the tensor kernels
-    /// are bit-identical at any intra-op budget.
-    std::size_t gemm_threads = 1;
+    std::size_t gemm_threads = 1;  ///< ignored; perfbench spells it; ROADMAP 1b deletes
     /// Ignored: every chip measures its accuracy_before inside its own
     /// episode. Kept only because perfbench still sets it; ROADMAP item 1b
     /// deletes it.
@@ -217,9 +209,8 @@ public:
                    const array_config& array, fat_config trainer_cfg,
                    fleet_executor_config cfg = {});
 
-    /// Step 1 convenience wrapper: runs the sweep on the executor's thread
-    /// budget (cfg_.threads, cfg_.gemm_threads). Results are bit-identical
-    /// at any thread count.
+    /// Step 1 convenience wrapper: runs the sweep on the executor's worker
+    /// count (cfg_.threads). Results are bit-identical at any thread count.
     resilience_table analyze(const resilience_config& cfg);
 
     /// Steps 2+3: allocates epochs via the policy, tunes every chip, and

@@ -554,19 +554,20 @@ resilience_cache::gc_report resilience_cache::gc(const gc_options& opts) const {
 
 resilience_cache::gc_report resilience_cache::gc() const { return gc(gc_options{}); }
 
-bool maybe_run_cache_gc(const cli_args& args) {
-    if (!args.get_flag("cache-gc")) { return false; }
+std::function<void()> cache_gc_from_cli(const cli_args& args) {
+    if (!args.get_flag("cache-gc")) { return {}; }
     const std::string dir = args.get("cache-dir", "");
     REDUCE_CHECK(!dir.empty(), "--cache-gc requires --cache-dir");
     resilience_cache::gc_options opts;
     const double max_mb = args.get_double("cache-gc-max-mb", 0.0);
     REDUCE_CHECK(max_mb >= 0.0, "--cache-gc-max-mb must be non-negative");
     opts.max_total_bytes = static_cast<std::uint64_t>(max_mb * 1024.0 * 1024.0);
-    const resilience_cache::gc_report report = resilience_cache(dir).gc(opts);
-    LOG_WARN << "cache-gc: " << report.scanned << " scanned, " << report.removed_stale
-             << " stale removed, " << report.removed_oversize << " evicted for budget, "
-             << report.bytes_freed << " bytes freed";
-    return true;
+    return [dir, opts] {
+        const resilience_cache::gc_report report = resilience_cache(dir).gc(opts);
+        LOG_WARN << "cache-gc: " << report.scanned << " scanned, " << report.removed_stale
+                 << " stale removed, " << report.removed_oversize << " evicted for budget, "
+                 << report.bytes_freed << " bytes freed";
+    };
 }
 
 resilience_analyzer::resilience_analyzer(const sequential& model,
@@ -609,8 +610,7 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
     // Work unit: one cell. Each cell's episode measures its own epoch-0
     // (post-FAP) accuracy, so a cell's result is a function of the cell
     // alone, whatever the worker count or cell order.
-    const thread_budget budget =
-        resolve_thread_budget(opts.threads, opts.gemm_threads, cells.size());
+    const std::size_t workers = resolve_thread_count(opts.threads, cells.size());
 
     // Workers drain the cell list through an atomic cursor; each owns a
     // deep clone that every episode leaves at the pretrained snapshot, so a
@@ -661,15 +661,10 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
         }
     };
 
-    // Two-level budget: sweep workers over cells, the guarded intra-op
-    // budget inside each worker's kernels. Scoped so a caller's own budget
-    // is restored after the sweep.
-    const std::size_t workers = std::min(budget.fleet_workers, cells.size());
-    const scoped_intra_op_threads intra(budget.gemm_threads);
     run_workers(workers, worker);
 
     LOG_INFO << "resilience: swept " << cells.size() << " of " << grid.size() << " cells ("
-             << workers << " worker(s), gemm-threads " << budget.gemm_threads << ")";
+             << workers << " worker(s))";
     return resilience_table(std::move(runs), cfg.max_epochs, resilience_fingerprint(cfg),
                             grid.size());
 }

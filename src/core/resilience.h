@@ -30,6 +30,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -208,12 +209,7 @@ struct resilience_config {
 /// table.
 struct sweep_options {
     std::size_t threads = 1;      ///< worker threads; 0 → hardware concurrency
-    /// Intra-op (GEMM/conv-lowering) threads per worker (--gemm-threads);
-    /// 0 → hardware concurrency. Scoped to the sweep via the process-wide
-    /// intra-op budget, guarded against oversubscription with the worker
-    /// count (resolve_thread_budget), and — like every knob here — without
-    /// any effect on the table's bytes.
-    std::size_t gemm_threads = 1;
+    std::size_t gemm_threads = 1;  ///< ignored; perfbench spells it; ROADMAP 1b deletes
     /// Ignored: every cell measures its epoch-0 accuracy inside its own
     /// episode. Kept only because perfbench still sets it; ROADMAP item 1b
     /// deletes it.
@@ -296,10 +292,11 @@ private:
 };
 
 /// CLI convenience shared by the harnesses: when `--cache-gc` is present,
-/// runs resilience_cache::gc over `--cache-dir` (required) with a size
-/// budget from `--cache-gc-max-mb` (0 → stale-only), logs a summary, and
-/// returns true. Returns false when the flag is absent.
-bool maybe_run_cache_gc(const cli_args& args);
+/// reads `--cache-dir` (required) and `--cache-gc-max-mb` (0 → stale-only)
+/// and returns the resilience_cache::gc pass that logs a summary. Returns
+/// an empty function when the flag is absent. Reading and running are
+/// split so a harness can reject unknown options before it prunes.
+std::function<void()> cache_gc_from_cli(const cli_args& args);
 
 /// Runs Step 1: for each (rate, repeat) cell, restores the pre-trained
 /// weights into a per-worker model clone, injects a fresh fault map,

@@ -12,7 +12,6 @@
 #include "fault/serialization.h"
 #include "util/error.h"
 #include "util/log.h"
-#include "util/thread_pool.h"
 
 namespace reduce::dist {
 
@@ -116,7 +115,6 @@ worker_report worker::run() {
     const std::vector<sweep_cell> grid = enumerate_sweep_cells(sweep_cfg_);
     std::unique_ptr<resilience_analyzer> analyzer;
     std::unique_ptr<chip_tuner> tuner;
-    const thread_budget budget = resolve_thread_budget(1, cfg_.gemm_threads, 1);
     std::size_t units_received = 0;
     // A computed result whose send failed: carried across the reconnect and
     // resent first thing in the next session (the coordinator routes it by
@@ -275,7 +273,6 @@ worker_report worker::run() {
                     }
                     sweep_options opts;
                     opts.threads = 1;
-                    opts.gemm_threads = cfg_.gemm_threads;
                     const resilience_table part =
                         analyzer->analyze_cells(sweep_cfg_, cells, opts);
                     ++report.sweep_units;
@@ -302,7 +299,6 @@ worker_report worker::run() {
                         // --local path replay identical per-chip events.
                         tuner->set_scenario(sweep_cfg_.scenario);
                     }
-                    const scoped_intra_op_threads intra(budget.gemm_threads);
                     const chip_outcome outcome =
                         tuner->tune(c, alloc, constraint, effective_rate);
                     std::string snapshot;

@@ -56,8 +56,7 @@ struct worker_config {
     /// the sweep config both ends were built from. Empty → computed from
     /// the worker's own sweep config.
     std::string fingerprint;
-    /// Intra-op (GEMM/conv-lowering) threads for this worker's kernels.
-    std::size_t gemm_threads = 1;
+    std::size_t gemm_threads = 1;  ///< ignored; perfbench spells it; ROADMAP 1b deletes
     /// Backoff between connect attempts: delays double from
     /// backoff_initial_ms up to backoff_max_ms, each jittered into
     /// [delay/2, delay] by a seeded per-worker stream so a fleet of workers

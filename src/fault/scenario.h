@@ -9,8 +9,8 @@
 // fault_timeline whose every sampled decision is a pure function of
 // (scenario, episode coordinates) — never of thread schedule, worker
 // identity, or wall-clock — so timeline runs keep the repo-wide
-// bit-identical guarantee at any --gemm-threads / worker count / cell
-// partition, distributed or local.
+// bit-identical guarantee at any worker count / cell partition,
+// distributed or local.
 //
 // A scenario has one serialized form: the canonical text of
 // scenario_to_string — the --scenario CLI grammar, the exact string

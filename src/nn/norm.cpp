@@ -1,31 +1,12 @@
 #include "nn/norm.h"
 
 #include <cmath>
-#include <functional>
 
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 
 namespace {
-
-// Batch-norm statistics, normalization, and gradients are independent per
-// feature (1d) / channel (2d): each j reads its own column and writes its
-// own outputs, running stats, and parameter-gradient slot. Fanning out over
-// features keeps every double-precision reduction chain whole on one
-// thread in serial order — bit-identical at any --gemm-threads. `work` is
-// the total element count the pass touches.
-constexpr double k_bn_parallel_min_elems = 256.0 * 1024.0;
-
-void for_each_channel(std::size_t channels, double work,
-                      const std::function<void(std::size_t, std::size_t)>& body) {
-    if (channels > 1 && should_fan_out(work, k_bn_parallel_min_elems)) {
-        parallel_for(channels, body);
-    } else {
-        body(0, channels);
-    }
-}
 
 void init_affine(parameter& gamma, parameter& beta, std::size_t n) {
     gamma.name = "gamma";
@@ -64,9 +45,7 @@ tensor batch_norm1d::forward(const tensor& input) {
     float* inv_std = cached_inv_std_.raw();
 
     if (training_) { REDUCE_CHECK(batch >= 2, "batch_norm1d training needs batch >= 2"); }
-    for_each_channel(features_, static_cast<double>(batch) * static_cast<double>(features_),
-                     [&](std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
+    for (std::size_t j = 0; j < features_; ++j) {
         double mean_j = 0.0;
         double var_j = 0.0;
         if (training_) {
@@ -99,7 +78,6 @@ tensor batch_norm1d::forward(const tensor& input) {
             y[i * features_ + j] = g * norm + b;
         }
     }
-    });
     return output;
 }
 
@@ -113,9 +91,7 @@ tensor batch_norm1d::backward(const tensor& grad_output) {
     const float* xhat = cached_normalized_.raw();
     float* dx = grad_input.raw();
 
-    for_each_channel(features_, static_cast<double>(batch) * static_cast<double>(features_),
-                     [&](std::size_t j0, std::size_t j1) {
-    for (std::size_t j = j0; j < j1; ++j) {
+    for (std::size_t j = 0; j < features_; ++j) {
         double sum_dy = 0.0;
         double sum_dy_xhat = 0.0;
         for (std::size_t i = 0; i < batch; ++i) {
@@ -142,7 +118,6 @@ tensor batch_norm1d::backward(const tensor& grad_output) {
             }
         }
     }
-    });
     return grad_input;
 }
 
@@ -185,9 +160,7 @@ tensor batch_norm2d::forward(const tensor& input) {
     float* inv_std = cached_inv_std_.raw();
 
     if (training_) { REDUCE_CHECK(count >= 2, "batch_norm2d training needs N*H*W >= 2"); }
-    for_each_channel(channels_, static_cast<double>(count) * static_cast<double>(channels_),
-                     [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
+    for (std::size_t c = 0; c < channels_; ++c) {
         double mean_c = 0.0;
         double var_c = 0.0;
         if (training_) {
@@ -230,7 +203,6 @@ tensor batch_norm2d::forward(const tensor& input) {
             }
         }
     }
-    });
     return output;
 }
 
@@ -245,11 +217,7 @@ tensor batch_norm2d::backward(const tensor& grad_output) {
     const float* xhat = cached_normalized_.raw();
     float* dx = grad_input.raw();
 
-    for_each_channel(
-        channels_,
-        static_cast<double>(batch) * static_cast<double>(plane) * static_cast<double>(channels_),
-        [&](std::size_t c0, std::size_t c1) {
-    for (std::size_t c = c0; c < c1; ++c) {
+    for (std::size_t c = 0; c < channels_; ++c) {
         double sum_dy = 0.0;
         double sum_dy_xhat = 0.0;
         for (std::size_t n = 0; n < batch; ++n) {
@@ -281,7 +249,6 @@ tensor batch_norm2d::backward(const tensor& grad_output) {
             }
         }
     }
-    });
     return grad_input;
 }
 

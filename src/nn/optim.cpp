@@ -1,32 +1,12 @@
 #include "nn/optim.h"
 
 #include <cmath>
-#include <functional>
 #include <numbers>
 
 #include "tensor/ops.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
-
-namespace {
-
-// Optimizer updates are independent per element — index i touches only its
-// own w/v/m slots — so partitioning by element keeps every arithmetic chain
-// whole and results bit-identical at any --gemm-threads. The bar matches
-// the elementwise ops in tensor/ops.cpp.
-constexpr double k_optim_parallel_min_elems = 256.0 * 1024.0;
-
-void for_each_elem(std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-    if (n > 1 && should_fan_out(static_cast<double>(n), k_optim_parallel_min_elems)) {
-        parallel_for(n, body);
-    } else {
-        body(0, n);
-    }
-}
-
-}  // namespace
 
 optimizer::optimizer(std::vector<parameter*> params) : params_(std::move(params)) {
     REDUCE_CHECK(!params_.empty(), "optimizer needs at least one parameter");
@@ -62,9 +42,7 @@ void mask_buffers_against_params(const std::vector<parameter*>& params,
         if (!p.has_mask()) { continue; }
         float* b = (*buffers)[k].raw();
         const float* m = p.mask.raw();
-        for_each_elem(p.value.numel(), [&](std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i) { b[i] *= m[i]; }
-        });
+        for (std::size_t i = 0, n = p.value.numel(); i < n; ++i) { b[i] *= m[i]; }
     }
 }
 
@@ -104,20 +82,16 @@ void sgd::step() {
         if (cfg_.momentum > 0.0) {
             float* v = velocity_[k].raw();
             const bool nesterov = cfg_.nesterov;
-            for_each_elem(p.value.numel(), [&, v, nesterov](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                    const float grad_i = g[i] + wd * w[i];
-                    v[i] = mu * v[i] + grad_i;
-                    const float update = nesterov ? grad_i + mu * v[i] : v[i];
-                    w[i] -= lr * update;
-                }
-            });
+            for (std::size_t i = 0, n = p.value.numel(); i < n; ++i) {
+                const float grad_i = g[i] + wd * w[i];
+                v[i] = mu * v[i] + grad_i;
+                const float update = nesterov ? grad_i + mu * v[i] : v[i];
+                w[i] -= lr * update;
+            }
         } else {
-            for_each_elem(p.value.numel(), [&](std::size_t i0, std::size_t i1) {
-                for (std::size_t i = i0; i < i1; ++i) {
-                    w[i] -= lr * (g[i] + wd * w[i]);
-                }
-            });
+            for (std::size_t i = 0, n = p.value.numel(); i < n; ++i) {
+                w[i] -= lr * (g[i] + wd * w[i]);
+            }
         }
         p.apply_mask();
     }
@@ -172,16 +146,14 @@ void adam::step() {
         const float* g = p.grad.raw();
         float* m = m_[k].raw();
         float* v = v_[k].raw();
-        for_each_elem(p.value.numel(), [&, m, v](std::size_t i0, std::size_t i1) {
-            for (std::size_t i = i0; i < i1; ++i) {
-                const float grad_i = g[i] + wd * w[i];
-                m[i] = b1 * m[i] + (1.0f - b1) * grad_i;
-                v[i] = b2 * v[i] + (1.0f - b2) * grad_i * grad_i;
-                const float m_hat = m[i] * inv_bias1;
-                const float v_hat = v[i] * inv_bias2;
-                w[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
-            }
-        });
+        for (std::size_t i = 0, n = p.value.numel(); i < n; ++i) {
+            const float grad_i = g[i] + wd * w[i];
+            m[i] = b1 * m[i] + (1.0f - b1) * grad_i;
+            v[i] = b2 * v[i] + (1.0f - b2) * grad_i * grad_i;
+            const float m_hat = m[i] * inv_bias1;
+            const float v_hat = v[i] * inv_bias2;
+            w[i] -= lr * m_hat / (std::sqrt(v_hat) + eps);
+        }
         p.apply_mask();
     }
 }

@@ -11,7 +11,6 @@
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 
@@ -51,48 +50,27 @@ std::size_t images_per_chunk(std::size_t slab_rows, std::size_t plane, std::size
     return std::clamp<std::size_t>(fit, 1, std::max<std::size_t>(batch, 1));
 }
 
-// Minimum element count before a lowering/scatter loop fans out over the
-// intra-op pool (should_fan_out) — these are memory-bound copies, so the
-// bar is lower than the GEMM threshold but still well above the fork/join
-// cost. Shape-only, and results are bit-identical either way (the
-// partitions below never split an accumulation chain across threads).
-constexpr double k_conv_parallel_min_elems = 128.0 * 1024.0;
-
-/// True when a data-movement loop over `work_elems` elements should use the
-/// intra-op pool.
-bool conv_fan_out(std::size_t work_elems) {
-    return should_fan_out(static_cast<double>(work_elems), k_conv_parallel_min_elems);
-}
-
 /// Scatters a lowered chunk output [out_c, nb*plane] (row stride
 /// `src_stride`) back to [image, out_c, plane] layout starting at image
-/// `img0` of `out_ptr`, adding the optional bias. Output channels write
-/// disjoint destinations, so the parallel split is trivially bit-identical.
+/// `img0` of `out_ptr`, adding the optional bias.
 void scatter_lowered_output(const float* src, std::size_t src_stride, std::size_t nb,
                             std::size_t plane, std::size_t out_c, const tensor& bias,
                             float* out_ptr, std::size_t img0) {
     const bool has_bias = !bias.empty();
-    const auto scatter_rows = [&](std::size_t oc0, std::size_t oc1) {
-        for (std::size_t oc = oc0; oc < oc1; ++oc) {
-            const float b = has_bias ? bias[oc] : 0.0f;
-            const float* srow = src + oc * src_stride;
-            for (std::size_t n = 0; n < nb; ++n) {
-                float* dst = out_ptr + ((img0 + n) * out_c + oc) * plane;
-                const float* col = srow + n * plane;
-                for (std::size_t i = 0; i < plane; ++i) { dst[i] = col[i] + b; }
-            }
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        const float b = has_bias ? bias[oc] : 0.0f;
+        const float* srow = src + oc * src_stride;
+        for (std::size_t n = 0; n < nb; ++n) {
+            float* dst = out_ptr + ((img0 + n) * out_c + oc) * plane;
+            const float* col = srow + n * plane;
+            for (std::size_t i = 0; i < plane; ++i) { dst[i] = col[i] + b; }
         }
-    };
-    if (conv_fan_out(out_c * nb * plane) && out_c > 1) {
-        parallel_for(out_c, scatter_rows);
-    } else {
-        scatter_rows(0, out_c);
     }
 }
 
 /// Lowers ONE patch row (absolute index `patch_row`) of the whole batch
 /// into `drow` (length batch*oh*ow) — the unit both im2col entry points
-/// parallelize over, since patch rows write disjoint destination rows.
+/// loop over.
 void lower_patch_row(const float* input, std::size_t batch, std::size_t in_h,
                      std::size_t in_w, const conv2d_spec& spec, std::size_t patch_row,
                      float* drow_base) {
@@ -141,18 +119,8 @@ std::size_t conv_lowering_budget_bytes() {
 void im2col_batch(const float* input, std::size_t batch, std::size_t in_h, std::size_t in_w,
                   const conv2d_spec& spec, float* dst) {
     const std::size_t total_cols = batch * spec.out_h(in_h) * spec.out_w(in_w);
-    const std::size_t patch = spec.patch_size();
-    const auto lower_rows = [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            lower_patch_row(input, batch, in_h, in_w, spec, r, dst + r * total_cols);
-        }
-    };
-    // Patch rows write disjoint destination rows and read the input
-    // immutably — any partition is bit-identical to the serial loop.
-    if (conv_fan_out(patch * total_cols) && patch > 1) {
-        parallel_for(patch, lower_rows);
-    } else {
-        lower_rows(0, patch);
+    for (std::size_t r = 0; r < spec.patch_size(); ++r) {
+        lower_patch_row(input, batch, in_h, in_w, spec, r, dst + r * total_cols);
     }
 }
 
@@ -164,47 +132,38 @@ void col2im_batch(const float* columns, std::size_t batch, std::size_t in_h, std
     const std::size_t total_cols = batch * out_cols;
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     // Patch rows of different kernel taps accumulate onto OVERLAPPING input
-    // pixels, so the parallel split is by IMAGE: every destination pixel's
-    // accumulation chain stays on one thread in ascending patch-row order —
-    // the exact per-pixel chain of the serial loop (which interleaves
-    // images but visits each pixel's taps in the same order).
-    const auto scatter_images = [&](std::size_t n0, std::size_t n1) {
-        std::size_t patch_row = 0;
-        for (std::size_t c = 0; c < spec.in_channels; ++c) {
-            for (std::size_t kh = 0; kh < spec.kernel_h; ++kh) {
-                for (std::size_t kw = 0; kw < spec.kernel_w; ++kw, ++patch_row) {
-                    const float* prow = columns + patch_row * total_cols;
-                    for (std::size_t n = n0; n < n1; ++n) {
-                        float* img = dst + n * image_elems;
-                        const float* srow = prow + n * out_cols;
-                        for (std::size_t oy = 0; oy < oh; ++oy) {
-                            const std::ptrdiff_t iy =
-                                static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
+    // pixels; each pixel's += chain visits its taps in ascending patch-row
+    // order.
+    std::size_t patch_row = 0;
+    for (std::size_t c = 0; c < spec.in_channels; ++c) {
+        for (std::size_t kh = 0; kh < spec.kernel_h; ++kh) {
+            for (std::size_t kw = 0; kw < spec.kernel_w; ++kw, ++patch_row) {
+                const float* prow = columns + patch_row * total_cols;
+                for (std::size_t n = 0; n < batch; ++n) {
+                    float* img = dst + n * image_elems;
+                    const float* srow = prow + n * out_cols;
+                    for (std::size_t oy = 0; oy < oh; ++oy) {
+                        const std::ptrdiff_t iy =
+                            static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
+                            static_cast<std::ptrdiff_t>(spec.padding);
+                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
+                            continue;
+                        }
+                        float* irow =
+                            img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
+                        for (std::size_t ox = 0; ox < ow; ++ox) {
+                            const std::ptrdiff_t ix =
+                                static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
                                 static_cast<std::ptrdiff_t>(spec.padding);
-                            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
+                            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) {
                                 continue;
                             }
-                            float* irow =
-                                img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
-                            for (std::size_t ox = 0; ox < ow; ++ox) {
-                                const std::ptrdiff_t ix =
-                                    static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
-                                    static_cast<std::ptrdiff_t>(spec.padding);
-                                if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) {
-                                    continue;
-                                }
-                                irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
-                            }
+                            irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
                         }
                     }
                 }
             }
         }
-    };
-    if (conv_fan_out(spec.patch_size() * total_cols) && batch > 1) {
-        parallel_for(batch, scatter_images);
-    } else {
-        scatter_images(0, batch);
     }
 }
 
@@ -309,15 +268,8 @@ void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
                        std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
                        std::size_t nrows, float* dst) {
     const std::size_t total_cols = batch * spec.out_h(in_h) * spec.out_w(in_w);
-    const auto lower_rows = [&](std::size_t r0, std::size_t r1) {
-        for (std::size_t r = r0; r < r1; ++r) {
-            lower_patch_row(input, batch, in_h, in_w, spec, rows[r], dst + r * total_cols);
-        }
-    };
-    if (conv_fan_out(nrows * total_cols) && nrows > 1) {
-        parallel_for(nrows, lower_rows);
-    } else {
-        lower_rows(0, nrows);
+    for (std::size_t r = 0; r < nrows; ++r) {
+        lower_patch_row(input, batch, in_h, in_w, spec, rows[r], dst + r * total_cols);
     }
 }
 
@@ -336,41 +288,33 @@ void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h
     const std::size_t total_cols = batch * out_cols;
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     const std::size_t taps = spec.kernel_h * spec.kernel_w;
-    // Same split-by-image law as col2im_batch: every destination pixel's
-    // += chain stays on one thread, visiting the listed patch rows in
-    // ascending order — the serial full adjoint's per-pixel order with the
+    // Every destination pixel's += chain visits the listed patch rows in
+    // ascending order — the full adjoint's per-pixel order with the
     // zero-contribution (all-padding) rows absent.
-    const auto scatter_images = [&](std::size_t n0, std::size_t n1) {
-        for (std::size_t r = 0; r < nrows; ++r) {
-            const std::size_t patch_row = rows[r];
-            const std::size_t c = patch_row / taps;
-            const std::size_t kh = (patch_row % taps) / spec.kernel_w;
-            const std::size_t kw = patch_row % spec.kernel_w;
-            const float* prow = columns + r * total_cols;
-            for (std::size_t n = n0; n < n1; ++n) {
-                float* img = dst + n * image_elems;
-                const float* srow = prow + n * out_cols;
-                for (std::size_t oy = 0; oy < oh; ++oy) {
-                    const std::ptrdiff_t iy =
-                        static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
+    for (std::size_t r = 0; r < nrows; ++r) {
+        const std::size_t patch_row = rows[r];
+        const std::size_t c = patch_row / taps;
+        const std::size_t kh = (patch_row % taps) / spec.kernel_w;
+        const std::size_t kw = patch_row % spec.kernel_w;
+        const float* prow = columns + r * total_cols;
+        for (std::size_t n = 0; n < batch; ++n) {
+            float* img = dst + n * image_elems;
+            const float* srow = prow + n * out_cols;
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                const std::ptrdiff_t iy =
+                    static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
+                    static_cast<std::ptrdiff_t>(spec.padding);
+                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) { continue; }
+                float* irow = img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    const std::ptrdiff_t ix =
+                        static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
                         static_cast<std::ptrdiff_t>(spec.padding);
-                    if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) { continue; }
-                    float* irow = img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
-                    for (std::size_t ox = 0; ox < ow; ++ox) {
-                        const std::ptrdiff_t ix =
-                            static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
-                            static_cast<std::ptrdiff_t>(spec.padding);
-                        if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) { continue; }
-                        irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
-                    }
+                    if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) { continue; }
+                    irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
                 }
             }
         }
-    };
-    if (conv_fan_out(nrows * total_cols) && batch > 1) {
-        parallel_for(batch, scatter_images);
-    } else {
-        scatter_images(0, batch);
     }
 }
 
@@ -529,21 +473,14 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
         }
 
         // Gather dY from [N, O, plane] into the lowered [O, nb*plane]
-        // layout. Channels write disjoint rows — parallel-safe.
+        // layout.
         workspace::buffer gobuf = ws.acquire(out_c * cols);
-        const auto gather_rows = [&](std::size_t oc0, std::size_t oc1) {
-            for (std::size_t oc = oc0; oc < oc1; ++oc) {
-                float* drow = gobuf.data() + oc * cols;
-                for (std::size_t n = 0; n < nb; ++n) {
-                    const float* src = grad_out + ((n0 + n) * out_c + oc) * plane;
-                    std::memcpy(drow + n * plane, src, plane * sizeof(float));
-                }
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            float* drow = gobuf.data() + oc * cols;
+            for (std::size_t n = 0; n < nb; ++n) {
+                const float* src = grad_out + ((n0 + n) * out_c + oc) * plane;
+                std::memcpy(drow + n * plane, src, plane * sizeof(float));
             }
-        };
-        if (conv_fan_out(out_c * cols) && out_c > 1) {
-            parallel_for(out_c, gather_rows);
-        } else {
-            gather_rows(0, out_c);
         }
 
         // dW += dY · colsᵀ — one GEMM for the whole chunk, straight into
@@ -552,20 +489,12 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
         gemm_nt(out_c, krows, cols, gobuf.data(), cols, colbuf.data(), cols,
                 skip ? dwcompact.data() : gw, krows, /*accumulate=*/true, ws);
 
-        // db += row sums of dY. Each channel's sum is an independent serial
-        // chain, so splitting channels across threads changes no bit.
-        const auto bias_rows = [&](std::size_t oc0, std::size_t oc1) {
-            for (std::size_t oc = oc0; oc < oc1; ++oc) {
-                const float* row = gobuf.data() + oc * cols;
-                float acc = 0.0f;
-                for (std::size_t i = 0; i < cols; ++i) { acc += row[i]; }
-                gb[oc] += acc;
-            }
-        };
-        if (conv_fan_out(out_c * cols) && out_c > 1) {
-            parallel_for(out_c, bias_rows);
-        } else {
-            bias_rows(0, out_c);
+        // db += row sums of dY, one serial chain per channel.
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            const float* row = gobuf.data() + oc * cols;
+            float acc = 0.0f;
+            for (std::size_t i = 0; i < cols; ++i) { acc += row[i]; }
+            gb[oc] += acc;
         }
 
         // dX += col2im(Wᵀ · dY); the column gradient reuses the im2col slab

@@ -11,16 +11,8 @@
 // workspace arena (no per-image copies, no per-call allocation after
 // warm-up). When the patch matrix would exceed the lowering budget the
 // batch is split into fixed-size image chunks — a shape-only decision, so
-// results stay deterministic for a given geometry.
-//
-// Intra-op parallelism: when the process-wide budget (set_intra_op_threads
-// / --gemm-threads) exceeds 1, large lowering/scatter loops fan out over
-// the persistent intra-op pool — im2col by patch row (disjoint destination
-// rows), col2im by image (each pixel's += chain stays whole on one thread
-// in serial order), output scatter and the backward dY gather/bias sums by
-// channel. Every partition keeps each output element's operation sequence
-// identical to the serial loop, so results are bit-identical at any
-// budget; the engage thresholds are shape-only.
+// results stay deterministic for a given geometry. Every loop runs
+// serially on the calling thread.
 #pragma once
 
 #include "tensor/tensor.h"

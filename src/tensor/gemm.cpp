@@ -5,18 +5,10 @@
 
 #include "tensor/workspace.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 
 namespace {
-
-// Minimum multiply-add count before a GEMM fans out over the intra-op pool:
-// below this the fork/join overhead (a few microseconds per parallel_for)
-// eats the win. A shape-only decision — and even above it, parallel results
-// are bit-identical to serial (the partition never splits a K chain), so
-// the threshold only moves wall-clock time.
-constexpr double k_gemm_parallel_min_madds = 512.0 * 1024.0;
 
 // Register micro-tile: MR rows x NR columns of C held in registers while
 // the packed K panel streams through. NR = 16 makes the unrolled j loop two
@@ -174,32 +166,36 @@ micro_kernel_fn select_micro_kernel() {
 
 const micro_kernel_fn micro_kernel = select_micro_kernel();
 
-/// Serial core over a sub-grid of macro-tiles: NC panel columns
-/// [jb0, jb1) x MC block rows [ib0, ib1) of C[m,n] (+)= A · B, where A
-/// element (i, p) sits at a[i*ars + p*acs] and B element (p, j) at
-/// b[p*brs + j*bcs]. Each B cache panel is packed once per panel column and
-/// shared across that column's M blocks — the parallel driver hands a
-/// thread whole columns (or whole block rows), so packing work per thread
-/// matches the serial schedule. For every C element inside the sub-grid the
-/// operations and their order are EXACTLY the full serial call's: KC panels
-/// ascending, p ascending within a panel — the never-split-K rule that
-/// makes any tiling of the macro grid bit-identical.
+/// Shared driver: C[m,n] (+)= A · B, where A element (i, p) sits at
+/// a[i*ars + p*acs] and B element (p, j) at b[p*brs + j*bcs]. Each B cache
+/// panel is packed once per NC panel column and shared across that column's
+/// MC block rows. For every C element the order of operations is fixed:
+/// KC panels ascending, p ascending within a panel.
 ///
 /// With a non-null `krows` (a gemm_k_subset over the original k), B's row
 /// index p is COMPACT: compact row p stands for original row krows[p], and
 /// A is packed from those original columns (acs must be 1). KC panel
 /// boundaries follow the ORIGINAL k, so every element's chain is the full
 /// chain with the missing rows' exact-zero products removed.
-void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float* a,
-                        std::size_t ars, std::size_t acs, const float* b, std::size_t brs,
-                        std::size_t bcs, float* c, std::size_t ldc, bool accumulate,
-                        const std::size_t* krows, std::size_t k_compact, std::size_t jb0,
-                        std::size_t jb1, std::size_t ib0, std::size_t ib1, workspace& ws) {
+void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t ars,
+                  std::size_t acs, const float* b, std::size_t brs, std::size_t bcs, float* c,
+                  std::size_t ldc, bool accumulate, workspace& ws,
+                  const std::size_t* krows = nullptr, std::size_t k_compact = 0) {
+    if (krows == nullptr) { k_compact = k; }
+    if (m == 0 || n == 0) { return; }
+    if (k_compact == 0) {
+        if (!accumulate) {
+            for (std::size_t i = 0; i < m; ++i) {
+                std::memset(c + i * ldc, 0, n * sizeof(float));
+            }
+        }
+        return;
+    }
+
     workspace::buffer apack = ws.acquire(MC * KC);
     workspace::buffer bpack = ws.acquire(KC * NC);
 
-    for (std::size_t jb = jb0; jb < jb1; ++jb) {
-        const std::size_t jc = jb * NC;
+    for (std::size_t jc = 0; jc < n; jc += NC) {
         const std::size_t nc = std::min(NC, n - jc);
         bool first_panel = true;
         std::size_t c0 = 0;  // compact row where the current panel starts
@@ -218,8 +214,7 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
             const bool overwrite = !accumulate && first_panel;
             first_panel = false;
             pack_b(b + c0 * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
-            for (std::size_t ib = ib0; ib < ib1; ++ib) {
-                const std::size_t ic = ib * MC;
+            for (std::size_t ic = 0; ic < m; ic += MC) {
                 const std::size_t mc = std::min(MC, m - ic);
                 if (krows == nullptr) {
                     pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
@@ -253,56 +248,6 @@ void gemm_strided_tiles(std::size_t m, std::size_t n, std::size_t k, const float
             }
             c0 = c1;
         }
-    }
-}
-
-/// Shared driver: C[m,n] (+)= A · B with the strides (and optional k
-/// subset) of gemm_strided_tiles. Large products fan the macro-tile grid
-/// out over the intra-op pool (parallel_for), partitioned along whichever
-/// of the N/M axes has more macro-tiles; K is NEVER split, each C element
-/// is written by exactly one thread, and every thread runs the serial
-/// schedule on its sub-grid — so results are bit-identical at any intra-op
-/// budget. N-major partitions (the common big-activation shapes) pack each
-/// B panel once per owning thread, exactly as often as the serial loop; the
-/// rare M-major fallback (tall-skinny C) repacks the small B panels per
-/// thread. Pool workers draw packing scratch from their own thread-local
-/// arenas.
-void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t ars,
-                  std::size_t acs, const float* b, std::size_t brs, std::size_t bcs, float* c,
-                  std::size_t ldc, bool accumulate, workspace& ws,
-                  const std::size_t* krows = nullptr, std::size_t k_compact = 0) {
-    if (krows == nullptr) { k_compact = k; }
-    if (m == 0 || n == 0) { return; }
-    if (k_compact == 0) {
-        if (!accumulate) {
-            for (std::size_t i = 0; i < m; ++i) {
-                std::memset(c + i * ldc, 0, n * sizeof(float));
-            }
-        }
-        return;
-    }
-
-    const std::size_t jblocks = (n + NC - 1) / NC;
-    const std::size_t iblocks = (m + MC - 1) / MC;
-    const double madds =
-        static_cast<double>(m) * static_cast<double>(n) * static_cast<double>(k_compact);
-    const bool fan_out = should_fan_out(madds, k_gemm_parallel_min_madds) &&
-                         (jblocks > 1 || iblocks > 1);
-    if (!fan_out) {
-        gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, krows,
-                           k_compact, 0, jblocks, 0, iblocks, ws);
-        return;
-    }
-    if (jblocks >= iblocks) {
-        parallel_for(jblocks, [&](std::size_t jb0, std::size_t jb1) {
-            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, krows,
-                               k_compact, jb0, jb1, 0, iblocks, workspace::local());
-        });
-    } else {
-        parallel_for(iblocks, [&](std::size_t ib0, std::size_t ib1) {
-            gemm_strided_tiles(m, n, k, a, ars, acs, b, brs, bcs, c, ldc, accumulate, krows,
-                               k_compact, 0, jblocks, ib0, ib1, workspace::local());
-        });
     }
 }
 

@@ -16,21 +16,13 @@
 //
 // Determinism: for a fixed (m, n, k) the accumulation order of every output
 // element is fixed — KC panels in ascending order, p ascending within a
-// panel — independent of input values, thread count, or pool state. There
-// is deliberately no data-dependent shortcut (the seed kernel's
+// panel — independent of input values or workspace state. There is
+// deliberately no data-dependent shortcut (the seed kernel's
 // `if (a == 0) continue;` made runtime input-dependent and silently dropped
 // NaN/Inf propagation from B).
 //
-// Intra-op parallelism: when the process-wide intra-op budget
-// (util/thread_pool.h, set_intra_op_threads / --gemm-threads) exceeds 1 and
-// the product is large enough to amortize the fork/join, the drivers fan
-// the macro-tile grid out over the persistent intra-op pool — whole NC
-// panel columns per thread (or whole MC block rows for tall-skinny C). The
-// K dimension is NEVER split across threads: each output element's
-// accumulation chain runs on exactly one thread in the serial order, so
-// every result is bit-identical at any budget, including NaN/Inf
-// propagation. The threshold and partition depend only on shapes and the
-// budget, never on data.
+// Every call runs serially on the calling thread; parallelism lives one
+// level up, in the sweep/fleet workers (util/thread_pool.h).
 #pragma once
 
 #include <cstddef>

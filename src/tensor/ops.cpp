@@ -5,7 +5,6 @@
 #include "tensor/gemm.h"
 #include "tensor/workspace.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 
@@ -24,24 +23,6 @@ void check_rank2(const tensor& a, const char* op) {
     }
 }
 
-// Minimum element count before an elementwise pass fans out over the
-// intra-op pool — these are memory-bound streams, so the bar matches the
-// column-sums one. Every loop below has one independent operation chain per
-// element (never a cross-element reduction), so ANY contiguous partition
-// produces the serial bits; the threshold is shape-only and moves
-// wall-clock time, never results.
-constexpr double k_elementwise_min_elems = 256.0 * 1024.0;
-
-/// Runs `body(i0, i1)` over [0, n), fanned out when n crosses the
-/// elementwise bar — the shared gate of every per-element loop here.
-void for_each_range(std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-    if (should_fan_out(static_cast<double>(n), k_elementwise_min_elems) && n > 1) {
-        parallel_for(n, body);
-    } else {
-        body(0, n);
-    }
-}
-
 }  // namespace
 
 tensor add(const tensor& a, const tensor& b) {
@@ -56,9 +37,7 @@ tensor sub(const tensor& a, const tensor& b) {
     tensor c = a;
     float* out = c.raw();
     const float* rhs = b.raw();
-    for_each_range(c.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) { out[i] -= rhs[i]; }
-    });
+    for (std::size_t i = 0, n = c.numel(); i < n; ++i) { out[i] -= rhs[i]; }
     return c;
 }
 
@@ -79,34 +58,26 @@ void add_inplace(tensor& a, const tensor& b) {
     check_same_shape(a, b, "add_inplace");
     float* out = a.raw();
     const float* rhs = b.raw();
-    for_each_range(a.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) { out[i] += rhs[i]; }
-    });
+    for (std::size_t i = 0, n = a.numel(); i < n; ++i) { out[i] += rhs[i]; }
 }
 
 void axpy_inplace(tensor& a, float s, const tensor& b) {
     check_same_shape(a, b, "axpy_inplace");
     float* out = a.raw();
     const float* rhs = b.raw();
-    for_each_range(a.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) { out[i] += s * rhs[i]; }
-    });
+    for (std::size_t i = 0, n = a.numel(); i < n; ++i) { out[i] += s * rhs[i]; }
 }
 
 void mul_inplace(tensor& a, const tensor& b) {
     check_same_shape(a, b, "mul_inplace");
     float* out = a.raw();
     const float* rhs = b.raw();
-    for_each_range(a.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) { out[i] *= rhs[i]; }
-    });
+    for (std::size_t i = 0, n = a.numel(); i < n; ++i) { out[i] *= rhs[i]; }
 }
 
 void scale_inplace(tensor& a, float s) {
     float* out = a.raw();
-    for_each_range(a.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) { out[i] *= s; }
-    });
+    for (std::size_t i = 0, n = a.numel(); i < n; ++i) { out[i] *= s; }
 }
 
 tensor matmul(const tensor& a, const tensor& b) {
@@ -177,22 +148,9 @@ void add_row_bias_inplace(tensor& a, const tensor& bias) {
     const std::size_t n = a.extent(1);
     float* pa = a.raw();
     const float* pb = bias.raw();
-    // Partitioned by ROW so a chunk owns whole rows (contiguous writes,
-    // bias vector re-read per thread); each element is touched exactly once
-    // either way.
-    const auto add_rows = [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            float* row = pa + i * n;
-            for (std::size_t j = 0; j < n; ++j) { row[j] += pb[j]; }
-        }
-    };
-    constexpr double k_row_bias_min_elems = 256.0 * 1024.0;
-    if (should_fan_out(static_cast<double>(m) * static_cast<double>(n),
-                       k_row_bias_min_elems) &&
-        m > 1) {
-        parallel_for(m, add_rows);
-    } else {
-        add_rows(0, m);
+    for (std::size_t i = 0; i < m; ++i) {
+        float* row = pa + i * n;
+        for (std::size_t j = 0; j < n; ++j) { row[j] += pb[j]; }
     }
 }
 
@@ -212,26 +170,10 @@ void column_sums_acc(const tensor& a, tensor& sums) {
                                            << a.describe());
     const float* pa = a.raw();
     float* ps = sums.raw();
-    // Parallel split is by COLUMN: each output element's accumulation chain
-    // (rows ascending) stays whole on one thread, so any intra-op budget
-    // produces the serial bits. Row-major reads per thread stay strided but
-    // the matrices here are wide bias-gradient blocks — bandwidth-bound
-    // either way.
-    const auto sum_cols = [&](std::size_t j0, std::size_t j1) {
-        for (std::size_t i = 0; i < m; ++i) {
-            const float* row = pa + i * n;
-            for (std::size_t j = j0; j < j1; ++j) { ps[j] += row[j]; }
-        }
-    };
-    // Bias-gradient blocks are memory-bound like the conv scatters, so the
-    // same element bar applies (doubled: the strided reads are colder).
-    constexpr double k_column_sums_min_elems = 256.0 * 1024.0;
-    if (should_fan_out(static_cast<double>(m) * static_cast<double>(n),
-                       k_column_sums_min_elems) &&
-        n > 1) {
-        parallel_for(n, sum_cols);
-    } else {
-        sum_cols(0, n);
+    // Each output element's accumulation chain runs over rows ascending.
+    for (std::size_t i = 0; i < m; ++i) {
+        const float* row = pa + i * n;
+        for (std::size_t j = 0; j < n; ++j) { ps[j] += row[j]; }
     }
 }
 
@@ -301,9 +243,9 @@ std::vector<std::size_t> argmax_rows(const tensor& a) {
 tensor relu(const tensor& a) {
     tensor out = a;
     float* po = out.raw();
-    for_each_range(out.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) { po[i] = po[i] > 0.0f ? po[i] : 0.0f; }
-    });
+    for (std::size_t i = 0, n = out.numel(); i < n; ++i) {
+        po[i] = po[i] > 0.0f ? po[i] : 0.0f;
+    }
     return out;
 }
 
@@ -312,11 +254,9 @@ tensor relu_backward(const tensor& grad_out, const tensor& input) {
     tensor grad_in = grad_out;
     float* pg = grad_in.raw();
     const float* px = input.raw();
-    for_each_range(grad_in.numel(), [&](std::size_t i0, std::size_t i1) {
-        for (std::size_t i = i0; i < i1; ++i) {
-            if (px[i] <= 0.0f) { pg[i] = 0.0f; }
-        }
-    });
+    for (std::size_t i = 0, n = grad_in.numel(); i < n; ++i) {
+        if (px[i] <= 0.0f) { pg[i] = 0.0f; }
+    }
     return grad_in;
 }
 

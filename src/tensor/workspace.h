@@ -11,11 +11,8 @@
 // the parallel sweep/fleet workers each own an independent pool without
 // locking. Fleet/sweep worker threads are short-lived (run_workers builds
 // a pool per fan-out), so a worker's slabs are released when its thread
-// exits. The intra-op pool behind parallel_for is PERSISTENT: its workers'
-// arenas live for the process and stay warm across every parallel GEMM /
-// conv lowering, bounded by the largest packing block a kernel chunk ever
-// leased. The main thread's arena likewise persists and is bounded by the
-// largest layer it ever lowered.
+// exits. The main thread's arena persists and is bounded by the largest
+// layer it ever lowered.
 //
 // Determinism: the arena only recycles memory — it never changes the
 // numbers a kernel produces, so sweep/fleet bit-identical guarantees are

@@ -33,46 +33,51 @@ cli_args::cli_args(int argc, const char* const* argv) {
     }
 }
 
-bool cli_args::has(const std::string& name) const { return options_.count(name) > 0; }
+const std::string* cli_args::find(const std::string& name) const {
+    read_.insert(name);
+    const auto it = options_.find(name);
+    return it == options_.end() ? nullptr : &it->second;
+}
+
+bool cli_args::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string cli_args::get(const std::string& name, const std::string& fallback) const {
-    const auto it = options_.find(name);
-    return it == options_.end() ? fallback : it->second;
+    const std::string* value = find(name);
+    return value == nullptr ? fallback : *value;
 }
 
 std::int64_t cli_args::get_int(const std::string& name, std::int64_t fallback) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) { return fallback; }
+    const std::string* text = find(name);
+    if (text == nullptr) { return fallback; }
     char* end = nullptr;
-    const long long value = std::strtoll(it->second.c_str(), &end, 10);
-    REDUCE_CHECK(end != nullptr && *end == '\0' && !it->second.empty(),
-                 "option --" << name << " expects an integer, got '" << it->second << "'");
+    const long long value = std::strtoll(text->c_str(), &end, 10);
+    REDUCE_CHECK(end != nullptr && *end == '\0' && !text->empty(),
+                 "option --" << name << " expects an integer, got '" << *text << "'");
     return value;
 }
 
 double cli_args::get_double(const std::string& name, double fallback) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) { return fallback; }
+    const std::string* text = find(name);
+    if (text == nullptr) { return fallback; }
     char* end = nullptr;
-    const double value = std::strtod(it->second.c_str(), &end);
-    REDUCE_CHECK(end != nullptr && *end == '\0' && !it->second.empty(),
-                 "option --" << name << " expects a number, got '" << it->second << "'");
+    const double value = std::strtod(text->c_str(), &end);
+    REDUCE_CHECK(end != nullptr && *end == '\0' && !text->empty(),
+                 "option --" << name << " expects a number, got '" << *text << "'");
     return value;
 }
 
 bool cli_args::get_flag(const std::string& name) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) { return false; }
-    const std::string& v = it->second;
-    return v.empty() || v == "1" || v == "true" || v == "yes" || v == "on";
+    const std::string* v = find(name);
+    if (v == nullptr) { return false; }
+    return v->empty() || *v == "1" || *v == "true" || *v == "yes" || *v == "on";
 }
 
 std::vector<double> cli_args::get_double_list(const std::string& name,
                                               const std::vector<double>& fallback) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) { return fallback; }
+    const std::string* text = find(name);
+    if (text == nullptr) { return fallback; }
     std::vector<double> values;
-    std::stringstream ss(it->second);
+    std::stringstream ss(*text);
     std::string item;
     while (std::getline(ss, item, ',')) {
         char* end = nullptr;
@@ -87,10 +92,10 @@ std::vector<double> cli_args::get_double_list(const std::string& name,
 
 std::vector<std::string> cli_args::get_string_list(
     const std::string& name, const std::vector<std::string>& fallback) const {
-    const auto it = options_.find(name);
-    if (it == options_.end()) { return fallback; }
+    const std::string* text = find(name);
+    if (text == nullptr) { return fallback; }
     std::vector<std::string> values;
-    std::stringstream ss(it->second);
+    std::stringstream ss(*text);
     std::string item;
     while (std::getline(ss, item, ',')) {
         REDUCE_CHECK(!item.empty(), "option --" << name << " has an empty element");
@@ -98,6 +103,18 @@ std::vector<std::string> cli_args::get_string_list(
     }
     REDUCE_CHECK(!values.empty(), "option --" << name << " is an empty list");
     return values;
+}
+
+void cli_args::reject_unread_options() const {
+    std::string unread;
+    for (const auto& entry : options_) {
+        if (read_.count(entry.first) == 0) {
+            unread += (unread.empty() ? "--" : ", --") + entry.first;
+        }
+    }
+    if (!unread.empty()) {
+        throw invalid_argument_error(program_ + ": unknown option(s) " + unread);
+    }
 }
 
 }  // namespace reduce

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -47,10 +48,20 @@ public:
     std::vector<std::string> get_string_list(
         const std::string& name, const std::vector<std::string>& fallback) const;
 
+    /// Throws invalid_argument_error naming every option on the command
+    /// line that no accessor above has looked up. Harnesses call it once
+    /// their options are read and before any work starts, so a misspelt
+    /// or removed option fails instead of being silently ignored.
+    void reject_unread_options() const;
+
 private:
+    /// The option's value, or nullptr when absent; records `name` as read.
+    const std::string* find(const std::string& name) const;
+
     std::string program_;
     std::map<std::string, std::string> options_;
     std::vector<std::string> positional_;
+    mutable std::set<std::string> read_;
 };
 
 }  // namespace reduce

@@ -340,6 +340,9 @@ private:
         char* end = nullptr;
         const double value = std::strtod(token.c_str(), &end);
         if (end == nullptr || *end != '\0') { fail("malformed number '" + token + "'"); }
+        // Overflow parses to inf, which dump() cannot write back as JSON.
+        // Denormals (which may set ERANGE) are finite and round-trip.
+        if (!std::isfinite(value)) { fail("number '" + token + "' overflows a double"); }
         return json_value(value);
     }
 

@@ -1,145 +1,11 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
-#include <memory>
 #include <utility>
 
 #include "util/error.h"
-#include "util/log.h"
 
 namespace reduce {
-
-namespace {
-
-/// Set while the calling thread executes a parallel_for body — on the
-/// caller thread and on the intra-op pool workers alike. Both parallel_for
-/// and run_workers refuse to start a new parallel region under it (the
-/// nesting rule of thread_pool.h).
-thread_local bool in_parallel_region = false;
-
-/// RAII flag for exception safety around body execution.
-struct region_guard {
-    region_guard() { in_parallel_region = true; }
-    ~region_guard() { in_parallel_region = false; }
-};
-
-/// Process-wide intra-op budget (resolved: never 0). Relaxed atomics are
-/// enough — the budget is a performance hint read at kernel entry, and
-/// results are budget-independent by construction.
-std::atomic<std::size_t> intra_op_budget{1};
-
-/// One parallel_for invocation: a chunk counter every participant (caller +
-/// pool workers) drains, and a completion count the caller waits on. The
-/// pool holds shared_ptr references, so a task outlives any late worker
-/// that picks its queue entry up after the caller already finished it.
-struct parallel_task {
-    const std::function<void(std::size_t, std::size_t)>* body = nullptr;
-    std::size_t n = 0;
-    std::size_t chunks = 0;
-    std::atomic<std::size_t> next{0};
-
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t finished = 0;  ///< guarded by mutex
-    std::exception_ptr first_error;
-
-    /// Balanced contiguous split: chunk `index` of `chunks` over [0, n).
-    std::pair<std::size_t, std::size_t> range(std::size_t index) const {
-        const std::size_t base = n / chunks;
-        const std::size_t rem = n % chunks;
-        const std::size_t begin = index * base + std::min(index, rem);
-        return {begin, begin + base + (index < rem ? 1 : 0)};
-    }
-
-    /// Claims and runs chunks until none remain. Safe to call from any
-    /// number of threads; each chunk runs exactly once.
-    void drain() {
-        for (;;) {
-            const std::size_t index = next.fetch_add(1, std::memory_order_relaxed);
-            if (index >= chunks) { return; }
-            const auto [begin, end] = range(index);
-            try {
-                region_guard guard;
-                (*body)(begin, end);
-            } catch (...) {
-                std::lock_guard<std::mutex> lock(mutex);
-                if (!first_error) { first_error = std::current_exception(); }
-            }
-            {
-                std::lock_guard<std::mutex> lock(mutex);
-                ++finished;
-            }
-            done.notify_one();
-        }
-    }
-};
-
-/// The persistent intra-op pool. Grows lazily to the largest budget ever
-/// requested and never shrinks (idle workers cost a blocked futex each);
-/// queue entries are help OFFERS, not obligations — a task completes once
-/// its chunk counter is exhausted, regardless of how many offers were
-/// consumed, so dropping stale entries at shutdown is safe.
-class intra_op_pool {
-public:
-    static intra_op_pool& instance() {
-        static intra_op_pool pool;
-        return pool;
-    }
-
-    /// Posts `copies` help offers for `task` and grows the pool to at least
-    /// `copies` workers.
-    void offer(const std::shared_ptr<parallel_task>& task, std::size_t copies) {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            while (workers_.size() < copies) {
-                workers_.emplace_back([this] { worker_loop(); });
-            }
-            for (std::size_t i = 0; i < copies; ++i) { queue_.push_back(task); }
-        }
-        if (copies == 1) {
-            available_.notify_one();
-        } else {
-            available_.notify_all();
-        }
-    }
-
-private:
-    intra_op_pool() = default;
-
-    ~intra_op_pool() {
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            stopping_ = true;
-        }
-        available_.notify_all();
-        for (std::thread& worker : workers_) {
-            if (worker.joinable()) { worker.join(); }
-        }
-    }
-
-    void worker_loop() {
-        for (;;) {
-            std::shared_ptr<parallel_task> task;
-            {
-                std::unique_lock<std::mutex> lock(mutex_);
-                available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-                if (queue_.empty()) { return; }  // stopping
-                task = std::move(queue_.front());
-                queue_.pop_front();
-            }
-            task->drain();
-        }
-    }
-
-    std::vector<std::thread> workers_;
-    std::deque<std::shared_ptr<parallel_task>> queue_;
-    std::mutex mutex_;
-    std::condition_variable available_;
-    bool stopping_ = false;
-};
-
-}  // namespace
 
 std::size_t resolve_thread_count(std::size_t requested, std::size_t cap) {
     std::size_t count = requested;
@@ -156,69 +22,8 @@ std::size_t cap_group_at_fair_share(std::size_t group, std::size_t items,
     return std::min(std::max<std::size_t>(1, group), std::max<std::size_t>(1, fair));
 }
 
-thread_budget resolve_thread_budget(std::size_t fleet_workers, std::size_t gemm_threads,
-                                    std::size_t work_items) {
-    thread_budget budget;
-    budget.fleet_workers = resolve_thread_count(fleet_workers, work_items);
-    budget.gemm_threads = resolve_thread_count(gemm_threads);
-    const std::size_t hardware =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    if (budget.fleet_workers > 1 &&
-        budget.fleet_workers * budget.gemm_threads > hardware) {
-        const std::size_t shrunk =
-            std::max<std::size_t>(1, hardware / budget.fleet_workers);
-        if (shrunk < budget.gemm_threads) {
-            LOG_WARN << "thread budget: " << budget.fleet_workers << " fleet workers x "
-                     << budget.gemm_threads << " gemm threads oversubscribes "
-                     << hardware << " hardware threads; shrinking gemm threads to "
-                     << shrunk;
-            budget.gemm_threads = shrunk;
-        }
-    }
-    return budget;
-}
-
-std::size_t set_intra_op_threads(std::size_t threads) {
-    return intra_op_budget.exchange(resolve_thread_count(threads),
-                                    std::memory_order_relaxed);
-}
-
-std::size_t intra_op_threads() {
-    return intra_op_budget.load(std::memory_order_relaxed);
-}
-
-bool in_intra_op_region() { return in_parallel_region; }
-
-void parallel_for(std::size_t n, const std::function<void(std::size_t, std::size_t)>& body) {
-    if (n == 0) { return; }
-    REDUCE_CHECK(!in_parallel_region,
-                 "parallel_for invoked re-entrantly from inside a parallel region; "
-                 "parallel regions do not nest (see the nesting rule in "
-                 "util/thread_pool.h)");
-    const std::size_t threads = std::min(intra_op_threads(), n);
-    if (threads <= 1) {
-        // Serial inline — still a region, so nested calls fail at ANY
-        // budget instead of only when a pool is involved.
-        region_guard guard;
-        body(0, n);
-        return;
-    }
-    auto task = std::make_shared<parallel_task>();
-    task->body = &body;
-    task->n = n;
-    task->chunks = threads;
-    intra_op_pool::instance().offer(task, threads - 1);
-    task->drain();  // the caller always participates — deadlock-free
-    std::unique_lock<std::mutex> lock(task->mutex);
-    task->done.wait(lock, [&] { return task->finished == task->chunks; });
-    if (task->first_error) { std::rethrow_exception(task->first_error); }
-}
-
 void run_workers(std::size_t workers, const std::function<void()>& job) {
     REDUCE_CHECK(workers >= 1, "run_workers needs at least one worker");
-    REDUCE_CHECK(!in_parallel_region,
-                 "run_workers invoked from inside a parallel_for body; parallel "
-                 "regions do not nest (see the nesting rule in util/thread_pool.h)");
     if (workers == 1) {
         job();
         return;

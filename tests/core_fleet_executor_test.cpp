@@ -167,43 +167,34 @@ TEST_F(FleetExecutorFixture, OutcomesAreThreadCountIndependent) {
     }
 }
 
-TEST_F(FleetExecutorFixture, OutcomesAndSnapshotsAreGemmThreadIndependent) {
-    // The executor half of the two-level determinism matrix: gemm threads
-    // (1/2/8) × fleet workers (1/4) must reproduce the serial outcomes AND
-    // stream byte-identical tuned snapshots (parameters and state buffers)
-    // to the model sink.
+TEST_F(FleetExecutorFixture, OutcomesAndSnapshotsAreWorkerCountIndependent) {
+    // Fleet workers (1 vs 4) must reproduce the serial outcomes AND stream
+    // byte-identical tuned snapshots (parameters and state buffers) to the
+    // model sink.
     const reduce_policy reduce(table(), sel_config());
-    const auto run_matrix_cell = [&](std::size_t workers, std::size_t gemm_threads) {
-        fleet_executor executor(*shared_->model, shared_->pretrained, shared_->train_data,
-                                shared_->test_data, shared_->array, shared_->trainer_cfg,
-                                fleet_executor_config{.threads = workers,
-                                                      .gemm_threads = gemm_threads});
+    const auto run_with = [&](std::size_t workers) {
+        fleet_executor executor = make_executor(workers);
         std::vector<model_snapshot> snaps;
         executor.set_model_sink(
             [&](const chip&, const model_snapshot& snap) { snaps.push_back(snap); });
         policy_outcome outcome = executor.run(reduce, fleet());
         return std::make_pair(std::move(outcome), std::move(snaps));
     };
-    const auto [ref_outcome, ref_snaps] = run_matrix_cell(1, 1);
+    const auto [ref_outcome, ref_snaps] = run_with(1);
     ASSERT_EQ(ref_snaps.size(), fleet().size());
-    for (const std::size_t gemm_threads : {2u, 8u}) {
-        for (const std::size_t workers : {1u, 4u}) {
-            const auto [outcome, snaps] = run_matrix_cell(workers, gemm_threads);
-            expect_identical(ref_outcome, outcome);
-            ASSERT_EQ(snaps.size(), ref_snaps.size());
-            for (std::size_t i = 0; i < snaps.size(); ++i) {
-                ASSERT_EQ(snaps[i].size(), ref_snaps[i].size());
-                for (std::size_t p = 0; p < snaps[i].size(); ++p) {
-                    EXPECT_TRUE(snaps[i].values[p] == ref_snaps[i].values[p])
-                        << "chip " << i << " param " << p << " workers=" << workers
-                        << " gemm_threads=" << gemm_threads;
-                }
-                EXPECT_EQ(snaps[i].state.size(), ref_snaps[i].state.size());
-                for (std::size_t s = 0; s < snaps[i].state.size(); ++s) {
-                    EXPECT_TRUE(snaps[i].state[s] == ref_snaps[i].state[s])
-                        << "chip " << i << " state " << s;
-                }
-            }
+    const auto [outcome, snaps] = run_with(4);
+    expect_identical(ref_outcome, outcome);
+    ASSERT_EQ(snaps.size(), ref_snaps.size());
+    for (std::size_t i = 0; i < snaps.size(); ++i) {
+        ASSERT_EQ(snaps[i].size(), ref_snaps[i].size());
+        for (std::size_t p = 0; p < snaps[i].size(); ++p) {
+            EXPECT_TRUE(snaps[i].values[p] == ref_snaps[i].values[p])
+                << "chip " << i << " param " << p;
+        }
+        EXPECT_EQ(snaps[i].state.size(), ref_snaps[i].state.size());
+        for (std::size_t s = 0; s < snaps[i].state.size(); ++s) {
+            EXPECT_TRUE(snaps[i].state[s] == ref_snaps[i].state[s])
+                << "chip " << i << " state " << s;
         }
     }
 }

@@ -1,10 +1,10 @@
 // K-invariance suite for the fleet's retraining worker: chip_tuner::tune_group
 // over K chips must reproduce tune() (one chip per call) BIT FOR BIT —
 // outcomes, trajectories (pinned through the oracle's stop), and
-// captured deployable snapshots — at every group size and every
-// --gemm-threads, over MLP, VGG (structural-zero conv skips in BOTH
-// directions), batch-norm/dropout models, fault timelines in recover and
-// restart mode, and groups whose chips diverge. Also pins the executor's
+// captured deployable snapshots — at every group size, over MLP, VGG
+// (structural-zero conv skips in BOTH directions), batch-norm/dropout
+// models, fault timelines in recover and restart mode, and groups whose
+// chips diverge. Also pins the executor's
 // grouping accounting, and that the oracle's batch-norm snapshot deploys at
 // its reported accuracy.
 #include <gtest/gtest.h>
@@ -22,7 +22,6 @@
 #include "fault/scenario.h"
 #include "nn/norm.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -222,33 +221,30 @@ std::vector<std::size_t> pick_cyclic(const train_case& c, std::size_t k) {
     return pick;
 }
 
-/// The full K x gemm-threads matrix for one model case.
+/// Every group size K for one model case.
 void run_matrix(train_case& c, const epoch_allocation& alloc, double constraint,
                 const char* label, const scenario_config& scenario = {}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        for (const std::size_t k : {1u, 2u, 8u}) {
-            expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, constraint, label,
-                                          scenario);
-        }
+    for (const std::size_t k : {1u, 2u, 8u}) {
+        expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, constraint, label,
+                                      scenario);
     }
 }
 
-TEST(GroupedChipTuner, MlpMatchesSerialAcrossKAndGemmThreads) {
+TEST(GroupedChipTuner, MlpMatchesSerialAcrossK) {
     train_case c = make_mlp_case();
     epoch_allocation alloc;
     alloc.epochs = 0.5;
     run_matrix(c, alloc, 0.8, "mlp");
 }
 
-TEST(GroupedChipTuner, VggMatchesSerialAcrossKAndGemmThreads) {
+TEST(GroupedChipTuner, VggMatchesSerialAcrossK) {
     train_case c = make_vgg_case();
     epoch_allocation alloc;
     alloc.epochs = 0.5;
     run_matrix(c, alloc, 0.4, "vgg");
 }
 
-TEST(GroupedChipTuner, StochasticModelMatchesSerialAcrossKAndGemmThreads) {
+TEST(GroupedChipTuner, StochasticModelMatchesSerialAcrossK) {
     train_case c = make_stochastic_case();
     epoch_allocation alloc;
     alloc.epochs = 0.5;
@@ -263,11 +259,8 @@ TEST(GroupedChipTuner, OracleAllocationMatchesSerialIncludingTheStop) {
     epoch_allocation alloc;
     alloc.epochs = 1.0;
     alloc.train_to_target = true;
-    for (const std::size_t threads : {1u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        for (const std::size_t k : {2u, 8u}) {
-            expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, 0.5, "oracle");
-        }
+    for (const std::size_t k : {2u, 8u}) {
+        expect_grouped_matches_serial(c, pick_cyclic(c, k), alloc, 0.5, "oracle");
     }
 }
 
@@ -302,7 +295,6 @@ TEST(GroupedChipTuner, TimelineOracleStopMatchesKOne) {
         epoch_allocation alloc;
         alloc.epochs = 0.5;
         alloc.train_to_target = true;
-        const scoped_intra_op_threads budget(2);
         expect_grouped_matches_serial(c, pick_cyclic(c, 4), alloc, 0.3, spec,
                                       parse_scenario(spec));
     }
@@ -313,34 +305,31 @@ TEST(GroupedChipTuner, MixedDivergenceGroupMatchesKOne) {
     // in one group some chips diverge, roll back to their own anchor at
     // half the rate and finish, some diverge again and end hit_nonfinite,
     // and the rest never diverge. Every chip must still equal its lone
-    // tune(), at any --gemm-threads.
+    // tune().
     train_case c = make_mlp_case();
     c.chips = make_case_fleet(c.array, 8, 0.0, 0.9, 99);
     c.trainer_cfg.learning_rate = 400.0;
     epoch_allocation alloc;
     alloc.epochs = 1.0;
     const scenario_config scenario = parse_scenario("strike@0.2:0.05;mode=recover;rollback=1");
-    for (const std::size_t threads : {1u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        const std::vector<chip_outcome> grouped = expect_grouped_matches_serial(
-            c, pick_cyclic(c, 8), alloc, 0.8, "mixed divergence", scenario);
-        std::size_t recovered = 0;
-        std::size_t gave_up = 0;
-        std::size_t clean = 0;
-        for (const chip_outcome& o : grouped) {
-            if (o.hit_nonfinite) {
-                ++gave_up;
-                EXPECT_EQ(o.final_accuracy, 0.0);
-            } else if (o.rollbacks > 0) {
-                ++recovered;
-            } else {
-                ++clean;
-            }
+    const std::vector<chip_outcome> grouped = expect_grouped_matches_serial(
+        c, pick_cyclic(c, 8), alloc, 0.8, "mixed divergence", scenario);
+    std::size_t recovered = 0;
+    std::size_t gave_up = 0;
+    std::size_t clean = 0;
+    for (const chip_outcome& o : grouped) {
+        if (o.hit_nonfinite) {
+            ++gave_up;
+            EXPECT_EQ(o.final_accuracy, 0.0);
+        } else if (o.rollbacks > 0) {
+            ++recovered;
+        } else {
+            ++clean;
         }
-        EXPECT_GT(recovered, 0u);
-        EXPECT_GT(gave_up, 0u);
-        EXPECT_GT(clean, 0u);
     }
+    EXPECT_GT(recovered, 0u);
+    EXPECT_GT(gave_up, 0u);
+    EXPECT_GT(clean, 0u);
 }
 
 TEST(GroupedChipTuner, InjectedAccuracyBeforeMatchesComputed) {

@@ -20,7 +20,6 @@
 #include "nn/models.h"
 #include "nn/norm.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -280,12 +279,11 @@ TEST(FleetExecutor, StochasticOutcomesAreThreadIndependent) {
     }
 }
 
-TEST(MultiMaskEvaluator, MatchesSerialAcrossGemmThreadBudgetsAndReuse) {
-    // One evaluator reused across budgets and group sizes: its lazily grown
-    // clones must carry no mask from an earlier group, and the conv
-    // padding-row skips must stay exact at any intra-op budget.
+TEST(MultiMaskEvaluator, MatchesSerialAcrossReuse) {
+    // One evaluator reused across group sizes: its lazily grown clones must
+    // carry no mask from an earlier group, and the conv padding-row skips
+    // must stay exact.
     eval_case c = make_vgg_case();
-    set_intra_op_threads(1);
     std::vector<double> serial;
     for (const chip& ch : c.chips) {
         serial.push_back(serial_accuracy(*c.model, c.pretrained, c.train_data, c.test_data,
@@ -293,17 +291,13 @@ TEST(MultiMaskEvaluator, MatchesSerialAcrossGemmThreadBudgetsAndReuse) {
     }
     multi_mask_evaluator evaluator(*c.model, c.pretrained, c.test_data, c.array,
                                    c.trainer_cfg);
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        for (const std::vector<std::size_t>& pick :
-             std::vector<std::vector<std::size_t>>{{0, 1, 2}, {3}, {4, 0}}) {
-            std::vector<const fault_grid*> grids;
-            for (const std::size_t idx : pick) { grids.push_back(&c.chips[idx].faults); }
-            const std::vector<double> grouped = evaluator.evaluate(grids);
-            for (std::size_t i = 0; i < pick.size(); ++i) {
-                EXPECT_EQ(serial[pick[i]], grouped[i])
-                    << "chip " << pick[i] << " @" << threads;
-            }
+    for (const std::vector<std::size_t>& pick :
+         std::vector<std::vector<std::size_t>>{{0, 1, 2}, {3}, {4, 0}}) {
+        std::vector<const fault_grid*> grids;
+        for (const std::size_t idx : pick) { grids.push_back(&c.chips[idx].faults); }
+        const std::vector<double> grouped = evaluator.evaluate(grids);
+        for (std::size_t i = 0; i < pick.size(); ++i) {
+            EXPECT_EQ(serial[pick[i]], grouped[i]) << "chip " << pick[i];
         }
     }
 }

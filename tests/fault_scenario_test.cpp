@@ -331,32 +331,27 @@ TEST_F(ScenarioFixture, TimelineEventsActuallyChangeTheTable) {
               analyzer.analyze(without, {}).to_json().dump());
 }
 
-TEST_F(ScenarioFixture, ScenarioSweepDeterminismMatrixGemmThreadsByWorkersByCellPartition) {
-    // With a live timeline, intra-op gemm threads (1/2/8) × sweep workers
-    // (1/4) × 2-way cell partition (analyze_cells + merge_into) must
-    // all serialize byte-identically. Event sampling derives from
-    // (scenario, cell coordinates) alone, so no execution knob may move a
-    // single table byte.
+TEST_F(ScenarioFixture, ScenarioSweepDeterminismMatrixWorkersByCellPartition) {
+    // With a live timeline, sweep workers (1/4) × 2-way cell partition
+    // (analyze_cells + merge_into) must all serialize byte-identically.
+    // Event sampling derives from (scenario, cell coordinates) alone, so no
+    // execution knob may move a single table byte.
     resilience_analyzer analyzer = make_analyzer();
     const resilience_config cfg = scenario_config_small();
 
     const std::string reference = analyzer.analyze(cfg, {}).to_json().dump();
-    for (const std::size_t gemm_threads : {1u, 2u, 8u}) {
-        for (const std::size_t workers : {1u, 4u}) {
-            sweep_options opts;
-            opts.threads = workers;
-            opts.gemm_threads = gemm_threads;
-            EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
-                << "workers=" << workers << " gemm_threads=" << gemm_threads;
+    for (const std::size_t workers : {1u, 4u}) {
+        sweep_options opts;
+        opts.threads = workers;
+        EXPECT_EQ(analyzer.analyze(cfg, opts).to_json().dump(), reference)
+            << "workers=" << workers;
 
-            std::vector<sweep_cell> halves[2];
-            const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
-            for (std::size_t k = 0; k < grid.size(); ++k) { halves[k % 2].push_back(grid[k]); }
-            resilience_table merged = analyzer.analyze_cells(cfg, halves[0], opts);
-            resilience_table::merge_into(merged, analyzer.analyze_cells(cfg, halves[1], opts));
-            EXPECT_EQ(merged.to_json().dump(), reference)
-                << "partitioned: workers=" << workers << " gemm_threads=" << gemm_threads;
-        }
+        std::vector<sweep_cell> halves[2];
+        const std::vector<sweep_cell> grid = enumerate_sweep_cells(cfg);
+        for (std::size_t k = 0; k < grid.size(); ++k) { halves[k % 2].push_back(grid[k]); }
+        resilience_table merged = analyzer.analyze_cells(cfg, halves[0], opts);
+        resilience_table::merge_into(merged, analyzer.analyze_cells(cfg, halves[1], opts));
+        EXPECT_EQ(merged.to_json().dump(), reference) << "partitioned: workers=" << workers;
     }
 }
 

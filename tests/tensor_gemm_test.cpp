@@ -20,7 +20,6 @@
 #include "tensor/ops.h"
 #include "tensor/workspace.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
@@ -350,7 +349,7 @@ TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     // The structural-zero skip: a compact B missing rows that are exactly
     // zero must reproduce the full-k result bit for bit, with kept rows
     // spread across several KC panels (k = 600 spans three), overwriting
-    // and accumulating, at every intra-op budget.
+    // and accumulating.
     rng gen(303);
     const std::size_t m = 21, k = 600, n = 333;
     std::vector<std::size_t> kept;
@@ -373,14 +372,10 @@ TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
         tensor full = seed_c;
         gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, accumulate,
                 workspace::local());
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            const scoped_intra_op_threads budget(threads);
-            tensor skipped = seed_c;
-            gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, accumulate,
-                    workspace::local(), &subset);
-            EXPECT_TRUE(same_bits(full, skipped))
-                << "accumulate=" << accumulate << " @" << threads;
-        }
+        tensor skipped = seed_c;
+        gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, accumulate,
+                workspace::local(), &subset);
+        EXPECT_TRUE(same_bits(full, skipped)) << "accumulate=" << accumulate;
     }
 }
 
@@ -522,7 +517,7 @@ void expect_matches_full_lowering(const tensor& input, const tensor& weight, con
 TEST(PaddingSkipConv, MatchesFullLoweringBitwise) {
     // 1x1 spatial with a 3x3 kernel + padding: 8 of 9 patch rows lower to
     // structural zeros and are skipped; 1x5 skips the ky rows; 4x4 skips
-    // nothing. Masked weights, at every intra-op budget.
+    // nothing. Masked weights.
     rng gen(306);
     const conv2d_spec spec{3, 6, 3, 3, 1, 1};
     for (const auto& [h, w] : std::vector<std::pair<std::size_t, std::size_t>>{{1, 1},
@@ -532,13 +527,9 @@ TEST(PaddingSkipConv, MatchesFullLoweringBitwise) {
         const tensor weight = masked_copy(random_tensor({6, 3, 3, 3}, gen), gen, 0.2);
         const tensor bias = random_tensor({6}, gen);
         const tensor grad_output = random_tensor({5, 6, spec.out_h(h), spec.out_w(w)}, gen);
-        for (const std::size_t threads : {1u, 2u, 8u}) {
-            const scoped_intra_op_threads budget(threads);
-            expect_matches_full_lowering(input, weight, bias, grad_output, spec,
-                                         tensor(weight.shape()), 5,
-                                         std::to_string(h) + "x" + std::to_string(w) + " @" +
-                                             std::to_string(threads));
-        }
+        expect_matches_full_lowering(input, weight, bias, grad_output, spec,
+                                     tensor(weight.shape()), 5,
+                                     std::to_string(h) + "x" + std::to_string(w));
     }
 }
 
@@ -560,16 +551,12 @@ TEST(PaddingSkipConv, StaysExactForNonFiniteWeightsAndGradients) {
     poisoned_dy[5] = std::numeric_limits<float>::quiet_NaN();
     tensor inf_dy = finite_dy;
     inf_dy[2] = -std::numeric_limits<float>::infinity();
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        const std::string at = " @" + std::to_string(threads);
-        expect_matches_full_lowering(input, poisoned_w, bias, finite_dy, spec,
-                                     tensor(finite_w.shape()), 2, "non-finite W" + at);
-        expect_matches_full_lowering(input, finite_w, bias, poisoned_dy, spec,
-                                     tensor(finite_w.shape()), 2, "NaN dY" + at);
-        expect_matches_full_lowering(input, finite_w, bias, inf_dy, spec,
-                                     tensor(finite_w.shape()), 2, "Inf dY" + at);
-    }
+    expect_matches_full_lowering(input, poisoned_w, bias, finite_dy, spec,
+                                 tensor(finite_w.shape()), 2, "non-finite W");
+    expect_matches_full_lowering(input, finite_w, bias, poisoned_dy, spec,
+                                 tensor(finite_w.shape()), 2, "NaN dY");
+    expect_matches_full_lowering(input, finite_w, bias, inf_dy, spec,
+                                 tensor(finite_w.shape()), 2, "Inf dY");
     // The poison reached the outputs, so the fallbacks were exercised.
     const tensor poisoned_out = conv2d_forward(input, poisoned_w, bias, spec);
     bool fwd_nan = false;
@@ -654,131 +641,6 @@ TEST(BatchConv, Im2colBatchMatchesPerImage) {
                     << "n=" << n << " r=" << r << " q=" << q;
             }
         }
-    }
-}
-
-// ---- intra-op parallel backend ----------------------------------------------
-//
-// The deterministic contract of the parallel tensor backend: for ANY
-// intra-op budget, every kernel produces the serial result bit for bit
-// (memcmp, so NaN payloads count too). The shapes below cross the parallel
-// thresholds on both partition axes, plus tile-edge and NaN/Inf cases.
-
-bool bitwise_equal(const tensor& a, const tensor& b) {
-    return a.shape() == b.shape() &&
-           std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
-}
-
-TEST(ParallelGemm, BitwiseIdenticalAcrossThreadBudgets) {
-    rng gen(101);
-    // Wide (N-major partition), tall-skinny (M-major partition), conv-like
-    // (tiny m, huge n), and the tile-edge shapes of the serial suite.
-    std::vector<std::array<std::size_t, 3>> shapes(kShapes.begin(), kShapes.end());
-    shapes.push_back({96, 300, 512});
-    shapes.push_back({8, 27, 4096});
-    shapes.push_back({300, 500, 40});
-    for (const auto& [m, k, n] : shapes) {
-        const tensor a = random_tensor({m, k}, gen);
-        const tensor b_nn = random_tensor({k, n}, gen);
-        const tensor b_nt = random_tensor({n, k}, gen);
-        const tensor a_tn = random_tensor({k, m}, gen);
-        set_intra_op_threads(1);
-        const tensor nn1 = matmul(a, b_nn);
-        const tensor nt1 = matmul_nt(a, b_nt);
-        const tensor tn1 = matmul_tn(a_tn, b_nn);
-        for (const std::size_t threads : {2u, 8u}) {
-            const scoped_intra_op_threads budget(threads);
-            EXPECT_TRUE(bitwise_equal(nn1, matmul(a, b_nn)))
-                << "nn " << m << "x" << k << "x" << n << " @" << threads;
-            EXPECT_TRUE(bitwise_equal(nt1, matmul_nt(a, b_nt)))
-                << "nt " << m << "x" << k << "x" << n << " @" << threads;
-            EXPECT_TRUE(bitwise_equal(tn1, matmul_tn(a_tn, b_nn)))
-                << "tn " << m << "x" << k << "x" << n << " @" << threads;
-        }
-    }
-}
-
-TEST(ParallelGemm, AccumulatingDriversBitwiseAcrossThreadBudgets) {
-    rng gen(103);
-    const tensor a = random_tensor({300, 96}, gen);   // [k, m]
-    const tensor b = random_tensor({300, 640}, gen);  // [k, n]
-    const tensor seed_c = random_tensor({96, 640}, gen);
-    const tensor wide = random_tensor({600, 512}, gen);
-    set_intra_op_threads(1);
-    tensor c1 = seed_c;
-    matmul_tn_acc(a, b, c1);
-    tensor sums1({512});
-    column_sums_acc(wide, sums1);
-    for (const std::size_t threads : {2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        tensor cn = seed_c;
-        matmul_tn_acc(a, b, cn);
-        EXPECT_TRUE(bitwise_equal(c1, cn)) << "tn_acc @" << threads;
-        tensor sums_n({512});
-        column_sums_acc(wide, sums_n);
-        EXPECT_TRUE(bitwise_equal(sums1, sums_n)) << "column_sums_acc @" << threads;
-    }
-}
-
-TEST(ParallelGemm, PropagatesNanInfIdenticallyAtAnyBudget) {
-    rng gen(107);
-    const float nan = std::numeric_limits<float>::quiet_NaN();
-    const float inf = std::numeric_limits<float>::infinity();
-    tensor a = random_tensor({64, 128}, gen);
-    tensor b = random_tensor({128, 1024}, gen);
-    // Poison scattered entries in both operands, including a 0 * inf pair.
-    a.raw()[5 * 128 + 7] = nan;
-    a.raw()[40 * 128 + 100] = inf;
-    b.raw()[7 * 1024 + 900] = inf;
-    b.raw()[100 * 1024 + 3] = 0.0f;
-    set_intra_op_threads(1);
-    const tensor serial = matmul(a, b);
-    for (const std::size_t threads : {2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(bitwise_equal(serial, matmul(a, b))) << "@" << threads;
-    }
-    bool saw_nan = false;
-    for (std::size_t i = 0; i < serial.numel(); ++i) {
-        if (std::isnan(serial.raw()[i])) { saw_nan = true; }
-    }
-    EXPECT_TRUE(saw_nan);  // the poison actually reached the output
-}
-
-TEST(ParallelConv, ForwardBackwardAndLoweringBitwiseAcrossBudgets) {
-    rng gen(109);
-    const conv2d_spec spec{8, 16, 3, 3, 1, 1};
-    const tensor input = random_tensor({12, 8, 16, 16}, gen);
-    const tensor weight = random_tensor({16, 8, 3, 3}, gen);
-    const tensor bias = random_tensor({16}, gen);
-    set_intra_op_threads(1);
-    const tensor fwd1 = conv2d_forward(input, weight, bias, spec);
-    const conv2d_grads grads1 = conv2d_backward(input, weight, fwd1, spec);
-    const std::size_t cols = 12 * 16 * 16;
-    std::vector<float> lower1(spec.patch_size() * cols);
-    im2col_batch(input.raw(), 12, 16, 16, spec, lower1.data());
-    std::vector<float> scatter1(input.numel(), 0.0f);
-    col2im_batch(lower1.data(), 12, 16, 16, spec, scatter1.data());
-    for (const std::size_t threads : {2u, 8u}) {
-        const scoped_intra_op_threads budget(threads);
-        EXPECT_TRUE(bitwise_equal(fwd1, conv2d_forward(input, weight, bias, spec)))
-            << "forward @" << threads;
-        const conv2d_grads grads_n = conv2d_backward(input, weight, fwd1, spec);
-        EXPECT_TRUE(bitwise_equal(grads1.grad_input, grads_n.grad_input))
-            << "dX @" << threads;
-        EXPECT_TRUE(bitwise_equal(grads1.grad_weight, grads_n.grad_weight))
-            << "dW @" << threads;
-        EXPECT_TRUE(bitwise_equal(grads1.grad_bias, grads_n.grad_bias))
-            << "db @" << threads;
-        std::vector<float> lower_n(lower1.size());
-        im2col_batch(input.raw(), 12, 16, 16, spec, lower_n.data());
-        EXPECT_EQ(0, std::memcmp(lower1.data(), lower_n.data(),
-                                 lower1.size() * sizeof(float)))
-            << "im2col @" << threads;
-        std::vector<float> scatter_n(scatter1.size(), 0.0f);
-        col2im_batch(lower_n.data(), 12, 16, 16, spec, scatter_n.data());
-        EXPECT_EQ(0, std::memcmp(scatter1.data(), scatter_n.data(),
-                                 scatter1.size() * sizeof(float)))
-            << "col2im @" << threads;
     }
 }
 

@@ -1,6 +1,7 @@
 // Tests for the command-line parser used by every bench/example binary.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/cli.h"
@@ -128,6 +129,35 @@ TEST(Cli, NegativeNumberAsValue) {
 TEST(Cli, LastOccurrenceWins) {
     const cli_args args = parse({"--k", "1", "--k", "2"});
     EXPECT_EQ(args.get_int("k", 0), 2);
+}
+
+TEST(Cli, UnreadOptionsAreRejectedByName) {
+    // A removed option (here the old Step-1 shard split) must fail loudly,
+    // not run the whole job as if it were absent.
+    const cli_args args = parse({"--shard", "1/4", "--threads", "2", "--verbose"});
+    EXPECT_EQ(args.get_int("threads", 1), 2);
+    EXPECT_TRUE(args.get_flag("verbose"));
+    try {
+        args.reject_unread_options();
+        FAIL() << "--shard was never read but passed";
+    } catch (const invalid_argument_error& e) {
+        const std::string message = e.what();
+        EXPECT_NE(message.find("--shard"), std::string::npos) << message;
+        EXPECT_EQ(message.find("--threads"), std::string::npos) << message;
+    }
+}
+
+TEST(Cli, EveryReadOptionPassesTheUnreadCheck) {
+    // has(), a fallback-taking lookup of an absent name, and every typed
+    // accessor count as reads.
+    const cli_args args =
+        parse({"--threads", "2", "--rates", "0.1,0.2", "--policy", "a,b", "--save"});
+    EXPECT_TRUE(args.has("save"));
+    (void)args.get_int("threads", 1);
+    (void)args.get_double_list("rates", {});
+    (void)args.get_string_list("policy", {});
+    (void)args.get("missing", "");
+    EXPECT_NO_THROW(args.reject_unread_options());
 }
 
 }  // namespace

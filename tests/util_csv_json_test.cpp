@@ -6,10 +6,18 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
+#include "core/resilience.h"
+#include "dist/protocol.h"
+#include "fault/chip.h"
+#include "fault/models.h"
+#include "fuzz_mutations.h"
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "util/rng.h"
 
 namespace reduce {
 namespace {
@@ -234,6 +242,83 @@ TEST(Json, EqualityIsInsertionOrderSensitive) {
     ba.set("a", json_value(1.0));
     EXPECT_NE(json_value(ab), json_value(ba));
     EXPECT_NE(json_value(ab).dump(), json_value(ba).dump());
+}
+
+TEST(Json, OverflowIsRejectedAndDenormalsRoundTrip) {
+    // An overflowing literal parses to inf, which dump() would write as the
+    // non-JSON token "inf": reject it at parse time instead.
+    EXPECT_THROW(json_parse("1e999"), io_error);
+    EXPECT_THROW(json_parse("-1e999"), io_error);
+    EXPECT_THROW(json_parse(R"({"a":1e400})"), io_error);
+    // Denormals are finite (strtod may still flag ERANGE) and must survive.
+    for (const char* text : {"4.9e-324", "1e-310", "-2.2e-308"}) {
+        const json_value v = json_parse(text);
+        EXPECT_NE(v.as_number(), 0.0) << text;
+        EXPECT_EQ(json_parse(v.dump()).dump(), v.dump()) << text;
+    }
+}
+
+TEST(JsonFuzz, ParserYieldsTypedErrorsOrDumpFixedPoints) {
+    // Seeds: a chip work lease (with its binary fault map), a sweep result
+    // and the Step-1 table it carries.
+    array_config array;
+    array.rows = 8;
+    array.cols = 8;
+    random_fault_config faults;
+    faults.fault_rate = 0.2;
+    const chip c{3, 99, 0.2, generate_random_faults(array, faults, 99)};
+    epoch_allocation alloc;
+    alloc.epochs = 1.25;
+    resilience_run run_a{0.1, 0, 11, 0.0931, {{0.0, 0.62}, {0.5, 0.8875}, {1.0, 0.91}}};
+    resilience_run run_b{0.3, 1, 12, 0.2874, {{0.0, 0.31}, {0.5, 0.7}, {1.0, 0.8333}}};
+    const json_value table =
+        resilience_table({run_a, run_b}, 1.0, "fingerprint-v1", 2).to_json();
+    const std::vector<std::string> seeds = {
+        dist::make_chip_work(7, c, alloc, 0.91, 0.1875).dump(),
+        dist::make_sweep_result(8, table).dump(), table.dump()};
+    // Extreme numbers for the oversize mutation: overflowing, largest
+    // finite, denormal, negative zero, integers past 2^64.
+    const std::vector<std::string> extremes = {
+        "1e999", "-1e999",   "1e400", "1.7976931348623157e308", "4.9e-324",
+        "1e-310", "-0", "0.1", "18446744073709551616", "123456789012345678901234567890"};
+
+    rng random(20261018);
+    std::size_t accepted = 0;
+    std::size_t rejected = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+        std::string text = seeds[random.uniform_index(seeds.size())];
+        fuzz::mutate(random, text, seeds, [&](std::string& t) {
+            // Swap one number for an extreme one.
+            const auto in = [](std::string_view set, char ch) {
+                return set.find(ch) != std::string_view::npos;
+            };
+            std::vector<std::size_t> numbers;
+            for (std::size_t i = 1; i < t.size(); ++i) {
+                if (in(":[,", t[i - 1]) && in("-0123456789", t[i])) { numbers.push_back(i); }
+            }
+            const std::size_t at = numbers[random.uniform_index(numbers.size())];
+            t.replace(at, t.find_first_of(",]}", at) - at,
+                      extremes[random.uniform_index(extremes.size())]);
+        });
+        json_value value;
+        try {
+            value = json_parse(text);
+        } catch (const io_error&) {
+            ++rejected;
+            continue;
+        }
+        const std::string once = value.dump();
+        try {
+            EXPECT_EQ(json_parse(once).dump(), once) << "trial " << trial;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "trial " << trial << ": the dump does not parse: " << e.what()
+                          << "\n" << once;
+        }
+        ++accepted;
+    }
+    // The mutations must exercise both outcomes, or the test proves little.
+    EXPECT_GT(rejected, 500u);
+    EXPECT_GT(accepted, 300u);
 }
 
 }  // namespace

@@ -1,153 +1,59 @@
-// Tests for the two-level threading primitives: parallel_for coverage /
-// exception / nesting semantics, the intra-op budget plumbing, and the
-// oversubscription guard of resolve_thread_budget. The nesting-rule cases
-// pin the contract that re-entrant parallel regions report a clear error
-// instead of silently serializing or deadlocking.
+// Tests for the fan-out primitives the sweep engine and the fleet executor
+// run on: run_workers draining a shared atomic cursor, first-failure
+// propagation, and thread-count resolution.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
-#include "util/error.h"
 #include "util/thread_pool.h"
 
 namespace reduce {
 namespace {
 
-TEST(ParallelFor, CoversEveryIndexExactlyOnceAtAnyBudget) {
-    for (const std::size_t budget : {1u, 2u, 3u, 8u}) {
-        const scoped_intra_op_threads scope(budget);
-        for (const std::size_t n : {1u, 5u, 8u, 17u, 1000u}) {
-            std::vector<int> hits(n, 0);
-            parallel_for(n, [&](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) { ++hits[i]; }
-            });
-            for (std::size_t i = 0; i < n; ++i) {
-                ASSERT_EQ(hits[i], 1) << "n=" << n << " budget=" << budget << " i=" << i;
+TEST(RunWorkers, CopiesDrainASharedCursorExactlyOnce) {
+    // The executor idiom: every copy claims items from one atomic cursor.
+    // Also the TSan coverage for concurrent workers.
+    for (const std::size_t workers : {1u, 2u, 4u}) {
+        constexpr std::size_t n = 4096;
+        std::vector<int> hits(n, 0);
+        std::atomic<std::size_t> next{0};
+        run_workers(workers, [&] {
+            for (;;) {
+                const std::size_t i = next.fetch_add(1);
+                if (i >= n) { return; }
+                ++hits[i];
             }
-        }
-    }
-}
-
-TEST(ParallelFor, ZeroIterationsIsANoOp) {
-    const scoped_intra_op_threads scope(4);
-    bool called = false;
-    parallel_for(0, [&](std::size_t, std::size_t) { called = true; });
-    EXPECT_FALSE(called);
-}
-
-TEST(ParallelFor, ChunksArePureFunctionOfSizeAndBudget) {
-    // The static partition must not depend on scheduling: collect the chunk
-    // boundaries twice and compare.
-    const scoped_intra_op_threads scope(4);
-    for (int round = 0; round < 2; ++round) {
-        std::vector<std::pair<std::size_t, std::size_t>> chunks(4, {0, 0});
-        std::atomic<std::size_t> slot{0};
-        parallel_for(10, [&](std::size_t begin, std::size_t end) {
-            chunks[slot.fetch_add(1)] = {begin, end};
         });
-        std::size_t covered = 0;
-        for (const auto& [begin, end] : chunks) { covered += end - begin; }
-        EXPECT_EQ(covered, 10u);
-    }
-}
-
-TEST(ParallelFor, PropagatesTheFirstException) {
-    const scoped_intra_op_threads scope(4);
-    EXPECT_THROW(parallel_for(8,
-                              [&](std::size_t begin, std::size_t) {
-                                  if (begin >= 4) {
-                                      throw std::runtime_error("chunk failed");
-                                  }
-                              }),
-                 std::runtime_error);
-}
-
-TEST(ParallelFor, NestedParallelForReportsClearError) {
-    for (const std::size_t budget : {1u, 4u}) {  // the error must not depend on budget
-        const scoped_intra_op_threads scope(budget);
-        EXPECT_THROW(parallel_for(4,
-                                  [](std::size_t, std::size_t) {
-                                      parallel_for(2, [](std::size_t, std::size_t) {});
-                                  }),
-                     error)
-            << "budget=" << budget;
-    }
-}
-
-TEST(ParallelFor, RunWorkersInsideBodyReportsClearError) {
-    for (const std::size_t budget : {1u, 4u}) {
-        const scoped_intra_op_threads scope(budget);
-        EXPECT_THROW(parallel_for(4,
-                                  [](std::size_t, std::size_t) {
-                                      run_workers(2, [] {});
-                                  }),
-                     error)
-            << "budget=" << budget;
-    }
-}
-
-TEST(ParallelFor, FleetWorkersMayUseParallelForConcurrently) {
-    // The supported two-level composition: run_workers jobs (outer) each
-    // driving parallel_for (inner) on the shared persistent pool — also the
-    // TSan coverage for concurrent intra-op callers.
-    const scoped_intra_op_threads scope(2);
-    constexpr std::size_t n = 4096;
-    std::vector<std::vector<int>> hits(4, std::vector<int>(n, 0));
-    std::atomic<std::size_t> next{0};
-    run_workers(4, [&] {
-        for (;;) {
-            const std::size_t job = next.fetch_add(1);
-            if (job >= hits.size()) { return; }
-            parallel_for(n, [&, job](std::size_t begin, std::size_t end) {
-                for (std::size_t i = begin; i < end; ++i) { ++hits[job][i]; }
-            });
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(hits[i], 1) << "index " << i << ", workers=" << workers;
         }
-    });
-    for (const std::vector<int>& job_hits : hits) {
-        for (std::size_t i = 0; i < n; ++i) { ASSERT_EQ(job_hits[i], 1); }
     }
 }
 
-TEST(IntraOpBudget, SetResolvesAndScopedRestores) {
-    const std::size_t original = intra_op_threads();
-    {
-        const scoped_intra_op_threads scope(6);
-        EXPECT_EQ(intra_op_threads(), 6u);
-        // 0 resolves to hardware concurrency (at least 1).
-        const std::size_t previous = set_intra_op_threads(0);
-        EXPECT_EQ(previous, 6u);
-        EXPECT_EQ(intra_op_threads(),
-                  std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-        set_intra_op_threads(6);
+TEST(RunWorkers, RethrowsTheFirstFailureAfterEveryCopyFinishes) {
+    for (const std::size_t workers : {1u, 3u}) {
+        std::atomic<std::size_t> finished{0};
+        EXPECT_THROW(run_workers(workers,
+                                 [&] {
+                                     finished.fetch_add(1);
+                                     throw std::runtime_error("boom");
+                                 }),
+                     std::runtime_error);
+        EXPECT_EQ(finished.load(), workers);
     }
-    EXPECT_EQ(intra_op_threads(), original);
 }
 
-TEST(ThreadBudget, SingleWorkerKeepsExplicitGemmRequest) {
-    const thread_budget budget = resolve_thread_budget(1, 8, 100);
-    EXPECT_EQ(budget.fleet_workers, 1u);
-    EXPECT_EQ(budget.gemm_threads, 8u);  // never shrunk for a lone worker
-}
-
-TEST(ThreadBudget, OversubscriptionGuardShrinksGemmThreads) {
+TEST(ResolveThreadCount, ZeroMeansHardwareAndCapBounds) {
     const std::size_t hardware =
         std::max<std::size_t>(1, std::thread::hardware_concurrency());
-    const thread_budget budget = resolve_thread_budget(4, 8, 100);
-    EXPECT_EQ(budget.fleet_workers, 4u);
-    if (4 * 8 > hardware) {
-        EXPECT_EQ(budget.gemm_threads, std::max<std::size_t>(1, hardware / 4));
-    } else {
-        EXPECT_EQ(budget.gemm_threads, 8u);
-    }
-}
-
-TEST(ThreadBudget, WorkItemsCapWorkersNotGemmThreads) {
-    const thread_budget budget = resolve_thread_budget(16, 1, 3);
-    EXPECT_EQ(budget.fleet_workers, 3u);
-    EXPECT_EQ(budget.gemm_threads, 1u);
+    EXPECT_EQ(resolve_thread_count(0), hardware);
+    EXPECT_EQ(resolve_thread_count(5), 5u);
+    EXPECT_EQ(resolve_thread_count(16, 3), 3u);
+    EXPECT_EQ(resolve_thread_count(0, 1), 1u);
 }
 
 }  // namespace
