@@ -7,7 +7,7 @@
 // table in human-readable form and optionally persists it as JSON.
 //
 // Usage: resilience_analysis [--rates 0,0.1,...] [--repeats 5]
-//          [--budget 6] [--targets 90,91,92] [--save table.json]
+//          [--budget 6] [--targets 90,91,92] [--save [resilience_table.json]]
 //          [--sweep-threads N] [--cache-dir P]
 //          [--cache-gc [--cache-gc-max-mb M]]   prune the Step-1 cache first
 
@@ -38,7 +38,8 @@ int main(int argc, char** argv) {
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         const std::string cache_dir = args.get("cache-dir", "");
         const bool save = args.has("save");
-        const std::string save_path = args.get("save", "resilience_table.json");
+        std::string save_path = args.get("save", "");
+        if (save_path.empty()) { save_path = "resilience_table.json"; }  // bare --save
         args.reject_unread_options();
         if (cache_gc) { cache_gc(); }
 

@@ -66,14 +66,4 @@ std::size_t fault_grid::repair_all(pe_fault repair) {
     return changed;
 }
 
-std::vector<std::size_t> fault_grid::faulty_per_column() const {
-    std::vector<std::size_t> counts(cols_, 0);
-    for (std::size_t r = 0; r < rows_; ++r) {
-        for (std::size_t c = 0; c < cols_; ++c) {
-            if (is_faulty(states_[r * cols_ + c])) { ++counts[c]; }
-        }
-    }
-    return counts;
-}
-
 }  // namespace reduce

@@ -46,9 +46,6 @@ public:
     /// into bypassed ones). Returns the number of PEs changed.
     std::size_t repair_all(pe_fault repair);
 
-    /// Per-column count of faulty PEs (used by FAM column assignment).
-    std::vector<std::size_t> faulty_per_column() const;
-
     /// Raw row-major state vector. Ref-qualified: calling on a temporary
     /// would dangle, so rvalues hand the vector out by value instead.
     const std::vector<pe_fault>& states() const& { return states_; }

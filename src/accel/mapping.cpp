@@ -44,10 +44,6 @@ pe_coordinate gemm_mapping::pe_for_weight(std::size_t input_index,
     return {input_index % rows_, perm_[output_index % cols_]};
 }
 
-std::size_t gemm_mapping::used_rows() const { return std::min(fan_in_, rows_); }
-
-std::size_t gemm_mapping::used_cols() const { return std::min(fan_out_, cols_); }
-
 double gemm_mapping::masked_weight_fraction(const fault_grid& faults) const {
     REDUCE_CHECK(faults.rows() == rows_ && faults.cols() == cols_,
                  "fault grid " << faults.rows() << "x" << faults.cols()

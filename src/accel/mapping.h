@@ -52,11 +52,6 @@ public:
     /// Physical PE hosting weight (input index i, output index o).
     pe_coordinate pe_for_weight(std::size_t input_index, std::size_t output_index) const;
 
-    /// Rows/cols of the array actually used by this GEMM (min(fan, dim) for
-    /// single-tile layers, the full extent once tiling wraps).
-    std::size_t used_rows() const;
-    std::size_t used_cols() const;
-
     /// Fraction of weights of this GEMM that land on faulty PEs.
     double masked_weight_fraction(const fault_grid& faults) const;
 

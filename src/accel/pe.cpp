@@ -6,26 +6,6 @@ namespace reduce {
 
 bool is_faulty(pe_fault fault) { return fault != pe_fault::healthy; }
 
-std::string to_string(pe_fault fault) {
-    switch (fault) {
-        case pe_fault::healthy: return "healthy";
-        case pe_fault::bypassed: return "bypassed";
-        case pe_fault::stuck_weight_zero: return "stuck_weight_zero";
-        case pe_fault::stuck_weight_max: return "stuck_weight_max";
-        case pe_fault::stuck_weight_min: return "stuck_weight_min";
-    }
-    throw invalid_argument_error("unknown pe_fault value");
-}
-
-pe_fault pe_fault_from_string(const std::string& name) {
-    if (name == "healthy") { return pe_fault::healthy; }
-    if (name == "bypassed") { return pe_fault::bypassed; }
-    if (name == "stuck_weight_zero") { return pe_fault::stuck_weight_zero; }
-    if (name == "stuck_weight_max") { return pe_fault::stuck_weight_max; }
-    if (name == "stuck_weight_min") { return pe_fault::stuck_weight_min; }
-    throw invalid_argument_error("unknown pe_fault name: " + name);
-}
-
 float pe_mac(pe_fault fault, float psum_in, float weight, float activation, float w_max) {
     switch (fault) {
         case pe_fault::healthy: return psum_in + weight * activation;

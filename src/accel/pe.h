@@ -1,8 +1,6 @@
 // Processing-element behaviour model, including permanent-fault modes.
 #pragma once
 
-#include <string>
-
 namespace reduce {
 
 /// Permanent-fault behaviour of one PE's MAC datapath.
@@ -22,12 +20,6 @@ enum class pe_fault {
 
 /// True for any non-healthy state.
 bool is_faulty(pe_fault fault);
-
-/// Short name for serialization ("healthy", "bypassed", ...).
-std::string to_string(pe_fault fault);
-
-/// Inverse of to_string; throws invalid_argument_error on unknown names.
-pe_fault pe_fault_from_string(const std::string& name);
 
 /// One multiply-accumulate through a PE in the given fault state.
 ///

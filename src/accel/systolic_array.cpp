@@ -15,9 +15,6 @@ systolic_array::systolic_array(const array_config& config, fault_grid faults)
                                << config_.cols);
 }
 
-systolic_array::systolic_array(const array_config& config)
-    : config_(config), faults_(config.rows, config.cols) {}
-
 tensor systolic_array::run_gemm(const tensor& activations, const tensor& weight,
                                 const gemm_mapping& mapping, float w_max) const {
     REDUCE_CHECK(activations.dim() == 2, "run_gemm activations must be [M, fan_in]");
@@ -70,11 +67,6 @@ tensor systolic_array::run_gemm(const tensor& activations, const tensor& weight,
 
 std::size_t systolic_array::apply_fap() { return faults_.repair_all(pe_fault::bypassed); }
 
-double gemm_perf::microseconds(const array_config& config) const {
-    REDUCE_CHECK(config.clock_ghz > 0.0, "clock must be positive");
-    return static_cast<double>(cycles) / (config.clock_ghz * 1e3);
-}
-
 gemm_perf estimate_gemm_perf(const array_config& config, const gemm_mapping& mapping,
                              std::size_t batch, const fault_grid* faults) {
     REDUCE_CHECK(batch > 0, "perf estimate needs a positive batch");
@@ -120,21 +112,6 @@ gemm_perf estimate_gemm_perf(const array_config& config, const gemm_mapping& map
                             static_cast<double>(config.pe_count());
     perf.utilization = capacity > 0.0 ? static_cast<double>(perf.useful_macs) / capacity : 0.0;
     return perf;
-}
-
-gemm_perf accumulate_perf(const gemm_perf& a, const gemm_perf& b) {
-    gemm_perf total;
-    total.cycles = a.cycles + b.cycles;
-    total.weight_loads = a.weight_loads + b.weight_loads;
-    total.useful_macs = a.useful_macs + b.useful_macs;
-    total.lost_macs = a.lost_macs + b.lost_macs;
-    total.energy_nj = a.energy_nj + b.energy_nj;
-    const double denom = static_cast<double>(total.cycles);
-    total.utilization = denom > 0.0
-                            ? (a.utilization * static_cast<double>(a.cycles) +
-                               b.utilization * static_cast<double>(b.cycles)) / denom
-                            : 0.0;
-    return total;
 }
 
 }  // namespace reduce

@@ -21,9 +21,6 @@ public:
     /// The array adopts the geometry of `config`; `faults` must match it.
     systolic_array(const array_config& config, fault_grid faults);
 
-    /// All-healthy array.
-    explicit systolic_array(const array_config& config);
-
     const array_config& config() const { return config_; }
     const fault_grid& faults() const { return faults_; }
 
@@ -57,9 +54,6 @@ struct gemm_perf {
     std::uint64_t lost_macs = 0;      ///< MACs skipped on bypassed/faulty PEs
     double utilization = 0.0;         ///< useful MACs / (cycles * PE count)
     double energy_nj = 0.0;
-
-    /// Wall time at the configured clock.
-    double microseconds(const array_config& config) const;
 };
 
 /// Analytic performance model for a batch-M GEMM with the given mapping.
@@ -67,8 +61,5 @@ struct gemm_perf {
 /// not change cycle count — FAP's key property: no latency penalty.
 gemm_perf estimate_gemm_perf(const array_config& config, const gemm_mapping& mapping,
                              std::size_t batch, const fault_grid* faults = nullptr);
-
-/// Accumulates per-layer estimates into a network total.
-gemm_perf accumulate_perf(const gemm_perf& a, const gemm_perf& b);
 
 }  // namespace reduce

@@ -93,14 +93,6 @@ bool same_rate(double a, double b) { return std::abs(a - b) < 1e-9; }
 
 }  // namespace
 
-std::size_t resilience_table::repeats_at(double fault_rate) const {
-    std::size_t count = 0;
-    for (const resilience_run& run : runs_) {
-        if (same_rate(run.fault_rate, fault_rate)) { ++count; }
-    }
-    return count;
-}
-
 double resilience_table::accuracy_at(double fault_rate, double epochs, statistic stat) const {
     std::vector<double> accs;
     for (const resilience_run& run : runs_) {
@@ -551,8 +543,6 @@ resilience_cache::gc_report resilience_cache::gc(const gc_options& opts) const {
              << " over-budget, kept " << report.bytes_kept << " bytes in " << dir_;
     return report;
 }
-
-resilience_cache::gc_report resilience_cache::gc() const { return gc(gc_options{}); }
 
 std::function<void()> cache_gc_from_cli(const cli_args& args) {
     if (!args.get_flag("cache-gc")) { return {}; }

@@ -102,9 +102,6 @@ public:
     /// tables). runs().size() < grid_cells() identifies a partial table.
     std::size_t grid_cells() const { return grid_cells_; }
 
-    /// Number of repeats at a grid rate.
-    std::size_t repeats_at(double fault_rate) const;
-
     /// Accuracy after `epochs` of FAT at a grid fault rate, reduced over
     /// repeats by `stat` (default mean — matches how Fig. 2a curves are
     /// read). Rate must be a grid point.
@@ -279,11 +276,6 @@ public:
     /// surviving entries oldest-mtime-first until the rest fits. A missing
     /// directory is an empty cache, not an error.
     gc_report gc(const gc_options& opts) const;
-
-    /// gc() with default options (stale-only pruning). Separate overload:
-    /// a `= {}` default argument cannot name the nested struct before the
-    /// enclosing class is complete.
-    gc_report gc() const;
 
     const std::string& directory() const { return dir_; }
 

@@ -71,8 +71,8 @@ std::string image_workload_context(const image_workload_config& cfg = {});
 
 /// Same bundle built around a tiny CNN on the synthetic-image task —
 /// exercises conv2d masking (patch-dimension mapping) through the whole
-/// pipeline. Slower per epoch than the MLP workload; used by the conv
-/// variants of the benches and by integration tests.
+/// pipeline. Slower per epoch than the MLP workload; the conv pipeline
+/// tests use it.
 workload make_image_workload(const image_workload_config& cfg = {});
 
 }  // namespace reduce

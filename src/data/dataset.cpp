@@ -20,16 +20,6 @@ void dataset::validate() const {
     }
 }
 
-tensor dataset::sample(std::size_t index) const {
-    REDUCE_CHECK(index < size(), "sample index " << index << " out of range");
-    const std::size_t row_elems = features.numel() / features.extent(0);
-    shape_t shape = features.shape();
-    shape[0] = 1;
-    std::vector<float> values(features.raw() + index * row_elems,
-                              features.raw() + (index + 1) * row_elems);
-    return tensor(std::move(shape), std::move(values));
-}
-
 dataset_split split_dataset(const dataset& data, double train_fraction, std::uint64_t seed) {
     data.validate();
     REDUCE_CHECK(train_fraction > 0.0 && train_fraction < 1.0,

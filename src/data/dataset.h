@@ -23,9 +23,6 @@ struct dataset {
     /// Validates the internal consistency (sample count, label range);
     /// throws invalid_argument_error on violation.
     void validate() const;
-
-    /// Copies a single sample's features as a [1, ...] tensor.
-    tensor sample(std::size_t index) const;
 };
 
 /// Train/test split by sample count.

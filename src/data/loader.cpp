@@ -8,15 +8,11 @@
 namespace reduce {
 
 data_loader::data_loader(const dataset& data, std::size_t batch_size, std::uint64_t seed)
-    : data_(data), batch_size_(batch_size), seed_(seed), gen_(seed) {
+    : data_(data), batch_size_(batch_size), gen_(seed) {
     data_.validate();
     REDUCE_CHECK(batch_size > 0, "batch size must be positive");
     steps_per_epoch_ = (data_.size() + batch_size_ - 1) / batch_size_;
     start_epoch();
-}
-
-double data_loader::epochs_elapsed() const {
-    return static_cast<double>(steps_taken_) / static_cast<double>(steps_per_epoch_);
 }
 
 void data_loader::start_epoch() {
@@ -39,12 +35,6 @@ std::size_t data_loader::steps_for_epochs(double epochs) const {
     if (epochs == 0.0) { return 0; }
     const double steps = epochs * static_cast<double>(steps_per_epoch_);
     return std::max<std::size_t>(1, static_cast<std::size_t>(std::ceil(steps - 1e-9)));
-}
-
-void data_loader::reset() {
-    gen_ = rng(seed_);
-    steps_taken_ = 0;
-    start_epoch();
 }
 
 data_loader::state data_loader::save_state() const {

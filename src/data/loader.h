@@ -24,20 +24,12 @@ public:
     /// Total batches handed out so far.
     std::size_t steps_taken() const { return steps_taken_; }
 
-    /// Fraction of epochs completed so far (steps / steps_per_epoch).
-    double epochs_elapsed() const;
-
     /// Returns the next shuffled batch; reshuffles each time a pass ends.
     batch next_batch();
 
     /// Converts an epoch amount to a whole step count (ceil; minimum 1 when
     /// epochs > 0, 0 when epochs == 0).
     std::size_t steps_for_epochs(double epochs) const;
-
-    /// Restarts from a freshly shuffled epoch with the original seed,
-    /// resetting the step counter — used to make retraining runs identical
-    /// across policies.
-    void reset();
 
     /// Resumable position in the batch stream (shuffle RNG, current epoch
     /// order, cursor, step counter) — copyable, so event-driven training
@@ -62,7 +54,6 @@ private:
 
     const dataset& data_;
     std::size_t batch_size_;
-    std::uint64_t seed_;
     rng gen_;
     std::vector<std::size_t> order_;
     std::size_t cursor_ = 0;

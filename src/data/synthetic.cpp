@@ -47,62 +47,6 @@ dataset make_gaussian_mixture(const gaussian_mixture_config& cfg) {
     return data;
 }
 
-dataset make_rings(const rings_config& cfg) {
-    REDUCE_CHECK(cfg.num_classes > 1, "rings needs >= 2 classes");
-    REDUCE_CHECK(cfg.dim >= 2, "rings needs dim >= 2");
-    rng gen(cfg.seed);
-    const std::size_t total = cfg.num_classes * cfg.samples_per_class;
-    dataset data{tensor({total, cfg.dim}), {}, cfg.num_classes};
-    data.labels.reserve(total);
-    float* x = data.features.raw();
-    std::size_t row = 0;
-    for (std::size_t c = 0; c < cfg.num_classes; ++c) {
-        const double radius = cfg.base_radius + static_cast<double>(c) * cfg.radius_step;
-        for (std::size_t s = 0; s < cfg.samples_per_class; ++s, ++row) {
-            const double angle = gen.uniform(0.0, 2.0 * std::numbers::pi);
-            const double r = radius + gen.normal(0.0, cfg.radial_noise);
-            x[row * cfg.dim + 0] = static_cast<float>(r * std::cos(angle));
-            x[row * cfg.dim + 1] = static_cast<float>(r * std::sin(angle));
-            for (std::size_t j = 2; j < cfg.dim; ++j) {
-                x[row * cfg.dim + j] = static_cast<float>(gen.normal(0.0, cfg.radial_noise));
-            }
-            data.labels.push_back(c);
-        }
-    }
-    data.validate();
-    return data;
-}
-
-dataset make_spirals(const spirals_config& cfg) {
-    REDUCE_CHECK(cfg.num_classes > 1, "spirals needs >= 2 classes");
-    REDUCE_CHECK(cfg.dim >= 2, "spirals needs dim >= 2");
-    rng gen(cfg.seed);
-    const std::size_t total = cfg.num_classes * cfg.samples_per_class;
-    dataset data{tensor({total, cfg.dim}), {}, cfg.num_classes};
-    data.labels.reserve(total);
-    float* x = data.features.raw();
-    std::size_t row = 0;
-    const double phase_step = 2.0 * std::numbers::pi / static_cast<double>(cfg.num_classes);
-    for (std::size_t c = 0; c < cfg.num_classes; ++c) {
-        const double phase = phase_step * static_cast<double>(c);
-        for (std::size_t s = 0; s < cfg.samples_per_class; ++s, ++row) {
-            const double t = gen.uniform();  // position along the arm
-            const double radius = 0.15 + 0.85 * t;
-            const double angle = phase + cfg.turns * 2.0 * std::numbers::pi * t;
-            x[row * cfg.dim + 0] =
-                static_cast<float>(radius * std::cos(angle) + gen.normal(0.0, cfg.noise));
-            x[row * cfg.dim + 1] =
-                static_cast<float>(radius * std::sin(angle) + gen.normal(0.0, cfg.noise));
-            for (std::size_t j = 2; j < cfg.dim; ++j) {
-                x[row * cfg.dim + j] = static_cast<float>(gen.normal(0.0, cfg.noise));
-            }
-            data.labels.push_back(c);
-        }
-    }
-    data.validate();
-    return data;
-}
-
 dataset make_synthetic_images(const synthetic_images_config& cfg) {
     REDUCE_CHECK(cfg.num_classes > 1, "synthetic images need >= 2 classes");
     REDUCE_CHECK(cfg.shape.channels > 0 && cfg.shape.height > 0 && cfg.shape.width > 0,

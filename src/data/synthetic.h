@@ -28,36 +28,6 @@ struct gaussian_mixture_config {
 /// Generates the mixture dataset (features [N, dim]).
 dataset make_gaussian_mixture(const gaussian_mixture_config& cfg);
 
-/// Concentric rings ("donuts"): class k lives on radius r0 + k*dr with
-/// angular uniformity and radial noise — not linearly separable, exercises
-/// deeper models.
-struct rings_config {
-    std::size_t num_classes = 4;
-    std::size_t dim = 2;              ///< first two dims carry the ring; rest are noise
-    std::size_t samples_per_class = 400;
-    double base_radius = 1.0;
-    double radius_step = 1.0;
-    double radial_noise = 0.18;
-    std::uint64_t seed = 7;
-};
-
-/// Generates the rings dataset (features [N, dim]).
-dataset make_rings(const rings_config& cfg);
-
-/// Interleaved 2-D spirals lifted into `dim` dimensions; a classic hard
-/// low-dimensional benchmark for small nets.
-struct spirals_config {
-    std::size_t num_classes = 3;
-    std::size_t dim = 2;
-    std::size_t samples_per_class = 400;
-    double turns = 1.75;
-    double noise = 0.08;
-    std::uint64_t seed = 11;
-};
-
-/// Generates the spirals dataset (features [N, dim]).
-dataset make_spirals(const spirals_config& cfg);
-
 /// Synthetic image classification ("synthetic CIFAR"): each class is a
 /// deterministic low-frequency pattern over [C, H, W], samples add Gaussian
 /// noise and a random brightness jitter. Exercises the conv path end to end.

@@ -11,19 +11,6 @@
 
 namespace reduce::dist {
 
-const char* chaos_action_name(chaos_action action) {
-    switch (action) {
-        case chaos_action::pass: return "pass";
-        case chaos_action::split: return "split";
-        case chaos_action::delay: return "delay";
-        case chaos_action::duplicate: return "duplicate";
-        case chaos_action::garble: return "garble";
-        case chaos_action::truncate: return "truncate";
-        case chaos_action::drop: return "drop";
-    }
-    return "?";
-}
-
 // --- chaos_schedule ---------------------------------------------------------
 
 chaos_schedule::chaos_schedule(const chaos_config& cfg, std::uint64_t stream)

@@ -51,8 +51,6 @@ namespace reduce::dist {
 /// What the chaos layer does to one frame in flight.
 enum class chaos_action { pass, split, delay, duplicate, garble, truncate, drop };
 
-const char* chaos_action_name(chaos_action action);
-
 /// Fault mix of a chaos run. Rates are per-frame probabilities, evaluated
 /// in the order drop, truncate, garble, duplicate, delay, split (first
 /// hit wins; the remainder passes clean). seed == 0 disables every fault

@@ -219,21 +219,6 @@ tcp_listener::tcp_listener(const std::string& address, int port) {
     set_fd_nonblocking(fd_, true);
 }
 
-tcp_listener::tcp_listener(tcp_listener&& other) noexcept
-    : fd_(other.fd_), port_(other.port_) {
-    other.fd_ = -1;
-}
-
-tcp_listener& tcp_listener::operator=(tcp_listener&& other) noexcept {
-    if (this != &other) {
-        close();
-        fd_ = other.fd_;
-        port_ = other.port_;
-        other.fd_ = -1;
-    }
-    return *this;
-}
-
 std::optional<tcp_socket> tcp_listener::accept_one() {
     REDUCE_CHECK(fd_ >= 0, "accept on a closed listener");
     for (;;) {
@@ -261,12 +246,6 @@ void tcp_listener::close() {
 
 std::string job_kind_name(job_kind kind) {
     return kind == job_kind::sweep ? "sweep" : "fleet";
-}
-
-job_kind job_kind_from_name(const std::string& name) {
-    if (name == "sweep") { return job_kind::sweep; }
-    if (name == "fleet") { return job_kind::fleet; }
-    throw io_error("unknown job kind '" + name + "'");
 }
 
 const std::string& message_type(const json_value& message) {

@@ -171,8 +171,9 @@ private:
     int fd_ = -1;
 };
 
-/// Listening TCP socket. Move-only. The descriptor is non-blocking so an
-/// event loop can drain the accept queue without stalling.
+/// Listening TCP socket; its owner holds it in place (neither copyable nor
+/// movable). The descriptor is non-blocking so an event loop can drain the
+/// accept queue without stalling.
 class tcp_listener {
 public:
     /// Binds address:port and listens; port 0 picks an ephemeral port
@@ -180,8 +181,6 @@ public:
     tcp_listener(const std::string& address, int port);
     tcp_listener(const tcp_listener&) = delete;
     tcp_listener& operator=(const tcp_listener&) = delete;
-    tcp_listener(tcp_listener&& other) noexcept;
-    tcp_listener& operator=(tcp_listener&& other) noexcept;
     ~tcp_listener() { close(); }
 
     /// Accepts one pending connection (returned non-blocking), or nullopt
@@ -204,7 +203,6 @@ private:
 enum class job_kind { sweep, fleet };
 
 std::string job_kind_name(job_kind kind);
-job_kind job_kind_from_name(const std::string& name);
 
 /// Mandatory "type" member of a message; throws io_error when absent.
 const std::string& message_type(const json_value& message);

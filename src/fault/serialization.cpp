@@ -148,23 +148,6 @@ fault_grid fault_grid_from_bytes(std::string_view bytes) {
     return grid;
 }
 
-json_value line_fault_config_to_json(const line_fault_config& cfg) {
-    json_object root;
-    root.set("fault_rate", json_value(cfg.fault_rate));
-    root.set("row_fraction", json_value(cfg.row_fraction));
-    root.set("kind_mix", json_value(to_string(cfg.kind_mix)));
-    return json_value(std::move(root));
-}
-
-line_fault_config line_fault_config_from_json(const json_value& value) {
-    const json_object& root = value.as_object();
-    line_fault_config cfg;
-    cfg.fault_rate = root.at("fault_rate").as_number();
-    cfg.row_fraction = root.at("row_fraction").as_number();
-    cfg.kind_mix = fault_kind_mix_from_string(root.at("kind_mix").as_string());
-    return cfg;
-}
-
 json_value chip_to_json(const chip& c) {
     json_object root;
     root.set("id", json_value(c.id));

@@ -27,7 +27,6 @@
 
 #include "accel/fault_grid.h"
 #include "fault/chip.h"
-#include "fault/models.h"
 #include "util/json.h"
 
 namespace reduce {
@@ -48,12 +47,6 @@ std::string fault_grid_to_bytes(const fault_grid& grid);
 /// twice, within one kind or across kinds; trailing bytes. Nothing is
 /// allocated before the extents pass the cap.
 fault_grid fault_grid_from_bytes(std::string_view bytes);
-
-/// line_fault_config ⇄ JSON ({"fault_rate","row_fraction","kind_mix"}) —
-/// the model descriptor that travels alongside a line-fault map so the
-/// receiving end can regenerate or extend the map deterministically.
-json_value line_fault_config_to_json(const line_fault_config& cfg);
-line_fault_config line_fault_config_from_json(const json_value& value);
 
 /// chip → JSON: {"id", "seed" (decimal string), "nominal_fault_rate",
 /// "fault_map" (base64 of the codec bytes)}.

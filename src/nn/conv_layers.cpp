@@ -70,20 +70,4 @@ std::unique_ptr<module> max_pool2d_layer::clone() const {
     return copy;
 }
 
-tensor global_avg_pool_layer::forward(const tensor& input) {
-    cached_input_shape_ = input.shape();
-    return global_avg_pool_forward(input);
-}
-
-tensor global_avg_pool_layer::backward(const tensor& grad_output) {
-    REDUCE_CHECK(!cached_input_shape_.empty(), "global_avg_pool backward before forward");
-    return global_avg_pool_backward(grad_output, cached_input_shape_);
-}
-
-std::unique_ptr<module> global_avg_pool_layer::clone() const {
-    auto copy = std::make_unique<global_avg_pool_layer>();
-    copy->training_ = training_;
-    return copy;
-}
-
 }  // namespace reduce

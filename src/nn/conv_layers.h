@@ -51,16 +51,4 @@ private:
     std::vector<std::size_t> cached_argmax_;
 };
 
-/// Global average pooling layer: [N, C, H, W] → [N, C].
-class global_avg_pool_layer : public module {
-public:
-    tensor forward(const tensor& input) override;
-    tensor backward(const tensor& grad_output) override;
-    std::unique_ptr<module> clone() const override;
-    std::string name() const override { return "global_avg_pool"; }
-
-private:
-    shape_t cached_input_shape_;
-};
-
 }  // namespace reduce

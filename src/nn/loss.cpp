@@ -36,24 +36,4 @@ loss_result cross_entropy_loss(const tensor& logits, const std::vector<std::size
     return result;
 }
 
-loss_result mse_loss(const tensor& prediction, const tensor& target) {
-    REDUCE_CHECK(prediction.shape() == target.shape(),
-                 "mse shapes differ: " << prediction.describe() << " vs " << target.describe());
-    REDUCE_CHECK(prediction.numel() > 0, "mse over empty tensors");
-    loss_result result;
-    result.grad = tensor(prediction.shape());
-    const float* p = prediction.raw();
-    const float* t = target.raw();
-    float* g = result.grad.raw();
-    const double inv_n = 1.0 / static_cast<double>(prediction.numel());
-    double loss = 0.0;
-    for (std::size_t i = 0; i < prediction.numel(); ++i) {
-        const double diff = static_cast<double>(p[i]) - t[i];
-        loss += diff * diff;
-        g[i] = static_cast<float>(2.0 * diff * inv_n);
-    }
-    result.value = loss * inv_n;
-    return result;
-}
-
 }  // namespace reduce

@@ -19,8 +19,4 @@ struct loss_result {
 /// logits: [N, C]; labels: N entries in [0, C).
 loss_result cross_entropy_loss(const tensor& logits, const std::vector<std::size_t>& labels);
 
-/// Mean squared error against a target tensor of the same shape, averaged
-/// over all elements.
-loss_result mse_loss(const tensor& prediction, const tensor& target);
-
 }  // namespace reduce

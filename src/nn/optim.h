@@ -1,40 +1,40 @@
-// Optimizers and learning-rate schedules.
+// The retraining optimizer.
 //
-// Optimizers are mask-aware: when a parameter carries a fault mask, the
+// The optimizer is mask-aware: when a parameter carries a fault mask, the
 // gradient is masked before the update and the value is re-masked after it,
 // so weights mapped to bypassed PEs stay exactly zero throughout fault-aware
 // retraining (the FAP+T invariant from Zhang et al., VTS'18).
 #pragma once
 
-#include <map>
-#include <memory>
 #include <vector>
 
 #include "nn/module.h"
 
 namespace reduce {
 
-/// Deep copy of an optimizer's internal state, for checkpoint/rollback in
-/// event-driven training (fault timelines). `buffers` holds the optimizer's
-/// per-parameter accumulators in a fixed implementation order (sgd:
-/// velocity; adam: first moments then second moments); `step_count` carries
-/// counters like adam's t. An optimizer without internal state round-trips
-/// an empty snapshot.
+/// Deep copy of the optimizer's internal state, for checkpoint/rollback in
+/// event-driven training (fault timelines): one velocity buffer per
+/// parameter, or none when momentum is off.
 struct optimizer_state {
     std::vector<tensor> buffers;
-    std::uint64_t step_count = 0;
 };
 
-/// Base optimizer interface over a fixed parameter set.
-class optimizer {
+/// SGD with optional heavy-ball momentum and L2 weight decay over a fixed
+/// parameter set.
+class sgd {
 public:
-    explicit optimizer(std::vector<parameter*> params);
-    optimizer(const optimizer&) = delete;
-    optimizer& operator=(const optimizer&) = delete;
-    virtual ~optimizer() = default;
+    struct config {
+        double learning_rate = 0.01;
+        double momentum = 0.0;       ///< 0 disables the velocity buffer
+        double weight_decay = 0.0;   ///< L2 coefficient added to the gradient
+    };
+
+    sgd(std::vector<parameter*> params, config cfg);
+    sgd(const sgd&) = delete;
+    sgd& operator=(const sgd&) = delete;
 
     /// Applies one update from the accumulated gradients.
-    virtual void step() = 0;
+    void step();
 
     /// Zeroes all gradients.
     void zero_grad();
@@ -42,121 +42,31 @@ public:
     /// Current learning rate.
     double learning_rate() const { return lr_; }
 
-    /// Sets the learning rate (used by schedulers).
+    /// Sets the learning rate (divergence rollback halves it).
     void set_learning_rate(double lr);
 
     /// The parameters this optimizer updates.
     const std::vector<parameter*>& params() const { return params_; }
 
-    /// Snapshot of the internal state (momentum/moment buffers, counters).
-    virtual optimizer_state save_state() const { return {}; }
+    /// Snapshot of the velocity buffers.
+    optimizer_state save_state() const;
 
     /// Restores a snapshot taken from the SAME optimizer configuration
     /// (shape-checked); the inverse of save_state().
-    virtual void restore_state(const optimizer_state& state);
+    void restore_state(const optimizer_state& state);
 
-    /// Zeroes internal state wherever the owning parameter's fault mask is
+    /// Zeroes the velocity wherever the owning parameter's fault mask is
     /// zero. Called when a timeline event re-masks weights mid-run: a
     /// newly pruned weight must lose its momentum too, or the next step
     /// would push it off zero before apply_mask clamps it back — changing
     /// every unmasked weight through shared reductions downstream.
-    virtual void mask_state() {}
+    void mask_state();
 
-protected:
+private:
     std::vector<parameter*> params_;
+    config cfg_;
     double lr_ = 0.01;
-};
-
-/// SGD with optional momentum and decoupled weight decay.
-class sgd : public optimizer {
-public:
-    struct config {
-        double learning_rate = 0.01;
-        double momentum = 0.0;       ///< 0 disables the velocity buffer
-        double weight_decay = 0.0;   ///< L2 coefficient added to the gradient
-        bool nesterov = false;
-    };
-
-    sgd(std::vector<parameter*> params, config cfg);
-
-    void step() override;
-
-    optimizer_state save_state() const override;
-    void restore_state(const optimizer_state& state) override;
-    void mask_state() override;
-
-private:
-    config cfg_;
     std::vector<tensor> velocity_;
-};
-
-/// Adam (Kingma & Ba) with bias correction.
-class adam : public optimizer {
-public:
-    struct config {
-        double learning_rate = 1e-3;
-        double beta1 = 0.9;
-        double beta2 = 0.999;
-        double eps = 1e-8;
-        double weight_decay = 0.0;
-    };
-
-    adam(std::vector<parameter*> params, config cfg);
-
-    void step() override;
-
-    optimizer_state save_state() const override;
-    void restore_state(const optimizer_state& state) override;
-    void mask_state() override;
-
-private:
-    config cfg_;
-    std::vector<tensor> m_;
-    std::vector<tensor> v_;
-    std::size_t t_ = 0;
-};
-
-/// Learning-rate schedule interface: maps a completed-step counter to a rate.
-class lr_schedule {
-public:
-    virtual ~lr_schedule() = default;
-
-    /// Learning rate to use at the given zero-based step index.
-    virtual double rate_at(std::size_t step) const = 0;
-};
-
-/// Constant rate.
-class constant_lr : public lr_schedule {
-public:
-    explicit constant_lr(double rate);
-    double rate_at(std::size_t step) const override;
-
-private:
-    double rate_;
-};
-
-/// Step decay: rate * gamma^(step / period).
-class step_decay_lr : public lr_schedule {
-public:
-    step_decay_lr(double initial, double gamma, std::size_t period);
-    double rate_at(std::size_t step) const override;
-
-private:
-    double initial_;
-    double gamma_;
-    std::size_t period_;
-};
-
-/// Cosine decay from `initial` to `floor` over `total_steps`.
-class cosine_lr : public lr_schedule {
-public:
-    cosine_lr(double initial, double floor, std::size_t total_steps);
-    double rate_at(std::size_t step) const override;
-
-private:
-    double initial_;
-    double floor_;
-    std::size_t total_steps_;
 };
 
 /// Global gradient-norm clipping; returns the pre-clip norm.

@@ -594,43 +594,4 @@ tensor max_pool2d_backward(const tensor& grad_output, const std::vector<std::siz
     return grad_input;
 }
 
-tensor global_avg_pool_forward(const tensor& input) {
-    REDUCE_CHECK(input.dim() == 4, "global_avg_pool expects [N,C,H,W], got " << input.describe());
-    const std::size_t batch = input.extent(0);
-    const std::size_t channels = input.extent(1);
-    const std::size_t plane = input.extent(2) * input.extent(3);
-    REDUCE_CHECK(plane > 0, "global_avg_pool over empty plane");
-    tensor output({batch, channels});
-    const float* src = input.raw();
-    float* dst = output.raw();
-    const float inv = 1.0f / static_cast<float>(plane);
-    for (std::size_t nc = 0; nc < batch * channels; ++nc) {
-        float acc = 0.0f;
-        const float* p = src + nc * plane;
-        for (std::size_t i = 0; i < plane; ++i) { acc += p[i]; }
-        dst[nc] = acc * inv;
-    }
-    return output;
-}
-
-tensor global_avg_pool_backward(const tensor& grad_output, const shape_t& input_shape) {
-    REDUCE_CHECK(input_shape.size() == 4, "global_avg_pool backward expects rank-4 input shape");
-    const std::size_t batch = input_shape[0];
-    const std::size_t channels = input_shape[1];
-    const std::size_t plane = input_shape[2] * input_shape[3];
-    REDUCE_CHECK(grad_output.dim() == 2 && grad_output.extent(0) == batch &&
-                     grad_output.extent(1) == channels,
-                 "global_avg_pool backward grad " << grad_output.describe() << " mismatch");
-    tensor grad_input(input_shape);
-    const float* src = grad_output.raw();
-    float* dst = grad_input.raw();
-    const float inv = 1.0f / static_cast<float>(plane);
-    for (std::size_t nc = 0; nc < batch * channels; ++nc) {
-        const float g = src[nc] * inv;
-        float* p = dst + nc * plane;
-        for (std::size_t i = 0; i < plane; ++i) { p[i] = g; }
-    }
-    return grad_input;
-}
-
 }  // namespace reduce

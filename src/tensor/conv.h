@@ -134,10 +134,4 @@ pool2d_result max_pool2d_forward(const tensor& input, const pool2d_spec& spec);
 tensor max_pool2d_backward(const tensor& grad_output, const std::vector<std::size_t>& argmax,
                            const shape_t& input_shape);
 
-/// Global average pooling: [N, C, H, W] → [N, C].
-tensor global_avg_pool_forward(const tensor& input);
-
-/// Backward of global average pooling.
-tensor global_avg_pool_backward(const tensor& grad_output, const shape_t& input_shape);
-
 }  // namespace reduce

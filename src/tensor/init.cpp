@@ -6,12 +6,6 @@
 
 namespace reduce {
 
-void xavier_uniform(tensor& t, std::size_t fan_in, std::size_t fan_out, rng& gen) {
-    REDUCE_CHECK(fan_in + fan_out > 0, "xavier_uniform requires positive fan");
-    const float limit = std::sqrt(6.0f / static_cast<float>(fan_in + fan_out));
-    uniform_init(t, -limit, limit, gen);
-}
-
 void he_normal(tensor& t, std::size_t fan_in, rng& gen) {
     REDUCE_CHECK(fan_in > 0, "he_normal requires positive fan_in");
     const float stddev = std::sqrt(2.0f / static_cast<float>(fan_in));

@@ -6,9 +6,6 @@
 
 namespace reduce {
 
-/// Fills with U(-limit, limit) where limit = sqrt(6 / (fan_in + fan_out)).
-void xavier_uniform(tensor& t, std::size_t fan_in, std::size_t fan_out, rng& gen);
-
 /// Fills with N(0, sqrt(2 / fan_in)) — He initialization for ReLU nets.
 void he_normal(tensor& t, std::size_t fan_in, rng& gen);
 

@@ -28,7 +28,9 @@ void check_rank2(const tensor& a, const char* op) {
 tensor add(const tensor& a, const tensor& b) {
     check_same_shape(a, b, "add");
     tensor c = a;
-    add_inplace(c, b);
+    float* out = c.raw();
+    const float* rhs = b.raw();
+    for (std::size_t i = 0, n = c.numel(); i < n; ++i) { out[i] += rhs[i]; }
     return c;
 }
 
@@ -52,20 +54,6 @@ tensor scale(const tensor& a, float s) {
     tensor c = a;
     scale_inplace(c, s);
     return c;
-}
-
-void add_inplace(tensor& a, const tensor& b) {
-    check_same_shape(a, b, "add_inplace");
-    float* out = a.raw();
-    const float* rhs = b.raw();
-    for (std::size_t i = 0, n = a.numel(); i < n; ++i) { out[i] += rhs[i]; }
-}
-
-void axpy_inplace(tensor& a, float s, const tensor& b) {
-    check_same_shape(a, b, "axpy_inplace");
-    float* out = a.raw();
-    const float* rhs = b.raw();
-    for (std::size_t i = 0, n = a.numel(); i < n; ++i) { out[i] += s * rhs[i]; }
 }
 
 void mul_inplace(tensor& a, const tensor& b) {
@@ -152,13 +140,6 @@ void add_row_bias_inplace(tensor& a, const tensor& bias) {
         float* row = pa + i * n;
         for (std::size_t j = 0; j < n; ++j) { row[j] += pb[j]; }
     }
-}
-
-tensor column_sums(const tensor& a) {
-    check_rank2(a, "column_sums");
-    tensor sums({a.extent(1)});
-    column_sums_acc(a, sums);
-    return sums;
 }
 
 void column_sums_acc(const tensor& a, tensor& sums) {

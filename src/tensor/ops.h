@@ -27,12 +27,6 @@ tensor mul(const tensor& a, const tensor& b);
 /// c = a * s.
 tensor scale(const tensor& a, float s);
 
-/// a += b in place (same shape).
-void add_inplace(tensor& a, const tensor& b);
-
-/// a += s * b in place (same shape); the optimizer/axpy primitive.
-void axpy_inplace(tensor& a, float s, const tensor& b);
-
 /// a *= b elementwise in place (same shape); used to apply fault masks.
 void mul_inplace(tensor& a, const tensor& b);
 
@@ -61,10 +55,7 @@ void matmul_tn_acc(const tensor& a, const tensor& b, tensor& c);
 /// Adds `bias` (shape [n]) to every row of `a` (shape [m,n]) in place.
 void add_row_bias_inplace(tensor& a, const tensor& bias);
 
-/// Column sums of a [m,n] tensor → [n]. Used for bias gradients.
-tensor column_sums(const tensor& a);
-
-/// sums += column sums of `a` (shape [n]); allocation-free bias-grad path.
+/// sums += column sums of `a` (shape [n]); the bias-gradient reduction.
 void column_sums_acc(const tensor& a, tensor& sums);
 
 /// Row-wise softmax of a [m,n] tensor (numerically stabilized).

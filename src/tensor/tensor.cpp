@@ -146,15 +146,6 @@ double tensor::mean() const {
     return sum() / static_cast<double>(data_.size());
 }
 
-std::size_t tensor::argmax() const {
-    REDUCE_CHECK(!data_.empty(), "argmax of empty tensor");
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < data_.size(); ++i) {
-        if (data_[i] > data_[best]) { best = i; }
-    }
-    return best;
-}
-
 std::string tensor::describe() const {
     return "tensor" + shape_to_string(shape_);
 }

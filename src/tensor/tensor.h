@@ -112,9 +112,6 @@ public:
     /// Mean of all elements; throws on empty tensors.
     double mean() const;
 
-    /// Index of the maximum element; throws on empty tensors.
-    std::size_t argmax() const;
-
     /// Human-readable description "tensor[2, 3]" for diagnostics.
     std::string describe() const;
 

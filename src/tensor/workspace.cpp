@@ -1,7 +1,6 @@
 #include "tensor/workspace.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "util/error.h"
 
@@ -32,10 +31,6 @@ workspace::buffer::~buffer() {
     if (owner_ != nullptr) { owner_->release(slot_); }
 }
 
-void workspace::buffer::zero() {
-    if (size_ > 0) { std::memset(data_, 0, size_ * sizeof(float)); }
-}
-
 workspace::~workspace() = default;
 
 workspace::buffer workspace::acquire(std::size_t n) {
@@ -49,24 +44,8 @@ workspace::buffer workspace::acquire(std::size_t n) {
         if (best == slabs_.size() || s.capacity < slabs_[best].capacity) { best = i; }
     }
     if (best == slabs_.size()) {
-        // Reuse a retired table entry when one exists to keep slot indices
-        // compact across trim() cycles.
-        for (std::size_t i = 0; i < slabs_.size(); ++i) {
-            if (!slabs_[i].leased && slabs_[i].data == nullptr) {
-                best = i;
-                break;
-            }
-        }
-        if (best == slabs_.size()) {
-            slabs_.emplace_back();
-            best = slabs_.size() - 1;
-        }
-        slab& s = slabs_[best];
-        // Uninitialized storage on purpose: callers either overwrite or ask
-        // for acquire_zeroed().
-        s.data = std::unique_ptr<float[]>(new float[n]);
-        s.capacity = n;
-        s.pooled = true;
+        // Uninitialized storage on purpose: callers overwrite what they lease.
+        slabs_.push_back(slab{std::unique_ptr<float[]>(new float[n]), n, false});
     }
     slab& s = slabs_[best];
     s.leased = true;
@@ -76,40 +55,17 @@ workspace::buffer workspace::acquire(std::size_t n) {
     return buffer(this, best, s.data.get(), n);
 }
 
-workspace::buffer workspace::acquire_zeroed(std::size_t n) {
-    buffer b = acquire(n);
-    b.zero();
-    return b;
-}
-
 void workspace::release(std::size_t slot) {
     slab& s = slabs_[slot];
     s.leased = false;
     --outstanding_;
     leased_floats_ -= s.capacity;
-    if (!s.pooled) {
-        s.data.reset();
-        s.capacity = 0;
-        s.pooled = true;
-    }
 }
 
 std::size_t workspace::pooled_bytes() const {
     std::size_t total = 0;
     for (const slab& s : slabs_) { total += s.capacity * sizeof(float); }
     return total;
-}
-
-void workspace::trim() {
-    for (slab& s : slabs_) {
-        if (s.leased) {
-            s.pooled = false;  // drop instead of pooling when returned
-        } else {
-            s.data.reset();
-            s.capacity = 0;
-            s.pooled = true;
-        }
-    }
 }
 
 workspace& workspace::local() {

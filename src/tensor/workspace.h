@@ -29,7 +29,7 @@ namespace reduce {
 class workspace {
 public:
     /// RAII lease of a slab; returns it to the owning pool on destruction.
-    /// Contents are unspecified unless acquired through acquire_zeroed().
+    /// Contents are unspecified: the holder writes before it reads.
     class buffer {
     public:
         buffer() = default;
@@ -42,9 +42,6 @@ public:
         float* data() { return data_; }
         const float* data() const { return data_; }
         std::size_t size() const { return size_; }
-
-        /// Sets the leased region (not the whole slab) to zero.
-        void zero();
 
     private:
         friend class workspace;
@@ -67,9 +64,6 @@ public:
     /// steady-state training loops stop allocating after warm-up.
     buffer acquire(std::size_t n);
 
-    /// Leases a slab with the first `n` floats zeroed.
-    buffer acquire_zeroed(std::size_t n);
-
     /// Bytes currently held by the pool (free + leased slabs).
     std::size_t pooled_bytes() const;
 
@@ -78,10 +72,6 @@ public:
 
     /// High-water mark of simultaneously leased floats.
     std::size_t peak_floats() const { return peak_floats_; }
-
-    /// Releases all free slabs back to the OS. Leased buffers stay valid;
-    /// their slabs are dropped (not pooled) when returned.
-    void trim();
 
     /// The calling thread's arena. Each sweep/fleet worker thread gets its
     /// own instance; it is destroyed when the thread exits.
@@ -92,7 +82,6 @@ private:
         std::unique_ptr<float[]> data;
         std::size_t capacity = 0;
         bool leased = false;
-        bool pooled = true;  ///< false after trim(): drop on return
     };
 
     void release(std::size_t slot);

@@ -1,11 +1,33 @@
 #include "util/cli.h"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdlib>
 #include <sstream>
 
 #include "util/error.h"
 
 namespace reduce {
+
+namespace {
+
+// One number of option --name; `what` says what was expected in the message.
+// Rejects trailing garbage and non-finite values.
+double parse_finite(const std::string& name, const std::string& text, const char* what) {
+    char* end = nullptr;
+    const double value = std::strtod(text.c_str(), &end);
+    if (text.empty() || *end != '\0') {
+        throw invalid_argument_error("option --" + name + " expects " + what + ", got '" +
+                                     text + "'");
+    }
+    if (!std::isfinite(value)) {
+        throw invalid_argument_error("option --" + name + " must be finite, got '" + text +
+                                     "'");
+    }
+    return value;
+}
+
+}  // namespace
 
 cli_args::cli_args(int argc, const char* const* argv) {
     REDUCE_CHECK(argc >= 1, "argc must be at least 1");
@@ -17,7 +39,7 @@ cli_args::cli_args(int argc, const char* const* argv) {
             continue;
         }
         const std::string body = token.substr(2);
-        REDUCE_CHECK(!body.empty(), "bare '--' is not a valid option");
+        if (body.empty()) { throw invalid_argument_error("bare '--' is not a valid option"); }
         const auto eq = body.find('=');
         if (eq != std::string::npos) {
             options_[body.substr(0, eq)] = body.substr(eq + 1);
@@ -50,20 +72,23 @@ std::int64_t cli_args::get_int(const std::string& name, std::int64_t fallback) c
     const std::string* text = find(name);
     if (text == nullptr) { return fallback; }
     char* end = nullptr;
+    errno = 0;
     const long long value = std::strtoll(text->c_str(), &end, 10);
-    REDUCE_CHECK(end != nullptr && *end == '\0' && !text->empty(),
-                 "option --" << name << " expects an integer, got '" << *text << "'");
+    if (text->empty() || *end != '\0') {
+        throw invalid_argument_error("option --" + name + " expects an integer, got '" +
+                                     *text + "'");
+    }
+    if (errno == ERANGE) {
+        throw invalid_argument_error("option --" + name + " is out of range, got '" + *text +
+                                     "'");
+    }
     return value;
 }
 
 double cli_args::get_double(const std::string& name, double fallback) const {
     const std::string* text = find(name);
     if (text == nullptr) { return fallback; }
-    char* end = nullptr;
-    const double value = std::strtod(text->c_str(), &end);
-    REDUCE_CHECK(end != nullptr && *end == '\0' && !text->empty(),
-                 "option --" << name << " expects a number, got '" << *text << "'");
-    return value;
+    return parse_finite(name, *text, "a number");
 }
 
 bool cli_args::get_flag(const std::string& name) const {
@@ -80,13 +105,11 @@ std::vector<double> cli_args::get_double_list(const std::string& name,
     std::stringstream ss(*text);
     std::string item;
     while (std::getline(ss, item, ',')) {
-        char* end = nullptr;
-        const double value = std::strtod(item.c_str(), &end);
-        REDUCE_CHECK(end != nullptr && *end == '\0' && !item.empty(),
-                     "option --" << name << " has a non-numeric element '" << item << "'");
-        values.push_back(value);
+        values.push_back(parse_finite(name, item, "numeric elements"));
     }
-    REDUCE_CHECK(!values.empty(), "option --" << name << " is an empty list");
+    if (values.empty()) {
+        throw invalid_argument_error("option --" + name + " is an empty list");
+    }
     return values;
 }
 
@@ -98,10 +121,14 @@ std::vector<std::string> cli_args::get_string_list(
     std::stringstream ss(*text);
     std::string item;
     while (std::getline(ss, item, ',')) {
-        REDUCE_CHECK(!item.empty(), "option --" << name << " has an empty element");
+        if (item.empty()) {
+            throw invalid_argument_error("option --" + name + " has an empty element");
+        }
         values.push_back(item);
     }
-    REDUCE_CHECK(!values.empty(), "option --" << name << " is an empty list");
+    if (values.empty()) {
+        throw invalid_argument_error("option --" + name + " is an empty list");
+    }
     return values;
 }
 

@@ -24,10 +24,12 @@ public:
     /// String option with default.
     std::string get(const std::string& name, const std::string& fallback) const;
 
-    /// Integer option with default; throws on non-numeric values.
+    /// Integer option with default; throws invalid_argument_error on a
+    /// non-numeric value or one outside the std::int64_t range.
     std::int64_t get_int(const std::string& name, std::int64_t fallback) const;
 
-    /// Floating-point option with default; throws on non-numeric values.
+    /// Floating-point option with default; throws invalid_argument_error on
+    /// a non-numeric or non-finite value (`nan`, `inf`, `1e999`).
     double get_double(const std::string& name, double fallback) const;
 
     /// Boolean flag: present without value → true; "true"/"1"/"yes" → true.
@@ -39,7 +41,8 @@ public:
     /// Program name (argv[0]).
     const std::string& program() const { return program_; }
 
-    /// Comma-separated list of doubles, e.g. `--rates 0.0,0.1,0.2`.
+    /// Comma-separated list of doubles, e.g. `--rates 0.0,0.1,0.2`; every
+    /// element must be a finite number.
     std::vector<double> get_double_list(const std::string& name,
                                         const std::vector<double>& fallback) const;
 

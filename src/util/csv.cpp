@@ -1,7 +1,6 @@
 #include "util/csv.h"
 
 #include <algorithm>
-#include <fstream>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
@@ -66,13 +65,6 @@ void csv_table::write(std::ostream& os) const {
         }
         os << '\n';
     }
-}
-
-void csv_table::save(const std::string& path) const {
-    std::ofstream file(path);
-    if (!file) { throw io_error("cannot open file for writing: " + path); }
-    write(file);
-    if (!file) { throw io_error("failed while writing: " + path); }
 }
 
 void csv_table::write_pretty(std::ostream& os) const {

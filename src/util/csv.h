@@ -39,9 +39,6 @@ public:
     /// separators or quotes).
     void write(std::ostream& os) const;
 
-    /// Writes to a file; throws io_error when the file cannot be opened.
-    void save(const std::string& path) const;
-
     /// Renders the table with aligned columns for terminal output.
     void write_pretty(std::ostream& os) const;
 

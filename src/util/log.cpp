@@ -27,8 +27,6 @@ const char* level_name(log_level level) {
 
 void set_log_level(log_level level) { g_level.store(level); }
 
-log_level get_log_level() { return g_level.load(); }
-
 void set_log_sink(log_sink sink) {
     std::lock_guard<std::mutex> lock(g_sink_mutex);
     g_sink = std::move(sink);

@@ -20,9 +20,6 @@ enum class log_level {
 /// Sets the global threshold; messages below it are dropped.
 void set_log_level(log_level level);
 
-/// Current global threshold.
-log_level get_log_level();
-
 /// Emits one line to stderr if `level` passes the threshold.
 void log_message(log_level level, const std::string& message);
 

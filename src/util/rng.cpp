@@ -140,8 +140,4 @@ std::vector<std::size_t> rng::sample_without_replacement(std::size_t n, std::siz
     return chosen;
 }
 
-rng rng::fork() {
-    return rng(next_u64() ^ 0xd1b54a32d192ed03ULL);
-}
-
 }  // namespace reduce

@@ -76,10 +76,6 @@ public:
     /// Requires k <= n. Result is in random order.
     std::vector<std::size_t> sample_without_replacement(std::size_t n, std::size_t k);
 
-    /// Forks an independent generator; the child stream does not overlap
-    /// with the parent for practical sequence lengths.
-    rng fork();
-
 private:
     std::uint64_t state_[4];
     double cached_normal_ = 0.0;

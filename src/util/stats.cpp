@@ -47,25 +47,6 @@ double percentile_of(std::span<const double> values, double p) {
     return sorted[lo] + frac * (sorted[hi] - sorted[lo]);
 }
 
-void running_stats::add(double value) {
-    if (count_ == 0) {
-        min_ = value;
-        max_ = value;
-    } else {
-        min_ = std::min(min_, value);
-        max_ = std::max(max_, value);
-    }
-    ++count_;
-    const double delta = value - mean_;
-    mean_ += delta / static_cast<double>(count_);
-    m2_ += delta * (value - mean_);
-}
-
-double running_stats::stddev() const {
-    if (count_ < 2) { return 0.0; }
-    return std::sqrt(m2_ / static_cast<double>(count_ - 1));
-}
-
 double select_statistic(const summary_stats& stats, statistic which) {
     switch (which) {
         case statistic::min: return stats.min;
@@ -84,14 +65,6 @@ std::string to_string(statistic which) {
         case statistic::median: return "median";
     }
     throw invalid_argument_error("unknown statistic selector");
-}
-
-statistic statistic_from_string(const std::string& name) {
-    if (name == "min") { return statistic::min; }
-    if (name == "mean") { return statistic::mean; }
-    if (name == "max") { return statistic::max; }
-    if (name == "median") { return statistic::median; }
-    throw invalid_argument_error("unknown statistic name: " + name);
 }
 
 }  // namespace reduce

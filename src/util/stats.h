@@ -31,36 +31,6 @@ double stddev_of(std::span<const double> values);
 /// Linear-interpolated percentile, p in [0, 100]. Requires non-empty sample.
 double percentile_of(std::span<const double> values, double p);
 
-/// Incremental mean/variance accumulator (Welford). Useful when streaming
-/// per-chip results without storing them all.
-class running_stats {
-public:
-    /// Adds one observation.
-    void add(double value);
-
-    /// Number of observations added so far.
-    std::size_t count() const { return count_; }
-
-    /// Mean of observations; 0 when empty.
-    double mean() const { return count_ == 0 ? 0.0 : mean_; }
-
-    /// Sample standard deviation; 0 when fewer than two observations.
-    double stddev() const;
-
-    /// Minimum observation; 0 when empty.
-    double min() const { return count_ == 0 ? 0.0 : min_; }
-
-    /// Maximum observation; 0 when empty.
-    double max() const { return count_ == 0 ? 0.0 : max_; }
-
-private:
-    std::size_t count_ = 0;
-    double mean_ = 0.0;
-    double m2_ = 0.0;
-    double min_ = 0.0;
-    double max_ = 0.0;
-};
-
 /// Named statistic selectors for the retraining-amount policy (paper §III-B:
 /// "we propose to use the maximum reported values").
 enum class statistic {
@@ -75,8 +45,5 @@ double select_statistic(const summary_stats& stats, statistic which);
 
 /// Human-readable name ("min", "mean", "max", "median").
 std::string to_string(statistic which);
-
-/// Parses a statistic name; throws invalid_argument_error on unknown names.
-statistic statistic_from_string(const std::string& name);
 
 }  // namespace reduce

@@ -111,7 +111,7 @@ TEST(Equivalence, HealthyArrayIsPlainGemm) {
     const tensor x = random_tensor({4, 12}, gen);
     const tensor w = random_tensor({9, 12}, gen);
     const gemm_mapping mapping(cfg, 12, 9);
-    const systolic_array array(cfg);
+    const systolic_array array(cfg, fault_grid(cfg.rows, cfg.cols));
     EXPECT_TRUE(array.run_gemm(x, w, mapping).allclose(matmul_nt(x, w), 1e-5f));
 }
 

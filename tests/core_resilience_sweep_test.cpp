@@ -538,7 +538,7 @@ TEST(ResilienceCache, GcSweepsUniquifiedTmpLitter) {
         out << "{";
     }
     const resilience_cache cache(dir);
-    const resilience_cache::gc_report report = cache.gc();
+    const resilience_cache::gc_report report = cache.gc({});
     EXPECT_EQ(report.removed_stale, 1u);
     EXPECT_FALSE(
         std::filesystem::exists(std::filesystem::path(dir) / "step1-x.json.tmp.1234.7"));
@@ -570,7 +570,7 @@ TEST(ResilienceCache, GcRemovesStaleKeepsCurrentAndEnforcesBudget) {
     write_file("unrelated.json", "{}");
 
     const resilience_cache cache(dir);
-    const resilience_cache::gc_report report = cache.gc();
+    const resilience_cache::gc_report report = cache.gc({});
     EXPECT_EQ(report.scanned, 4u);
     EXPECT_EQ(report.removed_stale, 3u);
     EXPECT_EQ(report.removed_oversize, 0u);
@@ -589,7 +589,7 @@ TEST(ResilienceCache, GcRemovesStaleKeepsCurrentAndEnforcesBudget) {
 
     // Missing directory: empty report, no throw.
     std::filesystem::remove_all(dir);
-    const resilience_cache::gc_report empty = resilience_cache(dir).gc();
+    const resilience_cache::gc_report empty = resilience_cache(dir).gc({});
     EXPECT_EQ(empty.scanned, 0u);
 }
 

@@ -38,7 +38,6 @@ TEST(ResilienceTable, RatesSortedUnique) {
     ASSERT_EQ(table.fault_rates().size(), 3u);
     EXPECT_DOUBLE_EQ(table.fault_rates()[0], 0.0);
     EXPECT_DOUBLE_EQ(table.fault_rates()[2], 0.4);
-    EXPECT_EQ(table.repeats_at(0.2), 3u);
 }
 
 TEST(ResilienceTable, AccuracyAtReadsTrajectory) {
@@ -246,7 +245,6 @@ TEST_F(AnalyzerFixture, ProducesExpectedRunCount) {
     cfg.max_epochs = 1.0;
     const resilience_table table = analyzer.analyze(cfg);
     EXPECT_EQ(table.runs().size(), 4u);
-    EXPECT_EQ(table.repeats_at(0.2), 2u);
 }
 
 TEST_F(AnalyzerFixture, ZeroRateRunsStartAtCleanAccuracy) {

@@ -23,15 +23,6 @@ TEST(Dataset, ValidateCatchesInconsistencies) {
     EXPECT_THROW(d.validate(), error);
 }
 
-TEST(Dataset, SampleExtractsOneRow) {
-    dataset d{tensor({3, 2}, std::vector<float>{1, 2, 3, 4, 5, 6}), {0, 1, 0}, 2};
-    const tensor s = d.sample(1);
-    EXPECT_EQ(s.shape(), shape_t({1, 2}));
-    EXPECT_EQ(s[0], 3.0f);
-    EXPECT_EQ(s[1], 4.0f);
-    EXPECT_THROW(d.sample(3), error);
-}
-
 TEST(SplitDataset, PartitionSizesAndDisjointness) {
     gaussian_mixture_config cfg;
     cfg.num_classes = 3;
@@ -155,29 +146,6 @@ TEST(GaussianMixture, SeparationControlsSpread) {
     EXPECT_GT(class_mean_norm(far_data, 0), 2.0 * class_mean_norm(near_data, 0));
 }
 
-TEST(Rings, RadiiMatchClasses) {
-    rings_config cfg;
-    cfg.num_classes = 3;
-    cfg.samples_per_class = 200;
-    cfg.radial_noise = 0.05;
-    const dataset data = make_rings(cfg);
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        const double r = std::hypot(data.features[i * cfg.dim], data.features[i * cfg.dim + 1]);
-        const double expected = cfg.base_radius + static_cast<double>(data.labels[i]);
-        EXPECT_NEAR(r, expected, 0.4) << "sample " << i;
-    }
-}
-
-TEST(Spirals, BoundedAndLabeled) {
-    spirals_config cfg;
-    const dataset data = make_spirals(cfg);
-    data.validate();
-    for (std::size_t i = 0; i < data.size(); ++i) {
-        EXPECT_LT(std::abs(data.features[i * cfg.dim]), 2.0f);
-        EXPECT_LT(std::abs(data.features[i * cfg.dim + 1]), 2.0f);
-    }
-}
-
 TEST(SyntheticImages, ShapeAndDeterminism) {
     synthetic_images_config cfg;
     cfg.num_classes = 3;
@@ -231,37 +199,6 @@ TEST(Loader, StepsForEpochsSemantics) {
     EXPECT_EQ(loader.steps_for_epochs(0.5), 2u);
     EXPECT_EQ(loader.steps_for_epochs(0.05), 1u);  // minimum one step
     EXPECT_EQ(loader.steps_for_epochs(2.25), 9u);
-}
-
-TEST(Loader, EpochsElapsedTracksSteps) {
-    gaussian_mixture_config cfg;
-    cfg.num_classes = 2;
-    cfg.dim = 2;
-    cfg.samples_per_class = 16;  // 32 samples, batch 16 → 2 steps/epoch
-    const dataset data = make_gaussian_mixture(cfg);
-    data_loader loader(data, 16, 4);
-    EXPECT_DOUBLE_EQ(loader.epochs_elapsed(), 0.0);
-    (void)loader.next_batch();
-    EXPECT_DOUBLE_EQ(loader.epochs_elapsed(), 0.5);
-    (void)loader.next_batch();
-    (void)loader.next_batch();
-    EXPECT_DOUBLE_EQ(loader.epochs_elapsed(), 1.5);
-}
-
-TEST(Loader, ResetReplaysIdenticalStream) {
-    gaussian_mixture_config cfg;
-    cfg.num_classes = 2;
-    cfg.dim = 2;
-    cfg.samples_per_class = 20;
-    const dataset data = make_gaussian_mixture(cfg);
-    data_loader loader(data, 8, 5);
-    const batch first = loader.next_batch();
-    (void)loader.next_batch();
-    loader.reset();
-    const batch replay = loader.next_batch();
-    EXPECT_TRUE(first.features == replay.features);
-    EXPECT_EQ(first.labels, replay.labels);
-    EXPECT_EQ(loader.steps_taken(), 1u);
 }
 
 TEST(Loader, ReshufflesBetweenEpochs) {

@@ -15,7 +15,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,8 +30,11 @@
 #include "dist/journal.h"
 #include "dist/worker.h"
 #include "fault/chip.h"
+#include "fuzz_mutations.h"
 #include "nn/serialize.h"
+#include "util/base64.h"
 #include "util/error.h"
+#include "util/log.h"
 #include "util/rng.h"
 
 namespace reduce {
@@ -314,6 +319,43 @@ protected:
         return wc;
     }
 
+    /// The journal records a coordinator writes for unit 0 of a sweep job
+    /// (a real one-cell partial table) and of a fleet job (an outcome plus
+    /// the tuned-model snapshot bytes).
+    json_value sweep_unit_record(const resilience_config& cfg) {
+        resilience_analyzer analyzer(*w().model, w().pretrained, w().train_data,
+                                     w().test_data, w().array, w().trainer_cfg);
+        json_object record;
+        record.set("type", json_value("unit"));
+        record.set("unit", json_value(0));
+        record.set("table",
+                   analyzer.analyze_cells(cfg, {enumerate_sweep_cells(cfg).front()}).to_json());
+        return json_value(std::move(record));
+    }
+
+    std::vector<chip> two_chip_fleet() {
+        fleet_config fc;
+        fc.num_chips = 2;
+        fc.seed = 17;
+        return make_fleet(w().array, fc);
+    }
+
+    json_value fleet_unit_record(const chip& c) {
+        chip_outcome outcome;
+        outcome.chip_id = c.id;
+        outcome.nominal_fault_rate = c.nominal_fault_rate;
+        outcome.epochs_allocated = 0.5;
+        outcome.epochs_run = 0.5;
+        outcome.final_accuracy = 0.9;
+        outcome.meets_constraint = true;
+        json_object record;
+        record.set("type", json_value("unit"));
+        record.set("unit", json_value(0));
+        record.set("outcome", dist::chip_outcome_to_json(outcome));
+        record.set("snapshot", json_value(base64_encode(snapshot_to_bytes(w().pretrained))));
+        return json_value(std::move(record));
+    }
+
     dist::worker_report run_worker(const dist::worker_config& wc,
                                    const resilience_config& sweep_cfg) {
         dist::worker node(wc, *w().model, w().pretrained, w().train_data, w().test_data,
@@ -532,6 +574,204 @@ TEST_F(DistChaosFixture, FullyJournaledJobFinishesWithoutAnyWorkers) {
     EXPECT_EQ(stats.journal_units_replayed, stats.units_total);
     EXPECT_EQ(stats.workers_admitted, 0u);
     std::filesystem::remove_all(jdir);
+}
+
+// --- journal fuzzing --------------------------------------------------------
+
+std::string read_bytes(const std::string& path) {
+    std::ifstream in(path, std::ios::binary);
+    return std::string(std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>());
+}
+
+void write_bytes(const std::string& path, const std::string& bytes) {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+std::uint32_t read_u32(const std::string& bytes, std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+        v = (v << 8) | static_cast<unsigned char>(bytes[at + i]);
+    }
+    return v;
+}
+
+void write_u32(std::string& bytes, std::size_t at, std::uint32_t v) {
+    for (std::size_t i = 0; i < 4; ++i) {
+        bytes[at + i] = static_cast<char>((v >> (24 - 8 * i)) & 0xff);
+    }
+}
+
+/// One record as the journal frames it: length, checksum, payload.
+std::string frame_record(const std::string& payload) {
+    std::string bytes(8, '\0');
+    write_u32(bytes, 0, static_cast<std::uint32_t>(payload.size()));
+    write_u32(bytes, 4, dist::journal_checksum(payload));
+    return bytes + payload;
+}
+
+/// The payloads of a journal file, or nullopt unless the file is a whole
+/// number of intact records (plausible length, matching checksum).
+std::optional<std::vector<std::string>> record_payloads(const std::string& bytes) {
+    std::vector<std::string> payloads;
+    std::size_t at = 0;
+    while (at < bytes.size()) {
+        if (bytes.size() - at < 8) { return std::nullopt; }
+        const std::uint32_t length = read_u32(bytes, at);
+        if (length == 0 || bytes.size() - at - 8 < length) { return std::nullopt; }
+        std::string payload = bytes.substr(at + 8, length);
+        if (dist::journal_checksum(payload) != read_u32(bytes, at + 4)) { return std::nullopt; }
+        payloads.push_back(std::move(payload));
+        at += 8 + length;
+    }
+    return payloads;
+}
+
+/// Silences the torn-tail and rejected-record warnings a fuzz loop provokes
+/// by the thousand.
+struct quiet_log {
+    quiet_log() { set_log_sink([](log_level, const std::string&) {}); }
+    ~quiet_log() { set_log_sink(nullptr); }
+};
+
+TEST_F(DistChaosFixture, JournalFuzzRawBytesReplayAPrefixOrThrowIoError) {
+    // Contract of journal::open on arbitrary file bytes: io_error, or the
+    // original unit records up to some point (never an altered or invented
+    // one), with the file truncated to a record boundary either way.
+    const resilience_config cfg = small_config(1);
+    const std::vector<json_value> units = {sweep_unit_record(cfg),
+                                           fleet_unit_record(two_chip_fleet().front())};
+    const std::string dir = make_temp_dir("journal_fuzz_raw");
+    const std::string path = dist::journal_path(dir, "fpfuzz");
+    {
+        dist::journal j;
+        ASSERT_TRUE(j.open(dir, dist::job_kind::sweep, "fpfuzz", 2).empty());
+        for (const json_value& unit : units) { j.append(unit); }
+    }
+    const std::string original = read_bytes(path);
+    const std::optional<std::vector<std::string>> framed = record_payloads(original);
+    ASSERT_TRUE(framed.has_value());
+    ASSERT_EQ(framed->size(), 3u);  // header + two units
+    std::vector<std::size_t> starts = {0};
+    for (const std::string& payload : *framed) {
+        starts.push_back(starts.back() + 8 + payload.size());
+    }
+    starts.pop_back();
+
+    const quiet_log quiet;
+    const std::vector<std::string> seeds = {original};
+    rng random(20231);
+    const auto oversize = [&](std::string& bytes) {
+        const std::uint32_t lengths[] = {
+            0u, static_cast<std::uint32_t>(dist::max_frame_payload) + 1u, 0xffffffffu};
+        write_u32(bytes, starts[random.uniform_index(starts.size())],
+                  lengths[random.uniform_index(3)]);
+    };
+    std::size_t replayed_any = 0;
+    for (int trial = 0; trial < 1200; ++trial) {
+        std::string bytes = original;
+        fuzz::mutate(random, bytes, seeds, oversize);
+        write_bytes(path, bytes);
+        try {
+            dist::journal j;
+            const std::vector<json_value> records =
+                j.open(dir, dist::job_kind::sweep, "fpfuzz", 2);
+            ASSERT_LE(records.size(), units.size()) << "trial " << trial;
+            for (std::size_t i = 0; i < records.size(); ++i) {
+                ASSERT_EQ(records[i].dump(), units[i].dump()) << "trial " << trial;
+            }
+            replayed_any += records.empty() ? 0 : 1;
+        } catch (const io_error&) {
+        }
+        ASSERT_TRUE(record_payloads(read_bytes(path)).has_value())
+            << "trial " << trial << " left a torn tail behind";
+    }
+    EXPECT_GT(replayed_any, 0u) << "no mutation kept an intact prefix; the loop tests nothing";
+    std::filesystem::remove_all(dir);
+}
+
+TEST_F(DistChaosFixture, JournalFuzzValidFramesWithMutatedPayloadsReplayOnlyInRangeUnits) {
+    // A record can be intact on disk yet lie inside: its payload mutated,
+    // then re-framed with a matching length and checksum. Replaying such a
+    // journal through coordinator::start() must throw io_error or replay
+    // only units of the job — and, for a fleet, stream only its chips.
+    const resilience_config cfg = small_config(1);
+    const std::vector<chip> fleet = two_chip_fleet();
+    const fixed_policy policy(0.5, 0.85);
+    const std::string fingerprint = resilience_fingerprint(cfg);
+    const std::string dir = make_temp_dir("journal_fuzz_replay");
+
+    // One valid journal per job kind, header first.
+    std::vector<std::string> sweep_payloads;
+    std::vector<std::string> fleet_payloads;
+    for (const dist::job_kind kind : {dist::job_kind::sweep, dist::job_kind::fleet}) {
+        dist::journal j;
+        ASSERT_TRUE(j.open(dir, kind, fingerprint, 2).empty());
+        j.append(kind == dist::job_kind::sweep ? sweep_unit_record(cfg)
+                                               : fleet_unit_record(fleet.front()));
+        j.close();
+        const std::string path = dist::journal_path(dir, fingerprint);
+        (kind == dist::job_kind::sweep ? sweep_payloads : fleet_payloads) =
+            record_payloads(read_bytes(path)).value();
+        std::filesystem::remove(path);
+    }
+    ASSERT_EQ(sweep_payloads.size(), 2u);
+    ASSERT_EQ(fleet_payloads.size(), 2u);
+    std::vector<std::string> seeds = sweep_payloads;
+    seeds.insert(seeds.end(), fleet_payloads.begin(), fleet_payloads.end());
+
+    dist::coordinator_config cc;
+    cc.fingerprint = fingerprint;
+    cc.journal_dir = dir;
+    cc.cells_per_lease = 1;
+    const quiet_log quiet;
+    rng random(20232);
+    // The decoder-specific extreme: a unit index or unit count far outside
+    // the job, or not an integer at all.
+    const auto oversize = [&](std::string& payload) {
+        json_value record = json_parse(payload);
+        json_object obj = record.as_object();
+        const json_value extremes[] = {json_value(-1), json_value(2), json_value(1e300),
+                                       json_value(4611686018427387904.0), json_value(0.5)};
+        obj.set(obj.contains("unit") ? "unit" : "units", extremes[random.uniform_index(5)]);
+        payload = json_value(std::move(obj)).dump();
+    };
+    std::size_t replayed = 0;
+    for (int trial = 0; trial < 240; ++trial) {
+        const bool sweep = trial % 2 == 0;
+        std::vector<std::string> payloads = sweep ? sweep_payloads : fleet_payloads;
+        fuzz::mutate(random, payloads[random.uniform_index(payloads.size())], seeds, oversize);
+        std::string bytes;
+        for (const std::string& payload : payloads) {
+            if (!payload.empty()) { bytes += frame_record(payload); }
+        }
+        write_bytes(dist::journal_path(dir, fingerprint), bytes);
+
+        std::vector<std::size_t> sunk;
+        std::unique_ptr<dist::coordinator> coord;
+        if (sweep) {
+            coord = std::make_unique<dist::coordinator>(cc, dist::sweep_job{cfg, ""});
+        } else {
+            dist::fleet_job job = dist::plan_fleet_job(*w().model, w().array, policy, fleet);
+            job.collect_snapshots = true;
+            coord = std::make_unique<dist::coordinator>(cc, std::move(job));
+            coord->set_model_sink(
+                [&](const chip& c, const model_snapshot&) { sunk.push_back(c.id); });
+        }
+        try {
+            coord->start();
+        } catch (const io_error&) {
+            continue;
+        }
+        coord->stop();
+        const dist::coordinator_stats stats = coord->stats();
+        ASSERT_LE(stats.journal_units_replayed, 1u) << "trial " << trial;
+        ASSERT_EQ(stats.units_completed, stats.journal_units_replayed) << "trial " << trial;
+        for (const std::size_t id : sunk) { ASSERT_EQ(id, fleet.front().id) << "trial " << trial; }
+        replayed += stats.journal_units_replayed;
+    }
+    EXPECT_GT(replayed, 0u) << "no trial replayed a unit; the loop tests nothing";
+    std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -220,12 +220,6 @@ TEST(Framing, TruncatedFrameNeverYieldsAMessage) {
     }
 }
 
-TEST(Messages, JobKindNamesRoundTrip) {
-    EXPECT_EQ(job_kind_from_name(job_kind_name(job_kind::sweep)), job_kind::sweep);
-    EXPECT_EQ(job_kind_from_name(job_kind_name(job_kind::fleet)), job_kind::fleet);
-    EXPECT_THROW((void)job_kind_from_name("neither"), io_error);
-}
-
 TEST(Messages, SweepWorkCarriesLeaseAsDecimalString) {
     // Lease ids are u64; beyond 2^53 they are not exactly representable as
     // JSON doubles, so they travel as decimal strings.

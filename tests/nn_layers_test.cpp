@@ -315,36 +315,12 @@ TEST(CrossEntropy, RejectsBadLabels) {
     EXPECT_THROW(cross_entropy_loss(logits, {0, 1}), error);
 }
 
-TEST(MseLoss, ZeroForIdenticalTensors) {
-    const tensor a = tensor::from_values({1, 2, 3});
-    const loss_result r = mse_loss(a, a);
-    EXPECT_DOUBLE_EQ(r.value, 0.0);
-    EXPECT_DOUBLE_EQ(r.grad.sum(), 0.0);
-}
-
-TEST(MseLoss, KnownGradient) {
-    const tensor pred = tensor::from_values({2.0f});
-    const tensor target = tensor::from_values({0.0f});
-    const loss_result r = mse_loss(pred, target);
-    EXPECT_DOUBLE_EQ(r.value, 4.0);
-    EXPECT_FLOAT_EQ(r.grad[0], 4.0f);  // 2*(2-0)/1
-}
-
-TEST(Metrics, AccuracyAndConfusion) {
+TEST(Metrics, Accuracy) {
     tensor logits({3, 2}, std::vector<float>{0.9f, 0.1f,   // → 0
                                              0.2f, 0.8f,   // → 1
                                              0.6f, 0.4f}); // → 0
     const std::vector<std::size_t> labels = {0, 1, 1};
     EXPECT_NEAR(accuracy(logits, labels), 2.0 / 3.0, 1e-9);
-    confusion_matrix cm(2);
-    cm.add_batch(logits, labels);
-    EXPECT_EQ(cm.count(0, 0), 1u);
-    EXPECT_EQ(cm.count(1, 1), 1u);
-    EXPECT_EQ(cm.count(1, 0), 1u);
-    EXPECT_NEAR(cm.overall_accuracy(), 2.0 / 3.0, 1e-9);
-    const auto recall = cm.per_class_recall();
-    EXPECT_DOUBLE_EQ(recall[0], 1.0);
-    EXPECT_DOUBLE_EQ(recall[1], 0.5);
 }
 
 TEST(Snapshot, RoundTripThroughFile) {

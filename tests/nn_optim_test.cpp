@@ -1,4 +1,4 @@
-// Tests for optimizers and LR schedules, with emphasis on the mask-aware
+// Tests for the SGD optimizer, with emphasis on the mask-aware
 // update invariant FAT relies on: masked weights stay exactly zero through
 // arbitrary optimization.
 #include <gtest/gtest.h>
@@ -99,22 +99,6 @@ TEST(Sgd, MaskedWeightsStayZero) {
     EXPECT_NEAR(q.p.value[1], 10.0f, 1e-2f);
 }
 
-TEST(Sgd, NesterovDiffersFromHeavyBall) {
-    quadratic a({10.0f}, {0.0f});
-    quadratic b({10.0f}, {0.0f});
-    sgd opt_a({&a.p}, {.learning_rate = 0.05, .momentum = 0.9, .nesterov = false});
-    sgd opt_b({&b.p}, {.learning_rate = 0.05, .momentum = 0.9, .nesterov = true});
-    for (int i = 0; i < 3; ++i) {
-        opt_a.zero_grad();
-        a.compute_grad();
-        opt_a.step();
-        opt_b.zero_grad();
-        b.compute_grad();
-        opt_b.step();
-    }
-    EXPECT_NE(a.p.value[0], b.p.value[0]);
-}
-
 TEST(Sgd, RejectsBadConfig) {
     quadratic q({1.0f}, {0.0f});
     EXPECT_THROW(sgd({&q.p}, {.learning_rate = 0.1, .momentum = 1.0}), error);
@@ -126,48 +110,6 @@ TEST(Optimizer, RejectsEmptyParams) {
     EXPECT_THROW(sgd({}, {}), error);
 }
 
-TEST(Adam, ConvergesOnQuadratic) {
-    quadratic q({10.0f, -7.0f}, {1.0f, 2.0f});
-    adam opt({&q.p}, {.learning_rate = 0.2});
-    for (int i = 0; i < 300; ++i) {
-        opt.zero_grad();
-        q.compute_grad();
-        opt.step();
-    }
-    EXPECT_LT(q.loss(), 1e-4);
-}
-
-TEST(Adam, FirstStepIsLearningRateSized) {
-    // Bias correction makes the very first Adam update ≈ lr * sign(grad).
-    quadratic q({5.0f}, {0.0f});
-    adam opt({&q.p}, {.learning_rate = 0.1});
-    opt.zero_grad();
-    q.compute_grad();
-    opt.step();
-    EXPECT_NEAR(q.p.value[0], 5.0f - 0.1f, 1e-3f);
-}
-
-TEST(Adam, MaskedWeightsStayZero) {
-    quadratic q({2.0f, 2.0f}, {8.0f, 8.0f});
-    q.p.mask = tensor::from_values({1.0f, 0.0f});
-    q.p.apply_mask();
-    adam opt({&q.p}, {.learning_rate = 0.3});
-    for (int i = 0; i < 50; ++i) {
-        opt.zero_grad();
-        q.compute_grad();
-        opt.step();
-        EXPECT_FLOAT_EQ(q.p.value[1], 0.0f);
-    }
-    EXPECT_GT(q.p.value[0], 5.0f);
-}
-
-TEST(Adam, RejectsBadConfig) {
-    quadratic q({1.0f}, {0.0f});
-    EXPECT_THROW(adam({&q.p}, {.beta1 = 1.0}), error);
-    EXPECT_THROW(adam({&q.p}, {.beta2 = -0.1}), error);
-    EXPECT_THROW(adam({&q.p}, {.eps = 0.0}), error);
-}
-
 TEST(ZeroGrad, ClearsAllParameters) {
     quadratic q({1.0f, 2.0f}, {0.0f, 0.0f});
     sgd opt({&q.p}, {.learning_rate = 0.1});
@@ -175,46 +117,6 @@ TEST(ZeroGrad, ClearsAllParameters) {
     EXPECT_NE(q.p.grad.sum(), 0.0);
     opt.zero_grad();
     EXPECT_EQ(q.p.grad.sum(), 0.0);
-}
-
-TEST(LrSchedules, ConstantIsConstant) {
-    const constant_lr sched(0.05);
-    EXPECT_DOUBLE_EQ(sched.rate_at(0), 0.05);
-    EXPECT_DOUBLE_EQ(sched.rate_at(1000000), 0.05);
-}
-
-TEST(LrSchedules, StepDecayHalves) {
-    const step_decay_lr sched(1.0, 0.5, 10);
-    EXPECT_DOUBLE_EQ(sched.rate_at(0), 1.0);
-    EXPECT_DOUBLE_EQ(sched.rate_at(9), 1.0);
-    EXPECT_DOUBLE_EQ(sched.rate_at(10), 0.5);
-    EXPECT_DOUBLE_EQ(sched.rate_at(25), 0.25);
-}
-
-TEST(LrSchedules, CosineEndsAtFloor) {
-    const cosine_lr sched(1.0, 0.1, 100);
-    EXPECT_DOUBLE_EQ(sched.rate_at(0), 1.0);
-    EXPECT_NEAR(sched.rate_at(50), 0.55, 1e-9);
-    EXPECT_DOUBLE_EQ(sched.rate_at(100), 0.1);
-    EXPECT_DOUBLE_EQ(sched.rate_at(500), 0.1);
-}
-
-TEST(LrSchedules, CosineIsMonotoneNonincreasing) {
-    const cosine_lr sched(0.5, 0.0, 64);
-    double prev = sched.rate_at(0);
-    for (std::size_t s = 1; s <= 64; ++s) {
-        const double cur = sched.rate_at(s);
-        EXPECT_LE(cur, prev + 1e-12);
-        prev = cur;
-    }
-}
-
-TEST(LrSchedules, RejectBadConfigs) {
-    EXPECT_THROW(constant_lr(-1.0), error);
-    EXPECT_THROW(step_decay_lr(1.0, 0.0, 10), error);
-    EXPECT_THROW(step_decay_lr(1.0, 0.5, 0), error);
-    EXPECT_THROW(cosine_lr(0.1, 0.5, 10), error);
-    EXPECT_THROW(cosine_lr(0.5, 0.1, 0), error);
 }
 
 TEST(GradClip, ScalesDownLargeGradients) {

@@ -47,33 +47,6 @@ TEST(Training, MlpLearnsGaussianMixture) {
     EXPECT_GT(acc, 0.9) << "MLP failed to learn a well-separated mixture";
 }
 
-TEST(Training, MlpLearnsRings) {
-    rings_config cfg;
-    cfg.num_classes = 3;
-    cfg.samples_per_class = 250;
-    const dataset data = make_rings(cfg);
-    const dataset_split split = split_dataset(data, 0.8, 3);
-
-    rng gen(2);
-    auto model = make_mlp({2, 48, 48, 3}, gen);
-    const double acc = train_and_eval(*model, split.train, split.test, 600, 0.05);
-    EXPECT_GT(acc, 0.85) << "MLP failed to learn concentric rings";
-}
-
-TEST(Training, MlpLearnsSpirals) {
-    spirals_config cfg;
-    cfg.num_classes = 2;
-    cfg.samples_per_class = 300;
-    cfg.turns = 1.25;
-    const dataset data = make_spirals(cfg);
-    const dataset_split split = split_dataset(data, 0.8, 3);
-
-    rng gen(3);
-    auto model = make_mlp({2, 64, 64, 2}, gen);
-    const double acc = train_and_eval(*model, split.train, split.test, 900, 0.05);
-    EXPECT_GT(acc, 0.85) << "MLP failed to learn spirals";
-}
-
 TEST(Training, TinyCnnLearnsSyntheticImages) {
     synthetic_images_config cfg;
     cfg.num_classes = 4;

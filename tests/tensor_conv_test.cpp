@@ -221,19 +221,6 @@ TEST(MaxPool, RejectsOversizedKernel) {
     EXPECT_THROW(max_pool2d_forward(input, pool2d_spec{3, 1}), error);
 }
 
-TEST(GlobalAvgPool, ForwardAndBackward) {
-    tensor input({1, 2, 2, 2},
-                 std::vector<float>{1, 2, 3, 4, 10, 20, 30, 40});
-    const tensor out = global_avg_pool_forward(input);
-    EXPECT_EQ(out.shape(), shape_t({1, 2}));
-    EXPECT_FLOAT_EQ(out[0], 2.5f);
-    EXPECT_FLOAT_EQ(out[1], 25.0f);
-    tensor grad_out({1, 2}, std::vector<float>{4.0f, 8.0f});
-    const tensor grad_in = global_avg_pool_backward(grad_out, input.shape());
-    EXPECT_FLOAT_EQ(grad_in[0], 1.0f);   // 4 / 4 elements
-    EXPECT_FLOAT_EQ(grad_in[4], 2.0f);   // 8 / 4 elements
-}
-
 // Parameterized sweep: conv2d == direct reference across geometries.
 struct conv_case {
     std::size_t in_c, out_c, k, stride, pad, h, w;

@@ -179,28 +179,6 @@ TEST(Workspace, NestedLeasesDoNotAlias) {
     EXPECT_EQ(ws.outstanding(), 2u);
 }
 
-TEST(Workspace, AcquireZeroedZeroesTheLease) {
-    workspace ws;
-    {
-        workspace::buffer dirty = ws.acquire(256);
-        for (std::size_t i = 0; i < 256; ++i) { dirty.data()[i] = 1.0f; }
-    }
-    workspace::buffer clean = ws.acquire_zeroed(256);
-    for (std::size_t i = 0; i < 256; ++i) { ASSERT_EQ(clean.data()[i], 0.0f); }
-}
-
-TEST(Workspace, TrimReleasesPooledMemory) {
-    workspace ws;
-    { workspace::buffer b = ws.acquire(1 << 16); }
-    EXPECT_GT(ws.pooled_bytes(), 0u);
-    ws.trim();
-    EXPECT_EQ(ws.pooled_bytes(), 0u);
-    // Leased slabs survive a trim and are dropped (not pooled) on return.
-    workspace::buffer live = ws.acquire(512);
-    ws.trim();
-    live.data()[0] = 1.0f;
-}
-
 TEST(Workspace, LocalArenaIsPerThread) {
     workspace* main_arena = &workspace::local();
     workspace* worker_arena = nullptr;

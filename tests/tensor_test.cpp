@@ -117,22 +117,15 @@ TEST(Tensor, AllClose) {
     EXPECT_FALSE(a.allclose(c));
 }
 
-TEST(Tensor, SumMeanArgmax) {
+TEST(Tensor, SumAndMean) {
     const tensor t = tensor::from_values({1, -2, 5, 0});
     EXPECT_DOUBLE_EQ(t.sum(), 4.0);
     EXPECT_DOUBLE_EQ(t.mean(), 1.0);
-    EXPECT_EQ(t.argmax(), 2u);
 }
 
-TEST(Tensor, MeanAndArgmaxRejectEmpty) {
+TEST(Tensor, MeanRejectsEmpty) {
     const tensor t({0});
     EXPECT_THROW(t.mean(), error);
-    EXPECT_THROW(t.argmax(), error);
-}
-
-TEST(Tensor, ArgmaxTiePicksFirst) {
-    const tensor t = tensor::from_values({3, 1, 3});
-    EXPECT_EQ(t.argmax(), 0u);
 }
 
 TEST(Tensor, CopySemantics) {

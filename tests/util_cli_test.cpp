@@ -1,6 +1,7 @@
 // Tests for the command-line parser used by every bench/example binary.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -59,14 +60,37 @@ TEST(Cli, IntegerOption) {
     EXPECT_EQ(args.get_int("missing", -5), -5);
 }
 
+TEST(Cli, BareDoubleDashIsInvalidArgument) {
+    EXPECT_THROW(parse({"--"}), invalid_argument_error);
+}
+
 TEST(Cli, IntegerRejectsGarbage) {
-    const cli_args args = parse({"--chips", "10x"});
-    EXPECT_THROW(args.get_int("chips", 0), error);
+    const cli_args args = parse({"--chips", "10x", "--empty="});
+    EXPECT_THROW(args.get_int("chips", 0), invalid_argument_error);
+    EXPECT_THROW(args.get_int("empty", 0), invalid_argument_error);
+}
+
+TEST(Cli, IntegerRejectsOutOfRange) {
+    // strtoll saturates to LLONG_MAX/LLONG_MIN; a saturated value must not
+    // pass as a chip count.
+    const cli_args args =
+        parse({"--chips", "99999999999999999999", "--offset", "-99999999999999999999",
+               "--max", "9223372036854775807"});
+    EXPECT_THROW(args.get_int("chips", 0), invalid_argument_error);
+    EXPECT_THROW(args.get_int("offset", 0), invalid_argument_error);
+    EXPECT_EQ(args.get_int("max", 0), INT64_MAX);
 }
 
 TEST(Cli, DoubleRejectsGarbage) {
     const cli_args args = parse({"--rate", "abc"});
-    EXPECT_THROW(args.get_double("rate", 0.0), error);
+    EXPECT_THROW(args.get_double("rate", 0.0), invalid_argument_error);
+}
+
+TEST(Cli, DoubleRejectsNonFinite) {
+    for (const char* text : {"nan", "inf", "-inf", "1e999", "-1e999"}) {
+        const cli_args args = parse({"--rate", text});
+        EXPECT_THROW(args.get_double("rate", 0.0), invalid_argument_error) << text;
+    }
 }
 
 TEST(Cli, DefaultsWhenAbsent) {
@@ -96,8 +120,11 @@ TEST(Cli, DoubleListFallback) {
 }
 
 TEST(Cli, DoubleListRejectsBadElement) {
-    const cli_args args = parse({"--rates", "0.1,zz"});
-    EXPECT_THROW(args.get_double_list("rates", {}), error);
+    for (const char* text : {"0.1,zz", "0.1,,0.2", "0.1,nan", "1e999,0.1"}) {
+        const cli_args args = parse({"--rates", text});
+        EXPECT_THROW(args.get_double_list("rates", {}), invalid_argument_error) << text;
+    }
+    EXPECT_THROW(parse({"--rates="}).get_double_list("rates", {}), invalid_argument_error);
 }
 
 TEST(Cli, StringList) {
@@ -117,7 +144,8 @@ TEST(Cli, StringListFallback) {
 
 TEST(Cli, StringListRejectsEmptyElement) {
     const cli_args args = parse({"--policy", "reduce,,fixed"});
-    EXPECT_THROW(args.get_string_list("policy", {}), error);
+    EXPECT_THROW(args.get_string_list("policy", {}), invalid_argument_error);
+    EXPECT_THROW(parse({"--policy="}).get_string_list("policy", {}), invalid_argument_error);
 }
 
 TEST(Cli, NegativeNumberAsValue) {

@@ -65,18 +65,6 @@ TEST(CsvTable, PrettyAlignsColumns) {
     EXPECT_NE(oss.str().find("long-name"), std::string::npos);
 }
 
-TEST(CsvTable, SaveAndReadBack) {
-    csv_table t({"k", "v"});
-    t.add_row({std::string("a"), 3.25});
-    const std::string path = testing::TempDir() + "reduce_csv_test.csv";
-    t.save(path);
-    std::ifstream in(path);
-    std::string line;
-    std::getline(in, line);
-    EXPECT_EQ(line, "k,v");
-    std::remove(path.c_str());
-}
-
 TEST(Json, ScalarRoundTrips) {
     EXPECT_EQ(json_parse("42").as_int(), 42);
     EXPECT_DOUBLE_EQ(json_parse("-2.5e1").as_number(), -25.0);

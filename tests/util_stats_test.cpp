@@ -70,34 +70,6 @@ TEST(Percentile, RejectsOutOfRange) {
     EXPECT_THROW(percentile_of(v, 101.0), error);
 }
 
-TEST(RunningStats, MatchesBatchComputation) {
-    const std::vector<double> v = {1.0, 2.0, 3.0, 4.0, 5.0, 6.0};
-    running_stats rs;
-    for (const double x : v) { rs.add(x); }
-    const summary_stats batch = summarize(v);
-    EXPECT_EQ(rs.count(), batch.count);
-    EXPECT_NEAR(rs.mean(), batch.mean, 1e-12);
-    EXPECT_NEAR(rs.stddev(), batch.stddev, 1e-12);
-    EXPECT_DOUBLE_EQ(rs.min(), batch.min);
-    EXPECT_DOUBLE_EQ(rs.max(), batch.max);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-    const running_stats rs;
-    EXPECT_EQ(rs.count(), 0u);
-    EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-    EXPECT_DOUBLE_EQ(rs.stddev(), 0.0);
-}
-
-TEST(RunningStats, SingleObservation) {
-    running_stats rs;
-    rs.add(-7.0);
-    EXPECT_DOUBLE_EQ(rs.mean(), -7.0);
-    EXPECT_DOUBLE_EQ(rs.min(), -7.0);
-    EXPECT_DOUBLE_EQ(rs.max(), -7.0);
-    EXPECT_DOUBLE_EQ(rs.stddev(), 0.0);
-}
-
 TEST(SelectStatistic, PicksEachField) {
     const std::vector<double> v = {1.0, 2.0, 3.0, 10.0};
     const summary_stats s = summarize(v);
@@ -107,12 +79,11 @@ TEST(SelectStatistic, PicksEachField) {
     EXPECT_DOUBLE_EQ(select_statistic(s, statistic::median), 2.5);
 }
 
-TEST(StatisticNames, RoundTrip) {
-    for (const statistic s :
-         {statistic::min, statistic::mean, statistic::max, statistic::median}) {
-        EXPECT_EQ(statistic_from_string(to_string(s)), s);
-    }
-    EXPECT_THROW(statistic_from_string("p99"), error);
+TEST(StatisticNames, MatchTheSelectors) {
+    EXPECT_EQ(to_string(statistic::min), "min");
+    EXPECT_EQ(to_string(statistic::mean), "mean");
+    EXPECT_EQ(to_string(statistic::max), "max");
+    EXPECT_EQ(to_string(statistic::median), "median");
 }
 
 // Property: for any sample, min <= median <= max and min <= mean <= max —
