@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "tensor/init.h"
@@ -190,6 +191,12 @@ int main(int argc, char** argv) {
             {"nt", 256, 512, 10, "classifier head"},
             {"tn", 256, 256, 256, "weight gradient"},
             {"tn", 32, 288, 1024, "conv dX (patch x cols)"},
+            // The standard MLP's training step at batch 64 (m x k x n).
+            {"nt", 64, 32, 64, "MLP L0 forward"},
+            {"nt", 64, 64, 64, "MLP hidden forward"},
+            {"tn", 64, 64, 32, "MLP L0 weight gradient"},
+            {"nn", 64, 64, 32, "MLP hidden dX"},
+            {"nt", 256, 64, 10, "MLP eval head"},
         };
 
         bool all_ok = true;
@@ -260,6 +267,8 @@ int main(int argc, char** argv) {
 #else
         root.set("march_native", json_value(false));
 #endif
+        root.set("hardware_concurrency",
+                 json_value(static_cast<std::size_t>(std::thread::hardware_concurrency())));
         root.set("min_ms_per_sample", json_value(min_ms));
         root.set("samples", json_value(samples));
         root.set("gemm_256_speedup", json_value(speedup_256));

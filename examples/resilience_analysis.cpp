@@ -38,8 +38,7 @@ int main(int argc, char** argv) {
         sweep.threads = static_cast<std::size_t>(args.get_int("sweep-threads", 1));
         const std::string cache_dir = args.get("cache-dir", "");
         const bool save = args.has("save");
-        std::string save_path = args.get("save", "");
-        if (save_path.empty()) { save_path = "resilience_table.json"; }  // bare --save
+        const std::string save_path = args.get("save", "resilience_table.json");
         args.reject_unread_options();
         if (cache_gc) { cache_gc(); }
 

@@ -28,26 +28,43 @@ constexpr std::size_t KC = 256;
 static_assert(MC % MR == 0, "MC must be a multiple of MR");
 static_assert(NC % NR == 0, "NC must be a multiple of NR");
 
-/// Packs an mc x kc block of A into MR-row strips: strip s holds rows
-/// [s*MR, s*MR+MR) as kc consecutive MR-wide column slices. Rows past mc
-/// are zero-padded so the micro-kernel never branches on the edge; the
-/// padded products land in accumulator rows that are discarded on store.
-/// `rs`/`cs` are the row/column strides of the source element (i, p).
-void pack_a(const float* a, std::size_t rs, std::size_t cs, std::size_t mc, std::size_t kc,
-            float* dst) {
-    for (std::size_t ir = 0; ir < mc; ir += MR) {
-        const std::size_t mr = std::min(MR, mc - ir);
-        for (std::size_t p = 0; p < kc; ++p) {
-            for (std::size_t i = 0; i < mr; ++i) { dst[i] = a[(ir + i) * rs + p * cs]; }
-            for (std::size_t i = mr; i < MR; ++i) { dst[i] = 0.0f; }
-            dst += MR;
+/// Packs `extent` lanes of a strided operand, `depth` deep, into W-lane
+/// strips: strip s holds lanes [s*W, s*W+W) as `depth` consecutive W-wide
+/// slices. Lane l at depth d is src[l*ls + d*ds]. Lanes past `extent` are
+/// zero-padded so the micro-kernel never branches on the edge; the padded
+/// products land in accumulator lanes that are discarded on store. A full
+/// strip copies W lanes per depth step with a fixed trip count, as one
+/// contiguous W-float copy when the lanes are adjacent (ls == 1).
+///
+/// A's MR-row strips are pack_strips<MR>(a, rs, cs, mc, kc); B's NR-column
+/// strips are pack_strips<NR>(b, cs, rs, nc, kc), for the row/column
+/// strides rs/cs of the source element (i, p) or (p, j).
+template <std::size_t W>
+void pack_strips(const float* src, std::size_t ls, std::size_t ds, std::size_t extent,
+                 std::size_t depth, float* dst) {
+    for (std::size_t s = 0; s < extent; s += W, src += W * ls) {
+        const std::size_t w = std::min(W, extent - s);
+        if (w == W && ls == 1) {
+            for (std::size_t d = 0; d < depth; ++d, dst += W) {
+                std::memcpy(dst, src + d * ds, W * sizeof(float));
+            }
+        } else if (w == W) {
+            for (std::size_t d = 0; d < depth; ++d, dst += W) {
+                for (std::size_t l = 0; l < W; ++l) { dst[l] = src[l * ls + d * ds]; }
+            }
+        } else {
+            for (std::size_t d = 0; d < depth; ++d, dst += W) {
+                for (std::size_t l = 0; l < w; ++l) { dst[l] = src[l * ls + d * ds]; }
+                for (std::size_t l = w; l < W; ++l) { dst[l] = 0.0f; }
+            }
         }
     }
 }
 
 /// Packs an mc x kc block of A whose kc source columns are listed in `cols`
 /// (absolute column indices of the row-major operand) — the k-subset form
-/// of pack_a. `a` points at the block's first row; `rs` is the row stride.
+/// of pack_strips<MR>. `a` points at the block's first row; `rs` is the row
+/// stride.
 void pack_a_cols(const float* a, std::size_t rs, const std::size_t* cols, std::size_t mc,
                  std::size_t kc, float* dst) {
     for (std::size_t ir = 0; ir < mc; ir += MR) {
@@ -61,20 +78,6 @@ void pack_a_cols(const float* a, std::size_t rs, const std::size_t* cols, std::s
     }
 }
 
-/// Packs a kc x nc panel of B into NR-column strips (mirror of pack_a);
-/// `rs`/`cs` are the strides of the source element (p, j).
-void pack_b(const float* b, std::size_t rs, std::size_t cs, std::size_t kc, std::size_t nc,
-            float* dst) {
-    for (std::size_t jr = 0; jr < nc; jr += NR) {
-        const std::size_t nr = std::min(NR, nc - jr);
-        for (std::size_t p = 0; p < kc; ++p) {
-            for (std::size_t j = 0; j < nr; ++j) { dst[j] = b[p * rs + (jr + j) * cs]; }
-            for (std::size_t j = nr; j < NR; ++j) { dst[j] = 0.0f; }
-            dst += NR;
-        }
-    }
-}
-
 // GCC/clang generic vectors: element-wise IEEE float ops on every target
 // (lowered to two SSE vectors on baseline x86-64, one AVX vector in the
 // avx2 clone, scalar code elsewhere). The unaligned typedef is for loads
@@ -82,12 +85,34 @@ void pack_b(const float* b, std::size_t rs, std::size_t cs, std::size_t kc, std:
 typedef float vf8 __attribute__((vector_size(32)));
 typedef float vf8u __attribute__((vector_size(32), aligned(4)));
 
+/// Writes one finished accumulator row pair to `row` (NR floats): a plain
+/// store, or `row += acc` with C as the left operand, the same operation
+/// the driver's scalar edge-tile loop performs.
+__attribute__((always_inline)) inline void store_row(float* row, const vf8& lo, const vf8& hi,
+                                                    bool add) {
+    vf8u* const v0 = reinterpret_cast<vf8u*>(row);
+    vf8u* const v1 = reinterpret_cast<vf8u*>(row + 8);
+    if (add) {
+        *v0 = *v0 + lo;
+        *v1 = *v1 + hi;
+    } else {
+        *v0 = lo;
+        *v1 = hi;
+    }
+}
+
 /// The register kernel: an MR x NR accumulator tile held in 8 named vector
 /// registers (4 rows x 2 vectors) while a kc-deep packed panel streams
 /// through. Eight independent accumulation chains cover the FP-add latency;
 /// a 4 x 8 tile (4 chains) measured latency-bound at ~70% of peak, and an
 /// accumulator ARRAY instead of named variables defeats the compiler's
 /// scalar replacement and falls off a performance cliff.
+///
+/// Each accumulator starts at +0 and ends as the panel's sum, which goes
+/// straight from the registers to `out` (row stride `ldo`): stored, or
+/// added onto what is there when `add`. The driver passes a full C tile
+/// directly and a scratch MR x NR tile (ldo = NR, add = false) for a
+/// partial edge tile.
 ///
 /// Kernel body, instantiated twice below under different target attributes.
 /// always_inline so each wrapper compiles it with its own ISA: the AVX2+FMA
@@ -97,7 +122,8 @@ typedef float vf8u __attribute__((vector_size(32), aligned(4)));
 __attribute__((always_inline)) inline void micro_kernel_body(std::size_t kc,
                                                              const float* __restrict pa,
                                                              const float* __restrict pb,
-                                                             float* __restrict acc) {
+                                                             float* __restrict out,
+                                                             std::size_t ldo, bool add) {
     static_assert(MR == 4 && NR == 16, "micro_kernel is hand-unrolled for a 4x16 tile");
     vf8 c00{}, c01{}, c10{}, c11{}, c20{}, c21{}, c30{}, c31{};
     for (std::size_t p = 0; p < kc; ++p) {
@@ -118,21 +144,19 @@ __attribute__((always_inline)) inline void micro_kernel_body(std::size_t kc,
         c30 += a3 * b0;
         c31 += a3 * b1;
     }
-    *reinterpret_cast<vf8u*>(acc + 0 * NR) = c00;
-    *reinterpret_cast<vf8u*>(acc + 0 * NR + 8) = c01;
-    *reinterpret_cast<vf8u*>(acc + 1 * NR) = c10;
-    *reinterpret_cast<vf8u*>(acc + 1 * NR + 8) = c11;
-    *reinterpret_cast<vf8u*>(acc + 2 * NR) = c20;
-    *reinterpret_cast<vf8u*>(acc + 2 * NR + 8) = c21;
-    *reinterpret_cast<vf8u*>(acc + 3 * NR) = c30;
-    *reinterpret_cast<vf8u*>(acc + 3 * NR + 8) = c31;
+    store_row(out + 0 * ldo, c00, c01, add);
+    store_row(out + 1 * ldo, c10, c11, add);
+    store_row(out + 2 * ldo, c20, c21, add);
+    store_row(out + 3 * ldo, c30, c31, add);
 }
 
-using micro_kernel_fn = void (*)(std::size_t, const float*, const float*, float*);
+using micro_kernel_fn = void (*)(std::size_t, const float*, const float*, float*, std::size_t,
+                                 bool);
 
 void micro_kernel_portable(std::size_t kc, const float* __restrict pa,
-                           const float* __restrict pb, float* __restrict acc) {
-    micro_kernel_body(kc, pa, pb, acc);
+                           const float* __restrict pb, float* __restrict out, std::size_t ldo,
+                           bool add) {
+    micro_kernel_body(kc, pa, pb, out, ldo, add);
 }
 
 #if defined(__x86_64__)
@@ -140,8 +164,9 @@ void micro_kernel_portable(std::size_t kc, const float* __restrict pa,
 __attribute__((target("avx2,fma"))) void micro_kernel_avx2(std::size_t kc,
                                                            const float* __restrict pa,
                                                            const float* __restrict pb,
-                                                           float* __restrict acc) {
-    micro_kernel_body(kc, pa, pb, acc);
+                                                           float* __restrict out,
+                                                           std::size_t ldo, bool add) {
+    micro_kernel_body(kc, pa, pb, out, ldo, add);
 }
 #endif
 
@@ -213,11 +238,11 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, s
             // would only have stored +0 sums that later panels add onto.
             const bool overwrite = !accumulate && first_panel;
             first_panel = false;
-            pack_b(b + c0 * brs + jc * bcs, brs, bcs, kc, nc, bpack.data());
+            pack_strips<NR>(b + c0 * brs + jc * bcs, bcs, brs, nc, kc, bpack.data());
             for (std::size_t ic = 0; ic < m; ic += MC) {
                 const std::size_t mc = std::min(MC, m - ic);
                 if (krows == nullptr) {
-                    pack_a(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
+                    pack_strips<MR>(a + ic * ars + pc * acs, ars, acs, mc, kc, apack.data());
                 } else {
                     pack_a_cols(a + ic * ars, ars, krows + c0, mc, kc, apack.data());
                 }
@@ -227,9 +252,13 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, s
                     for (std::size_t ir = 0; ir < mc; ir += MR) {
                         const std::size_t mr = std::min(MR, mc - ir);
                         const float* astrip = apack.data() + (ir / MR) * kc * MR;
-                        float acc[MR * NR];  // fully written by the kernel
-                        micro_kernel(kc, astrip, bstrip, acc);
                         float* ctile = c + (ic + ir) * ldc + jc + jr;
+                        if (mr == MR && nr == NR) {  // a full tile goes straight to C
+                            micro_kernel(kc, astrip, bstrip, ctile, ldc, !overwrite);
+                            continue;
+                        }
+                        float acc[MR * NR];  // fully written by the kernel
+                        micro_kernel(kc, astrip, bstrip, acc, NR, false);
                         if (overwrite) {
                             for (std::size_t i = 0; i < mr; ++i) {
                                 for (std::size_t j = 0; j < nr; ++j) {

@@ -6,10 +6,10 @@
 //
 //   * K is split into KC-deep panels so a packed B panel (KC x NC floats)
 //     stays resident in L2 while a packed A block (MC x KC) streams through;
-//   * inside a block, an MR x NR register micro-kernel accumulates into a
-//     local tile that the compiler keeps in vector registers — the j loop is
-//     NR-wide and unrolled, so it auto-vectorizes under -O2 (gcc >= 12 and
-//     clang both vectorize it; REDUCE_NATIVE widens the vectors);
+//   * inside a block, an MR x NR register micro-kernel accumulates a tile
+//     in GCC/clang generic-vector registers (REDUCE_NATIVE widens them) and
+//     writes a full tile straight from them into C; only partial edge
+//     tiles go through a scratch tile;
 //   * both operands are packed into strip-major layouts, which is also what
 //     makes one micro-kernel serve all three transpose variants — the
 //     packing routines absorb the A/B layouts via strides.

@@ -235,8 +235,10 @@ tensor relu_backward(const tensor& grad_out, const tensor& input) {
     tensor grad_in = grad_out;
     float* pg = grad_in.raw();
     const float* px = input.raw();
+    // A select, not a branch, so the loop vectorizes; NaN inputs keep their
+    // gradient (NaN <= 0 is false) and both zeros gate it.
     for (std::size_t i = 0, n = grad_in.numel(); i < n; ++i) {
-        if (px[i] <= 0.0f) { pg[i] = 0.0f; }
+        pg[i] = px[i] <= 0.0f ? 0.0f : pg[i];
     }
     return grad_in;
 }

@@ -43,14 +43,17 @@ cli_args::cli_args(int argc, const char* const* argv) {
         const auto eq = body.find('=');
         if (eq != std::string::npos) {
             options_[body.substr(0, eq)] = body.substr(eq + 1);
+            bare_.erase(body.substr(0, eq));
             continue;
         }
         // `--key value` if the next token is not itself an option.
         if (i + 1 < argc && std::string(argv[i + 1]).rfind("--", 0) != 0) {
             options_[body] = argv[i + 1];
+            bare_.erase(body);
             ++i;
         } else {
             options_[body] = "";
+            bare_.insert(body);
         }
     }
 }
@@ -65,7 +68,7 @@ bool cli_args::has(const std::string& name) const { return find(name) != nullptr
 
 std::string cli_args::get(const std::string& name, const std::string& fallback) const {
     const std::string* value = find(name);
-    return value == nullptr ? fallback : *value;
+    return value == nullptr || bare_.count(name) != 0 ? fallback : *value;
 }
 
 std::int64_t cli_args::get_int(const std::string& name, std::int64_t fallback) const {

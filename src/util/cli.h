@@ -21,7 +21,8 @@ public:
     /// True when `--name` was present (as a bare flag or with a value).
     bool has(const std::string& name) const;
 
-    /// String option with default.
+    /// String option with default. A bare `--name` (no value) also yields
+    /// the default; `--name=` yields "".
     std::string get(const std::string& name, const std::string& fallback) const;
 
     /// Integer option with default; throws invalid_argument_error on a
@@ -63,6 +64,7 @@ private:
 
     std::string program_;
     std::map<std::string, std::string> options_;
+    std::set<std::string> bare_;  // options given without a value
     std::vector<std::string> positional_;
     mutable std::set<std::string> read_;
 };

@@ -385,9 +385,19 @@ TEST_F(DistChaosFixture, SweepSurvivesABatteredWireByteIdentically) {
     dist::chaos_proxy proxy(chaos, "127.0.0.1", [&] { return target.load(); });
     proxy.start();
 
+    // The coordinator never restarts here: an outage is a connection the
+    // proxy severed, and the next dial reaches a listening coordinator. A
+    // worker whose shutdown frame the proxy dropped redials the closed
+    // listener until its budget runs out, so the fixture's 30 s restart
+    // budget would stall the test; 2 s still covers ~10 backoff steps.
+    const auto battered_worker = [&](const std::string& name) {
+        dist::worker_config wc = worker_config_for(proxy.port(), name);
+        wc.reconnect_deadline_ms = 2000;
+        return wc;
+    };
     std::vector<dist::worker_report> reports(2);
-    std::thread t0([&] { reports[0] = run_worker(worker_config_for(proxy.port(), "c0"), cfg); });
-    std::thread t1([&] { reports[1] = run_worker(worker_config_for(proxy.port(), "c1"), cfg); });
+    std::thread t0([&] { reports[0] = run_worker(battered_worker("c0"), cfg); });
+    std::thread t1([&] { reports[1] = run_worker(battered_worker("c1"), cfg); });
     const resilience_table table = coord.wait_table();
     t0.join();
     t1.join();

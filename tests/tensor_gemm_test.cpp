@@ -1,11 +1,13 @@
 // Tests for the blocked GEMM backend and the workspace arena: kernels vs a
-// double-precision naive reference across tile-boundary shapes, NaN/Inf
+// double-precision naive reference across tile-boundary shapes and bit for
+// bit vs a float loop in the documented panel order, NaN/Inf
 // propagation (the seed kernel's zero-skip branch dropped it), workspace
 // reuse safety, whole-batch conv lowering equivalence (including the
 // chunked path), and the k-subset GEMM behind the conv padding-row skips,
 // checked bit for bit against the full lowering.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstring>
@@ -89,6 +91,81 @@ TEST(BlockedGemm, MatmulTnMatchesReferenceAcrossTileEdges) {
         const tensor b = random_tensor({k, n}, gen);
         EXPECT_TRUE(matmul_tn(a, b).allclose(reference_gemm("tn", a, b, m, k, n), tol_for(k)))
             << m << "x" << k << "x" << n;
+    }
+}
+
+// Whether the dispatched micro-kernel fuses multiply and add (FMA) — found
+// by a product whose separate rounding is visible: with the first term
+// -(1 + 2^-11) and the second (1 + 2^-12)^2 = 1 + 2^-11 + 2^-24, a fused
+// accumulate leaves 2^-24 and an unfused one rounds the product (a tie, to
+// even) and leaves 0.
+bool kernel_fuses_multiply_add() {
+    const float a[2] = {1.0f, 1.0f + 0x1p-12f};
+    const float b[2] = {-(1.0f + 0x1p-11f), 1.0f + 0x1p-12f};
+    float c = 0.0f;
+    workspace ws;
+    gemm_nn(1, 1, 2, a, 2, b, 1, &c, 1, false, ws);
+    return c != 0.0f;
+}
+
+// The documented order, in float: KC = 256 panels ascending, p ascending
+// within a panel, each panel summed from +0 and then stored into C (the
+// first panel of an overwrite) or added onto it.
+void panel_ordered_gemm(const std::string& op, const float* a, const float* b, std::size_t m,
+                        std::size_t k, std::size_t n, float* c, std::size_t ldc,
+                        bool accumulate, bool fused) {
+    constexpr std::size_t kc = 256;
+    for (std::size_t i = 0; i < m; ++i) {
+        for (std::size_t j = 0; j < n; ++j) {
+            float& out = c[i * ldc + j];
+            for (std::size_t pc = 0; pc < k; pc += kc) {
+                float sum = 0.0f;
+                for (std::size_t p = pc; p < std::min(k, pc + kc); ++p) {
+                    const float av = op == "tn" ? a[p * m + i] : a[i * k + p];
+                    const float bv = op == "nt" ? b[j * k + p] : b[p * n + j];
+                    sum = fused ? std::fma(av, bv, sum) : sum + av * bv;
+                }
+                out = !accumulate && pc == 0 ? sum : out + sum;
+            }
+        }
+    }
+}
+
+TEST(BlockedGemm, BitwiseMatchesPanelOrderedReference) {
+    // Pins byte identity at full and edge tiles, for both store modes, on a
+    // C with a 3-column margin (ldc = n + 3) that no call may touch. The
+    // prior C holds -0, +-Inf and NaN, which an overwrite must replace and
+    // an accumulate must carry.
+    const bool fused = kernel_fuses_multiply_add();
+    const float specials[] = {-0.0f, std::numeric_limits<float>::infinity(),
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::quiet_NaN(), 0.5f};
+    rng gen(29);
+    workspace ws;
+    for (const auto& [m, k, n] : kShapes) {
+        const tensor a = random_tensor({m, k}, gen);  // [k, m] for tn: same count
+        const tensor b = random_tensor({k, n}, gen);  // [n, k] for nt: same count
+        const std::size_t ldc = n + 3;
+        for (const std::string op : {"nn", "nt", "tn"}) {
+            for (const bool accumulate : {false, true}) {
+                std::vector<float> got(m * ldc);
+                for (std::size_t e = 0; e < got.size(); ++e) { got[e] = specials[e % 5]; }
+                std::vector<float> want = got;
+                const std::size_t lda = op == "tn" ? m : k;
+                const std::size_t ldb = op == "nt" ? k : n;
+                if (op == "nn") {
+                    gemm_nn(m, n, k, a.raw(), lda, b.raw(), ldb, got.data(), ldc, accumulate, ws);
+                } else if (op == "nt") {
+                    gemm_nt(m, n, k, a.raw(), lda, b.raw(), ldb, got.data(), ldc, accumulate, ws);
+                } else {
+                    gemm_tn(m, n, k, a.raw(), lda, b.raw(), ldb, got.data(), ldc, accumulate, ws);
+                }
+                panel_ordered_gemm(op, a.raw(), b.raw(), m, k, n, want.data(), ldc, accumulate,
+                                   fused);
+                EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+                    << op << " " << m << "x" << k << "x" << n << " accumulate=" << accumulate;
+            }
+        }
     }
 }
 

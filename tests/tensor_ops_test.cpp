@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
@@ -176,9 +178,26 @@ TEST(Relu, ForwardClampsNegatives) {
 }
 
 TEST(Relu, BackwardGatesOnInput) {
-    const tensor input = tensor::from_values({-1, 0, 2});
-    const tensor grad = tensor::from_values({10, 10, 10});
-    EXPECT_TRUE(relu_backward(grad, input) == tensor::from_values({0, 0, 10}));
+    // 37 elements: whole vectors plus a tail, which ends on -0 and NaN.
+    // Negatives and both zeros gate the gradient; a NaN input keeps it
+    // (NaN <= 0 is false), and so does a positive denormal.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float denorm = std::numeric_limits<float>::denorm_min();
+    const float pattern[] = {-0.0f, nan, -1.0f, 0.0f, denorm, 2.0f, -denorm};
+    const bool kept[] = {false, true, false, false, true, true, false};
+    tensor input({37});
+    tensor grad({37});
+    tensor want({37});
+    for (std::size_t i = 0; i < 37; ++i) {
+        input[i] = pattern[i % 7];
+        grad[i] = 10.0f + static_cast<float>(i);
+        want[i] = kept[i % 7] ? grad[i] : 0.0f;
+    }
+    const tensor got = relu_backward(grad, input);
+    for (std::size_t i = 0; i < 37; ++i) {
+        EXPECT_EQ(std::memcmp(got.raw() + i, want.raw() + i, sizeof(float)), 0)
+            << "element " << i << ": got " << got[i] << ", want " << want[i];
+    }
 }
 
 TEST(Norms, SquaredAndL2) {

@@ -39,6 +39,18 @@ TEST(Cli, BareFlag) {
     EXPECT_FALSE(args.get_flag("quiet"));
 }
 
+TEST(Cli, BareStringOptionFallsBackToDefault) {
+    // `--out` with no value means "the default path", not an empty one.
+    const cli_args args = parse({"--out", "--name=", "--mode"});
+    EXPECT_EQ(args.get("out", "BENCH_gemm.json"), "BENCH_gemm.json");
+    EXPECT_EQ(args.get("mode", "sweep"), "sweep");
+    EXPECT_TRUE(args.has("out"));
+    EXPECT_EQ(args.get("name", "worker"), "");  // an explicit empty value stays empty
+    EXPECT_TRUE(args.get_flag("out"));
+    EXPECT_EQ(parse({"--out", "--out", "x.json"}).get("out", "d"), "x.json");
+    EXPECT_EQ(parse({"--out", "x.json", "--out"}).get("out", "d"), "d");
+}
+
 TEST(Cli, FlagWithExplicitValue) {
     EXPECT_TRUE(parse({"--x=true"}).get_flag("x"));
     EXPECT_TRUE(parse({"--x=1"}).get_flag("x"));
