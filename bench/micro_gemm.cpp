@@ -3,9 +3,12 @@
 // Times the blocked matmul family (tensor/gemm.h) against the seed ikj/dot
 // kernels it replaced, verifies both against a double-precision reference,
 // and emits BENCH_gemm.json — the perf-trajectory artifact future PRs
-// report against. The process exits non-zero on any kernel-vs-reference
-// MISMATCH and never on timing, so CI can gate on correctness without
-// flaking on noise.
+// report against. It also times whole conv layers (conv2d_forward and
+// conv2d_backward_acc, tensor/conv.h) at every distinct VGG11 x0.125
+// geometry on 8x8x3 images, at batch 32 (a training step) and 200 (an
+// eval), each gated bit for bit against a materialized im2col + GEMM
+// lowering. The process exits non-zero on any MISMATCH and never on
+// timing, so CI can gate on correctness without flaking on noise.
 //
 // Options:
 //   --out PATH     JSON output path              (default BENCH_gemm.json)
@@ -15,13 +18,16 @@
 // Self-contained binary (no Google Benchmark): the Release perf smoke job
 // runs it on machines without the benchmark library.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "tensor/conv.h"
 #include "tensor/init.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
@@ -167,6 +173,100 @@ double best_ms_per_call(Fn&& fn, double min_ms, std::size_t samples) {
     return best;
 }
 
+// ---- whole conv layers -------------------------------------------------------
+
+/// The bench's reference lowering of a conv forward: each image's patch
+/// matrix materialized by im2col and multiplied by one GEMM. GEMM columns
+/// are independent, so this is bit-identical to any batching of them.
+tensor reference_conv_forward(const tensor& input, const tensor& weight, const tensor& bias,
+                              const conv2d_spec& spec) {
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    const tensor weight2d = weight.reshaped({spec.out_channels, spec.patch_size()});
+    tensor out({batch, spec.out_channels, spec.out_h(in_h), spec.out_w(in_w)});
+    for (std::size_t n = 0; n < batch; ++n) {
+        const tensor image({spec.in_channels, in_h, in_w},
+                           std::vector<float>(input.raw() + n * image_elems,
+                                              input.raw() + (n + 1) * image_elems));
+        const tensor prod = matmul(weight2d, im2col(image, spec));
+        for (std::size_t oc = 0; oc < spec.out_channels; ++oc) {
+            for (std::size_t i = 0; i < plane; ++i) {
+                out.raw()[(n * spec.out_channels + oc) * plane + i] =
+                    prod.raw()[oc * plane + i] + bias[oc];
+            }
+        }
+    }
+    return out;
+}
+
+/// The reference backward onto zero gradients, the whole batch as one
+/// chunk (the split conv2d_backward_acc uses at the default lowering
+/// budget for every layer here): dW = dY · Lᵀ and dX = col2im(Wᵀ · dY) over
+/// the materialized patch matrix L [patch, N*oh*ow], db one serial sum
+/// per channel.
+conv2d_grads reference_conv_backward(const tensor& input, const tensor& weight,
+                                     const tensor& grad_output, const conv2d_spec& spec) {
+    const std::size_t batch = input.extent(0);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t plane = spec.out_h(in_h) * spec.out_w(in_w);
+    const std::size_t patch = spec.patch_size();
+    const std::size_t out_c = spec.out_channels;
+    const std::size_t cols = batch * plane;
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    tensor lowered({patch, cols});
+    tensor dy({out_c, cols});
+    for (std::size_t n = 0; n < batch; ++n) {
+        const tensor image({spec.in_channels, in_h, in_w},
+                           std::vector<float>(input.raw() + n * image_elems,
+                                              input.raw() + (n + 1) * image_elems));
+        const tensor columns = im2col(image, spec);
+        for (std::size_t r = 0; r < patch; ++r) {
+            std::memcpy(lowered.raw() + r * cols + n * plane, columns.raw() + r * plane,
+                        plane * sizeof(float));
+        }
+        for (std::size_t oc = 0; oc < out_c; ++oc) {
+            std::memcpy(dy.raw() + oc * cols + n * plane,
+                        grad_output.raw() + (n * out_c + oc) * plane, plane * sizeof(float));
+        }
+    }
+    conv2d_grads grads{tensor(input.shape()), matmul_nt(dy, lowered).reshaped(weight.shape()),
+                       tensor({out_c})};
+    for (std::size_t oc = 0; oc < out_c; ++oc) {
+        float acc = 0.0f;
+        for (std::size_t i = 0; i < cols; ++i) { acc += dy.raw()[oc * cols + i]; }
+        grads.grad_bias[oc] = acc;
+    }
+    const tensor grad_cols = matmul_tn(weight.reshaped({out_c, patch}), dy);
+    for (std::size_t n = 0; n < batch; ++n) {
+        tensor columns({patch, plane});
+        for (std::size_t r = 0; r < patch; ++r) {
+            std::memcpy(columns.raw() + r * plane, grad_cols.raw() + r * cols + n * plane,
+                        plane * sizeof(float));
+        }
+        const tensor image = col2im(columns, spec, in_h, in_w);
+        std::memcpy(grads.grad_input.raw() + n * image_elems, image.raw(),
+                    image_elems * sizeof(float));
+    }
+    return grads;
+}
+
+bool same_bits(const tensor& got, const tensor& want, const std::string& label) {
+    if (got.shape() == want.shape() &&
+        std::memcmp(got.raw(), want.raw(), got.numel() * sizeof(float)) == 0) {
+        return true;
+    }
+    std::cerr << "MISMATCH " << label << ": not bit-identical to the reference lowering\n";
+    return false;
+}
+
+struct conv_case {
+    std::size_t in_c, out_c, hw;
+};
+
 struct gemm_case {
     std::string op;  // nn | nt | tn
     std::size_t m, k, n;
@@ -259,9 +359,83 @@ int main(int argc, char** argv) {
             case_json.push_back(json_value(std::move(entry)));
         }
 
+        // Every distinct conv geometry of VGG11 x0.125 on 8x8x3 images
+        // (3x3 kernels, padding 1), as the CNN workload trains and
+        // evaluates it.
+        const std::vector<conv_case> conv_cases = {
+            {3, 8, 8}, {8, 16, 4}, {16, 32, 2}, {32, 32, 2}, {32, 64, 1}, {64, 64, 1},
+        };
+        json_array conv_json;
+        for (const conv_case& cc : conv_cases) {
+            for (const std::size_t batch : {std::size_t{32}, std::size_t{200}}) {
+                const conv2d_spec spec{cc.in_c, cc.out_c, 3, 3, 1, 1};
+                tensor input({batch, cc.in_c, cc.hw, cc.hw});
+                tensor weight({cc.out_c, cc.in_c, 3, 3});
+                tensor bias({cc.out_c});
+                tensor dy({batch, cc.out_c, cc.hw, cc.hw});
+                uniform_init(input, -1.0f, 1.0f, gen);
+                uniform_init(weight, -1.0f, 1.0f, gen);
+                uniform_init(bias, -1.0f, 1.0f, gen);
+                uniform_init(dy, -1.0f, 1.0f, gen);
+
+                const std::string label = std::to_string(cc.in_c) + "->" +
+                                          std::to_string(cc.out_c) + " @" +
+                                          std::to_string(cc.hw) + "x" +
+                                          std::to_string(cc.hw) + " batch " +
+                                          std::to_string(batch);
+                const bool fwd_ok = same_bits(conv2d_forward(input, weight, bias, spec),
+                                              reference_conv_forward(input, weight, bias, spec),
+                                              "conv forward " + label);
+                const conv2d_grads want = reference_conv_backward(input, weight, dy, spec);
+                conv2d_grads got{tensor(input.shape()), tensor(weight.shape()),
+                                 tensor({cc.out_c})};
+                conv2d_backward_acc(input, weight, dy, spec, got.grad_input, got.grad_weight,
+                                    got.grad_bias);
+                const bool bwd_ok =
+                    same_bits(got.grad_input, want.grad_input, "conv dX " + label) &&
+                    same_bits(got.grad_weight, want.grad_weight, "conv dW " + label) &&
+                    same_bits(got.grad_bias, want.grad_bias, "conv db " + label);
+                all_ok = all_ok && fwd_ok && bwd_ok;
+
+                const double fwd_ms = best_ms_per_call(
+                    [&]() { (void)conv2d_forward(input, weight, bias, spec); }, min_ms, samples);
+                const double bwd_ms = best_ms_per_call(
+                    [&]() {
+                        conv2d_backward_acc(input, weight, dy, spec, got.grad_input,
+                                            got.grad_weight, got.grad_bias);
+                    },
+                    min_ms, samples);
+                // Useful work only: the all-padding patch rows of the 1x1
+                // layers are skipped, so they are not counted. Backward
+                // runs two GEMMs (dW and dX) of the forward's size.
+                const std::size_t live = conv_active_patch_rows(spec, cc.hw, cc.hw).size();
+                const double fwd_flops = 2.0 * static_cast<double>(cc.out_c * live * batch *
+                                                                   cc.hw * cc.hw);
+                for (const bool forward : {true, false}) {
+                    const double ms = forward ? fwd_ms : bwd_ms;
+                    const double gflops = (forward ? 1.0 : 2.0) * fwd_flops / (ms * 1e6);
+                    const bool ok = forward ? fwd_ok : bwd_ok;
+                    std::cout << "conv " << (forward ? "forward  " : "backward ") << label
+                              << "  " << ms << " ms  (" << gflops << " GFLOP/s"
+                              << (ok ? ")" : ")  *** MISMATCH ***") << '\n';
+                    json_object entry;
+                    entry.set("pass", json_value(forward ? "forward" : "backward"));
+                    entry.set("in_c", json_value(cc.in_c));
+                    entry.set("out_c", json_value(cc.out_c));
+                    entry.set("hw", json_value(cc.hw));
+                    entry.set("batch", json_value(batch));
+                    entry.set("live_patch_rows", json_value(live));
+                    entry.set("ms", json_value(ms));
+                    entry.set("gflops", json_value(gflops));
+                    entry.set("verified", json_value(ok));
+                    conv_json.push_back(json_value(std::move(entry)));
+                }
+            }
+        }
+
         json_object root;
         root.set("bench", json_value("micro_gemm"));
-        root.set("schema_version", json_value(1));
+        root.set("schema_version", json_value(2));
 #ifdef REDUCE_NATIVE
         root.set("march_native", json_value(true));
 #else
@@ -273,6 +447,7 @@ int main(int argc, char** argv) {
         root.set("samples", json_value(samples));
         root.set("gemm_256_speedup", json_value(speedup_256));
         root.set("cases", json_value(std::move(case_json)));
+        root.set("conv_layers", json_value(std::move(conv_json)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (256^3 speedup " << speedup_256 << "x)\n";
 

@@ -187,7 +187,7 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
     auto worker = [&]() {
         chip_tuner tuner(model_, pretrained_, train_data_, test_data_, array_,
                          trainer_cfg_);
-        // Per-worker scratch: the tuner's retraining loops draw im2col/GEMM
+        // Per-worker scratch: the tuner's retraining loops draw conv staging/GEMM
         // buffers from this thread's arena, warmed by the first chip and
         // reused for every chip after it.
         workspace& arena = workspace::local();

@@ -610,7 +610,7 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
     const auto worker = [&]() {
         const std::unique_ptr<sequential> model = clone_model(model_);
         // Each worker owns its thread-local workspace arena alongside its
-        // model clone: the first cell warms the slabs (im2col, GEMM packing,
+        // model clone: the first cell warms the slabs (conv staging, GEMM packing,
         // lowered outputs) and every later cell reuses them allocation-free.
         workspace& arena = workspace::local();
         // One restore up front covers the first cell; afterwards each

@@ -30,23 +30,18 @@ std::size_t conv2d_spec::out_w(std::size_t in_w) const {
 
 namespace {
 
-// Lowering budget: cap on the workspace slabs one chunk holds at once
-// (patch matrix + lowered output, plus the column gradient in backward).
+// Lowering budget: cap on the workspace slabs one chunk holds at once.
 // Only chunk GEOMETRY depends on it, so any budget yields the same forward
 // numbers; the backward dW/db accumulation order follows the chunk split,
 // which is itself a pure function of shapes and this budget.
 std::atomic<std::size_t> lowering_budget_bytes{64u << 20};
 
-/// Images per lowered chunk: as many as the budget allows, at least 1, at
-/// most the batch. `slab_rows` is the total height of the workspace slabs
-/// held simultaneously per chunk, in patch-matrix-row units — forward
-/// leases columns + lowered output (patch + out_c rows of `plane` floats
-/// per image); backward additionally holds the column gradient
-/// (2*patch + out_c), so its chunks are smaller under the same budget.
-std::size_t images_per_chunk(std::size_t slab_rows, std::size_t plane, std::size_t batch) {
-    const std::size_t per_image = slab_rows * plane * sizeof(float);
-    if (per_image == 0) { return std::max<std::size_t>(batch, 1); }
-    const std::size_t fit = lowering_budget_bytes.load(std::memory_order_relaxed) / per_image;
+/// Images per chunk: as many as the budget allows at `per_image` floats
+/// each, at least 1, at most the batch.
+std::size_t images_per_chunk(std::size_t per_image, std::size_t batch) {
+    const std::size_t bytes = per_image * sizeof(float);
+    if (bytes == 0) { return std::max<std::size_t>(batch, 1); }
+    const std::size_t fit = lowering_budget_bytes.load(std::memory_order_relaxed) / bytes;
     return std::clamp<std::size_t>(fit, 1, std::max<std::size_t>(batch, 1));
 }
 
@@ -68,38 +63,153 @@ void scatter_lowered_output(const float* src, std::size_t src_stride, std::size_
     }
 }
 
-/// Lowers ONE patch row (absolute index `patch_row`) of the whole batch
-/// into `drow` (length batch*oh*ow) — the unit both im2col entry points
-/// loop over.
-void lower_patch_row(const float* input, std::size_t batch, std::size_t in_h,
-                     std::size_t in_w, const conv2d_spec& spec, std::size_t patch_row,
-                     float* drow_base) {
+/// The implicit patch matrix of one conv call. Each image [C, H, W] is
+/// staged as [C, SH, SW]: the image inside a zero border of `top`/`left`
+/// (and bottom/right) rows and columns, so lowered element (patch row r,
+/// column j) is staged[row_off[r] + col_off[j]] with no bounds test:
+///   row_off = c*SH*SW + (ky - lo_y)*SW + (kx - lo_x)   (one per row kept)
+///   col_off = n*image + oy*s*SW + ox*s              (one per column)
+/// where image = C*SH*SW. The border is only as wide as the kept rows'
+/// taps reach into the padding (lo_y = pad - top, lo_x = pad - left): the
+/// full padding when every row is kept, none at all for a 1x1-spatial
+/// layer that keeps only its center taps. With no border the staged
+/// layout IS the [C, H, W] layout, so the images are read (and, for dX,
+/// written) in place and nothing is copied.
+struct implicit_lowering {
+    std::size_t image_elems;  ///< C*H*W
+    std::size_t image;        ///< staged floats per image
+    std::vector<std::size_t> row_off;
+    std::vector<std::size_t> col_off;
+    /// Staged offset of each element of one [C, H, W] image; empty when
+    /// there is no border.
+    std::vector<std::size_t> interior_off;
+
+    /// Tables for the patch rows `rows` (ascending) and the columns of
+    /// `images` images.
+    implicit_lowering(const conv2d_spec& spec, std::size_t in_h, std::size_t in_w,
+                      const std::vector<std::size_t>& rows, std::size_t images)
+        : image_elems(spec.in_channels * in_h * in_w) {
+        const std::size_t taps = spec.kernel_h * spec.kernel_w;
+        const std::size_t oh = spec.out_h(in_h);
+        const std::size_t ow = spec.out_w(in_w);
+        const std::size_t pad = spec.padding;
+        // Padded coordinates the kept taps read: rows [ky_lo, (oh-1)*s +
+        // ky_hi], columns likewise; the interior is [pad, pad + H).
+        std::size_t ky_lo = spec.kernel_h, ky_hi = 0, kx_lo = spec.kernel_w, kx_hi = 0;
+        for (const std::size_t r : rows) {
+            const std::size_t ky = (r % taps) / spec.kernel_w;
+            const std::size_t kx = r % spec.kernel_w;
+            ky_lo = std::min(ky_lo, ky);
+            ky_hi = std::max(ky_hi, ky);
+            kx_lo = std::min(kx_lo, kx);
+            kx_hi = std::max(kx_hi, kx);
+        }
+        const std::size_t lo_y = std::min(ky_lo, pad);
+        const std::size_t lo_x = std::min(kx_lo, pad);
+        const std::size_t top = pad - lo_y;
+        const std::size_t left = pad - lo_x;
+        const std::size_t sh =
+            std::max((oh - 1) * spec.stride + ky_hi + 1, pad + in_h) - lo_y;
+        const std::size_t sw =
+            std::max((ow - 1) * spec.stride + kx_hi + 1, pad + in_w) - lo_x;
+        image = spec.in_channels * sh * sw;
+
+        row_off.reserve(rows.size());
+        for (const std::size_t r : rows) {
+            const std::size_t c = r / taps;
+            const std::size_t ky = (r % taps) / spec.kernel_w;
+            const std::size_t kx = r % spec.kernel_w;
+            row_off.push_back((c * sh + ky - lo_y) * sw + kx - lo_x);
+        }
+        col_off.reserve(images * oh * ow);
+        for (std::size_t n = 0; n < images; ++n) {
+            for (std::size_t oy = 0; oy < oh; ++oy) {
+                for (std::size_t ox = 0; ox < ow; ++ox) {
+                    col_off.push_back(n * image + (oy * sw + ox) * spec.stride);
+                }
+            }
+        }
+        if (image != image_elems) {
+            interior_off.reserve(image_elems);
+            for (std::size_t c = 0; c < spec.in_channels; ++c) {
+                for (std::size_t y = 0; y < in_h; ++y) {
+                    for (std::size_t x = 0; x < in_w; ++x) {
+                        interior_off.push_back((c * sh + top + y) * sw + left + x);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The staged form of the `nb` images at `images`: `images` itself
+    /// when there is no border, else a copy in `slab` (leased from `ws`
+    /// unless the slab is already held) with its border zeroed — on every
+    /// call, since a leased slab holds stale data.
+    template <typename T>
+    T* staged(T* images, std::size_t nb, workspace& ws, workspace::buffer& slab) const {
+        if (interior_off.empty()) { return images; }
+        if (slab.size() == 0) { slab = ws.acquire(nb * image); }
+        float* dst = slab.data();
+        std::memset(dst, 0, nb * image * sizeof(float));
+        for (std::size_t n = 0; n < nb; ++n, dst += image, images += image_elems) {
+            for (std::size_t i = 0; i < image_elems; ++i) { dst[interior_off[i]] = images[i]; }
+        }
+        return slab.data();
+    }
+
+    /// Copies the interior of `nb` staged images back to [C, H, W] at
+    /// `images`; nothing to do when they were staged in place.
+    void unstage(const float* staged, std::size_t nb, float* images) const {
+        if (interior_off.empty()) { return; }
+        for (std::size_t n = 0; n < nb; ++n, staged += image, images += image_elems) {
+            for (std::size_t i = 0; i < image_elems; ++i) { images[i] = staged[interior_off[i]]; }
+        }
+    }
+
+    /// The adjoint: adds row r of `grad_cols` [rows kept, cols] onto
+    /// staged[row_off[r] + col_off[j]], patch rows ascending. A pixel gets
+    /// at most one term per patch row, so its += chain visits the kept
+    /// rows in ascending order; terms landing on the border are dropped by
+    /// unstage.
+    void scatter(const float* grad_cols, std::size_t cols, float* staged) const {
+        for (std::size_t r = 0; r < row_off.size(); ++r) {
+            const float* src = grad_cols + r * cols;
+            float* dst = staged + row_off[r];
+            for (std::size_t j = 0; j < cols; ++j) { dst[col_off[j]] += src[j]; }
+        }
+    }
+
+    gemm_gather patches(const float* staged) const {
+        return {staged, row_off.data(), col_off.data()};
+    }
+    gemm_gather patches_transposed(const float* staged) const {
+        return {staged, col_off.data(), row_off.data()};
+    }
+};
+
+/// Calls fn(column-matrix index, image index) for every in-bounds tap of
+/// one [C, H, W] image lowered to [patch, oh*ow], patch rows ascending.
+template <typename Fn>
+void for_each_tap(const conv2d_spec& spec, std::size_t in_h, std::size_t in_w, Fn&& fn) {
     const std::size_t oh = spec.out_h(in_h);
     const std::size_t ow = spec.out_w(in_w);
-    const std::size_t out_cols = oh * ow;
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    const std::size_t taps = spec.kernel_h * spec.kernel_w;
-    const std::size_t c = patch_row / taps;
-    const std::size_t kh = (patch_row % taps) / spec.kernel_w;
-    const std::size_t kw = patch_row % spec.kernel_w;
-    for (std::size_t n = 0; n < batch; ++n) {
-        const float* src = input + n * image_elems;
-        float* drow = drow_base + n * out_cols;
-        for (std::size_t oy = 0; oy < oh; ++oy) {
-            // Signed arithmetic for the padded coordinate.
-            const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
-                                      static_cast<std::ptrdiff_t>(spec.padding);
-            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
-                std::memset(drow + oy * ow, 0, ow * sizeof(float));
-                continue;
-            }
-            const float* srow = src + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
-            for (std::size_t ox = 0; ox < ow; ++ox) {
-                const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
-                                          static_cast<std::ptrdiff_t>(spec.padding);
-                drow[oy * ow + ox] = (ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w))
-                                         ? srow[static_cast<std::size_t>(ix)]
-                                         : 0.0f;
+    std::size_t q = 0;
+    for (std::size_t c = 0; c < spec.in_channels; ++c) {
+        for (std::size_t ky = 0; ky < spec.kernel_h; ++ky) {
+            for (std::size_t kx = 0; kx < spec.kernel_w; ++kx) {
+                for (std::size_t oy = 0; oy < oh; ++oy) {
+                    // Padded coordinates; the tap is in bounds when the
+                    // unpadded one lands inside the image.
+                    const std::size_t py = oy * spec.stride + ky;
+                    for (std::size_t ox = 0; ox < ow; ++ox, ++q) {
+                        const std::size_t px = ox * spec.stride + kx;
+                        if (py < spec.padding || py - spec.padding >= in_h ||
+                            px < spec.padding || px - spec.padding >= in_w) {
+                            continue;
+                        }
+                        fn(q, (c * in_h + py - spec.padding) * in_w + px - spec.padding);
+                    }
+                }
             }
         }
     }
@@ -116,57 +226,6 @@ std::size_t conv_lowering_budget_bytes() {
     return lowering_budget_bytes.load(std::memory_order_relaxed);
 }
 
-void im2col_batch(const float* input, std::size_t batch, std::size_t in_h, std::size_t in_w,
-                  const conv2d_spec& spec, float* dst) {
-    const std::size_t total_cols = batch * spec.out_h(in_h) * spec.out_w(in_w);
-    for (std::size_t r = 0; r < spec.patch_size(); ++r) {
-        lower_patch_row(input, batch, in_h, in_w, spec, r, dst + r * total_cols);
-    }
-}
-
-void col2im_batch(const float* columns, std::size_t batch, std::size_t in_h, std::size_t in_w,
-                  const conv2d_spec& spec, float* dst) {
-    const std::size_t oh = spec.out_h(in_h);
-    const std::size_t ow = spec.out_w(in_w);
-    const std::size_t out_cols = oh * ow;
-    const std::size_t total_cols = batch * out_cols;
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    // Patch rows of different kernel taps accumulate onto OVERLAPPING input
-    // pixels; each pixel's += chain visits its taps in ascending patch-row
-    // order.
-    std::size_t patch_row = 0;
-    for (std::size_t c = 0; c < spec.in_channels; ++c) {
-        for (std::size_t kh = 0; kh < spec.kernel_h; ++kh) {
-            for (std::size_t kw = 0; kw < spec.kernel_w; ++kw, ++patch_row) {
-                const float* prow = columns + patch_row * total_cols;
-                for (std::size_t n = 0; n < batch; ++n) {
-                    float* img = dst + n * image_elems;
-                    const float* srow = prow + n * out_cols;
-                    for (std::size_t oy = 0; oy < oh; ++oy) {
-                        const std::ptrdiff_t iy =
-                            static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
-                            static_cast<std::ptrdiff_t>(spec.padding);
-                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
-                            continue;
-                        }
-                        float* irow =
-                            img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
-                        for (std::size_t ox = 0; ox < ow; ++ox) {
-                            const std::ptrdiff_t ix =
-                                static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
-                                static_cast<std::ptrdiff_t>(spec.padding);
-                            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) {
-                                continue;
-                            }
-                            irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 tensor im2col(const tensor& image, const conv2d_spec& spec) {
     REDUCE_CHECK(image.dim() == 3, "im2col expects [C,H,W], got " << image.describe());
     REDUCE_CHECK(image.extent(0) == spec.in_channels,
@@ -176,7 +235,9 @@ tensor im2col(const tensor& image, const conv2d_spec& spec) {
     const std::size_t in_h = image.extent(1);
     const std::size_t in_w = image.extent(2);
     tensor columns({spec.patch_size(), spec.out_h(in_h) * spec.out_w(in_w)});
-    im2col_batch(image.raw(), 1, in_h, in_w, spec, columns.raw());
+    const float* src = image.raw();
+    float* dst = columns.raw();
+    for_each_tap(spec, in_h, in_w, [&](std::size_t q, std::size_t i) { dst[q] = src[i]; });
     return columns;
 }
 
@@ -188,7 +249,9 @@ tensor col2im(const tensor& columns, const conv2d_spec& spec, std::size_t in_h,
     REDUCE_CHECK(columns.extent(0) == spec.patch_size() && columns.extent(1) == oh * ow,
                  "col2im shape mismatch: " << columns.describe());
     tensor image({spec.in_channels, in_h, in_w});
-    col2im_batch(columns.raw(), 1, in_h, in_w, spec, image.raw());
+    const float* src = columns.raw();
+    float* dst = image.raw();
+    for_each_tap(spec, in_h, in_w, [&](std::size_t q, std::size_t i) { dst[i] += src[q]; });
     return image;
 }
 
@@ -262,60 +325,11 @@ void check_conv_backward_shapes(const tensor& input, const tensor& weight,
                  "conv2d grad_input " << grad_input.describe() << " does not match input");
 }
 
-/// Row-subset whole-batch lowering: like im2col_batch but emits only the
-/// listed patch rows, compacted; dst is [nrows, batch*oh*ow].
-void im2col_batch_rows(const float* input, std::size_t batch, std::size_t in_h,
-                       std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
-                       std::size_t nrows, float* dst) {
-    const std::size_t total_cols = batch * spec.out_h(in_h) * spec.out_w(in_w);
-    for (std::size_t r = 0; r < nrows; ++r) {
-        lower_patch_row(input, batch, in_h, in_w, spec, rows[r], dst + r * total_cols);
-    }
-}
-
-/// Row-subset adjoint: like col2im_batch but `columns` is the compact
-/// [nrows, batch*oh*ow] matrix holding only the listed patch rows
-/// (strictly ascending). Skipped rows are the all-padding taps, whose full
-/// col2im contribution is zero work (every tap lands out of bounds), so
-/// each input pixel's += chain is byte-identical to the full adjoint —
-/// unconditionally, for any gradient values.
-void col2im_batch_rows(const float* columns, std::size_t batch, std::size_t in_h,
-                       std::size_t in_w, const conv2d_spec& spec, const std::size_t* rows,
-                       std::size_t nrows, float* dst) {
-    const std::size_t oh = spec.out_h(in_h);
-    const std::size_t ow = spec.out_w(in_w);
-    const std::size_t out_cols = oh * ow;
-    const std::size_t total_cols = batch * out_cols;
-    const std::size_t image_elems = spec.in_channels * in_h * in_w;
-    const std::size_t taps = spec.kernel_h * spec.kernel_w;
-    // Every destination pixel's += chain visits the listed patch rows in
-    // ascending order — the full adjoint's per-pixel order with the
-    // zero-contribution (all-padding) rows absent.
-    for (std::size_t r = 0; r < nrows; ++r) {
-        const std::size_t patch_row = rows[r];
-        const std::size_t c = patch_row / taps;
-        const std::size_t kh = (patch_row % taps) / spec.kernel_w;
-        const std::size_t kw = patch_row % spec.kernel_w;
-        const float* prow = columns + r * total_cols;
-        for (std::size_t n = 0; n < batch; ++n) {
-            float* img = dst + n * image_elems;
-            const float* srow = prow + n * out_cols;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                const std::ptrdiff_t iy =
-                    static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
-                    static_cast<std::ptrdiff_t>(spec.padding);
-                if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) { continue; }
-                float* irow = img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
-                for (std::size_t ox = 0; ox < ow; ++ox) {
-                    const std::ptrdiff_t ix =
-                        static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
-                        static_cast<std::ptrdiff_t>(spec.padding);
-                    if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) { continue; }
-                    irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
-                }
-            }
-        }
-    }
+/// Every patch row, ascending: the row list of a call that skips none.
+std::vector<std::size_t> all_patch_rows(std::size_t patch) {
+    std::vector<std::size_t> rows(patch);
+    for (std::size_t r = 0; r < patch; ++r) { rows[r] = r; }
+    return rows;
 }
 
 /// True when any of the `count` floats at `p` is Inf or NaN — has every
@@ -372,29 +386,32 @@ tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& b
     const float* weight2d = weight.raw();
 
     // All-padding patch rows lower to exact zeros, so they are neither
-    // lowered nor multiplied (gemm_k_subset) — unless a weight in a skipped
-    // column is Inf or NaN, whose NaN products the full GEMM keeps.
-    const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
-    const bool skip = rows.size() != patch &&
+    // gathered nor multiplied (gemm_k_subset) — unless a weight in a skipped
+    // column is Inf or NaN, whose NaN products the full GEMM keeps. A
+    // geometry with no live row at all runs the full rows (over the zero
+    // border), which leaves no empty operand to lease.
+    std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
+    const bool skip = !rows.empty() && rows.size() != patch &&
                       !skipped_columns_nonfinite(weight2d, spec.out_channels, patch, rows);
-    const std::size_t krows = skip ? rows.size() : patch;
+    if (!skip) { rows = all_patch_rows(patch); }
     const gemm_k_subset subset{rows.data(), rows.size(), patch};
 
+    // The budget sizes the staged images (at most the fully padded ones)
+    // plus the chunk's GEMM output.
+    const std::size_t padded_image =
+        spec.in_channels * (in_h + 2 * spec.padding) * (in_w + 2 * spec.padding);
+    const std::size_t chunk = images_per_chunk(padded_image + spec.out_channels * plane, batch);
+    const implicit_lowering lowering(spec, in_h, in_w, rows, chunk);
     workspace& ws = workspace::local();
-    const std::size_t chunk = images_per_chunk(krows + spec.out_channels, plane, batch);
     for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
         const std::size_t nb = std::min(chunk, batch - n0);
         const std::size_t cols = nb * plane;
-        const float* src = input.raw() + n0 * image_elems;
-        workspace::buffer colbuf = ws.acquire(krows * cols);
-        if (skip) {
-            im2col_batch_rows(src, nb, in_h, in_w, spec, rows.data(), krows, colbuf.data());
-        } else {
-            im2col_batch(src, nb, in_h, in_w, spec, colbuf.data());
-        }
+        workspace::buffer slab;
+        const float* staged = lowering.staged(input.raw() + n0 * image_elems, nb, ws, slab);
         workspace::buffer outbuf = ws.acquire(spec.out_channels * cols);
-        gemm_nn(spec.out_channels, cols, patch, weight2d, patch, colbuf.data(), cols,
-                outbuf.data(), cols, /*accumulate=*/false, ws, skip ? &subset : nullptr);
+        gemm_nn_gather(spec.out_channels, cols, patch, weight2d, patch, lowering.patches(staged),
+                       outbuf.data(), cols, /*accumulate=*/false, ws,
+                       skip ? &subset : nullptr);
         scatter_lowered_output(outbuf.data(), cols, nb, plane, spec.out_channels, bias,
                                out_ptr, n0);
     }
@@ -425,25 +442,26 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
 
     // All-padding patch rows are skipped in both directions:
     //
-    //   * dX: the column gradient is computed only for active rows (compact
+    //   * dX: the column gradient is computed only for kept rows (compact
     //     W columns via gemm_tn with unchanged k = out_c chains) and
-    //     scattered through col2im_batch_rows — byte-identical, because the
-    //     full col2im skips every tap of an all-padding row anyway;
-    //   * dW: active columns accumulate in a compact copy of grad_weight
+    //     scattered over the kept rows — byte-identical, because every tap
+    //     of an all-padding row lands on the staged border anyway;
+    //   * dW: kept columns accumulate in a compact copy of grad_weight
     //     with the full per-chunk acc=true chain and are written back. A
     //     skipped column's full result is grad_weight plus sums of exact
     //     zero products, which are +0 when dY is finite: exactly the
     //     `+ 0.0f` applied below (it turns a -0 entry into +0, as the full
     //     GEMM does). A dY holding Inf or NaN makes those products NaN, so
-    //     such a call lowers every row.
+    //     such a call keeps every row, as does a geometry with no live row.
     //
     // db and chunking are untouched: the chunk split is the full-row one
     // (2*patch + out_c), so the dW/db accumulation order never depends on
     // whether rows are skipped.
-    const std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
-    const bool skip =
-        rows.size() != patch && !any_nonfinite(grad_out, grad_output.numel());
-    const std::size_t krows = skip ? rows.size() : patch;
+    std::vector<std::size_t> rows = conv_active_patch_rows(spec, in_h, in_w);
+    const bool skip = !rows.empty() && rows.size() != patch &&
+                      !any_nonfinite(grad_out, grad_output.numel());
+    if (!skip) { rows = all_patch_rows(patch); }
+    const std::size_t krows = rows.size();
 
     workspace& ws = workspace::local();
     workspace::buffer wcompact;
@@ -459,18 +477,16 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
         }
     }
 
-    // Three slabs live at once here (columns, lowered dY, column gradient).
-    const std::size_t chunk = images_per_chunk(2 * patch + out_c, plane, batch);
+    // The split that fixes the dW/db chains: it once sized three
+    // materialized slabs (patch matrix, lowered dY, column gradient) and is
+    // kept as is so every accumulation order stays the same.
+    const std::size_t chunk = images_per_chunk((2 * patch + out_c) * plane, batch);
+    const implicit_lowering lowering(spec, in_h, in_w, rows, chunk);
     for (std::size_t n0 = 0; n0 < batch; n0 += chunk) {
         const std::size_t nb = std::min(chunk, batch - n0);
         const std::size_t cols = nb * plane;
-        workspace::buffer colbuf = ws.acquire(krows * cols);
-        if (skip) {
-            im2col_batch_rows(in + n0 * image_elems, nb, in_h, in_w, spec, rows.data(), krows,
-                              colbuf.data());
-        } else {
-            im2col_batch(in + n0 * image_elems, nb, in_h, in_w, spec, colbuf.data());
-        }
+        workspace::buffer slab;
+        const float* staged = lowering.staged(in + n0 * image_elems, nb, ws, slab);
 
         // Gather dY from [N, O, plane] into the lowered [O, nb*plane]
         // layout.
@@ -483,11 +499,13 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
             }
         }
 
-        // dW += dY · colsᵀ — one GEMM for the whole chunk, straight into
-        // the parameter gradient (or its compact copy when skipping; the
-        // k = cols chain per output element is identical either way).
-        gemm_nt(out_c, krows, cols, gobuf.data(), cols, colbuf.data(), cols,
-                skip ? dwcompact.data() : gw, krows, /*accumulate=*/true, ws);
+        // dW += dY · Lᵀ — one GEMM for the whole chunk, gathering Lᵀ from
+        // the staged images, straight into the parameter gradient (or its
+        // compact copy when skipping; the k = cols chain per output element
+        // is identical either way).
+        gemm_nn_gather(out_c, krows, cols, gobuf.data(), cols,
+                       lowering.patches_transposed(staged), skip ? dwcompact.data() : gw,
+                       krows, /*accumulate=*/true, ws);
 
         // db += row sums of dY, one serial chain per channel.
         for (std::size_t oc = 0; oc < out_c; ++oc) {
@@ -497,17 +515,16 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
             gb[oc] += acc;
         }
 
-        // dX += col2im(Wᵀ · dY); the column gradient reuses the im2col slab
-        // shape, and col2im accumulates in place.
+        // dX += scatter(Wᵀ · dY): the column gradient is added onto the
+        // staged grad_input (in the slab the images used, if staging
+        // copies), whose interior is then copied back.
         workspace::buffer gradcols = ws.acquire(krows * cols);
         gemm_tn(krows, cols, out_c, skip ? wcompact.data() : weight2d, krows, gobuf.data(),
                 cols, gradcols.data(), cols, /*accumulate=*/false, ws);
-        if (skip) {
-            col2im_batch_rows(gradcols.data(), nb, in_h, in_w, spec, rows.data(), krows,
-                              gin + n0 * image_elems);
-        } else {
-            col2im_batch(gradcols.data(), nb, in_h, in_w, spec, gin + n0 * image_elems);
-        }
+        float* gin_chunk = gin + n0 * image_elems;
+        float* gin_staged = lowering.staged(gin_chunk, nb, ws, slab);
+        lowering.scatter(gradcols.data(), cols, gin_staged);
+        lowering.unstage(gin_staged, nb, gin_chunk);
     }
 
     if (skip && batch > 0) {

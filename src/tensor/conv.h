@@ -1,18 +1,31 @@
-// Convolution and pooling primitives (im2col formulation).
+// Convolution and pooling primitives (implicit GEMM lowering).
 //
 // conv2d lowers to the matmul  [out_c] x [in_c*kh*kw]  ·  [in_c*kh*kw] x [oh*ow]
 // — exactly the GEMM shape a weight-stationary systolic array executes,
 // which is why the fault-map → weight-mask equivalence proven for linear
 // layers carries over to convolutions unchanged.
 //
-// The forward/backward entry points lower the WHOLE batch at once: one
-// [patch, N*oh*ow] patch matrix and a single blocked GEMM per layer instead
-// of N small ones, with every scratch buffer leased from the thread-local
-// workspace arena (no per-image copies, no per-call allocation after
-// warm-up). When the patch matrix would exceed the lowering budget the
-// batch is split into fixed-size image chunks — a shape-only decision, so
-// results stay deterministic for a given geometry. Every loop runs
-// serially on the calling thread.
+// The forward/backward entry points run ONE blocked GEMM per chunk of
+// images and never materialize the patch matrix. Each chunk is copied once
+// into a zero-bordered staging slab [nb, C, H+2p, W+2p], and every lowered
+// element is read from it through two offset tables: element (patch row r,
+// column j) is staged[row_off[r] + col_off[j]], with row_off =
+// c*PH*PW + ky*PW + kx and col_off = n*image + oy*s*PW + ox*s. The GEMM's
+// B packer gathers its strips straight from those tables (gemm_nn_gather):
+// W · L in forward, dY · Lᵀ for dW (the two tables swapped). dX keeps the
+// gemm_tn column gradient Wᵀ · dY and scatters it through the same tables
+// onto a staged copy of grad_input. Every scratch buffer is leased from
+// the thread-local workspace arena. Each product and each accumulation
+// order is the one the materialized im2col + GEMM formulation had, so the
+// results are bit-identical to it. Every loop runs serially on the
+// calling thread.
+//
+// Chunking: forward splits a batch when the staged images plus the GEMM
+// output would exceed the lowering budget; the split cannot change a
+// forward value. Backward keeps the split of the materialized formulation,
+// (2*patch + out_c) * oh*ow floats per image, because its chunks fix the
+// order of the dW/db sums. Both are shape-only decisions, so results stay
+// deterministic for a given geometry.
 #pragma once
 
 #include "tensor/tensor.h"
@@ -39,29 +52,22 @@ struct conv2d_spec {
     std::size_t patch_size() const { return in_channels * kernel_h * kernel_w; }
 };
 
-/// Lowers one image [C,H,W] to a patch matrix [patch_size, oh*ow].
+/// Lowers one image [C,H,W] to a patch matrix [patch_size, oh*ow]. Row
+/// (c*kh + ky)*kw + kx, column oy*ow + ox holds the input pixel that tap
+/// meets at output (oy, ox), or 0 in the padding. The conv drivers never
+/// call it; it is the reference their implicit lowering is checked against.
 tensor im2col(const tensor& image, const conv2d_spec& spec);
 
-/// Adjoint of im2col: accumulates patch-matrix gradients back to [C,H,W].
+/// Adjoint of im2col: accumulates patch-matrix gradients back to [C,H,W],
+/// each pixel's taps in ascending patch-row order.
 tensor col2im(const tensor& columns, const conv2d_spec& spec, std::size_t in_h,
               std::size_t in_w);
 
-/// Whole-batch lowering: writes the patch matrix [patch_size, batch*oh*ow]
-/// of `batch` images (contiguous [C,H,W] blocks at `input`) into `dst`
-/// (size patch_size * batch*oh*ow). Column n*oh*ow + oy*ow + ox holds the
-/// patch of image n at output position (oy, ox).
-void im2col_batch(const float* input, std::size_t batch, std::size_t in_h, std::size_t in_w,
-                  const conv2d_spec& spec, float* dst);
-
-/// Adjoint of im2col_batch: ACCUMULATES (+=) the patch-matrix gradients in
-/// `columns` [patch_size, batch*oh*ow] back onto `batch` images at `dst`.
-void col2im_batch(const float* columns, std::size_t batch, std::size_t in_h, std::size_t in_w,
-                  const conv2d_spec& spec, float* dst);
-
-/// Byte budget for the workspace scratch one lowered conv chunk holds at
-/// once (default 64 MiB): patch matrix + lowered output in forward, plus
-/// the column gradient in backward. conv2d splits batches that would
-/// exceed it into equal image chunks. Exposed for tests (exercising the
+/// Byte budget for the workspace scratch one conv chunk holds at once
+/// (default 64 MiB): the staged images plus the GEMM output in forward;
+/// in backward the (2*patch + out_c) * oh*ow floats per image of the
+/// materialized formulation (see the file comment). conv2d splits batches
+/// that would exceed it into equal image chunks. Exposed for tests (exercising the
 /// chunked path on small shapes) and for memory-constrained deployments;
 /// returns the previous value. The chunk split depends only on shapes and
 /// this budget, never on data.
@@ -81,12 +87,12 @@ std::vector<std::size_t> conv_active_patch_rows(const conv2d_spec& spec, std::si
 //
 // Patch rows whose kernel tap is out of bounds for EVERY output position
 // (the all-padding rows a 1x1-spatial layer has 8 of 9) lower to exact
-// zeros. conv2d_forward and conv2d_backward_acc neither lower nor multiply
-// them (see gemm_k_subset), and stay bit-identical to the full im2col +
-// GEMM formulation for any operand values: forward lowers every row in a
-// call whose weight holds Inf or NaN in a skipped column, and backward
-// lowers every row in a call whose upstream gradient holds Inf or NaN —
-// the cases where a skipped zero product would have been NaN.
+// zeros. conv2d_forward and conv2d_backward_acc neither gather nor
+// multiply them (see gemm_k_subset), and stay bit-identical to the full
+// im2col + GEMM formulation for any operand values: forward keeps every
+// row in a call whose weight holds Inf or NaN in a skipped column, and
+// backward keeps every row in a call whose upstream gradient holds Inf or
+// NaN — the cases where a skipped zero product would have been NaN.
 
 /// conv2d forward over a batch.
 /// input  [N, C, H, W], weight [out_c, in_c, kh, kw], bias [out_c] (optional,

@@ -78,6 +78,51 @@ void pack_a_cols(const float* a, std::size_t rs, const std::size_t* cols, std::s
     }
 }
 
+/// pack_strips<NR> for a gathered B operand (gemm_gather): lane j at depth
+/// p is base[row_off[p] + col_off[j]]. `row_off` and `col_off` point at the
+/// panel's first depth step and first lane; edge strips are zero-padded
+/// exactly like pack_strips.
+void gather_strips(const float* base, const std::size_t* row_off, const std::size_t* col_off,
+                   std::size_t extent, std::size_t depth, float* dst) {
+    for (std::size_t s = 0; s < extent; s += NR, col_off += NR) {
+        const std::size_t w = std::min(NR, extent - s);
+        if (w == NR) {
+            for (std::size_t d = 0; d < depth; ++d, dst += NR) {
+                const float* src = base + row_off[d];
+                for (std::size_t l = 0; l < NR; ++l) { dst[l] = src[col_off[l]]; }
+            }
+        } else {
+            for (std::size_t d = 0; d < depth; ++d, dst += NR) {
+                const float* src = base + row_off[d];
+                for (std::size_t l = 0; l < w; ++l) { dst[l] = src[col_off[l]]; }
+                for (std::size_t l = w; l < NR; ++l) { dst[l] = 0.0f; }
+            }
+        }
+    }
+}
+
+/// B packers for the driver: pack(p0, kc, j0, nc, dst) packs the NR-column
+/// strips of B rows [p0, p0 + kc) (compact rows under a k subset) and
+/// columns [j0, j0 + nc). `strided_b` reads B element (p, j) at
+/// b[p*rs + j*cs]; `gathered_b` reads it through a gemm_gather.
+struct strided_b {
+    const float* b;
+    std::size_t rs;
+    std::size_t cs;
+    void operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
+                    float* dst) const {
+        pack_strips<NR>(b + p0 * rs + j0 * cs, cs, rs, nc, kc, dst);
+    }
+};
+
+struct gathered_b {
+    gemm_gather g;
+    void operator()(std::size_t p0, std::size_t kc, std::size_t j0, std::size_t nc,
+                    float* dst) const {
+        gather_strips(g.base, g.row_off + p0, g.col_off + j0, nc, kc, dst);
+    }
+};
+
 // GCC/clang generic vectors: element-wise IEEE float ops on every target
 // (lowered to two SSE vectors on baseline x86-64, one AVX vector in the
 // avx2 clone, scalar code elsewhere). The unaligned typedef is for loads
@@ -191,21 +236,23 @@ micro_kernel_fn select_micro_kernel() {
 
 const micro_kernel_fn micro_kernel = select_micro_kernel();
 
-/// Shared driver: C[m,n] (+)= A · B, where A element (i, p) sits at
-/// a[i*ars + p*acs] and B element (p, j) at b[p*brs + j*bcs]. Each B cache
-/// panel is packed once per NC panel column and shared across that column's
-/// MC block rows. For every C element the order of operations is fixed:
-/// KC panels ascending, p ascending within a panel.
+/// The one driver: C[m,n] (+)= A · B, where A element (i, p) sits at
+/// a[i*ars + p*acs] and B is whatever `pack_b` packs (strided_b or
+/// gathered_b). Each B cache panel is packed once per NC panel column and
+/// shared across that column's MC block rows. For every C element the
+/// order of operations is fixed: KC panels ascending, p ascending within a
+/// panel.
 ///
 /// With a non-null `krows` (a gemm_k_subset over the original k), B's row
 /// index p is COMPACT: compact row p stands for original row krows[p], and
 /// A is packed from those original columns (acs must be 1). KC panel
 /// boundaries follow the ORIGINAL k, so every element's chain is the full
 /// chain with the missing rows' exact-zero products removed.
+template <typename PackB>
 void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t ars,
-                  std::size_t acs, const float* b, std::size_t brs, std::size_t bcs, float* c,
-                  std::size_t ldc, bool accumulate, workspace& ws,
-                  const std::size_t* krows = nullptr, std::size_t k_compact = 0) {
+                  std::size_t acs, const PackB& pack_b, float* c, std::size_t ldc,
+                  bool accumulate, workspace& ws, const std::size_t* krows = nullptr,
+                  std::size_t k_compact = 0) {
     if (krows == nullptr) { k_compact = k; }
     if (m == 0 || n == 0) { return; }
     if (k_compact == 0) {
@@ -238,7 +285,7 @@ void gemm_strided(std::size_t m, std::size_t n, std::size_t k, const float* a, s
             // would only have stored +0 sums that later panels add onto.
             const bool overwrite = !accumulate && first_panel;
             first_panel = false;
-            pack_strips<NR>(b + c0 * brs + jc * bcs, bcs, brs, nc, kc, bpack.data());
+            pack_b(c0, kc, jc, nc, bpack.data());
             for (std::size_t ic = 0; ic < m; ic += MC) {
                 const std::size_t mc = std::min(MC, m - ic);
                 if (krows == nullptr) {
@@ -299,32 +346,35 @@ void check_subset(const gemm_k_subset& subset, std::size_t k) {
 
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_k_subset* subset) {
+             workspace& ws) {
+    gemm_strided(m, n, k, a, lda, 1, strided_b{b, ldb, 1}, c, ldc, accumulate, ws);
+}
+
+void gemm_nn_gather(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                    std::size_t lda, const gemm_gather& b, float* c, std::size_t ldc,
+                    bool accumulate, workspace& ws, const gemm_k_subset* subset) {
     if (subset == nullptr) {
-        gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
+        gemm_strided(m, n, k, a, lda, 1, gathered_b{b}, c, ldc, accumulate, ws);
         return;
     }
     check_subset(*subset, k);
-    if (subset->count == 0) {  // every product is an exact zero
-        gemm_strided(m, n, 0, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws);
-        return;
-    }
-    gemm_strided(m, n, k, a, lda, 1, b, ldb, 1, c, ldc, accumulate, ws, subset->rows,
-                 subset->count);
+    // An empty subset leaves only exact-zero products: k_compact = 0.
+    gemm_strided(m, n, subset->count == 0 ? 0 : k, a, lda, 1, gathered_b{b}, c, ldc,
+                 accumulate, ws, subset->rows, subset->count);
 }
 
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
              workspace& ws) {
     // B stored [n, k] row-major: element (p, j) = b[j * ldb + p].
-    gemm_strided(m, n, k, a, lda, 1, b, 1, ldb, c, ldc, accumulate, ws);
+    gemm_strided(m, n, k, a, lda, 1, strided_b{b, 1, ldb}, c, ldc, accumulate, ws);
 }
 
 void gemm_tn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
              workspace& ws) {
     // A stored [k, m] row-major: element (i, p) = a[p * lda + i].
-    gemm_strided(m, n, k, a, 1, lda, b, ldb, 1, c, ldc, accumulate, ws);
+    gemm_strided(m, n, k, a, 1, lda, strided_b{b, ldb, 1}, c, ldc, accumulate, ws);
 }
 
 }  // namespace reduce

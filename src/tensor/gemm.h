@@ -11,8 +11,12 @@
 //     writes a full tile straight from them into C; only partial edge
 //     tiles go through a scratch tile;
 //   * both operands are packed into strip-major layouts, which is also what
-//     makes one micro-kernel serve all three transpose variants — the
-//     packing routines absorb the A/B layouts via strides.
+//     makes one micro-kernel serve every variant — the packing routines
+//     absorb the operand layouts. There is one driver, templated on its B
+//     packer: a strided packer (nn/nt/tn) or an offset gather
+//     (gemm_nn_gather), which fills the packed strips of an implicit
+//     operand — a convolution's patch matrix — straight from its source
+//     without ever materializing it.
 //
 // Determinism: for a fixed (m, n, k) the accumulation order of every output
 // element is fixed — KC panels in ascending order, p ascending within a
@@ -31,7 +35,7 @@ namespace reduce {
 
 class workspace;
 
-/// Optional k-row subset for gemm_nn: the compact B operand holds only
+/// Optional k-row subset for gemm_nn_gather: the compact B operand holds only
 /// `count` rows, row j of B standing for row `rows[j]` of a conceptual
 /// `original_k`-row operand whose missing rows are exact zeros (the
 /// structurally-zero padding taps of a lowered convolution). `rows` must be
@@ -53,12 +57,30 @@ struct gemm_k_subset {
 
 /// C[m,n] (+)= A[m,k] · B[k,n]. `lda/ldb/ldc` are row strides of the
 /// row-major operands; pass `accumulate = false` to overwrite C.
-/// Packing scratch comes from `ws` (no allocation after warm-up). With
-/// `subset` (original_k == k), B is the compact operand gemm_k_subset
-/// describes and A stays [m, k].
+/// Packing scratch comes from `ws` (no allocation after warm-up).
 void gemm_nn(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,
              const float* b, std::size_t ldb, float* c, std::size_t ldc, bool accumulate,
-             workspace& ws, const gemm_k_subset* subset = nullptr);
+             workspace& ws);
+
+/// A B operand read through two offset tables: element (p, j) is
+/// base[row_off[p] + col_off[j]]. `row_off` has one entry per B row (per
+/// COMPACT row under a gemm_k_subset), `col_off` one per B column. The
+/// conv drivers describe their patch matrix this way over a zero-bordered
+/// copy of the images (tensor/conv.h), and its transpose by swapping the
+/// two tables.
+struct gemm_gather {
+    const float* base = nullptr;
+    const std::size_t* row_off = nullptr;
+    const std::size_t* col_off = nullptr;
+};
+
+/// C[m,n] (+)= A[m,k] · B[k,n] with B gathered as `b` describes. The same
+/// driver and accumulation order as gemm_nn: the result is bit-identical
+/// to gemm_nn over the materialized B. With `subset` (original_k == k), B
+/// is the compact operand gemm_k_subset describes and A stays [m, k].
+void gemm_nn_gather(std::size_t m, std::size_t n, std::size_t k, const float* a,
+                    std::size_t lda, const gemm_gather& b, float* c, std::size_t ldc,
+                    bool accumulate, workspace& ws, const gemm_k_subset* subset = nullptr);
 
 /// C[m,n] (+)= A[m,k] · Bᵀ where B is stored row-major as [n,k].
 void gemm_nt(std::size_t m, std::size_t n, std::size_t k, const float* a, std::size_t lda,

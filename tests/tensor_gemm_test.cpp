@@ -3,8 +3,9 @@
 // bit vs a float loop in the documented panel order, NaN/Inf
 // propagation (the seed kernel's zero-skip branch dropped it), workspace
 // reuse safety, whole-batch conv lowering equivalence (including the
-// chunked path), and the k-subset GEMM behind the conv padding-row skips,
-// checked bit for bit against the full lowering.
+// chunked path), the gathered-B GEMM and the k-subset behind the conv
+// padding-row skips, and the implicit conv lowering checked bit for bit
+// against a test-local materialized lowering over a grid of geometries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -400,6 +402,60 @@ bool same_bits(const tensor& a, const tensor& b) {
            std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
 }
 
+/// Offset tables reading a row-major [k, n] tensor through gemm_gather:
+/// row_off[p] = p*n, col_off[j] = j.
+class dense_gather {
+public:
+    explicit dense_gather(const tensor& b) : base_(b.raw()) {
+        for (std::size_t p = 0; p < b.extent(0); ++p) { row_off_.push_back(p * b.extent(1)); }
+        for (std::size_t j = 0; j < b.extent(1); ++j) { col_off_.push_back(j); }
+    }
+    gemm_gather gather() const { return {base_, row_off_.data(), col_off_.data()}; }
+
+private:
+    const float* base_;
+    std::vector<std::size_t> row_off_;
+    std::vector<std::size_t> col_off_;
+};
+
+TEST(GatherGemm, EqualsGemmNnOnTheMaterializedOperandAcrossTileEdges) {
+    // B is read through shuffled offset tables over a scrambled buffer; the
+    // result must equal gemm_nn on the materialized B bit for bit, with
+    // NaN and Inf carried through, overwriting and accumulating.
+    rng gen(2502);
+    for (const auto& [m, k, n] : kShapes) {
+        const tensor a = random_tensor({m, k}, gen);
+        tensor b = random_tensor({k, n}, gen);
+        b.raw()[(k * n) / 2] = std::numeric_limits<float>::quiet_NaN();
+        b.raw()[k * n - 1] = std::numeric_limits<float>::infinity();
+        // Scatter B into a buffer through random row and column offsets.
+        std::vector<std::size_t> rows(k);
+        std::vector<std::size_t> cols(n);
+        for (std::size_t p = 0; p < k; ++p) { rows[p] = p * n; }
+        for (std::size_t j = 0; j < n; ++j) { cols[j] = j; }
+        gen.shuffle(rows);
+        gen.shuffle(cols);
+        std::vector<float> scrambled(k * n);
+        for (std::size_t p = 0; p < k; ++p) {
+            for (std::size_t j = 0; j < n; ++j) {
+                scrambled[rows[p] + cols[j]] = b.raw()[p * n + j];
+            }
+        }
+        const gemm_gather g{scrambled.data(), rows.data(), cols.data()};
+        const tensor seed_c = random_tensor({m, n}, gen);
+        for (const bool accumulate : {false, true}) {
+            tensor want = seed_c;
+            gemm_nn(m, n, k, a.raw(), k, b.raw(), n, want.raw(), n, accumulate,
+                    workspace::local());
+            tensor got = seed_c;
+            gemm_nn_gather(m, n, k, a.raw(), k, g, got.raw(), n, accumulate,
+                           workspace::local());
+            EXPECT_TRUE(same_bits(want, got))
+                << m << "x" << k << "x" << n << " accumulate=" << accumulate;
+        }
+    }
+}
+
 TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     // The structural-zero skip: a compact B missing rows that are exactly
     // zero must reproduce the full-k result bit for bit, with kept rows
@@ -423,13 +479,14 @@ TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     }
     const tensor seed_c = random_tensor({m, n}, gen);
     const gemm_k_subset subset{kept.data(), kept.size(), k};
+    const dense_gather compact(b_compact);
     for (const bool accumulate : {false, true}) {
         tensor full = seed_c;
         gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, accumulate,
                 workspace::local());
         tensor skipped = seed_c;
-        gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, accumulate,
-                workspace::local(), &subset);
+        gemm_nn_gather(m, n, k, a.raw(), k, compact.gather(), skipped.raw(), n, accumulate,
+                       workspace::local(), &subset);
         EXPECT_TRUE(same_bits(full, skipped)) << "accumulate=" << accumulate;
     }
 }
@@ -454,8 +511,9 @@ TEST(KSubsetGemm, FirstPanelEmptyStillOverwrites) {
     gemm_nn(m, n, k, a.raw(), k, b_full.raw(), n, full.raw(), n, false, workspace::local());
     tensor skipped = random_tensor({m, n}, gen);  // stale contents
     const gemm_k_subset subset{kept.data(), kept.size(), k};
-    gemm_nn(m, n, k, a.raw(), k, b_compact.raw(), n, skipped.raw(), n, false,
-            workspace::local(), &subset);
+    const dense_gather compact(b_compact);
+    gemm_nn_gather(m, n, k, a.raw(), k, compact.gather(), skipped.raw(), n, false,
+                   workspace::local(), &subset);
     EXPECT_TRUE(same_bits(full, skipped));
 }
 
@@ -464,23 +522,113 @@ TEST(KSubsetGemm, Validates) {
     const std::size_t rows_oob[] = {3, 99};  // out of range
     const tensor a({4, 8});
     const tensor b({2, 4});
+    const dense_gather gb(b);
     tensor c({4, 4});
     gemm_k_subset subset{rows_bad, 2, 8};
-    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
-                             workspace::local(), &subset));
+    EXPECT_ANY_THROW(gemm_nn_gather(4, 4, 8, a.raw(), 8, gb.gather(), c.raw(), 4, false,
+                                    workspace::local(), &subset));
     subset.rows = rows_oob;
-    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
-                             workspace::local(), &subset));
+    EXPECT_ANY_THROW(gemm_nn_gather(4, 4, 8, a.raw(), 8, gb.gather(), c.raw(), 4, false,
+                                    workspace::local(), &subset));
     const std::size_t rows_ok[] = {2, 3};
     subset = gemm_k_subset{rows_ok, 2, 7};  // original_k differs from k
-    EXPECT_ANY_THROW(gemm_nn(4, 4, 8, a.raw(), 8, b.raw(), 4, c.raw(), 4, false,
-                             workspace::local(), &subset));
+    EXPECT_ANY_THROW(gemm_nn_gather(4, 4, 8, a.raw(), 8, gb.gather(), c.raw(), 4, false,
+                                    workspace::local(), &subset));
 }
 
-/// The conv formulation before the padding-row skip: every patch row
-/// lowered (im2col_batch) and multiplied by full-k GEMMs, `chunk` images
-/// at a time. conv2d_forward and conv2d_backward_acc must match it bit for
-/// bit for any operands.
+// ---- the materialized lowering, kept here as the reference ----------------
+//
+// The index-math im2col/col2im the conv drivers ran before the implicit
+// lowering, copied so the reference shares no code with them.
+
+/// Lowers ONE patch row of `batch` [C,H,W] images into `drow_base`
+/// (length batch*oh*ow), zeros in the padding.
+void ref_lower_patch_row(const float* input, std::size_t batch, std::size_t in_h,
+                         std::size_t in_w, const conv2d_spec& spec, std::size_t patch_row,
+                         float* drow_base) {
+    const std::size_t oh = spec.out_h(in_h);
+    const std::size_t ow = spec.out_w(in_w);
+    const std::size_t out_cols = oh * ow;
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    const std::size_t taps = spec.kernel_h * spec.kernel_w;
+    const std::size_t c = patch_row / taps;
+    const std::size_t kh = (patch_row % taps) / spec.kernel_w;
+    const std::size_t kw = patch_row % spec.kernel_w;
+    for (std::size_t n = 0; n < batch; ++n) {
+        const float* src = input + n * image_elems;
+        float* drow = drow_base + n * out_cols;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            const std::ptrdiff_t iy = static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
+                                      static_cast<std::ptrdiff_t>(spec.padding);
+            if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) {
+                std::memset(drow + oy * ow, 0, ow * sizeof(float));
+                continue;
+            }
+            const float* srow = src + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+                const std::ptrdiff_t ix = static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
+                                          static_cast<std::ptrdiff_t>(spec.padding);
+                drow[oy * ow + ox] = (ix >= 0 && ix < static_cast<std::ptrdiff_t>(in_w))
+                                         ? srow[static_cast<std::size_t>(ix)]
+                                         : 0.0f;
+            }
+        }
+    }
+}
+
+/// The patch matrix [patch_size, batch*oh*ow] of `batch` images; column
+/// n*oh*ow + oy*ow + ox holds the patch of image n at output (oy, ox).
+void ref_im2col_batch(const float* input, std::size_t batch, std::size_t in_h,
+                      std::size_t in_w, const conv2d_spec& spec, float* dst) {
+    const std::size_t total_cols = batch * spec.out_h(in_h) * spec.out_w(in_w);
+    for (std::size_t r = 0; r < spec.patch_size(); ++r) {
+        ref_lower_patch_row(input, batch, in_h, in_w, spec, r, dst + r * total_cols);
+    }
+}
+
+/// Adjoint of ref_im2col_batch: ACCUMULATES (+=) `columns` onto `batch`
+/// images at `dst`, each pixel's taps in ascending patch-row order.
+void ref_col2im_batch(const float* columns, std::size_t batch, std::size_t in_h,
+                      std::size_t in_w, const conv2d_spec& spec, float* dst) {
+    const std::size_t oh = spec.out_h(in_h);
+    const std::size_t ow = spec.out_w(in_w);
+    const std::size_t out_cols = oh * ow;
+    const std::size_t total_cols = batch * out_cols;
+    const std::size_t image_elems = spec.in_channels * in_h * in_w;
+    std::size_t patch_row = 0;
+    for (std::size_t c = 0; c < spec.in_channels; ++c) {
+        for (std::size_t kh = 0; kh < spec.kernel_h; ++kh) {
+            for (std::size_t kw = 0; kw < spec.kernel_w; ++kw, ++patch_row) {
+                const float* prow = columns + patch_row * total_cols;
+                for (std::size_t n = 0; n < batch; ++n) {
+                    float* img = dst + n * image_elems;
+                    const float* srow = prow + n * out_cols;
+                    for (std::size_t oy = 0; oy < oh; ++oy) {
+                        const std::ptrdiff_t iy =
+                            static_cast<std::ptrdiff_t>(oy * spec.stride + kh) -
+                            static_cast<std::ptrdiff_t>(spec.padding);
+                        if (iy < 0 || iy >= static_cast<std::ptrdiff_t>(in_h)) { continue; }
+                        float* irow = img + (c * in_h + static_cast<std::size_t>(iy)) * in_w;
+                        for (std::size_t ox = 0; ox < ow; ++ox) {
+                            const std::ptrdiff_t ix =
+                                static_cast<std::ptrdiff_t>(ox * spec.stride + kw) -
+                                static_cast<std::ptrdiff_t>(spec.padding);
+                            if (ix < 0 || ix >= static_cast<std::ptrdiff_t>(in_w)) {
+                                continue;
+                            }
+                            irow[static_cast<std::size_t>(ix)] += srow[oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// The conv formulation before the padding-row skip and the implicit
+/// lowering: every patch row materialized (ref_im2col_batch) and
+/// multiplied by full-k GEMMs, `chunk` images at a time. conv2d_forward and
+/// conv2d_backward_acc must match it bit for bit for any operands.
 tensor full_lowering_forward(const tensor& input, const tensor& weight, const tensor& bias,
                              const conv2d_spec& spec) {
     const std::size_t batch = input.extent(0);
@@ -490,7 +638,7 @@ tensor full_lowering_forward(const tensor& input, const tensor& weight, const te
     const std::size_t patch = spec.patch_size();
     const std::size_t cols = batch * plane;
     std::vector<float> lowered(patch * cols);
-    im2col_batch(input.raw(), batch, in_h, in_w, spec, lowered.data());
+    ref_im2col_batch(input.raw(), batch, in_h, in_w, spec, lowered.data());
     const tensor prod = matmul(weight.reshaped({spec.out_channels, patch}),
                                tensor({patch, cols}, lowered));
     tensor out({batch, spec.out_channels, spec.out_h(in_h), spec.out_w(in_w)});
@@ -520,7 +668,7 @@ void full_lowering_backward_acc(const tensor& input, const tensor& weight,
         const std::size_t nb = std::min(chunk, batch - n0);
         const std::size_t cols = nb * plane;
         std::vector<float> lowered(patch * cols);
-        im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, lowered.data());
+        ref_im2col_batch(input.raw() + n0 * image_elems, nb, in_h, in_w, spec, lowered.data());
         std::vector<float> dy(out_c * cols);
         for (std::size_t oc = 0; oc < out_c; ++oc) {
             for (std::size_t n = 0; n < nb; ++n) {
@@ -539,7 +687,7 @@ void full_lowering_backward_acc(const tensor& input, const tensor& weight,
         std::vector<float> grad_cols(patch * cols);
         gemm_tn(patch, cols, out_c, weight.raw(), patch, dy.data(), cols, grad_cols.data(),
                 cols, /*accumulate=*/false, ws);
-        col2im_batch(grad_cols.data(), nb, in_h, in_w, spec, gin.raw() + n0 * image_elems);
+        ref_col2im_batch(grad_cols.data(), nb, in_h, in_w, spec, gin.raw() + n0 * image_elems);
     }
 }
 
@@ -683,7 +831,7 @@ TEST(BatchConv, Im2colBatchMatchesPerImage) {
     const std::size_t oh = spec.out_h(4);
     const std::size_t ow = spec.out_w(5);
     std::vector<float> batch_cols(spec.patch_size() * 3 * oh * ow);
-    im2col_batch(input.raw(), 3, 4, 5, spec, batch_cols.data());
+    ref_im2col_batch(input.raw(), 3, 4, 5, spec, batch_cols.data());
     const std::size_t image_elems = 2 * 4 * 5;
     for (std::size_t n = 0; n < 3; ++n) {
         tensor image({2, 4, 5},
@@ -697,6 +845,142 @@ TEST(BatchConv, Im2colBatchMatchesPerImage) {
             }
         }
     }
+    // col2im is the single-image adjoint of the same lowering.
+    const tensor grads = random_tensor({spec.patch_size(), 3 * oh * ow}, gen);
+    std::vector<float> batch_images(3 * image_elems, 0.0f);
+    ref_col2im_batch(grads.raw(), 3, 4, 5, spec, batch_images.data());
+    for (std::size_t n = 0; n < 3; ++n) {
+        tensor cols({spec.patch_size(), oh * ow});
+        for (std::size_t r = 0; r < spec.patch_size(); ++r) {
+            for (std::size_t q = 0; q < oh * ow; ++q) {
+                cols.at2(r, q) = grads.at2(r, n * oh * ow + q);
+            }
+        }
+        const tensor image = col2im(cols, spec, 4, 5);
+        EXPECT_EQ(std::memcmp(image.raw(), batch_images.data() + n * image_elems,
+                              image_elems * sizeof(float)),
+                  0)
+            << "n=" << n;
+    }
+}
+
+// ---- the implicit lowering over a geometry grid -----------------------------
+
+TEST(ImplicitConv, MatchesFullLoweringOverGeometryGrid) {
+    // Kernels 1x1, 3x3, 1x3, 3x1 x stride 1-3 x padding 0-2, each at a
+    // seeded H != W in 1..9, batch 1-5 and small channel counts, whole and
+    // chunked one image at a time. Each geometry runs five operand sets:
+    // plain masked weights; Inf/NaN weights in a skipped column (or any
+    // column when none is skipped); NaN dY; Inf dY; -0 in grad_weight.
+    rng gen(2503);
+    const std::vector<std::pair<std::size_t, std::size_t>> kernels = {
+        {1, 1}, {3, 3}, {1, 3}, {3, 1}};
+    const float inf = std::numeric_limits<float>::infinity();
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    std::size_t geometries = 0;
+    for (const auto& [kh, kw] : kernels) {
+        for (std::size_t stride = 1; stride <= 3; ++stride) {
+            for (std::size_t padding = 0; padding <= 2; ++padding) {
+                std::size_t h = 0;
+                std::size_t w = 0;
+                do {
+                    h = static_cast<std::size_t>(gen.uniform_int(1, 9));
+                    w = static_cast<std::size_t>(gen.uniform_int(1, 9));
+                } while (h == w || h + 2 * padding < kh || w + 2 * padding < kw);
+                const std::size_t batch = static_cast<std::size_t>(gen.uniform_int(1, 5));
+                const std::size_t in_c = static_cast<std::size_t>(gen.uniform_int(1, 3));
+                const std::size_t out_c = static_cast<std::size_t>(gen.uniform_int(1, 5));
+                const conv2d_spec spec{in_c, out_c, kh, kw, stride, padding};
+                const std::size_t oh = spec.out_h(h);
+                const std::size_t ow = spec.out_w(w);
+                ++geometries;
+
+                const tensor input = random_tensor({batch, in_c, h, w}, gen);
+                const tensor weight =
+                    masked_copy(random_tensor({out_c, in_c, kh, kw}, gen), gen, 0.2);
+                const tensor bias = random_tensor({out_c}, gen);
+                const tensor dy = random_tensor({batch, out_c, oh, ow}, gen);
+
+                // A skipped column when there is one, else column 0.
+                const std::vector<std::size_t> active = conv_active_patch_rows(spec, h, w);
+                std::size_t dead = 0;
+                while (dead < active.size() && active[dead] == dead) { ++dead; }
+                if (dead == spec.patch_size()) { dead = 0; }
+                tensor poisoned_w = weight;
+                poisoned_w.raw()[dead] = inf;
+                poisoned_w.raw()[(out_c - 1) * spec.patch_size() + dead] = nan;
+                tensor nan_dy = dy;
+                nan_dy.raw()[dy.numel() / 2] = nan;
+                tensor inf_dy = dy;
+                inf_dy.raw()[0] = -inf;
+
+                const std::string where = std::to_string(kh) + "x" + std::to_string(kw) +
+                                          " s" + std::to_string(stride) + " p" +
+                                          std::to_string(padding) + " " + std::to_string(h) +
+                                          "x" + std::to_string(w) + " n" +
+                                          std::to_string(batch);
+                for (const bool chunked : {false, true}) {
+                    std::optional<budget_guard> tiny;
+                    if (chunked) { tiny.emplace(1); }
+                    const std::size_t chunk = chunked ? 1 : batch;
+                    const std::string label = where + (chunked ? " chunked" : "");
+                    const tensor zero_gw(weight.shape());
+                    expect_matches_full_lowering(input, weight, bias, dy, spec, zero_gw, chunk,
+                                                 label);
+                    expect_matches_full_lowering(input, poisoned_w, bias, dy, spec, zero_gw,
+                                                 chunk, label + " non-finite W");
+                    expect_matches_full_lowering(input, weight, bias, nan_dy, spec, zero_gw,
+                                                 chunk, label + " NaN dY");
+                    expect_matches_full_lowering(input, weight, bias, inf_dy, spec, zero_gw,
+                                                 chunk, label + " Inf dY");
+                    expect_matches_full_lowering(input, weight, bias, dy, spec,
+                                                 tensor(weight.shape(), -0.0f), chunk,
+                                                 label + " -0 dW");
+                }
+            }
+        }
+    }
+    EXPECT_EQ(geometries, 36u);
+}
+
+TEST(ImplicitConv, StagingBorderIsZeroedOnEveryCall) {
+    // A fresh thread's arena is seeded with one NaN-filled slab, released,
+    // so the first slab each conv call leases (the staged images) holds
+    // NaN: a padding border that is not re-zeroed turns outputs and dW
+    // into NaN. Every patch row is live here, so backward leases the
+    // staging slab first too.
+    rng gen(2504);
+    const conv2d_spec spec{3, 4, 3, 3, 1, 1};
+    ASSERT_EQ(conv_active_patch_rows(spec, 4, 5).size(), spec.patch_size());
+    const tensor input = random_tensor({2, 3, 4, 5}, gen);
+    const tensor weight = random_tensor({4, 3, 3, 3}, gen);
+    const tensor bias = random_tensor({4}, gen);
+    const tensor dy = random_tensor({2, 4, 4, 5}, gen);
+    const auto with_poisoned_arena = [](const auto& body) {
+        std::thread worker([&]() {
+            {
+                workspace::buffer slab = workspace::local().acquire(1u << 12);
+                std::fill_n(slab.data(), slab.size(), std::numeric_limits<float>::quiet_NaN());
+            }
+            body();
+        });
+        worker.join();
+    };
+    tensor out;
+    with_poisoned_arena([&]() { out = conv2d_forward(input, weight, bias, spec); });
+    EXPECT_TRUE(same_bits(out, full_lowering_forward(input, weight, bias, spec)));
+
+    tensor gin(input.shape());
+    tensor gw(weight.shape());
+    tensor gb({4});
+    with_poisoned_arena([&]() { conv2d_backward_acc(input, weight, dy, spec, gin, gw, gb); });
+    tensor ref_gin(input.shape());
+    tensor ref_gw(weight.shape());
+    tensor ref_gb({4});
+    full_lowering_backward_acc(input, weight, dy, spec, 2, ref_gin, ref_gw, ref_gb);
+    EXPECT_TRUE(same_bits(gin, ref_gin));
+    EXPECT_TRUE(same_bits(gw, ref_gw));
+    EXPECT_TRUE(same_bits(gb, ref_gb));
 }
 
 }  // namespace
