@@ -1,15 +1,18 @@
 #include "core/fat_trainer.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <span>
 
 #include "nn/loss.h"
 #include "nn/metrics.h"
 #include "nn/serialize.h"
+#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/stopwatch.h"
+#include "util/thread_pool.h"
 
 namespace reduce {
 
@@ -351,6 +354,43 @@ episode_result run_episode(fault_aware_trainer& trainer, const model_snapshot& p
     out.fat = trainer.train(ep.budget, ep.grid, ep.epoch0_accuracy, &hooks, ep.target);
     if (on_trained) { on_trained(model); }
     return out;
+}
+
+episode_worker::episode_worker(const episode_source& source)
+    : clone_(clone_model(source.prototype)),
+      trainer_(*clone_, source.train_data, source.test_data, source.trainer_cfg) {
+    // One restore covers the first episode; each episode's guard then
+    // leaves the clone at the pretrained snapshot.
+    restore_parameters(clone_->parameters(), source.pretrained);
+}
+
+std::size_t run_episodes(const episode_source& source, std::size_t n, std::size_t threads,
+                         const episode_unit& unit) {
+    if (n == 0) { return 0; }
+    const std::size_t workers = resolve_thread_count(threads, n);
+    std::atomic<std::size_t> next{0};
+    std::atomic<bool> failed{false};
+    run_workers(workers, [&] {
+        episode_worker worker(source);
+        // The worker's episodes draw conv staging and GEMM buffers from this
+        // thread's arena: the first unit warms it, later units reuse it.
+        const workspace& arena = workspace::local();
+        // A failed unit voids the whole call, so nobody starts another.
+        while (!failed.load(std::memory_order_relaxed)) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= n) { break; }
+            try {
+                unit(worker.trainer(), i);
+            } catch (...) {
+                failed.store(true, std::memory_order_relaxed);
+                throw;
+            }
+        }
+        LOG_DEBUG << "episode worker done; arena high-water "
+                  << arena.peak_floats() * sizeof(float) << " bytes across "
+                  << arena.pooled_bytes() << " pooled";
+    });
+    return workers;
 }
 
 }  // namespace reduce

@@ -11,11 +11,15 @@
 // the timeline bench run through it; fault_aware_trainer::train underneath
 // owns the stop list of checkpoints and events and the one rollback anchor.
 //
-// Threading: an episode is single-threaded, kernels included; the fleet
-// executor and sweep engine run many episodes at once, one per worker.
+// Threading: an episode is single-threaded, kernels included. run_episodes
+// is the one driver that runs many at once, for Step-1 cells and Step-3
+// chips alike; the distributed worker trains every lease on the same kind
+// of per-worker clone (episode_worker).
 #pragma once
 
+#include <cstddef>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -206,5 +210,45 @@ using trained_model_observer = std::function<void(sequential& trained)>;
 episode_result run_episode(fault_aware_trainer& trainer, const model_snapshot& pretrained,
                            const array_config& array, episode ep,
                            const trained_model_observer& on_trained = nullptr);
+
+/// What a worker clones its model from: the prototype, the snapshot every
+/// episode starts from, the datasets and the trainer config. The references
+/// are only read and must outlive every worker built from them.
+struct episode_source {
+    const sequential& prototype;
+    const model_snapshot& pretrained;
+    const dataset& train_data;
+    const dataset& test_data;
+    fat_config trainer_cfg;
+};
+
+/// One worker's private model: a deep clone of the prototype at the
+/// pretrained weights, and the trainer bound to it. Every run_episode leaves
+/// the clone at the pretrained snapshot, so one worker serves any number of
+/// episodes — cells and chips alike — in any order.
+class episode_worker {
+public:
+    explicit episode_worker(const episode_source& source);
+
+    fault_aware_trainer& trainer() { return trainer_; }
+
+private:
+    std::unique_ptr<sequential> clone_;
+    fault_aware_trainer trainer_;  ///< bound to *clone_
+};
+
+/// One unit of a run_episodes call: runs unit `index` on the worker's trainer.
+using episode_unit = std::function<void(fault_aware_trainer& trainer, std::size_t index)>;
+
+/// The episode driver behind Step 1 and Step 3: runs unit(trainer, i) once
+/// for every i in [0, n) on resolve_thread_count(threads, n) workers, each
+/// with its own episode_worker and thread-local workspace arena. Workers
+/// claim one index at a time from a shared cursor, so which worker runs a
+/// unit is timing-dependent; results must be a function of the index alone.
+/// Once a unit throws, no worker claims another index, and the first
+/// exception is re-thrown after every worker has returned. Returns the
+/// worker count (0 when n is 0, which runs nothing).
+std::size_t run_episodes(const episode_source& source, std::size_t n, std::size_t threads,
+                         const episode_unit& unit);
 
 }  // namespace reduce

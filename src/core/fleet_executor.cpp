@@ -1,15 +1,59 @@
 #include "core/fleet_executor.h"
 
 #include <algorithm>
-#include <atomic>
 #include <mutex>
 
-#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/thread_pool.h"
 
 namespace reduce {
+
+namespace {
+
+/// Full deployable capture: parameters AND state buffers (the batch-norm
+/// statistics behind the reported accuracy), taken before the episode's
+/// guard restores the pretrained snapshot.
+trained_model_observer capture_snapshot(model_snapshot& into) {
+    return [&into](sequential& trained) { into = snapshot_model(trained); };
+}
+
+/// The grouping counters of a run, derived from the plan alone: the fleet
+/// splits into fleet-order blocks of `block` chips, each block into maximal
+/// same-allocation runs (equal epochs and train_to_target), and each run
+/// into groups of at most train_batch_chips. No chip trains differently for
+/// any of it; the counters only describe the split.
+fleet_run_stats count_groups(const std::vector<epoch_allocation>& allocations,
+                             std::size_t block, std::size_t train_batch_chips) {
+    fleet_run_stats stats;
+    const std::size_t n = allocations.size();
+    for (std::size_t begin = 0; begin < n; begin += block) {
+        const std::size_t end = std::min(n, begin + block);
+        const bool grouping = train_batch_chips > 1 && end - begin > 1;
+        const std::size_t width = grouping ? train_batch_chips : 1;
+        for (std::size_t s = begin; s < end;) {
+            std::size_t run_end = s + 1;
+            while (run_end < end && allocations[run_end].epochs == allocations[s].epochs &&
+                   allocations[run_end].train_to_target == allocations[s].train_to_target) {
+                ++run_end;
+            }
+            if (grouping && run_end - s == 1) { ++stats.alloc_downgrades; }
+            for (std::size_t c = s; c < run_end; c += width) {
+                const std::size_t k = std::min(run_end, c + width) - c;
+                if (k > 1) {
+                    ++stats.grouped_train_groups;
+                    stats.grouped_train_chips += k;
+                } else {
+                    ++stats.serial_train_chips;
+                }
+            }
+            s = run_end;
+        }
+    }
+    return stats;
+}
+
+}  // namespace
 
 double policy_outcome::mean_epochs() const {
     if (chips.empty()) { return 0.0; }
@@ -31,21 +75,11 @@ double policy_outcome::fraction_meeting() const {
     return static_cast<double>(meeting) / static_cast<double>(chips.size());
 }
 
-chip_tuner::chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
-                       const dataset& train_data, const dataset& test_data,
-                       const array_config& array, fat_config trainer_cfg)
-    : pretrained_(pretrained),
-      array_(array),
-      clone_(clone_model(prototype)),
-      trainer_(*clone_, train_data, test_data, trainer_cfg) {
-    // Every episode's guard leaves the clone at the pretrained snapshot.
-    restore_parameters(clone_->parameters(), pretrained_);
-}
-
-chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
-                              double constraint, double effective_rate,
-                              std::optional<double> accuracy_before) {
-    tuned_.clear();
+chip_outcome tune_chip(fault_aware_trainer& trainer, const model_snapshot& pretrained,
+                       const array_config& array, const scenario_config& scenario,
+                       const chip& c, const epoch_allocation& alloc, double constraint,
+                       double effective_rate, const trained_model_observer& on_trained,
+                       std::optional<double> accuracy_before) {
     // The oracle trains on the shared checkpoint grid and stops at the
     // first point meeting the target: the charge, and the deployable model.
     // The timeline is a pure function of (scenario.seed, chip id), so any
@@ -53,20 +87,13 @@ chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
     const bool to_target = alloc.train_to_target && alloc.epochs > 0.0;
     episode ep{.seed = c.seed,
                .faults = c.faults,
-               .timeline = timeline_for_chip(scenario_, c.id),
+               .timeline = timeline_for_chip(scenario, c.id),
                .budget = alloc.epochs,
                .grid = to_target ? make_eval_grid(alloc.epochs, 1.0, 0.05, 0.5)
                                  : std::vector<double>{},
                .target = to_target ? std::optional<double>(constraint) : std::nullopt,
                .epoch0_accuracy = accuracy_before};
-    // Full deployable capture: parameters AND state buffers (the batch-norm
-    // statistics behind the reported accuracy), before the guard's restore.
-    const episode_result r = run_episode(
-        trainer_, pretrained_, array_, std::move(ep),
-        capture_tuned_ ? trained_model_observer([this](sequential& trained) {
-            tuned_.push_back(snapshot_model(trained));
-        })
-                       : nullptr);
+    const episode_result r = run_episode(trainer, pretrained, array, std::move(ep), on_trained);
     const fat_result& result = r.fat;
 
     chip_outcome out;
@@ -88,6 +115,26 @@ chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
         to_target ? epochs_to_reach(result.trajectory, constraint) : std::nullopt;
     out.epochs_run = reached.value_or(result.epochs_run);
     out.meets_constraint = out.final_accuracy >= constraint;
+    return out;
+}
+
+chip_tuner::chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
+                       const dataset& train_data, const dataset& test_data,
+                       const array_config& array, fat_config trainer_cfg)
+    : pretrained_(pretrained),
+      array_(array),
+      worker_({prototype, pretrained, train_data, test_data, trainer_cfg}) {}
+
+chip_outcome chip_tuner::tune(const chip& c, const epoch_allocation& alloc,
+                              double constraint, double effective_rate,
+                              std::optional<double> accuracy_before) {
+    tuned_.clear();
+    model_snapshot tuned;
+    const chip_outcome out =
+        tune_chip(worker_.trainer(), pretrained_, array_, scenario_, c, alloc, constraint,
+                  effective_rate, capture_tuned_ ? capture_snapshot(tuned) : nullptr,
+                  accuracy_before);
+    if (capture_tuned_) { tuned_.push_back(std::move(tuned)); }
     return out;
 }
 
@@ -164,132 +211,55 @@ policy_outcome fleet_executor::run(const retraining_policy& policy,
         pending.resize(fleet.size());
         ready.assign(fleet.size(), false);
     }
-
-    // Chips are claimed in fleet-order blocks. The claim width is
-    // train_batch_chips CAPPED at an even fleet/worker split, so a huge
-    // --train-batch-chips can never serialize the fleet onto one worker.
-    // Block membership is a pure function of fleet order and the worker
-    // count, and every chip runs its own episode, so outcomes stay
-    // identical either way.
-    const std::size_t worker_budget = resolve_thread_count(cfg_.threads, fleet.size());
-    // A block is the pool the run counters carve same-allocation groups
-    // from.
-    const std::size_t group = cap_group_at_fair_share(
-        std::max<std::size_t>(cfg_.train_batch_chips, 1), fleet.size(), worker_budget);
-    // Spawn no more workers than there are claimable blocks — a surplus
-    // worker would deep-clone a tuner model just to find the queue empty.
-    const std::size_t workers =
-        std::min(worker_budget, (fleet.size() + group - 1) / group);
-    std::atomic<std::size_t> next{0};
-    std::atomic<bool> failed{false};
     std::size_t completed = 0;  // guarded by progress_mutex
     std::mutex progress_mutex;
-    auto worker = [&]() {
-        chip_tuner tuner(model_, pretrained_, train_data_, test_data_, array_,
-                         trainer_cfg_);
-        // Per-worker scratch: the tuner's retraining loops draw conv staging/GEMM
-        // buffers from this thread's arena, warmed by the first chip and
-        // reused for every chip after it.
-        workspace& arena = workspace::local();
-        tuner.set_capture_tuned(static_cast<bool>(sink_));
-        tuner.set_scenario(cfg_.scenario);
 
-        // Sink flushing — caller must hold progress_mutex. Snapshots leave
-        // as a fleet-order prefix regardless of completion order.
-        auto flush_sinks = [&]() {
-            while (next_sink < fleet.size() && ready[next_sink]) {
-                sink_(fleet[next_sink], pending[next_sink]);
-                pending[next_sink] = model_snapshot{};  // free eagerly
-                ++next_sink;
+    // One unit per chip; its outcome is a function of the chip alone.
+    const std::size_t workers = run_episodes(
+        {model_, pretrained_, train_data_, test_data_, trainer_cfg_}, fleet.size(),
+        cfg_.threads, [&](fault_aware_trainer& trainer, std::size_t i) {
+            model_snapshot tuned;
+            const chip_outcome co =
+                tune_chip(trainer, pretrained_, array_, cfg_.scenario, fleet[i],
+                          allocations[i], constraint, plan.effective_rates[i],
+                          sink_ ? capture_snapshot(tuned) : nullptr);
+            outcome.chips[i] = co;
+            LOG_DEBUG << outcome.policy_name << ": chip " << fleet[i].id
+                      << " rate=" << plan.effective_rates[i]
+                      << " epochs=" << allocations[i].epochs << " acc=" << co.final_accuracy;
+            if (co.hit_nonfinite) {
+                LOG_WARN << outcome.policy_name << ": chip " << fleet[i].id
+                         << " retraining diverged to non-finite state (reported "
+                         << "accuracy 0.0, " << co.rollbacks << " rollbacks used)";
             }
-        };
-
-        // Tunes the same-allocation group [s, e), one chip at a time.
-        auto tune_run = [&](std::size_t s, std::size_t e) {
-            const std::size_t k = e - s;
-            for (std::size_t i = s; i < e; ++i) {
-                if (failed.load(std::memory_order_relaxed)) { return; }
-                const chip_outcome co = tuner.tune(fleet[i], allocations[i], constraint,
-                                                   plan.effective_rates[i]);
-                outcome.chips[i] = co;
-                LOG_DEBUG << outcome.policy_name << ": chip " << fleet[i].id
-                          << " rate=" << plan.effective_rates[i]
-                          << " epochs=" << allocations[i].epochs
-                          << " acc=" << co.final_accuracy << " (x" << k << ")";
-                if (co.hit_nonfinite) {
-                    LOG_WARN << outcome.policy_name << ": chip " << fleet[i].id
-                             << " retraining diverged to non-finite state (reported "
-                             << "accuracy 0.0, " << co.rollbacks << " rollbacks used)";
-                }
-                // Count, notify, and sink under one lock: the reported
-                // 'completed' sequence is strictly increasing and sinks fire
-                // in fleet order regardless of which worker finished first.
-                std::lock_guard<std::mutex> lock(progress_mutex);
-                if (i == s && k > 1) {
-                    ++stats_.grouped_train_groups;
-                    stats_.grouped_train_chips += k;
-                }
-                if (k == 1) { ++stats_.serial_train_chips; }
-                if (co.hit_nonfinite) { ++stats_.serial_nonfinite_chips; }
-                stats_.timeline_events += co.events_applied;
-                stats_.timeline_rollbacks += co.rollbacks;
-                stats_.timeline_restarts += co.restarts;
-                ++completed;
-                if (progress_) { progress_(completed, fleet.size(), outcome.chips[i]); }
-                if (sink_) {
-                    pending[i] = tuner.take_tuned();
-                    ready[i] = true;
-                    flush_sinks();
+            // Count, notify, and sink under one lock: the reported
+            // 'completed' sequence is strictly increasing and sinks fire in
+            // fleet order regardless of which worker finished first.
+            std::lock_guard<std::mutex> lock(progress_mutex);
+            ++completed;
+            if (progress_) { progress_(completed, fleet.size(), outcome.chips[i]); }
+            if (sink_) {
+                pending[i] = std::move(tuned);
+                ready[i] = true;
+                while (next_sink < fleet.size() && ready[next_sink]) {
+                    sink_(fleet[next_sink], pending[next_sink]);
+                    pending[next_sink] = model_snapshot{};  // free eagerly
+                    ++next_sink;
                 }
             }
-        };
+        });
 
-        for (;;) {
-            // Stop picking up work once any chip has failed — the whole
-            // outcome is void, so finishing the fleet would be wasted epochs.
-            if (failed.load(std::memory_order_relaxed)) { return; }
-            const std::size_t begin = next.fetch_add(group);
-            if (begin >= fleet.size()) {
-                LOG_DEBUG << "fleet worker done; arena high-water "
-                          << arena.peak_floats() * sizeof(float) << " bytes";
-                return;
-            }
-            const std::size_t end = std::min(fleet.size(), begin + group);
-            try {
-                // Carve the block into maximal same-allocation runs — only
-                // chips with identical (epochs, train_to_target) group — and
-                // each run into groups of at most train_batch_chips. The
-                // groups only shape the run counters.
-                const bool grouping = cfg_.train_batch_chips > 1 && end - begin > 1;
-                const std::size_t width = grouping ? cfg_.train_batch_chips : 1;
-                for (std::size_t s = begin; s < end;) {
-                    std::size_t run_end = s + 1;
-                    while (run_end < end &&
-                           allocations[run_end].epochs == allocations[s].epochs &&
-                           allocations[run_end].train_to_target ==
-                               allocations[s].train_to_target) {
-                        ++run_end;
-                    }
-                    if (grouping && run_end - s == 1) {
-                        std::lock_guard<std::mutex> lock(progress_mutex);
-                        ++stats_.alloc_downgrades;
-                    }
-                    for (std::size_t c = s; c < run_end;) {
-                        if (failed.load(std::memory_order_relaxed)) { return; }
-                        const std::size_t ce = std::min(run_end, c + width);
-                        tune_run(c, ce);
-                        c = ce;
-                    }
-                    s = run_end;
-                }
-            } catch (...) {
-                failed.store(true, std::memory_order_relaxed);
-                throw;
-            }
-        }
-    };
-
-    run_workers(workers, worker);
+    stats_ = count_groups(
+        allocations,
+        cap_group_at_fair_share(std::max<std::size_t>(cfg_.train_batch_chips, 1),
+                                fleet.size(), workers),
+        cfg_.train_batch_chips);
+    for (const chip_outcome& co : outcome.chips) {
+        if (co.hit_nonfinite) { ++stats_.serial_nonfinite_chips; }
+        stats_.timeline_events += co.events_applied;
+        stats_.timeline_rollbacks += co.rollbacks;
+        stats_.timeline_restarts += co.restarts;
+    }
     if (cfg_.train_batch_chips > 1) {
         LOG_INFO << outcome.policy_name << ": grouped retraining "
                  << stats_.grouped_train_chips << "/" << fleet.size() << " chips in "

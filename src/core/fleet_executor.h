@@ -1,25 +1,23 @@
 // Parallel per-chip retraining over a fleet (Steps 2+3, executor side).
 //
 // The executor separates the *decision* (a retraining_policy allocating
-// epochs per chip) from the *work* (chip_tuner: one run_episode per chip —
-// mask for the chip's faults, run FAT, report). Work fans out over a
-// configurable thread pool; results are deterministic and
-// thread-count-independent because every tune starts from a per-worker
-// clone of the prototype model at the pretrained snapshot — chip i's
-// outcome depends only on chip i. Stochastic layers are reseeded per chip
+// epochs per chip) from the *work* (tune_chip: one run_episode per chip —
+// mask for the chip's faults, run FAT, report). The work runs on
+// run_episodes (core/fat_trainer.h), the driver Step 1 shares: workers claim
+// one chip at a time, each training on its own clone of the prototype at
+// the pretrained snapshot, so chip i's outcome depends only on chip i and
+// is identical at any thread count. Stochastic layers are reseeded per chip
 // (mix_seed(chip.seed, layer)) and batch-norm running statistics are
 // snapshot/restored by the fault_state_guard, so the bit-identical
 // guarantee covers dropout and normalizing models too.
 //
-// Grouping: a worker claims its chips in fleet-order blocks of
-// train_batch_chips, which only decides how the run counters group the
-// block's same-allocation runs. Every chip measures its `accuracy_before`
-// and retrains in its own one-model episode, so the knob never changes an
-// outcome bit.
+// Grouping counters: train_batch_chips changes no claim and no outcome.
+// After a run, fleet_run_stats' grouping fields are derived from the plan
+// alone, as the split of fleet-order blocks (train_batch_chips capped at a
+// fair share of the workers) into same-allocation groups.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <string>
 #include <utility>
@@ -86,22 +84,35 @@ using model_sink = std::function<void(const chip&, const model_snapshot&)>;
 using progress_sink =
     std::function<void(std::size_t completed, std::size_t total, const chip_outcome&)>;
 
-/// Self-contained retraining worker. Owns one deep clone of the prototype,
-/// so concurrent tuners never share mutable state; the prototype, datasets
-/// and snapshot are read-only, shared, and must outlive the tuner.
+/// One chip's run_episode on `trainer`, seeded by the chip, trained per
+/// `alloc`, with its timeline taken from timeline_for_chip(scenario, c.id).
+/// A train_to_target allocation (the oracle) stops at the first checkpoint
+/// meeting `constraint`: it is charged that checkpoint, and its counters and
+/// snapshot are those of the run up to it. `on_trained` sees the tuned model
+/// before the episode restores the pretrained snapshot, which it does on
+/// every exit path. `accuracy_before` injects a precomputed post-FAP
+/// accuracy (see chip_tuner::tune). The fleet executor, chip_tuner and the
+/// distributed worker all tune through this one function.
+chip_outcome tune_chip(fault_aware_trainer& trainer, const model_snapshot& pretrained,
+                       const array_config& array, const scenario_config& scenario,
+                       const chip& c, const epoch_allocation& alloc, double constraint,
+                       double effective_rate, const trained_model_observer& on_trained = nullptr,
+                       std::optional<double> accuracy_before = std::nullopt);
+
+/// tune_chip on a private episode_worker, with optional snapshot capture and
+/// a timeline scenario. Concurrent tuners never share mutable state; the
+/// prototype, datasets and snapshot are read-only, shared, and must outlive
+/// the tuner.
 class chip_tuner {
 public:
     chip_tuner(const sequential& prototype, const model_snapshot& pretrained,
                const dataset& train_data, const dataset& test_data,
                const array_config& array, fat_config trainer_cfg);
 
-    /// One chip's run_episode, seeded by the chip, trained per `alloc`. A
-    /// train_to_target allocation (the oracle) stops at the first checkpoint
-    /// meeting `constraint`: it is charged that checkpoint, and its counters
-    /// and snapshot are those of the run up to it. The clone is back in the
-    /// clean pretrained state on return — also when training throws.
-    /// `accuracy_before` injects a precomputed post-FAP accuracy; computed
-    /// on the same pretrained weights and fault grid, it leaves the outcome
+    /// tune_chip on the tuner's clone, which is back in the clean pretrained
+    /// state on return — also when training throws. `accuracy_before`
+    /// injects a precomputed post-FAP accuracy; computed on the same
+    /// pretrained weights and fault grid, it leaves the outcome
     /// byte-identical to evaluating it here. No src/ caller passes it any
     /// more: it stays because perfbench's traced drive feeds it from the
     /// multi-mask evaluator (ROADMAP item 1b deletes it).
@@ -144,8 +155,7 @@ private:
     const model_snapshot& pretrained_;
     array_config array_;
     bool capture_tuned_ = false;
-    std::unique_ptr<sequential> clone_;
-    fault_aware_trainer trainer_;  ///< bound to *clone_
+    episode_worker worker_;
     std::vector<model_snapshot> tuned_;
     scenario_config scenario_;
 };
@@ -160,22 +170,24 @@ struct fleet_executor_config {
     /// episode. Kept only because perfbench still sets it; ROADMAP item 1b
     /// deletes it.
     std::size_t eval_batch_chips = 1;
-    /// Chips a worker claims together for retraining (--train-batch-chips).
-    /// 0 or 1 → one chip per claim. The executor caps the claim at an even
-    /// fleet/worker split so an oversized value cannot starve worker
-    /// threads of chips. Within a claimed block, same-allocation
-    /// runs (epochs and train_to_target) are counted as groups of at most
-    /// this many chips; a chip isolated by its allocation is counted in
-    /// fleet_run_stats::alloc_downgrades. Every chip still trains in its own
-    /// episode, so this never changes outcomes.
+    /// Only shapes the grouping counters (--train-batch-chips; ROADMAP item 2
+    /// deletes it). The counters split the fleet into blocks of this many
+    /// chips, capped at an even fleet/worker split, and each block's
+    /// same-allocation runs (epochs and train_to_target) into groups of at
+    /// most this many; a chip isolated by its allocation is counted in
+    /// fleet_run_stats::alloc_downgrades. Workers claim one chip at a time
+    /// and every chip trains in its own episode, so this never changes
+    /// outcomes.
     std::size_t train_batch_chips = 1;
     /// Fault-event timeline applied to every chip (per-chip event contents
     /// derive from timeline_for_chip(scenario, chip.id)).
     scenario_config scenario{};
 };
 
-/// Observability counters for one run(): how the claimed blocks split into
-/// same-allocation groups (train_batch_chips) and why the rest stood alone.
+/// Observability counters for one run(). The grouping fields describe how
+/// the fleet's blocks split into same-allocation groups (train_batch_chips)
+/// and why the rest stood alone; they are derived from the plan after the
+/// run, never from how workers claimed chips.
 struct fleet_run_stats {
     std::size_t grouped_train_groups = 0;  ///< same-allocation groups of K >= 2 chips
     std::size_t grouped_train_chips = 0;   ///< chips tuned inside those groups
@@ -198,7 +210,7 @@ struct fleet_run_stats {
     std::size_t timeline_restarts = 0;
 };
 
-/// Runs a retraining policy over a fleet, one chip_tuner per worker.
+/// Runs a retraining policy over a fleet: tune_chip per chip on run_episodes.
 class fleet_executor {
 public:
     /// References must outlive the executor; `pretrained` is the golden
@@ -229,7 +241,8 @@ public:
 
     const fleet_executor_config& config() const { return cfg_; }
 
-    /// Counters of the most recent run() (reset at each run's start).
+    /// Counters of the most recent run() (reset at each run's start, filled
+    /// once it has finished).
     const fleet_run_stats& last_run_stats() const { return stats_; }
 
 private:

@@ -14,11 +14,9 @@
 #include <utility>
 
 #include "nn/module.h"
-#include "tensor/workspace.h"
 #include "util/error.h"
 #include "util/log.h"
 #include "util/rng.h"
-#include "util/thread_pool.h"
 
 namespace reduce {
 
@@ -560,6 +558,33 @@ std::function<void()> cache_gc_from_cli(const cli_args& args) {
     };
 }
 
+resilience_run run_sweep_cell(fault_aware_trainer& trainer, const model_snapshot& pretrained,
+                              const array_config& array, const resilience_config& cfg,
+                              const sweep_cell& cell) {
+    // A function of the cell alone (map from its seed, timeline from its
+    // coordinates): any partition or lease replays it identically.
+    random_fault_config fault_cfg = cfg.fault_model;
+    fault_cfg.fault_rate = cell.fault_rate;
+    episode_result out = run_episode(
+        trainer, pretrained, array,
+        {.seed = cell.map_seed,
+         .faults = generate_random_faults(array, fault_cfg, cell.map_seed),
+         .timeline = timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat),
+         .budget = cfg.max_epochs,
+         .grid = resolved_eval_grid(cfg)});
+
+    resilience_run run;
+    run.fault_rate = cell.fault_rate;
+    run.repeat = cell.repeat;
+    run.map_seed = cell.map_seed;
+    run.masked_weight_fraction = out.masks.masked_fraction();
+    run.trajectory = std::move(out.fat.trajectory);
+    LOG_DEBUG << "resilience: rate=" << cell.fault_rate << " rep=" << cell.repeat
+              << " masked=" << run.masked_weight_fraction
+              << " final_acc=" << run.trajectory.back().test_accuracy;
+    return run;
+}
+
 resilience_analyzer::resilience_analyzer(const sequential& model,
                                          const model_snapshot& pretrained,
                                          const dataset& train_data, const dataset& test_data,
@@ -595,63 +620,16 @@ resilience_table resilience_analyzer::analyze_cells(const resilience_config& cfg
                                          << ") does not match the grid's canonical seed "
                                             "or rate — config drift?");
     }
-    const std::vector<double> eval_grid = resolved_eval_grid(cfg);
 
-    // Work unit: one cell. Each cell's episode measures its own epoch-0
+    // One unit per cell. Each cell's episode measures its own epoch-0
     // (post-FAP) accuracy, so a cell's result is a function of the cell
     // alone, whatever the worker count or cell order.
-    const std::size_t workers = resolve_thread_count(opts.threads, cells.size());
-
-    // Workers drain the cell list through an atomic cursor; each owns a
-    // deep clone that every episode leaves at the pretrained snapshot, so a
-    // cell's result never depends on which worker ran it or in what order.
     std::vector<resilience_run> runs(cells.size());
-    std::atomic<std::size_t> next{0};
-    const auto worker = [&]() {
-        const std::unique_ptr<sequential> model = clone_model(model_);
-        // Each worker owns its thread-local workspace arena alongside its
-        // model clone: the first cell warms the slabs (conv staging, GEMM packing,
-        // lowered outputs) and every later cell reuses them allocation-free.
-        workspace& arena = workspace::local();
-        // One restore up front covers the first cell; afterwards each
-        // episode's guard leaves the clone at the pretrained snapshot.
-        restore_parameters(model->parameters(), pretrained_);
-        fault_aware_trainer trainer(*model, train_data_, test_data_, trainer_cfg_);
-        for (;;) {
-            const std::size_t i = next.fetch_add(1);
-            if (i >= cells.size()) {
-                LOG_DEBUG << "resilience worker done; arena high-water "
-                          << arena.peak_floats() * sizeof(float) << " bytes across "
-                          << arena.pooled_bytes() << " pooled";
-                return;
-            }
-            const sweep_cell& cell = cells[i];
-            // A function of the cell alone (map from its seed, timeline from
-            // its coordinates): any partition or lease replays it identically.
-            random_fault_config fault_cfg = cfg.fault_model;
-            fault_cfg.fault_rate = cell.fault_rate;
-            episode_result out = run_episode(
-                trainer, pretrained_, array_,
-                {.seed = cell.map_seed,
-                 .faults = generate_random_faults(array_, fault_cfg, cell.map_seed),
-                 .timeline = timeline_for_cell(cfg.scenario, cell.rate_index, cell.repeat),
-                 .budget = cfg.max_epochs,
-                 .grid = eval_grid});
-
-            resilience_run& run = runs[i];
-            run.fault_rate = cell.fault_rate;
-            run.repeat = cell.repeat;
-            run.map_seed = cell.map_seed;
-            run.masked_weight_fraction = out.masks.masked_fraction();
-            run.trajectory = std::move(out.fat.trajectory);
-
-            LOG_DEBUG << "resilience: rate=" << cell.fault_rate << " rep=" << cell.repeat
-                      << " masked=" << out.masks.masked_fraction()
-                      << " final_acc=" << run.trajectory.back().test_accuracy;
-        }
-    };
-
-    run_workers(workers, worker);
+    const std::size_t workers = run_episodes(
+        {model_, pretrained_, train_data_, test_data_, trainer_cfg_}, cells.size(),
+        opts.threads, [&](fault_aware_trainer& trainer, std::size_t i) {
+            runs[i] = run_sweep_cell(trainer, pretrained_, array_, cfg, cells[i]);
+        });
 
     LOG_INFO << "resilience: swept " << cells.size() << " of " << grid.size() << " cells ("
              << workers << " worker(s))";

@@ -14,14 +14,16 @@
 // engine here is built for scale:
 //   * every (rate, repeat) cell is an independent experiment with a seed
 //     derived as mix_seed(cfg.seed, rate_index, repeat), so the table is
-//     bit-identical for any thread count and any cell partition (caveat: like
-//     the fleet executor, this assumes the model carries no non-parameter
-//     state across runs — dropout RNG streams and batch-norm running
-//     statistics are NOT restored between cells; all in-tree workloads are
-//     free of both, see ROADMAP);
-//   * cells fan out over a thread pool, each worker owning a deep clone of
-//     the prototype model restored from the pretrained snapshot per cell;
-//   * analyze_cells computes any cell subset, and resilience_table::merge_into
+//     bit-identical for any thread count and any cell partition (each
+//     episode reseeds the dropout layers from the cell's seed and restores
+//     batch-norm statistics on exit);
+//   * each cell is one run_sweep_cell episode, and analyze_cells runs them
+//     on run_episodes (core/fat_trainer.h), the driver Step 3 shares:
+//     workers claim one cell at a time, each training on its own clone of
+//     the prototype, and the first failure stops every worker from
+//     claiming more;
+//   * any cell subset makes a partial table (analyze_cells locally; leased
+//     cells on a distributed worker), and resilience_table::merge_into
 //     folds the partial tables back losslessly — how the distributed
 //     coordinator splits Step 1 across machines;
 //   * a config-fingerprint-keyed JSON cache (resilience_cache) lets benches
@@ -290,9 +292,16 @@ private:
 /// split so a harness can reject unknown options before it prunes.
 std::function<void()> cache_gc_from_cli(const cli_args& args);
 
-/// Runs Step 1: for each (rate, repeat) cell, restores the pre-trained
-/// weights into a per-worker model clone, injects a fresh fault map,
-/// attaches masks, retrains up to the budget, and records the trajectory.
+/// One sweep cell's episode on `trainer`: a fresh fault map from the cell's
+/// seed, the cell's timeline (timeline_for_cell), cfg's budget and resolved
+/// eval grid, with the trajectory recorded. The result is a function of
+/// (cfg, cell) alone. analyze_cells and the distributed worker run every
+/// cell through it.
+resilience_run run_sweep_cell(fault_aware_trainer& trainer, const model_snapshot& pretrained,
+                              const array_config& array, const resilience_config& cfg,
+                              const sweep_cell& cell);
+
+/// Runs Step 1: run_sweep_cell for each (rate, repeat) cell on run_episodes.
 /// The prototype model is only cloned, never mutated.
 class resilience_analyzer {
 public:
@@ -307,11 +316,9 @@ public:
     /// for any opts.
     resilience_table analyze(const resilience_config& cfg, const sweep_options& opts = {});
 
-    /// Executes an EXPLICIT cell subset of cfg's grid — the work-unit entry
-    /// point of the distributed worker, which is leased arbitrary cell
-    /// batches. Every cell must belong to cfg's grid with its canonical
-    /// seed (validated; catches config drift that survives a fingerprint
-    /// collision). Returns a partial table (grid_cells = the full grid
+    /// Executes an EXPLICIT cell subset of cfg's grid. Every cell must
+    /// belong to cfg's grid with its canonical seed (validated; catches
+    /// config drift that survives a fingerprint collision). Returns a partial table (grid_cells = the full grid
     /// size) that merge_into() folds losslessly with any disjoint sibling,
     /// byte-identical to the same cells computed by analyze().
     resilience_table analyze_cells(const resilience_config& cfg,

@@ -188,22 +188,13 @@ void coordinator::run_event_loop() {
     std::vector<::pollfd> fds;
     while (true) {
         if (stop_.load(std::memory_order_relaxed)) { break; }
-        if (job_done_) {
-            // Linger only to flush the shutdown broadcast; stragglers still
-            // computing a revoked lease find a closed socket, which their
-            // worker loop treats as the end of the job.
-            bool drained = true;
-            for (const auto& [fd, conn] : conns_) {
-                if (!conn.outbox.empty()) {
-                    drained = false;
-                    break;
-                }
-            }
-            if (drained || clock::now() >= drain_deadline_) { break; }
-        }
+        // A finished job lingers for drain_timeout_ms: it flushes the
+        // shutdown broadcast and answers late hellos (a worker whose
+        // shutdown frame was lost redials) with shutdown too.
+        if (job_done_ && clock::now() >= drain_deadline_) { break; }
 
         fds.clear();
-        if (!job_done_) { fds.push_back({listener_->fd(), POLLIN, 0}); }
+        fds.push_back({listener_->fd(), POLLIN, 0});
         for (auto& [fd, conn] : conns_) {
             short events = POLLIN;
             if (!conn.outbox.empty()) { events |= POLLOUT; }
@@ -224,10 +215,8 @@ void coordinator::run_event_loop() {
         }
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
 
-        if (!job_done_) {
-            while (std::optional<tcp_socket> sock = listener_->accept_one()) {
-                add_connection(std::move(*sock));
-            }
+        while (std::optional<tcp_socket> sock = listener_->accept_one()) {
+            add_connection(std::move(*sock));
         }
 
         for (const ::pollfd& p : fds) {
@@ -276,7 +265,7 @@ void coordinator::run_event_loop() {
                 }
             }
             if (conn.closing && conn.outbox.empty()) {
-                drop_connection(p.fd, "handshake rejected");
+                drop_connection(p.fd, job_done_ ? "job complete" : "handshake rejected");
             }
         }
 
@@ -377,6 +366,14 @@ void coordinator::handle_hello(int fd, connection& conn, const json_value& messa
         return;
     }
 
+    if (job_done_) {
+        // Too late for work: the worker missed the shutdown broadcast (its
+        // frame lost, or it was away), so it gets one now, then the close.
+        queue_frame(conn, make_shutdown("job complete"));
+        conn.shutdown_sent = true;
+        conn.closing = true;
+        return;
+    }
     conn.admitted = true;
     {
         std::lock_guard<std::mutex> lock(mutex_);

@@ -74,8 +74,10 @@ struct coordinator_config {
     int heartbeat_ms = 500;
     /// Silence threshold after which a lease is revoked and re-queued.
     int lease_timeout_ms = 10000;
-    /// How long a finished job lingers to flush the shutdown broadcast to
-    /// connected workers before the event loop exits.
+    /// How long a finished job lingers before the event loop exits (sooner
+    /// on stop()): it flushes the shutdown broadcast to connected workers
+    /// and answers every late hello with shutdown, so a worker whose
+    /// shutdown frame was lost still learns the job is complete.
     int drain_timeout_ms = 1000;
     /// When non-empty, every completed unit is journaled (write + fsync to
     /// <journal_dir>/journal-<fingerprint>.wal) before being acknowledged,

@@ -113,8 +113,10 @@ worker_report worker::run() {
     rng jitter(derive_backoff_seed(cfg_));
 
     const std::vector<sweep_cell> grid = enumerate_sweep_cells(sweep_cfg_);
-    std::unique_ptr<resilience_analyzer> analyzer;
-    std::unique_ptr<chip_tuner> tuner;
+    const std::string table_fingerprint = resilience_fingerprint(sweep_cfg_);
+    // One clone and one trainer serve every lease, sweep cells and chips
+    // alike, built on the first work unit.
+    std::optional<episode_worker> episodes;
     std::size_t units_received = 0;
     // A computed result whose send failed: carried across the reconnect and
     // resent first thing in the next session (the coordinator routes it by
@@ -157,6 +159,15 @@ worker_report worker::run() {
         }
         if (!first.has_value()) { return session_end::transport; }
         const std::string first_type = message_type(*first);
+        if (first_type == "shutdown") {
+            // A finished coordinator answers a late hello (one whose
+            // shutdown frame was lost) this way: the job is complete.
+            report.shutdown_received = true;
+            report.shutdown_reason = first->as_object().at("reason").as_string();
+            LOG_INFO << "worker '" << cfg_.name << "': job already complete ("
+                     << report.shutdown_reason << ")";
+            return session_end::shutdown;
+        }
         if (first_type == "reject") {
             report.rejected = true;
             report.reject_reason = first->as_object().at("reason").as_string();
@@ -165,7 +176,7 @@ worker_report worker::run() {
             return session_end::rejected;
         }
         REDUCE_CHECK(first_type == "welcome",
-                     "worker expected welcome or reject, got '" << first_type << "'");
+                     "worker expected welcome, reject or shutdown, got '" << first_type << "'");
         const json_object& welcome = first->as_object();
         REDUCE_CHECK(welcome.at("version").as_int() == protocol_version,
                      "coordinator speaks protocol version " << welcome.at("version").as_int()
@@ -256,6 +267,14 @@ worker_report worker::run() {
                 const std::uint64_t lease = parse_lease(work);
                 hb_lease.store(lease, std::memory_order_relaxed);
                 const std::string& kind = work.at("kind").as_string();
+                if (kind != "sweep_cells" && kind != "fleet_chip") {
+                    throw io_error("unknown work kind '" + kind + "'");
+                }
+                if (!episodes) {
+                    episodes.emplace(episode_source{model_, pretrained_, train_data_,
+                                                    test_data_, trainer_cfg_});
+                }
+                fault_aware_trainer& trainer = episodes->trainer();
                 if (kind == "sweep_cells") {
                     std::vector<sweep_cell> cells;
                     for (const json_value& index : work.at("cells").as_array()) {
@@ -266,51 +285,42 @@ worker_report worker::run() {
                         }
                         cells.push_back(grid[i]);
                     }
-                    if (!analyzer) {
-                        analyzer = std::make_unique<resilience_analyzer>(
-                            model_, pretrained_, train_data_, test_data_, array_,
-                            trainer_cfg_);
+                    if (cells.empty()) { throw io_error("sweep work unit with no cells"); }
+                    std::vector<resilience_run> runs;
+                    for (const sweep_cell& cell : cells) {
+                        runs.push_back(
+                            run_sweep_cell(trainer, pretrained_, array_, sweep_cfg_, cell));
                     }
-                    sweep_options opts;
-                    opts.threads = 1;
-                    const resilience_table part =
-                        analyzer->analyze_cells(sweep_cfg_, cells, opts);
                     ++report.sweep_units;
-                    report.cells += cells.size();
+                    report.cells += runs.size();
+                    const resilience_table part(std::move(runs), sweep_cfg_.max_epochs,
+                                                table_fingerprint, grid.size());
                     // Stash-then-send: if the send throws, the result rides
                     // the reconnect instead of being recomputed.
                     unsent_result = make_sweep_result(lease, part.to_json());
-                    hb_lease.store(0, std::memory_order_relaxed);
-                    send_message(*unsent_result);
-                    unsent_result.reset();
-                } else if (kind == "fleet_chip") {
+                } else {
                     const chip c = chip_from_json(work.at("chip"));
                     const epoch_allocation alloc =
                         allocation_from_json(work.at("allocation"));
                     const double constraint = work.at("constraint").as_number();
                     const double effective_rate = work.at("effective_rate").as_number();
-                    if (!tuner) {
-                        tuner = std::make_unique<chip_tuner>(model_, pretrained_, train_data_,
-                                                             test_data_, array_,
-                                                             trainer_cfg_);
-                        tuner->set_capture_tuned(want_snapshots);
-                        // The timeline rides the shared sweep config (part
-                        // of the fingerprint handshake), so a worker and the
-                        // --local path replay identical per-chip events.
-                        tuner->set_scenario(sweep_cfg_.scenario);
-                    }
-                    const chip_outcome outcome =
-                        tuner->tune(c, alloc, constraint, effective_rate);
+                    // The timeline rides the shared sweep config (part of
+                    // the fingerprint handshake), so a worker and the
+                    // --local path replay identical per-chip events.
                     std::string snapshot;
-                    if (want_snapshots) { snapshot = snapshot_to_bytes(tuner->take_tuned()); }
+                    const chip_outcome outcome = tune_chip(
+                        trainer, pretrained_, array_, sweep_cfg_.scenario, c, alloc,
+                        constraint, effective_rate,
+                        want_snapshots ? trained_model_observer([&](sequential& trained) {
+                            snapshot = snapshot_to_bytes(snapshot_model(trained));
+                        })
+                                       : nullptr);
                     ++report.chips;
                     unsent_result = make_chip_result(lease, outcome, snapshot);
-                    hb_lease.store(0, std::memory_order_relaxed);
-                    send_message(*unsent_result);
-                    unsent_result.reset();
-                } else {
-                    throw io_error("unknown work kind '" + kind + "'");
                 }
+                hb_lease.store(0, std::memory_order_relaxed);
+                send_message(*unsent_result);
+                unsent_result.reset();
             }
         } catch (const io_error& e) {
             // Transport endings (coordinator gone, garbage frame) are

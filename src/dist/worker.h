@@ -5,14 +5,18 @@
 // resilience fingerprint), and then pulls leased work units until the
 // coordinator says shutdown:
 //
-//   * sweep_cells units run through resilience_analyzer::analyze_cells —
-//     the returned partial table is byte-compatible with the same cells of a
+//   * sweep_cells units run each leased cell through run_sweep_cell — the
+//     returned partial table is byte-compatible with the same cells of a
 //     single-machine sweep, so the coordinator's incremental merge
 //     reproduces the serial artifact exactly;
-//   * fleet_chip units run through chip_tuner — the chip, allocation,
+//   * fleet_chip units run through tune_chip — the chip, allocation,
 //     constraint, and effective rate all arrive on the wire, so the worker
 //     stays policy-agnostic; tuned-model snapshots travel back as RDNN
 //     bytes when the coordinator asked for them.
+//
+// Both kinds are the same episodes the local sweep and fleet executor run,
+// on one episode_worker (core/fat_trainer.h): the worker clones the model
+// once, on its first unit, and trains every later lease on that clone.
 //
 // A background heartbeat thread keeps the active lease alive while the
 // (long) training computation runs on the main thread; socket writes are
@@ -26,8 +30,10 @@
 // whose send failed is stashed and resent on the next session; the
 // coordinator either routes it (lease known — idempotent, same bytes) or
 // drops it as a stray (lease granted by a dead incarnation — the unit
-// re-executes). Only when a whole reconnect budget burns without a session
-// does run() return with connection_lost.
+// re-executes). A finished coordinator answers a late hello with shutdown
+// (for drain_timeout_ms after completion), so a worker whose shutdown frame
+// was lost still ends with shutdown_received. Only when a whole reconnect
+// budget burns without a session does run() return with connection_lost.
 //
 // Failure injection: die_after_units > 0 makes the worker close its socket
 // abruptly after *receiving* its Nth work unit, before computing anything —
@@ -37,7 +43,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "core/fleet_executor.h"
@@ -103,8 +108,9 @@ struct worker_report {
 int backoff_delay_ms(int initial_ms, int max_ms, int attempt, rng& jitter);
 
 /// One worker process/thread. The referenced model/datasets/snapshot must
-/// outlive it and are never mutated (per-unit work runs on internal clones,
-/// the same thread-safety contract as resilience_analyzer / chip_tuner).
+/// outlive it and are never mutated (every unit runs on the worker's own
+/// clone, the same thread-safety contract as resilience_analyzer /
+/// chip_tuner).
 class worker {
 public:
     worker(worker_config cfg, const sequential& model, const model_snapshot& pretrained,

@@ -26,7 +26,7 @@
 // NaN/Inf propagation from B).
 //
 // Every call runs serially on the calling thread; parallelism lives one
-// level up, in the sweep/fleet workers (util/thread_pool.h).
+// level up, in the episode workers (core/fat_trainer.h: run_episodes).
 #pragma once
 
 #include <cstddef>

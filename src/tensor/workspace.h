@@ -9,9 +9,9 @@
 //
 // Concurrency model: the arena is thread-local (`workspace::local()`), so
 // the parallel sweep/fleet workers each own an independent pool without
-// locking. Fleet/sweep worker threads are short-lived (run_workers builds
-// a pool per fan-out), so a worker's slabs are released when its thread
-// exits. The main thread's arena persists and is bounded by the largest
+// locking. Fleet/sweep worker threads are short-lived (run_workers starts
+// plain threads per fan-out), so a worker's slabs are released when its
+// thread exits. The main thread's arena persists and is bounded by the largest
 // layer it ever lowered.
 //
 // Determinism: the arena only recycles memory — it never changes the

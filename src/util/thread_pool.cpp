@@ -1,7 +1,10 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
-#include <utility>
+#include <exception>
+#include <mutex>
+#include <thread>
+#include <vector>
 
 #include "util/error.h"
 
@@ -28,72 +31,27 @@ void run_workers(std::size_t workers, const std::function<void()>& job) {
         job();
         return;
     }
-    thread_pool pool(workers);
-    for (std::size_t i = 0; i < workers; ++i) { pool.submit(job); }
-    pool.wait();
-}
-
-thread_pool::thread_pool(std::size_t num_threads) {
-    REDUCE_CHECK(num_threads >= 1, "thread pool needs at least one worker");
-    workers_.reserve(num_threads);
-    for (std::size_t i = 0; i < num_threads; ++i) {
-        workers_.emplace_back([this] { worker_loop(); });
-    }
-}
-
-thread_pool::~thread_pool() {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        stopping_ = true;
-    }
-    work_available_.notify_all();
-    for (std::thread& worker : workers_) {
-        if (worker.joinable()) { worker.join(); }
-    }
-}
-
-void thread_pool::submit(std::function<void()> job) {
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        REDUCE_CHECK(!stopping_, "submit on a stopping thread pool");
-        queue_.push_back(std::move(job));
-    }
-    work_available_.notify_one();
-}
-
-void thread_pool::wait() {
-    std::unique_lock<std::mutex> lock(mutex_);
-    all_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
-    if (first_error_) {
-        std::exception_ptr error = first_error_;
-        first_error_ = nullptr;
-        std::rethrow_exception(error);
-    }
-}
-
-void thread_pool::worker_loop() {
-    for (;;) {
-        std::function<void()> job;
-        {
-            std::unique_lock<std::mutex> lock(mutex_);
-            work_available_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-            if (queue_.empty()) { return; }  // stopping with nothing left to do
-            job = std::move(queue_.front());
-            queue_.pop_front();
-            ++in_flight_;
-        }
+    std::mutex mutex;
+    std::exception_ptr first_error;
+    const auto run_copy = [&] {
         try {
             job();
         } catch (...) {
-            std::lock_guard<std::mutex> lock(mutex_);
-            if (!first_error_) { first_error_ = std::current_exception(); }
+            std::lock_guard<std::mutex> lock(mutex);
+            if (!first_error) { first_error = std::current_exception(); }
         }
-        {
-            std::lock_guard<std::mutex> lock(mutex_);
-            --in_flight_;
-        }
-        all_done_.notify_all();
+    };
+    std::vector<std::thread> threads;
+    threads.reserve(workers);
+    try {
+        for (std::size_t i = 0; i < workers; ++i) { threads.emplace_back(run_copy); }
+    } catch (...) {
+        // A thread that could not start: the started copies still finish.
+        for (std::thread& t : threads) { t.join(); }
+        throw;
     }
+    for (std::thread& t : threads) { t.join(); }
+    if (first_error) { std::rethrow_exception(first_error); }
 }
 
 }  // namespace reduce

@@ -1,21 +1,16 @@
-// Minimal fixed-size worker pool for fan-out/join parallelism.
+// Fan-out/join parallelism on plain threads.
 //
-// The framework has one level of parallelism: `run_workers` runs a handful
-// of long-running job copies (one per worker, each draining a shared atomic
-// work counter) on a temporary `thread_pool` — the fleet executor and the
-// resilience sweep engine fan chips/cells out this way. Every tensor kernel
-// runs serially on its worker's thread. Jobs may throw; the first exception
-// is captured and re-thrown after every sibling has finished.
+// The framework has one level of parallelism: `run_workers` starts a handful
+// of long-running job copies on their own `std::thread`s and joins them. The
+// episode driver (core/fat_trainer.h: run_episodes) runs every Step-1 cell
+// and every Step-3 chip this way, each copy draining a shared atomic work
+// cursor. Every tensor kernel runs serially on its worker's thread. Jobs may
+// throw; the first exception is kept and re-thrown after every sibling has
+// returned.
 #pragma once
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
-#include <exception>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace reduce {
 
@@ -45,53 +40,15 @@ public:
 // --- end of the ignored block ----------------------------------------------
 
 /// Caps a work-claim group width at an even items/worker split (and a floor
-/// of 1): the fleet executor's rule for the chip blocks workers claim — an
-/// oversized group request must never starve worker threads of items.
+/// of 1). The fleet executor's grouping counters carve claimed blocks of
+/// this width; an oversized group request never exceeds a fair share.
 std::size_t cap_group_at_fair_share(std::size_t group, std::size_t items,
                                     std::size_t workers);
 
-/// Runs `workers` copies of `job` to completion — the shared fan-out idiom
-/// of the fleet executor and the resilience sweep engine, where each copy
-/// drains a common atomic work counter. With one worker the job runs inline
-/// on the calling thread (no pool, exceptions propagate directly); with
-/// more, a temporary pool runs the copies and wait() re-throws the first
-/// failure after every copy has finished.
+/// Runs `workers` copies of `job` to completion. With one worker the job
+/// runs inline on the calling thread (exceptions propagate directly); with
+/// more, each copy gets its own std::thread, every thread is joined, and the
+/// first failure is re-thrown after all copies have returned.
 void run_workers(std::size_t workers, const std::function<void()>& job);
-
-/// Fixed pool of worker threads consuming a FIFO job queue.
-class thread_pool {
-public:
-    /// Spawns `num_threads` workers (must be >= 1).
-    explicit thread_pool(std::size_t num_threads);
-
-    thread_pool(const thread_pool&) = delete;
-    thread_pool& operator=(const thread_pool&) = delete;
-
-    /// Drains the queue, then joins all workers.
-    ~thread_pool();
-
-    /// Number of worker threads.
-    std::size_t size() const { return workers_.size(); }
-
-    /// Enqueues a job. Must not be called after the destructor has begun.
-    void submit(std::function<void()> job);
-
-    /// Blocks until every submitted job has finished. If any job threw, the
-    /// first captured exception is re-thrown here (subsequent calls do not
-    /// re-throw it again).
-    void wait();
-
-private:
-    void worker_loop();
-
-    std::vector<std::thread> workers_;
-    std::deque<std::function<void()>> queue_;
-    std::mutex mutex_;
-    std::condition_variable work_available_;
-    std::condition_variable all_done_;
-    std::size_t in_flight_ = 0;
-    bool stopping_ = false;
-    std::exception_ptr first_error_;
-};
 
 }  // namespace reduce

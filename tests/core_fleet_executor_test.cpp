@@ -449,5 +449,69 @@ TEST_F(FleetExecutorFixture, PolicyInvariantsHoldOverSeededRandomFleets) {
     EXPECT_GT(failed_selections, 0u);
 }
 
+/// Allocations from a fixed per-index pattern: 'a' and 'b' are two plain
+/// budgets, 'o' an oracle (train_to_target) — runs of each, and isolated
+/// chips between them.
+class pattern_policy : public retraining_policy {
+public:
+    explicit pattern_policy(std::string pattern) : pattern_(std::move(pattern)) {}
+    std::string name() const override { return "pattern"; }
+    double accuracy_target() const override { return 0.85; }
+    epoch_allocation allocate(const chip_view& view) const override {
+        const char kind = pattern_[view.index % pattern_.size()];
+        epoch_allocation alloc;
+        alloc.epochs = kind == 'a' ? 0.05 : 0.1;
+        alloc.train_to_target = kind == 'o';
+        return alloc;
+    }
+
+private:
+    std::string pattern_;
+};
+
+TEST_F(FleetExecutorFixture, GroupingCountersArePinnedAcrossTrainBatchAndThreads) {
+    // The grouping counters are a function of the allocations, the claim
+    // block width and train_batch_chips alone. These constants were
+    // recorded from the block-claiming executor, so they pin the counters
+    // that perfbench's traced drive cross-checks.
+    fleet_config fc;
+    fc.num_chips = 12;
+    fc.rate_lo = 0.05;
+    fc.rate_hi = 0.3;
+    fc.seed = 5;
+    const std::vector<chip> chips = make_fleet(w().array, fc);
+    const pattern_policy policy("aaabbooooabo");
+    struct expected_counters {
+        std::size_t train_batch;
+        std::size_t threads;
+        std::size_t groups;
+        std::size_t grouped_chips;
+        std::size_t serial_chips;
+        std::size_t alloc_downgrades;
+    };
+    const std::vector<expected_counters> expected = {
+        // train_batch, threads: groups, grouped chips, serial chips, downgrades
+        {1, 1, 0, 0, 12, 0}, {1, 2, 0, 0, 12, 0}, {1, 4, 0, 0, 12, 0},
+        {2, 1, 2, 4, 8, 8},  {2, 2, 2, 4, 8, 8},  {2, 4, 2, 4, 8, 8},
+        {4, 1, 2, 6, 6, 6},  {4, 2, 2, 6, 6, 6},  {4, 4, 3, 8, 4, 4},
+        {8, 1, 3, 8, 4, 4},  {8, 2, 3, 8, 4, 4},  {8, 4, 3, 8, 4, 4},
+    };
+    for (const expected_counters& e : expected) {
+        fleet_executor executor(
+            *w().model, w().pretrained, w().train_data, w().test_data, w().array,
+            w().trainer_cfg,
+            fleet_executor_config{.threads = e.threads, .train_batch_chips = e.train_batch});
+        (void)executor.run(policy, chips);
+        const fleet_run_stats& s = executor.last_run_stats();
+        SCOPED_TRACE("train_batch " + std::to_string(e.train_batch) + ", threads " +
+                     std::to_string(e.threads));
+        EXPECT_EQ(s.grouped_train_groups, e.groups);
+        EXPECT_EQ(s.grouped_train_chips, e.grouped_chips);
+        EXPECT_EQ(s.serial_train_chips, e.serial_chips);
+        EXPECT_EQ(s.alloc_downgrades, e.alloc_downgrades);
+        EXPECT_EQ(s.grouped_train_chips + s.serial_train_chips, chips.size());
+    }
+}
+
 }  // namespace
 }  // namespace reduce

@@ -9,6 +9,7 @@
 // seeds in this file.
 #include <gtest/gtest.h>
 
+#include <poll.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -88,6 +89,84 @@ struct raw_client {
         send(dist::make_request_work());
         REDUCE_CHECK(dist::message_type(read()) == "work", "hostage got no lease");
     }
+};
+
+/// A relay between one worker and the coordinator that drops the first
+/// `shutdown` frame on purpose: it closes both sides instead of forwarding
+/// it, as a lossy wire would. Every later connection is relayed untouched.
+class shutdown_dropping_relay {
+public:
+    explicit shutdown_dropping_relay(int target_port)
+        : listener_("127.0.0.1", 0), target_port_(target_port), thread_([this] { serve(); }) {}
+    shutdown_dropping_relay(const shutdown_dropping_relay&) = delete;
+    shutdown_dropping_relay& operator=(const shutdown_dropping_relay&) = delete;
+    ~shutdown_dropping_relay() { stop(); }
+
+    int port() const { return listener_.port(); }
+    std::size_t connections() const { return connections_.load(); }
+    bool dropped() const { return dropped_.load(); }
+    std::chrono::steady_clock::time_point dropped_at() const { return dropped_at_; }
+
+    void stop() {
+        stop_.store(true);
+        if (thread_.joinable()) { thread_.join(); }
+    }
+
+private:
+    void serve() {
+        while (!stop_.load()) {
+            std::optional<dist::tcp_socket> down = listener_.accept_one();
+            if (!down.has_value()) {
+                std::this_thread::sleep_for(std::chrono::milliseconds(1));
+                continue;
+            }
+            connections_.fetch_add(1);
+            down->set_nonblocking(false);
+            try {
+                dist::tcp_socket up = dist::tcp_socket::connect_to("127.0.0.1", target_port_);
+                relay(*down, up);
+            } catch (const io_error&) {
+                // Either side went away: this connection is over.
+            }
+        }
+    }
+
+    /// Pumps one connection pair until either side closes, the first
+    /// shutdown frame is dropped, or stop().
+    void relay(dist::tcp_socket& down, dist::tcp_socket& up) {
+        dist::frame_decoder from_up;
+        char buf[16384];
+        while (!stop_.load()) {
+            ::pollfd fds[2] = {{down.fd(), POLLIN, 0}, {up.fd(), POLLIN, 0}};
+            if (::poll(fds, 2, 10) <= 0) { continue; }
+            if (fds[0].revents != 0) {
+                const dist::tcp_socket::recv_result r = down.recv_some(buf, sizeof buf);
+                if (r.closed) { return; }
+                up.send_all(std::string(buf, r.bytes));
+            }
+            if (fds[1].revents != 0) {
+                const dist::tcp_socket::recv_result r = up.recv_some(buf, sizeof buf);
+                if (r.closed) { return; }
+                from_up.feed(buf, r.bytes);
+                while (std::optional<json_value> message = from_up.next()) {
+                    if (!dropped_.load() && dist::message_type(*message) == "shutdown") {
+                        dropped_at_ = std::chrono::steady_clock::now();
+                        dropped_.store(true);
+                        return;  // both sockets close as the caller unwinds
+                    }
+                    down.send_all(dist::encode_frame(*message));
+                }
+            }
+        }
+    }
+
+    dist::tcp_listener listener_;
+    int target_port_;
+    std::atomic<bool> stop_{false};
+    std::atomic<std::size_t> connections_{0};
+    std::atomic<bool> dropped_{false};
+    std::chrono::steady_clock::time_point dropped_at_{};  ///< written before dropped_
+    std::thread thread_;
 };
 
 template <typename Pred>
@@ -412,6 +491,47 @@ TEST_F(DistChaosFixture, SweepSurvivesABatteredWireByteIdentically) {
         total_cells += report.cells;
     }
     EXPECT_GE(total_cells, 4u);  // revocations may recompute cells, never lose them
+}
+
+TEST_F(DistChaosFixture, LostShutdownFrameIsAnsweredOnTheFirstRedial) {
+    // The relay drops the worker's shutdown frame, so the worker sees a
+    // transport loss and redials. The finished coordinator still answers
+    // its hello with shutdown, within one backoff step: the worker ends
+    // with shutdown_received, not connection_lost after its 30 s budget.
+    const resilience_config cfg = small_config(1);
+    const std::string reference = serial_sweep_bytes(cfg);
+    dist::coordinator_config cc;
+    cc.cells_per_lease = 1;
+    dist::coordinator coord(cc, dist::sweep_job{cfg, ""});
+    coord.start();
+    shutdown_dropping_relay relay(coord.port());
+
+    dist::worker_report report;
+    std::chrono::steady_clock::time_point finished;
+    std::thread worker_thread([&] {
+        report = run_worker(worker_config_for(relay.port(), "late"), cfg);
+        finished = std::chrono::steady_clock::now();
+    });
+    const resilience_table table = coord.wait_table();
+    worker_thread.join();
+    relay.stop();
+
+    EXPECT_EQ(table.to_json().dump(), reference);
+    ASSERT_TRUE(relay.dropped()) << "the relay never saw a shutdown frame";
+    EXPECT_TRUE(report.shutdown_received);
+    EXPECT_EQ(report.shutdown_reason, "job complete");
+    EXPECT_FALSE(report.connection_lost);
+    EXPECT_EQ(report.cells, 2u);
+    // One backoff step: the first redial got the answer, and it came while
+    // the finished coordinator was still lingering.
+    EXPECT_EQ(relay.connections(), 2u);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(finished -
+                                                                    relay.dropped_at())
+                  .count(),
+              cc.drain_timeout_ms);
+    const dist::coordinator_stats stats = coord.stats();
+    EXPECT_EQ(stats.workers_admitted, 1u) << "a late hello must not be admitted to work";
+    EXPECT_EQ(stats.units_completed, 2u);
 }
 
 TEST_F(DistChaosFixture, CoordinatorKilledMidSweepRestartsFromJournalByteIdentically) {
