@@ -7,8 +7,14 @@
 // conv2d_backward_acc, tensor/conv.h) at every distinct VGG11 x0.125
 // geometry on 8x8x3 images, at batch 32 (a training step) and 200 (an
 // eval), each gated bit for bit against a materialized im2col + GEMM
-// lowering. The process exits non-zero on any MISMATCH and never on
-// timing, so CI can gate on correctness without flaking on noise.
+// lowering. Two fast paths a training episode takes are timed against
+// what they replace: the first conv layer's parameter-only backward
+// (conv2d_param_grads_acc) against the full backward with dX, and the
+// unrolled 2x2 max pool (eval without argmax at batch 200, training with
+// argmax at batch 32) against the general scan with argmax; each is gated
+// bit for bit against its reference. The process exits non-zero on any
+// MISMATCH and never on timing, so CI can gate on correctness without
+// flaking on noise.
 //
 // Options:
 //   --out PATH     JSON output path              (default BENCH_gemm.json)
@@ -23,6 +29,7 @@
 #include <cstdint>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -263,6 +270,42 @@ bool same_bits(const tensor& got, const tensor& want, const std::string& label) 
     return false;
 }
 
+/// The general max-pool scan with argmax, as every pooling forward ran it
+/// before the 2x2 form: each window row by row, strict `>` from -inf.
+pool2d_result reference_max_pool(const tensor& input, const pool2d_spec& spec) {
+    const std::size_t planes = input.extent(0) * input.extent(1);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t oh = (in_h - spec.kernel) / spec.stride + 1;
+    const std::size_t ow = (in_w - spec.kernel) / spec.stride + 1;
+    pool2d_result r{tensor({input.extent(0), input.extent(1), oh, ow}), {}};
+    r.argmax.resize(r.output.numel());
+    const float* src = input.raw();
+    std::size_t out_idx = 0;
+    for (std::size_t p = 0; p < planes; ++p) {
+        const std::size_t base = p * in_h * in_w;
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
+                std::size_t best_idx = base + oy * spec.stride * in_w + ox * spec.stride;
+                float best = -std::numeric_limits<float>::infinity();
+                for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+                    for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+                        const std::size_t flat =
+                            base + (oy * spec.stride + ky) * in_w + ox * spec.stride + kx;
+                        if (src[flat] > best) {
+                            best = src[flat];
+                            best_idx = flat;
+                        }
+                    }
+                }
+                r.output.raw()[out_idx] = best;
+                r.argmax[out_idx] = best_idx;
+            }
+        }
+    }
+    return r;
+}
+
 struct conv_case {
     std::size_t in_c, out_c, hw;
 };
@@ -433,9 +476,107 @@ int main(int argc, char** argv) {
             }
         }
 
+        // The first VGG conv (3->8 @8x8) at the training batch: the full
+        // backward a model's first layer used to run, and the parameter-only
+        // backward the training step runs now (no dX GEMM, no scatter).
+        json_array param_json;
+        {
+            const conv_case cc{3, 8, 8};
+            const std::size_t batch = 32;
+            const conv2d_spec spec{cc.in_c, cc.out_c, 3, 3, 1, 1};
+            tensor input({batch, cc.in_c, cc.hw, cc.hw});
+            tensor dy({batch, cc.out_c, cc.hw, cc.hw});
+            tensor weight({cc.out_c, cc.in_c, 3, 3});
+            uniform_init(input, -1.0f, 1.0f, gen);
+            uniform_init(dy, -1.0f, 1.0f, gen);
+            uniform_init(weight, -1.0f, 1.0f, gen);
+            conv2d_grads full{tensor(input.shape()), tensor(weight.shape()), tensor({cc.out_c})};
+            conv2d_backward_acc(input, weight, dy, spec, full.grad_input, full.grad_weight,
+                                full.grad_bias);
+            tensor gw(weight.shape());
+            tensor gb({cc.out_c});
+            conv2d_param_grads_acc(input, dy, spec, gw, gb);
+            const std::string label = "3->8 @8x8 batch 32";
+            const bool ok = same_bits(gw, full.grad_weight, "conv dW without dX " + label) &&
+                            same_bits(gb, full.grad_bias, "conv db without dX " + label);
+            all_ok = all_ok && ok;
+            const double full_ms = best_ms_per_call(
+                [&]() {
+                    tensor gin(input.shape());
+                    conv2d_backward_acc(input, weight, dy, spec, gin, full.grad_weight,
+                                        full.grad_bias);
+                },
+                min_ms, samples);
+            const double params_ms = best_ms_per_call(
+                [&]() { conv2d_param_grads_acc(input, dy, spec, gw, gb); }, min_ms, samples);
+            std::cout << "conv backward " << label << "  with dX " << full_ms
+                      << " ms, without dX " << params_ms << " ms  → " << full_ms / params_ms
+                      << "x" << (ok ? "" : "  *** MISMATCH ***") << '\n';
+            json_object entry;
+            entry.set("in_c", json_value(cc.in_c));
+            entry.set("out_c", json_value(cc.out_c));
+            entry.set("hw", json_value(cc.hw));
+            entry.set("batch", json_value(batch));
+            entry.set("with_dx_ms", json_value(full_ms));
+            entry.set("without_dx_ms", json_value(params_ms));
+            entry.set("speedup", json_value(full_ms / params_ms));
+            entry.set("verified", json_value(ok));
+            param_json.push_back(json_value(std::move(entry)));
+        }
+
+        // The largest VGG pool ([N, 8, 8, 8] -> 4x4): an eval at batch 200
+        // records no argmax, a training step at batch 32 does. Both are
+        // timed against the general scan with argmax.
+        json_array pool_json;
+        for (const bool with_argmax : {false, true}) {
+            const std::size_t batch = with_argmax ? 32 : 200;
+            const pool2d_spec spec{2, 2};
+            tensor input({batch, 8, 8, 8});
+            uniform_init(input, -1.0f, 1.0f, gen);
+            const pool2d_result want = reference_max_pool(input, spec);
+            const std::string label = "[" + std::to_string(batch) + ",8,8,8] " +
+                                      (with_argmax ? "with argmax" : "without argmax");
+            bool ok = false;
+            if (with_argmax) {
+                const pool2d_result got = max_pool2d_forward(input, spec);
+                ok = same_bits(got.output, want.output, "max pool " + label);
+                if (ok && got.argmax != want.argmax) {
+                    std::cerr << "MISMATCH max pool " << label << ": argmax differs\n";
+                    ok = false;
+                }
+            } else {
+                ok = same_bits(max_pool2d_values(input, spec), want.output, "max pool " + label);
+            }
+            all_ok = all_ok && ok;
+            const double ref_ms = best_ms_per_call(
+                [&]() { (void)reference_max_pool(input, spec); }, min_ms, samples);
+            const double ms = best_ms_per_call(
+                [&]() {
+                    if (with_argmax) {
+                        (void)max_pool2d_forward(input, spec);
+                    } else {
+                        (void)max_pool2d_values(input, spec);
+                    }
+                },
+                min_ms, samples);
+            std::cout << "max pool " << label << "  general scan " << ref_ms << " ms, 2x2 "
+                      << ms << " ms  → " << ref_ms / ms << "x"
+                      << (ok ? "" : "  *** MISMATCH ***") << '\n';
+            json_object entry;
+            entry.set("batch", json_value(batch));
+            entry.set("channels", json_value(std::size_t{8}));
+            entry.set("hw", json_value(std::size_t{8}));
+            entry.set("argmax", json_value(with_argmax));
+            entry.set("general_scan_ms", json_value(ref_ms));
+            entry.set("ms", json_value(ms));
+            entry.set("speedup", json_value(ref_ms / ms));
+            entry.set("verified", json_value(ok));
+            pool_json.push_back(json_value(std::move(entry)));
+        }
+
         json_object root;
         root.set("bench", json_value("micro_gemm"));
-        root.set("schema_version", json_value(2));
+        root.set("schema_version", json_value(3));
 #ifdef REDUCE_NATIVE
         root.set("march_native", json_value(true));
 #else
@@ -448,6 +589,8 @@ int main(int argc, char** argv) {
         root.set("gemm_256_speedup", json_value(speedup_256));
         root.set("cases", json_value(std::move(case_json)));
         root.set("conv_layers", json_value(std::move(conv_json)));
+        root.set("conv_first_layer_backward", json_value(std::move(param_json)));
+        root.set("max_pool", json_value(std::move(pool_json)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (256^3 speedup " << speedup_256 << "x)\n";
 

@@ -275,7 +275,9 @@ fat_result fault_aware_trainer::train(double epoch_budget, const std::vector<dou
         const loss_result loss = cross_entropy_loss(model_.forward(b.features), b.labels);
         if (!std::isfinite(loss.value)) { return false; }
         opt.zero_grad();
-        model_.backward(loss.grad);
+        // Parameter gradients only: the first layer's input gradient is
+        // never read, so it is never formed.
+        model_.backward_params(loss.grad);
         if (cfg_.grad_clip > 0.0) { clip_grad_norm(opt.params(), cfg_.grad_clip); }
         opt.step();
         ++steps_done;

@@ -1,6 +1,8 @@
 #include "dist/coordinator.h"
 
 #include <poll.h>
+#include <sys/eventfd.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <exception>
@@ -121,8 +123,25 @@ coordinator::coordinator(coordinator_config cfg, fleet_job job)
     done_ = done_promise_.get_future().share();
 }
 
+coordinator::wake_event::wake_event() : fd(::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC)) {
+    REDUCE_CHECK(fd >= 0, "coordinator: eventfd failed");
+}
+
+coordinator::wake_event::~wake_event() { ::close(fd); }
+
+void coordinator::wake_event::signal() const {
+    const std::uint64_t one = 1;
+    // A full counter (EAGAIN) is already signalled; nothing else can fail.
+    (void)!::write(fd, &one, sizeof one);
+}
+
+void coordinator::wake_event::drain() const {
+    std::uint64_t count = 0;
+    (void)!::read(fd, &count, sizeof count);
+}
+
 coordinator::~coordinator() {
-    stop_.store(true, std::memory_order_relaxed);
+    stop();
     if (loop_.joinable()) { loop_.join(); }
 }
 
@@ -145,7 +164,10 @@ void coordinator::start() {
     loop_ = std::thread([this] { event_loop(); });
 }
 
-void coordinator::stop() { stop_.store(true, std::memory_order_relaxed); }
+void coordinator::stop() {
+    stop_.store(true, std::memory_order_relaxed);
+    wake_.signal();
+}
 
 coordinator_stats coordinator::stats() const {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -194,6 +216,7 @@ void coordinator::run_event_loop() {
         if (job_done_ && clock::now() >= drain_deadline_) { break; }
 
         fds.clear();
+        fds.push_back({wake_.fd, POLLIN, 0});
         fds.push_back({listener_->fd(), POLLIN, 0});
         for (auto& [fd, conn] : conns_) {
             short events = POLLIN;
@@ -201,8 +224,8 @@ void coordinator::run_event_loop() {
             fds.push_back({fd, events, 0});
         }
 
-        // Sleep until the next lease deadline, capped so stop() and newly
-        // queued work stay responsive.
+        // Sleep until the next lease deadline, capped so newly queued work
+        // stays responsive; stop() wakes the poll through wake_.
         int timeout_ms = 100;
         const clock::time_point now = clock::now();
         for (const auto& [id, lease] : leases_) {
@@ -214,13 +237,14 @@ void coordinator::run_event_loop() {
                 timeout_ms, std::max<long long>(0, until)));
         }
         ::poll(fds.data(), static_cast<nfds_t>(fds.size()), timeout_ms);
+        if ((fds.front().revents & POLLIN) != 0) { wake_.drain(); }
 
         while (std::optional<tcp_socket> sock = listener_->accept_one()) {
             add_connection(std::move(*sock));
         }
 
         for (const ::pollfd& p : fds) {
-            if (p.fd == listener_->fd()) { continue; }
+            if (p.fd == listener_->fd() || p.fd == wake_.fd) { continue; }
             auto it = conns_.find(p.fd);
             if (it == conns_.end()) { continue; }
             connection& conn = it->second;

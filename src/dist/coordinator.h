@@ -169,7 +169,8 @@ public:
     policy_outcome wait_fleet();
 
     /// Asks the event loop to exit without waiting for completion (waiters
-    /// then observe a failure). Idempotent; also invoked by the destructor.
+    /// then observe a failure) and wakes its poll, so the loop ends at
+    /// once, lingering or not. Idempotent; also invoked by the destructor.
     void stop();
 
     coordinator_stats stats() const;
@@ -192,6 +193,18 @@ private:
         int conn_fd = -1;
         clock::time_point deadline{};
         bool active = false;
+    };
+
+    /// Nonblocking eventfd in the event loop's poll set: stop() signals it
+    /// so the loop wakes at once instead of at its next timeout.
+    struct wake_event {
+        wake_event();
+        ~wake_event();
+        wake_event(const wake_event&) = delete;
+        wake_event& operator=(const wake_event&) = delete;
+        void signal() const;
+        void drain() const;
+        int fd = -1;
     };
 
     struct connection {
@@ -241,6 +254,7 @@ private:
     int port_ = 0;
     std::thread loop_;
     std::atomic<bool> stop_{false};
+    wake_event wake_;
 
     // Everything below is owned by the event-loop thread; stats_ and the
     // results additionally sync to callers through mutex_/done_.

@@ -1,6 +1,7 @@
 #include "fault/mask_builder.h"
 
 #include <algorithm>
+#include <cstring>
 
 #include "util/error.h"
 
@@ -11,17 +12,28 @@ tensor build_weight_mask(const gemm_mapping& mapping, const fault_grid& faults) 
                  "fault grid does not match mapping geometry");
     const std::size_t fan_in = mapping.fan_in();
     const std::size_t fan_out = mapping.fan_out();
-    tensor mask({fan_out, fan_in}, 1.0f);
-    float* m = mask.raw();
     const std::vector<std::size_t>& perm = mapping.column_permutation();
     const std::size_t rows = mapping.array_rows();
     const std::size_t cols = mapping.array_cols();
-    for (std::size_t o = 0; o < fan_out; ++o) {
-        const std::size_t col = perm[o % cols];
+    // Weight (o, i) sits on PE (i % rows, perm[o % cols]), so the mask is
+    // periodic: row o >= cols copies row o - cols, and entry i >= rows
+    // repeats entry i - rows. Only min(fan_in, rows) x min(fan_out, cols)
+    // entries read the grid, one per PE in use; the rest are copies.
+    tensor mask({fan_out, fan_in});
+    float* m = mask.raw();
+    const std::size_t head = std::min(fan_in, rows);
+    for (std::size_t o = 0; o < std::min(fan_out, cols); ++o) {
         float* mrow = m + o * fan_in;
-        for (std::size_t i = 0; i < fan_in; ++i) {
-            if (is_faulty(faults.at(i % rows, col))) { mrow[i] = 0.0f; }
+        const std::size_t col = perm[o];
+        for (std::size_t i = 0; i < head; ++i) {
+            mrow[i] = is_faulty(faults.at(i, col)) ? 0.0f : 1.0f;
         }
+        for (std::size_t i = head; i < fan_in; i += head) {
+            std::memcpy(mrow + i, mrow, std::min(head, fan_in - i) * sizeof(float));
+        }
+    }
+    for (std::size_t o = cols; o < fan_out; ++o) {
+        std::memcpy(m + o * fan_in, m + (o - cols) * fan_in, fan_in * sizeof(float));
     }
     return mask;
 }

@@ -37,6 +37,11 @@ tensor conv2d_layer::backward(const tensor& grad_output) {
     return grad_input;
 }
 
+void conv2d_layer::backward_params(const tensor& grad_output) {
+    REDUCE_CHECK(cached_input_.numel() > 0, "conv2d backward before forward");
+    conv2d_param_grads_acc(cached_input_, grad_output, spec_, weight_.grad, bias_.grad);
+}
+
 std::vector<parameter*> conv2d_layer::parameters() { return {&weight_, &bias_}; }
 
 std::unique_ptr<module> conv2d_layer::clone() const {
@@ -53,7 +58,14 @@ max_pool2d_layer::max_pool2d_layer(pool2d_spec spec) : spec_(spec) {
 }
 
 tensor max_pool2d_layer::forward(const tensor& input) {
+    // Only backward reads the argmax. Eval mode neither records nor keeps
+    // one, so a backward after an eval-mode forward throws instead of
+    // routing through a stale argmax.
     cached_input_shape_ = input.shape();
+    if (!training_) {
+        cached_argmax_.clear();
+        return max_pool2d_values(input, spec_);
+    }
     pool2d_result result = max_pool2d_forward(input, spec_);
     cached_argmax_ = std::move(result.argmax);
     return std::move(result.output);

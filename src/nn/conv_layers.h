@@ -18,6 +18,8 @@ public:
 
     tensor forward(const tensor& input) override;
     tensor backward(const tensor& grad_output) override;
+    /// dW and db only (conv2d_param_grads_acc): no grad_input.
+    void backward_params(const tensor& grad_output) override;
     std::vector<parameter*> parameters() override;
     std::unique_ptr<module> clone() const override;
     std::string name() const override { return "conv2d"; }
@@ -33,7 +35,8 @@ private:
     tensor cached_input_;
 };
 
-/// Max pooling layer.
+/// Max pooling layer. A training-mode forward records the argmax the
+/// backward routes through; an eval-mode forward records none.
 class max_pool2d_layer : public module {
 public:
     explicit max_pool2d_layer(pool2d_spec spec);

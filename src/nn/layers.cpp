@@ -32,15 +32,19 @@ tensor linear::forward(const tensor& input) {
 }
 
 tensor linear::backward(const tensor& grad_output) {
+    backward_params(grad_output);
+    return matmul(grad_output, weight_.value);  // dX = dY · W
+}
+
+void linear::backward_params(const tensor& grad_output) {
     REDUCE_CHECK(grad_output.dim() == 2 && grad_output.extent(1) == out_features_,
                  "linear backward expects [N," << out_features_ << "], got "
                                                << grad_output.describe());
     REDUCE_CHECK(cached_input_.numel() > 0, "linear backward before forward");
-    // dW += dYᵀ · X;  db += column sums of dY;  dX = dY · W. The accumulating
-    // forms write the parameter gradients in place (no temporaries).
+    // dW += dYᵀ · X;  db += column sums of dY. The accumulating forms write
+    // the parameter gradients in place (no temporaries).
     matmul_tn_acc(grad_output, cached_input_, weight_.grad);
     column_sums_acc(grad_output, bias_.grad);
-    return matmul(grad_output, weight_.value);
 }
 
 std::vector<parameter*> linear::parameters() { return {&weight_, &bias_}; }

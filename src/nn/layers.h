@@ -20,6 +20,8 @@ public:
 
     tensor forward(const tensor& input) override;
     tensor backward(const tensor& grad_output) override;
+    /// dW and db only: skips dX = dY · W.
+    void backward_params(const tensor& grad_output) override;
     std::vector<parameter*> parameters() override;
     std::unique_ptr<module> clone() const override;
     std::string name() const override { return "linear"; }

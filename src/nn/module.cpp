@@ -37,6 +37,13 @@ tensor sequential::backward(const tensor& grad_output) {
     return g;
 }
 
+void sequential::backward_params(const tensor& grad_output) {
+    if (layers_.empty()) { return; }
+    tensor g = grad_output;
+    for (std::size_t i = layers_.size() - 1; i > 0; --i) { g = layers_[i]->backward(g); }
+    layers_.front()->backward_params(g);
+}
+
 std::vector<parameter*> sequential::parameters() {
     std::vector<parameter*> all;
     for (auto& layer : layers_) {

@@ -5,6 +5,14 @@
 // backward(). This keeps the hot loop allocation-light and makes the
 // fault-masking semantics (FAP/FAT) explicit — a mask lives next to the
 // parameter it gates.
+//
+// Training asks for less than backward() gives: nothing reads the input
+// gradient of the model's first layer. backward_params() accumulates the
+// parameter gradients without it — linear skips dY·W, conv2d skips the
+// Wᵀ·dY column-gradient GEMM and its scatter — and leaves every dW/db bit
+// for bit what backward() would have accumulated. The fault-aware trainer's
+// step runs sequential::backward_params; sequential::backward still
+// returns dX (gradient checks, tests).
 #pragma once
 
 #include <memory>
@@ -58,6 +66,11 @@ public:
     /// Must be called after forward() on the same batch.
     virtual tensor backward(const tensor& grad_output) = 0;
 
+    /// backward() for a caller that discards the input gradient: accumulates
+    /// the same parameter gradients, bit for bit, and may skip the dX work.
+    /// The default runs backward() and drops its result.
+    virtual void backward_params(const tensor& grad_output) { (void)backward(grad_output); }
+
     /// Trainable parameters of this module (possibly empty).
     virtual std::vector<parameter*> parameters() { return {}; }
 
@@ -108,6 +121,9 @@ public:
 
     tensor forward(const tensor& input) override;
     tensor backward(const tensor& grad_output) override;
+    /// backward() down to layer 1, then layer 0's backward_params: the
+    /// model's input gradient is never formed.
+    void backward_params(const tensor& grad_output) override;
     std::vector<parameter*> parameters() override;
     std::vector<tensor*> state_buffers() override;
     void set_training(bool training) override;

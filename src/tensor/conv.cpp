@@ -312,7 +312,7 @@ void check_conv_inputs(const tensor& input, const tensor& weight, const conv2d_s
 
 void check_conv_backward_shapes(const tensor& input, const tensor& weight,
                                 const tensor& grad_output, const conv2d_spec& spec,
-                                const tensor& grad_input) {
+                                const tensor& grad_weight, const tensor& grad_bias) {
     check_conv_inputs(input, weight, spec);
     const std::size_t batch = input.extent(0);
     const std::size_t oh = spec.out_h(input.extent(2));
@@ -321,8 +321,10 @@ void check_conv_backward_shapes(const tensor& input, const tensor& weight,
                      grad_output.extent(1) == spec.out_channels && grad_output.extent(2) == oh &&
                      grad_output.extent(3) == ow,
                  "conv2d grad_output " << grad_output.describe() << " does not match geometry");
-    REDUCE_CHECK(grad_input.shape() == input.shape(),
-                 "conv2d grad_input " << grad_input.describe() << " does not match input");
+    REDUCE_CHECK(grad_weight.shape() == weight.shape(),
+                 "conv2d grad_weight " << grad_weight.describe() << " does not match weight");
+    REDUCE_CHECK(grad_bias.dim() == 1 && grad_bias.extent(0) == spec.out_channels,
+                 "conv2d grad_bias " << grad_bias.describe() << " does not match out_channels");
 }
 
 /// Every patch row, ascending: the row list of a call that skips none.
@@ -418,14 +420,14 @@ tensor conv2d_forward(const tensor& input, const tensor& weight, const tensor& b
     return output;
 }
 
-void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor& grad_output,
-                         const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
-                         tensor& grad_bias) {
-    check_conv_backward_shapes(input, weight, grad_output, spec, grad_input);
-    REDUCE_CHECK(grad_weight.shape() == weight.shape(),
-                 "conv2d grad_weight " << grad_weight.describe() << " does not match weight");
-    REDUCE_CHECK(grad_bias.dim() == 1 && grad_bias.extent(0) == spec.out_channels,
-                 "conv2d grad_bias " << grad_bias.describe() << " does not match out_channels");
+namespace {
+
+/// The accumulating backward behind both entry points. `weight2d` and
+/// `gin` are null when the caller wants no dX: the column-gradient GEMM,
+/// its staging and its scatter are then skipped, and dW/db run exactly the
+/// chains they run with dX.
+void backward_acc(const tensor& input, const float* weight2d, const tensor& grad_output,
+                  const conv2d_spec& spec, float* gin, tensor& grad_weight, tensor& grad_bias) {
     const std::size_t batch = input.extent(0);
     const std::size_t in_h = input.extent(2);
     const std::size_t in_w = input.extent(3);
@@ -434,9 +436,7 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
     const std::size_t image_elems = spec.in_channels * in_h * in_w;
     const std::size_t out_c = spec.out_channels;
     const float* in = input.raw();
-    const float* weight2d = weight.raw();
     const float* grad_out = grad_output.raw();
-    float* gin = grad_input.raw();
     float* gw = grad_weight.raw();
     float* gb = grad_bias.raw();
 
@@ -467,12 +467,14 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
     workspace::buffer wcompact;
     workspace::buffer dwcompact;
     if (skip) {
-        wcompact = ws.acquire(out_c * krows);
         dwcompact = ws.acquire(out_c * krows);
+        if (gin != nullptr) { wcompact = ws.acquire(out_c * krows); }
         for (std::size_t oc = 0; oc < out_c; ++oc) {
             for (std::size_t j = 0; j < krows; ++j) {
-                wcompact.data()[oc * krows + j] = weight2d[oc * patch + rows[j]];
                 dwcompact.data()[oc * krows + j] = gw[oc * patch + rows[j]];
+                if (gin != nullptr) {
+                    wcompact.data()[oc * krows + j] = weight2d[oc * patch + rows[j]];
+                }
             }
         }
     }
@@ -518,6 +520,7 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
         // dX += scatter(Wᵀ · dY): the column gradient is added onto the
         // staged grad_input (in the slab the images used, if staging
         // copies), whose interior is then copied back.
+        if (gin == nullptr) { continue; }
         workspace::buffer gradcols = ws.acquire(krows * cols);
         gemm_tn(krows, cols, out_c, skip ? wcompact.data() : weight2d, krows, gobuf.data(),
                 cols, gradcols.data(), cols, /*accumulate=*/false, ws);
@@ -538,6 +541,26 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
     }
 }
 
+}  // namespace
+
+void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor& grad_output,
+                         const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
+                         tensor& grad_bias) {
+    check_conv_backward_shapes(input, weight, grad_output, spec, grad_weight, grad_bias);
+    REDUCE_CHECK(grad_input.shape() == input.shape(),
+                 "conv2d grad_input " << grad_input.describe() << " does not match input");
+    backward_acc(input, weight.raw(), grad_output, spec, grad_input.raw(), grad_weight,
+                 grad_bias);
+}
+
+void conv2d_param_grads_acc(const tensor& input, const tensor& grad_output,
+                            const conv2d_spec& spec, tensor& grad_weight, tensor& grad_bias) {
+    // grad_weight has the weight's shape, so it stands in for it in the
+    // geometry checks; the weight values are only read by dX.
+    check_conv_backward_shapes(input, grad_weight, grad_output, spec, grad_weight, grad_bias);
+    backward_acc(input, nullptr, grad_output, spec, nullptr, grad_weight, grad_bias);
+}
+
 conv2d_grads conv2d_backward(const tensor& input, const tensor& weight,
                              const tensor& grad_output, const conv2d_spec& spec) {
     conv2d_grads grads{tensor(input.shape()), tensor(weight.shape()),
@@ -547,48 +570,117 @@ conv2d_grads conv2d_backward(const tensor& input, const tensor& weight,
     return grads;
 }
 
-pool2d_result max_pool2d_forward(const tensor& input, const pool2d_spec& spec) {
+namespace {
+
+struct pool_geometry {
+    std::size_t planes, in_h, in_w, oh, ow;
+};
+
+pool_geometry check_pool_input(const tensor& input, const pool2d_spec& spec) {
     REDUCE_CHECK(input.dim() == 4, "max_pool2d expects [N,C,H,W], got " << input.describe());
     REDUCE_CHECK(spec.kernel > 0 && spec.stride > 0, "pool kernel/stride must be positive");
-    const std::size_t batch = input.extent(0);
-    const std::size_t channels = input.extent(1);
     const std::size_t in_h = input.extent(2);
     const std::size_t in_w = input.extent(3);
     REDUCE_CHECK(in_h >= spec.kernel && in_w >= spec.kernel,
                  "pool kernel larger than input " << input.describe());
-    const std::size_t oh = (in_h - spec.kernel) / spec.stride + 1;
-    const std::size_t ow = (in_w - spec.kernel) / spec.stride + 1;
+    return {input.extent(0) * input.extent(1), in_h, in_w, (in_h - spec.kernel) / spec.stride + 1,
+            (in_w - spec.kernel) / spec.stride + 1};
+}
 
-    pool2d_result result{tensor({batch, channels, oh, ow}), {}};
-    result.argmax.assign(batch * channels * oh * ow, 0);
-    const float* src = input.raw();
-    float* dst = result.output.raw();
+// Both scans follow the visiting order documented in conv.h. `argmax`
+// (flat input index per output) is skipped when null.
+
+/// Any kernel and stride.
+void pool_scan_general(const float* src, const pool_geometry& g, const pool2d_spec& spec,
+                       float* dst, std::size_t* argmax) {
     std::size_t out_idx = 0;
-    for (std::size_t n = 0; n < batch; ++n) {
-        for (std::size_t c = 0; c < channels; ++c) {
-            const float* plane = src + (n * channels + c) * in_h * in_w;
-            for (std::size_t oy = 0; oy < oh; ++oy) {
-                for (std::size_t ox = 0; ox < ow; ++ox, ++out_idx) {
-                    float best = -std::numeric_limits<float>::infinity();
-                    std::size_t best_idx = 0;
-                    for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
-                        const std::size_t iy = oy * spec.stride + ky;
-                        for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
-                            const std::size_t ix = ox * spec.stride + kx;
-                            const std::size_t flat = iy * in_w + ix;
-                            if (plane[flat] > best) {
-                                best = plane[flat];
-                                best_idx = (n * channels + c) * in_h * in_w + flat;
-                            }
+    for (std::size_t p = 0; p < g.planes; ++p) {
+        const std::size_t base = p * g.in_h * g.in_w;
+        for (std::size_t oy = 0; oy < g.oh; ++oy) {
+            for (std::size_t ox = 0; ox < g.ow; ++ox, ++out_idx) {
+                std::size_t best_idx = base + oy * spec.stride * g.in_w + ox * spec.stride;
+                float best = -std::numeric_limits<float>::infinity();
+                for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+                    const std::size_t row = base + (oy * spec.stride + ky) * g.in_w;
+                    for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+                        const std::size_t flat = row + ox * spec.stride + kx;
+                        if (src[flat] > best) {
+                            best = src[flat];
+                            best_idx = flat;
                         }
                     }
-                    dst[out_idx] = best;
-                    result.argmax[out_idx] = best_idx;
+                }
+                dst[out_idx] = best;
+                if (argmax != nullptr) { argmax[out_idx] = best_idx; }
+            }
+        }
+    }
+}
+
+/// The 2x2 / stride-2 window every model uses, unrolled into selects: the
+/// same four strict `>` steps in the same order as the general scan, with
+/// no branch on the data.
+template <bool with_argmax>
+void pool_scan_2x2(const float* src, const pool_geometry& g, float* dst, std::size_t* argmax) {
+    constexpr float neg_inf = -std::numeric_limits<float>::infinity();
+    for (std::size_t p = 0; p < g.planes; ++p) {
+        const std::size_t base = p * g.in_h * g.in_w;
+        for (std::size_t oy = 0; oy < g.oh; ++oy) {
+            const std::size_t top = base + 2 * oy * g.in_w;
+            const float* r0 = src + top;
+            const float* r1 = r0 + g.in_w;
+            float* out = dst + (p * g.oh + oy) * g.ow;
+            for (std::size_t ox = 0; ox < g.ow; ++ox) {
+                const float a = r0[2 * ox];
+                const float b = r0[2 * ox + 1];
+                const float c = r1[2 * ox];
+                const float d = r1[2 * ox + 1];
+                float best = a > neg_inf ? a : neg_inf;
+                const bool take_b = b > best;
+                best = take_b ? b : best;
+                const bool take_c = c > best;
+                best = take_c ? c : best;
+                const bool take_d = d > best;
+                best = take_d ? d : best;
+                out[ox] = best;
+                if constexpr (with_argmax) {
+                    std::size_t idx = top + 2 * ox;
+                    idx = take_b ? top + 2 * ox + 1 : idx;
+                    idx = take_c ? top + g.in_w + 2 * ox : idx;
+                    idx = take_d ? top + g.in_w + 2 * ox + 1 : idx;
+                    argmax[(p * g.oh + oy) * g.ow + ox] = idx;
                 }
             }
         }
     }
+}
+
+void pool_scan(const float* src, const pool_geometry& g, const pool2d_spec& spec, float* dst,
+               std::size_t* argmax) {
+    if (spec.kernel != 2 || spec.stride != 2) {
+        pool_scan_general(src, g, spec, dst, argmax);
+    } else if (argmax != nullptr) {
+        pool_scan_2x2<true>(src, g, dst, argmax);
+    } else {
+        pool_scan_2x2<false>(src, g, dst, nullptr);
+    }
+}
+
+}  // namespace
+
+pool2d_result max_pool2d_forward(const tensor& input, const pool2d_spec& spec) {
+    const pool_geometry g = check_pool_input(input, spec);
+    pool2d_result result{tensor({input.extent(0), input.extent(1), g.oh, g.ow}), {}};
+    result.argmax.resize(result.output.numel());
+    pool_scan(input.raw(), g, spec, result.output.raw(), result.argmax.data());
     return result;
+}
+
+tensor max_pool2d_values(const tensor& input, const pool2d_spec& spec) {
+    const pool_geometry g = check_pool_input(input, spec);
+    tensor output({input.extent(0), input.extent(1), g.oh, g.ow});
+    pool_scan(input.raw(), g, spec, output.raw(), nullptr);
+    return output;
 }
 
 tensor max_pool2d_backward(const tensor& grad_output, const std::vector<std::size_t>& argmax,

@@ -14,11 +14,14 @@
 // B packer gathers its strips straight from those tables (gemm_nn_gather):
 // W · L in forward, dY · Lᵀ for dW (the two tables swapped). dX keeps the
 // gemm_tn column gradient Wᵀ · dY and scatters it through the same tables
-// onto a staged copy of grad_input. Every scratch buffer is leased from
-// the thread-local workspace arena. Each product and each accumulation
-// order is the one the materialized im2col + GEMM formulation had, so the
-// results are bit-identical to it. Every loop runs serially on the
-// calling thread.
+// onto a staged copy of grad_input. conv2d_param_grads_acc is the backward
+// without dX — what a model's first layer needs, since nothing reads its
+// input gradient: no column-gradient GEMM, no grad_input, no scatter, and
+// dW/db bit for bit those of conv2d_backward_acc. Every scratch buffer is
+// leased from the thread-local workspace arena. Each product and each
+// accumulation order is the one the materialized im2col + GEMM
+// formulation had, so the results are bit-identical to it. Every loop runs
+// serially on the calling thread.
 //
 // Chunking: forward splits a batch when the staged images plus the GEMM
 // output would exceed the lowering budget; the split cannot change a
@@ -120,6 +123,12 @@ void conv2d_backward_acc(const tensor& input, const tensor& weight, const tensor
                          const conv2d_spec& spec, tensor& grad_input, tensor& grad_weight,
                          tensor& grad_bias);
 
+/// Accumulating conv2d backward for parameters only: adds exactly the
+/// grad_weight and grad_bias terms conv2d_backward_acc adds (same chunk
+/// split, same chains, bit for bit), and forms no input gradient.
+void conv2d_param_grads_acc(const tensor& input, const tensor& grad_output,
+                            const conv2d_spec& spec, tensor& grad_weight, tensor& grad_bias);
+
 /// 2x2-style max pooling geometry.
 struct pool2d_spec {
     std::size_t kernel = 2;
@@ -133,8 +142,20 @@ struct pool2d_result {
     std::vector<std::size_t> argmax;    ///< flat input index per output element
 };
 
-/// Max-pool over a batch [N, C, H, W]; spatial dims must tile exactly.
+// Max pooling scans each window row by row and takes an element only when
+// it is strictly greater than the best so far, starting from -inf: the
+// first maximum wins a tie, NaN never wins, and a window with no element
+// above -inf (all NaN or all -inf) outputs -inf with its argmax at the
+// window's first element. The 2x2 / stride-2 window runs an unrolled,
+// branch-free form of the same scan: same values, same argmax.
+
+/// Max-pool over a batch [N, C, H, W] (windows that do not fit at the
+/// bottom/right edge are dropped), with the argmax the backward needs.
 pool2d_result max_pool2d_forward(const tensor& input, const pool2d_spec& spec);
+
+/// The same output values as max_pool2d_forward, without the argmax — the
+/// eval-mode forward, which no backward follows.
+tensor max_pool2d_values(const tensor& input, const pool2d_spec& spec);
 
 /// Max-pool backward: routes each output gradient to its argmax location.
 tensor max_pool2d_backward(const tensor& grad_output, const std::vector<std::size_t>& argmax,

@@ -706,6 +706,41 @@ TEST_F(DistChaosFixture, FullyJournaledJobFinishesWithoutAnyWorkers) {
     std::filesystem::remove_all(jdir);
 }
 
+TEST_F(DistChaosFixture, StopEndsALingeringCoordinatorAtOnce) {
+    // A coordinator restarted on a finished journal completes during
+    // start() and then lingers for drain_timeout_ms, idle in its poll.
+    // stop() plus destruction must end it at once, not at the poll's next
+    // 100 ms timeout: ten times in a row, each within 50 ms.
+    const resilience_config cfg = small_config(1);
+    const std::string jdir = make_temp_dir("stop_lingering");
+    dist::coordinator_config cc;
+    cc.journal_dir = jdir;
+    {
+        dist::coordinator coord(cc, dist::sweep_job{cfg, ""});
+        coord.start();
+        dist::worker_config wc = worker_config_for(coord.port(), "filler");
+        std::thread worker_thread([&] { (void)run_worker(wc, cfg); });
+        (void)coord.wait_table();
+        worker_thread.join();
+    }
+    cc.drain_timeout_ms = 60000;
+    for (int round = 0; round < 10; ++round) {
+        auto coord = std::make_unique<dist::coordinator>(cc, dist::sweep_job{cfg, ""});
+        coord->start();
+        (void)coord->wait_table();
+        // Let the event loop settle into its poll.
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        const auto t0 = std::chrono::steady_clock::now();
+        coord->stop();
+        coord.reset();
+        const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
+                            std::chrono::steady_clock::now() - t0)
+                            .count();
+        EXPECT_LT(ms, 50) << "round " << round;
+    }
+    std::filesystem::remove_all(jdir);
+}
+
 // --- journal fuzzing --------------------------------------------------------
 
 std::string read_bytes(const std::string& path) {

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <utility>
+#include <vector>
 
 #include "fault/mask_builder.h"
 #include "fault/models.h"
@@ -83,6 +86,62 @@ TEST(AttachMasks, CoversLinearAndConvLayers) {
             if (layer.weight->mask[i] == 0.0f) {
                 EXPECT_EQ(layer.weight->value[i], 0.0f);
             }
+        }
+    }
+}
+
+/// The per-weight loop build_weight_mask replaced: one grid lookup per
+/// weight, at PE (i % rows, perm[o % cols]).
+tensor per_weight_mask(const gemm_mapping& mapping, const fault_grid& faults) {
+    tensor mask({mapping.fan_out(), mapping.fan_in()}, 1.0f);
+    for (std::size_t o = 0; o < mapping.fan_out(); ++o) {
+        const std::size_t col = mapping.column_permutation()[o % mapping.array_cols()];
+        for (std::size_t i = 0; i < mapping.fan_in(); ++i) {
+            if (is_faulty(faults.at(i % mapping.array_rows(), col))) {
+                mask[o * mapping.fan_in() + i] = 0.0f;
+            }
+        }
+    }
+    return mask;
+}
+
+TEST(BuildMask, PerPeBuildEqualsPerWeightReference) {
+    // Non-square arrays with layers larger than the array in both axes (so
+    // rows and entries are copies), smaller in one or both, and exact
+    // multiples; every fault kind, identity and shuffled columns.
+    struct geometry {
+        std::size_t rows, cols, fan_in, fan_out;
+    };
+    const std::vector<geometry> cases = {
+        {3, 5, 17, 13}, {5, 3, 17, 13}, {4, 7, 8, 14}, {6, 2, 5, 9},
+        {7, 4, 3, 2},   {2, 6, 11, 1},  {1, 1, 4, 3},  {8, 8, 27, 64},
+    };
+    const pe_fault kinds[] = {pe_fault::bypassed, pe_fault::stuck_weight_zero,
+                              pe_fault::stuck_weight_max, pe_fault::stuck_weight_min};
+    rng gen(0x3a5c);
+    for (const geometry& g : cases) {
+        fault_grid faults(g.rows, g.cols);
+        for (std::size_t r = 0; r < g.rows; ++r) {
+            for (std::size_t c = 0; c < g.cols; ++c) {
+                if (gen.bernoulli(0.3)) { faults.set(r, c, kinds[gen.uniform_index(4)]); }
+            }
+        }
+        std::vector<std::size_t> perm(g.cols);
+        for (std::size_t c = 0; c < g.cols; ++c) { perm[c] = c; }
+        for (std::size_t c = g.cols; c > 1; --c) {
+            std::swap(perm[c - 1], perm[gen.uniform_index(c)]);
+        }
+        const array_config cfg = tiny_array(g.rows, g.cols);
+        for (const bool permuted : {false, true}) {
+            const gemm_mapping mapping = permuted
+                                             ? gemm_mapping(cfg, g.fan_in, g.fan_out, perm)
+                                             : gemm_mapping(cfg, g.fan_in, g.fan_out);
+            const tensor got = build_weight_mask(mapping, faults);
+            const tensor want = per_weight_mask(mapping, faults);
+            ASSERT_EQ(got.shape(), want.shape());
+            EXPECT_EQ(std::memcmp(got.raw(), want.raw(), got.numel() * sizeof(float)), 0)
+                << g.rows << "x" << g.cols << " array, layer " << g.fan_out << "x" << g.fan_in
+                << (permuted ? ", permuted" : ", identity");
         }
     }
 }

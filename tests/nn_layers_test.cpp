@@ -4,8 +4,12 @@
 
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <limits>
+#include <memory>
+#include <string>
+#include <vector>
 
 #include "nn/loss.h"
 #include "nn/metrics.h"
@@ -218,6 +222,65 @@ TEST(Sequential, ForwardBackwardChain) {
     EXPECT_EQ(model.parameters().size(), 4u);  // two weights + two biases
 }
 
+/// Bytes of every parameter gradient of `model`, in parameter order.
+std::vector<tensor> grads_of(sequential& model) {
+    std::vector<tensor> grads;
+    for (const parameter* p : model.parameters()) { grads.push_back(p->grad); }
+    return grads;
+}
+
+bool same_bits(const tensor& a, const tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+/// backward_params must accumulate exactly the parameter gradients
+/// backward accumulates, onto the same non-zero starting gradients.
+void expect_backward_params_match(sequential& model, const tensor& x, const tensor& grad) {
+    for (parameter* p : model.parameters()) {
+        for (std::size_t i = 0; i < p->grad.numel(); ++i) {
+            p->grad[i] = 0.25f * static_cast<float>(i % 7) - 0.5f;
+        }
+    }
+    std::unique_ptr<sequential> twin = clone_model(model);
+    (void)model.forward(x);
+    (void)model.backward(grad);
+    (void)twin->forward(x);
+    twin->backward_params(grad);
+    const std::vector<tensor> want = grads_of(model);
+    const std::vector<tensor> got = grads_of(*twin);
+    ASSERT_EQ(got.size(), want.size());
+    for (std::size_t k = 0; k < got.size(); ++k) {
+        EXPECT_TRUE(same_bits(got[k], want[k])) << "parameter " << k;
+    }
+}
+
+TEST(Sequential, BackwardParamsEqualsBackwardBitForBit) {
+    rng gen(45);
+    {
+        SCOPED_TRACE("linear first");
+        auto mlp = make_mlp({6, 8, 3}, gen);
+        expect_backward_params_match(*mlp, random_tensor({5, 6}, gen),
+                                     random_tensor({5, 3}, gen));
+    }
+    // A conv first layer at 1x1 spatial (all-padding patch rows skipped),
+    // at 4x4 (none skipped), and with a NaN upstream gradient.
+    for (const std::size_t hw : {std::size_t{1}, std::size_t{4}}) {
+        for (const bool nan_grad : {false, true}) {
+            SCOPED_TRACE("conv first, " + std::to_string(hw) + "x" + std::to_string(hw) +
+                         (nan_grad ? ", NaN dY" : ""));
+            sequential cnn;
+            cnn.emplace<conv2d_layer>(conv2d_spec{2, 3, 3, 3, 1, 1}, gen);
+            cnn.emplace<relu_layer>();
+            cnn.emplace<flatten>();
+            cnn.emplace<linear>(3 * hw * hw, 2, gen);
+            tensor grad = random_tensor({4, 2}, gen);
+            if (nan_grad) { grad[3] = std::numeric_limits<float>::quiet_NaN(); }
+            expect_backward_params_match(cnn, random_tensor({4, 2, hw, hw}, gen), grad);
+        }
+    }
+}
+
 TEST(Sequential, BackwardBeforeForwardThrows) {
     rng gen(43);
     auto model = make_mlp({4, 8, 2}, gen);
@@ -225,14 +288,16 @@ TEST(Sequential, BackwardBeforeForwardThrows) {
 }
 
 TEST(Sequential, BackwardAfterEvalForwardThrows) {
-    // Eval-mode forwards cache nothing: a backward after one must fail
-    // loudly instead of reusing the input of an earlier training forward.
+    // Eval-mode forwards cache nothing (max pooling records no argmax): a
+    // backward after one must fail loudly instead of reusing the input or
+    // argmax of an earlier training forward.
     rng gen(44);
     sequential model;
     model.emplace<conv2d_layer>(conv2d_spec{2, 3, 3, 3, 1, 1}, gen);
     model.emplace<relu_layer>();
+    model.emplace<max_pool2d_layer>(pool2d_spec{2, 2});
     model.emplace<flatten>();
-    model.emplace<linear>(3 * 4 * 4, 2, gen);
+    model.emplace<linear>(3 * 2 * 2, 2, gen);
     const tensor x = random_tensor({2, 2, 4, 4}, gen);
     const tensor grad({2, 2}, 1.0f);
     (void)model.forward(x);  // training forward: backward is valid
@@ -240,9 +305,13 @@ TEST(Sequential, BackwardAfterEvalForwardThrows) {
     model.set_training(false);
     (void)model.forward(x);
     EXPECT_THROW((void)model.backward(grad), error);
+    EXPECT_THROW(model.backward_params(grad), error);
     // Each caching layer refuses on its own, not only the last one.
-    for (const std::size_t i : {0u, 1u, 3u}) {
-        const tensor gi(i == 3 ? shape_t{2, 2} : shape_t{2, 3, 4, 4}, 1.0f);
+    for (const std::size_t i : {0u, 1u, 2u, 4u}) {
+        const shape_t shape = i == 4   ? shape_t{2, 2}
+                              : i == 2 ? shape_t{2, 3, 2, 2}
+                                       : shape_t{2, 3, 4, 4};
+        const tensor gi(shape, 1.0f);
         EXPECT_THROW((void)model.layer(i).backward(gi), error) << "layer " << i;
     }
     model.set_training(true);

@@ -2,6 +2,9 @@
 // a direct reference, adjoint consistency of col2im, pooling behaviour.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "tensor/conv.h"
@@ -219,6 +222,153 @@ TEST(MaxPool, StrideSmallerThanKernel) {
 TEST(MaxPool, RejectsOversizedKernel) {
     const tensor input({1, 1, 2, 2});
     EXPECT_THROW(max_pool2d_forward(input, pool2d_spec{3, 1}), error);
+}
+
+TEST(MaxPool, WindowWithNothingAboveNegInfPointsAtItsFirstElement) {
+    // Image 1's windows: one all NaN, one all -inf. Their value stays -inf,
+    // and the backward routes their gradient into their own first element,
+    // not into image 0.
+    const float nan = std::numeric_limits<float>::quiet_NaN();
+    const float ninf = -std::numeric_limits<float>::infinity();
+    const tensor input({2, 1, 2, 4}, std::vector<float>{1, 2, 3, 4, 5, 6, 7, 8,
+                                                        nan, nan, ninf, ninf,
+                                                        nan, nan, ninf, ninf});
+    const pool2d_result r = max_pool2d_forward(input, pool2d_spec{2, 2});
+    ASSERT_EQ(r.argmax.size(), 4u);
+    EXPECT_EQ(r.argmax[2], 8u);
+    EXPECT_EQ(r.argmax[3], 10u);
+    EXPECT_EQ(r.output[2], ninf);
+    EXPECT_EQ(r.output[3], ninf);
+    const tensor grad_in = max_pool2d_backward(tensor({2, 1, 1, 2}, 1.0f), r.argmax,
+                                               input.shape());
+    EXPECT_EQ(grad_in[0], 0.0f);
+    EXPECT_EQ(grad_in[8], 1.0f);
+    EXPECT_EQ(grad_in[10], 1.0f);
+    // The general scan (a 2x2 window at stride 1 here) agrees.
+    const pool2d_result strided = max_pool2d_forward(input, pool2d_spec{2, 1});
+    EXPECT_EQ(strided.argmax[3], 8u);  // image 1, window at column 0
+    EXPECT_EQ(strided.argmax[5], 10u);  // image 1, window at column 2
+}
+
+/// The general max-pool scan written out: each window row by row, strict
+/// `>` from -inf, argmax starting at the window's first element.
+pool2d_result reference_max_pool(const tensor& input, const pool2d_spec& spec) {
+    const std::size_t planes = input.extent(0) * input.extent(1);
+    const std::size_t in_h = input.extent(2);
+    const std::size_t in_w = input.extent(3);
+    const std::size_t oh = (in_h - spec.kernel) / spec.stride + 1;
+    const std::size_t ow = (in_w - spec.kernel) / spec.stride + 1;
+    pool2d_result r{tensor({input.extent(0), input.extent(1), oh, ow}), {}};
+    for (std::size_t p = 0; p < planes; ++p) {
+        for (std::size_t oy = 0; oy < oh; ++oy) {
+            for (std::size_t ox = 0; ox < ow; ++ox) {
+                const std::size_t base = p * in_h * in_w;
+                std::size_t best_idx = base + oy * spec.stride * in_w + ox * spec.stride;
+                float best = -std::numeric_limits<float>::infinity();
+                for (std::size_t ky = 0; ky < spec.kernel; ++ky) {
+                    for (std::size_t kx = 0; kx < spec.kernel; ++kx) {
+                        const std::size_t flat =
+                            base + (oy * spec.stride + ky) * in_w + ox * spec.stride + kx;
+                        if (input[flat] > best) {
+                            best = input[flat];
+                            best_idx = flat;
+                        }
+                    }
+                }
+                r.output[(p * oh + oy) * ow + ox] = best;
+                r.argmax.push_back(best_idx);
+            }
+        }
+    }
+    return r;
+}
+
+bool same_bits(const tensor& a, const tensor& b) {
+    return a.shape() == b.shape() &&
+           std::memcmp(a.raw(), b.raw(), a.numel() * sizeof(float)) == 0;
+}
+
+TEST(MaxPool, UnrolledAndGeneralScansAgreeBitForBit) {
+    // Values drawn from a small set so windows hold ties, NaN, +0 beside
+    // -0, -inf and +inf; random shapes with odd H and W (the last row and
+    // column are dropped). The 2x2/stride-2 spec takes the unrolled scan,
+    // the others the general one; both must equal the written-out scan in
+    // values and argmax, and the eval form must return the same values.
+    const float specials[] = {std::numeric_limits<float>::quiet_NaN(),
+                              0.0f,
+                              -0.0f,
+                              -std::numeric_limits<float>::infinity(),
+                              std::numeric_limits<float>::infinity(),
+                              1.0f,
+                              -1.0f,
+                              0.5f};
+    rng gen(0x9001);
+    for (int trial = 0; trial < 40; ++trial) {
+        const std::size_t n = 1 + gen.uniform_index(3);
+        const std::size_t c = 1 + gen.uniform_index(4);
+        const std::size_t h = 2 + gen.uniform_index(8);
+        const std::size_t w = 2 + gen.uniform_index(8);
+        tensor input({n, c, h, w});
+        for (std::size_t i = 0; i < input.numel(); ++i) {
+            input[i] = gen.bernoulli(0.6) ? specials[gen.uniform_index(8)]
+                                          : static_cast<float>(gen.uniform_int(-3, 3));
+        }
+        for (const pool2d_spec spec : {pool2d_spec{2, 2}, pool2d_spec{2, 1}, pool2d_spec{3, 2}}) {
+            if (h < spec.kernel || w < spec.kernel) { continue; }
+            const pool2d_result want = reference_max_pool(input, spec);
+            const pool2d_result got = max_pool2d_forward(input, spec);
+            const std::string where = input.describe() + " kernel " +
+                                      std::to_string(spec.kernel) + " stride " +
+                                      std::to_string(spec.stride);
+            EXPECT_TRUE(same_bits(got.output, want.output)) << where;
+            EXPECT_EQ(got.argmax, want.argmax) << where;
+            EXPECT_TRUE(same_bits(max_pool2d_values(input, spec), want.output)) << where;
+        }
+    }
+}
+
+/// Runs the full and the parameter-only accumulating backward onto the same
+/// non-zero starting gradients and requires dW and db to match bit for bit.
+void expect_param_grads_match(const conv2d_spec& spec, std::size_t batch, std::size_t hw,
+                              bool nan_dy, std::uint64_t seed) {
+    rng gen(seed);
+    const tensor input = random_tensor({batch, spec.in_channels, hw, hw}, gen);
+    const tensor weight =
+        random_tensor({spec.out_channels, spec.in_channels, spec.kernel_h, spec.kernel_w}, gen);
+    tensor dy = random_tensor({batch, spec.out_channels, spec.out_h(hw), spec.out_w(hw)}, gen);
+    if (nan_dy) { dy[dy.numel() / 2] = std::numeric_limits<float>::quiet_NaN(); }
+    const tensor gw0 = random_tensor(weight.shape(), gen);
+    const tensor gb0 = random_tensor({spec.out_channels}, gen);
+
+    tensor gin(input.shape());
+    tensor gw_full = gw0;
+    tensor gb_full = gb0;
+    conv2d_backward_acc(input, weight, dy, spec, gin, gw_full, gb_full);
+    tensor gw_params = gw0;
+    tensor gb_params = gb0;
+    conv2d_param_grads_acc(input, dy, spec, gw_params, gb_params);
+    EXPECT_TRUE(same_bits(gw_params, gw_full)) << "dW, " << hw << "x" << hw;
+    EXPECT_TRUE(same_bits(gb_params, gb_full)) << "db, " << hw << "x" << hw;
+}
+
+TEST(ConvParamGrads, EqualTheFullBackwardBitForBit) {
+    const conv2d_spec spec{3, 5, 3, 3, 1, 1};
+    // 1x1 spatial skips the 8 all-padding patch rows; 5x5 skips none; a
+    // NaN in dY turns the skip off. Each once whole and once chunked.
+    ASSERT_LT(conv_active_patch_rows(spec, 1, 1).size(), spec.patch_size());
+    ASSERT_EQ(conv_active_patch_rows(spec, 5, 5).size(), spec.patch_size());
+    for (const bool chunked : {false, true}) {
+        const std::size_t saved =
+            set_conv_lowering_budget_bytes(chunked ? 1024 : conv_lowering_budget_bytes());
+        for (const std::size_t hw : {std::size_t{1}, std::size_t{5}}) {
+            for (const bool nan_dy : {false, true}) {
+                SCOPED_TRACE(std::string(chunked ? "chunked" : "whole") +
+                             (nan_dy ? ", NaN dY" : ""));
+                expect_param_grads_match(spec, 6, hw, nan_dy, 31 + hw);
+            }
+        }
+        set_conv_lowering_budget_bytes(saved);
+    }
 }
 
 // Parameterized sweep: conv2d == direct reference across geometries.
