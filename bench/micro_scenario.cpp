@@ -18,9 +18,12 @@
 //   2. dormancy: a timeline whose events all land beyond the budget is
 //      byte-identical to no timeline at all (the hook plumbing is free).
 //
-// Output: BENCH_scenario.json (schema 1: per-row scenario/mode epochs to
+// Output: BENCH_scenario.json (schema 2: per-row scenario/mode epochs to
 // target + final accuracy + timeline counters; root carries the headline
-// epochs_saved and the verified flag).
+// epochs_saved and the verified flag). Everything machine-dependent — the
+// per-row wall times and the core count — sits in the `timing` section, so
+// the rest of the file is a pure function of the options and regenerates
+// byte for byte.
 //
 // Options:
 //   --out PATH        JSON output path          (default BENCH_scenario.json)
@@ -143,6 +146,7 @@ int main(int argc, char** argv) {
 
         // ---- recover vs restart rows ---------------------------------------
         json_array rows;
+        json_array wall_ms;  // one per row, in row order
         double headline_saved = 0.0;
         std::string headline_scenario;
         for (const std::string& spec : specs) {
@@ -158,7 +162,7 @@ int main(int argc, char** argv) {
                 }
                 stopwatch timer;
                 const fat_result result = run(sc);
-                const double wall_ms = timer.milliseconds();
+                wall_ms.push_back(json_value(timer.milliseconds()));
                 const auto reached =
                     epochs_to_reattain(result.trajectory, target, last_event);
                 const bool censored = !reached.has_value();
@@ -184,7 +188,6 @@ int main(int argc, char** argv) {
                 row.set("rollbacks", json_value(result.rollbacks));
                 row.set("restarts", json_value(result.restarts));
                 row.set("hit_nonfinite", json_value(result.hit_nonfinite));
-                row.set("wall_ms", json_value(wall_ms));
                 rows.push_back(json_value(std::move(row)));
             }
             if (headline_scenario.empty() && recover_epochs >= 0.0 && restart_epochs >= 0.0 &&
@@ -198,11 +201,14 @@ int main(int argc, char** argv) {
         // epochs than restart-from-scratch.
         gate("recover-saves-epochs", !headline_scenario.empty());
 
+        json_object timing;
+        timing.set("hardware_concurrency",
+                   json_value(static_cast<std::size_t>(std::thread::hardware_concurrency())));
+        timing.set("wall_ms", json_value(std::move(wall_ms)));
+
         json_object root;
         root.set("bench", json_value("micro_scenario"));
-        root.set("schema_version", json_value(1));
-        root.set("hardware_concurrency",
-                 json_value(static_cast<std::size_t>(std::thread::hardware_concurrency())));
+        root.set("schema_version", json_value(2));
         root.set("budget_epochs", json_value(budget));
         root.set("target_accuracy", json_value(target));
         root.set("chip_fault_rate", json_value(rate));
@@ -210,6 +216,7 @@ int main(int argc, char** argv) {
         root.set("recover_epochs_saved", json_value(headline_saved));
         root.set("verified", json_value(all_ok));
         root.set("rows", json_value(std::move(rows)));
+        root.set("timing", json_value(std::move(timing)));
         json_save_file(out_path, json_value(std::move(root)));
         std::cout << "wrote " << out_path << " (recover saves " << headline_saved
                   << " epochs on '" << headline_scenario << "')\n";

@@ -1,6 +1,8 @@
 // Processing-element behaviour model, including permanent-fault modes.
 #pragma once
 
+#include <cstdint>
+
 namespace reduce {
 
 /// Permanent-fault behaviour of one PE's MAC datapath.
@@ -10,13 +12,17 @@ namespace reduce {
 /// mapped there is effectively pruned. The stuck_* kinds model what happens
 /// WITHOUT mitigation: the weight register is stuck, so the MAC multiplies
 /// the activation by a wrong constant.
-enum class pe_fault {
+///
+/// One byte per PE: a 256x256 fault_grid is 64 KiB, so copying a chip lot
+/// stays cheap. Every encoder writes the values, never the memory.
+enum class pe_fault : std::uint8_t {
     healthy,            ///< psum_out = psum_in + w * x
     bypassed,           ///< psum_out = psum_in              (FAP repair)
     stuck_weight_zero,  ///< psum_out = psum_in + 0 * x      (benign corruption)
     stuck_weight_max,   ///< psum_out = psum_in + (+w_max) * x
     stuck_weight_min,   ///< psum_out = psum_in + (-w_max) * x
 };
+static_assert(sizeof(pe_fault) == 1, "fault grids store one byte per PE");
 
 /// True for any non-healthy state.
 bool is_faulty(pe_fault fault);

@@ -356,7 +356,7 @@ void coordinator::handle_message(int fd, connection& conn, const json_value& mes
     if (type == "request_work") {
         handle_request_work(fd, conn);
     } else if (type == "heartbeat") {
-        handle_heartbeat(fd, message);
+        handle_heartbeat(fd, conn, message);
     } else if (type == "result") {
         handle_result(fd, conn, message);
     } else {
@@ -484,17 +484,22 @@ void coordinator::grant_parked() {
     }
 }
 
-void coordinator::handle_heartbeat(int fd, const json_value& message) {
+void coordinator::handle_heartbeat(int fd, connection& conn, const json_value& message) {
     const std::uint64_t lease_id = parse_lease(message);
     auto it = leases_.find(lease_id);
     if (it == leases_.end()) {
         throw io_error("heartbeat for unknown lease " + std::to_string(lease_id));
     }
     // A heartbeat for a revoked lease is a straggler still computing — let
-    // it run; its result is accepted or deduplicated on arrival.
+    // it run; its result is accepted or deduplicated on arrival. A live one
+    // vouches for the whole connection: the worker names the unit it is
+    // computing, and the unit queued behind it must not expire meanwhile.
     if (it->second.active && it->second.conn_fd == fd) {
-        it->second.deadline =
+        const clock::time_point deadline =
             clock::now() + std::chrono::milliseconds(cfg_.lease_timeout_ms);
+        for (const std::uint64_t held : conn.active_leases) {
+            leases_.at(held).deadline = deadline;
+        }
     }
 }
 

@@ -10,7 +10,10 @@
 //     fault model, and schema version);
 //   * each work unit is leased, with heartbeats extending the lease
 //     deadline; a lease whose worker dies, disconnects, or stops
-//     heartbeating is revoked and the unit re-queued for another worker;
+//     heartbeating is revoked and the unit re-queued for another worker.
+//     Workers pull one unit ahead (dist/worker.h), so a connection holds
+//     up to two leases, and a heartbeat naming any active lease of a
+//     connection extends every lease that connection holds;
 //   * work units are idempotent by construction (per-cell / per-chip
 //     seeding), so re-execution elsewhere is byte-identical, and a
 //     straggler's late result is either accepted (unit still open — the
@@ -227,7 +230,7 @@ private:
     void handle_message(int fd, connection& conn, const json_value& message);
     void handle_hello(int fd, connection& conn, const json_value& message);
     void handle_request_work(int fd, connection& conn);
-    void handle_heartbeat(int fd, const json_value& message);
+    void handle_heartbeat(int fd, connection& conn, const json_value& message);
     void handle_result(int fd, connection& conn, const json_value& message);
     void accept_sweep_result(const json_value& message);
     void accept_fleet_result(const work_unit& unit, const json_value& message);

@@ -40,7 +40,8 @@
 //                                           effective_rate}
 //                                       chip = {id, seed, nominal_fault_rate,
 //                                               fault_map: base64 codec bytes}
-//   heartbeat {lease}                 (extends the lease deadline)
+//   heartbeat {lease}                 (extends the deadline of every
+//                                      lease of the connection)
 //   result {lease, kind, table|       shutdown {reason}          (job done)
 //           outcome [, snapshot]}
 //
@@ -61,18 +62,22 @@
 // After `welcome`, the worker pulls work with `request_work`. The
 // coordinator answers immediately when units are pending; otherwise it
 // parks the worker and *pushes* a `work` frame later (when a lease expires
-// or is returned), or `shutdown` once the job completes.
+// or is returned), or `shutdown` once the job completes. A worker pulls one
+// unit ahead: it sends one request_work when the session starts and the
+// next as soon as a `work` frame arrives, before computing that unit, so it
+// holds at most two leases (one computing, one queued).
 //
 // ## Leases, heartbeats, and fault handling
 //
 // Every `work` frame carries a fresh lease id. A lease is alive while its
-// worker heartbeats (every heartbeat_ms); a lease silent for
-// lease_timeout_ms — or whose connection drops — is revoked and its unit
-// re-queued for another worker. Work units are idempotent by construction
-// (per-cell / per-chip seeding), so a revoked unit re-executes
-// byte-identically elsewhere; a straggler's late `result` for a unit that
-// is not yet done is accepted (it is the same bytes), and for a unit
-// already done it is dropped as a duplicate.
+// worker heartbeats (every heartbeat_ms); a heartbeat naming any active
+// lease of a connection keeps all of that connection's leases alive, the
+// queued one included. A lease silent for lease_timeout_ms — or whose
+// connection drops — is revoked and its unit re-queued for another worker.
+// Work units are idempotent by construction (per-cell / per-chip seeding),
+// so a revoked unit re-executes byte-identically elsewhere; a straggler's
+// late `result` for a unit that is not yet done is accepted (it is the
+// same bytes), and for a unit already done it is dropped as a duplicate.
 #pragma once
 
 #include <cstdint>

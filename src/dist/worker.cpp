@@ -231,8 +231,13 @@ worker_report worker::run() {
                 unsent_result.reset();
                 ++report.results_resent;
             }
+            // One request is always outstanding: this one, then one per work
+            // frame, sent before that unit computes. The next unit is then
+            // already in the socket when the current one finishes, so the
+            // coordinator's turn (decode, journal, fsync, encode) overlaps
+            // training instead of stalling it.
+            send_message(make_request_work());
             for (;;) {
-                send_message(make_request_work());
                 std::optional<json_value> message = read_message();
                 if (!message.has_value()) {
                     stop_heartbeats();
@@ -263,6 +268,7 @@ worker_report worker::run() {
                     stop_heartbeats();
                     return session_end::died;
                 }
+                send_message(make_request_work());
                 const json_object& work = message->as_object();
                 const std::uint64_t lease = parse_lease(work);
                 hb_lease.store(lease, std::memory_order_relaxed);

@@ -3,7 +3,10 @@
 // A worker connects to a coordinator (dist/coordinator.h), proves at
 // handshake that it was built from the same job config (protocol version +
 // resilience fingerprint), and then pulls leased work units until the
-// coordinator says shutdown:
+// coordinator says shutdown. It pulls one unit ahead: the next request_work
+// goes out as soon as a work frame arrives, before that unit computes, so
+// the next unit is already queued in the socket when the current one ends
+// and a worker holds at most two leases (one computing, one queued):
 //
 //   * sweep_cells units run each leased cell through run_sweep_cell — the
 //     returned partial table is byte-compatible with the same cells of a
@@ -18,9 +21,11 @@
 // on one episode_worker (core/fat_trainer.h): the worker clones the model
 // once, on its first unit, and trains every later lease on that clone.
 //
-// A background heartbeat thread keeps the active lease alive while the
-// (long) training computation runs on the main thread; socket writes are
-// mutex-guarded so heartbeats interleave safely with result frames.
+// A background heartbeat thread names the computing lease while the (long)
+// training computation runs on the main thread; the coordinator extends
+// every lease of the connection on it, the queued one included. Socket
+// writes are mutex-guarded so heartbeats interleave safely with requests
+// and result frames.
 //
 // Session resume: a mid-job transport loss (coordinator restarted, network
 // partition, chaos proxy severing the wire) does not end run(). The worker
@@ -36,9 +41,11 @@
 // budget burns without a session does run() return with connection_lost.
 //
 // Failure injection: die_after_units > 0 makes the worker close its socket
-// abruptly after *receiving* its Nth work unit, before computing anything —
-// the in-process stand-in for SIGKILL mid-lease that the loopback tests use
-// to exercise lease revocation and reassignment.
+// abruptly after *receiving* its Nth work unit, before computing anything
+// and before asking for the next one — the in-process stand-in for SIGKILL
+// mid-lease that the loopback tests use to exercise lease revocation and
+// reassignment. It dies holding that one lease only: every earlier unit's
+// result went out before the Nth work frame was read.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,10 @@
 // bearing claim is byte-identity — any worker count, worker deaths included,
 // must reproduce the single-machine artifact exactly — plus the fault paths:
 // mid-lease death → lease reassignment, silent workers → heartbeat-deadline
-// revocation, fingerprint or version mismatch → handshake rejection,
-// garbage frames and malformed results → connection drop without taking
-// the job down.
+// revocation, a connection's two pipelined leases → kept alive by one
+// heartbeat and revoked together, fingerprint or version mismatch →
+// handshake rejection, garbage frames and malformed results → connection
+// drop without taking the job down.
 #include <gtest/gtest.h>
 #include <poll.h>
 
@@ -218,8 +219,9 @@ TEST_F(DistFixture, WorkerDeathMidLeaseIsReassignedByteIdentically) {
     EXPECT_TRUE(reports[0].died);
     EXPECT_EQ(reports[0].cells, 0u);
     EXPECT_EQ(reports[1].cells, 4u);  // all units, including the revoked one
-    // The gate's 4 leases, then at least the doomed worker's.
-    EXPECT_GE(coord.stats().leases_reassigned, 5u);
+    // The gate's 4 leases, then exactly the doomed worker's one: it dies as
+    // its first work frame arrives, before it asks for a unit ahead.
+    EXPECT_EQ(coord.stats().leases_reassigned, 5u);
 }
 
 TEST_F(DistFixture, SilentWorkerMissesHeartbeatDeadlineAndLosesItsLease) {
@@ -332,14 +334,84 @@ TEST_F(DistFixture, GarbageFramesDropTheConnectionNotTheJob) {
     EXPECT_EQ(reports[0].cells, 4u);
 }
 
-/// Handshakes a raw client and takes one lease; returns its id.
-std::uint64_t take_lease(raw_client& client, const std::string& name) {
+/// Handshakes a raw client and takes `count` leases; returns their ids.
+std::vector<std::uint64_t> take_leases(raw_client& client, const std::string& name,
+                                       std::size_t count) {
     client.send(dist::make_hello(resilience_fingerprint(small_config()), name));
     EXPECT_EQ(dist::message_type(client.read()), "welcome");
-    client.send(dist::make_request_work());
-    const json_value work = client.read();
-    EXPECT_EQ(dist::message_type(work), "work");
-    return std::stoull(work.as_object().at("lease").as_string());
+    std::vector<std::uint64_t> leases;
+    for (std::size_t i = 0; i < count; ++i) {
+        client.send(dist::make_request_work());
+        const json_value work = client.read();
+        EXPECT_EQ(dist::message_type(work), "work");
+        leases.push_back(std::stoull(work.as_object().at("lease").as_string()));
+    }
+    return leases;
+}
+
+std::uint64_t take_lease(raw_client& client, const std::string& name) {
+    return take_leases(client, name, 1).front();
+}
+
+TEST_F(DistFixture, DroppedConnectionRevokesBothOfItsLeases) {
+    dist::coordinator_config cc;
+    cc.cells_per_lease = 1;  // 4 units
+    dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
+    coord.start();
+
+    // A worker pulling one unit ahead holds two leases: the one it computes
+    // and the one queued behind it. Its death must requeue both.
+    {
+        raw_client ahead(coord.port());
+        const std::vector<std::uint64_t> leases = take_leases(ahead, "ahead", 2);
+        EXPECT_NE(leases[0], leases[1]);
+    }  // the socket closes with both leases held
+    EXPECT_TRUE(eventually([&] { return coord.stats().leases_reassigned == 2; }))
+        << "the dropped connection's leases were not both revoked";
+
+    const dist::worker_report report =
+        run_workers({worker_config_for(coord.port(), "heir")}).front();
+    const resilience_table table = coord.wait_table();
+
+    EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes());
+    EXPECT_EQ(report.cells, 4u);
+    const dist::coordinator_stats stats = coord.stats();
+    EXPECT_EQ(stats.leases_reassigned, 2u);
+    EXPECT_EQ(stats.leases_granted, 6u);  // the two revoked, then all four
+}
+
+TEST_F(DistFixture, HeartbeatForTheComputingLeaseKeepsTheQueuedLeaseAlive) {
+    dist::coordinator_config cc;
+    cc.cells_per_lease = 1;
+    cc.heartbeat_ms = 50;
+    cc.lease_timeout_ms = 600;  // 12 heartbeats of slack for sanitizer builds
+    dist::coordinator coord(cc, dist::sweep_job{small_config(), ""});
+    coord.start();
+
+    // The client heartbeats only its first lease, as a worker computing it
+    // does, for three lease timeouts. The queued second lease is never
+    // named, yet must not expire while its connection is alive.
+    std::optional<raw_client> ahead(std::in_place, coord.port());
+    const std::vector<std::uint64_t> leases = take_leases(*ahead, "ahead", 2);
+    const auto until = std::chrono::steady_clock::now() +
+                       std::chrono::milliseconds(3 * cc.lease_timeout_ms);
+    while (std::chrono::steady_clock::now() < until) {
+        ahead->send(dist::make_heartbeat(leases[0]));
+        ASSERT_EQ(coord.stats().leases_reassigned, 0u)
+            << "a lease of a heartbeating connection expired";
+        std::this_thread::sleep_for(std::chrono::milliseconds(cc.heartbeat_ms));
+    }
+    EXPECT_EQ(coord.stats().leases_reassigned, 0u);
+
+    // Once the connection goes, both leases go with it, and the job still
+    // reproduces the serial sweep.
+    ahead.reset();
+    const dist::worker_report report =
+        run_workers({worker_config_for(coord.port(), "heir")}).front();
+    const resilience_table table = coord.wait_table();
+    EXPECT_EQ(table.to_json().dump(), serial_sweep_bytes());
+    EXPECT_EQ(report.cells, 4u);
+    EXPECT_EQ(coord.stats().leases_reassigned, 2u);
 }
 
 TEST_F(DistFixture, MalformedSweepResultDropsTheConnectionNotTheJob) {
