@@ -96,9 +96,9 @@ train_event_hooks timeline_hooks(const fault_timeline& timeline, fault_grid& wor
 
 /// Rows one evaluation forward pass covers: large enough to amortize
 /// per-batch costs, bounded to keep activation memory flat on big test
-/// sets. Every evaluation (evaluate_model, and through it the trainer and
-/// the multi-mask evaluator) splits the test set this way — splits never
-/// change results, since eval-mode passes are row-local.
+/// sets. evaluate_model splits the test set this way, and every checkpoint
+/// eval of an episode goes through it — splits never change results,
+/// since eval-mode passes are row-local.
 inline std::size_t eval_batch_rows(const fat_config& cfg) {
     return cfg.batch_size > 256 ? cfg.batch_size : 256;
 }

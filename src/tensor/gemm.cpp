@@ -159,6 +159,16 @@ __attribute__((always_inline)) inline void store_row(float* row, const vf8& lo, 
 /// directly and a scratch MR x NR tile (ldo = NR, add = false) for a
 /// partial edge tile.
 ///
+/// Each A element is splatted as read (`vf8{s, ..., s}`): the AVX2+FMA
+/// clone compiles that to one `vbroadcastss` from memory per row, so a k
+/// step issues 2 B loads, 4 broadcast-loads and 8 FMAs. `vf8{} + s` costs
+/// a scalar add and a register broadcast per row, and is not the same
+/// arithmetic: 0 + -0 is +0. That sign reaches an output only through an
+/// accumulator at -0, which an unfused chain never holds (it starts at +0,
+/// and a round-to-nearest sum is -0 only when both terms are) and a fused
+/// one holds only after an FMA result underflows to -0. There, reading A
+/// as stored keeps the documented `c += a * b` order.
+///
 /// Kernel body, instantiated twice below under different target attributes.
 /// always_inline so each wrapper compiles it with its own ISA: the AVX2+FMA
 /// wrapper turns each `c += a * b` pair into one 8-wide vfmadd; the
@@ -176,10 +186,11 @@ __attribute__((always_inline)) inline void micro_kernel_body(std::size_t kc,
         const float* bv = pb + p * NR;
         const vf8 b0 = *reinterpret_cast<const vf8u*>(bv);
         const vf8 b1 = *reinterpret_cast<const vf8u*>(bv + 8);
-        const vf8 a0 = vf8{} + av[0];  // scalar + vector broadcasts
-        const vf8 a1 = vf8{} + av[1];
-        const vf8 a2 = vf8{} + av[2];
-        const vf8 a3 = vf8{} + av[3];
+        const float s0 = av[0], s1 = av[1], s2 = av[2], s3 = av[3];
+        const vf8 a0 = {s0, s0, s0, s0, s0, s0, s0, s0};
+        const vf8 a1 = {s1, s1, s1, s1, s1, s1, s1, s1};
+        const vf8 a2 = {s2, s2, s2, s2, s2, s2, s2, s2};
+        const vf8 a3 = {s3, s3, s3, s3, s3, s3, s3, s3};
         c00 += a0 * b0;
         c01 += a0 * b1;
         c10 += a1 * b0;

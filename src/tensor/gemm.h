@@ -44,11 +44,13 @@ class workspace;
 /// The driver keeps the KC panel decomposition of the ORIGINAL k, so each
 /// output element's accumulation chain is the full-k chain with the
 /// zero-product terms removed. Adding an exact ±0 product to the kernel's
-/// accumulator (which is never -0: it starts at +0, and IEEE round-to-
-/// nearest yields +0 for every zero-valued sum) cannot change it, so the
-/// result is bit-identical to the full-k GEMM whenever A's entries in the
-/// missing columns are finite. The conv drivers check that and pass the
-/// full operand otherwise (tensor/conv.h).
+/// accumulator cannot change it unless the accumulator is -0. It starts at
+/// +0, and a round-to-nearest sum is -0 only when both terms are, so an
+/// unfused chain never gets there; a fused one does only when an FMA's
+/// exact result is a nonzero below half the smallest denormal and rounds
+/// to -0. Outside that underflow the result is bit-identical to the full-k
+/// GEMM whenever A's entries in the missing columns are finite. The conv
+/// drivers check that and pass the full operand otherwise (tensor/conv.h).
 struct gemm_k_subset {
     const std::size_t* rows = nullptr;
     std::size_t count = 0;

@@ -1,6 +1,7 @@
 // Tests for the blocked GEMM backend and the workspace arena: kernels vs a
 // double-precision naive reference across tile-boundary shapes and bit for
-// bit vs a float loop in the documented panel order, NaN/Inf
+// bit vs a float loop in the documented panel order (with signed zeros,
+// denormals and infinities in both operands), NaN/Inf
 // propagation (the seed kernel's zero-skip branch dropped it), workspace
 // reuse safety, whole-batch conv lowering equivalence (including the
 // chunked path), the gathered-B GEMM and the k-subset behind the conv
@@ -133,22 +134,63 @@ void panel_ordered_gemm(const std::string& op, const float* a, const float* b, s
     }
 }
 
+/// Lays a logical row-major [rows, cols] matrix out transposed, [cols, rows].
+std::vector<float> transposed(const std::vector<float>& v, std::size_t rows, std::size_t cols) {
+    std::vector<float> t(v.size());
+    for (std::size_t r = 0; r < rows; ++r) {
+        for (std::size_t c = 0; c < cols; ++c) { t[c * rows + r] = v[r * cols + c]; }
+    }
+    return t;
+}
+
+/// Bit equality, except that any NaN equals any NaN: which NaN payload an
+/// invalid operation or a NaN operand yields depends on operand order in
+/// the hardware, not on the documented summation order.
+bool same_bits_or_both_nan(float x, float y) {
+    if (std::isnan(x) || std::isnan(y)) { return std::isnan(x) && std::isnan(y); }
+    return std::memcmp(&x, &y, sizeof(float)) == 0;
+}
+
 TEST(BlockedGemm, BitwiseMatchesPanelOrderedReference) {
-    // Pins byte identity at full and edge tiles, for both store modes, on a
-    // C with a 3-column margin (ldc = n + 3) that no call may touch. The
-    // prior C holds -0, +-Inf and NaN, which an overwrite must replace and
-    // an accumulate must carry.
+    // Pins byte identity at full and edge tiles (k up to 300, so across KC
+    // panels), for nn/nt/tn and both store modes, on a C with a 3-column
+    // margin (ldc = n + 3) that no call may touch. The prior C holds -0,
+    // +-Inf and NaN, which an overwrite must replace and an accumulate must
+    // carry. A and B hold -0, +0, a denormal and +-Inf among finite values
+    // (Inf about once per output's k chain, so outputs are a mix of finite,
+    // Inf and NaN). A's denormals sit at even p and B's at odd p, so no
+    // product is a denormal times a denormal: a fused step whose exact
+    // result underflows to -0 is the one place where a kernel that reads
+    // A's -0 as +0 would differ (ReadsASignedZeroAsStoredAfterAnUnderflow
+    // pins that case on its own).
     const bool fused = kernel_fuses_multiply_add();
-    const float specials[] = {-0.0f, std::numeric_limits<float>::infinity(),
-                              -std::numeric_limits<float>::infinity(),
-                              std::numeric_limits<float>::quiet_NaN(), 0.5f};
+    const float inf = std::numeric_limits<float>::infinity();
+    const float denormal = 0x1.8p-127f;
+    const float specials[] = {-0.0f, inf, -inf, std::numeric_limits<float>::quiet_NaN(), 0.5f};
     rng gen(29);
     workspace ws;
+    // One operand element at depth p: usually uniform in [-1, 1], sometimes
+    // a signed zero, the denormal (only at depths of parity `den_parity`) or
+    // a signed infinity.
+    const auto element = [&](std::size_t p, std::size_t k, std::size_t den_parity) {
+        const double u = gen.uniform();
+        if (u < 0.5 / static_cast<double>(k)) { return gen.uniform() < 0.5 ? inf : -inf; }
+        if (u < 0.05) { return -0.0f; }
+        if (u < 0.10) { return 0.0f; }
+        if (u < 0.15 && p % 2 == den_parity) { return gen.uniform() < 0.5 ? denormal : -denormal; }
+        return static_cast<float>(gen.uniform(-1.0, 1.0));
+    };
     for (const auto& [m, k, n] : kShapes) {
-        const tensor a = random_tensor({m, k}, gen);  // [k, m] for tn: same count
-        const tensor b = random_tensor({k, n}, gen);  // [n, k] for nt: same count
+        std::vector<float> a(m * k);  // logical [m, k]
+        std::vector<float> b(k * n);  // logical [k, n]
+        for (std::size_t e = 0; e < a.size(); ++e) { a[e] = element(e % k, k, 0); }
+        for (std::size_t e = 0; e < b.size(); ++e) { b[e] = element(e / n, k, 1); }
+        const std::vector<float> a_t = transposed(a, m, k);  // [k, m] for tn
+        const std::vector<float> b_t = transposed(b, k, n);  // [n, k] for nt
         const std::size_t ldc = n + 3;
         for (const std::string op : {"nn", "nt", "tn"}) {
+            const float* ap = op == "tn" ? a_t.data() : a.data();
+            const float* bp = op == "nt" ? b_t.data() : b.data();
             for (const bool accumulate : {false, true}) {
                 std::vector<float> got(m * ldc);
                 for (std::size_t e = 0; e < got.size(); ++e) { got[e] = specials[e % 5]; }
@@ -156,18 +198,52 @@ TEST(BlockedGemm, BitwiseMatchesPanelOrderedReference) {
                 const std::size_t lda = op == "tn" ? m : k;
                 const std::size_t ldb = op == "nt" ? k : n;
                 if (op == "nn") {
-                    gemm_nn(m, n, k, a.raw(), lda, b.raw(), ldb, got.data(), ldc, accumulate, ws);
+                    gemm_nn(m, n, k, ap, lda, bp, ldb, got.data(), ldc, accumulate, ws);
                 } else if (op == "nt") {
-                    gemm_nt(m, n, k, a.raw(), lda, b.raw(), ldb, got.data(), ldc, accumulate, ws);
+                    gemm_nt(m, n, k, ap, lda, bp, ldb, got.data(), ldc, accumulate, ws);
                 } else {
-                    gemm_tn(m, n, k, a.raw(), lda, b.raw(), ldb, got.data(), ldc, accumulate, ws);
+                    gemm_tn(m, n, k, ap, lda, bp, ldb, got.data(), ldc, accumulate, ws);
                 }
-                panel_ordered_gemm(op, a.raw(), b.raw(), m, k, n, want.data(), ldc, accumulate,
-                                   fused);
-                EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+                panel_ordered_gemm(op, ap, bp, m, k, n, want.data(), ldc, accumulate, fused);
+                std::size_t mismatches = 0;
+                for (std::size_t e = 0; e < got.size(); ++e) {
+                    mismatches += same_bits_or_both_nan(got[e], want[e]) ? 0 : 1;
+                }
+                EXPECT_EQ(mismatches, 0u)
                     << op << " " << m << "x" << k << "x" << n << " accumulate=" << accumulate;
             }
         }
+    }
+}
+
+TEST(BlockedGemm, ReadsASignedZeroAsStoredAfterAnUnderflow) {
+    // Each panel sum starts at +0, and an unfused chain (c + round(a*b))
+    // can never make it -0. A fused chain can: fma(2^-100, -2^-100, +0)
+    // is exactly -2^-200, which rounds to -0. The next product, -0 * 1,
+    // is -0, and -0 + -0 stays -0, while a kernel that turned A's -0 into
+    // +0 would end at +0. The reference reads A as stored, and so must the
+    // kernel, in every element of a full tile and of an edge tile.
+    const bool fused = kernel_fuses_multiply_add();
+    workspace ws;
+    for (const auto& [m, n] : {std::array<std::size_t, 2>{4, 16}, {3, 5}}) {
+        const std::size_t k = 2;
+        std::vector<float> a(m * k);
+        std::vector<float> b(k * n);
+        for (std::size_t i = 0; i < m; ++i) {
+            a[i * k] = 0x1p-100f;
+            a[i * k + 1] = -0.0f;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+            b[j] = -0x1p-100f;
+            b[n + j] = 1.0f;
+        }
+        std::vector<float> got(m * n, 1.0f);
+        std::vector<float> want = got;
+        gemm_nn(m, n, k, a.data(), k, b.data(), n, got.data(), n, false, ws);
+        panel_ordered_gemm("nn", a.data(), b.data(), m, k, n, want.data(), n, false, fused);
+        EXPECT_EQ(std::signbit(want[0]), fused);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)), 0)
+            << m << "x" << n;
     }
 }
 
@@ -460,7 +536,9 @@ TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     // The structural-zero skip: a compact B missing rows that are exactly
     // zero must reproduce the full-k result bit for bit, with kept rows
     // spread across several KC panels (k = 600 spans three), overwriting
-    // and accumulating.
+    // and accumulating. The fault mask leaves -0 for a negative weight
+    // (w * 0.0f), kept columns included, and a fifth of B's kept entries
+    // are -0 too.
     rng gen(303);
     const std::size_t m = 21, k = 600, n = 333;
     std::vector<std::size_t> kept;
@@ -472,7 +550,8 @@ TEST(KSubsetGemm, EqualsFullGemmWithZeroRows) {
     tensor b_compact({kept.size(), n});
     for (std::size_t j = 0; j < kept.size(); ++j) {
         for (std::size_t q = 0; q < n; ++q) {
-            const float v = static_cast<float>(gen.uniform(-1.0, 1.0));
+            const float v =
+                gen.uniform() < 0.2 ? -0.0f : static_cast<float>(gen.uniform(-1.0, 1.0));
             b_full.raw()[kept[j] * n + q] = v;
             b_compact.raw()[j * n + q] = v;
         }
